@@ -12,6 +12,17 @@ use pictorial_relational::{Catalog, ColumnType, Schema, TupleId, Value};
 use rtree_geom::{Rect, SpatialObject};
 use rtree_index::RTreeConfig;
 use std::collections::HashMap;
+use std::sync::Arc;
+
+/// One `loc` (pointer) column of a relation: the picture it points into
+/// and the backward pointers from that picture's objects to the tuples.
+#[derive(Debug, Clone)]
+struct LocColumn {
+    column: String,
+    picture: String,
+    /// `object id → tuples`, shared between clones until one inserts.
+    backlinks: Arc<HashMap<u64, Vec<TupleId>>>,
+}
 
 /// The integrated pictorial + alphanumeric database PSQL runs against.
 ///
@@ -19,16 +30,22 @@ use std::collections::HashMap;
 /// `&self` only and uses no interior mutability, so a shared database is
 /// `Sync`-safe to query from many threads at once; mutation requires
 /// `&mut self`. The concurrent query service exploits this by cloning the
-/// database (`Clone` is a deep copy), mutating the copy, and publishing
-/// it as a fresh immutable snapshot.
+/// database, mutating the copy, and publishing it as a fresh immutable
+/// snapshot.
+///
+/// `Clone` is **structurally shared**: pictures, relations, indexes and
+/// backlink maps sit behind [`Arc`]s, so a clone costs O(#pictures +
+/// #relations) and a mutation copies only what it touches, through
+/// [`Arc::make_mut`] — [`add_object`](Self::add_object) one picture's
+/// delta (its packed generation stays shared, see [`Picture`]),
+/// [`insert`](Self::insert) one relation and its backlink maps. Nothing
+/// written through a clone is ever visible through the original.
 #[derive(Debug, Clone)]
 pub struct PictorialDatabase {
     catalog: Catalog,
-    pictures: HashMap<String, Picture>,
-    /// `(relation, loc-column) → picture` association.
-    associations: HashMap<(String, String), String>,
-    /// `(relation, loc-column) → object id → tuples` backward pointers.
-    backlinks: HashMap<(String, String), HashMap<u64, Vec<TupleId>>>,
+    pictures: HashMap<String, Arc<Picture>>,
+    /// `relation → its loc columns`, in association order.
+    loc_columns: HashMap<String, Vec<LocColumn>>,
     /// Named location constants usable in `at`-clauses (§2.2: "a name of
     /// a location predefined outside the retrieve mapping").
     locations: HashMap<String, Rect>,
@@ -41,8 +58,7 @@ impl PictorialDatabase {
         PictorialDatabase {
             catalog: Catalog::new(),
             pictures: HashMap::new(),
-            associations: HashMap::new(),
-            backlinks: HashMap::new(),
+            loc_columns: HashMap::new(),
             locations: HashMap::new(),
             config,
         }
@@ -65,8 +81,8 @@ impl PictorialDatabase {
                 "picture {name:?} already exists"
             )));
         }
-        self.pictures
-            .insert(name.to_owned(), Picture::new(name, frame, self.config));
+        let picture = Picture::new(name, frame, self.config);
+        self.pictures.insert(name.to_owned(), Arc::new(picture));
         Ok(())
     }
 
@@ -74,13 +90,22 @@ impl PictorialDatabase {
     pub fn picture(&self, name: &str) -> Result<&Picture, PsqlError> {
         self.pictures
             .get(name)
+            .map(Arc::as_ref)
             .ok_or_else(|| PsqlError::Semantic(format!("no such picture {name:?}")))
     }
 
-    /// Mutable picture access.
+    /// Every picture, in no particular order.
+    pub fn pictures(&self) -> impl Iterator<Item = &Picture> {
+        self.pictures.values().map(Arc::as_ref)
+    }
+
+    /// Mutable picture access. While a clone of this database still
+    /// shares the picture, this first copies its delta part (never its
+    /// packed generation).
     pub fn picture_mut(&mut self, name: &str) -> Result<&mut Picture, PsqlError> {
         self.pictures
             .get_mut(name)
+            .map(Arc::make_mut)
             .ok_or_else(|| PsqlError::Semantic(format!("no such picture {name:?}")))
     }
 
@@ -105,8 +130,8 @@ impl PictorialDatabase {
         picture: &str,
     ) -> Result<(), PsqlError> {
         let rel = self.catalog.relation(relation)?;
-        match rel.schema().column(column) {
-            Some(c) if c.ty == ColumnType::Pointer => {}
+        let col_idx = match rel.schema().index_of(column) {
+            Some(i) if rel.schema().columns()[i].ty == ColumnType::Pointer => i,
             Some(_) => {
                 return Err(PsqlError::Semantic(format!(
                     "{relation}.{column} is not a pointer column"
@@ -117,65 +142,69 @@ impl PictorialDatabase {
                     "no column {column:?} in {relation:?}"
                 )))
             }
-        }
+        };
         self.picture(picture)?;
-        self.associations
-            .insert((relation.to_owned(), column.to_owned()), picture.to_owned());
         // Backfill backward pointers for tuples inserted before the
         // association was declared, so association order doesn't matter.
-        let col_idx = self
-            .catalog
-            .relation(relation)?
-            .schema()
-            .index_of(column)
-            .ok_or_else(|| {
-                PsqlError::Internal(format!("column {column:?} vanished from {relation:?}"))
-            })?;
-        let mut map: HashMap<u64, Vec<TupleId>> = HashMap::new();
-        for (tid, tuple) in self.catalog.relation(relation)?.scan() {
+        let mut backlinks: HashMap<u64, Vec<TupleId>> = HashMap::new();
+        for (tid, tuple) in rel.scan() {
             if let Some(obj) = tuple[col_idx].as_pointer() {
-                map.entry(obj).or_default().push(tid);
+                backlinks.entry(obj).or_default().push(tid);
             }
         }
-        self.backlinks
-            .insert((relation.to_owned(), column.to_owned()), map);
+        let entry = LocColumn {
+            column: column.to_owned(),
+            picture: picture.to_owned(),
+            backlinks: Arc::new(backlinks),
+        };
+        let columns = self.loc_columns.entry(relation.to_owned()).or_default();
+        match columns.iter_mut().find(|c| c.column == column) {
+            Some(existing) => *existing = entry,
+            None => columns.push(entry),
+        }
         Ok(())
+    }
+
+    fn loc_column(&self, relation: &str, column: &str) -> Option<&LocColumn> {
+        self.loc_columns
+            .get(relation)?
+            .iter()
+            .find(|c| c.column == column)
     }
 
     /// The picture `relation.column` points into.
     pub fn association(&self, relation: &str, column: &str) -> Option<&str> {
-        self.associations
-            .get(&(relation.to_owned(), column.to_owned()))
-            .map(String::as_str)
+        self.loc_column(relation, column)
+            .map(|c| c.picture.as_str())
     }
 
-    /// The `loc` (pointer) columns of a relation, with their pictures.
-    pub fn loc_columns(&self, relation: &str) -> Vec<(String, String)> {
-        self.associations
-            .iter()
-            .filter(|((r, _), _)| r == relation)
-            .map(|((_, c), p)| (c.clone(), p.clone()))
-            .collect()
+    /// The `loc` (pointer) columns of a relation as `(column, picture)`,
+    /// in association order.
+    pub fn loc_columns<'a>(
+        &'a self,
+        relation: &str,
+    ) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+        self.loc_columns
+            .get(relation)
+            .into_iter()
+            .flatten()
+            .map(|c| (c.column.as_str(), c.picture.as_str()))
     }
 
     /// Inserts a tuple, maintaining indexes and object→tuple backlinks
     /// for every associated pointer column.
     pub fn insert(&mut self, relation: &str, tuple: Vec<Value>) -> Result<TupleId, PsqlError> {
-        let schema = self.catalog.relation(relation)?.schema().clone();
         let tid = self.catalog.insert(relation, tuple.clone())?;
-        for (i, col) in schema.columns().iter().enumerate() {
-            if col.ty == ColumnType::Pointer {
-                if let Some(obj) = tuple[i].as_pointer() {
-                    let key = (relation.to_owned(), col.name.clone());
-                    if self.associations.contains_key(&key) {
-                        self.backlinks
-                            .entry(key)
-                            .or_default()
-                            .entry(obj)
-                            .or_default()
-                            .push(tid);
-                    }
-                }
+        let schema = self.catalog.relation(relation)?.schema();
+        for loc in self.loc_columns.get_mut(relation).into_iter().flatten() {
+            let pointer = schema
+                .index_of(&loc.column)
+                .and_then(|i| tuple[i].as_pointer());
+            if let Some(obj) = pointer {
+                Arc::make_mut(&mut loc.backlinks)
+                    .entry(obj)
+                    .or_default()
+                    .push(tid);
             }
         }
         Ok(tid)
@@ -183,17 +212,15 @@ impl PictorialDatabase {
 
     /// Deletes a tuple, maintaining indexes and backlinks.
     pub fn delete(&mut self, relation: &str, tid: TupleId) -> Result<Vec<Value>, PsqlError> {
-        let schema = self.catalog.relation(relation)?.schema().clone();
         let tuple = self.catalog.delete(relation, tid)?;
-        for (i, col) in schema.columns().iter().enumerate() {
-            if col.ty == ColumnType::Pointer {
-                if let Some(obj) = tuple[i].as_pointer() {
-                    let key = (relation.to_owned(), col.name.clone());
-                    if let Some(map) = self.backlinks.get_mut(&key) {
-                        if let Some(list) = map.get_mut(&obj) {
-                            list.retain(|&t| t != tid);
-                        }
-                    }
+        let schema = self.catalog.relation(relation)?.schema();
+        for loc in self.loc_columns.get_mut(relation).into_iter().flatten() {
+            let pointer = schema
+                .index_of(&loc.column)
+                .and_then(|i| tuple[i].as_pointer());
+            if let Some(obj) = pointer {
+                if let Some(list) = Arc::make_mut(&mut loc.backlinks).get_mut(&obj) {
+                    list.retain(|&t| t != tid);
                 }
             }
         }
@@ -205,9 +232,8 @@ impl PictorialDatabase {
     /// to select the relation's tuples … when it retrieves using the
     /// picture").
     pub fn tuples_of_object(&self, relation: &str, column: &str, object: u64) -> &[TupleId] {
-        self.backlinks
-            .get(&(relation.to_owned(), column.to_owned()))
-            .and_then(|m| m.get(&object))
+        self.loc_column(relation, column)
+            .and_then(|c| c.backlinks.get(&object))
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
@@ -227,7 +253,7 @@ impl PictorialDatabase {
     /// Re-packs every picture's R-tree (done once after bulk loading).
     pub fn pack_all(&mut self) {
         for pic in self.pictures.values_mut() {
-            pic.pack();
+            Arc::make_mut(pic).pack();
         }
     }
 
@@ -246,7 +272,7 @@ impl PictorialDatabase {
     ) -> Result<rtree_extpack::ExtPackStats, PsqlError> {
         let mut total = rtree_extpack::ExtPackStats::default();
         for pic in self.pictures.values_mut() {
-            let s = pic
+            let s = Arc::make_mut(pic)
                 .pack_external(memory_budget_bytes, threads)
                 .map_err(|e| PsqlError::Internal(format!("external pack failed: {e}")))?;
             total.items += s.items;
@@ -273,17 +299,55 @@ impl PictorialDatabase {
 
     /// Folds every nonempty delta tree back into a freshly packed +
     /// frozen main tree, leaving untouched pictures alone. Returns the
-    /// number of pictures merged. This is what the server's background
-    /// merge thread runs on a snapshot clone before publishing it.
+    /// number of pictures merged. The server's background merge runs
+    /// this on a snapshot clone, off every lock, and installs the result
+    /// with [`adopt_merge`](Self::adopt_merge).
     pub fn merge_deltas(&mut self) -> usize {
         let mut merged = 0;
         for pic in self.pictures.values_mut() {
             if pic.needs_merge() {
-                pic.pack();
+                Arc::make_mut(pic).pack();
                 merged += 1;
             }
         }
         merged
+    }
+
+    /// Installs a background merge into `self`, the database as it is
+    /// *now*: `merged` is a clone of `base` after
+    /// [`merge_deltas`](Self::merge_deltas), and `self` descends from
+    /// `base` by whatever was written while the merge packed. Each
+    /// picture the merge packed replaces its counterpart here, after the
+    /// objects added since `base` — ids `[merged.len, self.len)` — are
+    /// re-added into its delta, so no write is lost and ids are kept.
+    ///
+    /// Returns `false`, leaving `self` untouched, when some merged
+    /// picture no longer serves `base`'s packed generation here: a
+    /// REPACK / PACK EXTERNAL already folded that delta, and the merge
+    /// result is stale.
+    pub fn adopt_merge(&mut self, base: &PictorialDatabase, merged: &PictorialDatabase) -> bool {
+        let mut adopted = Vec::new();
+        for (name, before) in &base.pictures {
+            if !before.needs_merge() {
+                continue;
+            }
+            let (Some(current), Some(packed)) =
+                (self.pictures.get(name), merged.pictures.get(name))
+            else {
+                return false;
+            };
+            if !current.shares_packed_with(before) {
+                return false;
+            }
+            let mut packed = Picture::clone(packed);
+            for id in packed.len() as u64..current.len() as u64 {
+                let object = current.object(id).expect("id below len").clone();
+                packed.add(object, current.label(id).expect("id below len"));
+            }
+            adopted.push((name.clone(), Arc::new(packed)));
+        }
+        self.pictures.extend(adopted);
+        true
     }
 
     /// Total objects buffered in delta trees across all pictures.
@@ -292,9 +356,11 @@ impl PictorialDatabase {
     }
 
     /// `true` while no packed picture has lost its frozen compilation to
-    /// a dynamic write — the invariant the write path restores: inserts
-    /// buffer in delta trees and the frozen main tree keeps serving.
-    /// (Never-packed pictures don't count against this.)
+    /// a dynamic write — the write path's invariant: inserts buffer in
+    /// delta trees and the frozen main tree keeps serving. A packed
+    /// generation owns its arena, so this now holds by construction; it
+    /// stays as the observable form of that guarantee (STATS, the
+    /// fuzzer). (Never-packed pictures don't count against this.)
     pub fn frozen_intact(&self) -> bool {
         self.pictures
             .values()

@@ -303,29 +303,35 @@ fn finish_rows(
         }
     }
 
-    // Highlights: every qualifying tuple's associated loc objects.
+    // Highlights: every qualifying tuple's associated loc objects. Which
+    // columns those are is a property of the plan's relations, resolved
+    // once; the row loop only follows pointers.
+    let mut loc_sources = Vec::new();
+    for (rel_idx, rel_name) in plan.relations.iter().enumerate() {
+        let rel = db.catalog().relation(rel_name)?;
+        for (col_name, picture_name) in db.loc_columns(rel_name) {
+            if let Some(col_idx) = rel.schema().index_of(col_name) {
+                loc_sources.push((
+                    rel_idx,
+                    rel,
+                    col_idx,
+                    picture_name,
+                    db.picture(picture_name)?,
+                ));
+            }
+        }
+    }
     let mut highlights: Vec<Highlight> = Vec::new();
     let mut seen = std::collections::HashSet::new();
     for row in &kept {
-        for (rel_idx, rel_name) in plan.relations.iter().enumerate() {
-            for (col_name, picture_name) in db.loc_columns(rel_name) {
-                let rel = db.catalog().relation(rel_name)?;
-                let Some(col_idx) = rel.schema().index_of(&col_name) else {
-                    continue;
-                };
-                if let Some(obj) = rel.get(row[rel_idx])?[col_idx].as_pointer() {
-                    if seen.insert((picture_name.clone(), obj)) {
-                        let label = db
-                            .picture(&picture_name)?
-                            .label(obj)
-                            .unwrap_or("")
-                            .to_owned();
-                        highlights.push(Highlight {
-                            picture: picture_name.clone(),
-                            object: obj,
-                            label,
-                        });
-                    }
+        for &(rel_idx, rel, col_idx, picture_name, picture) in &loc_sources {
+            if let Some(obj) = rel.get(row[rel_idx])?[col_idx].as_pointer() {
+                if seen.insert((picture_name, obj)) {
+                    highlights.push(Highlight {
+                        picture: picture_name.to_owned(),
+                        object: obj,
+                        label: picture.label(obj).unwrap_or("").to_owned(),
+                    });
                 }
             }
         }
@@ -401,9 +407,8 @@ fn candidate_rows(
             let inner_result = execute_plan_with_scratch(db, inner, functions, scratch)?;
             let (inner_rel, inner_col) = match &inner.projection[0] {
                 Projection::Column { source, .. } => {
-                    let rel_name = &inner.relations[source.rel];
-                    let schema = db.catalog().relation(rel_name)?.schema().clone();
-                    (rel_name.clone(), schema.columns()[source.col].name.clone())
+                    let rel_name = inner.relations[source.rel].as_str();
+                    (rel_name, loc_column_name(db, rel_name, *source)?)
                 }
                 Projection::Function { .. } => {
                     return Err(PsqlError::Semantic(
@@ -411,7 +416,7 @@ fn candidate_rows(
                     ))
                 }
             };
-            let inner_picture_name = db.association(&inner_rel, &inner_col).ok_or_else(|| {
+            let inner_picture_name = db.association(inner_rel, inner_col).ok_or_else(|| {
                 PsqlError::Semantic(format!("{inner_rel}.{inner_col} has no picture"))
             })?;
             let inner_picture = db.picture(inner_picture_name)?;
@@ -468,6 +473,10 @@ fn candidate_rows(
             // are packed; buffered delta writes merge in as extra join
             // terms (see `picture_join`).
             let pairs = picture_join(lp, rp, *op, &mut join_stats);
+            let lrel = &plan.relations[left.rel];
+            let rrel = &plan.relations[right.rel];
+            let lcol = loc_column_name(db, lrel, *left)?;
+            let rcol = loc_column_name(db, rrel, *right)?;
             let mut rows = Vec::new();
             for (ItemId(lo), ItemId(ro)) in pairs {
                 let lobj = lp.object(lo).ok_or_else(|| {
@@ -479,12 +488,8 @@ fn candidate_rows(
                 if !op.eval_objects(lobj, robj) {
                     continue;
                 }
-                let lrel = &plan.relations[left.rel];
-                let rrel = &plan.relations[right.rel];
-                let lcol = loc_column_name(db, lrel, *left)?;
-                let rcol = loc_column_name(db, rrel, *right)?;
-                for &lt in db.tuples_of_object(lrel, &lcol, lo) {
-                    for &rt in db.tuples_of_object(rrel, &rcol, ro) {
+                for &lt in db.tuples_of_object(lrel, lcol, lo) {
+                    for &rt in db.tuples_of_object(rrel, rcol, ro) {
                         // Row slots are ordered by from-position.
                         let mut row = vec![TupleId(0); 2];
                         row[left.rel] = lt;
@@ -510,20 +515,20 @@ fn objects_to_rows(
     let col_name = loc_column_name(db, rel_name, column)?;
     let mut rows = Vec::new();
     for &obj in objs {
-        for &tid in db.tuples_of_object(rel_name, &col_name, obj) {
+        for &tid in db.tuples_of_object(rel_name, col_name, obj) {
             rows.push(vec![tid]);
         }
     }
     Ok(rows)
 }
 
-fn loc_column_name(
-    db: &PictorialDatabase,
+fn loc_column_name<'a>(
+    db: &'a PictorialDatabase,
     rel_name: &str,
     rc: ResolvedColumn,
-) -> Result<String, PsqlError> {
-    let schema = db.catalog().relation(rel_name)?.schema().clone();
-    Ok(schema.columns()[rc.col].name.clone())
+) -> Result<&'a str, PsqlError> {
+    let schema = db.catalog().relation(rel_name)?.schema();
+    Ok(&schema.columns()[rc.col].name)
 }
 
 fn column_value<'a>(

@@ -117,49 +117,42 @@ fn intersects_node(mbr: &Rect, node: &Node) -> bool {
     node.mbr().is_some_and(|m| m.intersects(mbr))
 }
 
-/// Juxtaposition join between two [`Picture`]s, merging each side's
-/// frozen main tree with its buffered delta (DESIGN.md §14).
+/// Juxtaposition join between two [`Picture`]s, composing each side's
+/// main tree with its buffered delta (DESIGN.md §14).
 ///
-/// When both sides are packed, the pair set decomposes over the
-/// (disjoint) main/delta partitions:
+/// Main and delta index disjoint id ranges on each side, so the pair set
+/// decomposes into four terms:
 ///
 /// ```text
-/// join(L, R) = frozen_join(L.main, R.main)      main  × main
-///            ∪ rtree_join(L.all,  R.delta)       all   × delta
-///            ∪ rtree_join(L.delta, R.main)       delta × main
+/// join(L, R) = join(L.main,  R.main)     frozen when both sides are packed
+///            ∪ join(L.main,  R.delta)
+///            ∪ join(L.delta, R.main)
+///            ∪ join(L.delta, R.delta)
 /// ```
 ///
-/// `L.all` is the pointer tree (which indexes main and delta objects
-/// alike), so the middle term already covers `delta × delta`; the last
-/// term filters right-side ids to the main prefix to avoid emitting
-/// those pairs twice. With empty deltas this is exactly the old
-/// `frozen_join` fast path, bit-identical pairs and counters included.
-/// If either side was never packed, its pointer tree holds everything
-/// and the plain lock-step join runs.
+/// With empty deltas this is exactly the `frozen_join` fast path,
+/// bit-identical pairs and counters included. A never-packed side has
+/// no delta: its main tree is the Guttman tree over all its objects.
 pub fn picture_join(
     lp: &Picture,
     rp: &Picture,
     op: SpatialOp,
     stats: &mut JoinStats,
 ) -> Vec<(ItemId, ItemId)> {
-    match (lp.frozen(), rp.frozen()) {
-        (Some(lf), Some(rf)) => {
-            let mut out = frozen_join(lf, rf, op, stats);
-            if rp.needs_merge() {
-                out.extend(rtree_join(lp.tree(), rp.delta_tree(), op, stats));
-            }
-            if lp.needs_merge() {
-                let cut = rp.packed_len() as u64;
-                out.extend(
-                    rtree_join(lp.delta_tree(), rp.tree(), op, stats)
-                        .into_iter()
-                        .filter(|&(_, ItemId(r))| r < cut),
-                );
-            }
-            out
-        }
+    let mut out = match (lp.frozen(), rp.frozen()) {
+        (Some(lf), Some(rf)) => frozen_join(lf, rf, op, stats),
         _ => rtree_join(lp.tree(), rp.tree(), op, stats),
+    };
+    if let Some(rd) = rp.delta_tree() {
+        out.extend(rtree_join(lp.tree(), rd, op, stats));
     }
+    if let Some(ld) = lp.delta_tree() {
+        out.extend(rtree_join(ld, rp.tree(), op, stats));
+        if let Some(rd) = rp.delta_tree() {
+            out.extend(rtree_join(ld, rd, op, stats));
+        }
+    }
+    out
 }
 
 /// [`rtree_join`] over two frozen trees: the identical simultaneous

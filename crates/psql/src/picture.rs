@@ -5,11 +5,12 @@ use packed_rtree_core::pack;
 use rtree_extpack::{ExtPackConfig, ExtPackError, ExtPackResult, ExtPackStats, NodeSink};
 use rtree_geom::{Point, Rect, SpatialObject};
 use rtree_index::{
-    BatchScratch, BottomUpBuilder, FrozenChild, FrozenRTree, ItemId, Neighbor, NodeId, RTree,
-    RTreeConfig, SearchScratch, SearchStats,
+    BatchScratch, BottomUpBuilder, FrozenChild, FrozenRTree, ItemId, KnnScratch, Neighbor, NodeId,
+    RTree, RTreeConfig, SearchScratch, SearchStats,
 };
 use rtree_storage::{codec, PageId, Pager};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Node-count threshold below which queries keep serving the pointer
 /// tree even when a frozen compilation exists. On trees the size of the
@@ -23,45 +24,61 @@ use std::collections::HashMap;
 /// pointer side.
 const FROZEN_QUERY_MIN_NODES: usize = 4096;
 
+/// One packed generation of a picture: everything a pack produced,
+/// immutable until the next pack and shared (behind an [`Arc`]) by
+/// every snapshot published in between.
+#[derive(Debug)]
+struct PackedGeneration {
+    /// Objects `[0, packed_len)`.
+    objects: Vec<SpatialObject>,
+    labels: Vec<String>,
+    /// The packed pointer tree — serves small pictures (see
+    /// `FROZEN_QUERY_MIN_NODES`) and is what [`Picture::tree`] returns.
+    tree: RTree,
+    /// The SoA compilation of `tree`.
+    frozen: FrozenRTree,
+}
+
 /// A picture: named spatial objects over a frame, indexed by an R-tree.
 ///
 /// "Each pictorial domain element that corresponds to a tuple of the
 /// relation appears on a leaf-node of the R-tree" (§2.1): object ids here
 /// are the pointer values stored in relations' `loc` columns.
 ///
-/// After [`pack`](Picture::pack) the tree is also compiled into a
-/// [`FrozenRTree`] — the cache-conscious SoA layout — and every query
-/// path serves from it (results and counters are bit-identical to the
-/// pointer tree).
+/// A picture is an immutable **packed generation** plus an owned
+/// **delta**. [`pack`](Picture::pack) moves every object into a new
+/// generation — objects, labels, the packed pointer tree and its
+/// [`FrozenRTree`] compilation — covering ids `[0, packed_len)`. A
+/// dynamic [`add`](Picture::add) after that (the §3.4 "update problem")
+/// touches only the delta: the object/label tail `[packed_len, len)` and
+/// a small in-memory Guttman tree over it. Every query composes *main +
+/// delta*, whose candidate sets are disjoint by construction; the next
+/// pack (an explicit REPACK or the server's background merge) folds the
+/// delta into a fresh generation. Before the first pack there is no
+/// generation and the Guttman tree indexes every object. DESIGN.md §14
+/// describes the full write path, including the WAL that makes buffered
+/// adds durable.
 ///
-/// A dynamic [`add`](Picture::add) after a pack **no longer invalidates
-/// the frozen form** (the §3.4 "update problem"). The new object goes
-/// into a small in-memory Guttman **delta tree** instead, and every
-/// query path merges frozen-main and delta results: the frozen arena
-/// covers object ids `[0, packed_len)`, the delta covers
-/// `[packed_len, len)`, so the two candidate sets are disjoint by
-/// construction. The next [`pack`](Picture::pack) (an explicit REPACK or
-/// the server's background merge) folds the delta back into a freshly
-/// packed + frozen main tree. DESIGN.md §14 describes the full write
-/// path, including the WAL that makes buffered adds durable.
-///
-/// `Clone` deep-copies objects, labels and the R-trees so a snapshot
-/// builder can re-pack a copy without disturbing concurrent readers.
+/// `Clone` shares the packed generation and copies the delta, so a
+/// snapshot of a packed picture costs O(delta), not O(objects).
 #[derive(Debug, Clone)]
 pub struct Picture {
     name: String,
     frame: Rect,
+    packed: Option<Arc<PackedGeneration>>,
+    /// Objects in `packed` (0 before the first pack), kept beside the
+    /// `Arc` so resolving an id needs no pointer chase.
+    packed_len: usize,
+    /// Objects and labels `[packed_len, len)`.
     objects: Vec<SpatialObject>,
     labels: Vec<String>,
-    /// The pointer tree over **all** objects — the fallback query path
-    /// and the substrate `pack`/`freeze` compile from.
-    tree: RTree,
-    frozen: Option<FrozenRTree>,
-    /// Guttman tree over objects added since the last pack (ids
-    /// `packed_len..len`). Empty whenever `frozen` is `None`.
+    /// Guttman tree over the tail: the delta of a packed picture, the
+    /// whole index of a never-packed one.
     delta: RTree,
-    /// Objects covered by the frozen compilation (prefix of `objects`).
-    packed_len: usize,
+    /// Heap bytes of all labels, and of the packed ones — running totals
+    /// so [`estimated_bytes`](Picture::estimated_bytes) walks nothing.
+    label_bytes: usize,
+    packed_label_bytes: usize,
     /// Test hook: serve frozen queries regardless of tree size, so the
     /// differential fuzzer can drive the frozen+delta merge path on
     /// small cases (see [`force_frozen_queries`]).
@@ -70,18 +87,81 @@ pub struct Picture {
     force_frozen: bool,
 }
 
+/// One of a picture's index structures, so each query entry point is
+/// written once over "main, then delta".
+#[derive(Clone, Copy)]
+enum Index<'a> {
+    Frozen(&'a FrozenRTree),
+    Pointer(&'a RTree),
+}
+
+impl Index<'_> {
+    fn window(self, within: bool, window: &Rect, stats: &mut SearchStats) -> Vec<ItemId> {
+        match (self, within) {
+            (Index::Frozen(f), true) => f.search_within(window, stats),
+            (Index::Frozen(f), false) => f.search_intersecting(window, stats),
+            (Index::Pointer(t), true) => t.search_within(window, stats),
+            (Index::Pointer(t), false) => t.search_intersecting(window, stats),
+        }
+    }
+
+    fn window_into<'s>(
+        self,
+        within: bool,
+        window: &Rect,
+        scratch: &'s mut SearchScratch,
+    ) -> &'s [ItemId] {
+        match (self, within) {
+            (Index::Frozen(f), true) => f.search_within_into(window, scratch),
+            (Index::Frozen(f), false) => f.search_intersecting_into(window, scratch),
+            (Index::Pointer(t), true) => t.search_within_into(window, scratch),
+            (Index::Pointer(t), false) => t.search_intersecting_into(window, scratch),
+        }
+    }
+
+    fn nearest(self, p: Point, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
+        match self {
+            Index::Frozen(f) => f.nearest_neighbors(p, k, stats),
+            Index::Pointer(t) => t.nearest_neighbors(p, k, stats),
+        }
+    }
+
+    fn nearest_into(self, p: Point, k: usize, scratch: &mut KnnScratch) -> &[Neighbor] {
+        match self {
+            Index::Frozen(f) => f.nearest_neighbors_into(p, k, scratch),
+            Index::Pointer(t) => t.nearest_neighbors_into(p, k, scratch),
+        }
+    }
+}
+
+/// The tree traversal that produces `op`'s candidates: `Some(true)` for
+/// WITHIN at the leaves (the paper's SEARCH), `Some(false)` for
+/// INTERSECTS, `None` when no hierarchy of rectangles can prune.
+fn traversal(op: SpatialOp) -> Option<bool> {
+    match op {
+        SpatialOp::CoveredBy => Some(true),
+        SpatialOp::Overlapping | SpatialOp::Covering => Some(false),
+        SpatialOp::Disjoined => None,
+    }
+}
+
+fn neighbor_ids(neighbors: &[Neighbor]) -> Vec<u64> {
+    neighbors.iter().map(|n| n.item.0).collect()
+}
+
 impl Picture {
     /// Creates an empty picture over `frame`.
     pub fn new(name: &str, frame: Rect, config: RTreeConfig) -> Self {
         Picture {
             name: name.to_owned(),
             frame,
+            packed: None,
+            packed_len: 0,
             objects: Vec::new(),
             labels: Vec::new(),
-            tree: RTree::new(config),
-            frozen: None,
             delta: RTree::new(config),
-            packed_len: 0,
+            label_bytes: 0,
+            packed_label_bytes: 0,
             force_frozen: false,
         }
     }
@@ -98,44 +178,93 @@ impl Picture {
 
     /// Number of objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.packed_len + self.objects.len()
     }
 
     /// `true` if the picture has no objects.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.len() == 0
     }
 
     /// Adds an object (dynamically, via Guttman INSERT), returning its
-    /// object id — the pointer value for `loc` columns.
+    /// object id — the pointer value for `loc` columns. The packed
+    /// generation is never written: the object joins the tail and the
+    /// delta tree, and queries merge both.
     pub fn add(&mut self, object: SpatialObject, label: &str) -> u64 {
-        let id = self.objects.len() as u64;
-        self.tree.insert(object.mbr(), ItemId(id));
-        if self.frozen.is_some() {
-            // The frozen arena keeps serving ids [0, packed_len); the
-            // new object joins the delta tree and queries merge both.
-            self.delta.insert(object.mbr(), ItemId(id));
-        }
+        let id = self.len() as u64;
+        self.delta.insert(object.mbr(), ItemId(id));
         self.objects.push(object);
         self.labels.push(label.to_owned());
+        self.label_bytes += label.len();
         id
+    }
+
+    /// Every object in id order: the packed prefix, then the tail.
+    fn all_objects(&self) -> impl Iterator<Item = &SpatialObject> {
+        let packed = self.packed.iter().flat_map(|g| &g.objects);
+        packed.chain(&self.objects)
+    }
+
+    /// `(mbr, id)` of every object, in id order — the packers' input.
+    fn items(&self) -> Vec<(Rect, ItemId)> {
+        let mut items = Vec::with_capacity(self.len());
+        items.extend(
+            self.all_objects()
+                .zip(0u64..)
+                .map(|(object, id)| (object.mbr(), ItemId(id))),
+        );
+        items
+    }
+
+    /// Replaces the packed generation with `tree` + `frozen` over every
+    /// object, leaving the delta empty. The old generation's vectors are
+    /// extended in place when this picture is their only owner (the
+    /// bulk-load path copies nothing); when snapshots still share them —
+    /// a merge — they are copied once, off every lock.
+    fn install_generation(&mut self, tree: RTree, frozen: impl FnOnce(&RTree) -> FrozenRTree) {
+        // Everything superseded is released before the new arena is
+        // built, so a pack's peak is two trees and one arena, not more.
+        self.delta = RTree::new(tree.config());
+        let tail_objects = std::mem::take(&mut self.objects);
+        let tail_labels = std::mem::take(&mut self.labels);
+        let (objects, labels) = match self.packed.take().map(Arc::try_unwrap) {
+            None => (tail_objects, tail_labels),
+            Some(previous) => {
+                // An unshared previous generation drops its tree and
+                // arena here.
+                let (mut objects, mut labels) = match previous {
+                    Ok(owned) => (owned.objects, owned.labels),
+                    Err(shared) => {
+                        let len = shared.objects.len() + tail_objects.len();
+                        let mut objects = Vec::with_capacity(len);
+                        objects.extend_from_slice(&shared.objects);
+                        let mut labels = Vec::with_capacity(len);
+                        labels.extend_from_slice(&shared.labels);
+                        (objects, labels)
+                    }
+                };
+                objects.extend(tail_objects);
+                labels.extend(tail_labels);
+                (objects, labels)
+            }
+        };
+        let frozen = frozen(&tree);
+        self.packed_len = objects.len();
+        self.packed_label_bytes = self.label_bytes;
+        self.packed = Some(Arc::new(PackedGeneration {
+            objects,
+            labels,
+            tree,
+            frozen,
+        }));
     }
 
     /// Re-packs the picture's R-tree with the paper's PACK algorithm —
     /// the "initial packing" applied once the (static) picture is loaded
     /// — and compiles the result into the frozen SoA layout.
     pub fn pack(&mut self) {
-        let items: Vec<(Rect, ItemId)> = self
-            .objects
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (o.mbr(), ItemId(i as u64)))
-            .collect();
-        self.tree = pack(items, self.tree.config());
-        self.frozen = Some(FrozenRTree::freeze(&self.tree));
-        // The delta is folded into the fresh main tree.
-        self.delta = RTree::new(self.tree.config());
-        self.packed_len = self.objects.len();
+        let tree = pack(self.items(), self.delta.config());
+        self.install_generation(tree, FrozenRTree::freeze);
     }
 
     /// Re-packs the picture with the **out-of-core** external packer
@@ -148,95 +277,101 @@ impl Picture {
     /// freeze pass). Bit-identical to [`pack`](Picture::pack) at every
     /// budget and thread count, with peak resident buffer memory bounded
     /// by `memory_budget_bytes` instead of the dataset size. `threads`
-    /// 0 selects the machine default. Returns the packer's counters.
+    /// 0 selects the machine default. Returns the packer's counters; on
+    /// an error the picture is unchanged.
     pub fn pack_external(
         &mut self,
         memory_budget_bytes: u64,
         threads: usize,
     ) -> ExtPackResult<ExtPackStats> {
-        let items: Vec<(Rect, ItemId)> = self
-            .objects
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (o.mbr(), ItemId(i as u64)))
-            .collect();
+        let config = self.delta.config();
         let dest = Pager::temp().map_err(ExtPackError::Io)?;
         let cfg = ExtPackConfig {
-            tree: self.tree.config(),
+            tree: config,
             threads,
             ..ExtPackConfig::new(memory_budget_bytes)
         };
         let mut sink = RebuildSink {
-            builder: BottomUpBuilder::new(self.tree.config()),
+            builder: BottomUpBuilder::new(config),
             nodes: HashMap::new(),
             by_page: HashMap::new(),
             root: None,
             root_page: 0,
             depth: 0,
         };
-        let (_disk, stats) = rtree_extpack::pack_external_with_sink(items, &cfg, &dest, &mut sink)?;
-        if self.objects.is_empty() {
+        let (_disk, stats) =
+            rtree_extpack::pack_external_with_sink(self.items(), &cfg, &dest, &mut sink)?;
+        if self.is_empty() {
             // The packer emits a single empty leaf page; the canonical
             // in-memory form of that is an empty tree, so discard the
             // sink state and build the empty forms directly.
-            self.tree = BottomUpBuilder::new(self.tree.config()).finish_empty();
-            self.frozen = Some(FrozenRTree::freeze(&self.tree));
+            let tree = BottomUpBuilder::new(config).finish_empty();
+            self.install_generation(tree, FrozenRTree::freeze);
         } else {
             let root = sink.root.expect("non-empty pack emits a root");
-            self.tree = sink.builder.finish(root);
-            let mut nodes = sink.nodes;
-            self.frozen = Some(FrozenRTree::from_nodes(
-                self.tree.config(),
-                sink.depth,
-                self.objects.len(),
-                sink.root_page,
-                |key| {
+            let tree = sink.builder.finish(root);
+            let (mut nodes, depth, root_page) = (sink.nodes, sink.depth, sink.root_page);
+            let len = self.len();
+            self.install_generation(tree, |tree| {
+                FrozenRTree::from_nodes(tree.config(), depth, len, root_page, |key| {
                     nodes
                         .remove(&key)
                         .expect("every referenced page was emitted")
-                },
-            ));
+                })
+            });
         }
-        self.delta = RTree::new(self.tree.config());
-        self.packed_len = self.objects.len();
         Ok(stats)
     }
 
     /// The object with id `id`.
     pub fn object(&self, id: u64) -> Option<&SpatialObject> {
-        self.objects.get(id as usize)
+        let id = usize::try_from(id).ok()?;
+        match id.checked_sub(self.packed_len) {
+            Some(tail) => self.objects.get(tail),
+            None => self.packed.as_ref()?.objects.get(id),
+        }
     }
 
     /// The label of object `id`.
     pub fn label(&self, id: u64) -> Option<&str> {
-        self.labels.get(id as usize).map(String::as_str)
+        let id = usize::try_from(id).ok()?;
+        let label = match id.checked_sub(self.packed_len) {
+            Some(tail) => self.labels.get(tail),
+            None => self.packed.as_ref()?.labels.get(id),
+        };
+        label.map(String::as_str)
     }
 
-    /// The picture's R-tree.
+    /// The picture's main R-tree: the packed pointer tree once packed
+    /// (ids `[0, packed_len)`; later objects are in the delta), the
+    /// Guttman tree over every object before the first pack.
     pub fn tree(&self) -> &RTree {
-        &self.tree
+        match &self.packed {
+            Some(generation) => &generation.tree,
+            None => &self.delta,
+        }
     }
 
     /// The frozen compilation of the tree, present since the last
     /// [`pack`](Picture::pack). It covers ids `[0, packed_len)`; objects
     /// added since live in the [`delta_tree`](Picture::delta_tree).
     pub fn frozen(&self) -> Option<&FrozenRTree> {
-        self.frozen.as_ref()
+        self.packed.as_ref().map(|generation| &generation.frozen)
     }
 
     /// The in-memory Guttman delta tree over objects added since the
-    /// last pack (ids `packed_len..len`). Empty on a never-packed or
-    /// freshly packed picture.
-    pub fn delta_tree(&self) -> &RTree {
-        &self.delta
+    /// last pack (ids `packed_len..len`), if there are any. `None` on a
+    /// never-packed or freshly packed picture.
+    pub fn delta_tree(&self) -> Option<&RTree> {
+        (self.packed.is_some() && !self.delta.is_empty()).then_some(&self.delta)
     }
 
     /// Objects buffered in the delta tree since the last pack.
     pub fn delta_len(&self) -> usize {
-        self.delta.len()
+        self.delta_tree().map_or(0, RTree::len)
     }
 
-    /// Objects covered by the frozen compilation (prefix of the object
+    /// Objects covered by the packed generation (prefix of the object
     /// id space). Zero on a never-packed picture.
     pub fn packed_len(&self) -> usize {
         self.packed_len
@@ -245,15 +380,50 @@ impl Picture {
     /// `true` when the picture has buffered dynamic writes the next
     /// merge-repack should fold into the main tree.
     pub fn needs_merge(&self) -> bool {
-        !self.delta.is_empty()
+        self.delta_tree().is_some()
     }
 
-    /// The frozen compilation *if queries should serve from it*: present
-    /// and large enough that the SoA layout wins over the pointer tree.
-    fn query_frozen(&self) -> Option<&FrozenRTree> {
-        self.frozen
-            .as_ref()
-            .filter(|f| self.force_frozen || f.node_count() >= FROZEN_QUERY_MIN_NODES)
+    /// `true` when `self` and `other` serve the very same packed
+    /// generation — what a snapshot clone must preserve and a pack must
+    /// end. Two never-packed pictures share nothing.
+    #[doc(hidden)]
+    pub fn shares_packed_with(&self, other: &Picture) -> bool {
+        matches!((&self.packed, &other.packed), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// Estimated resident bytes of the `(packed generation, delta)`,
+    /// computed from lengths alone: inline object and label sizes, label
+    /// heap bytes, and each index's node arrays. Region and segment
+    /// vertex storage and allocator overhead are not counted.
+    pub fn estimated_bytes(&self) -> (usize, usize) {
+        let per_object = std::mem::size_of::<SpatialObject>() + std::mem::size_of::<String>();
+        let packed = self.packed.as_ref().map_or(0, |generation| {
+            self.packed_len * per_object
+                + self.packed_label_bytes
+                + generation.tree.approx_bytes()
+                + generation.frozen.approx_bytes()
+        });
+        let delta = self.objects.len() * per_object
+            + (self.label_bytes - self.packed_label_bytes)
+            + self.delta.approx_bytes();
+        (packed, delta)
+    }
+
+    /// The index serving ids `[0, packed_len)` — the frozen arena when
+    /// it is large enough that the SoA layout wins, else the packed
+    /// pointer tree — and the delta tree to merge in, if any. A
+    /// never-packed picture's main index is its Guttman tree.
+    fn parts(&self) -> (Index<'_>, Option<Index<'_>>) {
+        let Some(generation) = &self.packed else {
+            return (Index::Pointer(&self.delta), None);
+        };
+        let frozen = &generation.frozen;
+        let main = if self.force_frozen || frozen.node_count() >= FROZEN_QUERY_MIN_NODES {
+            Index::Frozen(frozen)
+        } else {
+            Index::Pointer(&generation.tree)
+        };
+        (main, self.delta_tree().map(Index::Pointer))
     }
 
     /// Serve frozen queries regardless of tree size. The size gate in
@@ -272,38 +442,17 @@ impl Picture {
     /// `FROZEN_QUERY_MIN_NODES`); both paths are bit-identical, so this
     /// only changes performance, never results.
     pub fn serves_frozen_queries(&self) -> bool {
-        self.query_frozen().is_some()
+        matches!(self.parts().0, Index::Frozen(_))
     }
 
     /// All object ids.
     pub fn object_ids(&self) -> impl Iterator<Item = u64> {
-        0..self.objects.len() as u64
-    }
-
-    /// Window candidates buffered in the delta tree (empty when there is
-    /// no delta), with traversal counters folded into `stats`.
-    fn delta_window_candidates(
-        &self,
-        within: bool,
-        window: &Rect,
-        stats: &mut SearchStats,
-    ) -> Vec<ItemId> {
-        if self.delta.is_empty() {
-            return Vec::new();
-        }
-        let mut ds = SearchStats::default();
-        let out = if within {
-            self.delta.search_within(window, &mut ds)
-        } else {
-            self.delta.search_intersecting(window, &mut ds)
-        };
-        stats.absorb_traversal(&ds);
-        out
+        0..self.len() as u64
     }
 
     /// Merges two distance-ascending neighbour lists into the `k`
-    /// nearest, preferring the frozen-main side on exact distance ties
-    /// (its ids are smaller by construction).
+    /// nearest, preferring the main side on exact distance ties (its ids
+    /// are smaller by construction).
     fn merge_neighbors(main: &[Neighbor], delta: &[Neighbor], k: usize) -> Vec<Neighbor> {
         let mut out = Vec::with_capacity(k.min(main.len() + delta.len()));
         let (mut i, mut j) = (0, 0);
@@ -333,40 +482,23 @@ impl Picture {
     }
 
     /// Direct spatial search: object ids satisfying `obj op window`,
-    /// pruned through the R-tree and refined with exact geometry. When
-    /// the picture serves frozen queries and holds a delta, the frozen
-    /// arena and the delta tree are both searched and their (disjoint)
-    /// candidate sets merged.
+    /// pruned through the R-tree and refined with exact geometry. The
+    /// main index and the delta tree (when the picture holds one) are
+    /// both searched and their disjoint candidate sets merged; the
+    /// delta's traversal counts toward the same one logical query.
     pub fn search_window(&self, op: SpatialOp, window: &Rect, stats: &mut SearchStats) -> Vec<u64> {
-        let candidates: Vec<ItemId> = match (op, self.query_frozen()) {
-            // The paper's SEARCH: WITHIN at the leaves.
-            (SpatialOp::CoveredBy, Some(f)) => {
-                let mut c = f.search_within(window, stats);
-                c.extend(self.delta_window_candidates(true, window, stats));
-                c
-            }
-            (SpatialOp::CoveredBy, None) => self.tree.search_within(window, stats),
-            // Overlap/cover candidates must intersect the window.
-            (SpatialOp::Overlapping | SpatialOp::Covering, Some(f)) => {
-                let mut c = f.search_intersecting(window, stats);
-                c.extend(self.delta_window_candidates(false, window, stats));
-                c
-            }
-            (SpatialOp::Overlapping | SpatialOp::Covering, None) => {
-                self.tree.search_intersecting(window, stats)
-            }
-            // Disjointness cannot be pruned; enumerate everything (the
-            // pointer tree indexes main and delta objects alike).
-            (SpatialOp::Disjoined, _) => {
-                stats.queries += 1;
-                self.tree.items().into_iter().map(|(_, id)| id).collect()
-            }
+        let Some(within) = traversal(op) else {
+            stats.queries += 1;
+            return self.scan(op, window);
         };
-        candidates
-            .into_iter()
-            .map(|ItemId(id)| id)
-            .filter(|&id| op.eval_window(&self.objects[id as usize], window))
-            .collect()
+        let (main, delta) = self.parts();
+        let mut candidates = main.window(within, window, stats);
+        if let Some(delta) = delta {
+            let mut delta_stats = SearchStats::default();
+            candidates.extend(delta.window(within, window, &mut delta_stats));
+            stats.absorb_traversal(&delta_stats);
+        }
+        self.refine(op, window, &candidates).collect()
     }
 
     /// [`search_window`](Self::search_window) without statistics: the
@@ -379,62 +511,31 @@ impl Picture {
         window: &Rect,
         scratch: &mut SearchScratch,
     ) -> Vec<u64> {
-        match (op, self.query_frozen()) {
-            (SpatialOp::CoveredBy, Some(f)) => {
-                let mut out = self.refine(op, window, f.search_within_into(window, scratch));
-                if !self.delta.is_empty() {
-                    out.extend(self.refine(
-                        op,
-                        window,
-                        self.delta.search_within_into(window, scratch),
-                    ));
-                }
-                out
-            }
-            (SpatialOp::CoveredBy, None) => {
-                self.refine(op, window, self.tree.search_within_into(window, scratch))
-            }
-            (SpatialOp::Overlapping | SpatialOp::Covering, Some(f)) => {
-                let mut out = self.refine(op, window, f.search_intersecting_into(window, scratch));
-                if !self.delta.is_empty() {
-                    out.extend(self.refine(
-                        op,
-                        window,
-                        self.delta.search_intersecting_into(window, scratch),
-                    ));
-                }
-                out
-            }
-            (SpatialOp::Overlapping | SpatialOp::Covering, None) => self.refine(
-                op,
-                window,
-                self.tree.search_intersecting_into(window, scratch),
-            ),
-            (SpatialOp::Disjoined, _) => self
-                .object_ids()
-                .filter(|&id| op.eval_window(&self.objects[id as usize], window))
-                .collect(),
+        let Some(within) = traversal(op) else {
+            return self.scan(op, window);
+        };
+        let (main, delta) = self.parts();
+        let mut out: Vec<u64> = self
+            .refine(op, window, main.window_into(within, window, scratch))
+            .collect();
+        if let Some(delta) = delta {
+            out.extend(self.refine(op, window, delta.window_into(within, window, scratch)));
         }
+        out
     }
 
     /// The `k` objects whose MBRs are nearest to `p`, ordered by
     /// ascending distance, with Table 1 counters.
     pub fn nearest(&self, p: Point, k: usize, stats: &mut SearchStats) -> Vec<u64> {
-        let neighbors = match self.query_frozen() {
-            Some(f) => {
-                let main = f.nearest_neighbors(p, k, stats);
-                if self.delta.is_empty() {
-                    main
-                } else {
-                    let mut ds = SearchStats::default();
-                    let delta = self.delta.nearest_neighbors(p, k, &mut ds);
-                    stats.absorb_traversal(&ds);
-                    Self::merge_neighbors(&main, &delta, k)
-                }
-            }
-            None => self.tree.nearest_neighbors(p, k, stats),
-        };
-        neighbors.into_iter().map(|n| n.item.0).collect()
+        let (main, delta) = self.parts();
+        let mut neighbors = main.nearest(p, k, stats);
+        if let Some(delta) = delta {
+            let mut delta_stats = SearchStats::default();
+            let extra = delta.nearest(p, k, &mut delta_stats);
+            stats.absorb_traversal(&delta_stats);
+            neighbors = Self::merge_neighbors(&neighbors, &extra, k);
+        }
+        neighbor_ids(&neighbors)
     }
 
     /// [`nearest`](Self::nearest) without statistics: the executor's
@@ -442,32 +543,14 @@ impl Picture {
     /// scratch's embedded [`KnnScratch`](rtree_index::KnnScratch), so
     /// repeated queries allocate nothing once warmed up.
     pub fn nearest_fast(&self, p: Point, k: usize, scratch: &mut SearchScratch) -> Vec<u64> {
-        match self.query_frozen() {
-            Some(f) => {
-                if self.delta.is_empty() {
-                    return f
-                        .nearest_neighbors_into(p, k, scratch.knn())
-                        .iter()
-                        .map(|n| n.item.0)
-                        .collect();
-                }
-                let main: Vec<Neighbor> = f.nearest_neighbors_into(p, k, scratch.knn()).to_vec();
-                let delta: Vec<Neighbor> = self
-                    .delta
-                    .nearest_neighbors_into(p, k, scratch.knn())
-                    .to_vec();
-                Self::merge_neighbors(&main, &delta, k)
-                    .into_iter()
-                    .map(|n| n.item.0)
-                    .collect()
-            }
-            None => self
-                .tree
-                .nearest_neighbors_into(p, k, scratch.knn())
-                .iter()
-                .map(|n| n.item.0)
-                .collect(),
-        }
+        let (main, delta) = self.parts();
+        let Some(delta) = delta else {
+            return neighbor_ids(main.nearest_into(p, k, scratch.knn()));
+        };
+        // Both searches share the scratch, so the first is copied out.
+        let near = main.nearest_into(p, k, scratch.knn()).to_vec();
+        let extra = delta.nearest_into(p, k, scratch.knn());
+        neighbor_ids(&Self::merge_neighbors(&near, extra, k))
     }
 
     /// Batched [`search_window_fast`](Self::search_window_fast): executes
@@ -484,54 +567,42 @@ impl Picture {
         queries: &[(SpatialOp, Rect)],
         batch: &mut BatchScratch,
     ) -> Vec<Vec<u64>> {
-        let mut out: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
-        let Some(f) = self.query_frozen() else {
-            for (slot, (op, window)) in out.iter_mut().zip(queries) {
-                *slot = self.search_window_fast(*op, window, batch.search());
-            }
-            return out;
+        let (Index::Frozen(frozen), delta) = self.parts() else {
+            return queries
+                .iter()
+                .map(|(op, window)| self.search_window_fast(*op, window, batch.search()))
+                .collect();
         };
+        let mut out: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
         // Disjointness enumerates; it gains nothing from tree batching.
         for (slot, (op, window)) in out.iter_mut().zip(queries) {
-            if matches!(op, SpatialOp::Disjoined) {
-                *slot = self.search_window_fast(*op, window, batch.search());
+            if traversal(*op).is_none() {
+                *slot = self.scan(*op, window);
             }
         }
         for within in [true, false] {
-            let group: Vec<usize> = queries
-                .iter()
-                .enumerate()
-                .filter(|(_, (op, _))| match op {
-                    SpatialOp::CoveredBy => within,
-                    SpatialOp::Overlapping | SpatialOp::Covering => !within,
-                    SpatialOp::Disjoined => false,
-                })
-                .map(|(i, _)| i)
+            let group: Vec<usize> = (0..queries.len())
+                .filter(|&i| traversal(queries[i].0) == Some(within))
                 .collect();
             if group.is_empty() {
                 continue;
             }
             let windows: Vec<Rect> = group.iter().map(|&i| queries[i].1).collect();
             {
-                let results = f.batch_windows(&windows, within, batch);
+                let results = frozen.batch_windows(&windows, within, batch);
                 for (slot, &i) in group.iter().enumerate() {
                     let (op, window) = &queries[i];
-                    out[i] = self.refine(*op, window, results.get(slot));
+                    out[i] = self.refine(*op, window, results.get(slot)).collect();
                 }
             }
             // Buffered delta objects merge in after the frozen batch
             // (the batch results borrow the scratch, so this is a
             // second pass once that borrow ends).
-            if !self.delta.is_empty() {
+            if let Some(delta) = delta {
                 for &i in &group {
                     let (op, window) = &queries[i];
-                    let candidates = if within {
-                        self.delta.search_within_into(window, batch.search())
-                    } else {
-                        self.delta.search_intersecting_into(window, batch.search())
-                    };
-                    let extra = self.refine(*op, window, candidates);
-                    out[i].extend(extra);
+                    let candidates = delta.window_into(within, window, batch.search());
+                    out[i].extend(self.refine(*op, window, candidates));
                 }
             }
         }
@@ -547,48 +618,52 @@ impl Picture {
         queries: &[(Point, usize)],
         batch: &mut BatchScratch,
     ) -> Vec<Vec<u64>> {
-        match self.query_frozen() {
-            Some(f) => {
-                if self.delta.is_empty() {
-                    let results = f.batch_knn(queries, batch);
-                    return results
-                        .iter()
-                        .map(|ns| ns.iter().map(|n| n.item.0).collect())
-                        .collect();
-                }
-                // Copy the frozen batch out (it borrows the scratch),
-                // then merge each query's delta neighbours in.
-                let main: Vec<Vec<Neighbor>> = {
-                    let results = f.batch_knn(queries, batch);
-                    results.iter().map(|ns| ns.to_vec()).collect()
-                };
-                queries
-                    .iter()
-                    .zip(main)
-                    .map(|(&(p, k), m)| {
-                        let delta: Vec<Neighbor> = self
-                            .delta
-                            .nearest_neighbors_into(p, k, batch.search().knn())
-                            .to_vec();
-                        Self::merge_neighbors(&m, &delta, k)
-                            .into_iter()
-                            .map(|n| n.item.0)
-                            .collect()
-                    })
-                    .collect()
-            }
-            None => queries
+        let (Index::Frozen(frozen), delta) = self.parts() else {
+            return queries
                 .iter()
                 .map(|&(p, k)| self.nearest_fast(p, k, batch.search()))
-                .collect(),
-        }
+                .collect();
+        };
+        let Some(delta) = delta else {
+            let results = frozen.batch_knn(queries, batch);
+            return results.iter().map(neighbor_ids).collect();
+        };
+        // Copy the frozen batch out (it borrows the scratch), then merge
+        // each query's delta neighbours in.
+        let main: Vec<Vec<Neighbor>> = {
+            let results = frozen.batch_knn(queries, batch);
+            results.iter().map(<[Neighbor]>::to_vec).collect()
+        };
+        queries
+            .iter()
+            .zip(main)
+            .map(|(&(p, k), near)| {
+                let extra = delta.nearest_into(p, k, batch.search().knn());
+                neighbor_ids(&Self::merge_neighbors(&near, extra, k))
+            })
+            .collect()
     }
 
-    fn refine(&self, op: SpatialOp, window: &Rect, candidates: &[ItemId]) -> Vec<u64> {
-        candidates
-            .iter()
-            .map(|&ItemId(id)| id)
-            .filter(|&id| op.eval_window(&self.objects[id as usize], window))
+    /// Exact-geometry refinement of index candidates.
+    fn refine<'a>(
+        &'a self,
+        op: SpatialOp,
+        window: &'a Rect,
+        candidates: &'a [ItemId],
+    ) -> impl Iterator<Item = u64> + 'a {
+        candidates.iter().map(|&ItemId(id)| id).filter(move |&id| {
+            let object = self.object(id).expect("the index holds live ids only");
+            op.eval_window(object, window)
+        })
+    }
+
+    /// Every object satisfying `obj op window`, by walking the objects:
+    /// the `Disjoined` path, which no bounding hierarchy can prune.
+    fn scan(&self, op: SpatialOp, window: &Rect) -> Vec<u64> {
+        self.all_objects()
+            .zip(0u64..)
+            .filter(|(object, _)| op.eval_window(object, window))
+            .map(|(_, id)| id)
             .collect()
     }
 }

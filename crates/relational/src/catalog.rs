@@ -6,19 +6,22 @@ use crate::heap::{Relation, TupleId};
 use crate::schema::Schema;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A database catalog: relations by name, plus B+tree indexes on
 /// alphanumeric columns. Index maintenance is automatic for inserts and
 /// deletes that go through the catalog.
 ///
-/// `Clone` deep-copies every relation and index: the snapshot publication
-/// path of the query service clones the whole database, mutates the copy
-/// off-line, and atomically swaps it in.
+/// `Clone` shares every relation and index with the original and costs
+/// O(#relations + #indexes): the snapshot publication path of the query
+/// service clones the whole database per write. A mutation copies just
+/// the relation (and indexes) it touches, and only while a clone still
+/// shares them.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
-    relations: HashMap<String, Relation>,
+    relations: HashMap<String, Arc<Relation>>,
     /// `(relation, column) → index`.
-    indexes: HashMap<(String, String), BPlusTree>,
+    indexes: HashMap<(String, String), Arc<BPlusTree>>,
 }
 
 impl Catalog {
@@ -33,7 +36,7 @@ impl Catalog {
             return Err(RelationalError::RelationExists(name.to_owned()));
         }
         self.relations
-            .insert(name.to_owned(), Relation::new(name, schema));
+            .insert(name.to_owned(), Arc::new(Relation::new(name, schema)));
         Ok(())
     }
 
@@ -41,6 +44,7 @@ impl Catalog {
     pub fn relation(&self, name: &str) -> Result<&Relation, RelationalError> {
         self.relations
             .get(name)
+            .map(Arc::as_ref)
             .ok_or_else(|| RelationalError::NoSuchRelation(name.to_owned()))
     }
 
@@ -67,13 +71,15 @@ impl Catalog {
             tree.insert(tuple[idx].clone(), tid);
         }
         self.indexes
-            .insert((relation.to_owned(), column.to_owned()), tree);
+            .insert((relation.to_owned(), column.to_owned()), Arc::new(tree));
         Ok(())
     }
 
     /// The index on `relation.column`, if one exists.
     pub fn index(&self, relation: &str, column: &str) -> Option<&BPlusTree> {
-        self.indexes.get(&(relation.to_owned(), column.to_owned()))
+        self.indexes
+            .get(&(relation.to_owned(), column.to_owned()))
+            .map(Arc::as_ref)
     }
 
     /// Inserts a tuple, maintaining all indexes on the relation.
@@ -85,13 +91,13 @@ impl Catalog {
         let rel = self
             .relations
             .get_mut(relation)
+            .map(Arc::make_mut)
             .ok_or_else(|| RelationalError::NoSuchRelation(relation.to_owned()))?;
-        let schema = rel.schema().clone();
         let tid = rel.insert(tuple.clone())?;
         for ((r, col), tree) in self.indexes.iter_mut() {
             if r == relation {
-                let idx = schema.index_of(col).expect("index column exists");
-                tree.insert(tuple[idx].clone(), tid);
+                let idx = rel.schema().index_of(col).expect("index column exists");
+                Arc::make_mut(tree).insert(tuple[idx].clone(), tid);
             }
         }
         Ok(tid)
@@ -102,13 +108,13 @@ impl Catalog {
         let rel = self
             .relations
             .get_mut(relation)
+            .map(Arc::make_mut)
             .ok_or_else(|| RelationalError::NoSuchRelation(relation.to_owned()))?;
-        let schema = rel.schema().clone();
         let tuple = rel.delete(tid)?;
         for ((r, col), tree) in self.indexes.iter_mut() {
             if r == relation {
-                let idx = schema.index_of(col).expect("index column exists");
-                tree.remove(&tuple[idx], tid);
+                let idx = rel.schema().index_of(col).expect("index column exists");
+                Arc::make_mut(tree).remove(&tuple[idx], tid);
             }
         }
         Ok(tuple)

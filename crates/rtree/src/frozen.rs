@@ -435,6 +435,13 @@ impl FrozenRTree {
         self.num_nodes as usize
     }
 
+    /// Heap bytes of the arena's planes.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.coords[..])
+            + std::mem::size_of_val(&self.ids[..])
+            + std::mem::size_of_val(&self.counts[..])
+    }
+
     /// The four `fanout()`-lane coordinate planes `(x1, y1, x2, y2)` of
     /// the node at `index` — contiguous slices of the node's SoA block;
     /// padding lanes hold NaN.

@@ -1,7 +1,7 @@
 //! The R-tree proper: an arena of nodes plus a root pointer.
 
 use crate::config::RTreeConfig;
-use crate::node::{Child, ItemId, Node, NodeId};
+use crate::node::{Child, Entry, ItemId, Node, NodeId};
 use rtree_geom::Rect;
 
 /// A two-dimensional R-tree index from rectangles to [`ItemId`]s.
@@ -86,6 +86,15 @@ impl RTree {
     /// Total number of live nodes `N` (Table 1), including the root.
     pub fn node_count(&self) -> usize {
         self.nodes.len() - self.free.len()
+    }
+
+    /// Approximate heap bytes of the node arena, from counts alone: one
+    /// arena slot per node plus `M` entries for each live one (packed
+    /// nodes are full; a Guttman node may hold fewer or, transiently,
+    /// one more).
+    pub fn approx_bytes(&self) -> usize {
+        self.nodes.len() * std::mem::size_of::<Option<Node>>()
+            + self.node_count() * self.config.max_entries * std::mem::size_of::<Entry>()
     }
 
     /// MBR of everything in the tree, `None` when empty.

@@ -7,7 +7,9 @@
 //! momentarily skewed by in-flight requests, never torn).
 
 use rtree_storage::BufferStats;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// A monotone counter.
@@ -124,6 +126,19 @@ impl Histogram {
         self.sum_micros.load(Ordering::Relaxed) as f64 / n as f64
     }
 
+    /// The bucket counts as a JSON array, trailing empty buckets
+    /// trimmed: element `i` counts samples with `latency_µs < 2^i`.
+    pub fn buckets_json(&self) -> String {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let used = counts.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
+        let cells: Vec<String> = counts[..used].iter().map(u64::to_string).collect();
+        format!("[{}]", cells.join(","))
+    }
+
     /// Upper bound (µs) of the bucket containing quantile `q ∈ [0, 1]`.
     /// Resolution is a factor of two — good enough to tell 100µs from
     /// 10ms, which is what operational percentiles are for.
@@ -142,6 +157,41 @@ impl Histogram {
         }
         u64::MAX
     }
+}
+
+/// One picture's size in the published snapshot: how many objects sit in
+/// the shared packed generation and how many in the per-snapshot delta,
+/// with `Picture::estimated_bytes` for each part.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PictureGauge {
+    /// Picture name.
+    pub name: String,
+    /// Objects in the packed generation.
+    pub packed_objects: u64,
+    /// Objects buffered in the delta since the last pack.
+    pub delta_objects: u64,
+    /// Estimated bytes of the packed generation (shared by snapshots).
+    pub packed_bytes: u64,
+    /// Estimated bytes of the delta (copied per publication).
+    pub delta_bytes: u64,
+}
+
+/// `text` as a JSON string literal.
+fn json_string(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    out.push('"');
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// The server's metrics registry, exposed via the `STATS` command.
@@ -181,6 +231,11 @@ pub struct Metrics {
     pub query_latency: Histogram,
     /// Latency of admin operations (repack).
     pub admin_latency: Histogram,
+    /// Time inside one snapshot publication under the writer lock: the
+    /// clone-mutate-publish of an insert batch, or the locked tail of a
+    /// background merge. O(delta) by design; a long tail here means a
+    /// writer is copying something it should be sharing.
+    pub publish_latency: Histogram,
     /// Dynamic inserts applied and acknowledged (`Done`).
     pub inserts: Counter,
     /// WAL records appended (one per acknowledged insert when a WAL is
@@ -198,6 +253,12 @@ pub struct Metrics {
     /// Background merge publications (delta folded into a freshly packed
     /// + frozen main tree).
     pub merges: Counter,
+    /// Background merges whose result was discarded because an admin
+    /// rebuild replaced the packed generation while the merge packed.
+    pub merges_discarded: Counter,
+    /// Per-picture sizes, sorted by name — mirrored from the published
+    /// snapshot at every publication.
+    pub pictures: Mutex<Vec<PictureGauge>>,
     /// `1` while every packed picture still holds its frozen compilation
     /// (dynamic writes buffer in deltas instead of dropping the frozen
     /// arena) — mirrored from the published snapshot when `STATS` is
@@ -243,6 +304,26 @@ impl Metrics {
     pub fn to_json(&self, snapshot_epoch: u64, queue_capacity: usize, workers: usize) -> String {
         let q = &self.query_latency;
         let a = &self.admin_latency;
+        let p = &self.publish_latency;
+        let mut pictures = String::new();
+        for (i, g) in self
+            .pictures
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .enumerate()
+        {
+            let _ = write!(
+                pictures,
+                "{}{}:{{\"packed_objects\":{},\"delta_objects\":{},\"packed_bytes\":{},\"delta_bytes\":{}}}",
+                if i == 0 { "" } else { "," },
+                json_string(&g.name),
+                g.packed_objects,
+                g.delta_objects,
+                g.packed_bytes,
+                g.delta_bytes,
+            );
+        }
         format!(
             concat!(
                 "{{",
@@ -258,9 +339,12 @@ impl Metrics {
                 "\"queue\":{{\"depth\":{},\"high_water\":{}}},",
                 "\"query_latency_us\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{}}},",
                 "\"admin_latency_us\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p99\":{}}},",
+                "\"publish_latency_us\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p99\":{},",
+                "\"log2_buckets\":{}}},",
                 "\"write_path\":{{\"inserts\":{},\"wal_appends\":{},\"wal_bytes\":{},",
                 "\"wal_syncs\":{},\"wal_recovered\":{},\"delta_items\":{},\"merges\":{},",
-                "\"serves_frozen_queries\":{}}},",
+                "\"merges_discarded\":{},\"serves_frozen_queries\":{}}},",
+                "\"pictures\":{{{}}},",
                 "\"plan_cache\":{{\"hits\":{},\"parse_hits\":{},\"misses\":{},",
                 "\"evictions\":{},\"invalidations\":{},\"entries\":{}}},",
                 "\"buffer_pool\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"writebacks\":{}}}",
@@ -293,6 +377,11 @@ impl Metrics {
             a.mean_micros(),
             a.quantile_micros(0.50),
             a.quantile_micros(0.99),
+            p.count(),
+            p.mean_micros(),
+            p.quantile_micros(0.50),
+            p.quantile_micros(0.99),
+            p.buckets_json(),
             self.inserts.get(),
             self.wal_appends.get(),
             self.wal_bytes.get(),
@@ -300,7 +389,9 @@ impl Metrics {
             self.wal_recovered.get(),
             self.delta_items.get(),
             self.merges.get(),
+            self.merges_discarded.get(),
             self.serves_frozen_queries.get() != 0,
+            pictures,
             self.plan_cache_hits.get(),
             self.plan_cache_parse_hits.get(),
             self.plan_cache_misses.get(),

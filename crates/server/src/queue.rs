@@ -111,6 +111,16 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    /// [`pop_batch`](Self::pop_batch) that never blocks: `0` when nothing
+    /// is queued right now. Lets a consumer do something (release a
+    /// resource) between "the queue is empty" and "wait for work".
+    pub fn try_pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let take = max.min(state.items.len());
+        out.extend(state.items.drain(..take));
+        take
+    }
+
     /// Closes the queue: future pushes fail, queued items still drain,
     /// and idle consumers wake up to observe the close.
     pub fn close(&self) {

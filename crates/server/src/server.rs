@@ -29,12 +29,12 @@
 //! Each response frame is queued atomically, so frames never interleave
 //! mid-frame.
 
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, PictureGauge};
 use crate::plan_cache::{PlanCache, Prepared};
 use crate::protocol::{decode_request, peek_request_id, ErrorKind, Request, Response};
 use crate::queue::{BoundedQueue, PushError};
 use crate::reactor::{reactor_loop, Notifier, Session};
-use crate::snapshot::{SnapshotCache, SnapshotCell};
+use crate::snapshot::{DatabaseSnapshot, SnapshotCache, SnapshotCell};
 use psql::ast::Query;
 use psql::database::PictorialDatabase;
 use psql::functions::FunctionRegistry;
@@ -156,13 +156,15 @@ pub(crate) struct Shared {
     /// response that will ever exist is in an outbox, so the reactor may
     /// final-flush and exit.
     pub(crate) workers_done: AtomicBool,
-    /// Serializes *writers* (insert batches, background merge, admin
-    /// repack): each clones the latest snapshot, mutates, and publishes.
-    /// Two concurrent clone-mutate-publish cycles would silently drop
-    /// whichever published first, so every mutation holds this lock
-    /// around its whole read-modify-publish. Readers never touch it.
-    /// The WAL lives inside so "durable before published" is one
-    /// critical section.
+    /// Serializes *writers* (insert batches, the background merge's
+    /// publication, admin repack): each clones the latest snapshot,
+    /// mutates, and publishes. Two concurrent clone-mutate-publish
+    /// cycles would silently drop whichever published first, so every
+    /// mutation holds this lock around its whole read-modify-publish.
+    /// Readers never touch it. The WAL lives inside so "durable before
+    /// published" is one critical section. The background merge packs
+    /// *outside* it and takes it only to re-apply what was written
+    /// meanwhile and publish, so an insert never waits for a pack.
     write_lock: Mutex<Option<Wal<Pager>>>,
 }
 
@@ -370,9 +372,11 @@ fn begin_shutdown(shared: &Shared) {
 }
 
 /// Mirrors the published snapshot's write-path view (delta population,
-/// frozen-tree invariant) into the metrics registry. Called at every
-/// snapshot publication — insert batch, background merge, admin rebuild
-/// — so the gauges are always as fresh as the snapshot itself.
+/// frozen-tree invariant, per-picture sizes) into the metrics registry.
+/// Called at every snapshot publication — insert batch, background
+/// merge, admin rebuild — so the gauges are always as fresh as the
+/// snapshot itself. Everything is computed from lengths; nothing walks
+/// the heap.
 fn refresh_snapshot_gauges(shared: &Shared) {
     let snap = shared.snapshots.load();
     shared.metrics.delta_items.store(snap.db.delta_len() as u64);
@@ -380,6 +384,26 @@ fn refresh_snapshot_gauges(shared: &Shared) {
         .metrics
         .serves_frozen_queries
         .store(snap.db.frozen_intact() as u64);
+    let mut pictures: Vec<PictureGauge> = snap
+        .db
+        .pictures()
+        .map(|pic| {
+            let (packed_bytes, delta_bytes) = pic.estimated_bytes();
+            PictureGauge {
+                name: pic.name().to_owned(),
+                packed_objects: pic.packed_len() as u64,
+                delta_objects: pic.delta_len() as u64,
+                packed_bytes: packed_bytes as u64,
+                delta_bytes: delta_bytes as u64,
+            }
+        })
+        .collect();
+    pictures.sort_by(|a, b| a.name.cmp(&b.name));
+    *shared
+        .metrics
+        .pictures
+        .lock()
+        .unwrap_or_else(|e| e.into_inner()) = pictures;
 }
 
 /// Handles one well-framed payload on the reactor thread. Returns
@@ -615,11 +639,17 @@ fn worker_loop(shared: &Arc<Shared>) {
     let mut batch = BatchScratch::new();
     let mut cache = SnapshotCache::new();
     let mut jobs: Vec<Job> = Vec::new();
+    let max_batch = shared.config.max_batch.max(1);
     loop {
         jobs.clear();
-        let n = shared
-            .queue
-            .pop_batch(&mut jobs, shared.config.max_batch.max(1));
+        let mut n = shared.queue.try_pop_batch(&mut jobs, max_batch);
+        if n == 0 {
+            // About to block for who knows how long: let go of the
+            // snapshot, or an idle worker keeps a superseded packed
+            // generation resident until its next request.
+            cache.release();
+            n = shared.queue.pop_batch(&mut jobs, max_batch);
+        }
         if n == 0 {
             break;
         }
@@ -779,7 +809,7 @@ fn parse_cached(shared: &Shared, text: &str) -> Result<Query, PsqlError> {
 /// fsync, publish one snapshot holding all of them, then acknowledge.
 /// Nothing is acknowledged before it is durable (when a WAL is
 /// configured) *and* published.
-fn ingest_batch(shared: &Arc<Shared>, snapshot: &crate::snapshot::DatabaseSnapshot, jobs: &[Job]) {
+fn ingest_batch(shared: &Arc<Shared>, snapshot: &DatabaseSnapshot, jobs: &[Job]) {
     let mut accepted: Vec<(&Job, &InsertRecord, Vec<u8>)> = Vec::new();
     for job in jobs {
         let JobKind::Insert(rec) = &job.kind else {
@@ -862,6 +892,7 @@ fn ingest_batch(shared: &Arc<Shared>, snapshot: &crate::snapshot::DatabaseSnapsh
             }
         }
     }
+    let publishing = Instant::now();
     let epoch = shared.snapshots.update(|db| {
         for (_, rec, _) in &accepted {
             let opens_delta = db
@@ -886,6 +917,7 @@ fn ingest_batch(shared: &Arc<Shared>, snapshot: &crate::snapshot::DatabaseSnapsh
             }
         }
     });
+    shared.metrics.publish_latency.record(publishing.elapsed());
     drop(writer);
     refresh_snapshot_gauges(shared);
     shared.metrics.snapshots_published.incr();
@@ -898,9 +930,10 @@ fn ingest_batch(shared: &Arc<Shared>, snapshot: &crate::snapshot::DatabaseSnapsh
 
 /// The background merge thread: once the delta population crosses the
 /// configured threshold, fold every delta into a freshly packed + frozen
-/// main tree on a snapshot clone and publish the result. Queries keep
-/// serving the old snapshot throughout; the swap is the usual atomic
-/// epoch bump.
+/// main tree and publish the result. Queries keep serving the old
+/// snapshot throughout, and so do writers: the O(N) pack runs on a clone
+/// outside the writer lock ([`pack_merge`]), which is then taken only
+/// for the O(delta) catch-up and the swap ([`publish_merge`]).
 fn merge_loop(shared: &Arc<Shared>) {
     loop {
         std::thread::sleep(shared.config.merge_interval);
@@ -910,32 +943,81 @@ fn merge_loop(shared: &Arc<Shared>) {
         if shared.snapshots.load().db.delta_len() < shared.config.merge_threshold {
             continue;
         }
-        let started = Instant::now();
-        let guard = shared.write_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let mut folded = 0;
-        let epoch = shared.snapshots.update(|db| folded = db.merge_deltas());
-        drop(guard);
-        refresh_snapshot_gauges(shared);
-        shared.metrics.merges.incr();
-        shared.metrics.snapshots_published.incr();
-        shared.metrics.admin_latency.record(started.elapsed());
-        eprintln!(
-            "[psql-server] background merge folded {folded} delta tree(s) into packed + \
-             frozen main trees (epoch {epoch}, {:?})",
-            started.elapsed()
-        );
+        let merge = pack_merge(shared);
+        publish_merge(shared, merge);
     }
+}
+
+/// A background merge between its two halves: packed, not yet published.
+struct PendingMerge {
+    started: Instant,
+    /// The snapshot the merge cloned.
+    base: Arc<DatabaseSnapshot>,
+    /// `base.db` with every delta folded into a new packed generation.
+    merged: PictorialDatabase,
+    folded: usize,
+}
+
+/// First half of a background merge, under no lock: clone the current
+/// snapshot (free) and re-pack every picture holding a delta. Inserts
+/// keep publishing meanwhile.
+fn pack_merge(shared: &Shared) -> PendingMerge {
+    let started = Instant::now();
+    let base = shared.snapshots.load();
+    let mut merged = base.db.clone();
+    let folded = merged.merge_deltas();
+    PendingMerge {
+        started,
+        base,
+        merged,
+        folded,
+    }
+}
+
+/// Second half, under the writer lock: re-add the objects acknowledged
+/// since `pack_merge` cloned its base into the new generation's deltas
+/// and publish — or discard the merge if an admin REPACK / PACK EXTERNAL
+/// replaced the packed generation in between. Either way every
+/// acknowledged insert is in the published snapshot. Returns the epoch
+/// published, if any.
+fn publish_merge(shared: &Shared, merge: PendingMerge) -> Option<u64> {
+    let guard = shared.write_lock.lock().unwrap_or_else(|e| e.into_inner());
+    let publishing = Instant::now();
+    let mut next = shared.snapshots.load().db.clone();
+    let epoch = next
+        .adopt_merge(&merge.base.db, &merge.merged)
+        .then(|| shared.snapshots.publish(next));
+    shared.metrics.publish_latency.record(publishing.elapsed());
+    drop(guard);
+    shared.metrics.admin_latency.record(merge.started.elapsed());
+    match epoch {
+        Some(epoch) => {
+            refresh_snapshot_gauges(shared);
+            shared.metrics.merges.incr();
+            shared.metrics.snapshots_published.incr();
+            eprintln!(
+                "[psql-server] background merge folded {} delta tree(s) into packed + \
+                 frozen main trees (epoch {epoch}, {:?})",
+                merge.folded,
+                merge.started.elapsed()
+            );
+        }
+        None => {
+            shared.metrics.merges_discarded.incr();
+            eprintln!(
+                "[psql-server] background merge discarded: an admin rebuild replaced the \
+                 packed generation while it packed ({:?})",
+                merge.started.elapsed()
+            );
+        }
+    }
+    epoch
 }
 
 /// Executes one job exactly as the pre-batching worker did: deadline
 /// check, prepare (through the plan cache) + execute under
 /// `catch_unwind`, deadline re-check, respond.
-fn run_job(
-    shared: &Shared,
-    snapshot: &crate::snapshot::DatabaseSnapshot,
-    job: &Job,
-    scratch: &mut SearchScratch,
-) {
+fn run_job(shared: &Shared, snapshot: &DatabaseSnapshot, job: &Job, scratch: &mut SearchScratch) {
     let JobKind::Query(text) = &job.kind else {
         return; // inserts flow through ingest_batch, never here
     };
@@ -1077,6 +1159,87 @@ fn run_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+    use rtree_geom::{Point, SpatialObject};
+
+    /// A server whose background merge never runs by itself, with three
+    /// acknowledged inserts sitting in `us-map`'s delta, so the tests
+    /// below can step a merge's two halves around other writers.
+    fn server_with_delta() -> (Server, Client, usize) {
+        let server = Server::start(
+            PictorialDatabase::with_us_map(),
+            "127.0.0.1:0",
+            ServerConfig {
+                merge_threshold: usize::MAX,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind");
+        let mut client =
+            Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).expect("connect");
+        let baseline = server
+            .shared
+            .snapshots
+            .load()
+            .db
+            .picture("us-map")
+            .unwrap()
+            .len();
+        for i in 0..3 {
+            let at = SpatialObject::Point(Point::new(30.0 + i as f64, 20.0));
+            client
+                .insert_expect_done("us-map", &format!("early-{i}"), at)
+                .expect("insert acked");
+        }
+        (server, client, baseline)
+    }
+
+    #[test]
+    fn insert_acknowledged_while_a_merge_packs_is_in_the_merged_snapshot() {
+        let (server, mut client, baseline) = server_with_delta();
+        let merge = pack_merge(&server.shared);
+        // The pack is done and unpublished; a writer gets in first.
+        let late_epoch = client
+            .insert_expect_done(
+                "us-map",
+                "late",
+                SpatialObject::Point(Point::new(77.0, 33.0)),
+            )
+            .expect("insert acked while the merge holds no lock");
+        let epoch = publish_merge(&server.shared, merge).expect("nothing replaced the generation");
+        assert!(epoch > late_epoch);
+
+        let snap = server.shared.snapshots.load();
+        assert_eq!(snap.epoch, epoch);
+        let pic = snap.db.picture("us-map").unwrap();
+        assert_eq!(pic.packed_len(), baseline + 3, "the merge folded the delta");
+        assert_eq!((pic.len(), pic.delta_len()), (baseline + 4, 1));
+        assert_eq!(pic.label((baseline + 3) as u64), Some("late"));
+        let metrics = &server.shared.metrics;
+        assert_eq!(metrics.merges.get(), 1);
+        assert_eq!(metrics.merges_discarded.get(), 0);
+        assert_eq!(metrics.delta_items.get(), 1, "gauges follow the merge");
+        drop(snap);
+        server.stop();
+    }
+
+    #[test]
+    fn repack_racing_a_merge_makes_the_merge_discard_its_result() {
+        let (server, mut client, baseline) = server_with_delta();
+        let merge = pack_merge(&server.shared);
+        let repacked = client.repack().expect("repack");
+        assert_eq!(publish_merge(&server.shared, merge), None);
+
+        let snap = server.shared.snapshots.load();
+        assert_eq!(snap.epoch, repacked, "a stale merge must publish nothing");
+        let pic = snap.db.picture("us-map").unwrap();
+        assert_eq!((pic.packed_len(), pic.delta_len()), (baseline + 3, 0));
+        let metrics = &server.shared.metrics;
+        assert_eq!(metrics.merges.get(), 0);
+        assert_eq!(metrics.merges_discarded.get(), 1);
+        drop(snap);
+        server.stop();
+    }
 
     #[test]
     fn sleep_directive_parses() {

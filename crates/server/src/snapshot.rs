@@ -10,10 +10,18 @@
 //! (its own pinned `Arc`) and revalidates it against a single atomic
 //! epoch counter per request. Only when the epoch has actually advanced
 //! does the worker touch the publication mutex, and writers hold that
-//! mutex *only for the pointer swap* — snapshot construction (deep
-//! clone + re-pack) happens entirely outside it. Old snapshots are
-//! freed by reference counting once the last in-flight query drops its
-//! pin.
+//! mutex *only for the pointer swap* — snapshot construction (clone +
+//! mutate, or re-pack) happens entirely outside it.
+//!
+//! Snapshots are **structurally shared**: `PictorialDatabase::clone`
+//! copies a handful of `Arc`s, and a mutation copies only what it
+//! touches — an insert, one picture's delta (at most `merge_threshold`
+//! objects), never a packed generation. So publishing a write costs
+//! O(delta) and consecutive snapshots share the packed objects, labels,
+//! trees, relations and backlink maps. A packed generation is freed by
+//! reference counting once the last snapshot holding it is dropped —
+//! which is why an idle worker must not sit on a pin (see
+//! [`SnapshotCache::release`]).
 
 use psql::database::PictorialDatabase;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,10 +97,10 @@ impl SnapshotCell {
         epoch
     }
 
-    /// The admin path's read-modify-publish: deep-clones the current
-    /// database, applies `mutate` to the clone *outside any lock*, then
-    /// publishes the result. Concurrent readers keep serving from the
-    /// old snapshot throughout.
+    /// Read-modify-publish: clones the current database (structurally
+    /// shared, so cheap), applies `mutate` to the clone *outside any
+    /// lock*, then publishes the result. Concurrent readers keep serving
+    /// from the old snapshot throughout.
     ///
     /// Concurrent `update`s serialize only at the final swap; the last
     /// publication wins (admin operations are expected to be rare and
@@ -117,6 +125,13 @@ impl SnapshotCache {
     /// An empty cache; the first `load_cached` fills it.
     pub fn new() -> Self {
         SnapshotCache::default()
+    }
+
+    /// Drops the pin. A thread about to block indefinitely calls this so
+    /// that it does not keep a superseded snapshot — and with it a whole
+    /// packed generation — alive while idle.
+    pub fn release(&mut self) {
+        self.pinned = None;
     }
 }
 

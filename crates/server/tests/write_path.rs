@@ -155,6 +155,19 @@ fn snapshot_gauges_refresh_at_publication_not_stats_time() {
     // Fresh from startup publication: no deltas, frozen trees intact.
     assert_eq!(metrics.delta_items.get(), 0);
     assert_eq!(metrics.serves_frozen_queries.get(), 1);
+    let us_map = || {
+        let pictures = metrics.pictures.lock().unwrap();
+        assert_eq!(pictures.len(), 5, "one gauge per picture");
+        pictures
+            .iter()
+            .find(|g| g.name == "us-map")
+            .expect("us-map gauge")
+            .clone()
+    };
+    let loaded = us_map();
+    assert_eq!((loaded.packed_objects, loaded.delta_objects), (42, 0));
+    assert!(loaded.packed_bytes > 0);
+    assert_eq!(metrics.publish_latency.count(), 0);
 
     let mut client = connect(&server);
     for i in 0..3u64 {
@@ -171,8 +184,25 @@ fn snapshot_gauges_refresh_at_publication_not_stats_time() {
             i + 1,
             "delta gauge stale after insert publication"
         );
+        // So are the per-picture sizes and the publication histogram:
+        // the packed generation is shared and unchanged, the delta grew.
+        let gauge = us_map();
+        assert_eq!((gauge.packed_objects, gauge.delta_objects), (42, i + 1));
+        assert_eq!(gauge.packed_bytes, loaded.packed_bytes);
+        assert!(gauge.delta_bytes > loaded.delta_bytes);
+        assert_eq!(metrics.publish_latency.count(), i + 1);
     }
     assert_eq!(metrics.serves_frozen_queries.get(), 1);
+    let stats = client.stats().expect("stats");
+    assert!(
+        stats.contains("\"publish_latency_us\":{\"count\":3,"),
+        "{stats}"
+    );
+    assert!(stats.contains("\"log2_buckets\":["), "{stats}");
+    assert!(
+        stats.contains("\"us-map\":{\"packed_objects\":42,\"delta_objects\":3,"),
+        "{stats}"
+    );
 
     // Repack folds the delta; the gauge follows at publication again.
     client.repack().expect("repack");
@@ -182,6 +212,76 @@ fn snapshot_gauges_refresh_at_publication_not_stats_time() {
         "delta gauge stale after repack publication"
     );
     assert_eq!(metrics.serves_frozen_queries.get(), 1);
+    let repacked = us_map();
+    assert_eq!((repacked.packed_objects, repacked.delta_objects), (45, 0));
+    assert!(repacked.packed_bytes > loaded.packed_bytes);
+    server.stop();
+}
+
+#[test]
+fn idle_workers_do_not_pin_superseded_snapshots() {
+    // A worker that served a request and then found the queue empty used
+    // to keep its snapshot pinned while blocked — after a merge, a whole
+    // dead packed generation per idle worker. Every snapshot published
+    // before the merge must be freed once the merge has published, with
+    // the workers idle.
+    let server = Server::start(
+        PictorialDatabase::with_us_map(),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 2,
+            merge_threshold: 4,
+            merge_interval: Duration::from_millis(5),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut client = connect(&server);
+    let cell = server.snapshots();
+    let mut superseded = vec![std::sync::Arc::downgrade(&cell.load())];
+
+    // Both workers busy at once, so both have pinned the first snapshot.
+    let sleepers = [
+        client.send_query("#sleep 100").expect("send"),
+        client.send_query("#sleep 100").expect("send"),
+    ];
+    for _ in sleepers {
+        match client.read_response().expect("response") {
+            Response::Result { id, .. } => assert!(sleepers.contains(&id)),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    for i in 0..4 {
+        client
+            .insert_expect_done(
+                "us-map",
+                &format!("pin-{i}"),
+                SpatialObject::Point(Point::new(31.0 + i as f64, 21.0)),
+            )
+            .expect("insert acked");
+        // The fourth insert arms the merge, whose snapshot may already
+        // be the current one by the time this thread looks.
+        if i < 3 {
+            superseded.push(std::sync::Arc::downgrade(&cell.load()));
+        }
+    }
+
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while server.metrics().merges.get() == 0 {
+        assert!(Instant::now() < deadline, "background merge never ran");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // The merge thread drops its own pin of the base right after
+    // publishing, and a worker releases right after its last response.
+    while let Some(alive) = superseded.iter().find_map(|weak| weak.upgrade()) {
+        let epoch = alive.epoch;
+        drop(alive);
+        assert!(
+            Instant::now() < deadline,
+            "snapshot of epoch {epoch} is still pinned with every worker idle"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     server.stop();
 }
 
