@@ -1,23 +1,28 @@
 //! Performance regression guard for the window-query hot paths.
 //!
-//! Re-measures the 1M-point window-query profile of `pack_scaling`
-//! (same seeds, same tree, same 2000 windows) on three paths —
+//! Re-measures the 1M-point window-query profile of `layout_bench`
+//! (same seeds, same tree, same 2000 windows) against the committed
+//! `BENCH_layout.json` on three paths —
 //!
-//! 1. the pointer-tree scratch path, against the committed
-//!    `BENCH_pack.json` (`scratch_path_ns_per_op`);
-//! 2. the frozen-arena scratch path, against the committed
-//!    `BENCH_layout.json` (`frozen_scratch_ns_per_op`);
-//! 3. the batched window path in packs of 64, against the committed
-//!    `BENCH_layout.json` (`batch_64_ns_per_op`);
+//! 1. the pointer-tree scratch path (`pointer_scratch_ns_per_op`);
+//! 2. the frozen-arena scratch path (`frozen_scratch_ns_per_op`);
+//! 3. the batched window path in packs of 64 (`batch_64_ns_per_op`);
+//!
+//! — and two `Picture` read paths against a reference measured in the
+//! same run, so they are immune to machine variance:
+//!
 //! 4. the `Picture` read path with a **nonempty delta** (buffered
 //!    dynamic writes awaiting the background merge), against the same
-//!    picture freshly packed — measured in-process, so this guard is
-//!    immune to machine variance. Before the write-path fix a single
+//!    picture freshly packed. Before the write-path fix a single
 //!    dynamic insert silently dropped the frozen arena and roughly
 //!    doubled query latency; this is the tripwire against that class
-//!    of regression.
+//!    of regression;
+//! 5. a **Table-1-scale picture** (J = 900, M = 4) answering windows
+//!    and k-NN from its arena, against the same queries on its own
+//!    pointer `tree()`: every packed picture serves the arena whatever
+//!    its size, and this row is what says small ones lose nothing by it.
 //!
-//! — and fails (exit code 1) if any measured ns/op exceeds its
+//! It fails (exit code 1) if any measured ns/op exceeds its
 //! baseline by more than the allowed factor. The factor defaults to
 //! 2.0: CI runners are slower and noisier than the machine that wrote
 //! the baselines, so the guard only trips on gross regressions (an
@@ -28,10 +33,8 @@
 //! Environment knobs:
 //! - `BENCH_GUARD_FACTOR`  — allowed slowdown factor (default `2.0`)
 //! - `BENCH_GUARD_N`       — dataset size (default `1000000`)
-//! - `BENCH_GUARD_BASELINE` — path to the pointer baseline JSON
-//!   (default `BENCH_pack.json`)
-//! - `BENCH_GUARD_LAYOUT_BASELINE` — path to the frozen/batched
-//!   baseline JSON (default `BENCH_layout.json`)
+//! - `BENCH_GUARD_LAYOUT_BASELINE` — path to the baseline JSON
+//!   (default `BENCH_layout.json`)
 //!
 //! Run with: `cargo run --release -p rtree-bench --bin bench_guard`
 
@@ -43,8 +46,6 @@ use rtree_workload::{points, queries, rng, PAPER_UNIVERSE};
 use std::time::Instant;
 
 fn main() {
-    let baseline_path =
-        std::env::var("BENCH_GUARD_BASELINE").unwrap_or_else(|_| "BENCH_pack.json".to_string());
     let layout_path = std::env::var("BENCH_GUARD_LAYOUT_BASELINE")
         .unwrap_or_else(|_| "BENCH_layout.json".to_string());
     let factor: f64 = std::env::var("BENCH_GUARD_FACTOR")
@@ -56,9 +57,23 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(1_000_000);
 
-    let pointer_baseline = read_baseline(&baseline_path, "scratch_path_ns_per_op");
-    let frozen_baseline = read_baseline(&layout_path, "frozen_scratch_ns_per_op");
-    let batch_baseline = read_baseline(&layout_path, "batch_64_ns_per_op");
+    let layout = match std::fs::read_to_string(&layout_path) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("bench_guard: cannot read {layout_path}: {e}");
+            std::process::exit(1);
+        }
+    };
+    // A guard that silently skips is no guard: a missing key fails.
+    let baseline = |key: &str| {
+        json_number(&layout, key).unwrap_or_else(|| {
+            eprintln!("bench_guard: no {key} in {layout_path}");
+            std::process::exit(1);
+        })
+    };
+    let pointer_baseline = baseline("pointer_scratch_ns_per_op");
+    let frozen_baseline = baseline("frozen_scratch_ns_per_op");
+    let batch_baseline = baseline("batch_64_ns_per_op");
 
     let seed = experiment_seed();
     let mut data_rng = rng(seed ^ 0x9e3779b97f4a7c15);
@@ -94,8 +109,7 @@ fn main() {
 
     // The delta read guard: a packed picture with buffered dynamic
     // writes must answer windows at packed-picture speed (the delta
-    // tree is tiny; the frozen main tree keeps serving). 300k objects
-    // puts the frozen arena comfortably past the size gate.
+    // tree is tiny; the frozen main tree keeps serving).
     let delta_n = (n / 4).clamp(250_000.min(n), 400_000);
     let mut picture = psql::picture::Picture::new("guard", PAPER_UNIVERSE, RTreeConfig::PAPER);
     for (i, p) in pts.iter().take(delta_n).enumerate() {
@@ -116,10 +130,7 @@ fn main() {
         picture.add(SpatialObject::Point(*p), &format!("d{i}"));
     }
     assert!(picture.delta_len() > 0, "delta must be nonempty");
-    assert!(
-        picture.serves_frozen_queries(),
-        "picture fell off the frozen path"
-    );
+    assert!(picture.frozen().is_some(), "picture lost its arena");
     let delta_picture_ns = best_of_three(windows.len(), || {
         for w in &windows {
             std::hint::black_box(picture.search_window_fast(
@@ -130,22 +141,66 @@ fn main() {
         }
     });
 
+    // The small-picture guard: Table 1's J = 900 picture, served from
+    // its arena, against its own pointer tree on the same queries.
+    let mut small = psql::picture::Picture::new("table1", PAPER_UNIVERSE, RTreeConfig::PAPER);
+    for (i, p) in pts.iter().take(900).enumerate() {
+        small.add(SpatialObject::Point(*p), &format!("t{i}"));
+    }
+    small.pack();
+    assert!(small.frozen().is_some() && small.delta_len() == 0);
+    let small_windows = queries::window_queries(&mut q_rng, &PAPER_UNIVERSE, 2_000, 0.01);
+    let small_window_ns = best_of_three(small_windows.len(), || {
+        for w in &small_windows {
+            std::hint::black_box(small.search_window_fast(
+                psql::SpatialOp::CoveredBy,
+                w,
+                &mut scratch,
+            ));
+        }
+    });
+    let small_window_tree_ns = best_of_three(small_windows.len(), || {
+        for w in &small_windows {
+            let hits = small.tree().search_within_into(w, &mut scratch);
+            std::hint::black_box(hits.iter().map(|item| item.0).collect::<Vec<u64>>());
+        }
+    });
+    let small_knn_ns = best_of_three(small_windows.len(), || {
+        for w in &small_windows {
+            std::hint::black_box(small.nearest_fast(w.center(), 10, &mut scratch));
+        }
+    });
+    let small_knn_tree_ns = best_of_three(small_windows.len(), || {
+        for w in &small_windows {
+            let near = small
+                .tree()
+                .nearest_neighbors_into(w.center(), 10, scratch.knn());
+            std::hint::black_box(near.iter().map(|n| n.item.0).collect::<Vec<u64>>());
+        }
+    });
+
     let mut failed = false;
     for (name, measured, baseline) in [
-        ("pointer scratch", pointer_ns, pointer_baseline),
-        ("frozen scratch", frozen_ns, frozen_baseline),
-        ("batched (64)", batch_ns, batch_baseline),
-        ("nonempty delta", delta_picture_ns, packed_picture_ns),
+        ("pointer scratch window", pointer_ns, pointer_baseline),
+        ("frozen scratch window", frozen_ns, frozen_baseline),
+        ("batched (64) window", batch_ns, batch_baseline),
+        ("nonempty delta window", delta_picture_ns, packed_picture_ns),
+        (
+            "J=900 picture window",
+            small_window_ns,
+            small_window_tree_ns,
+        ),
+        ("J=900 picture k-NN", small_knn_ns, small_knn_tree_ns),
     ] {
         let limit = baseline * factor;
         println!(
-            "bench_guard: {name} window path {measured:.0} ns/op \
+            "bench_guard: {name} path {measured:.0} ns/op \
              (baseline {baseline:.0}, limit {limit:.0} = {factor}x, n = {n})"
         );
         if measured > limit {
             eprintln!(
                 "bench_guard: FAIL — {name} at {measured:.0} ns/op exceeds {factor}x \
-                 the committed baseline; the query hot path has regressed"
+                 its baseline; the query hot path has regressed"
             );
             failed = true;
         }
@@ -154,25 +209,6 @@ fn main() {
         std::process::exit(1);
     }
     println!("bench_guard: OK");
-}
-
-/// Reads `key` from the baseline JSON at `path`, failing loudly if the
-/// file or key is missing — a guard that silently skips is no guard.
-fn read_baseline(path: &str, key: &str) -> f64 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bench_guard: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match json_number(&text, key) {
-        Some(v) => v,
-        None => {
-            eprintln!("bench_guard: no {key} in {path}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Best-of-three ns/op over `n` operations after one untimed warm-up

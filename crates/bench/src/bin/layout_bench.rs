@@ -12,13 +12,12 @@
 //! Results are written to `BENCH_layout.json` at the repo root. The
 //! acceptance bar is a ≥25% ns/op reduction on the 1M-point
 //! window-query scratch path relative to the pointer tree measured in
-//! the same run (the committed `BENCH_pack.json` scratch baseline is
-//! printed alongside for cross-run context).
+//! the same run. `bench_guard` reads its baselines from this file.
 //!
 //! Run with: `cargo run --release -p rtree-bench --bin layout_bench`
 
 use packed_rtree_core::{default_threads, pack_parallel_with, PackStrategy};
-use psql::join::{frozen_join, rtree_join, JoinStats};
+use psql::join::{rtree_join, JoinStats};
 use rtree_bench::report::{f, Table};
 use rtree_bench::{build_pack, experiment_seed};
 use rtree_index::{BatchScratch, FrozenRTree, ItemId, RTreeConfig, SearchScratch, SearchStats};
@@ -264,7 +263,7 @@ fn million_point_ab(seed: u64, table1: (f64, f64, f64)) {
     let mut frz_js = JoinStats::default();
     let frz_join_ms = ns_per_op(1, || {
         frz_js = JoinStats::default();
-        std::hint::black_box(frozen_join(
+        std::hint::black_box(rtree_join(
             &frozen_a,
             &frozen_b,
             SpatialOp::Overlapping,
@@ -277,7 +276,7 @@ fn million_point_ab(seed: u64, table1: (f64, f64, f64)) {
         let mut s2 = JoinStats::default();
         assert_eq!(
             rtree_join(&tree_a, &tree_b, SpatialOp::Overlapping, &mut s1),
-            frozen_join(&frozen_a, &frozen_b, SpatialOp::Overlapping, &mut s2),
+            rtree_join(&frozen_a, &frozen_b, SpatialOp::Overlapping, &mut s2),
             "join pair lists diverged"
         );
     }
@@ -322,7 +321,7 @@ fn million_point_ab(seed: u64, table1: (f64, f64, f64)) {
          avg nodes visited {:.3} on both layouts",
         frz_stats.avg_nodes_visited()
     );
-    println!("committed BENCH_pack.json scratch baseline for context: 15911 ns/op\n");
+    println!();
 
     let mut bt = Table::new(["batched windows", "ns/op", "vs single frozen"]);
     for &(bs, ns) in &batched_ns {

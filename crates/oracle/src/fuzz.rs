@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtree_geom::{Point, Rect, Region, Segment, SpatialObject};
 use rtree_index::{
-    BatchScratch, FrozenRTree, ItemId, RTree, RTreeConfig, SearchScratch, SearchStats,
+    BatchScratch, FrozenRTree, ItemId, NodeAccess, RTree, RTreeConfig, SearchScratch, SearchStats,
 };
 use rtree_storage::{BufferPool, DiskRTree, PagedRTree, Pager};
 
@@ -714,20 +714,38 @@ fn check_frozen(case: &Case, packed: &RTree, tree_a: &RTree, tree_b: &RTree) -> 
         }
     }
 
+    // One join over every mix of storage forms: each must reproduce the
+    // pointer x pointer pair sequence and counters (which the tree level
+    // above holds to `reference::join_pairs`).
     let frozen_a = FrozenRTree::freeze(tree_a);
     let frozen_b = FrozenRTree::freeze(tree_b);
     for op in ALL_OPS {
         let mut ps = psql::join::JoinStats::default();
-        let mut fs = psql::join::JoinStats::default();
         let pointer = psql::join::rtree_join(tree_a, tree_b, op, &mut ps);
-        let frozen_got = psql::join::frozen_join(&frozen_a, &frozen_b, op, &mut fs);
-        if frozen_got != pointer {
-            return Some(format!(
-                "frozen join {op}: pairs {frozen_got:?} != pointer {pointer:?}"
-            ));
-        }
-        if fs != ps {
-            return Some(format!("frozen join {op}: stats {fs:?} != pointer {ps:?}"));
+        let mut stats = [psql::join::JoinStats::default(); 3];
+        let forms = [
+            (
+                "frozen x frozen",
+                psql::join::rtree_join(&frozen_a, &frozen_b, op, &mut stats[0]),
+            ),
+            (
+                "frozen x pointer",
+                psql::join::rtree_join(&frozen_a, tree_b, op, &mut stats[1]),
+            ),
+            (
+                "pointer x frozen",
+                psql::join::rtree_join(tree_a, &frozen_b, op, &mut stats[2]),
+            ),
+        ];
+        for ((form, got), fs) in forms.iter().zip(stats) {
+            if *got != pointer {
+                return Some(format!(
+                    "{form} join {op}: pairs {got:?} != pointer {pointer:?}"
+                ));
+            }
+            if fs != ps {
+                return Some(format!("{form} join {op}: stats {fs:?} != pointer {ps:?}"));
+            }
         }
     }
     None
@@ -999,9 +1017,6 @@ fn check_mixed(case: &Case) -> Option<String> {
         }
     }
     db.pack_all();
-    // The frozen-vs-pointer size gate is a performance heuristic; lift
-    // it so small generated pictures drive the frozen+delta merge path.
-    db.picture_mut("pic").expect("pic").force_frozen_queries();
     for obj in &case.objects[split..] {
         if let Err(e) = db.add_object("pic", obj.clone(), "delta") {
             return Some(format!("mixed insert failed: {e}"));

@@ -10,7 +10,7 @@
 //! three APIs.
 
 use rtree_geom::Rect;
-use rtree_index::{Child, FrozenRTree, ItemId, RTree};
+use rtree_index::{Child, FrozenRTree, ItemId, NodeAccess, RTree};
 use rtree_storage::codec::DiskNode;
 use rtree_storage::{BufferPool, DiskRTree, PagedRTree, StorageResult};
 use std::collections::HashMap;
@@ -140,26 +140,26 @@ impl TreeImage {
         // BFS from the root, deriving each node's level from its
         // parent's (the arena stores only the leaf boundary).
         let mut queue = std::collections::VecDeque::new();
-        queue.push_back((tree.root_index(), tree.depth()));
-        while let Some((index, level)) = queue.pop_front() {
-            let is_leaf = tree.is_leaf_index(index);
-            let entries = (0..tree.entry_count(index))
+        queue.push_back((tree.root(), tree.depth()));
+        while let Some((node, level)) = queue.pop_front() {
+            let is_leaf = tree.is_leaf(node);
+            let entries = (0..tree.entry_count(node))
                 .map(|lane| ImageEntry {
-                    mbr: tree.entry_mbr(index, lane),
+                    mbr: tree.lane_mbr(node, lane),
                     child: if is_leaf {
-                        ImageChild::Item(tree.entry_child_item(index, lane))
+                        ImageChild::Item(tree.child_item(node, lane))
                     } else {
-                        let child = tree.entry_child_node(index, lane);
+                        let child = tree.child_node(node, lane);
                         queue.push_back((child, level - 1));
-                        ImageChild::Node(child as u64)
+                        ImageChild::Node(child.index() as u64)
                     },
                 })
                 .collect();
-            nodes.insert(index as u64, ImageNode { level, entries });
+            nodes.insert(node.index() as u64, ImageNode { level, entries });
         }
         TreeImage {
             nodes,
-            root: tree.root_index() as u64,
+            root: tree.root().index() as u64,
             declared_depth: tree.depth(),
             declared_len: tree.len(),
             max_entries: tree.config().max_entries,

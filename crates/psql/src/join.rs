@@ -13,7 +13,7 @@
 use crate::picture::Picture;
 use crate::spatial::SpatialOp;
 use rtree_geom::Rect;
-use rtree_index::{FrozenRTree, ItemId, Node, RTree};
+use rtree_index::{ItemId, NodeAccess, NodeId, RTree};
 
 /// Counters for join executions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -24,24 +24,28 @@ pub struct JoinStats {
     pub candidates: u64,
 }
 
-/// Joins two R-trees, returning item-id pairs whose MBRs pass
-/// [`SpatialOp::mbr_filter`]. For `Disjoined` — which no hierarchy of
-/// bounding rectangles can prune — this degrades to the full cross
-/// product of MBR-disjoint pairs.
-pub fn rtree_join(
-    a: &RTree,
-    b: &RTree,
+/// Joins two R-trees — in any storage form, and any mix of forms —
+/// returning item-id pairs whose MBRs pass [`SpatialOp::mbr_filter`].
+/// The descent, the emission order and the [`JoinStats`] depend on the
+/// trees' structure only, so a frozen arena joins exactly like the
+/// pointer tree it was compiled from. For `Disjoined` — which no
+/// hierarchy of bounding rectangles can prune — this degrades to the
+/// full cross product of MBR-disjoint pairs.
+pub fn rtree_join<A: NodeAccess, B: NodeAccess>(
+    a: &A,
+    b: &B,
     op: SpatialOp,
     stats: &mut JoinStats,
 ) -> Vec<(ItemId, ItemId)> {
     let mut out = Vec::new();
-    if a.is_empty() || b.is_empty() {
+    if a.entry_count(a.root()) == 0 || b.entry_count(b.root()) == 0 {
         return out;
     }
     if op == SpatialOp::Disjoined {
         // No pruning possible: enumerate and filter.
-        for &(ra, ia) in &a.items() {
-            for &(rb, ib) in &b.items() {
+        let b_items = b.items();
+        for (ra, ia) in a.items() {
+            for &(rb, ib) in &b_items {
                 stats.node_pairs_visited += 1;
                 if !ra.intersects(&rb) {
                     stats.candidates += 1;
@@ -51,254 +55,121 @@ pub fn rtree_join(
         }
         return out;
     }
-    join_nodes(a, a.root(), b, b.root(), op, stats, &mut out);
+    join_subtrees(a, a.root(), b, b.root(), op, stats, &mut out);
     out
 }
 
-fn join_nodes(
-    a: &RTree,
-    na: rtree_index::NodeId,
-    b: &RTree,
-    nb: rtree_index::NodeId,
+/// Each arm tests one node's lanes against a single rectangle — the
+/// shape [`NodeAccess::mask_intersects`] answers 64 lanes at a time.
+fn join_subtrees<A: NodeAccess, B: NodeAccess>(
+    a: &A,
+    na: NodeId,
+    b: &B,
+    nb: NodeId,
     op: SpatialOp,
     stats: &mut JoinStats,
     out: &mut Vec<(ItemId, ItemId)>,
 ) {
     stats.node_pairs_visited += 1;
-    let node_a = a.node(na);
-    let node_b = b.node(nb);
-    match (node_a.is_leaf(), node_b.is_leaf()) {
+    match (a.is_leaf(na), b.is_leaf(nb)) {
         (true, true) => {
-            for ea in &node_a.entries {
-                for eb in &node_b.entries {
-                    if ea.mbr.intersects(&eb.mbr) && op.mbr_filter(&ea.mbr, &eb.mbr) {
+            for la in 0..a.entry_count(na) {
+                let ra = a.lane_mbr(na, la);
+                for_each_intersecting(b, nb, &ra, |lb| {
+                    if op.mbr_filter(&ra, &b.lane_mbr(nb, lb)) {
                         stats.candidates += 1;
-                        out.push((ea.child.expect_item(), eb.child.expect_item()));
+                        out.push((a.child_item(na, la), b.child_item(nb, lb)));
                     }
-                }
+                });
             }
         }
         (false, true) => {
             // Descend the deeper (left) side.
-            for ea in &node_a.entries {
-                if intersects_node(&ea.mbr, node_b) {
-                    join_nodes(a, ea.child.expect_node(), b, nb, op, stats, out);
-                }
+            if let Some(mb) = b.node_mbr(nb) {
+                for_each_intersecting(a, na, &mb, |la| {
+                    join_subtrees(a, a.child_node(na, la), b, nb, op, stats, out)
+                });
             }
         }
         (true, false) => {
-            for eb in &node_b.entries {
-                if intersects_node(&eb.mbr, node_a) {
-                    join_nodes(a, na, b, eb.child.expect_node(), op, stats, out);
-                }
+            if let Some(ma) = a.node_mbr(na) {
+                for_each_intersecting(b, nb, &ma, |lb| {
+                    join_subtrees(a, na, b, b.child_node(nb, lb), op, stats, out)
+                });
             }
         }
         (false, false) => {
-            for ea in &node_a.entries {
-                for eb in &node_b.entries {
-                    if ea.mbr.intersects(&eb.mbr) {
-                        join_nodes(
-                            a,
-                            ea.child.expect_node(),
-                            b,
-                            eb.child.expect_node(),
-                            op,
-                            stats,
-                            out,
-                        );
-                    }
-                }
+            for la in 0..a.entry_count(na) {
+                let (ra, ca) = (a.lane_mbr(na, la), a.child_node(na, la));
+                for_each_intersecting(b, nb, &ra, |lb| {
+                    join_subtrees(a, ca, b, b.child_node(nb, lb), op, stats, out)
+                });
             }
         }
     }
 }
 
-fn intersects_node(mbr: &Rect, node: &Node) -> bool {
-    node.mbr().is_some_and(|m| m.intersects(mbr))
+/// Calls `f` with each lane of `node` whose rectangle intersects
+/// `rect`, ascending.
+fn for_each_intersecting<T: NodeAccess>(
+    tree: &T,
+    node: NodeId,
+    rect: &Rect,
+    mut f: impl FnMut(usize),
+) {
+    for chunk in 0..tree.fanout().div_ceil(64) {
+        let mut mask = tree.mask_intersects(node, chunk, rect);
+        while mask != 0 {
+            f(chunk * 64 + mask.trailing_zeros() as usize);
+            mask &= mask - 1;
+        }
+    }
 }
 
 /// Juxtaposition join between two [`Picture`]s, composing each side's
-/// main tree with its buffered delta (DESIGN.md §14).
+/// frozen arena with its Guttman tree (DESIGN.md §14).
 ///
-/// Main and delta index disjoint id ranges on each side, so the pair set
-/// decomposes into four terms:
+/// The two index a picture's disjoint id ranges, so the pair set
+/// decomposes into up to four terms, each one [`rtree_join`] over
+/// whatever storage forms meet:
 ///
 /// ```text
-/// join(L, R) = join(L.main,  R.main)     frozen when both sides are packed
-///            ∪ join(L.main,  R.delta)
-///            ∪ join(L.delta, R.main)
-///            ∪ join(L.delta, R.delta)
+/// join(L, R) = join(L.frozen, R.frozen) ∪ join(L.frozen, R.delta)
+///            ∪ join(L.delta,  R.frozen) ∪ join(L.delta,  R.delta)
 /// ```
 ///
-/// With empty deltas this is exactly the `frozen_join` fast path,
-/// bit-identical pairs and counters included. A never-packed side has
-/// no delta: its main tree is the Guttman tree over all its objects.
+/// A never-packed side has no arena: its Guttman tree holds every
+/// object.
 pub fn picture_join(
     lp: &Picture,
     rp: &Picture,
     op: SpatialOp,
     stats: &mut JoinStats,
 ) -> Vec<(ItemId, ItemId)> {
-    let mut out = match (lp.frozen(), rp.frozen()) {
-        (Some(lf), Some(rf)) => frozen_join(lf, rf, op, stats),
-        _ => rtree_join(lp.tree(), rp.tree(), op, stats),
-    };
-    if let Some(rd) = rp.delta_tree() {
-        out.extend(rtree_join(lp.tree(), rd, op, stats));
-    }
-    if let Some(ld) = lp.delta_tree() {
-        out.extend(rtree_join(ld, rp.tree(), op, stats));
-        if let Some(rd) = rp.delta_tree() {
-            out.extend(rtree_join(ld, rd, op, stats));
+    fn against<A: NodeAccess>(
+        a: &A,
+        rp: &Picture,
+        op: SpatialOp,
+        stats: &mut JoinStats,
+        out: &mut Vec<(ItemId, ItemId)>,
+    ) {
+        let (frozen, delta) = rp.index_parts();
+        if let Some(frozen) = frozen {
+            out.extend(rtree_join(a, frozen, op, stats));
+        }
+        if let Some(delta) = delta {
+            out.extend(rtree_join(a, delta, op, stats));
         }
     }
-    out
-}
-
-/// [`rtree_join`] over two frozen trees: the identical simultaneous
-/// descent (same recursion structure, same counter increments, same
-/// emission order) over the SoA arenas, so pair sequences and
-/// [`JoinStats`] match the pointer-tree join bit for bit.
-pub fn frozen_join(
-    a: &FrozenRTree,
-    b: &FrozenRTree,
-    op: SpatialOp,
-    stats: &mut JoinStats,
-) -> Vec<(ItemId, ItemId)> {
     let mut out = Vec::new();
-    if a.is_empty() || b.is_empty() {
-        return out;
+    let (frozen, delta) = lp.index_parts();
+    if let Some(frozen) = frozen {
+        against(frozen, rp, op, stats, &mut out);
     }
-    if op == SpatialOp::Disjoined {
-        // No pruning possible: enumerate and filter.
-        for &(ra, ia) in &a.items() {
-            for &(rb, ib) in &b.items() {
-                stats.node_pairs_visited += 1;
-                if !ra.intersects(&rb) {
-                    stats.candidates += 1;
-                    out.push((ia, ib));
-                }
-            }
-        }
-        return out;
+    if let Some(delta) = delta {
+        against(delta, rp, op, stats, &mut out);
     }
-    frozen_join_nodes(a, a.root_index(), b, b.root_index(), op, stats, &mut out);
     out
-}
-
-fn frozen_join_nodes(
-    a: &FrozenRTree,
-    na: u32,
-    b: &FrozenRTree,
-    nb: u32,
-    op: SpatialOp,
-    stats: &mut JoinStats,
-    out: &mut Vec<(ItemId, ItemId)>,
-) {
-    stats.node_pairs_visited += 1;
-    // Each arm tests one node's lanes against a single rectangle — the
-    // shape `FrozenRTree::lane_intersect_mask` vectorizes. Consuming the
-    // mask lowest-lane-first reproduces the scalar `0..entry_count` loop
-    // exactly (NaN padding lanes never set a bit), so emission order and
-    // counters stay bit-identical; fanouts past 64 lanes keep the scalar
-    // loop.
-    match (a.is_leaf_index(na), b.is_leaf_index(nb)) {
-        (true, true) => {
-            for la in 0..a.entry_count(na) {
-                let ra = a.entry_mbr(na, la);
-                if b.fanout() <= 64 {
-                    let mut mask = b.lane_intersect_mask(nb, &ra);
-                    while mask != 0 {
-                        let lb = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        let rb = b.entry_mbr(nb, lb);
-                        if op.mbr_filter(&ra, &rb) {
-                            stats.candidates += 1;
-                            out.push((a.entry_child_item(na, la), b.entry_child_item(nb, lb)));
-                        }
-                    }
-                } else {
-                    for lb in 0..b.entry_count(nb) {
-                        let rb = b.entry_mbr(nb, lb);
-                        if ra.intersects(&rb) && op.mbr_filter(&ra, &rb) {
-                            stats.candidates += 1;
-                            out.push((a.entry_child_item(na, la), b.entry_child_item(nb, lb)));
-                        }
-                    }
-                }
-            }
-        }
-        (false, true) => {
-            // Descend the deeper (left) side.
-            let mb = b.node_mbr(nb);
-            if let (Some(m), true) = (mb, a.fanout() <= 64) {
-                let mut mask = a.lane_intersect_mask(na, &m);
-                while mask != 0 {
-                    let la = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    frozen_join_nodes(a, a.entry_child_node(na, la), b, nb, op, stats, out);
-                }
-            } else {
-                for la in 0..a.entry_count(na) {
-                    if mb.is_some_and(|m| m.intersects(&a.entry_mbr(na, la))) {
-                        frozen_join_nodes(a, a.entry_child_node(na, la), b, nb, op, stats, out);
-                    }
-                }
-            }
-        }
-        (true, false) => {
-            let ma = a.node_mbr(na);
-            if let (Some(m), true) = (ma, b.fanout() <= 64) {
-                let mut mask = b.lane_intersect_mask(nb, &m);
-                while mask != 0 {
-                    let lb = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    frozen_join_nodes(a, na, b, b.entry_child_node(nb, lb), op, stats, out);
-                }
-            } else {
-                for lb in 0..b.entry_count(nb) {
-                    if ma.is_some_and(|m| m.intersects(&b.entry_mbr(nb, lb))) {
-                        frozen_join_nodes(a, na, b, b.entry_child_node(nb, lb), op, stats, out);
-                    }
-                }
-            }
-        }
-        (false, false) => {
-            for la in 0..a.entry_count(na) {
-                let ra = a.entry_mbr(na, la);
-                if b.fanout() <= 64 {
-                    let mut mask = b.lane_intersect_mask(nb, &ra);
-                    while mask != 0 {
-                        let lb = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        frozen_join_nodes(
-                            a,
-                            a.entry_child_node(na, la),
-                            b,
-                            b.entry_child_node(nb, lb),
-                            op,
-                            stats,
-                            out,
-                        );
-                    }
-                } else {
-                    for lb in 0..b.entry_count(nb) {
-                        if ra.intersects(&b.entry_mbr(nb, lb)) {
-                            frozen_join_nodes(
-                                a,
-                                a.entry_child_node(na, la),
-                                b,
-                                b.entry_child_node(nb, lb),
-                                op,
-                                stats,
-                                out,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// The baseline: compare every item pair directly.
@@ -409,26 +280,42 @@ mod tests {
         );
     }
 
+    /// Every mix of storage forms runs the one descent: exact emission
+    /// order and counters, not just the same set. Fan-out 102 (a disk
+    /// page's branching) spreads each node over two mask chunks.
     #[test]
-    fn frozen_join_is_bit_identical() {
+    fn join_is_bit_identical_across_storage_forms() {
         use rtree_index::FrozenRTree;
-        let a = tree_of_points(&grid_points(80));
-        let b = tree_of_rects(&tiles());
-        let fa = FrozenRTree::freeze(&a);
-        let fb = FrozenRTree::freeze(&b);
-        for op in [
-            SpatialOp::CoveredBy,
-            SpatialOp::Overlapping,
-            SpatialOp::Covering,
-            SpatialOp::Disjoined,
+        let wide = RTreeConfig::with_branching(102);
+        let scatter = |n: u64, salt: u64| -> Vec<(Rect, ItemId)> {
+            (0..n)
+                .map(|i| {
+                    let x = (i.wrapping_mul(2654435761).wrapping_add(salt) % 1000) as f64;
+                    let y = (i.wrapping_mul(40503).wrapping_add(salt * 7) % 1000) as f64;
+                    (Rect::new(x, y, x + 9.0, y + 6.0), ItemId(i))
+                })
+                .collect()
+        };
+        for (a, b) in [
+            (tree_of_points(&grid_points(80)), tree_of_rects(&tiles())),
+            (pack(scatter(1_500, 1), wide), pack(scatter(1_200, 5), wide)),
         ] {
-            let mut sp = JoinStats::default();
-            let mut sf = JoinStats::default();
-            let pointer = rtree_join(&a, &b, op, &mut sp);
-            let frozen = frozen_join(&fa, &fb, op, &mut sf);
-            // Exact emission order, not just the same set.
-            assert_eq!(frozen, pointer, "{op}");
-            assert_eq!(sf, sp, "{op} counters");
+            let (fa, fb) = (FrozenRTree::freeze(&a), FrozenRTree::freeze(&b));
+            for op in [
+                SpatialOp::CoveredBy,
+                SpatialOp::Overlapping,
+                SpatialOp::Covering,
+                SpatialOp::Disjoined,
+            ] {
+                let mut sp = JoinStats::default();
+                let pointer = rtree_join(&a, &b, op, &mut sp);
+                assert!(op != SpatialOp::Overlapping || !pointer.is_empty());
+                let mut stats = [JoinStats::default(); 3];
+                assert_eq!(rtree_join(&fa, &fb, op, &mut stats[0]), pointer, "{op}");
+                assert_eq!(rtree_join(&fa, &b, op, &mut stats[1]), pointer, "{op}");
+                assert_eq!(rtree_join(&a, &fb, op, &mut stats[2]), pointer, "{op}");
+                assert_eq!(stats, [sp; 3], "{op} counters");
+            }
         }
     }
 
@@ -457,7 +344,7 @@ mod tests {
             (&extra_l[..], &extra_r[..]), // deltas on both sides
             (&extra_l[..], &[][..]),      // left only
             (&[][..], &extra_r[..]),      // right only
-            (&[][..], &[][..]),           // no deltas: frozen fast path
+            (&[][..], &[][..]),           // no deltas: frozen x frozen only
         ] {
             let live_l = mk(&grid, el);
             let live_r = mk(&shifted, er);
@@ -496,7 +383,7 @@ mod tests {
         let mut sp = JoinStats::default();
         let mut sf = JoinStats::default();
         assert_eq!(
-            frozen_join(
+            rtree_join(
                 &FrozenRTree::freeze(&a),
                 &FrozenRTree::freeze(&b),
                 SpatialOp::CoveredBy,

@@ -5,24 +5,12 @@ use packed_rtree_core::pack;
 use rtree_extpack::{ExtPackConfig, ExtPackError, ExtPackResult, ExtPackStats, NodeSink};
 use rtree_geom::{Point, Rect, SpatialObject};
 use rtree_index::{
-    BatchScratch, BottomUpBuilder, FrozenChild, FrozenRTree, ItemId, KnnScratch, Neighbor, NodeId,
-    RTree, RTreeConfig, SearchScratch, SearchStats,
+    BatchScratch, BottomUpBuilder, FrozenChild, FrozenRTree, ItemId, KnnScratch, Neighbor,
+    NodeAccess, NodeId, RTree, RTreeConfig, SearchScratch, SearchStats,
 };
 use rtree_storage::{codec, PageId, Pager};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Node-count threshold below which queries keep serving the pointer
-/// tree even when a frozen compilation exists. On trees the size of the
-/// paper's Table 1 (J=900, ~300 nodes at M=4) the whole pointer arena
-/// is cache-resident and its direct child links beat the frozen
-/// layout's lane arithmetic on the scalar fallback build, so freezing
-/// a small picture must never make its queries slower there. (With the
-/// `simd` kernels the frozen path wins even at Table-1 size, but the
-/// threshold is sized for the weakest compiled path.) The crossover
-/// sits well under 10k nodes; 4096 keeps a safety margin on the
-/// pointer side.
-const FROZEN_QUERY_MIN_NODES: usize = 4096;
 
 /// One packed generation of a picture: everything a pack produced,
 /// immutable until the next pack and shared (behind an [`Arc`]) by
@@ -32,10 +20,10 @@ struct PackedGeneration {
     /// Objects `[0, packed_len)`.
     objects: Vec<SpatialObject>,
     labels: Vec<String>,
-    /// The packed pointer tree — serves small pictures (see
-    /// `FROZEN_QUERY_MIN_NODES`) and is what [`Picture::tree`] returns.
+    /// The packed pointer tree: what [`Picture::tree`] returns. No
+    /// query reads it.
     tree: RTree,
-    /// The SoA compilation of `tree`.
+    /// The SoA compilation of `tree`, which serves every query.
     frozen: FrozenRTree,
 }
 
@@ -79,59 +67,6 @@ pub struct Picture {
     /// so [`estimated_bytes`](Picture::estimated_bytes) walks nothing.
     label_bytes: usize,
     packed_label_bytes: usize,
-    /// Test hook: serve frozen queries regardless of tree size, so the
-    /// differential fuzzer can drive the frozen+delta merge path on
-    /// small cases (see [`force_frozen_queries`]).
-    ///
-    /// [`force_frozen_queries`]: Picture::force_frozen_queries
-    force_frozen: bool,
-}
-
-/// One of a picture's index structures, so each query entry point is
-/// written once over "main, then delta".
-#[derive(Clone, Copy)]
-enum Index<'a> {
-    Frozen(&'a FrozenRTree),
-    Pointer(&'a RTree),
-}
-
-impl Index<'_> {
-    fn window(self, within: bool, window: &Rect, stats: &mut SearchStats) -> Vec<ItemId> {
-        match (self, within) {
-            (Index::Frozen(f), true) => f.search_within(window, stats),
-            (Index::Frozen(f), false) => f.search_intersecting(window, stats),
-            (Index::Pointer(t), true) => t.search_within(window, stats),
-            (Index::Pointer(t), false) => t.search_intersecting(window, stats),
-        }
-    }
-
-    fn window_into<'s>(
-        self,
-        within: bool,
-        window: &Rect,
-        scratch: &'s mut SearchScratch,
-    ) -> &'s [ItemId] {
-        match (self, within) {
-            (Index::Frozen(f), true) => f.search_within_into(window, scratch),
-            (Index::Frozen(f), false) => f.search_intersecting_into(window, scratch),
-            (Index::Pointer(t), true) => t.search_within_into(window, scratch),
-            (Index::Pointer(t), false) => t.search_intersecting_into(window, scratch),
-        }
-    }
-
-    fn nearest(self, p: Point, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
-        match self {
-            Index::Frozen(f) => f.nearest_neighbors(p, k, stats),
-            Index::Pointer(t) => t.nearest_neighbors(p, k, stats),
-        }
-    }
-
-    fn nearest_into(self, p: Point, k: usize, scratch: &mut KnnScratch) -> &[Neighbor] {
-        match self {
-            Index::Frozen(f) => f.nearest_neighbors_into(p, k, scratch),
-            Index::Pointer(t) => t.nearest_neighbors_into(p, k, scratch),
-        }
-    }
 }
 
 /// The tree traversal that produces `op`'s candidates: `Some(true)` for
@@ -162,7 +97,6 @@ impl Picture {
             delta: RTree::new(config),
             label_bytes: 0,
             packed_label_bytes: 0,
-            force_frozen: false,
         }
     }
 
@@ -409,40 +343,21 @@ impl Picture {
         (packed, delta)
     }
 
-    /// The index serving ids `[0, packed_len)` — the frozen arena when
-    /// it is large enough that the SoA layout wins, else the packed
-    /// pointer tree — and the delta tree to merge in, if any. A
-    /// never-packed picture's main index is its Guttman tree.
-    fn parts(&self) -> (Index<'_>, Option<Index<'_>>) {
-        let Some(generation) = &self.packed else {
-            return (Index::Pointer(&self.delta), None);
-        };
-        let frozen = &generation.frozen;
-        let main = if self.force_frozen || frozen.node_count() >= FROZEN_QUERY_MIN_NODES {
-            Index::Frozen(frozen)
-        } else {
-            Index::Pointer(&generation.tree)
-        };
-        (main, self.delta_tree().map(Index::Pointer))
+    /// The picture's index: the frozen arena over ids `[0, packed_len)`
+    /// if packed, and the Guttman tree over the rest if it holds any —
+    /// or, before the first pack, over everything.
+    pub(crate) fn index_parts(&self) -> (Option<&FrozenRTree>, Option<&RTree>) {
+        let delta = (self.packed.is_none() || !self.delta.is_empty()).then_some(&self.delta);
+        (self.frozen(), delta)
     }
 
-    /// Serve frozen queries regardless of tree size. The size gate in
-    /// [`serves_frozen_queries`](Picture::serves_frozen_queries) is a
-    /// performance heuristic only; the differential fuzzer flips this to
-    /// drive the frozen+delta merged query path on small generated
-    /// pictures, where the gate would otherwise route around it.
-    #[doc(hidden)]
-    pub fn force_frozen_queries(&mut self) {
-        self.force_frozen = true;
-    }
-
-    /// `true` when spatial queries on this picture are served from the
-    /// frozen arena rather than the pointer tree. Small packed pictures
-    /// deliberately stay on the pointer path (see
-    /// `FROZEN_QUERY_MIN_NODES`); both paths are bit-identical, so this
-    /// only changes performance, never results.
-    pub fn serves_frozen_queries(&self) -> bool {
-        matches!(self.parts().0, Index::Frozen(_))
+    /// [`index_parts`](Self::index_parts) as the first structure a query
+    /// searches and the second, if there is one.
+    fn parts(&self) -> (&dyn NodeAccess, Option<&dyn NodeAccess>) {
+        match self.index_parts() {
+            (Some(frozen), delta) => (frozen, delta.map(|delta| delta as &dyn NodeAccess)),
+            (None, _) => (&self.delta, None),
+        }
     }
 
     /// All object ids.
@@ -457,48 +372,83 @@ impl Picture {
         let mut out = Vec::with_capacity(k.min(main.len() + delta.len()));
         let (mut i, mut j) = (0, 0);
         while out.len() < k {
-            match (main.get(i), delta.get(j)) {
-                (Some(a), Some(b)) => {
-                    if a.distance_sq.total_cmp(&b.distance_sq).is_le() {
-                        out.push(*a);
-                        i += 1;
-                    } else {
-                        out.push(*b);
-                        j += 1;
-                    }
-                }
-                (Some(a), None) => {
-                    out.push(*a);
-                    i += 1;
-                }
-                (None, Some(b)) => {
-                    out.push(*b);
-                    j += 1;
-                }
+            let from_main = match (main.get(i), delta.get(j)) {
+                (Some(a), Some(b)) => a.distance_sq.total_cmp(&b.distance_sq).is_le(),
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
                 (None, None) => break,
+            };
+            if from_main {
+                out.push(main[i]);
+                i += 1;
+            } else {
+                out.push(delta[j]);
+                j += 1;
             }
         }
         out
     }
 
-    /// Direct spatial search: object ids satisfying `obj op window`,
-    /// pruned through the R-tree and refined with exact geometry. The
-    /// main index and the delta tree (when the picture holds one) are
-    /// both searched and their disjoint candidate sets merged; the
-    /// delta's traversal counts toward the same one logical query.
-    pub fn search_window(&self, op: SpatialOp, window: &Rect, stats: &mut SearchStats) -> Vec<u64> {
+    /// One logical window query over the picture's index: each part's
+    /// candidates, refined with exact geometry, main first. The two
+    /// parts hold disjoint ids; the second traversal's work is counted
+    /// toward the same one query.
+    fn window(
+        &self,
+        op: SpatialOp,
+        window: &Rect,
+        scratch: &mut SearchScratch,
+        mut stats: Option<&mut SearchStats>,
+    ) -> Vec<u64> {
         let Some(within) = traversal(op) else {
-            stats.queries += 1;
+            if let Some(stats) = stats {
+                stats.queries += 1;
+            }
             return self.scan(op, window);
         };
         let (main, delta) = self.parts();
-        let mut candidates = main.window(within, window, stats);
+        let hits = main.search_window(window, within, scratch, stats.as_deref_mut());
+        let mut out: Vec<u64> = self.refine(op, window, hits).collect();
         if let Some(delta) = delta {
-            let mut delta_stats = SearchStats::default();
-            candidates.extend(delta.window(within, window, &mut delta_stats));
-            stats.absorb_traversal(&delta_stats);
+            let hits = delta.search_window(window, within, scratch, stats.as_deref_mut());
+            out.extend(self.refine(op, window, hits));
+            if let Some(stats) = stats {
+                stats.queries -= 1;
+            }
         }
-        self.refine(op, window, &candidates).collect()
+        out
+    }
+
+    /// One logical k-NN query: the `k` nearest over both index parts.
+    fn knn(
+        &self,
+        p: Point,
+        k: usize,
+        scratch: &mut KnnScratch,
+        mut stats: Option<&mut SearchStats>,
+    ) -> Vec<u64> {
+        let (main, delta) = self.parts();
+        let Some(delta) = delta else {
+            return neighbor_ids(main.search_nearest(p, k, scratch, stats));
+        };
+        // Both searches share the scratch, so the first is copied out.
+        let near = main
+            .search_nearest(p, k, scratch, stats.as_deref_mut())
+            .to_vec();
+        let extra = delta.search_nearest(p, k, scratch, stats.as_deref_mut());
+        if let Some(stats) = stats {
+            stats.queries -= 1;
+        }
+        neighbor_ids(&Self::merge_neighbors(&near, extra, k))
+    }
+
+    /// Direct spatial search: object ids satisfying `obj op window`,
+    /// pruned through the R-tree and refined with exact geometry. The
+    /// frozen arena and the delta tree (when the picture holds one) are
+    /// both searched and their disjoint candidate sets merged; the
+    /// delta's traversal counts toward the same one logical query.
+    pub fn search_window(&self, op: SpatialOp, window: &Rect, stats: &mut SearchStats) -> Vec<u64> {
+        self.window(op, window, &mut SearchScratch::new(), Some(stats))
     }
 
     /// [`search_window`](Self::search_window) without statistics: the
@@ -511,31 +461,13 @@ impl Picture {
         window: &Rect,
         scratch: &mut SearchScratch,
     ) -> Vec<u64> {
-        let Some(within) = traversal(op) else {
-            return self.scan(op, window);
-        };
-        let (main, delta) = self.parts();
-        let mut out: Vec<u64> = self
-            .refine(op, window, main.window_into(within, window, scratch))
-            .collect();
-        if let Some(delta) = delta {
-            out.extend(self.refine(op, window, delta.window_into(within, window, scratch)));
-        }
-        out
+        self.window(op, window, scratch, None)
     }
 
     /// The `k` objects whose MBRs are nearest to `p`, ordered by
     /// ascending distance, with Table 1 counters.
     pub fn nearest(&self, p: Point, k: usize, stats: &mut SearchStats) -> Vec<u64> {
-        let (main, delta) = self.parts();
-        let mut neighbors = main.nearest(p, k, stats);
-        if let Some(delta) = delta {
-            let mut delta_stats = SearchStats::default();
-            let extra = delta.nearest(p, k, &mut delta_stats);
-            stats.absorb_traversal(&delta_stats);
-            neighbors = Self::merge_neighbors(&neighbors, &extra, k);
-        }
-        neighbor_ids(&neighbors)
+        self.knn(p, k, &mut KnnScratch::new(), Some(stats))
     }
 
     /// [`nearest`](Self::nearest) without statistics: the executor's
@@ -543,14 +475,7 @@ impl Picture {
     /// scratch's embedded [`KnnScratch`](rtree_index::KnnScratch), so
     /// repeated queries allocate nothing once warmed up.
     pub fn nearest_fast(&self, p: Point, k: usize, scratch: &mut SearchScratch) -> Vec<u64> {
-        let (main, delta) = self.parts();
-        let Some(delta) = delta else {
-            return neighbor_ids(main.nearest_into(p, k, scratch.knn()));
-        };
-        // Both searches share the scratch, so the first is copied out.
-        let near = main.nearest_into(p, k, scratch.knn()).to_vec();
-        let extra = delta.nearest_into(p, k, scratch.knn());
-        neighbor_ids(&Self::merge_neighbors(&near, extra, k))
+        self.knn(p, k, scratch.knn(), None)
     }
 
     /// Batched [`search_window_fast`](Self::search_window_fast): executes
@@ -558,16 +483,16 @@ impl Picture {
     /// **in input order**. Queries are partitioned by traversal kind
     /// (`within` for covered-by, `intersecting` for overlap/cover) and
     /// each partition runs through [`FrozenRTree::batch_windows`] —
-    /// spatially grouped over one shared scratch — when the picture
-    /// serves frozen queries; otherwise each query falls back to the
-    /// one-at-a-time path. Per-query results are bit-identical to
+    /// spatially grouped over one shared scratch — once the picture is
+    /// packed; before that each query falls back to the one-at-a-time
+    /// path. Per-query results are bit-identical to
     /// `search_window_fast` either way.
     pub fn search_windows_batch(
         &self,
         queries: &[(SpatialOp, Rect)],
         batch: &mut BatchScratch,
     ) -> Vec<Vec<u64>> {
-        let (Index::Frozen(frozen), delta) = self.parts() else {
+        let Some(frozen) = self.frozen() else {
             return queries
                 .iter()
                 .map(|(op, window)| self.search_window_fast(*op, window, batch.search()))
@@ -598,10 +523,10 @@ impl Picture {
             // Buffered delta objects merge in after the frozen batch
             // (the batch results borrow the scratch, so this is a
             // second pass once that borrow ends).
-            if let Some(delta) = delta {
+            if let Some(delta) = self.delta_tree() {
                 for &i in &group {
                     let (op, window) = &queries[i];
-                    let candidates = delta.window_into(within, window, batch.search());
+                    let candidates = delta.search_window(window, within, batch.search(), None);
                     out[i].extend(self.refine(*op, window, candidates));
                 }
             }
@@ -611,20 +536,20 @@ impl Picture {
 
     /// Batched [`nearest_fast`](Self::nearest_fast): the `k` nearest
     /// object ids per `(point, k)` query, in input order, via
-    /// [`FrozenRTree::batch_knn`] when the picture serves frozen queries
-    /// and the one-at-a-time path otherwise.
+    /// [`FrozenRTree::batch_knn`] once the picture is packed and the
+    /// one-at-a-time path before.
     pub fn nearest_batch(
         &self,
         queries: &[(Point, usize)],
         batch: &mut BatchScratch,
     ) -> Vec<Vec<u64>> {
-        let (Index::Frozen(frozen), delta) = self.parts() else {
+        let Some(frozen) = self.frozen() else {
             return queries
                 .iter()
                 .map(|&(p, k)| self.nearest_fast(p, k, batch.search()))
                 .collect();
         };
-        let Some(delta) = delta else {
+        let Some(delta) = self.delta_tree() else {
             let results = frozen.batch_knn(queries, batch);
             return results.iter().map(neighbor_ids).collect();
         };
@@ -638,7 +563,7 @@ impl Picture {
             .iter()
             .zip(main)
             .map(|(&(p, k), near)| {
-                let extra = delta.nearest_into(p, k, batch.search().knn());
+                let extra = delta.nearest_neighbors_into(p, k, batch.search().knn());
                 neighbor_ids(&Self::merge_neighbors(&near, extra, k))
             })
             .collect()
@@ -854,7 +779,6 @@ mod tests {
     #[test]
     fn delta_merge_is_equivalent_to_repacked() {
         let mut live = big_picture(16_000);
-        assert!(live.serves_frozen_queries());
         for i in 0..300u64 {
             let x = (i.wrapping_mul(48271) % 100_000) as f64 / 100.0;
             let y = (i.wrapping_mul(69621) % 100_000) as f64 / 100.0;
@@ -862,7 +786,7 @@ mod tests {
         }
         assert_eq!(live.delta_len(), 300);
         assert!(
-            live.serves_frozen_queries(),
+            live.frozen().is_some(),
             "delta writes must not knock queries off the frozen arena"
         );
         let mut repacked = live.clone();
@@ -961,37 +885,35 @@ mod tests {
         pic
     }
 
-    /// The Table-1 regression: freezing a small picture must not move
-    /// its queries onto the frozen path (where lane arithmetic loses to
-    /// the cache-resident pointer arena), while large pictures must.
+    /// A packed picture answers from its arena whatever its size — a
+    /// Table-1-scale one included — and the arena is invisible in the
+    /// answers: results, order and counters equal the picture's own
+    /// pointer tree.
     #[test]
-    fn small_trees_serve_pointer_queries_large_trees_frozen() {
+    fn packed_pictures_serve_the_arena_at_every_size() {
         let mut small = sample();
+        assert!(small.frozen().is_none(), "never packed: no arena");
         small.pack();
-        assert!(small.frozen().is_some());
-        assert!(
-            !small.serves_frozen_queries(),
-            "a Table-1-scale picture must keep serving the pointer tree"
-        );
-
-        let big = big_picture(16_000);
-        assert!(big.frozen().is_some());
-        assert!(
-            big.serves_frozen_queries(),
-            "a picture past the node threshold must serve the frozen arena"
-        );
-
-        // Dispatch is invisible in results: both paths are bit-identical.
-        let window = Rect::new(100.0, 100.0, 300.0, 300.0);
-        let mut stats = SearchStats::default();
-        let via_dispatch = big.search_window(SpatialOp::CoveredBy, &window, &mut stats);
-        let via_pointer: Vec<u64> = big
-            .tree()
-            .search_within(&window, &mut SearchStats::default())
-            .into_iter()
-            .map(|ItemId(id)| id)
-            .collect();
-        assert_eq!(via_dispatch, via_pointer);
+        for pic in [small, big_picture(16_000)] {
+            assert!(pic.frozen().is_some());
+            let ids = |items: Vec<ItemId>| -> Vec<u64> { items.iter().map(|i| i.0).collect() };
+            for i in 0..20 {
+                let x = (i * 43 % 900) as f64;
+                let w = Rect::new(x, x * 0.5, x + 60.0, x * 0.5 + 45.0);
+                let (mut ps, mut ts) = <(SearchStats, SearchStats)>::default();
+                assert_eq!(
+                    pic.search_window(SpatialOp::CoveredBy, &w, &mut ps),
+                    ids(pic.tree().search_within(&w, &mut ts))
+                );
+                let p = Point::new(x, 100.0);
+                let near = pic.tree().nearest_neighbors(p, 4, &mut ts);
+                assert_eq!(
+                    pic.nearest(p, 4, &mut ps),
+                    ids(near.iter().map(|n| n.item).collect())
+                );
+                assert_eq!(ps, ts, "counters diverged from the pointer tree");
+            }
+        }
     }
 
     #[test]

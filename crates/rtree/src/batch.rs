@@ -35,7 +35,7 @@
 //! exactly the order a depth-first descent with the same child order
 //! reaches its leaves. With leaf lanes emitted lowest-first, every
 //! query's result sequence is therefore bit-identical to the
-//! one-at-a-time path (`FrozenRTree::window_visit_node`); the
+//! one-at-a-time path (`search::window_traverse`); the
 //! differential fuzzer's frozen level checks exactly that. Results are
 //! handed back **in input order** regardless of execution order.
 //!
@@ -44,10 +44,10 @@
 //! position, and the traversal schedule is a pure function of the
 //! sorted order, so batch execution order is itself reproducible.
 
+use crate::access::NodeAccess;
 use crate::knn::Neighbor;
 use crate::node::{ItemId, NodeId};
-use crate::search::{NoStats, SearchScratch, Sink};
-use crate::simd::{DefaultKernel, LaneKernel};
+use crate::search::{chunk_count, NoStats, SearchScratch, Sink};
 use crate::stats::SearchStats;
 use crate::FrozenRTree;
 use rtree_geom::{Point, Rect};
@@ -205,7 +205,7 @@ impl FrozenRTree {
         within: bool,
         scratch: &'s mut BatchScratch,
     ) -> ItemBatches<'s> {
-        self.batch_windows_sink(windows, within, scratch, &mut NoStats)
+        self.batch_windows_opt(windows, within, scratch, None)
     }
 
     /// [`batch_windows`](Self::batch_windows) accumulating
@@ -218,10 +218,25 @@ impl FrozenRTree {
         scratch: &'s mut BatchScratch,
         stats: &mut SearchStats,
     ) -> ItemBatches<'s> {
-        self.batch_windows_sink(windows, within, scratch, stats)
+        self.batch_windows_opt(windows, within, scratch, Some(stats))
     }
 
-    fn batch_windows_sink<'s, S: Sink>(
+    fn batch_windows_opt<'s>(
+        &self,
+        windows: &[Rect],
+        within: bool,
+        scratch: &'s mut BatchScratch,
+        stats: Option<&mut SearchStats>,
+    ) -> ItemBatches<'s> {
+        match (self.fanout().div_ceil(64), stats) {
+            (1, Some(stats)) => self.wavefront::<true, _>(windows, within, scratch, stats),
+            (1, None) => self.wavefront::<true, _>(windows, within, scratch, &mut NoStats),
+            (_, Some(stats)) => self.wavefront::<false, _>(windows, within, scratch, stats),
+            (_, None) => self.wavefront::<false, _>(windows, within, scratch, &mut NoStats),
+        }
+    }
+
+    fn wavefront<'s, const ONE_CHUNK: bool, S: Sink>(
         &self,
         windows: &[Rect],
         within: bool,
@@ -232,34 +247,7 @@ impl FrozenRTree {
             let w = &windows[i];
             ((w.min_x + w.max_x) * 0.5, (w.min_y + w.max_y) * 0.5)
         });
-        if self.fanout() > 64 {
-            // Wide nodes have no u64 lane mask; fall back to Z-ordered
-            // one-at-a-time traversals over the shared scratch.
-            let BatchScratch {
-                order,
-                scratch: search,
-                items,
-                ranges,
-                ..
-            } = scratch;
-            let mut per_query = std::mem::take(&mut search.out);
-            for &(_, input) in order.iter() {
-                let off = items.len() as u32;
-                per_query.clear();
-                self.window_traverse::<DefaultKernel, _, _>(
-                    &windows[input as usize],
-                    within,
-                    &mut search.stack,
-                    sink,
-                    &mut |item, _| per_query.push(item),
-                );
-                items.extend_from_slice(&per_query);
-                ranges[input as usize] = (off, items.len() as u32 - off);
-            }
-            search.out = per_query;
-            return ItemBatches { items, ranges };
-        }
-        let fanout = self.fanout();
+        let chunks = chunk_count::<ONE_CHUNK>(self);
         let BatchScratch {
             order,
             items,
@@ -284,7 +272,7 @@ impl FrozenRTree {
             staging[input as usize].clear();
             qlist.push(input);
         }
-        frames.push((NodeId(0), 0, order.len() as u32));
+        frames.push((self.root(), 0, order.len() as u32));
         let mut i = 0usize;
         while i < frames.len() {
             // Keep the frontier `WAVE_LOOKAHEAD` node fetches ahead of
@@ -294,72 +282,58 @@ impl FrozenRTree {
             }
             let (id, start, len) = frames[i];
             i += 1;
-            let n = id.index() as u32;
-            let leaf = self.is_leaf_index(n);
-            let (x1, y1, x2, y2) = self.node_planes(n);
-            let ids = self.node_ids(n);
-            if leaf {
+            if self.is_leaf(id) {
                 for pos in start..start + len {
                     let q = qlist[pos as usize] as usize;
                     sink.node(true);
-                    let mut mask = if within {
-                        DefaultKernel::mask_within(x1, y1, x2, y2, &windows[q])
-                    } else {
-                        DefaultKernel::mask_intersects(x1, y1, x2, y2, &windows[q])
-                    };
-                    while mask != 0 {
-                        let lane = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        sink.item();
-                        staging[q].push(ItemId(ids[lane]));
+                    for chunk in 0..chunks {
+                        let mut mask = if within {
+                            self.mask_within(id, chunk, &windows[q])
+                        } else {
+                            self.mask_intersects(id, chunk, &windows[q])
+                        };
+                        while mask != 0 {
+                            let lane = chunk * 64 + mask.trailing_zeros() as usize;
+                            mask &= mask - 1;
+                            sink.item();
+                            staging[q].push(self.child_item(id, lane));
+                        }
                     }
                 }
-            } else if len == 1 {
-                // Fringe fast path: one active query needs no
-                // per-child distribution scan.
-                let q = qlist[start as usize];
+                continue;
+            }
+            for _ in 0..len {
                 sink.node(false);
-                let mut mask = DefaultKernel::mask_intersects(x1, y1, x2, y2, &windows[q as usize]);
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let child = NodeId(ids[lane] as u32);
-                    if frames.len() <= i + WAVE_LOOKAHEAD {
-                        self.prefetch_node(child.0);
-                    }
-                    frames.push((child, qlist.len() as u32, 1));
-                    qlist.push(q);
-                }
-            } else {
+            }
+            for chunk in 0..chunks {
                 masks.clear();
+                let mut reached = 0u64;
                 for pos in start..start + len {
-                    let q = qlist[pos as usize] as usize;
-                    sink.node(false);
-                    masks.push(DefaultKernel::mask_intersects(x1, y1, x2, y2, &windows[q]));
+                    let mask =
+                        self.mask_intersects(id, chunk, &windows[qlist[pos as usize] as usize]);
+                    masks.push(mask);
+                    reached |= mask;
                 }
                 // Children enqueue in ascending lane order so the
                 // frontier walks each level lexicographically — the
                 // order a depth-first descent reaches its leaves.
-                for (lane, &id_lane) in ids.iter().enumerate().take(fanout) {
-                    let bit = 1u64 << lane;
+                while reached != 0 {
+                    let bit = reached.trailing_zeros();
+                    reached &= reached - 1;
                     let child_start = qlist.len() as u32;
                     for off in 0..len {
-                        let q = qlist[(start + off) as usize];
-                        if masks[off as usize] & bit != 0 {
-                            qlist.push(q);
+                        if masks[off as usize] >> bit & 1 != 0 {
+                            qlist.push(qlist[(start + off) as usize]);
                         }
                     }
-                    let child_len = qlist.len() as u32 - child_start;
-                    if child_len > 0 {
-                        let child = NodeId(id_lane as u32);
-                        // A child that will be reached before the
-                        // rolling lookahead gets there is prefetched
-                        // at enqueue instead.
-                        if frames.len() <= i + WAVE_LOOKAHEAD {
-                            self.prefetch_node(child.0);
-                        }
-                        frames.push((child, child_start, child_len));
+                    let child = self.child_node(id, chunk * 64 + bit as usize);
+                    // A child that will be reached before the rolling
+                    // lookahead gets there is prefetched at enqueue
+                    // instead.
+                    if frames.len() <= i + WAVE_LOOKAHEAD {
+                        self.prefetch_node(child.0);
                     }
+                    frames.push((child, child_start, qlist.len() as u32 - child_start));
                 }
             }
         }
@@ -380,7 +354,7 @@ impl FrozenRTree {
         points: &[Point],
         scratch: &'s mut BatchScratch,
     ) -> ItemBatches<'s> {
-        self.batch_points_sink(points, scratch, &mut NoStats)
+        self.batch_points_opt(points, scratch, None)
     }
 
     /// [`batch_points`](Self::batch_points) accumulating
@@ -391,14 +365,14 @@ impl FrozenRTree {
         scratch: &'s mut BatchScratch,
         stats: &mut SearchStats,
     ) -> ItemBatches<'s> {
-        self.batch_points_sink(points, scratch, stats)
+        self.batch_points_opt(points, scratch, Some(stats))
     }
 
-    fn batch_points_sink<'s, S: Sink>(
+    fn batch_points_opt<'s>(
         &self,
         points: &[Point],
         scratch: &'s mut BatchScratch,
-        sink: &mut S,
+        mut stats: Option<&mut SearchStats>,
     ) -> ItemBatches<'s> {
         scratch.plan_order(points.len(), self.mbr(), |i| (points[i].x, points[i].y));
         let BatchScratch {
@@ -408,20 +382,12 @@ impl FrozenRTree {
             ranges,
             ..
         } = scratch;
-        let mut per_query = std::mem::take(&mut search.out);
         for &(_, input) in order.iter() {
             let off = items.len() as u32;
-            per_query.clear();
-            self.point_traverse::<DefaultKernel, _>(
-                points[input as usize],
-                &mut search.stack,
-                sink,
-                &mut per_query,
-            );
-            items.extend_from_slice(&per_query);
+            let hits = self.search_point(points[input as usize], search, stats.as_deref_mut());
+            items.extend_from_slice(hits);
             ranges[input as usize] = (off, items.len() as u32 - off);
         }
-        search.out = per_query;
         ItemBatches { items, ranges }
     }
 
@@ -433,7 +399,7 @@ impl FrozenRTree {
         queries: &[(Point, usize)],
         scratch: &'s mut BatchScratch,
     ) -> NeighborBatches<'s> {
-        self.batch_knn_sink(queries, scratch, &mut NoStats)
+        self.batch_knn_opt(queries, scratch, None)
     }
 
     /// [`batch_knn`](Self::batch_knn) accumulating [`SearchStats`]
@@ -444,14 +410,14 @@ impl FrozenRTree {
         scratch: &'s mut BatchScratch,
         stats: &mut SearchStats,
     ) -> NeighborBatches<'s> {
-        self.batch_knn_sink(queries, scratch, stats)
+        self.batch_knn_opt(queries, scratch, Some(stats))
     }
 
-    fn batch_knn_sink<'s, S: Sink>(
+    fn batch_knn_opt<'s>(
         &self,
         queries: &[(Point, usize)],
         scratch: &'s mut BatchScratch,
-        sink: &mut S,
+        mut stats: Option<&mut SearchStats>,
     ) -> NeighborBatches<'s> {
         scratch.plan_order(queries.len(), self.mbr(), |i| {
             (queries[i].0.x, queries[i].0.y)
@@ -463,18 +429,17 @@ impl FrozenRTree {
             ranges,
             ..
         } = scratch;
-        let knn = search.knn();
-        let mut heap = std::mem::take(&mut knn.heap);
-        let mut per_query = std::mem::take(&mut knn.out);
         for &(_, input) in order.iter() {
             let (p, k) = queries[input as usize];
             let off = neighbors.len() as u32;
-            self.knn_traverse::<DefaultKernel, _>(p, k, sink, &mut heap, &mut per_query);
-            neighbors.extend_from_slice(&per_query);
+            neighbors.extend_from_slice(self.search_nearest(
+                p,
+                k,
+                search.knn(),
+                stats.as_deref_mut(),
+            ));
             ranges[input as usize] = (off, neighbors.len() as u32 - off);
         }
-        knn.heap = heap;
-        knn.out = per_query;
         NeighborBatches { neighbors, ranges }
     }
 }

@@ -27,22 +27,23 @@
 //!   (`±inf` sentinels would not be safe: an infinite query window
 //!   would match them.)
 //!
-//! Traversal order is replicated bit-for-bit from the pointer tree —
-//! window search pushes children in reverse lane order, point search
-//! forward, k-NN uses the identical best-first heap discipline — so a
-//! frozen tree returns **identical result sequences and identical
-//! [`SearchStats`] counters**, verified by the `rtree-oracle`
-//! differential fuzzer's fourth execution level.
+//! The arena implements [`NodeAccess`], so its queries are the very
+//! traversals the pointer tree runs — window search pushes children in
+//! reverse lane order, point search forward, k-NN keeps one best-first
+//! heap discipline — and a frozen tree returns **identical result
+//! sequences and identical [`SearchStats`] counters**, verified by the
+//! `rtree-oracle` differential fuzzer's fourth execution level.
 
+use crate::access::NodeAccess;
 use crate::config::RTreeConfig;
-use crate::knn::{HeapEntry, HeapKind, KnnScratch, Neighbor};
+use crate::knn::{KnnScratch, Neighbor};
 use crate::node::{Child, ItemId, NodeId};
-use crate::search::{NoStats, SearchScratch, Sink};
+use crate::search::SearchScratch;
 use crate::simd::{DefaultKernel, LaneKernel, ScalarKernel};
 use crate::stats::SearchStats;
 use crate::tree::RTree;
 use rtree_geom::{Point, Rect};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// What one entry of a node fed to [`FrozenRTree::from_nodes`] points at.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -455,110 +456,38 @@ impl FrozenRTree {
         (x1, y1, x2, y2)
     }
 
-    /// The id lanes of the node at `index`: child BFS indices for an
-    /// internal node, raw item ids for a leaf, 0 in padding lanes.
+    /// Lanes `[64 chunk, end)` of `node`'s four planes, 64 at most. A
+    /// mask kernel folds them up to `fanout`, NaN padding included
+    /// (padding lanes fail every comparison).
     #[inline(always)]
-    pub(crate) fn node_ids(&self, index: u32) -> &[u64] {
-        let base = index as usize * self.fanout;
-        &self.ids[base..base + self.fanout]
-    }
-
-    /// BFS index of the root node (always 0).
-    pub fn root_index(&self) -> u32 {
-        0
-    }
-
-    /// `true` if the node at `index` is a leaf.
-    pub fn is_leaf_index(&self, index: u32) -> bool {
-        index >= self.leaf_start
-    }
-
-    /// Valid entries of the node at `index`.
-    pub fn entry_count(&self, index: u32) -> usize {
-        self.counts[index as usize] as usize
-    }
-
-    /// Reassembles the `lane`-th entry rectangle of node `index`.
-    pub fn entry_mbr(&self, index: u32, lane: usize) -> Rect {
-        debug_assert!(lane < self.entry_count(index));
-        let block = index as usize * 4 * self.fanout;
-        Rect::new(
-            self.coords[block + lane],
-            self.coords[block + self.fanout + lane],
-            self.coords[block + 2 * self.fanout + lane],
-            self.coords[block + 3 * self.fanout + lane],
-        )
-    }
-
-    /// Child node (BFS index) of an internal entry.
-    pub fn entry_child_node(&self, index: u32, lane: usize) -> u32 {
-        debug_assert!(!self.is_leaf_index(index) && lane < self.entry_count(index));
-        self.ids[index as usize * self.fanout + lane] as u32
-    }
-
-    /// Item of a leaf entry.
-    pub fn entry_child_item(&self, index: u32, lane: usize) -> ItemId {
-        debug_assert!(self.is_leaf_index(index) && lane < self.entry_count(index));
-        ItemId(self.ids[index as usize * self.fanout + lane])
-    }
-
-    /// Minimal rectangle bounding the node at `index`, or `None` if it
-    /// is empty.
-    pub fn node_mbr(&self, index: u32) -> Option<Rect> {
-        Rect::mbr_of_rects((0..self.entry_count(index)).map(|lane| self.entry_mbr(index, lane)))
+    fn chunk_planes(
+        &self,
+        node: NodeId,
+        chunk: usize,
+        end: usize,
+    ) -> (&[f64], &[f64], &[f64], &[f64]) {
+        let (x1, y1, x2, y2) = self.node_planes(node.0);
+        let lo = chunk * 64;
+        let hi = end.min(lo + 64);
+        (&x1[lo..hi], &y1[lo..hi], &x2[lo..hi], &y2[lo..hi])
     }
 
     /// Minimal rectangle bounding everything indexed (the root's MBR).
     pub fn mbr(&self) -> Option<Rect> {
-        self.node_mbr(0)
-    }
-
-    /// All `(mbr, item)` pairs, in exactly the order
-    /// [`RTree::items`] reports them for the source tree.
-    pub fn items(&self) -> Vec<(Rect, ItemId)> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut stack = vec![0u32];
-        while let Some(index) = stack.pop() {
-            let leaf = self.is_leaf_index(index);
-            let base = index as usize * self.fanout;
-            for lane in 0..self.counts[index as usize] as usize {
-                if leaf {
-                    out.push((self.entry_mbr(index, lane), ItemId(self.ids[base + lane])));
-                } else {
-                    stack.push(self.ids[base + lane] as u32);
-                }
-            }
-        }
-        out
+        self.node_mbr(self.root())
     }
 
     /// The paper's `SEARCH` (§3.1) on the frozen layout; results and
     /// counters are identical to [`RTree::search_within`].
     pub fn search_within(&self, window: &Rect, stats: &mut SearchStats) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        self.window_traverse::<DefaultKernel, _, _>(
-            window,
-            true,
-            &mut stack,
-            stats,
-            &mut |item, _| out.push(item),
-        );
-        out
+        self.search_window(window, true, &mut SearchScratch::new(), Some(stats))
+            .to_vec()
     }
 
     /// Intersection search; identical to [`RTree::search_intersecting`].
     pub fn search_intersecting(&self, window: &Rect, stats: &mut SearchStats) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        self.window_traverse::<DefaultKernel, _, _>(
-            window,
-            false,
-            &mut stack,
-            stats,
-            &mut |item, _| out.push(item),
-        );
-        out
+        self.search_window(window, false, &mut SearchScratch::new(), Some(stats))
+            .to_vec()
     }
 
     /// [`search_within`](Self::search_within) forced through the scalar
@@ -566,16 +495,9 @@ impl FrozenRTree {
     /// the SIMD kernels against. Compiled on every target and feature
     /// set.
     pub fn search_within_scalar(&self, window: &Rect, stats: &mut SearchStats) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        self.window_traverse::<ScalarKernel, _, _>(
-            window,
-            true,
-            &mut stack,
-            stats,
-            &mut |item, _| out.push(item),
-        );
-        out
+        ScalarLanes(self)
+            .search_window(window, true, &mut SearchScratch::new(), Some(stats))
+            .to_vec()
     }
 
     /// [`search_intersecting`](Self::search_intersecting) forced through
@@ -585,16 +507,9 @@ impl FrozenRTree {
         window: &Rect,
         stats: &mut SearchStats,
     ) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        self.window_traverse::<ScalarKernel, _, _>(
-            window,
-            false,
-            &mut stack,
-            stats,
-            &mut |item, _| out.push(item),
-        );
-        out
+        ScalarLanes(self)
+            .search_window(window, false, &mut SearchScratch::new(), Some(stats))
+            .to_vec()
     }
 
     /// [`search_within`](Self::search_within) without statistics or
@@ -604,7 +519,7 @@ impl FrozenRTree {
         window: &Rect,
         scratch: &'s mut SearchScratch,
     ) -> &'s [ItemId] {
-        self.window_into(window, true, scratch)
+        self.search_window(window, true, scratch, None)
     }
 
     /// [`search_intersecting`](Self::search_intersecting) without
@@ -614,55 +529,7 @@ impl FrozenRTree {
         window: &Rect,
         scratch: &'s mut SearchScratch,
     ) -> &'s [ItemId] {
-        self.window_into(window, false, scratch)
-    }
-
-    fn window_into<'s>(
-        &self,
-        window: &Rect,
-        within: bool,
-        scratch: &'s mut SearchScratch,
-    ) -> &'s [ItemId] {
-        let SearchScratch { stack, out, .. } = scratch;
-        out.clear();
-        self.window_traverse::<DefaultKernel, _, _>(
-            window,
-            within,
-            stack,
-            &mut NoStats,
-            &mut |item, _| out.push(item),
-        );
-        out
-    }
-
-    /// Streaming variant: invokes `visit(item, mbr)` for every matching
-    /// leaf entry, exactly like [`RTree::search_visit`].
-    pub fn search_visit<F: FnMut(ItemId, Rect)>(
-        &self,
-        window: &Rect,
-        within: bool,
-        stats: &mut SearchStats,
-        visit: &mut F,
-    ) {
-        let mut stack = Vec::new();
-        self.window_traverse::<DefaultKernel, _, _>(window, within, &mut stack, stats, visit);
-    }
-
-    /// Bit mask (lane `i` → bit `i`) of the lanes of node `index` whose
-    /// entry MBR intersects `window`, evaluated through the build's
-    /// default lane kernel. NaN padding lanes never set a bit, so the
-    /// mask covers exactly the valid lanes that would pass
-    /// `entry_mbr(index, lane).intersects(window)`. Used by the frozen
-    /// spatial join for its pair pruning.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `fanout() > 64`; callers handle wide
-    /// nodes with a per-lane loop.
-    pub fn lane_intersect_mask(&self, index: u32, window: &Rect) -> u64 {
-        debug_assert!(self.fanout <= 64);
-        let (x1, y1, x2, y2) = self.node_planes(index);
-        DefaultKernel::mask_intersects(x1, y1, x2, y2, window)
+        self.search_window(window, false, scratch, None)
     }
 
     /// Hints the caches toward node `index`'s lanes — both ends of the
@@ -678,201 +545,31 @@ impl FrozenRTree {
         crate::simd::prefetch_read(&self.ids[index as usize * self.fanout]);
     }
 
-    /// The hot loop. Pruning hands the four coordinate planes of one
-    /// node to a [`LaneKernel`], which folds the per-lane comparisons
-    /// into a `u64` hit mask (scalar `&`-folding or explicit SSE2/AVX —
-    /// every kernel produces the identical mask); matching leaf lanes
-    /// are then visited lowest-lane-first and matching children pushed
-    /// highest-lane-first, so the visit order — and therefore every
-    /// result sequence and counter — matches the pointer tree's
-    /// reverse-order push exactly. NaN padding lanes fail every
-    /// comparison and never set a mask bit. Branching factors above 64
-    /// lanes fall back to plain per-lane loops.
-    pub(crate) fn window_traverse<K: LaneKernel, S: Sink, F: FnMut(ItemId, Rect)>(
-        &self,
-        window: &Rect,
-        within: bool,
-        stack: &mut Vec<NodeId>,
-        sink: &mut S,
-        visit: &mut F,
-    ) {
-        sink.query();
-        stack.clear();
-        stack.push(NodeId(0));
-        while let Some(id) = stack.pop() {
-            self.window_visit_node::<K, S, F>(id, window, within, stack, sink, visit);
-        }
-    }
-
-    /// One step of the window-search stack machine: prune the popped
-    /// node's lanes, emit matching leaf entries, push matching children.
-    /// The batch engine's shared group traversal replays this body's
-    /// lane arms per active query (same kernels, same lane orders), so
-    /// per-query behaviour cannot diverge; the differential fuzzer's
-    /// frozen level holds the two paths against each other.
-    #[inline(always)]
-    pub(crate) fn window_visit_node<K: LaneKernel, S: Sink, F: FnMut(ItemId, Rect)>(
-        &self,
-        id: NodeId,
-        window: &Rect,
-        within: bool,
-        stack: &mut Vec<NodeId>,
-        sink: &mut S,
-        visit: &mut F,
-    ) {
-        let fanout = self.fanout;
-        {
-            let n = id.index();
-            let leaf = self.is_leaf_index(n as u32);
-            sink.node(leaf);
-            let (x1, y1, x2, y2) = self.node_planes(n as u32);
-            let ids = &self.ids[n * fanout..(n + 1) * fanout];
-            if leaf && fanout <= 64 {
-                // WITHIN is the paper's containment test
-                // (`Rect::covered_by`), the intersection arm is
-                // `Rect::intersects`; both evaluated over the planes so
-                // NaN padding lanes come out false.
-                let mut mask = if within {
-                    K::mask_within(x1, y1, x2, y2, window)
-                } else {
-                    K::mask_intersects(x1, y1, x2, y2, window)
-                };
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    sink.item();
-                    visit(
-                        ItemId(ids[lane]),
-                        Rect::new(x1[lane], y1[lane], x2[lane], y2[lane]),
-                    );
-                }
-            } else if leaf {
-                for lane in 0..fanout {
-                    let hit = if within {
-                        (window.min_x <= x1[lane])
-                            & (window.min_y <= y1[lane])
-                            & (x2[lane] <= window.max_x)
-                            & (y2[lane] <= window.max_y)
-                    } else {
-                        (x1[lane] <= window.max_x)
-                            & (window.min_x <= x2[lane])
-                            & (y1[lane] <= window.max_y)
-                            & (window.min_y <= y2[lane])
-                    };
-                    if hit {
-                        sink.item();
-                        visit(
-                            ItemId(ids[lane]),
-                            Rect::new(x1[lane], y1[lane], x2[lane], y2[lane]),
-                        );
-                    }
-                }
-            } else if fanout <= 64 {
-                let mut mask = K::mask_intersects(x1, y1, x2, y2, window);
-                while mask != 0 {
-                    let lane = 63 - mask.leading_zeros() as usize;
-                    mask &= !(1u64 << lane);
-                    stack.push(NodeId(ids[lane] as u32));
-                }
-            } else {
-                for lane in (0..fanout).rev() {
-                    let hit = (x1[lane] <= window.max_x)
-                        & (window.min_x <= x2[lane])
-                        & (y1[lane] <= window.max_y)
-                        & (window.min_y <= y2[lane]);
-                    if hit {
-                        stack.push(NodeId(ids[lane] as u32));
-                    }
-                }
-            }
-        }
-    }
-
     /// The Table 1 point query; identical to [`RTree::point_query`].
     pub fn point_query(&self, p: Point, stats: &mut SearchStats) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        self.point_traverse::<DefaultKernel, _>(p, &mut stack, stats, &mut out);
-        out
+        self.search_point(p, &mut SearchScratch::new(), Some(stats))
+            .to_vec()
     }
 
     /// [`point_query`](Self::point_query) forced through the scalar lane
     /// kernel (differential-testing reference path).
     pub fn point_query_scalar(&self, p: Point, stats: &mut SearchStats) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        self.point_traverse::<ScalarKernel, _>(p, &mut stack, stats, &mut out);
-        out
+        ScalarLanes(self)
+            .search_point(p, &mut SearchScratch::new(), Some(stats))
+            .to_vec()
     }
 
     /// [`point_query`](Self::point_query) without statistics or per-call
     /// allocation.
     pub fn point_query_into<'s>(&self, p: Point, scratch: &'s mut SearchScratch) -> &'s [ItemId] {
-        let SearchScratch { stack, out, .. } = scratch;
-        out.clear();
-        self.point_traverse::<DefaultKernel, _>(p, stack, &mut NoStats, out);
-        out
-    }
-
-    pub(crate) fn point_traverse<K: LaneKernel, S: Sink>(
-        &self,
-        p: Point,
-        stack: &mut Vec<NodeId>,
-        sink: &mut S,
-        out: &mut Vec<ItemId>,
-    ) {
-        sink.query();
-        stack.clear();
-        stack.push(NodeId(0));
-        let fanout = self.fanout;
-        while let Some(id) = stack.pop() {
-            let n = id.index();
-            let leaf = self.is_leaf_index(n as u32);
-            sink.node(leaf);
-            let (x1, y1, x2, y2) = self.node_planes(n as u32);
-            let ids = &self.ids[n * fanout..(n + 1) * fanout];
-            if fanout <= 64 {
-                // `Rect::contains_point` over the planes; NaN padding
-                // lanes never set a bit. Hits are consumed
-                // lowest-lane-first — the pointer tree's forward entry
-                // order.
-                let mut mask = K::mask_point(x1, y1, x2, y2, p);
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    if leaf {
-                        sink.item();
-                        out.push(ItemId(ids[lane]));
-                    } else {
-                        stack.push(NodeId(ids[lane] as u32));
-                    }
-                }
-            } else {
-                for lane in 0..fanout {
-                    let hit = (x1[lane] <= p.x)
-                        & (p.x <= x2[lane])
-                        & (y1[lane] <= p.y)
-                        & (p.y <= y2[lane]);
-                    if hit {
-                        if leaf {
-                            sink.item();
-                            out.push(ItemId(ids[lane]));
-                        } else {
-                            stack.push(NodeId(ids[lane] as u32));
-                        }
-                    }
-                }
-            }
-        }
+        self.search_point(p, scratch, None)
     }
 
     /// Best-first k-NN; neighbours and counters are identical to
     /// [`RTree::nearest_neighbors`].
     pub fn nearest_neighbors(&self, p: Point, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
-        let mut heap = BinaryHeap::new();
-        let mut out = Vec::with_capacity(k);
-        self.knn_traverse::<DefaultKernel, _>(p, k, stats, &mut heap, &mut out);
-        out
+        self.search_nearest(p, k, &mut KnnScratch::new(), Some(stats))
+            .to_vec()
     }
 
     /// [`nearest_neighbors`](Self::nearest_neighbors) forced through the
@@ -883,10 +580,9 @@ impl FrozenRTree {
         k: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        let mut heap = BinaryHeap::new();
-        let mut out = Vec::with_capacity(k);
-        self.knn_traverse::<ScalarKernel, _>(p, k, stats, &mut heap, &mut out);
-        out
+        ScalarLanes(self)
+            .search_nearest(p, k, &mut KnnScratch::new(), Some(stats))
+            .to_vec()
     }
 
     /// [`nearest_neighbors`](Self::nearest_neighbors) without statistics
@@ -897,107 +593,132 @@ impl FrozenRTree {
         k: usize,
         scratch: &'s mut KnnScratch,
     ) -> &'s [Neighbor] {
-        let KnnScratch { heap, out } = scratch;
-        self.knn_traverse::<DefaultKernel, _>(p, k, &mut NoStats, heap, out);
-        out
+        self.search_nearest(p, k, scratch, None)
+    }
+}
+
+/// Node ids are BFS arena indices. The mask and distance methods hand a
+/// chunk of the node's coordinate planes to the build's default
+/// [`LaneKernel`] (scalar `&`-folding or explicit SSE2/AVX — every
+/// kernel produces the identical mask, and NaN padding lanes never set a
+/// bit), so the shared traversals visit, report and count exactly as on
+/// the pointer tree.
+impl NodeAccess for FrozenRTree {
+    fn root(&self) -> NodeId {
+        NodeId(0)
     }
 
-    /// The single nearest item to `p`, if the tree is non-empty.
-    pub fn nearest_neighbor(&self, p: Point, stats: &mut SearchStats) -> Option<Neighbor> {
-        self.nearest_neighbors(p, 1, stats).into_iter().next()
+    fn fanout(&self) -> usize {
+        self.fanout
     }
 
-    /// Same heap discipline as the pointer tree's branch and bound; the
-    /// only differences are that entry expansion iterates valid lanes
-    /// only (padding lanes would poison the heap with NaN distances,
-    /// which `total_cmp` orders above every real distance) and that the
-    /// per-lane `min_distance_sq` evaluations run through the lane
-    /// kernel — the vector kernels reproduce the scalar formula bit for
-    /// bit, so heap order is unchanged.
-    pub(crate) fn knn_traverse<K: LaneKernel, S: Sink>(
-        &self,
-        p: Point,
-        k: usize,
-        sink: &mut S,
-        heap: &mut BinaryHeap<HeapEntry>,
-        out: &mut Vec<Neighbor>,
-    ) {
-        sink.query();
-        heap.clear();
-        out.clear();
-        if k == 0 || self.is_empty() {
-            return;
-        }
-        heap.push(HeapEntry {
-            dist: 0.0,
-            kind: HeapKind::Node(NodeId(0)),
-        });
-        let mut dists = [0.0f64; 64];
-        while let Some(HeapEntry { dist, kind }) = heap.pop() {
-            match kind {
-                HeapKind::Item(item, mbr) => {
-                    out.push(Neighbor {
-                        item,
-                        mbr,
-                        distance_sq: dist,
-                    });
-                    sink.item();
-                    if out.len() == k {
-                        break;
-                    }
-                }
-                HeapKind::Node(id) => {
-                    let index = id.0;
-                    let leaf = self.is_leaf_index(index);
-                    sink.node(leaf);
-                    let base = id.index() * self.fanout;
-                    let count = self.counts[id.index()] as usize;
-                    if count <= 64 {
-                        let (x1, y1, x2, y2) = self.node_planes(index);
-                        K::distances(
-                            &x1[..count],
-                            &y1[..count],
-                            &x2[..count],
-                            &y2[..count],
-                            p,
-                            &mut dists[..count],
-                        );
-                        for (lane, &d) in dists[..count].iter().enumerate() {
-                            if leaf {
-                                heap.push(HeapEntry {
-                                    dist: d,
-                                    kind: HeapKind::Item(
-                                        ItemId(self.ids[base + lane]),
-                                        self.entry_mbr(index, lane),
-                                    ),
-                                });
-                            } else {
-                                heap.push(HeapEntry {
-                                    dist: d,
-                                    kind: HeapKind::Node(NodeId(self.ids[base + lane] as u32)),
-                                });
-                            }
-                        }
-                    } else {
-                        for lane in 0..count {
-                            let mbr = self.entry_mbr(index, lane);
-                            let d = mbr.min_distance_sq(p);
-                            if leaf {
-                                heap.push(HeapEntry {
-                                    dist: d,
-                                    kind: HeapKind::Item(ItemId(self.ids[base + lane]), mbr),
-                                });
-                            } else {
-                                heap.push(HeapEntry {
-                                    dist: d,
-                                    kind: HeapKind::Node(NodeId(self.ids[base + lane] as u32)),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    #[inline(always)]
+    fn is_leaf(&self, node: NodeId) -> bool {
+        node.0 >= self.leaf_start
+    }
+
+    fn entry_count(&self, node: NodeId) -> usize {
+        self.counts[node.index()] as usize
+    }
+
+    fn lane_mbr(&self, node: NodeId, lane: usize) -> Rect {
+        debug_assert!(lane < self.entry_count(node));
+        let block = node.index() * 4 * self.fanout;
+        Rect::new(
+            self.coords[block + lane],
+            self.coords[block + self.fanout + lane],
+            self.coords[block + 2 * self.fanout + lane],
+            self.coords[block + 3 * self.fanout + lane],
+        )
+    }
+
+    #[inline(always)]
+    fn child_node(&self, node: NodeId, lane: usize) -> NodeId {
+        debug_assert!(!self.is_leaf(node));
+        NodeId(self.ids[node.index() * self.fanout + lane] as u32)
+    }
+
+    #[inline(always)]
+    fn child_item(&self, node: NodeId, lane: usize) -> ItemId {
+        debug_assert!(self.is_leaf(node));
+        ItemId(self.ids[node.index() * self.fanout + lane])
+    }
+
+    #[inline(always)]
+    fn mask_within(&self, node: NodeId, chunk: usize, window: &Rect) -> u64 {
+        let (x1, y1, x2, y2) = self.chunk_planes(node, chunk, self.fanout);
+        DefaultKernel::mask_within(x1, y1, x2, y2, window)
+    }
+
+    #[inline(always)]
+    fn mask_intersects(&self, node: NodeId, chunk: usize, window: &Rect) -> u64 {
+        let (x1, y1, x2, y2) = self.chunk_planes(node, chunk, self.fanout);
+        DefaultKernel::mask_intersects(x1, y1, x2, y2, window)
+    }
+
+    #[inline(always)]
+    fn mask_point(&self, node: NodeId, chunk: usize, p: Point) -> u64 {
+        let (x1, y1, x2, y2) = self.chunk_planes(node, chunk, self.fanout);
+        DefaultKernel::mask_point(x1, y1, x2, y2, p)
+    }
+
+    fn lane_distances(&self, node: NodeId, chunk: usize, p: Point, out: &mut [f64]) {
+        let (x1, y1, x2, y2) = self.chunk_planes(node, chunk, chunk * 64 + out.len());
+        DefaultKernel::distances(x1, y1, x2, y2, p, out)
+    }
+}
+
+/// A [`FrozenRTree`] pruned through the [`ScalarKernel`]: the reference
+/// the `_scalar` query variants run, structure shared with the arena.
+struct ScalarLanes<'a>(&'a FrozenRTree);
+
+impl NodeAccess for ScalarLanes<'_> {
+    fn root(&self) -> NodeId {
+        self.0.root()
+    }
+
+    fn fanout(&self) -> usize {
+        self.0.fanout
+    }
+
+    fn is_leaf(&self, node: NodeId) -> bool {
+        self.0.is_leaf(node)
+    }
+
+    fn entry_count(&self, node: NodeId) -> usize {
+        self.0.entry_count(node)
+    }
+
+    fn lane_mbr(&self, node: NodeId, lane: usize) -> Rect {
+        self.0.lane_mbr(node, lane)
+    }
+
+    fn child_node(&self, node: NodeId, lane: usize) -> NodeId {
+        self.0.child_node(node, lane)
+    }
+
+    fn child_item(&self, node: NodeId, lane: usize) -> ItemId {
+        self.0.child_item(node, lane)
+    }
+
+    fn mask_within(&self, node: NodeId, chunk: usize, window: &Rect) -> u64 {
+        let (x1, y1, x2, y2) = self.0.chunk_planes(node, chunk, self.0.fanout);
+        ScalarKernel::mask_within(x1, y1, x2, y2, window)
+    }
+
+    fn mask_intersects(&self, node: NodeId, chunk: usize, window: &Rect) -> u64 {
+        let (x1, y1, x2, y2) = self.0.chunk_planes(node, chunk, self.0.fanout);
+        ScalarKernel::mask_intersects(x1, y1, x2, y2, window)
+    }
+
+    fn mask_point(&self, node: NodeId, chunk: usize, p: Point) -> u64 {
+        let (x1, y1, x2, y2) = self.0.chunk_planes(node, chunk, self.0.fanout);
+        ScalarKernel::mask_point(x1, y1, x2, y2, p)
+    }
+
+    fn lane_distances(&self, node: NodeId, chunk: usize, p: Point, out: &mut [f64]) {
+        let (x1, y1, x2, y2) = self.0.chunk_planes(node, chunk, chunk * 64 + out.len());
+        ScalarKernel::distances(x1, y1, x2, y2, p, out)
     }
 }
 
@@ -1110,7 +831,7 @@ mod tests {
             assert_eq!(y1.len(), f.fanout());
             assert_eq!(x2.len(), f.fanout());
             assert_eq!(y2.len(), f.fanout());
-            for lane in f.entry_count(n)..f.fanout() {
+            for lane in f.entry_count(NodeId(n))..f.fanout() {
                 assert!(
                     x1[lane].is_nan()
                         && y1[lane].is_nan()
@@ -1135,12 +856,12 @@ mod tests {
         // order — siblings adjacent, levels in contiguous runs, leaves a
         // contiguous suffix.
         let mut expected = 1u32;
-        for index in 0..f.node_count() as u32 {
-            if f.is_leaf_index(index) {
+        for node in (0..f.node_count() as u32).map(NodeId) {
+            if f.is_leaf(node) {
                 continue;
             }
-            for lane in 0..f.entry_count(index) {
-                assert_eq!(f.entry_child_node(index, lane), expected);
+            for lane in 0..f.entry_count(node) {
+                assert_eq!(f.child_node(node, lane), NodeId(expected));
                 expected += 1;
             }
         }
@@ -1265,17 +986,82 @@ mod tests {
     }
 
     #[test]
-    fn lane_intersect_mask_matches_per_lane_test() {
+    fn mask_intersects_matches_per_lane_test() {
         let tree = build(150);
         let f = FrozenRTree::freeze(&tree);
         let w = Rect::new(10.0, 5.0, 45.0, 25.0);
-        for index in 0..f.node_count() as u32 {
-            let mask = f.lane_intersect_mask(index, &w);
+        for node in (0..f.node_count() as u32).map(NodeId) {
+            let mask = f.mask_intersects(node, 0, &w);
             for lane in 0..f.fanout() {
-                let expect = lane < f.entry_count(index) && f.entry_mbr(index, lane).intersects(&w);
-                assert_eq!(mask >> lane & 1 == 1, expect, "node {index} lane {lane}");
+                let expect = lane < f.entry_count(node) && f.lane_mbr(node, lane).intersects(&w);
+                assert_eq!(mask >> lane & 1 == 1, expect, "{node} lane {lane}");
             }
         }
+    }
+
+    /// Fan-out 102 — the branching factor of a disk page — spreads a
+    /// node over two 64-lane chunks: every path must still agree with
+    /// the pointer tree and the `_scalar` reference, order and counters
+    /// included.
+    #[test]
+    fn wide_nodes_traverse_in_chunks() {
+        let mut tree = RTree::new(RTreeConfig::with_branching(102));
+        for i in 0..3_000 {
+            let x = (i % 61) as f64 * 1.5 + (i as f64 * 0.003);
+            let y = (i / 61) as f64 * 2.0;
+            tree.insert(pt(x, y), ItemId(i as u64));
+        }
+        assert!(tree.depth() >= 1);
+        let f = FrozenRTree::freeze(&tree);
+        assert_eq!(f.fanout().div_ceil(64), 2);
+        let (mut ts, mut fs, mut ss) = <(SearchStats, SearchStats, SearchStats)>::default();
+        let mut batch = crate::BatchScratch::new();
+        let windows: Vec<Rect> = (0..40)
+            .map(|q| {
+                let g = q as f64;
+                Rect::new(g * 2.0, g, g * 2.0 + 18.0, g + 22.0)
+            })
+            .collect();
+        for within in [true, false] {
+            let mut batch_stats = SearchStats::default();
+            let mut single_stats = SearchStats::default();
+            let batched = f.batch_windows_stats(&windows, within, &mut batch, &mut batch_stats);
+            for (i, w) in windows.iter().enumerate() {
+                let (pointer, frozen, scalar) = if within {
+                    (
+                        tree.search_within(w, &mut ts),
+                        f.search_within(w, &mut single_stats),
+                        f.search_within_scalar(w, &mut ss),
+                    )
+                } else {
+                    (
+                        tree.search_intersecting(w, &mut ts),
+                        f.search_intersecting(w, &mut single_stats),
+                        f.search_intersecting_scalar(w, &mut ss),
+                    )
+                };
+                assert!(!pointer.is_empty(), "window {i} must hit something");
+                assert_eq!(frozen, pointer, "window {i} within={within}");
+                assert_eq!(scalar, pointer, "scalar window {i} within={within}");
+                assert_eq!(batched.get(i), pointer.as_slice(), "batched window {i}");
+            }
+            assert_eq!(
+                batch_stats, single_stats,
+                "batched counters within={within}"
+            );
+            fs += single_stats;
+        }
+        for w in &windows {
+            let p = Point::new(w.min_x, w.min_y);
+            let pointer = tree.point_query(p, &mut ts);
+            assert_eq!(f.point_query(p, &mut fs), pointer);
+            assert_eq!(f.point_query_scalar(p, &mut ss), pointer);
+            let pointer = tree.nearest_neighbors(p, 70, &mut ts);
+            assert_eq!(f.nearest_neighbors(p, 70, &mut fs), pointer);
+            assert_eq!(f.nearest_neighbors_scalar(p, 70, &mut ss), pointer);
+        }
+        assert_eq!(fs, ts, "frozen counters diverged from pointer tree");
+        assert_eq!(ss, ts, "scalar counters diverged from pointer tree");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! SIGMOD 1995); included because packed trees make it markedly cheaper
 //! and the `knn` bench uses it as an ablation workload.
 
-use crate::node::{Child, ItemId, NodeId};
-use crate::search::{NoStats, Sink};
+use crate::access::NodeAccess;
+use crate::node::{ItemId, NodeId};
+use crate::search::{chunk_count, Sink};
 use crate::stats::SearchStats;
 use crate::tree::RTree;
 use rtree_geom::{Point, Rect};
@@ -94,10 +95,8 @@ impl RTree {
     /// still contribute a closer result, so visited-node counts directly
     /// reflect how well the tree's MBRs cluster.
     pub fn nearest_neighbors(&self, p: Point, k: usize, stats: &mut SearchStats) -> Vec<Neighbor> {
-        let mut heap = BinaryHeap::new();
-        let mut out = Vec::with_capacity(k);
-        self.knn_traverse(p, k, stats, &mut heap, &mut out);
-        out
+        self.search_nearest(p, k, &mut KnnScratch::new(), Some(stats))
+            .to_vec()
     }
 
     /// [`nearest_neighbors`](Self::nearest_neighbors) without statistics
@@ -109,69 +108,68 @@ impl RTree {
         k: usize,
         scratch: &'s mut KnnScratch,
     ) -> &'s [Neighbor] {
-        let KnnScratch { heap, out } = scratch;
-        self.knn_traverse(p, k, &mut NoStats, heap, out);
-        out
+        self.search_nearest(p, k, scratch, None)
     }
+}
 
-    /// Best-first branch and bound over an explicit min-heap, identical
-    /// for the stats path and the scratch path so both report the same
-    /// neighbours in the same order.
-    fn knn_traverse<S: Sink>(
-        &self,
-        p: Point,
-        k: usize,
-        sink: &mut S,
-        heap: &mut BinaryHeap<HeapEntry>,
-        out: &mut Vec<Neighbor>,
-    ) {
-        sink.query();
-        heap.clear();
-        out.clear();
-        if k == 0 || self.is_empty() {
-            return;
-        }
-        heap.push(HeapEntry {
-            dist: 0.0,
-            kind: HeapKind::Node(self.root()),
-        });
-        while let Some(HeapEntry { dist, kind }) = heap.pop() {
-            match kind {
-                HeapKind::Item(item, mbr) => {
-                    out.push(Neighbor {
-                        item,
-                        mbr,
-                        distance_sq: dist,
-                    });
-                    sink.item();
-                    if out.len() == k {
-                        break;
-                    }
+/// Best-first branch and bound over an explicit min-heap, for every
+/// storage form, so all report the same neighbours in the same order.
+/// Entry expansion covers valid lanes only, 64 to a chunk, in lane
+/// order; [`NodeAccess::lane_distances`] must reproduce
+/// [`Rect::min_distance_sq`] bit for bit, so heap order is the same
+/// whichever layout evaluates it.
+pub(crate) fn knn_traverse<const ONE_CHUNK: bool, T: NodeAccess + ?Sized, S: Sink>(
+    tree: &T,
+    p: Point,
+    k: usize,
+    sink: &mut S,
+    heap: &mut BinaryHeap<HeapEntry>,
+    out: &mut Vec<Neighbor>,
+) {
+    sink.query();
+    heap.clear();
+    out.clear();
+    let root = tree.root();
+    if k == 0 || tree.entry_count(root) == 0 {
+        return;
+    }
+    heap.push(HeapEntry {
+        dist: 0.0,
+        kind: HeapKind::Node(root),
+    });
+    let mut dists = [0.0f64; 64];
+    while let Some(HeapEntry { dist, kind }) = heap.pop() {
+        match kind {
+            HeapKind::Item(item, mbr) => {
+                out.push(Neighbor {
+                    item,
+                    mbr,
+                    distance_sq: dist,
+                });
+                sink.item();
+                if out.len() == k {
+                    break;
                 }
-                HeapKind::Node(id) => {
-                    let node = self.node(id);
-                    sink.node(node.is_leaf());
-                    for e in &node.entries {
-                        let d = e.mbr.min_distance_sq(p);
-                        match e.child {
-                            Child::Node(c) => heap.push(HeapEntry {
-                                dist: d,
-                                kind: HeapKind::Node(c),
-                            }),
-                            Child::Item(item) => heap.push(HeapEntry {
-                                dist: d,
-                                kind: HeapKind::Item(item, e.mbr),
-                            }),
-                        }
+            }
+            HeapKind::Node(id) => {
+                let leaf = tree.is_leaf(id);
+                sink.node(leaf);
+                let count = tree.entry_count(id);
+                for chunk in 0..chunk_count::<ONE_CHUNK>(tree).min(count.div_ceil(64)) {
+                    let base = chunk * 64;
+                    let dists = &mut dists[..(count - base).min(64)];
+                    tree.lane_distances(id, chunk, p, dists);
+                    for (lane, &d) in (base..).zip(dists.iter()) {
+                        let kind = if leaf {
+                            HeapKind::Item(tree.child_item(id, lane), tree.lane_mbr(id, lane))
+                        } else {
+                            HeapKind::Node(tree.child_node(id, lane))
+                        };
+                        heap.push(HeapEntry { dist: d, kind });
                     }
                 }
             }
         }
-    }
-
-    /// The single nearest item to `p`, if the tree is non-empty.
-    pub fn nearest_neighbor(&self, p: Point, stats: &mut SearchStats) -> Option<Neighbor> {
-        self.nearest_neighbors(p, 1, stats).into_iter().next()
     }
 }
 
@@ -207,9 +205,7 @@ mod tests {
     fn nearest_is_exact() {
         let t = build_grid(100);
         let mut stats = SearchStats::default();
-        let n = t
-            .nearest_neighbor(Point::new(34.0, 56.0), &mut stats)
-            .unwrap();
+        let n = t.nearest_neighbors(Point::new(34.0, 56.0), 1, &mut stats)[0];
         assert_eq!(n.item, ItemId(63)); // grid point (30, 60)
         assert_eq!(n.distance_sq, 16.0 + 16.0);
     }
@@ -285,7 +281,7 @@ mod tests {
     fn knn_prunes_nodes() {
         let t = build_grid(100);
         let mut stats = SearchStats::default();
-        t.nearest_neighbor(Point::new(5.0, 5.0), &mut stats);
+        t.nearest_neighbors(Point::new(5.0, 5.0), 1, &mut stats);
         // Best-first search should not touch every node for k=1.
         assert!(
             (stats.nodes_visited as usize) < t.node_count(),

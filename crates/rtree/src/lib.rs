@@ -35,6 +35,7 @@
 )]
 #![cfg_attr(all(feature = "simd", target_arch = "x86_64"), deny(unsafe_code))]
 
+pub mod access;
 pub mod ascii;
 pub mod batch;
 pub mod builder;
@@ -52,6 +53,7 @@ pub mod split;
 pub mod stats;
 pub mod tree;
 
+pub use access::NodeAccess;
 pub use batch::{BatchScratch, ItemBatches, NeighborBatches};
 pub use builder::{BottomUpBuilder, ReservedRange};
 pub use config::{RTreeConfig, SplitPolicy};

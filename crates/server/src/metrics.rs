@@ -259,10 +259,9 @@ pub struct Metrics {
     /// Per-picture sizes, sorted by name — mirrored from the published
     /// snapshot at every publication.
     pub pictures: Mutex<Vec<PictureGauge>>,
-    /// `1` while every packed picture still holds its frozen compilation
-    /// (dynamic writes buffer in deltas instead of dropping the frozen
-    /// arena) — mirrored from the published snapshot when `STATS` is
-    /// served.
+    /// `1` while every packed picture is served from its arena (dynamic
+    /// writes buffer in deltas instead of dropping it) — mirrored from
+    /// the snapshot at every publication.
     pub serves_frozen_queries: Counter,
     /// Plan-cache probes that found a plan stamped with the executing
     /// epoch (parse *and* plan skipped).

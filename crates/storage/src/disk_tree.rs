@@ -244,29 +244,10 @@ impl DiskRTree {
         window: &Rect,
         stats: &mut SearchStats,
     ) -> StorageResult<Vec<ItemId>> {
-        stats.queries += 1;
-        let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(pid) = stack.pop() {
-            stats.nodes_visited += 1;
-            let node = read_node(pool, pid)?;
-            if node.is_leaf() {
-                stats.leaf_nodes_visited += 1;
-                for (i, e) in node.entries.iter().enumerate() {
-                    if e.mbr.covered_by(window) {
-                        stats.items_reported += 1;
-                        out.push(node.child_item(i));
-                    }
-                }
-            } else {
-                for (i, e) in node.entries.iter().enumerate() {
-                    if e.mbr.intersects(window) {
-                        stack.push(node.child_page(i));
-                    }
-                }
-            }
-        }
-        Ok(out)
+        let read = |id| read_node(pool, id);
+        let descend = |mbr: &Rect| mbr.intersects(window);
+        let report = |mbr: &Rect| mbr.covered_by(window);
+        search_pages(self.root, read, descend, report, stats)
     }
 
     /// The Table 1 point query against the disk image.
@@ -276,29 +257,9 @@ impl DiskRTree {
         p: Point,
         stats: &mut SearchStats,
     ) -> StorageResult<Vec<ItemId>> {
-        stats.queries += 1;
-        let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(pid) = stack.pop() {
-            stats.nodes_visited += 1;
-            let node = read_node(pool, pid)?;
-            if node.is_leaf() {
-                stats.leaf_nodes_visited += 1;
-                for (i, e) in node.entries.iter().enumerate() {
-                    if e.mbr.contains_point(p) {
-                        stats.items_reported += 1;
-                        out.push(node.child_item(i));
-                    }
-                }
-            } else {
-                for (i, e) in node.entries.iter().enumerate() {
-                    if e.mbr.contains_point(p) {
-                        stack.push(node.child_page(i));
-                    }
-                }
-            }
-        }
-        Ok(out)
+        let read = |id| read_node(pool, id);
+        let contains = |mbr: &Rect| mbr.contains_point(p);
+        search_pages(self.root, read, contains, contains, stats)
     }
 
     /// Decodes every reachable node, breadth-first from the root.
@@ -309,18 +270,7 @@ impl DiskRTree {
     /// parent/child graph without this crate hardcoding any invariant
     /// policy.
     pub fn dump_nodes(&self, pool: &BufferPool<'_>) -> StorageResult<Vec<(PageId, DiskNode)>> {
-        let mut out = Vec::new();
-        let mut queue = std::collections::VecDeque::from([self.root]);
-        while let Some(pid) = queue.pop_front() {
-            let node = read_node(pool, pid)?;
-            if !node.is_leaf() {
-                for i in 0..node.entries.len() {
-                    queue.push_back(node.child_page(i));
-                }
-            }
-            out.push((pid, node));
-        }
-        Ok(out)
+        dump_pages(self.root, |id| read_node(pool, id))
     }
 
     /// Materializes the page image as an in-memory
@@ -377,9 +327,65 @@ pub(crate) fn frozen_from_dump(
 
 /// Decodes a node page through the pool, attaching the page id to any
 /// corruption reason.
-fn read_node(pool: &BufferPool<'_>, id: PageId) -> StorageResult<DiskNode> {
+pub(crate) fn read_node(pool: &BufferPool<'_>, id: PageId) -> StorageResult<DiskNode> {
     pool.with_page(id, codec::decode)?
         .map_err(|reason| StorageError::corrupt(id, reason))
+}
+
+/// Every node reachable from `root`, breadth-first.
+pub(crate) fn dump_pages(
+    root: PageId,
+    mut read_node: impl FnMut(PageId) -> StorageResult<DiskNode>,
+) -> StorageResult<Vec<(PageId, DiskNode)>> {
+    let mut out = Vec::new();
+    let mut queue = std::collections::VecDeque::from([root]);
+    while let Some(pid) = queue.pop_front() {
+        let node = read_node(pid)?;
+        if !node.is_leaf() {
+            for i in 0..node.entries.len() {
+                queue.push_back(node.child_page(i));
+            }
+        }
+        out.push((pid, node));
+    }
+    Ok(out)
+}
+
+/// The page-resident `SEARCH` loop of [`DiskRTree`] and
+/// [`PagedRTree`](crate::PagedRTree): from `root`, follow the internal
+/// entries `descend` accepts and collect the leaf entries `report`
+/// accepts, one `read_node` — a page request that can fail — per node
+/// visited.
+pub(crate) fn search_pages(
+    root: PageId,
+    mut read_node: impl FnMut(PageId) -> StorageResult<DiskNode>,
+    descend: impl Fn(&Rect) -> bool,
+    report: impl Fn(&Rect) -> bool,
+    stats: &mut SearchStats,
+) -> StorageResult<Vec<ItemId>> {
+    stats.queries += 1;
+    let mut out = Vec::new();
+    let mut stack = vec![root];
+    while let Some(pid) = stack.pop() {
+        stats.nodes_visited += 1;
+        let node = read_node(pid)?;
+        if node.is_leaf() {
+            stats.leaf_nodes_visited += 1;
+            for (i, e) in node.entries.iter().enumerate() {
+                if report(&e.mbr) {
+                    stats.items_reported += 1;
+                    out.push(node.child_item(i));
+                }
+            }
+        } else {
+            for (i, e) in node.entries.iter().enumerate() {
+                if descend(&e.mbr) {
+                    stack.push(node.child_page(i));
+                }
+            }
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 
 use crate::buffer::BufferPool;
 use crate::codec::{self, DiskEntry, DiskNode, MAX_ENTRIES_PER_PAGE};
+use crate::disk_tree::{dump_pages, read_node, search_pages};
 use crate::error::{StorageError, StorageResult};
 use crate::meta;
 use crate::page::{PageId, PageType};
@@ -248,9 +249,7 @@ impl<'a> PagedRTree<'a> {
     }
 
     fn read_node(&self, id: PageId) -> StorageResult<DiskNode> {
-        self.pool
-            .with_page(id, codec::decode)?
-            .map_err(|reason| StorageError::corrupt(id, reason))
+        read_node(&self.pool, id)
     }
 
     fn write_node(&self, id: PageId, node: &DiskNode) -> StorageResult<()> {
@@ -263,18 +262,7 @@ impl<'a> PagedRTree<'a> {
     /// `validate_deep`) use this to rebuild the tree graph — including
     /// after a crash/reopen — without access to the private pool.
     pub fn dump_nodes(&self) -> StorageResult<Vec<(PageId, DiskNode)>> {
-        let mut out = Vec::new();
-        let mut queue = std::collections::VecDeque::from([self.root]);
-        while let Some(pid) = queue.pop_front() {
-            let node = self.read_node(pid)?;
-            if !node.is_leaf() {
-                for i in 0..node.entries.len() {
-                    queue.push_back(node.child_page(i));
-                }
-            }
-            out.push((pid, node));
-        }
-        Ok(out)
+        dump_pages(self.root, |id| self.read_node(id))
     }
 
     /// Materializes the current tree as an in-memory
@@ -301,56 +289,17 @@ impl<'a> PagedRTree<'a> {
         window: &Rect,
         stats: &mut SearchStats,
     ) -> StorageResult<Vec<ItemId>> {
-        stats.queries += 1;
-        let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(pid) = stack.pop() {
-            stats.nodes_visited += 1;
-            let node = self.read_node(pid)?;
-            if node.is_leaf() {
-                stats.leaf_nodes_visited += 1;
-                for (i, e) in node.entries.iter().enumerate() {
-                    if e.mbr.covered_by(window) {
-                        stats.items_reported += 1;
-                        out.push(node.child_item(i));
-                    }
-                }
-            } else {
-                for (i, e) in node.entries.iter().enumerate() {
-                    if e.mbr.intersects(window) {
-                        stack.push(node.child_page(i));
-                    }
-                }
-            }
-        }
-        Ok(out)
+        let read = |id| self.read_node(id);
+        let descend = |mbr: &Rect| mbr.intersects(window);
+        let report = |mbr: &Rect| mbr.covered_by(window);
+        search_pages(self.root, read, descend, report, stats)
     }
 
     /// The Table 1 point query against pages.
     pub fn point_query(&self, p: Point, stats: &mut SearchStats) -> StorageResult<Vec<ItemId>> {
-        stats.queries += 1;
-        let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(pid) = stack.pop() {
-            stats.nodes_visited += 1;
-            let node = self.read_node(pid)?;
-            if node.is_leaf() {
-                stats.leaf_nodes_visited += 1;
-                for (i, e) in node.entries.iter().enumerate() {
-                    if e.mbr.contains_point(p) {
-                        stats.items_reported += 1;
-                        out.push(node.child_item(i));
-                    }
-                }
-            } else {
-                for (i, e) in node.entries.iter().enumerate() {
-                    if e.mbr.contains_point(p) {
-                        stack.push(node.child_page(i));
-                    }
-                }
-            }
-        }
-        Ok(out)
+        let read = |id| self.read_node(id);
+        let contains = |mbr: &Rect| mbr.contains_point(p);
+        search_pages(self.root, read, contains, contains, stats)
     }
 
     // ------------------------------------------------------------------
