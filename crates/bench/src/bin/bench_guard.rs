@@ -22,6 +22,14 @@
 //!    pointer `tree()`: every packed picture serves the arena whatever
 //!    its size, and this row is what says small ones lose nothing by it.
 //!
+//! — and the layer downstream of the tree, against the same file:
+//!
+//! 6. the PSQL executor's **row pipeline** (`execute_ns_per_row` of the
+//!    `row_pipeline` entry): 20-row `covered-by` windows through
+//!    `execute_plan_with_scratch` on a `sites`-shaped relation —
+//!    backlinks, tuple fetch, projection and highlights per answered
+//!    row, so materialisation is guarded the way traversal is.
+//!
 //! It fails (exit code 1) if any measured ns/op exceeds its
 //! baseline by more than the allowed factor. The factor defaults to
 //! 2.0: CI runners are slower and noisier than the machine that wrote
@@ -39,11 +47,10 @@
 //! Run with: `cargo run --release -p rtree-bench --bin bench_guard`
 
 use packed_rtree_core::{default_threads, pack_parallel_with, PackStrategy};
-use rtree_bench::experiment_seed;
+use rtree_bench::{best_of_three_ns as best_of_three, experiment_seed, row_pipeline};
 use rtree_geom::SpatialObject;
 use rtree_index::{BatchScratch, FrozenRTree, RTreeConfig, SearchScratch};
 use rtree_workload::{points, queries, rng, PAPER_UNIVERSE};
-use std::time::Instant;
 
 fn main() {
     let layout_path = std::env::var("BENCH_GUARD_LAYOUT_BASELINE")
@@ -74,6 +81,7 @@ fn main() {
     let pointer_baseline = baseline("pointer_scratch_ns_per_op");
     let frozen_baseline = baseline("frozen_scratch_ns_per_op");
     let batch_baseline = baseline("batch_64_ns_per_op");
+    let row_baseline = baseline("execute_ns_per_row");
 
     let seed = experiment_seed();
     let mut data_rng = rng(seed ^ 0x9e3779b97f4a7c15);
@@ -179,6 +187,9 @@ fn main() {
         }
     });
 
+    let rows = row_pipeline(&pts, seed ^ 0x5851f42d4c957f2d);
+    assert!(rows.rows_per_query > 10.0, "windows stopped answering rows");
+
     let mut failed = false;
     for (name, measured, baseline) in [
         ("pointer scratch window", pointer_ns, pointer_baseline),
@@ -191,6 +202,11 @@ fn main() {
             small_window_tree_ns,
         ),
         ("J=900 picture k-NN", small_knn_ns, small_knn_tree_ns),
+        (
+            "row pipeline (per row)",
+            rows.execute_ns_per_row,
+            row_baseline,
+        ),
     ] {
         let limit = baseline * factor;
         println!(
@@ -209,20 +225,6 @@ fn main() {
         std::process::exit(1);
     }
     println!("bench_guard: OK");
-}
-
-/// Best-of-three ns/op over `n` operations after one untimed warm-up
-/// pass (a single pass on a shared CI box can be unlucky; three rarely
-/// all are).
-fn best_of_three(n: usize, mut run: impl FnMut()) -> f64 {
-    run();
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        run();
-        best = best.min(start.elapsed().as_nanos() as f64 / n as f64);
-    }
-    best
 }
 
 /// Extracts `"key": <number>` from a JSON document by string scan — the

@@ -19,10 +19,9 @@
 use packed_rtree_core::{default_threads, pack_parallel_with, PackStrategy};
 use psql::join::{rtree_join, JoinStats};
 use rtree_bench::report::{f, Table};
-use rtree_bench::{build_pack, experiment_seed};
+use rtree_bench::{best_of_three_ns as ns_per_op, build_pack, experiment_seed, row_pipeline};
 use rtree_index::{BatchScratch, FrozenRTree, ItemId, RTreeConfig, SearchScratch, SearchStats};
 use rtree_workload::{points, queries, rng, PAPER_UNIVERSE};
-use std::time::Instant;
 
 use psql::SpatialOp;
 use rtree_geom::Rect;
@@ -33,21 +32,6 @@ fn main() {
 
     let table1 = table1_ab(seed);
     million_point_ab(seed, table1);
-}
-
-/// ns/op of `run` over `n` operations: one untimed full pass (warm-up),
-/// then the best of three timed passes — the same methodology as
-/// `bench_guard`, so committed numbers and CI guard measurements are
-/// comparable and shared-box noise inflates neither side of a ratio.
-fn ns_per_op<T>(n: usize, mut run: impl FnMut() -> T) -> f64 {
-    std::hint::black_box(run());
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        std::hint::black_box(run());
-        best = best.min(start.elapsed().as_nanos() as f64 / n as f64);
-    }
-    best
 }
 
 /// The paper's Table-1 shape: J=900 uniform points, 1000 random
@@ -281,6 +265,11 @@ fn million_point_ab(seed: u64, table1: (f64, f64, f64)) {
         );
     }
 
+    // --- the layer downstream of the tree ---------------------------
+    // What the executor adds per answered row on the served shape;
+    // `bench_guard` holds the same measurement against this entry.
+    let rows = row_pipeline(&pts, seed ^ 0x5851f42d4c957f2d);
+
     // --- report ------------------------------------------------------
     let reduction = 100.0 * (ptr_scratch_ns - frz_scratch_ns) / ptr_scratch_ns;
     let mut t = Table::new(["1M-point path", "pointer ns/op", "frozen ns/op", "delta"]);
@@ -332,6 +321,11 @@ fn million_point_ab(seed: u64, table1: (f64, f64, f64)) {
         ]);
     }
     println!("{}", bt.render());
+    println!(
+        "row pipeline: {:.0} ns per answered row ({:.1} rows per query, {} covered-by \
+         windows through execute_plan_with_scratch, search included)\n",
+        rows.execute_ns_per_row, rows.rows_per_query, rows.queries
+    );
 
     let (t1_ptr, t1_frz, t1_a) = table1;
     let json = format!(
@@ -358,8 +352,13 @@ fn million_point_ab(seed: u64, table1: (f64, f64, f64)) {
          \"speedup_vs_single_at_512\": {sp512:.2}}},\n  \
          \"join\": {{\"n_per_side\": {join_n}, \"op\": \"overlapping\", \
          \"pointer_ms\": {ptr_join_ms:.1}, \"frozen_ms\": {frz_join_ms:.1}, \
-         \"node_pairs_visited\": {npv}}}\n}}\n",
+         \"node_pairs_visited\": {npv}}},\n  \
+         \"row_pipeline\": {{\"n\": {n}, \"queries\": {rq}, \"rows_per_query\": {rpq:.1}, \
+         \"execute_ns_per_row\": {row_ns:.0}, \"hardware_threads\": {hw}}}\n}}\n",
         hw = default_threads(),
+        rq = rows.queries,
+        rpq = rows.rows_per_query,
+        row_ns = rows.execute_ns_per_row,
         wn = windows.len(),
         anv = frz_stats.avg_nodes_visited(),
         pn = probes.len(),

@@ -91,6 +91,116 @@ impl SeededWorkload {
     }
 }
 
+/// ns/op of `run` over `n` operations: one untimed full pass (warm-up),
+/// then the best of three timed passes. `layout_bench` writes its
+/// baselines and `bench_guard` re-measures them with this one function,
+/// so committed numbers and guard measurements are comparable and
+/// shared-box noise inflates neither side of a ratio.
+pub fn best_of_three_ns<T>(n: usize, mut run: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(run());
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let start = std::time::Instant::now();
+        std::hint::black_box(run());
+        best = best.min(start.elapsed().as_nanos() as f64 / n as f64);
+    }
+    best
+}
+
+/// What the PSQL executor adds between the picture search and the
+/// `ResultSet`, measured on the shape the query service serves.
+#[derive(Debug, Clone, Copy)]
+pub struct RowPipeline {
+    /// Objects in the picture = tuples in the relation.
+    pub n: usize,
+    /// Window queries per timed pass.
+    pub queries: usize,
+    /// Mean rows (= highlights) a query answers.
+    pub rows_per_query: f64,
+    /// `execute_plan_with_scratch` time per answered row, search
+    /// included.
+    pub execute_ns_per_row: f64,
+}
+
+/// Measures [`RowPipeline`]: loads `points` as picture `site-map` and
+/// relation `sites(site, weight, loc)`, packs, and executes 2 000
+/// prepared `covered-by` windows sized to answer ~20 rows each — two
+/// projected columns and one highlight per row, so backlinks, tuple
+/// fetch, projection and highlight construction all run.
+pub fn row_pipeline(points: &[Point], seed: u64) -> RowPipeline {
+    use pictorial_relational::{Column, ColumnType, Schema, Value};
+    use psql::database::PictorialDatabase;
+    use rtree_geom::SpatialObject;
+
+    const ROWS: f64 = 20.0;
+    let n = points.len();
+    let mut db = PictorialDatabase::new(RTreeConfig::PAPER);
+    db.create_picture("site-map", PAPER_UNIVERSE)
+        .expect("fresh picture");
+    let schema = Schema::new(vec![
+        Column::new("site", ColumnType::Str),
+        Column::new("weight", ColumnType::Int),
+        Column::new("loc", ColumnType::Pointer),
+    ])
+    .expect("valid schema");
+    db.catalog_mut()
+        .create_relation("sites", schema)
+        .expect("fresh relation");
+    db.associate("sites", "loc", "site-map")
+        .expect("association");
+    for (i, p) in points.iter().enumerate() {
+        let site = format!("s{i}");
+        let object = db
+            .add_object("site-map", SpatialObject::Point(*p), &site)
+            .expect("picture exists");
+        let tuple = vec![
+            site.into(),
+            (i as i64 % 1000).into(),
+            Value::Pointer(object),
+        ];
+        db.insert("sites", tuple).expect("valid tuple");
+    }
+    db.pack_all();
+
+    let selectivity = (ROWS / n.max(1) as f64).min(1.0);
+    let plans: Vec<psql::plan::Plan> =
+        queries::window_queries(&mut rng(seed), &PAPER_UNIVERSE, 2_000, selectivity)
+            .iter()
+            .map(|w| {
+                let (dx, dy) = ((w.max_x - w.min_x) / 2.0, (w.max_y - w.min_y) / 2.0);
+                let text = format!(
+                    "select site, weight from sites on site-map \
+                     at loc covered-by {{{} +- {dx}, {} +- {dy}}}",
+                    w.min_x + dx,
+                    w.min_y + dy
+                );
+                let query = psql::parse_query(&text).expect("generated text parses");
+                psql::plan::plan(&db, &query).expect("generated query plans")
+            })
+            .collect();
+
+    let functions = psql::functions::FunctionRegistry::with_builtins();
+    let mut scratch = rtree_index::SearchScratch::new();
+    let mut rows = 0usize;
+    let ns_per_query = best_of_three_ns(plans.len(), || {
+        rows = 0;
+        for plan in &plans {
+            let result = psql::exec::execute_plan_with_scratch(&db, plan, &functions, &mut scratch)
+                .expect("generated query executes");
+            assert_eq!(result.highlights.len(), result.len());
+            rows += result.len();
+            std::hint::black_box(result);
+        }
+    });
+    let rows_per_query = rows as f64 / plans.len() as f64;
+    RowPipeline {
+        n,
+        queries: plans.len(),
+        rows_per_query,
+        execute_ns_per_row: ns_per_query / rows_per_query.max(1.0),
+    }
+}
+
 /// Exact overlap area (the paper's `O`) of a large rectangle set.
 ///
 /// [`rtree_geom::rectset::overlap_area`] compresses coordinates into a

@@ -20,8 +20,89 @@ use std::sync::Arc;
 struct LocColumn {
     column: String,
     picture: String,
-    /// `object id → tuples`, shared between clones until one inserts.
-    backlinks: Arc<HashMap<u64, Vec<TupleId>>>,
+    /// Shared between clones until one inserts.
+    backlinks: Arc<Backlinks>,
+}
+
+/// The backward pointers of one `loc` column: object id → the tuples
+/// pointing at it, in insertion order.
+///
+/// Object ids are dense per picture and append-only, and nearly every
+/// object is pointed at by exactly one tuple, so the map is an array
+/// indexed by object id holding that one tuple inline. Whatever does not
+/// fit a slot lives in `overflow`: an object with several tuples (its
+/// slot reads [`SPILLED`]) and a pointer at or past the picture's length
+/// when its tuple arrived (no slot is grown for it, so a hostile
+/// `Pointer(u64::MAX)` costs one map entry).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Backlinks {
+    /// `dense[object]` is the object's one tuple, [`VACANT`] or
+    /// [`SPILLED`]; never longer than the picture.
+    dense: Vec<TupleId>,
+    overflow: HashMap<u64, Vec<TupleId>>,
+}
+
+/// Slot of an object no tuple points at (or whose tuples sit in the
+/// overflow map without a slot having been claimed for them).
+const VACANT: TupleId = TupleId(u64::MAX);
+/// Slot of an object whose tuples are listed in the overflow map.
+const SPILLED: TupleId = TupleId(u64::MAX - 1);
+
+impl Backlinks {
+    /// Tuples pointing at `object`, oldest first.
+    pub(crate) fn tuples(&self, object: u64) -> &[TupleId] {
+        let slot = usize::try_from(object).ok().and_then(|i| self.dense.get(i));
+        match slot {
+            Some(tid) if *tid < SPILLED => std::slice::from_ref(tid),
+            // A vacant slot can still have overflow entries: pointers
+            // that arrived before the picture grew past them.
+            _ => self.overflow.get(&object).map_or(&[], Vec::as_slice),
+        }
+    }
+
+    /// Records that `tid` points at `object` of a picture currently
+    /// holding `picture_len` objects.
+    fn insert(&mut self, object: u64, tid: TupleId, picture_len: usize) {
+        let index = usize::try_from(object).ok().filter(|&i| i < picture_len);
+        let Some(index) = index else {
+            self.overflow.entry(object).or_default().push(tid);
+            return;
+        };
+        if self.dense.len() <= index {
+            self.dense.resize(index + 1, VACANT);
+        }
+        let slot = &mut self.dense[index];
+        // A tuple id that collides with a marker cannot sit in a slot.
+        if *slot == VACANT && tid < SPILLED && !self.overflow.contains_key(&object) {
+            *slot = tid;
+            return;
+        }
+        let list = self.overflow.entry(object).or_default();
+        if *slot < SPILLED {
+            list.push(*slot);
+        }
+        list.push(tid);
+        *slot = SPILLED;
+    }
+
+    /// Forgets that `tid` points at `object`.
+    fn remove(&mut self, object: u64, tid: TupleId) {
+        let slot = usize::try_from(object)
+            .ok()
+            .and_then(|i| self.dense.get_mut(i));
+        match slot {
+            Some(slot) if *slot < SPILLED => {
+                if *slot == tid {
+                    *slot = VACANT;
+                }
+            }
+            _ => {
+                if let Some(list) = self.overflow.get_mut(&object) {
+                    list.retain(|&t| t != tid);
+                }
+            }
+        }
+    }
 }
 
 /// The integrated pictorial + alphanumeric database PSQL runs against.
@@ -143,13 +224,13 @@ impl PictorialDatabase {
                 )))
             }
         };
-        self.picture(picture)?;
+        let picture_len = self.picture(picture)?.len();
         // Backfill backward pointers for tuples inserted before the
         // association was declared, so association order doesn't matter.
-        let mut backlinks: HashMap<u64, Vec<TupleId>> = HashMap::new();
+        let mut backlinks = Backlinks::default();
         for (tid, tuple) in rel.scan() {
             if let Some(obj) = tuple[col_idx].as_pointer() {
-                backlinks.entry(obj).or_default().push(tid);
+                backlinks.insert(obj, tid, picture_len);
             }
         }
         let entry = LocColumn {
@@ -194,17 +275,16 @@ impl PictorialDatabase {
     /// Inserts a tuple, maintaining indexes and object→tuple backlinks
     /// for every associated pointer column.
     pub fn insert(&mut self, relation: &str, tuple: Vec<Value>) -> Result<TupleId, PsqlError> {
-        let tid = self.catalog.insert(relation, tuple.clone())?;
-        let schema = self.catalog.relation(relation)?.schema();
+        let tid = self.catalog.insert(relation, tuple)?;
+        let stored = self.catalog.relation(relation)?;
+        let (schema, tuple) = (stored.schema(), stored.get(tid)?);
         for loc in self.loc_columns.get_mut(relation).into_iter().flatten() {
             let pointer = schema
                 .index_of(&loc.column)
                 .and_then(|i| tuple[i].as_pointer());
             if let Some(obj) = pointer {
-                Arc::make_mut(&mut loc.backlinks)
-                    .entry(obj)
-                    .or_default()
-                    .push(tid);
+                let picture_len = self.pictures.get(&loc.picture).map_or(0, |p| p.len());
+                Arc::make_mut(&mut loc.backlinks).insert(obj, tid, picture_len);
             }
         }
         Ok(tid)
@@ -219,9 +299,7 @@ impl PictorialDatabase {
                 .index_of(&loc.column)
                 .and_then(|i| tuple[i].as_pointer());
             if let Some(obj) = pointer {
-                if let Some(list) = Arc::make_mut(&mut loc.backlinks).get_mut(&obj) {
-                    list.retain(|&t| t != tid);
-                }
+                Arc::make_mut(&mut loc.backlinks).remove(obj, tid);
             }
         }
         Ok(tuple)
@@ -232,10 +310,15 @@ impl PictorialDatabase {
     /// to select the relation's tuples … when it retrieves using the
     /// picture").
     pub fn tuples_of_object(&self, relation: &str, column: &str, object: u64) -> &[TupleId] {
+        self.backlinks(relation, column)
+            .map_or(&[], |links| links.tuples(object))
+    }
+
+    /// The backward pointers of `relation.column`, for callers that
+    /// follow many of them: the names are resolved once.
+    pub(crate) fn backlinks(&self, relation: &str, column: &str) -> Option<&Backlinks> {
         self.loc_column(relation, column)
-            .and_then(|c| c.backlinks.get(&object))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map(|c| c.backlinks.as_ref())
     }
 
     /// Defines (or replaces) a named location constant for `at`-clauses:
@@ -597,19 +680,7 @@ mod tests {
     fn associate_after_insert_backfills_backlinks() {
         // Tuples inserted before associate() must still be reachable
         // through the picture.
-        let mut db = PictorialDatabase::new(RTreeConfig::PAPER);
-        db.create_picture("pic", Rect::new(0.0, 0.0, 10.0, 10.0))
-            .unwrap();
-        db.catalog_mut()
-            .create_relation(
-                "things",
-                pictorial_relational::Schema::new(vec![
-                    pictorial_relational::Column::new("name", ColumnType::Str),
-                    pictorial_relational::Column::new("loc", ColumnType::Pointer),
-                ])
-                .unwrap(),
-            )
-            .unwrap();
+        let mut db = things_db();
         let obj = db
             .add_object("pic", SpatialObject::Point(Point::new(1.0, 1.0)), "a")
             .unwrap();
@@ -620,6 +691,119 @@ mod tests {
         assert!(db.tuples_of_object("things", "loc", obj).is_empty());
         db.associate("things", "loc", "pic").unwrap();
         assert_eq!(db.tuples_of_object("things", "loc", obj), &[tid]);
+    }
+
+    /// `things(name, loc)` and an empty picture `pic`, not associated.
+    fn things_db() -> PictorialDatabase {
+        let mut db = PictorialDatabase::new(RTreeConfig::PAPER);
+        db.create_picture("pic", Rect::new(0.0, 0.0, 10.0, 10.0))
+            .unwrap();
+        db.catalog_mut()
+            .create_relation(
+                "things",
+                Schema::new(vec![
+                    pictorial_relational::Column::new("name", ColumnType::Str),
+                    pictorial_relational::Column::new("loc", ColumnType::Pointer),
+                ])
+                .unwrap(),
+            )
+            .unwrap();
+        db
+    }
+
+    #[test]
+    fn backlinks_match_a_hash_map_model() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        /// The backward map as it used to be kept.
+        type Model = HashMap<u64, Vec<TupleId>>;
+        // Pointers that must never claim a slot.
+        const FAR: [u64; 3] = [u64::MAX, u64::MAX - 1, 1 << 40];
+
+        fn check(db: &PictorialDatabase, model: &Model, what: &str) {
+            let len = db.picture("pic").unwrap().len() as u64;
+            for obj in (0..len + 12).chain(FAR) {
+                assert_eq!(
+                    db.tuples_of_object("things", "loc", obj),
+                    model.get(&obj).map_or(&[][..], Vec::as_slice),
+                    "object {obj} {what}"
+                );
+            }
+            if let Some(loc) = db.loc_columns.get("things").and_then(|c| c.first()) {
+                assert!(
+                    loc.backlinks.dense.len() as u64 <= len,
+                    "a slot was grown past the picture {what}"
+                );
+            }
+        }
+
+        for seed in [1985u64, 2718, 3141] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut db = things_db();
+            let mut model = Model::new();
+            // (tuple, the object it points at), live tuples only.
+            let mut live: Vec<(TupleId, u64)> = Vec::new();
+            let mut removed: Vec<u64> = Vec::new();
+            let mut snapshot: Option<(PictorialDatabase, Model)> = None;
+
+            for step in 0..1500 {
+                if step == 300 {
+                    // Declared after tuples exist: the backfill must
+                    // find every one of them, in insertion order.
+                    check(&db, &Model::new(), "before the association");
+                    db.associate("things", "loc", "pic").unwrap();
+                    check(&db, &model, "after the backfill");
+                }
+                if step == 900 {
+                    snapshot = Some((db.clone(), model.clone()));
+                }
+                let len = db.picture("pic").unwrap().len() as u64;
+                match rng.gen_range(0..10) {
+                    0..=2 => {
+                        let at = Point::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+                        db.add_object("pic", SpatialObject::Point(at), "o").unwrap();
+                    }
+                    3..=7 => {
+                        let obj = match rng.gen_range(0..12) {
+                            // An object of the picture, often one that
+                            // already has tuples.
+                            0..=5 if len > 0 => rng.gen_range(0..len),
+                            6 if !live.is_empty() => live[rng.gen_range(0..live.len())].1,
+                            // A pointer whose tuple was deleted.
+                            7 if !removed.is_empty() => removed[rng.gen_range(0..removed.len())],
+                            // At, past and far past the picture's length.
+                            8 => len,
+                            9 => len + rng.gen_range(1..10u64),
+                            10 => FAR[rng.gen_range(0..FAR.len())],
+                            _ => {
+                                db.insert("things", vec!["null".into(), Value::Null])
+                                    .unwrap();
+                                continue;
+                            }
+                        };
+                        let tid = db
+                            .insert("things", vec!["t".into(), Value::Pointer(obj)])
+                            .unwrap();
+                        model.entry(obj).or_default().push(tid);
+                        live.push((tid, obj));
+                    }
+                    _ if !live.is_empty() => {
+                        let (tid, obj) = live.swap_remove(rng.gen_range(0..live.len()));
+                        db.delete("things", tid).unwrap();
+                        model.get_mut(&obj).unwrap().retain(|&t| t != tid);
+                        removed.push(obj);
+                    }
+                    _ => {}
+                }
+                if step >= 300 && step % 7 == 0 {
+                    check(&db, &model, &format!("at step {step} of seed {seed}"));
+                }
+            }
+            check(&db, &model, "at the end");
+            // Everything written since the clone stayed out of it.
+            let (old_db, old_model) = snapshot.unwrap();
+            check(&old_db, &old_model, "in the earlier clone");
+        }
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! The PSQL executor.
 
-use crate::ast::{ColumnRef, Expr, Operand, Query};
-use crate::database::PictorialDatabase;
+use crate::ast::{Expr, Operand, Query};
+use crate::database::{Backlinks, PictorialDatabase};
 use crate::error::PsqlError;
-use crate::functions::FunctionRegistry;
+use crate::functions::{FunctionRegistry, PictorialFn};
 use crate::join::{picture_join, JoinStats};
+use crate::picture::Picture;
 use crate::plan::{self, Access, Plan, Projection, ResolvedColumn, SpatialStrategy};
 use crate::result::{Highlight, ResultSet};
 use crate::spatial::SpatialOp;
-use pictorial_relational::{ColumnType, TupleId, Value};
+use pictorial_relational::{ColumnType, CompareOp, Relation, TupleId, Value};
 use rtree_geom::SpatialObject;
 use rtree_index::{BatchScratch, ItemId, SearchScratch};
+use std::collections::HashSet;
 
 /// Plans and executes a query with the built-in pictorial functions.
 pub fn execute(db: &PictorialDatabase, query: &Query) -> Result<ResultSet, PsqlError> {
@@ -64,558 +66,635 @@ pub fn execute_plan_with_scratch(
     functions: &FunctionRegistry,
     scratch: &mut SearchScratch,
 ) -> Result<ResultSet, PsqlError> {
-    let rows = candidate_rows(db, plan, functions, scratch)?;
-    finish_rows(db, plan, functions, rows)
+    let executor = Executor::bind(db, plan, functions)?;
+    let rows = executor.candidate_rows(scratch)?;
+    executor.finish(rows)
 }
 
 /// Plans and executes a pack of queries, reusing a caller-owned
-/// [`BatchScratch`], and returns per-query results **in input order**.
-///
-/// Queries whose plans are direct spatial searches (`at … covered-by /
-/// overlapping / covering / disjoined` windows, or `at … nearest`) are
-/// grouped by target picture and executed through the picture's batched
-/// paths ([`search_windows_batch`](crate::picture::Picture::search_windows_batch) /
-/// [`nearest_batch`](crate::picture::Picture::nearest_batch)): the
-/// frozen tree traverses them in spatial (Z-order) groups over one
-/// shared scratch, so a batch of nearby windows touches each hot node
-/// once instead of once per query. Every other plan shape — and any
-/// query that fails to plan — executes exactly as
-/// [`execute_with_scratch`] would. Per-query results are bit-identical
-/// to one-at-a-time execution either way.
+/// [`BatchScratch`], and returns per-query results **in input order**:
+/// [`execute_plans_batch_with_scratch`] over the queries that plan, with
+/// each planning failure reported in its own slot.
 pub fn execute_batch_with_scratch(
     db: &PictorialDatabase,
     queries: &[Query],
     functions: &FunctionRegistry,
     batch: &mut BatchScratch,
 ) -> Vec<Result<ResultSet, PsqlError>> {
-    let plans: Vec<Result<Plan, PsqlError>> = queries.iter().map(|q| plan::plan(db, q)).collect();
+    let planned: Vec<Result<Plan, PsqlError>> = queries.iter().map(|q| plan::plan(db, q)).collect();
+    let plans: Vec<&Plan> = planned.iter().filter_map(|p| p.as_ref().ok()).collect();
+    let mut results = execute_plans_batch_with_scratch(db, &plans, functions, batch).into_iter();
+    planned
+        .iter()
+        .map(|planned| match planned {
+            Ok(_) => results.next().expect("one result per plan"),
+            Err(e) => Err(e.clone()),
+        })
+        .collect()
+}
+
+/// Executes a pack of already-built plans, reusing a caller-owned
+/// [`BatchScratch`], and returns per-plan results **in input order**.
+///
+/// Plans that are direct spatial searches (`at … covered-by /
+/// overlapping / covering / disjoined` windows, or `at … nearest`) are
+/// grouped by target picture and executed through the picture's batched
+/// paths ([`search_windows_batch`](crate::picture::Picture::search_windows_batch) /
+/// [`nearest_batch`](crate::picture::Picture::nearest_batch)): the
+/// frozen tree traverses them in spatial (Z-order) groups over one
+/// shared scratch, so a batch of nearby windows touches each hot node
+/// once instead of once per query. Every other plan shape executes
+/// exactly as [`execute_plan_with_scratch`] would. Per-plan results are
+/// bit-identical to one-at-a-time execution either way.
+pub fn execute_plans_batch_with_scratch(
+    db: &PictorialDatabase,
+    plans: &[&Plan],
+    functions: &FunctionRegistry,
+    batch: &mut BatchScratch,
+) -> Vec<Result<ResultSet, PsqlError>> {
     let mut out: Vec<Option<Result<ResultSet, PsqlError>>> = Vec::new();
-    out.resize_with(queries.len(), || None);
+    out.resize_with(plans.len(), || None);
 
     // Group batchable plans by (kind, picture name).
-    let mut window_groups: Vec<(String, Vec<usize>)> = Vec::new();
-    let mut nearest_groups: Vec<(String, Vec<usize>)> = Vec::new();
-    let push = |groups: &mut Vec<(String, Vec<usize>)>, picture: &str, i: usize| match groups
-        .iter_mut()
-        .find(|(name, _)| name == picture)
-    {
-        Some((_, idxs)) => idxs.push(i),
-        None => groups.push((picture.to_owned(), vec![i])),
-    };
-    for (i, planned) in plans.iter().enumerate() {
-        match planned {
-            Ok(plan) => match &plan.spatial {
-                SpatialStrategy::Window { picture, .. } => push(&mut window_groups, picture, i),
-                SpatialStrategy::Nearest { picture, .. } => push(&mut nearest_groups, picture, i),
-                _ => {
-                    out[i] = Some(execute_plan_with_scratch(
-                        db,
-                        plan,
-                        functions,
-                        batch.search(),
-                    ));
-                }
-            },
-            Err(e) => out[i] = Some(Err(e.clone())),
+    let mut groups: Vec<(bool, &str, Vec<usize>)> = Vec::new();
+    for (i, plan) in plans.iter().enumerate() {
+        let (windows, picture) = match &plan.spatial {
+            SpatialStrategy::Window { picture, .. } => (true, picture.as_str()),
+            SpatialStrategy::Nearest { picture, .. } => (false, picture.as_str()),
+            _ => {
+                out[i] = Some(execute_plan_with_scratch(
+                    db,
+                    plan,
+                    functions,
+                    batch.search(),
+                ));
+                continue;
+            }
+        };
+        match groups
+            .iter_mut()
+            .find(|(w, name, _)| *w == windows && *name == picture)
+        {
+            Some((_, _, idxs)) => idxs.push(i),
+            None => groups.push((windows, picture, vec![i])),
         }
     }
 
-    for (picture_name, idxs) in window_groups {
-        match db.picture(&picture_name) {
-            Ok(pic) => {
-                let specs: Vec<(SpatialOp, rtree_geom::Rect)> = idxs
-                    .iter()
-                    .map(|&i| match &plans[i] {
-                        Ok(Plan {
-                            spatial: SpatialStrategy::Window { op, window, .. },
-                            ..
-                        }) => (*op, *window),
-                        _ => unreachable!("window group holds only window plans"),
-                    })
-                    .collect();
-                let per_query = pic.search_windows_batch(&specs, batch);
-                for (&i, objs) in idxs.iter().zip(&per_query) {
-                    let plan = plans[i].as_ref().expect("grouped plans are Ok");
-                    let SpatialStrategy::Window { column, .. } = &plan.spatial else {
-                        unreachable!()
-                    };
-                    out[i] = Some(
-                        objects_to_rows(db, plan, *column, objs)
-                            .and_then(|rows| finish_rows(db, plan, functions, rows)),
-                    );
-                }
+    for (windows, picture_name, idxs) in groups {
+        let Ok(pic) = db.picture(picture_name) else {
+            // Missing picture: fall back so each query reports its own
+            // error exactly as the single-query path would.
+            for &i in &idxs {
+                out[i] = Some(execute_plan_with_scratch(
+                    db,
+                    plans[i],
+                    functions,
+                    batch.search(),
+                ));
             }
-            Err(_) => {
-                // Missing picture: fall back so each query reports its
-                // own error exactly as the single-query path would.
-                for &i in &idxs {
-                    let plan = plans[i].as_ref().expect("grouped plans are Ok");
-                    out[i] = Some(execute_plan_with_scratch(
-                        db,
-                        plan,
-                        functions,
-                        batch.search(),
-                    ));
-                }
-            }
-        }
-    }
-
-    for (picture_name, idxs) in nearest_groups {
-        match db.picture(&picture_name) {
-            Ok(pic) => {
-                let specs: Vec<(rtree_geom::Point, usize)> = idxs
-                    .iter()
-                    .map(|&i| match &plans[i] {
-                        Ok(Plan {
-                            spatial: SpatialStrategy::Nearest { k, point, .. },
-                            ..
-                        }) => (*point, *k),
-                        _ => unreachable!("nearest group holds only nearest plans"),
-                    })
-                    .collect();
-                let per_query = pic.nearest_batch(&specs, batch);
-                for (&i, objs) in idxs.iter().zip(&per_query) {
-                    let plan = plans[i].as_ref().expect("grouped plans are Ok");
-                    let SpatialStrategy::Nearest { column, .. } = &plan.spatial else {
-                        unreachable!()
-                    };
-                    out[i] = Some(
-                        objects_to_rows(db, plan, *column, objs)
-                            .and_then(|rows| finish_rows(db, plan, functions, rows)),
-                    );
-                }
-            }
-            Err(_) => {
-                for &i in &idxs {
-                    let plan = plans[i].as_ref().expect("grouped plans are Ok");
-                    out[i] = Some(execute_plan_with_scratch(
-                        db,
-                        plan,
-                        functions,
-                        batch.search(),
-                    ));
-                }
-            }
+            continue;
+        };
+        let per_query = if windows {
+            let specs: Vec<(SpatialOp, rtree_geom::Rect)> = idxs
+                .iter()
+                .map(|&i| match &plans[i].spatial {
+                    SpatialStrategy::Window { op, window, .. } => (*op, *window),
+                    _ => unreachable!("window group holds only window plans"),
+                })
+                .collect();
+            pic.search_windows_batch(&specs, batch)
+        } else {
+            let specs: Vec<(rtree_geom::Point, usize)> = idxs
+                .iter()
+                .map(|&i| match &plans[i].spatial {
+                    SpatialStrategy::Nearest { k, point, .. } => (*point, *k),
+                    _ => unreachable!("nearest group holds only nearest plans"),
+                })
+                .collect();
+            pic.nearest_batch(&specs, batch)
+        };
+        for (&i, objs) in idxs.iter().zip(&per_query) {
+            let (SpatialStrategy::Window { column, .. } | SpatialStrategy::Nearest { column, .. }) =
+                &plans[i].spatial
+            else {
+                unreachable!("grouped plans are direct searches")
+            };
+            out[i] = Some(
+                Executor::bind(db, plans[i], functions)
+                    .and_then(|executor| executor.finish(executor.objects_to_rows(*column, objs))),
+            );
         }
     }
 
     out.into_iter()
-        .map(|r| r.expect("every query executed"))
+        .map(|r| r.expect("every plan executed"))
         .collect()
 }
 
-/// Turns candidate rows into a [`ResultSet`]: residual filter, order
-/// by, limit, projection (including aggregates) and highlights.
-fn finish_rows(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    functions: &FunctionRegistry,
-    rows: Vec<Vec<TupleId>>,
-) -> Result<ResultSet, PsqlError> {
-    // Residual where-clause.
-    #[allow(unused_mut)]
-    let mut kept: Vec<Vec<TupleId>> = Vec::new();
-    for row in rows {
-        let keep = match &plan.residual {
-            Some(expr) => eval_expr(db, plan, functions, &row, expr)?,
-            None => true,
-        };
-        if keep {
-            kept.push(row);
-        }
-    }
-
-    // Ordering and limit (before projection so the sort key need not be
-    // selected).
-    if let Some((key, ascending)) = &plan.order_by {
-        let mut keyed: Vec<(Value, Vec<TupleId>)> = Vec::with_capacity(kept.len());
-        for row in kept {
-            let v = column_value(db, plan, &row, *key)?.clone();
-            keyed.push((v, row));
-        }
-        keyed.sort_by(|a, b| {
-            if *ascending {
-                a.0.cmp(&b.0)
-            } else {
-                b.0.cmp(&a.0)
-            }
-        });
-        kept = keyed.into_iter().map(|(_, row)| row).collect();
-    }
-    if let Some(n) = plan.limit {
-        kept.truncate(n);
-    }
-
-    // Projection.
-    let columns: Vec<String> = plan
-        .projection
-        .iter()
-        .map(|p| match p {
-            Projection::Column { name, .. } | Projection::Function { name, .. } => name.clone(),
-        })
-        .collect();
-    let has_aggregate = plan.projection.iter().any(
-        |p| matches!(p, Projection::Function { function, .. } if functions.is_aggregate(function)),
-    );
-    let mut out_rows = Vec::with_capacity(if has_aggregate { 1 } else { kept.len() });
-    if has_aggregate {
-        // §2.1's aggregate pictorial functions (northest-of, …): the
-        // qualifying rows collapse to a single output row; every target
-        // must be an aggregate over a loc column.
-        let mut out = Vec::with_capacity(plan.projection.len());
-        for p in &plan.projection {
-            match p {
-                Projection::Function { function, arg, .. } if functions.is_aggregate(function) => {
-                    let mut objects = Vec::with_capacity(kept.len());
-                    for row in &kept {
-                        objects.push(object_of(db, plan, row, *arg)?);
-                    }
-                    out.push(functions.apply_aggregate(function, &objects)?);
-                }
-                _ => {
-                    return Err(PsqlError::Semantic(
-                        "aggregate queries may only select aggregate functions".into(),
-                    ))
-                }
-            }
-        }
-        out_rows.push(out);
-    } else {
-        for row in &kept {
-            let mut out = Vec::with_capacity(plan.projection.len());
-            for p in &plan.projection {
-                match p {
-                    Projection::Column { source, .. } => {
-                        out.push(column_value(db, plan, row, *source)?.clone());
-                    }
-                    Projection::Function {
-                        function,
-                        arg,
-                        name: _,
-                    } => {
-                        let obj = object_of(db, plan, row, *arg)?;
-                        out.push(functions.apply(function, &obj)?);
-                    }
-                }
-            }
-            out_rows.push(out);
-        }
-    }
-
-    // Highlights: every qualifying tuple's associated loc objects. Which
-    // columns those are is a property of the plan's relations, resolved
-    // once; the row loop only follows pointers.
-    let mut loc_sources = Vec::new();
-    for (rel_idx, rel_name) in plan.relations.iter().enumerate() {
-        let rel = db.catalog().relation(rel_name)?;
-        for (col_name, picture_name) in db.loc_columns(rel_name) {
-            if let Some(col_idx) = rel.schema().index_of(col_name) {
-                loc_sources.push((
-                    rel_idx,
-                    rel,
-                    col_idx,
-                    picture_name,
-                    db.picture(picture_name)?,
-                ));
-            }
-        }
-    }
-    let mut highlights: Vec<Highlight> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for row in &kept {
-        for &(rel_idx, rel, col_idx, picture_name, picture) in &loc_sources {
-            if let Some(obj) = rel.get(row[rel_idx])?[col_idx].as_pointer() {
-                if seen.insert((picture_name, obj)) {
-                    highlights.push(Highlight {
-                        picture: picture_name.to_owned(),
-                        object: obj,
-                        label: picture.label(obj).unwrap_or("").to_owned(),
-                    });
-                }
-            }
-        }
-    }
-
-    Ok(ResultSet {
-        columns,
-        rows: out_rows,
-        highlights,
-    })
+/// One plan bound to one database: every name the plan mentions is
+/// looked up once, when the part of the pipeline that needs it starts,
+/// and the row loops only index.
+///
+/// Candidate rows are **flat**: one `Vec<TupleId>` holding
+/// `plan.relations.len()` tuple ids per row, in `from` order.
+struct Executor<'a> {
+    db: &'a PictorialDatabase,
+    plan: &'a Plan,
+    functions: &'a FunctionRegistry,
+    /// `plan.relations`, resolved; its length is the row stride.
+    relations: Vec<&'a Relation>,
 }
 
-/// Produces candidate rows (one `TupleId` per `from`-relation).
-fn candidate_rows(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    functions: &FunctionRegistry,
-    scratch: &mut SearchScratch,
-) -> Result<Vec<Vec<TupleId>>, PsqlError> {
-    match &plan.spatial {
-        SpatialStrategy::None => {
-            let rel_name = &plan.relations[0];
-            let rel = db.catalog().relation(rel_name)?;
-            let tids: Vec<TupleId> = match &plan.access {
-                Access::FullScan => rel.scan().map(|(tid, _)| tid).collect(),
+/// A `loc` column a pictorial function reads, with the picture it
+/// points into (or why there is none — reported when a row needs it).
+struct LocArg<'a> {
+    column: ResolvedColumn,
+    picture: Result<&'a Picture, PsqlError>,
+}
+
+/// A pictorial function call, resolved; a failed lookup is reported by
+/// the first row that would have called it.
+struct Call<'a> {
+    function: Result<PictorialFn, PsqlError>,
+    arg: LocArg<'a>,
+}
+
+/// The residual `where` expression with its names resolved.
+enum Filter<'a> {
+    Column(ResolvedColumn, CompareOp, &'a Value),
+    Function(Call<'a>, CompareOp, &'a Value),
+    And(Box<Filter<'a>>, Box<Filter<'a>>),
+    Or(Box<Filter<'a>>, Box<Filter<'a>>),
+    Not(Box<Filter<'a>>),
+}
+
+/// One output column, resolved.
+enum Output<'a> {
+    Column(ResolvedColumn),
+    Function(Call<'a>),
+}
+
+/// A `loc` column of one of the plan's relations: where a qualifying
+/// row's highlight comes from.
+struct LocSource<'a> {
+    rel: usize,
+    col: usize,
+    picture_name: &'a str,
+    picture: &'a Picture,
+    /// The first source pointing into the same picture: an object is
+    /// highlighted once per picture, whichever column named it.
+    slot: usize,
+}
+
+impl<'a> Executor<'a> {
+    fn bind(
+        db: &'a PictorialDatabase,
+        plan: &'a Plan,
+        functions: &'a FunctionRegistry,
+    ) -> Result<Self, PsqlError> {
+        // Rows carry one tuple per relation, and only a juxtaposition
+        // produces pairs.
+        let joined = match plan.spatial {
+            SpatialStrategy::Juxtapose { .. } => 2,
+            _ => 1,
+        };
+        if plan.relations.len() != joined {
+            return Err(PsqlError::Semantic(format!(
+                "the query names {} from-relations but its at-clause yields rows over {joined}",
+                plan.relations.len()
+            )));
+        }
+        let mut relations = Vec::with_capacity(joined);
+        for name in &plan.relations {
+            relations.push(db.catalog().relation(name)?);
+        }
+        Ok(Executor {
+            db,
+            plan,
+            functions,
+            relations,
+        })
+    }
+
+    /// Produces candidate rows.
+    fn candidate_rows(&self, scratch: &mut SearchScratch) -> Result<Vec<TupleId>, PsqlError> {
+        let (db, plan) = (self.db, self.plan);
+        match &plan.spatial {
+            SpatialStrategy::None => match &plan.access {
+                Access::FullScan => Ok(self.relations[0].scan().map(|(tid, _)| tid).collect()),
                 Access::IndexRange { column, lo, hi } => {
+                    let rel_name = &plan.relations[0];
                     let index = db.catalog().index(rel_name, column).ok_or_else(|| {
                         PsqlError::Internal(format!(
                             "planner chose missing index {rel_name}.{column}"
                         ))
                     })?;
-                    index
+                    Ok(index
                         .range(lo.as_ref(), hi.as_ref())
                         .into_iter()
                         .map(|(_, tid)| tid)
-                        .collect()
+                        .collect())
                 }
-            };
-            Ok(tids.into_iter().map(|t| vec![t]).collect())
-        }
-        SpatialStrategy::Window {
-            column,
-            picture,
-            op,
-            window,
-        } => {
-            let pic = db.picture(picture)?;
-            let objs = pic.search_window_fast(*op, window, scratch);
-            objects_to_rows(db, plan, *column, &objs)
-        }
-        SpatialStrategy::Nearest {
-            column,
-            picture,
-            k,
-            point,
-        } => {
-            let pic = db.picture(picture)?;
-            // Rows come back ascending by distance; objects_to_rows
-            // preserves that order for the result set.
-            let objs = pic.nearest_fast(*point, *k, scratch);
-            objects_to_rows(db, plan, *column, &objs)
-        }
-        SpatialStrategy::Nested {
-            column,
-            picture,
-            op,
-            inner,
-        } => {
-            // Execute the inner mapping; its single projected column is a
-            // loc pointer into the inner picture. It shares this query's
-            // scratch: the inner searches are done (and their results
-            // copied out) before the outer searches begin.
-            let inner_result = execute_plan_with_scratch(db, inner, functions, scratch)?;
-            let (inner_rel, inner_col) = match &inner.projection[0] {
-                Projection::Column { source, .. } => {
-                    let rel_name = inner.relations[source.rel].as_str();
-                    (rel_name, loc_column_name(db, rel_name, *source)?)
-                }
-                Projection::Function { .. } => {
-                    return Err(PsqlError::Semantic(
-                        "nested mapping must select a loc column".into(),
-                    ))
-                }
-            };
-            let inner_picture_name = db.association(inner_rel, inner_col).ok_or_else(|| {
-                PsqlError::Semantic(format!("{inner_rel}.{inner_col} has no picture"))
-            })?;
-            let inner_picture = db.picture(inner_picture_name)?;
-
-            // "The binding of the top level window is dynamically done
-            // during the evaluation of the query": search the outer
-            // picture once per inner location.
-            let pic = db.picture(picture)?;
-            let mut objs: Vec<u64> = Vec::new();
-            let mut dedupe = std::collections::HashSet::new();
-            for row in &inner_result.rows {
-                let Some(obj_id) = row[0].as_pointer() else {
-                    continue;
-                };
-                let inner_obj = inner_picture.object(obj_id).ok_or_else(|| {
-                    PsqlError::Semantic(format!("dangling pointer {obj_id} in nested result"))
-                })?;
-                for cand in
-                    pic.search_window_fast(SpatialOp::Overlapping, &inner_obj.mbr(), scratch)
-                {
-                    let outer_obj = pic.object(cand).ok_or_else(|| {
-                        PsqlError::Internal(format!("search returned unknown object {cand}"))
-                    })?;
-                    if op.eval_objects(outer_obj, inner_obj) && dedupe.insert(cand) {
-                        objs.push(cand);
+            },
+            SpatialStrategy::Window {
+                column,
+                picture,
+                op,
+                window,
+            } => {
+                let pic = db.picture(picture)?;
+                let objs = pic.search_window_fast(*op, window, scratch);
+                Ok(self.objects_to_rows(*column, &objs))
+            }
+            SpatialStrategy::Nearest {
+                column,
+                picture,
+                k,
+                point,
+            } => {
+                let pic = db.picture(picture)?;
+                // Rows come back ascending by distance; objects_to_rows
+                // preserves that order for the result set.
+                let objs = pic.nearest_fast(*point, *k, scratch);
+                Ok(self.objects_to_rows(*column, &objs))
+            }
+            SpatialStrategy::Nested {
+                column,
+                picture,
+                op,
+                inner,
+            } => {
+                // Execute the inner mapping; its single projected column is a
+                // loc pointer into the inner picture. It shares this query's
+                // scratch: the inner searches are done (and their results
+                // copied out) before the outer searches begin.
+                let inner_result = execute_plan_with_scratch(db, inner, self.functions, scratch)?;
+                let (inner_rel, inner_col) = match &inner.projection[0] {
+                    Projection::Column { source, .. } => {
+                        let rel_name = inner.relations[source.rel].as_str();
+                        let schema = db.catalog().relation(rel_name)?.schema();
+                        (rel_name, schema.columns()[source.col].name.as_str())
                     }
-                }
-                // Disjointness cannot be found via overlap candidates.
-                if *op == SpatialOp::Disjoined {
-                    for cand in pic.object_ids() {
+                    Projection::Function { .. } => {
+                        return Err(PsqlError::Semantic(
+                            "nested mapping must select a loc column".into(),
+                        ))
+                    }
+                };
+                let inner_picture_name = db.association(inner_rel, inner_col).ok_or_else(|| {
+                    PsqlError::Semantic(format!("{inner_rel}.{inner_col} has no picture"))
+                })?;
+                let inner_picture = db.picture(inner_picture_name)?;
+
+                // "The binding of the top level window is dynamically done
+                // during the evaluation of the query": search the outer
+                // picture once per inner location.
+                let pic = db.picture(picture)?;
+                let mut objs: Vec<u64> = Vec::new();
+                let mut dedupe = std::collections::HashSet::new();
+                for row in &inner_result.rows {
+                    let Some(obj_id) = row[0].as_pointer() else {
+                        continue;
+                    };
+                    let inner_obj = inner_picture.object(obj_id).ok_or_else(|| {
+                        PsqlError::Semantic(format!("dangling pointer {obj_id} in nested result"))
+                    })?;
+                    for cand in
+                        pic.search_window_fast(SpatialOp::Overlapping, &inner_obj.mbr(), scratch)
+                    {
                         let outer_obj = pic.object(cand).ok_or_else(|| {
-                            PsqlError::Internal(format!("object id {cand} out of range"))
+                            PsqlError::Internal(format!("search returned unknown object {cand}"))
                         })?;
                         if op.eval_objects(outer_obj, inner_obj) && dedupe.insert(cand) {
                             objs.push(cand);
                         }
                     }
+                    // Disjointness cannot be found via overlap candidates.
+                    if *op == SpatialOp::Disjoined {
+                        for cand in pic.object_ids() {
+                            let outer_obj = pic.object(cand).ok_or_else(|| {
+                                PsqlError::Internal(format!("object id {cand} out of range"))
+                            })?;
+                            if op.eval_objects(outer_obj, inner_obj) && dedupe.insert(cand) {
+                                objs.push(cand);
+                            }
+                        }
+                    }
+                }
+                Ok(self.objects_to_rows(*column, &objs))
+            }
+            SpatialStrategy::Juxtapose {
+                left,
+                left_picture,
+                right,
+                right_picture,
+                op,
+            } => {
+                let lp = db.picture(left_picture)?;
+                let rp = db.picture(right_picture)?;
+                let mut join_stats = JoinStats::default();
+                // Frozen joins are bit-identical to pointer-tree joins (same
+                // pair order, same stats) and are used whenever both sides
+                // are packed; buffered delta writes merge in as extra join
+                // terms (see `picture_join`).
+                let pairs = picture_join(lp, rp, *op, &mut join_stats);
+                let left_links = self.backlinks(*left);
+                let right_links = self.backlinks(*right);
+                let mut rows = Vec::new();
+                for (ItemId(lo), ItemId(ro)) in pairs {
+                    let lobj = lp.object(lo).ok_or_else(|| {
+                        PsqlError::Internal(format!("join produced unknown left object {lo}"))
+                    })?;
+                    let robj = rp.object(ro).ok_or_else(|| {
+                        PsqlError::Internal(format!("join produced unknown right object {ro}"))
+                    })?;
+                    if !op.eval_objects(lobj, robj) {
+                        continue;
+                    }
+                    for &lt in left_links.map_or(&[][..], |links| links.tuples(lo)) {
+                        for &rt in right_links.map_or(&[][..], |links| links.tuples(ro)) {
+                            // Row slots are ordered by from-position.
+                            let at = rows.len();
+                            rows.extend_from_slice(&[TupleId(0); 2]);
+                            rows[at + left.rel] = lt;
+                            rows[at + right.rel] = rt;
+                        }
+                    }
+                }
+                Ok(rows)
+            }
+        }
+    }
+
+    /// The backward pointers of a `loc` column of one of the plan's
+    /// relations, if it is associated with a picture.
+    fn backlinks(&self, column: ResolvedColumn) -> Option<&'a Backlinks> {
+        let col_name = &self.relations[column.rel].schema().columns()[column.col].name;
+        self.db
+            .backlinks(&self.plan.relations[column.rel], col_name)
+    }
+
+    /// Maps qualifying object ids back to tuples of relation 0 (forward
+    /// direct search through the backward pointers, §2.1).
+    fn objects_to_rows(&self, column: ResolvedColumn, objs: &[u64]) -> Vec<TupleId> {
+        let Some(links) = self.backlinks(column) else {
+            return Vec::new();
+        };
+        let mut rows = Vec::with_capacity(objs.len());
+        for &obj in objs {
+            rows.extend_from_slice(links.tuples(obj));
+        }
+        rows
+    }
+
+    /// Turns candidate rows into a [`ResultSet`]: residual filter, order
+    /// by, limit, projection (including aggregates) and highlights.
+    fn finish(&self, mut rows: Vec<TupleId>) -> Result<ResultSet, PsqlError> {
+        let plan = self.plan;
+        let stride = self.relations.len();
+
+        // Residual where-clause; qualifying rows stay where they are.
+        if let Some(expr) = &plan.residual {
+            let filter = self.filter(expr)?;
+            let mut kept = 0;
+            for at in (0..rows.len()).step_by(stride) {
+                if self.qualifies(&filter, &rows[at..at + stride])? {
+                    rows.copy_within(at..at + stride, kept);
+                    kept += stride;
                 }
             }
-            objects_to_rows(db, plan, *column, &objs)
+            rows.truncate(kept);
         }
-        SpatialStrategy::Juxtapose {
-            left,
-            left_picture,
-            right,
-            right_picture,
-            op,
-        } => {
-            let lp = db.picture(left_picture)?;
-            let rp = db.picture(right_picture)?;
-            let mut join_stats = JoinStats::default();
-            // Frozen joins are bit-identical to pointer-tree joins (same
-            // pair order, same stats) and are used whenever both sides
-            // are packed; buffered delta writes merge in as extra join
-            // terms (see `picture_join`).
-            let pairs = picture_join(lp, rp, *op, &mut join_stats);
-            let lrel = &plan.relations[left.rel];
-            let rrel = &plan.relations[right.rel];
-            let lcol = loc_column_name(db, lrel, *left)?;
-            let rcol = loc_column_name(db, rrel, *right)?;
-            let mut rows = Vec::new();
-            for (ItemId(lo), ItemId(ro)) in pairs {
-                let lobj = lp.object(lo).ok_or_else(|| {
-                    PsqlError::Internal(format!("join produced unknown left object {lo}"))
-                })?;
-                let robj = rp.object(ro).ok_or_else(|| {
-                    PsqlError::Internal(format!("join produced unknown right object {ro}"))
-                })?;
-                if !op.eval_objects(lobj, robj) {
-                    continue;
+
+        // Ordering and limit (before projection so the sort key need not be
+        // selected).
+        let limit = plan.limit.unwrap_or(usize::MAX);
+        if let Some((key, ascending)) = plan.order_by {
+            let mut keyed: Vec<(&Value, &[TupleId])> = Vec::with_capacity(rows.len() / stride);
+            for row in rows.chunks_exact(stride) {
+                keyed.push((&self.tuple(row, key.rel)?[key.col], row));
+            }
+            keyed.sort_by(|a, b| {
+                if ascending {
+                    a.0.cmp(b.0)
+                } else {
+                    b.0.cmp(a.0)
                 }
-                for &lt in db.tuples_of_object(lrel, lcol, lo) {
-                    for &rt in db.tuples_of_object(rrel, rcol, ro) {
-                        // Row slots are ordered by from-position.
-                        let mut row = vec![TupleId(0); 2];
-                        row[left.rel] = lt;
-                        row[right.rel] = rt;
-                        rows.push(row);
+            });
+            rows = keyed
+                .iter()
+                .take(limit)
+                .flat_map(|(_, row)| row.iter().copied())
+                .collect();
+        }
+        rows.truncate(limit.saturating_mul(stride));
+        let row_count = rows.len() / stride;
+
+        // Projection.
+        let columns: Vec<String> = plan
+            .projection
+            .iter()
+            .map(|p| match p {
+                Projection::Column { name, .. } | Projection::Function { name, .. } => name.clone(),
+            })
+            .collect();
+        // Each tuple is fetched once, for its values and for the objects
+        // it highlights alike: `stride` tuples per row.
+        let mut tuples: Vec<&[Value]> = Vec::with_capacity(rows.len());
+        for row in rows.chunks_exact(stride) {
+            for (relation, &tid) in self.relations.iter().zip(row) {
+                tuples.push(relation.get(tid)?);
+            }
+        }
+        let has_aggregate = plan.projection.iter().any(|p| {
+            matches!(p, Projection::Function { function, .. } if self.functions.is_aggregate(function))
+        });
+        let mut out_rows = Vec::with_capacity(if has_aggregate { 1 } else { row_count });
+        if has_aggregate {
+            // §2.1's aggregate pictorial functions (northest-of, …): the
+            // qualifying rows collapse to a single output row; every target
+            // must be an aggregate over a loc column.
+            let mut out = Vec::with_capacity(plan.projection.len());
+            for p in &plan.projection {
+                match p {
+                    Projection::Function { function, arg, .. }
+                        if self.functions.is_aggregate(function) =>
+                    {
+                        let arg = self.loc_arg(*arg);
+                        let mut objects = Vec::with_capacity(row_count);
+                        for row in tuples.chunks_exact(stride) {
+                            objects.push(self.object_of(row[arg.column.rel], &arg)?.clone());
+                        }
+                        out.push(self.functions.apply_aggregate(function, &objects)?);
+                    }
+                    _ => {
+                        return Err(PsqlError::Semantic(
+                            "aggregate queries may only select aggregate functions".into(),
+                        ))
                     }
                 }
             }
-            Ok(rows)
-        }
-    }
-}
-
-/// Maps qualifying object ids back to tuples of relation 0 (forward
-/// direct search through the backward pointers, §2.1).
-fn objects_to_rows(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    column: ResolvedColumn,
-    objs: &[u64],
-) -> Result<Vec<Vec<TupleId>>, PsqlError> {
-    let rel_name = &plan.relations[column.rel];
-    let col_name = loc_column_name(db, rel_name, column)?;
-    let mut rows = Vec::new();
-    for &obj in objs {
-        for &tid in db.tuples_of_object(rel_name, col_name, obj) {
-            rows.push(vec![tid]);
-        }
-    }
-    Ok(rows)
-}
-
-fn loc_column_name<'a>(
-    db: &'a PictorialDatabase,
-    rel_name: &str,
-    rc: ResolvedColumn,
-) -> Result<&'a str, PsqlError> {
-    let schema = db.catalog().relation(rel_name)?.schema();
-    Ok(&schema.columns()[rc.col].name)
-}
-
-fn column_value<'a>(
-    db: &'a PictorialDatabase,
-    plan: &Plan,
-    row: &[TupleId],
-    rc: ResolvedColumn,
-) -> Result<&'a Value, PsqlError> {
-    let rel_name = &plan.relations[rc.rel];
-    let rel = db.catalog().relation(rel_name)?;
-    Ok(&rel.get(row[rc.rel])?[rc.col])
-}
-
-/// The spatial object a pointer column of this row refers to.
-fn object_of(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    row: &[TupleId],
-    rc: ResolvedColumn,
-) -> Result<SpatialObject, PsqlError> {
-    let rel_name = &plan.relations[rc.rel];
-    let rel = db.catalog().relation(rel_name)?;
-    let schema = rel.schema();
-    debug_assert_eq!(schema.columns()[rc.col].ty, ColumnType::Pointer);
-    let value = &rel.get(row[rc.rel])?[rc.col];
-    let obj_id = value
-        .as_pointer()
-        .ok_or_else(|| PsqlError::Semantic("NULL loc in pictorial function".into()))?;
-    let col_name = &schema.columns()[rc.col].name;
-    let picture = db.association(rel_name, col_name).ok_or_else(|| {
-        PsqlError::Semantic(format!("{rel_name}.{col_name} has no picture association"))
-    })?;
-    db.picture(picture)?
-        .object(obj_id)
-        .cloned()
-        .ok_or_else(|| PsqlError::Semantic(format!("dangling pointer {obj_id}")))
-}
-
-fn eval_expr(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    functions: &FunctionRegistry,
-    row: &[TupleId],
-    expr: &Expr,
-) -> Result<bool, PsqlError> {
-    match expr {
-        Expr::Compare { lhs, op, rhs } => {
-            let left = match lhs {
-                Operand::Column(cr) => resolve_value(db, plan, row, cr)?,
-                Operand::Function { name, arg } => {
-                    let rc = resolve_ref(db, plan, arg)?;
-                    let obj = object_of(db, plan, row, rc)?;
-                    functions.apply(name, &obj)?
+            out_rows.push(out);
+        } else {
+            let outputs: Vec<Output<'a>> = plan
+                .projection
+                .iter()
+                .map(|p| match p {
+                    Projection::Column { source, .. } => Output::Column(*source),
+                    Projection::Function { function, arg, .. } => {
+                        Output::Function(self.call(function, *arg))
+                    }
+                })
+                .collect();
+            for row in tuples.chunks_exact(stride) {
+                let mut out = Vec::with_capacity(outputs.len());
+                for output in &outputs {
+                    out.push(match output {
+                        Output::Column(source) => row[source.rel][source.col].clone(),
+                        Output::Function(call) => self.apply(call, row[call.arg.column.rel])?,
+                    });
                 }
-            };
-            Ok(op.eval(&left, rhs))
+                out_rows.push(out);
+            }
         }
-        Expr::And(a, b) => {
-            Ok(eval_expr(db, plan, functions, row, a)? && eval_expr(db, plan, functions, row, b)?)
-        }
-        Expr::Or(a, b) => {
-            Ok(eval_expr(db, plan, functions, row, a)? || eval_expr(db, plan, functions, row, b)?)
-        }
-        Expr::Not(e) => Ok(!eval_expr(db, plan, functions, row, e)?),
-    }
-}
 
-fn resolve_ref(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    cr: &ColumnRef,
-) -> Result<ResolvedColumn, PsqlError> {
-    plan::Resolver {
-        db,
-        from: &plan.relations,
-    }
-    .resolve(cr)
-}
+        // Highlights: every qualifying tuple's associated loc objects,
+        // once per picture, in row order. The label lookups are
+        // independent cache misses, so they are issued back to back
+        // before anything is allocated.
+        let sources = self.loc_sources()?;
+        let expected = row_count * sources.len();
+        let mut seen: HashSet<(usize, u64)> = HashSet::with_capacity(expected);
+        let mut marked: Vec<(&LocSource<'a>, u64, &str)> = Vec::with_capacity(expected);
+        for row in tuples.chunks_exact(stride) {
+            for source in &sources {
+                if let Some(obj) = row[source.rel][source.col].as_pointer() {
+                    if seen.insert((source.slot, obj)) {
+                        marked.push((source, obj, source.picture.label(obj).unwrap_or("")));
+                    }
+                }
+            }
+        }
+        let highlights = marked
+            .iter()
+            .map(|&(source, object, label)| Highlight {
+                picture: source.picture_name.to_owned(),
+                object,
+                label: label.to_owned(),
+            })
+            .collect();
 
-fn resolve_value(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    row: &[TupleId],
-    cr: &ColumnRef,
-) -> Result<Value, PsqlError> {
-    let rc = resolve_ref(db, plan, cr)?;
-    Ok(column_value(db, plan, row, rc)?.clone())
+        Ok(ResultSet {
+            columns,
+            rows: out_rows,
+            highlights,
+        })
+    }
+
+    /// The tuple a row holds for relation `rel`.
+    fn tuple(&self, row: &[TupleId], rel: usize) -> Result<&'a [Value], PsqlError> {
+        Ok(self.relations[rel].get(row[rel])?)
+    }
+
+    /// The `loc` columns of the plan's relations, in relation then
+    /// association order: every qualifying tuple highlights the objects
+    /// these point at.
+    fn loc_sources(&self) -> Result<Vec<LocSource<'a>>, PsqlError> {
+        let mut sources: Vec<LocSource<'a>> = Vec::new();
+        for (rel, (rel_name, relation)) in
+            self.plan.relations.iter().zip(&self.relations).enumerate()
+        {
+            for (col_name, picture_name) in self.db.loc_columns(rel_name) {
+                if let Some(col) = relation.schema().index_of(col_name) {
+                    let slot = sources
+                        .iter()
+                        .position(|s| s.picture_name == picture_name)
+                        .unwrap_or(sources.len());
+                    sources.push(LocSource {
+                        rel,
+                        col,
+                        picture_name,
+                        picture: self.db.picture(picture_name)?,
+                        slot,
+                    });
+                }
+            }
+        }
+        Ok(sources)
+    }
+
+    fn loc_arg(&self, column: ResolvedColumn) -> LocArg<'a> {
+        let rel_name = &self.plan.relations[column.rel];
+        let col = &self.relations[column.rel].schema().columns()[column.col];
+        debug_assert_eq!(col.ty, ColumnType::Pointer);
+        let picture = self
+            .db
+            .association(rel_name, &col.name)
+            .ok_or_else(|| {
+                PsqlError::Semantic(format!(
+                    "{rel_name}.{} has no picture association",
+                    col.name
+                ))
+            })
+            .and_then(|picture| self.db.picture(picture));
+        LocArg { column, picture }
+    }
+
+    fn call(&self, function: &str, arg: ResolvedColumn) -> Call<'a> {
+        Call {
+            function: self.functions.function(function),
+            arg: self.loc_arg(arg),
+        }
+    }
+
+    /// The spatial object a pointer column of `tuple` refers to.
+    fn object_of(&self, tuple: &[Value], arg: &LocArg<'a>) -> Result<&'a SpatialObject, PsqlError> {
+        let obj_id = tuple[arg.column.col]
+            .as_pointer()
+            .ok_or_else(|| PsqlError::Semantic("NULL loc in pictorial function".into()))?;
+        let picture = arg.picture.as_ref().map_err(PsqlError::clone)?;
+        picture
+            .object(obj_id)
+            .ok_or_else(|| PsqlError::Semantic(format!("dangling pointer {obj_id}")))
+    }
+
+    fn apply(&self, call: &Call<'a>, tuple: &[Value]) -> Result<Value, PsqlError> {
+        let object = self.object_of(tuple, &call.arg)?;
+        let function = call.function.as_ref().map_err(PsqlError::clone)?;
+        Ok(function(object))
+    }
+
+    /// Resolves the names of a `where` expression.
+    fn filter(&self, expr: &'a Expr) -> Result<Filter<'a>, PsqlError> {
+        let resolver = plan::Resolver {
+            db: self.db,
+            from: &self.plan.relations,
+        };
+        Ok(match expr {
+            Expr::Compare { lhs, op, rhs } => match lhs {
+                Operand::Column(cr) => Filter::Column(resolver.resolve(cr)?, *op, rhs),
+                Operand::Function { name, arg } => {
+                    Filter::Function(self.call(name, resolver.resolve(arg)?), *op, rhs)
+                }
+            },
+            Expr::And(a, b) => Filter::And(Box::new(self.filter(a)?), Box::new(self.filter(b)?)),
+            Expr::Or(a, b) => Filter::Or(Box::new(self.filter(a)?), Box::new(self.filter(b)?)),
+            Expr::Not(e) => Filter::Not(Box::new(self.filter(e)?)),
+        })
+    }
+
+    fn qualifies(&self, filter: &Filter<'a>, row: &[TupleId]) -> Result<bool, PsqlError> {
+        match filter {
+            Filter::Column(rc, op, rhs) => Ok(op.eval(&self.tuple(row, rc.rel)?[rc.col], rhs)),
+            Filter::Function(call, op, rhs) => {
+                let left = self.apply(call, self.tuple(row, call.arg.column.rel)?)?;
+                Ok(op.eval(&left, rhs))
+            }
+            Filter::And(a, b) => Ok(self.qualifies(a, row)? && self.qualifies(b, row)?),
+            Filter::Or(a, b) => Ok(self.qualifies(a, row)? || self.qualifies(b, row)?),
+            Filter::Not(e) => Ok(!self.qualifies(e, row)?),
+        }
+    }
 }
 
 /// Convenience used by examples and benches: parse + execute.
@@ -970,6 +1049,145 @@ mod tests {
                 (b, s) => panic!("query {i}: batched {b:?} vs single {s:?}"),
             }
         }
+    }
+
+    #[test]
+    fn two_loc_columns_into_one_picture_highlight_an_object_once() {
+        use pictorial_relational::{Column, Schema};
+        use rtree_geom::{Point, Rect};
+
+        let mut db = PictorialDatabase::new(rtree_index::RTreeConfig::PAPER);
+        db.create_picture("pic", Rect::new(0.0, 0.0, 10.0, 10.0))
+            .unwrap();
+        db.catalog_mut()
+            .create_relation(
+                "routes",
+                Schema::new(vec![
+                    Column::new("route", ColumnType::Str),
+                    Column::new("origin", ColumnType::Pointer),
+                    Column::new("destination", ColumnType::Pointer),
+                ])
+                .unwrap(),
+            )
+            .unwrap();
+        db.associate("routes", "origin", "pic").unwrap();
+        db.associate("routes", "destination", "pic").unwrap();
+        let mut stop = |x: f64, label: &str| {
+            db.add_object("pic", SpatialObject::Point(Point::new(x, 1.0)), label)
+                .unwrap()
+        };
+        let (a, b, c) = (stop(1.0, "A"), stop(2.0, "B"), stop(3.0, "C"));
+        for (route, origin, destination) in [("ab", a, b), ("ba", b, a), ("aa", a, a), ("cb", c, b)]
+        {
+            db.insert(
+                "routes",
+                vec![
+                    route.into(),
+                    Value::Pointer(origin),
+                    Value::Pointer(destination),
+                ],
+            )
+            .unwrap();
+        }
+
+        let result = query(&db, "select route from routes").unwrap();
+        assert_eq!(result.len(), 4);
+        let marked: Vec<(&str, u64, &str)> = result
+            .highlights
+            .iter()
+            .map(|h| (h.picture.as_str(), h.object, h.label.as_str()))
+            .collect();
+        // Row order, origin before destination, each object once.
+        assert_eq!(marked, [("pic", a, "A"), ("pic", b, "B"), ("pic", c, "C")]);
+        // Either column drives a direct search through its own backlinks.
+        let from_b = query(
+            &db,
+            "select route from routes on pic at origin covered-by {2 +- 0.5, 1 +- 0.5}",
+        )
+        .unwrap();
+        assert_eq!(names(&from_b, "route"), ["ba"]);
+        let into_b = query(
+            &db,
+            "select route from routes on pic at destination covered-by {2 +- 0.5, 1 +- 0.5}",
+        )
+        .unwrap();
+        assert_eq!(names(&into_b, "route"), ["ab", "cb"]);
+    }
+
+    #[test]
+    fn juxtaposition_with_residual_order_by_and_limit() {
+        // Two tuple ids per row: the residual reads both relations, the
+        // sort key comes from either, the limit cuts whole rows, and the
+        // highlights follow the rows that are left.
+        let db = db();
+        const JOIN: &str = "from cities, time-zones on us-map, time-zone-map \
+                            at cities.loc covered-by time-zones.loc";
+        let all = query(
+            &db,
+            &format!("select city, zone, population, hour-diff {JOIN}"),
+        )
+        .unwrap();
+        assert_eq!(all.len(), 42);
+        let qualifying =
+            |row: &&Vec<Value>| row[2] > Value::Int(500_000) && row[3] >= Value::Int(-7);
+        let expect = |mut rows: Vec<&Vec<Value>>, limit: usize| {
+            rows.truncate(limit);
+            let mut marked: Vec<(String, String)> = Vec::new();
+            for row in &rows {
+                for (picture, label) in [("us-map", &row[0]), ("time-zone-map", &row[1])] {
+                    let mark = (picture.to_owned(), label.to_string());
+                    if !marked.contains(&mark) {
+                        marked.push(mark);
+                    }
+                }
+            }
+            let rows: Vec<Vec<Value>> = rows.iter().map(|r| r[..2].to_vec()).collect();
+            (rows, marked)
+        };
+        let marks = |result: &ResultSet| -> Vec<(String, String)> {
+            result
+                .highlights
+                .iter()
+                .map(|h| (h.picture.clone(), h.label.clone()))
+                .collect()
+        };
+
+        // Key from relation 0, descending.
+        let mut rows: Vec<&Vec<Value>> = all.rows.iter().filter(qualifying).collect();
+        assert!(rows.len() > 5 && rows.len() < 42, "{}", rows.len());
+        rows.sort_by(|a, b| b[2].cmp(&a[2]));
+        let (rows, marked) = expect(rows, 5);
+        let got = query(
+            &db,
+            &format!(
+                "select city, zone {JOIN} where population > 500000 and hour-diff >= -7 \
+                 order by population desc limit 5"
+            ),
+        )
+        .unwrap();
+        assert_eq!(got.rows, rows);
+        assert_eq!(marks(&got), marked);
+
+        // Key from relation 1: ties keep the join's row order.
+        let mut rows: Vec<&Vec<Value>> = all.rows.iter().filter(qualifying).collect();
+        rows.sort_by(|a, b| a[1].cmp(&b[1]));
+        let (rows, marked) = expect(rows, 7);
+        let got = query(
+            &db,
+            &format!(
+                "select city, zone {JOIN} where population > 500000 and hour-diff >= -7 \
+                 order by zone limit 7"
+            ),
+        )
+        .unwrap();
+        assert_eq!(got.rows, rows);
+        assert_eq!(marks(&got), marked);
+
+        // Two relations need the juxtaposition to pair their tuples.
+        assert!(matches!(
+            query(&db, "select city, zone from cities, time-zones"),
+            Err(PsqlError::Semantic(_))
+        ));
     }
 
     #[test]

@@ -101,11 +101,16 @@ impl FunctionRegistry {
 
     /// Applies `name` to an object.
     pub fn apply(&self, name: &str, object: &SpatialObject) -> Result<Value, PsqlError> {
-        let f = self
-            .functions
+        Ok(self.function(name)?(object))
+    }
+
+    /// The function registered as `name`, for callers applying it to
+    /// many objects.
+    pub(crate) fn function(&self, name: &str) -> Result<PictorialFn, PsqlError> {
+        self.functions
             .get(name)
-            .ok_or_else(|| PsqlError::Semantic(format!("no pictorial function {name:?}")))?;
-        Ok(f(object))
+            .copied()
+            .ok_or_else(|| PsqlError::Semantic(format!("no pictorial function {name:?}")))
     }
 
     /// `true` if `name` is registered.

@@ -10,175 +10,151 @@ use crate::error::PsqlError;
 use crate::token::Token;
 
 /// Tokenizes a PSQL query string.
+///
+/// The scan walks byte offsets over `input` and slices words and numbers
+/// out of it; only a non-ASCII byte decodes a `char`. Offsets in error
+/// messages count characters.
 pub fn lex(input: &str) -> Result<Vec<Token>, PsqlError> {
-    let chars: Vec<char> = input.chars().collect();
+    let bytes = input.as_bytes();
     let mut i = 0usize;
-    let mut out = Vec::new();
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            c if c.is_whitespace() => i += 1,
-            ',' => {
-                out.push(Token::Comma);
-                i += 1;
+    // Sized once: a token with its separator is rarely under four bytes.
+    let mut out = Vec::with_capacity(bytes.len() / 4 + 1);
+    while i < bytes.len() {
+        let c = char_at(input, i);
+        let next = bytes.get(i + c.len_utf8()).copied();
+        let (token, used) = match c {
+            c if c.is_whitespace() => {
+                i += c.len_utf8();
+                continue;
             }
-            '.' => {
-                out.push(Token::Dot);
-                i += 1;
-            }
-            '(' => {
-                out.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                out.push(Token::RParen);
-                i += 1;
-            }
-            '{' => {
-                out.push(Token::LBrace);
-                i += 1;
-            }
-            '}' => {
-                out.push(Token::RBrace);
-                i += 1;
-            }
-            '*' => {
-                out.push(Token::Star);
-                i += 1;
-            }
-            '=' => {
-                out.push(Token::Eq);
-                i += 1;
-            }
-            '±' => {
-                out.push(Token::PlusMinus);
-                i += 1;
-            }
+            ',' => (Token::Comma, 1),
+            '.' => (Token::Dot, 1),
+            '(' => (Token::LParen, 1),
+            ')' => (Token::RParen, 1),
+            '{' => (Token::LBrace, 1),
+            '}' => (Token::RBrace, 1),
+            '*' => (Token::Star, 1),
+            '=' => (Token::Eq, 1),
+            '±' => (Token::PlusMinus, c.len_utf8()),
+            '+' if next == Some(b'-') => (Token::PlusMinus, 2),
             '+' => {
-                if chars.get(i + 1) == Some(&'-') {
-                    out.push(Token::PlusMinus);
-                    i += 2;
-                } else {
-                    return Err(PsqlError::Lex(format!("stray '+' at offset {i}")));
-                }
+                return Err(PsqlError::Lex(format!(
+                    "stray '+' at offset {}",
+                    char_offset(input, i)
+                )))
             }
-            '<' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    out.push(Token::Le);
-                    i += 2;
-                } else if chars.get(i + 1) == Some(&'>') {
-                    out.push(Token::Ne);
-                    i += 2;
-                } else {
-                    out.push(Token::Lt);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    out.push(Token::Ge);
-                    i += 2;
-                } else {
-                    out.push(Token::Gt);
-                    i += 1;
-                }
-            }
+            '<' if next == Some(b'=') => (Token::Le, 2),
+            '<' if next == Some(b'>') => (Token::Ne, 2),
+            '<' => (Token::Lt, 1),
+            '>' if next == Some(b'=') => (Token::Ge, 2),
+            '>' => (Token::Gt, 1),
             '\'' => {
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match chars.get(i) {
-                        Some('\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&c) => {
-                            s.push(c);
-                            i += 1;
-                        }
-                        None => return Err(PsqlError::Lex("unterminated string".into())),
-                    }
-                }
-                out.push(Token::Str(s));
+                let body = &input[i + 1..];
+                let len = body
+                    .find('\'')
+                    .ok_or_else(|| PsqlError::Lex("unterminated string".into()))?;
+                (Token::Str(body[..len].to_owned()), len + 2)
             }
-            '-' if chars.get(i + 1).is_some_and(|c| c.is_ascii_digit()) => {
-                let (n, used) = lex_number(&chars[i..])?;
-                out.push(Token::Number(n));
-                i += used;
-            }
-            c if c.is_ascii_digit() => {
-                let (n, used) = lex_number(&chars[i..])?;
-                out.push(Token::Number(n));
-                i += used;
-            }
+            '-' if next.is_some_and(|b| b.is_ascii_digit()) => lex_number(&input[i..])?,
+            c if c.is_ascii_digit() => lex_number(&input[i..])?,
             c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() {
-                    let c = chars[i];
-                    if c.is_alphanumeric() || c == '_' {
-                        i += 1;
-                    } else if c == '-'
-                        && chars
-                            .get(i + 1)
-                            .is_some_and(|n| n.is_alphanumeric() || *n == '_')
-                    {
-                        // Interior hyphen: part of the identifier.
-                        i += 2;
-                    } else {
-                        break;
-                    }
-                }
-                let word: String = chars[start..i].iter().collect();
-                out.push(keyword_or_ident(&word));
+                let word = &input[i..i + word_len(&input[i..])];
+                (keyword_or_ident(word), word.len())
             }
             other => {
                 return Err(PsqlError::Lex(format!(
-                    "unexpected character {other:?} at offset {i}"
+                    "unexpected character {other:?} at offset {}",
+                    char_offset(input, i)
                 )))
             }
-        }
+        };
+        out.push(token);
+        i += used;
     }
     Ok(out)
 }
 
-fn lex_number(chars: &[char]) -> Result<(f64, usize), PsqlError> {
-    let mut i = 0;
-    if chars[0] == '-' {
-        i = 1;
+/// The character starting at byte offset `i` (a character boundary).
+fn char_at(input: &str, i: usize) -> char {
+    let byte = input.as_bytes()[i];
+    if byte.is_ascii() {
+        byte as char
+    } else {
+        input[i..].chars().next().expect("offset is inside input")
     }
-    let start = i;
-    while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '.') {
-        i += 1;
-    }
-    if i == start {
-        return Err(PsqlError::Lex("expected digits".into()));
-    }
-    let text: String = chars[..i].iter().collect();
-    text.parse::<f64>()
-        .map(|n| (n, i))
-        .map_err(|e| PsqlError::Lex(format!("bad number {text:?}: {e}")))
 }
 
+/// Byte offset → character offset, for error messages.
+fn char_offset(input: &str, i: usize) -> usize {
+    input[..i].chars().count()
+}
+
+/// Byte length of the identifier or keyword `text` starts with.
+fn word_len(text: &str) -> usize {
+    let is_word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut chars = text.char_indices().peekable();
+    let mut len = 0;
+    while let Some((at, c)) = chars.next() {
+        // An interior hyphen (one directly followed by a word
+        // character) is part of the identifier.
+        let hyphenated = c == '-' && chars.peek().is_some_and(|&(_, n)| is_word(n));
+        if !is_word(c) && !hyphenated {
+            break;
+        }
+        len = at + c.len_utf8();
+    }
+    len
+}
+
+/// Lexes the number `text` starts with; returns it with its byte length.
+fn lex_number(text: &str) -> Result<(Token, usize), PsqlError> {
+    let bytes = text.as_bytes();
+    let start = usize::from(bytes[0] == b'-');
+    let digits = bytes[start..]
+        .iter()
+        .take_while(|b| b.is_ascii_digit() || **b == b'.')
+        .count();
+    if digits == 0 {
+        return Err(PsqlError::Lex("expected digits".into()));
+    }
+    let literal = &text[..start + digits];
+    literal
+        .parse::<f64>()
+        .map(|n| (Token::Number(n), literal.len()))
+        .map_err(|e| PsqlError::Lex(format!("bad number {literal:?}: {e}")))
+}
+
+/// Longest keyword, in bytes (`overlapping`).
+const MAX_KEYWORD: usize = 11;
+
 fn keyword_or_ident(word: &str) -> Token {
-    match word.to_ascii_lowercase().as_str() {
-        "select" => Token::Select,
-        "from" => Token::From,
-        "on" => Token::On,
-        "at" => Token::At,
-        "where" => Token::Where,
-        "and" => Token::And,
-        "or" => Token::Or,
-        "not" => Token::Not,
-        "order" => Token::Order,
-        "by" => Token::By,
-        "asc" => Token::Asc,
-        "desc" => Token::Desc,
-        "limit" => Token::Limit,
-        "covering" => Token::Covering,
-        "covered-by" => Token::CoveredBy,
-        "overlapping" => Token::Overlapping,
-        "disjoined" => Token::Disjoined,
-        "nearest" => Token::Nearest,
+    // Keywords are ASCII and match case-insensitively: lower-case the
+    // word on the stack and compare bytes.
+    let mut lower = [0u8; MAX_KEYWORD];
+    let Some(lower) = lower.get_mut(..word.len()) else {
+        return Token::Ident(word.to_owned());
+    };
+    lower.copy_from_slice(word.as_bytes());
+    lower.make_ascii_lowercase();
+    match &*lower {
+        b"select" => Token::Select,
+        b"from" => Token::From,
+        b"on" => Token::On,
+        b"at" => Token::At,
+        b"where" => Token::Where,
+        b"and" => Token::And,
+        b"or" => Token::Or,
+        b"not" => Token::Not,
+        b"order" => Token::Order,
+        b"by" => Token::By,
+        b"asc" => Token::Asc,
+        b"desc" => Token::Desc,
+        b"limit" => Token::Limit,
+        b"covering" => Token::Covering,
+        b"covered-by" => Token::CoveredBy,
+        b"overlapping" => Token::Overlapping,
+        b"disjoined" => Token::Disjoined,
+        b"nearest" => Token::Nearest,
         _ => Token::Ident(word.to_owned()),
     }
 }

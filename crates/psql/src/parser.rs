@@ -19,7 +19,9 @@ pub fn parse_statement(input: &str) -> Result<Statement, PsqlError> {
     if !is_pack_external {
         return parse_query(input).map(|q| Statement::Retrieve(Box::new(q)));
     }
-    let mut p = Parser { tokens, pos: 2 };
+    let mut p = Parser::new(tokens);
+    p.next(); // pack
+    p.next(); // external
     let picture = p.ident()?;
     let keyword = p.ident()?;
     if keyword != "budget" {
@@ -35,7 +37,7 @@ pub fn parse_statement(input: &str) -> Result<Statement, PsqlError> {
     }
     let mut threads = 0usize;
     if matches!(p.peek(), Some(Token::Ident(w)) if w == "threads") {
-        p.pos += 1;
+        p.next();
         let t = p.number()?;
         if t < 0.0 || t.fract() != 0.0 || t > 1024.0 {
             return Err(PsqlError::Parse(format!(
@@ -44,13 +46,7 @@ pub fn parse_statement(input: &str) -> Result<Statement, PsqlError> {
         }
         threads = t as usize;
     }
-    if p.pos != p.tokens.len() {
-        return Err(PsqlError::Parse(format!(
-            "trailing input at token {}: {}",
-            p.pos,
-            p.peek().map(|t| t.to_string()).unwrap_or_default()
-        )));
-    }
+    p.end()?;
     Ok(Statement::PackExternal {
         picture,
         budget_bytes: n as u64,
@@ -61,34 +57,49 @@ pub fn parse_statement(input: &str) -> Result<Statement, PsqlError> {
 /// Parses one PSQL query.
 pub fn parse_query(input: &str) -> Result<Query, PsqlError> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let q = p.query()?;
-    if p.pos != p.tokens.len() {
-        return Err(PsqlError::Parse(format!(
-            "trailing input at token {}: {}",
-            p.pos,
-            p.peek().map(|t| t.to_string()).unwrap_or_default()
-        )));
-    }
+    p.end()?;
     Ok(q)
 }
 
+/// The token stream, consumed front to back: a token is moved out when
+/// it is taken, never cloned.
 struct Parser {
-    tokens: Vec<Token>,
+    tokens: std::iter::Peekable<std::vec::IntoIter<Token>>,
+    /// Tokens taken so far.
     pos: usize,
 }
 
 impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    fn new(tokens: Vec<Token>) -> Self {
+        Parser {
+            tokens: tokens.into_iter().peekable(),
+            pos: 0,
+        }
+    }
+
+    fn peek(&mut self) -> Option<&Token> {
+        self.tokens.peek()
     }
 
     fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+        let t = self.tokens.next();
         if t.is_some() {
             self.pos += 1;
         }
         t
+    }
+
+    /// Fails unless every token has been taken.
+    fn end(&mut self) -> Result<(), PsqlError> {
+        match self.tokens.peek() {
+            None => Ok(()),
+            Some(t) => Err(PsqlError::Parse(format!(
+                "trailing input at token {}: {t}",
+                self.pos
+            ))),
+        }
     }
 
     fn expect(&mut self, want: &Token) -> Result<(), PsqlError> {

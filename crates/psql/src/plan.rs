@@ -501,7 +501,7 @@ impl Resolver<'_> {
                     .ok_or_else(|| {
                         PsqlError::Semantic(format!("relation {rel_name:?} not in from-clause"))
                     })?;
-                let schema = self.db.catalog().relation(rel_name)?.schema().clone();
+                let schema = self.db.catalog().relation(rel_name)?.schema();
                 let col = schema.index_of(&cr.column).ok_or_else(|| {
                     PsqlError::Semantic(format!("no column {} in {rel_name}", cr.column))
                 })?;
@@ -510,7 +510,7 @@ impl Resolver<'_> {
             None => {
                 let mut found = None;
                 for (rel, rel_name) in self.from.iter().enumerate() {
-                    let schema = self.db.catalog().relation(rel_name)?.schema().clone();
+                    let schema = self.db.catalog().relation(rel_name)?.schema();
                     if let Some(col) = schema.index_of(&cr.column) {
                         if found.is_some() {
                             return Err(PsqlError::Semantic(format!(
@@ -534,7 +534,7 @@ impl Resolver<'_> {
         rc: ResolvedColumn,
     ) -> Result<(), PsqlError> {
         let rel_name = &self.from[rc.rel];
-        let schema = self.db.catalog().relation(rel_name)?.schema().clone();
+        let schema = self.db.catalog().relation(rel_name)?.schema();
         if schema.columns()[rc.col].ty != ColumnType::Pointer {
             return Err(PsqlError::Semantic(format!(
                 "{cr} must be a pictorial (pointer) column"
@@ -550,7 +550,7 @@ impl Resolver<'_> {
         rc: ResolvedColumn,
     ) -> Result<String, PsqlError> {
         let rel_name = &self.from[rc.rel];
-        let schema = self.db.catalog().relation(rel_name)?.schema().clone();
+        let schema = self.db.catalog().relation(rel_name)?.schema();
         let col_name = &schema.columns()[rc.col].name;
         self.db
             .association(rel_name, col_name)

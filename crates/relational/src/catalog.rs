@@ -20,8 +20,10 @@ use std::sync::Arc;
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     relations: HashMap<String, Arc<Relation>>,
-    /// `(relation, column) → index`.
-    indexes: HashMap<(String, String), Arc<BPlusTree>>,
+    /// `relation → its indexes` as `(column index, column name, tree)`:
+    /// a probe borrows both names, and a write walks only the indexes of
+    /// the relation it touches.
+    indexes: HashMap<String, Vec<(usize, String, Arc<BPlusTree>)>>,
 }
 
 impl Catalog {
@@ -70,16 +72,22 @@ impl Catalog {
         for (tid, tuple) in rel.scan() {
             tree.insert(tuple[idx].clone(), tid);
         }
-        self.indexes
-            .insert((relation.to_owned(), column.to_owned()), Arc::new(tree));
+        let tree = Arc::new(tree);
+        let indexes = self.indexes.entry(relation.to_owned()).or_default();
+        match indexes.iter_mut().find(|(_, name, _)| name == column) {
+            Some(existing) => existing.2 = tree,
+            None => indexes.push((idx, column.to_owned(), tree)),
+        }
         Ok(())
     }
 
     /// The index on `relation.column`, if one exists.
     pub fn index(&self, relation: &str, column: &str) -> Option<&BPlusTree> {
         self.indexes
-            .get(&(relation.to_owned(), column.to_owned()))
-            .map(Arc::as_ref)
+            .get(relation)?
+            .iter()
+            .find(|(_, name, _)| name == column)
+            .map(|(_, _, tree)| tree.as_ref())
     }
 
     /// Inserts a tuple, maintaining all indexes on the relation.
@@ -93,11 +101,11 @@ impl Catalog {
             .get_mut(relation)
             .map(Arc::make_mut)
             .ok_or_else(|| RelationalError::NoSuchRelation(relation.to_owned()))?;
-        let tid = rel.insert(tuple.clone())?;
-        for ((r, col), tree) in self.indexes.iter_mut() {
-            if r == relation {
-                let idx = rel.schema().index_of(col).expect("index column exists");
-                Arc::make_mut(tree).insert(tuple[idx].clone(), tid);
+        let tid = rel.insert(tuple)?;
+        if let Some(indexes) = self.indexes.get_mut(relation) {
+            let tuple = rel.get(tid)?;
+            for (idx, _, tree) in indexes {
+                Arc::make_mut(tree).insert(tuple[*idx].clone(), tid);
             }
         }
         Ok(tid)
@@ -111,11 +119,8 @@ impl Catalog {
             .map(Arc::make_mut)
             .ok_or_else(|| RelationalError::NoSuchRelation(relation.to_owned()))?;
         let tuple = rel.delete(tid)?;
-        for ((r, col), tree) in self.indexes.iter_mut() {
-            if r == relation {
-                let idx = rel.schema().index_of(col).expect("index column exists");
-                Arc::make_mut(tree).remove(&tuple[idx], tid);
-            }
+        for (idx, _, tree) in self.indexes.get_mut(relation).into_iter().flatten() {
+            Arc::make_mut(tree).remove(&tuple[*idx], tid);
         }
         Ok(tuple)
     }

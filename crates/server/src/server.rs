@@ -35,9 +35,9 @@ use crate::protocol::{decode_request, peek_request_id, ErrorKind, Request, Respo
 use crate::queue::{BoundedQueue, PushError};
 use crate::reactor::{reactor_loop, Notifier, Session};
 use crate::snapshot::{DatabaseSnapshot, SnapshotCache, SnapshotCell};
-use psql::ast::Query;
 use psql::database::PictorialDatabase;
 use psql::functions::FunctionRegistry;
+use psql::plan::Plan;
 use psql::{InsertRecord, PsqlError, ResultSet};
 use rtree_index::{BatchScratch, SearchScratch};
 use rtree_storage::{Pager, Wal, WAL_RECORD_MAX};
@@ -681,12 +681,13 @@ fn worker_loop(shared: &Arc<Shared>) {
 
         // A dequeued pack: answer already-expired jobs, run diagnostics
         // directives one at a time (a `#sleep` must not stall the rest
-        // of the pack's responses), parse the remainder (through the
-        // parse half of the plan cache), and execute the parsed queries
-        // as one spatially-grouped batch. One expired (or malformed, or
+        // of the pack's responses), prepare the remainder (through the
+        // plan cache), and execute the prepared plans as one
+        // spatially-grouped batch. One expired (or malformed, or
         // panicking) job never poisons its pack-mates: each is answered
         // individually and the rest still execute.
-        let mut pack: Vec<(usize, Query)> = Vec::new();
+        let mut pack: Vec<(usize, Arc<Plan>)> = Vec::new();
+        let mut preparing = Duration::ZERO;
         for (i, job) in jobs.iter().enumerate() {
             let JobKind::Query(text) = &job.kind else {
                 continue; // inserts already acknowledged above
@@ -697,8 +698,19 @@ fn worker_loop(shared: &Arc<Shared>) {
             } else if text.trim_start().starts_with('#') {
                 run_job(shared, &snapshot, job, batch.search());
             } else {
-                match catch_unwind(AssertUnwindSafe(|| parse_cached(shared, text))) {
-                    Ok(Ok(query)) => pack.push((i, query)),
+                let started = Instant::now();
+                let prepared = catch_unwind(AssertUnwindSafe(|| {
+                    prepare(
+                        &snapshot.db,
+                        snapshot.epoch,
+                        text.trim(),
+                        &shared.plans,
+                        &shared.metrics,
+                    )
+                }));
+                preparing += started.elapsed();
+                match prepared {
+                    Ok(Ok(plan)) => pack.push((i, plan)),
                     Ok(Err(e)) => {
                         shared.metrics.query_errors.incr();
                         job.session.send(&Response::Error {
@@ -722,16 +734,16 @@ fn worker_loop(shared: &Arc<Shared>) {
         if pack.is_empty() {
             continue;
         }
-        let (idxs, queries): (Vec<usize>, Vec<Query>) = pack.into_iter().unzip();
-        if queries.len() >= 2 {
+        let plans: Vec<&Plan> = pack.iter().map(|(_, plan)| plan.as_ref()).collect();
+        if plans.len() >= 2 {
             shared.metrics.query_batches.incr();
-            shared.metrics.batched_queries.add(queries.len() as u64);
+            shared.metrics.batched_queries.add(plans.len() as u64);
         }
         let started = Instant::now();
         let results = catch_unwind(AssertUnwindSafe(|| {
-            psql::exec::execute_batch_with_scratch(
+            psql::exec::execute_plans_batch_with_scratch(
                 &snapshot.db,
-                &queries,
+                &plans,
                 &shared.functions,
                 &mut batch,
             )
@@ -739,9 +751,10 @@ fn worker_loop(shared: &Arc<Shared>) {
         match results {
             Ok(results) => {
                 // The pack ran as one grouped traversal; its wall time
+                // (preparation included, as on the single-query path)
                 // split evenly is the honest per-query cost.
-                let share = started.elapsed() / queries.len() as u32;
-                for (&i, result) in idxs.iter().zip(results) {
+                let share = (preparing + started.elapsed()) / plans.len() as u32;
+                for (&(i, _), result) in pack.iter().zip(results) {
                     shared.metrics.query_latency.record(share);
                     let job = &jobs[i];
                     if Instant::now() > job.deadline {
@@ -773,7 +786,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 // A panic mid-batch is contained by retrying each job
                 // alone, so only the offending query answers the typed
                 // internal error and innocent pack-mates still succeed.
-                for &i in &idxs {
+                for &(i, _) in &pack {
                     run_job(shared, &snapshot, &jobs[i], batch.search());
                 }
             }
@@ -781,27 +794,38 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Parse-cache front for the batched path: returns an owned [`Query`]
-/// (cloned out of the cached `Arc` — the batch executor wants a slice of
-/// owned queries), parsing and populating the cache on a miss. The batch
-/// executor re-plans internally, so only the parse stage is reused here;
-/// single-query execution reuses full plans.
-fn parse_cached(shared: &Shared, text: &str) -> Result<Query, PsqlError> {
-    let epoch = shared.snapshots.current_epoch();
-    match shared.plans.prepare(text, epoch) {
-        Prepared::Plan(query, _) | Prepared::Query(query) => {
-            shared.metrics.plan_cache_parse_hits.incr();
-            Ok((*query).clone())
+/// Parses and plans one query text against a pinned snapshot, going
+/// through the cached-plan table: a full hit (plan stamped with this
+/// snapshot's epoch) skips parse *and* plan; a parse hit skips the parse
+/// and restamps a fresh plan; a miss prepares from scratch and populates
+/// the cache. Parse/plan failures are never cached. The single-query and
+/// the batched path both prepare here.
+fn prepare(
+    db: &PictorialDatabase,
+    epoch: u64,
+    text: &str,
+    plans: &PlanCache,
+    metrics: &Metrics,
+) -> Result<Arc<Plan>, PsqlError> {
+    let query = match plans.prepare(text, epoch) {
+        Prepared::Plan(_, plan) => {
+            metrics.plan_cache_hits.incr();
+            return Ok(plan);
+        }
+        Prepared::Query(query) => {
+            metrics.plan_cache_parse_hits.incr();
+            query
         }
         Prepared::Miss => {
-            shared.metrics.plan_cache_misses.incr();
-            let query = Arc::new(psql::parse_query(text)?);
-            if shared.plans.store(text, Arc::clone(&query), None) {
-                shared.metrics.plan_cache_evictions.incr();
-            }
-            Ok((*query).clone())
+            metrics.plan_cache_misses.incr();
+            Arc::new(psql::parse_query(text)?)
         }
+    };
+    let plan = Arc::new(psql::plan::plan(db, &query)?);
+    if plans.store(text, query, Some((epoch, Arc::clone(&plan)))) {
+        metrics.plan_cache_evictions.incr();
     }
+    Ok(plan)
 }
 
 /// Applies every insert in a dequeued pack as one group commit: validate
@@ -1078,11 +1102,8 @@ enum QueryFailure {
     Panicked,
 }
 
-/// Parses, plans, and executes one query against a pinned snapshot,
-/// going through the cached-plan table: a full hit (plan stamped with
-/// this snapshot's epoch) skips parse *and* plan; a parse hit skips the
-/// parse and restamps a fresh plan; a miss prepares from scratch and
-/// populates the cache. Parse/plan failures are never cached.
+/// Prepares (see [`prepare`]) and executes one query against a pinned
+/// snapshot.
 ///
 /// Supports one diagnostics directive: a query text of
 /// `#sleep <millis>` (optionally followed by a query) sleeps before
@@ -1117,37 +1138,12 @@ fn run_query(
         }
         text = remainder;
     }
-    let prepared = plans.prepare(text, epoch);
-    match &prepared {
-        Prepared::Plan(..) => metrics.plan_cache_hits.incr(),
-        Prepared::Query(_) => metrics.plan_cache_parse_hits.incr(),
-        Prepared::Miss => metrics.plan_cache_misses.incr(),
-    }
-    let text = text.to_owned();
     // Workers must survive any executor bug: contain panics and answer a
     // typed internal error instead. The snapshot is immutable, so no
     // broken invariants can leak out of an unwound execution.
-    let result = catch_unwind(AssertUnwindSafe(|| match prepared {
-        Prepared::Plan(_, plan) => {
-            psql::exec::execute_plan_with_scratch(db, &plan, functions, scratch)
-        }
-        Prepared::Query(query) => {
-            let plan = Arc::new(psql::plan::plan(db, &query)?);
-            let rs = psql::exec::execute_plan_with_scratch(db, &plan, functions, scratch)?;
-            if plans.store(&text, query, Some((epoch, plan))) {
-                metrics.plan_cache_evictions.incr();
-            }
-            Ok(rs)
-        }
-        Prepared::Miss => {
-            let query = Arc::new(psql::parse_query(&text)?);
-            let plan = Arc::new(psql::plan::plan(db, &query)?);
-            let rs = psql::exec::execute_plan_with_scratch(db, &plan, functions, scratch)?;
-            if plans.store(&text, query, Some((epoch, plan))) {
-                metrics.plan_cache_evictions.incr();
-            }
-            Ok(rs)
-        }
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let plan = prepare(db, epoch, text, plans, metrics)?;
+        psql::exec::execute_plan_with_scratch(db, &plan, functions, scratch)
     }));
     match result {
         Ok(Ok(rs)) => Ok(rs),

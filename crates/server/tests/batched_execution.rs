@@ -12,10 +12,9 @@ use psql_server::server::{Server, ServerConfig};
 use std::collections::HashMap;
 use std::time::Duration;
 
-#[test]
-fn pipelined_backlog_executes_as_batch_with_identical_results() {
-    // One worker so the pipelined backlog queues behind the #sleep and
-    // departs as a single pack.
+/// A server over the US map with one worker, so everything pipelined
+/// behind a `#sleep` departs as a single pack, and a client on it.
+fn one_worker_server() -> (Server, Client) {
     let server = Server::start(
         PictorialDatabase::with_us_map(),
         "127.0.0.1:0",
@@ -27,8 +26,16 @@ fn pipelined_backlog_executes_as_batch_with_identical_results() {
         },
     )
     .expect("bind");
-    let mut client =
+    let client =
         Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).expect("connect");
+    (server, client)
+}
+
+#[test]
+fn pipelined_backlog_executes_as_batch_with_identical_results() {
+    // One worker so the pipelined backlog queues behind the #sleep and
+    // departs as a single pack.
+    let (server, mut client) = one_worker_server();
 
     // Occupy the lone worker long enough for the backlog to build.
     let sleep_id = client.send_query("#sleep 200").expect("send sleep");
@@ -98,24 +105,74 @@ fn pipelined_backlog_executes_as_batch_with_identical_results() {
 }
 
 #[test]
+fn batched_path_reuses_cached_plans() {
+    // The same pack of texts pipelined twice behind a `#sleep`: the first
+    // pack prepares and caches every plan, the second must execute the
+    // cached plans (full hits) and answer identically.
+    let (server, mut client) = one_worker_server();
+    let texts = [
+        "select city from cities on us-map at loc covered-by {82.5 +- 17.5, 25 +- 20}",
+        "select zone from time-zones on time-zone-map at loc overlapping {50 +- 10, 25 +- 25}",
+        "select city from cities on us-map at loc nearest 3 {53 +- 0, 32 +- 0}",
+        "select city from cities where population >= 6000000",
+    ];
+    let mut rounds: Vec<Vec<Response>> = Vec::new();
+    for _ in 0..2 {
+        let sleep_id = client.send_query("#sleep 200").expect("send sleep");
+        let ids: Vec<u64> = texts
+            .iter()
+            .map(|text| client.send_query(text).expect("pipeline query"))
+            .collect();
+        let mut responses: HashMap<u64, Response> = HashMap::new();
+        for _ in 0..=texts.len() {
+            let resp = client.read_response().expect("response");
+            let Response::Result { id, .. } = &resp else {
+                panic!("unexpected response {resp:?}");
+            };
+            responses.insert(*id, resp);
+        }
+        assert!(responses.contains_key(&sleep_id), "sleep answered");
+        rounds.push(
+            ids.iter()
+                .map(|id| responses.remove(id).expect("answered"))
+                .collect(),
+        );
+    }
+    for (first, second) in rounds[0].iter().zip(&rounds[1]) {
+        match (first, second) {
+            (Response::Result { result: a, .. }, Response::Result { result: b, .. }) => {
+                assert_eq!(a, b)
+            }
+            other => panic!("unexpected responses {other:?}"),
+        }
+    }
+    let stats = client.stats().expect("stats");
+    let plan_cache = &stats[stats.find("\"plan_cache\":").expect("plan_cache in stats")..];
+    assert_eq!(
+        json_u64(plan_cache, "\"misses\":"),
+        texts.len() as u64,
+        "{stats}"
+    );
+    assert_eq!(
+        json_u64(plan_cache, "\"hits\":"),
+        texts.len() as u64,
+        "{stats}"
+    );
+    // At most one text per round can have been dequeued with the
+    // `#sleep` instead of with its pack-mates.
+    let batched = json_u64(&stats, "\"batched_queries\":");
+    assert!(batched >= 2 * (texts.len() as u64 - 1), "{stats}");
+
+    server.stop();
+}
+
+#[test]
 fn expired_job_gets_timeout_without_poisoning_its_batch() {
     // One worker, so everything pipelined during the #sleep departs as
     // one pack. One job carries a deadline that expires while the
     // worker is stalled; batch formation must answer *that job alone*
     // with Timeout and still execute the rest of the pack.
-    let server = Server::start(
-        PictorialDatabase::with_us_map(),
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 1,
-            queue_capacity: 64,
-            max_batch: 32,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    let mut client =
-        Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).expect("connect");
+    let (server, mut client) = one_worker_server();
 
     // Stall the lone worker well past the doomed job's deadline.
     let sleep_id = client.send_query("#sleep 400").expect("send sleep");
