@@ -30,6 +30,18 @@
 //!    backlinks, tuple fetch, projection and highlights per answered
 //!    row, so materialisation is guarded the way traversal is.
 //!
+//! — and the layer under the disk tree, the storage crate's per-page
+//! software cost (the `page_path` entry, on a 200 000-point tree):
+//!
+//! 7. the page **checksum** (`crc_ns_per_page`), a buffer-pool **miss**
+//!    over a page file at 1 024 frames (`pool_miss_ns_per_page`) and a
+//!    **node visited** by `DiskRTree::search_within`
+//!    (`disk_search_ns_per_node`), each against the same file;
+//! 8. one machine-independent tripwire measured in this run: a pool
+//!    miss at 4 096 frames may cost at most 1.5× a miss at 64 frames
+//!    over the same pages — replacement that scans its frames fails it
+//!    on any machine.
+//!
 //! It fails (exit code 1) if any measured ns/op exceeds its
 //! baseline by more than the allowed factor. The factor defaults to
 //! 2.0: CI runners are slower and noisier than the machine that wrote
@@ -47,7 +59,7 @@
 //! Run with: `cargo run --release -p rtree-bench --bin bench_guard`
 
 use packed_rtree_core::{default_threads, pack_parallel_with, PackStrategy};
-use rtree_bench::{best_of_three_ns as best_of_three, experiment_seed, row_pipeline};
+use rtree_bench::{best_of_three_ns as best_of_three, experiment_seed, page_path, row_pipeline};
 use rtree_geom::SpatialObject;
 use rtree_index::{BatchScratch, FrozenRTree, RTreeConfig, SearchScratch};
 use rtree_workload::{points, queries, rng, PAPER_UNIVERSE};
@@ -82,6 +94,9 @@ fn main() {
     let frozen_baseline = baseline("frozen_scratch_ns_per_op");
     let batch_baseline = baseline("batch_64_ns_per_op");
     let row_baseline = baseline("execute_ns_per_row");
+    let crc_baseline = baseline("crc_ns_per_page");
+    let miss_baseline = baseline("pool_miss_ns_per_page");
+    let node_baseline = baseline("disk_search_ns_per_node");
 
     let seed = experiment_seed();
     let mut data_rng = rng(seed ^ 0x9e3779b97f4a7c15);
@@ -190,8 +205,17 @@ fn main() {
     let rows = row_pipeline(&pts, seed ^ 0x5851f42d4c957f2d);
     assert!(rows.rows_per_query > 10.0, "windows stopped answering rows");
 
+    let pages = page_path(&pts, seed ^ 0x5851f42d4c957f2d);
+    assert!(
+        pages.nodes_per_query > 10.0,
+        "windows stopped visiting nodes"
+    );
+
+    /// What a pool miss may cost at 4 096 frames, in misses at 64.
+    const FRAMES_FACTOR: f64 = 1.5;
+
     let mut failed = false;
-    for (name, measured, baseline) in [
+    let held_to_factor = [
         ("pointer scratch window", pointer_ns, pointer_baseline),
         ("frozen scratch window", frozen_ns, frozen_baseline),
         ("batched (64) window", batch_ns, batch_baseline),
@@ -207,7 +231,26 @@ fn main() {
             rows.execute_ns_per_row,
             row_baseline,
         ),
-    ] {
+        ("page checksum", pages.crc_ns_per_page, crc_baseline),
+        (
+            "pool miss (1024 frames)",
+            pages.pool_miss_ns_per_page,
+            miss_baseline,
+        ),
+        (
+            "disk search (per node)",
+            pages.disk_search_ns_per_node,
+            node_baseline,
+        ),
+    ]
+    .map(|(name, measured, baseline)| (name, measured, baseline, factor));
+    let frames_tripwire = (
+        "pool miss, 4096 vs 64 frames",
+        pages.pool_miss_ns_at_4096_frames,
+        pages.pool_miss_ns_at_64_frames,
+        FRAMES_FACTOR,
+    );
+    for (name, measured, baseline, factor) in held_to_factor.into_iter().chain([frames_tripwire]) {
         let limit = baseline * factor;
         println!(
             "bench_guard: {name} path {measured:.0} ns/op \
@@ -216,7 +259,7 @@ fn main() {
         if measured > limit {
             eprintln!(
                 "bench_guard: FAIL — {name} at {measured:.0} ns/op exceeds {factor}x \
-                 its baseline; the query hot path has regressed"
+                 its baseline; the hot path has regressed"
             );
             failed = true;
         }

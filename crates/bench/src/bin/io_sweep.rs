@@ -41,14 +41,18 @@ fn main() -> std::io::Result<()> {
         "disk reads",
         "hit %",
         "reads/query",
+        "us/query",
+        "us/disk read",
     ]);
     for frames in [8usize, 32, 128, 512] {
         for (name, disk, pager) in [("PACK", &disk_p, &pager_p), ("INSERT", &disk_d, &pager_d)] {
             let pool = BufferPool::new(pager, frames);
             let mut stats = SearchStats::default();
+            let started = std::time::Instant::now();
             for w in &windows {
                 disk.search_within(&pool, w, &mut stats)?;
             }
+            let us = started.elapsed().as_secs_f64() * 1e6;
             let b = pool.stats();
             table.row([
                 frames.to_string(),
@@ -57,10 +61,15 @@ fn main() -> std::io::Result<()> {
                 b.misses.to_string(),
                 f(b.hit_ratio() * 100.0, 1),
                 f(b.misses as f64 / windows.len() as f64, 2),
+                f(us / windows.len() as f64, 1),
+                f(us / b.misses.max(1) as f64, 2),
             ]);
         }
     }
     println!("{}", table.render());
+    println!("Time is the whole search loop on this machine (page file in the OS");
+    println!("cache), so us/disk read bounds the storage layer's cost per miss from");
+    println!("above; the counts beside it are exact.\n");
     println!("Fewer, fuller nodes mean fewer page requests per query AND a");
     println!("smaller working set, so the packed tree wins twice: fewer logical");
     println!("requests and a higher hit ratio at every pool size.");

@@ -19,7 +19,10 @@
 use packed_rtree_core::{default_threads, pack_parallel_with, PackStrategy};
 use psql::join::{rtree_join, JoinStats};
 use rtree_bench::report::{f, Table};
-use rtree_bench::{best_of_three_ns as ns_per_op, build_pack, experiment_seed, row_pipeline};
+use rtree_bench::{
+    best_of_three_ns as ns_per_op, build_pack, experiment_seed, page_path, row_pipeline,
+    PAGE_PATH_FRAMES,
+};
 use rtree_index::{BatchScratch, FrozenRTree, ItemId, RTreeConfig, SearchScratch, SearchStats};
 use rtree_workload::{points, queries, rng, PAPER_UNIVERSE};
 
@@ -270,6 +273,11 @@ fn million_point_ab(seed: u64, table1: (f64, f64, f64)) {
     // `bench_guard` holds the same measurement against this entry.
     let rows = row_pipeline(&pts, seed ^ 0x5851f42d4c957f2d);
 
+    // --- the layer under the disk tree ------------------------------
+    // What a page costs in software, device aside; `bench_guard` holds
+    // these too, plus a frames-independence check measured in its run.
+    let pages = page_path(&pts, seed ^ 0x5851f42d4c957f2d);
+
     // --- report ------------------------------------------------------
     let reduction = 100.0 * (ptr_scratch_ns - frz_scratch_ns) / ptr_scratch_ns;
     let mut t = Table::new(["1M-point path", "pointer ns/op", "frozen ns/op", "delta"]);
@@ -326,6 +334,19 @@ fn million_point_ab(seed: u64, table1: (f64, f64, f64)) {
          windows through execute_plan_with_scratch, search included)\n",
         rows.execute_ns_per_row, rows.rows_per_query, rows.queries
     );
+    println!(
+        "page path: crc {:.0} ns/page; pool miss {:.0} ns/page at {PAGE_PATH_FRAMES} frames \
+         ({:.0} at 64, {:.0} at 4096); disk search {:.0} ns/node ({:.1} nodes per window, \
+         hit ratio {:.3}, {} points)\n",
+        pages.crc_ns_per_page,
+        pages.pool_miss_ns_per_page,
+        pages.pool_miss_ns_at_64_frames,
+        pages.pool_miss_ns_at_4096_frames,
+        pages.disk_search_ns_per_node,
+        pages.nodes_per_query,
+        pages.pool_hit_ratio,
+        pages.points
+    );
 
     let (t1_ptr, t1_frz, t1_a) = table1;
     let json = format!(
@@ -354,7 +375,21 @@ fn million_point_ab(seed: u64, table1: (f64, f64, f64)) {
          \"pointer_ms\": {ptr_join_ms:.1}, \"frozen_ms\": {frz_join_ms:.1}, \
          \"node_pairs_visited\": {npv}}},\n  \
          \"row_pipeline\": {{\"n\": {n}, \"queries\": {rq}, \"rows_per_query\": {rpq:.1}, \
-         \"execute_ns_per_row\": {row_ns:.0}, \"hardware_threads\": {hw}}}\n}}\n",
+         \"execute_ns_per_row\": {row_ns:.0}, \"hardware_threads\": {hw}}},\n  \
+         \"page_path\": {{\"points\": {pp_n}, \"pool_frames\": {PAGE_PATH_FRAMES}, \
+         \"crc_ns_per_page\": {pp_crc:.0}, \"pool_miss_ns_per_page\": {pp_miss:.0}, \
+         \"pool_miss_ns_at_64_frames\": {pp_miss64:.0}, \
+         \"pool_miss_ns_at_4096_frames\": {pp_miss4096:.0}, \
+         \"disk_search_ns_per_node\": {pp_node:.0}, \"nodes_per_query\": {pp_nodes:.1}, \
+         \"pool_hit_ratio\": {pp_hit:.3}, \"hardware_threads\": {hw}}}\n}}\n",
+        pp_n = pages.points,
+        pp_crc = pages.crc_ns_per_page,
+        pp_miss = pages.pool_miss_ns_per_page,
+        pp_miss64 = pages.pool_miss_ns_at_64_frames,
+        pp_miss4096 = pages.pool_miss_ns_at_4096_frames,
+        pp_node = pages.disk_search_ns_per_node,
+        pp_nodes = pages.nodes_per_query,
+        pp_hit = pages.pool_hit_ratio,
         hw = default_threads(),
         rq = rows.queries,
         rpq = rows.rows_per_query,

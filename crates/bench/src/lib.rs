@@ -201,6 +201,120 @@ pub fn row_pipeline(points: &[Point], seed: u64) -> RowPipeline {
     }
 }
 
+/// What the storage layer itself costs per page, device aside: the
+/// checksum, a buffer-pool miss and a node visited on the disk tree.
+#[derive(Debug, Clone, Copy)]
+pub struct PagePath {
+    /// Points in the packed disk tree searched.
+    pub points: usize,
+    /// `crc32` over the sealed span of a node page as PACK writes them
+    /// under M = 4 (4 % full).
+    pub crc_ns_per_page: f64,
+    /// A `BufferPool::with_page` that misses, over a [`Pager`] file in
+    /// the OS page cache, at [`PAGE_PATH_FRAMES`] frames: a `pread`, a
+    /// verify and a frame replacement.
+    ///
+    /// [`Pager`]: rtree_storage::Pager
+    pub pool_miss_ns_per_page: f64,
+    /// The same miss at 64 and at 4 096 frames over the same pages, for
+    /// the frames-independence tripwire: replacement must not scan.
+    pub pool_miss_ns_at_64_frames: f64,
+    /// See [`pool_miss_ns_at_64_frames`](PagePath::pool_miss_ns_at_64_frames).
+    pub pool_miss_ns_at_4096_frames: f64,
+    /// `DiskRTree::search_within` time per node visited, through a
+    /// [`PAGE_PATH_FRAMES`]-frame pool far smaller than the tree.
+    pub disk_search_ns_per_node: f64,
+    /// Mean nodes a window visits.
+    pub nodes_per_query: f64,
+    /// Share of those page requests the pool served from memory.
+    pub pool_hit_ratio: f64,
+}
+
+/// Pool size of the [`PagePath`] measurements: the `bulk_load`
+/// workload's.
+pub const PAGE_PATH_FRAMES: usize = 1024;
+
+/// Measures [`PagePath`] on the first 200 000 of `points`, packed with
+/// M = 4 and stored one node a page. `layout_bench` writes the result to
+/// `BENCH_layout.json`; `bench_guard` re-measures it against that.
+pub fn page_path(points: &[Point], seed: u64) -> PagePath {
+    use rtree_storage::page::CRC_OFFSET;
+    use rtree_storage::{BufferPool, DiskRTree, NodePageWriter, PageId, Pager};
+
+    // Pages the miss loops cycle over: twice the largest pool, so under
+    // strict LRU every access of every pass misses at every pool size.
+    const MISS_PAGES: u32 = 2 * 4096;
+
+    let points = &points[..points.len().min(200_000)];
+    let items = points::as_items(points);
+    let tree = build_pack(&items, PackStrategy::NearestNeighbor, RTreeConfig::PAPER);
+    let pager = Pager::temp().expect("temp page file");
+    let disk = DiskRTree::store(&tree, &pager).expect("store packed tree");
+
+    let leaf = pager.read_page(PageId(0)).expect("first leaf");
+    let crc_ns_per_page = best_of_three_ns(100_000, || {
+        for _ in 0..100_000 {
+            std::hint::black_box(rtree_storage::crc::crc32(std::hint::black_box(
+                &leaf.bytes()[..CRC_OFFSET],
+            )));
+        }
+    });
+
+    let scratch = Pager::temp().expect("temp page file");
+    let mut writer = NodePageWriter::new(&scratch, 64);
+    let entries: Vec<_> = rtree_storage::codec::decode(&leaf)
+        .expect("leaf decodes")
+        .entries;
+    for _ in 0..MISS_PAGES {
+        writer.push(0, &entries).expect("write page");
+    }
+    writer.finish().expect("flush pages");
+    // Both files go to the device now, not in the background of the
+    // timed loops below.
+    pager.sync().expect("sync tree file");
+    scratch.sync().expect("sync page file");
+    let miss_ns = |frames: usize| {
+        let pool = BufferPool::new(&scratch, frames);
+        let ns = best_of_three_ns(MISS_PAGES as usize, || {
+            for id in (0..MISS_PAGES).map(PageId) {
+                pool.with_page(id, |p| std::hint::black_box(p.tag()))
+                    .expect("page reads");
+            }
+        });
+        assert_eq!(pool.stats().hits, 0, "the cyclic scan must always miss");
+        ns
+    };
+    // The tripwire's two sides alternate, so a burst of noise from the
+    // shared box falls on both or on neither.
+    let (mut pool_miss_ns_at_64_frames, mut pool_miss_ns_at_4096_frames) = (f64::MAX, f64::MAX);
+    for _ in 0..3 {
+        pool_miss_ns_at_64_frames = pool_miss_ns_at_64_frames.min(miss_ns(64));
+        pool_miss_ns_at_4096_frames = pool_miss_ns_at_4096_frames.min(miss_ns(4096));
+    }
+    let pool_miss_ns_per_page = miss_ns(PAGE_PATH_FRAMES);
+
+    let windows = queries::window_queries(&mut rng(seed), &PAPER_UNIVERSE, 2_000, 0.0001);
+    let pool = BufferPool::new(&pager, PAGE_PATH_FRAMES);
+    let mut stats = SearchStats::default();
+    let ns_per_query = best_of_three_ns(windows.len(), || {
+        stats = SearchStats::default();
+        for w in &windows {
+            std::hint::black_box(disk.search_within(&pool, w, &mut stats).expect("search"));
+        }
+    });
+    let nodes_per_query = stats.avg_nodes_visited();
+    PagePath {
+        points: points.len(),
+        crc_ns_per_page,
+        pool_miss_ns_per_page,
+        pool_miss_ns_at_64_frames,
+        pool_miss_ns_at_4096_frames,
+        disk_search_ns_per_node: ns_per_query / nodes_per_query.max(1.0),
+        nodes_per_query,
+        pool_hit_ratio: pool.stats().hit_ratio(),
+    }
+}
+
 /// Exact overlap area (the paper's `O`) of a large rectangle set.
 ///
 /// [`rtree_geom::rectset::overlap_area`] compresses coordinates into a

@@ -48,8 +48,10 @@ use packed_rtree_core::grouping::{group_slab, SlabPlan};
 use packed_rtree_core::{par_sort_values, PackStrategy};
 use rtree_geom::Rect;
 use rtree_index::{ItemId, RTreeConfig};
-use rtree_storage::codec::{self, DiskNode, MAX_ENTRIES_PER_PAGE};
-use rtree_storage::{DiskRTree, Page, PageId, PageStore, StorageError, StorageResult, PAGE_SIZE};
+use rtree_storage::codec::{self, MAX_ENTRIES_PER_PAGE};
+use rtree_storage::{
+    DiskRTree, NodePageWriter, PageId, PageStore, StorageError, StorageResult, PAGE_SIZE,
+};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -481,88 +483,20 @@ impl<'env> RunProducer<'env> {
     }
 }
 
-/// Batched node-page emission: pages are staged and written with one
-/// contiguous store write per batch ([`PageStore::write_pages`]); a
-/// non-contiguous allocation (possible only if the destination recycles
-/// pages) flushes early. The first staged page is part of the fixed
-/// working set; pages beyond it are charged to the budget for the
-/// emitter's lifetime.
-struct Emitter<'a> {
-    dest: &'a (dyn PageStore + Sync),
-    cap: usize,
-    first: Option<PageId>,
-    batch: Vec<Page>,
-    pages_emitted: u32,
-}
-
-impl<'a> Emitter<'a> {
-    fn new(dest: &'a (dyn PageStore + Sync), cap: usize, budget: &BudgetAccountant) -> Self {
-        budget.charge((cap as u64 - 1) * PAGE_SIZE as u64);
-        Emitter {
-            dest,
-            cap,
-            first: None,
-            batch: Vec::with_capacity(cap),
-            pages_emitted: 0,
-        }
-    }
-
-    /// Encodes one node into the staging batch; `entries` is borrowed
-    /// and returned intact so the caller can hand it to a sink and then
-    /// reuse the allocation.
-    fn emit(&mut self, level: u32, entries: &mut Vec<codec::DiskEntry>) -> StorageResult<PageId> {
-        let pid = self.dest.allocate();
-        if let Some(first) = self.first {
-            if first.0 + self.batch.len() as u32 != pid.0 {
-                self.flush()?;
-            }
-        }
-        if self.first.is_none() {
-            self.first = Some(pid);
-        }
-        let mut page = Page::zeroed();
-        let node = DiskNode {
-            level,
-            entries: std::mem::take(entries),
-        };
-        codec::encode(&node, &mut page);
-        *entries = node.entries;
-        self.batch.push(page);
-        self.pages_emitted += 1;
-        if self.batch.len() >= self.cap {
-            self.flush()?;
-        }
-        Ok(pid)
-    }
-
-    fn flush(&mut self) -> StorageResult<()> {
-        if let Some(first) = self.first.take() {
-            self.dest.write_pages(first, &self.batch)?;
-            self.batch.clear();
-        }
-        Ok(())
-    }
-
-    /// Flushes the tail batch, releases the batch charge, and returns
-    /// the page count emitted.
-    fn finish(mut self, budget: &BudgetAccountant) -> StorageResult<u32> {
-        self.flush()?;
-        budget.release((self.cap as u64 - 1) * PAGE_SIZE as u64);
-        Ok(self.pages_emitted)
-    }
-}
-
 /// Consumes one level's merged stream: buffers a slab at a time, groups
 /// it exactly as the in-memory packer would, writes every group as one
 /// packed node page (batched), reports it to the sink, and feeds group
-/// MBRs to the next level's [`RunProducer`].
+/// MBRs to the next level's [`RunProducer`]. Pages go through the
+/// storage layer's staged [`NodePageWriter`]: one contiguous
+/// [`PageStore::write_pages`] per batch, an early flush only if the
+/// destination hands out a non-contiguous page (it recycles).
 struct LevelBuilder<'a, 'env> {
     strategy: PackStrategy,
     plan: SlabPlan,
     level: u32,
     slab: Vec<SpillRecord>,
     group_seq: u64,
-    emitter: Emitter<'a>,
+    emitter: NodePageWriter<'a>,
     next: Option<RunProducer<'env>>,
     last_page: Option<PageId>,
     entries_scratch: Vec<codec::DiskEntry>,
@@ -591,7 +525,7 @@ impl<'a, 'env> LevelBuilder<'a, 'env> {
         let rects: Vec<Rect> = self.slab.iter().map(|r| r.rect).collect();
         let ord: Vec<usize> = (0..rects.len()).collect();
         for group in group_slab(self.strategy, &rects, &ord, &self.plan) {
-            let mut entries = std::mem::take(&mut self.entries_scratch);
+            let entries = &mut self.entries_scratch;
             entries.clear();
             entries.extend(group.iter().map(|&i| codec::DiskEntry {
                 mbr: self.slab[i].rect,
@@ -599,9 +533,8 @@ impl<'a, 'env> LevelBuilder<'a, 'env> {
             }));
             let mbr =
                 Rect::mbr_of_rects(entries.iter().map(|e| e.mbr)).expect("group is never empty");
-            let pid = self.emitter.emit(self.level, &mut entries)?;
-            sink.node(self.level, pid, &entries);
-            self.entries_scratch = entries;
+            let pid = self.emitter.push(self.level, entries)?;
+            sink.node(self.level, pid, entries);
             self.last_page = Some(pid);
             if let Some(next) = &mut self.next {
                 next.push(SpillRecord {
@@ -692,7 +625,12 @@ fn run_level(
     let parts = partition_count(bb, threads, runs_open.len());
     stats.merge_partitions = stats.merge_partitions.max(parts as u32);
 
-    let emitter = Emitter::new(dest, emit_batch_pages(bb), budget);
+    // The staged batch's first page is part of the fixed working set;
+    // the pages beyond it are charged to the budget while it lives.
+    let batch_pages = emit_batch_pages(bb);
+    let batch_charge = (batch_pages as u64 - 1) * PAGE_SIZE as u64;
+    budget.charge(batch_charge);
+    let emitter = NodePageWriter::new(dest, batch_pages);
     let next = (!single)
         .then(|| RunProducer::inline(spill, upper_run_capacity(bb), threads, budget, timers));
     let mut builder = LevelBuilder {
@@ -739,7 +677,8 @@ fn run_level(
         last_page,
         ..
     } = builder;
-    stats.node_pages += emitter.finish(budget)?;
+    stats.node_pages += emitter.finish()?;
+    budget.release(batch_charge);
 
     match next {
         None => {
@@ -933,11 +872,10 @@ where
     stats.spill_pages = runs.iter().map(|r| r.pages.len() as u64).sum();
 
     if n == 0 {
-        let mut emitter = Emitter::new(dest, 1, &budget);
-        let mut entries = Vec::new();
-        let root = emitter.emit(0, &mut entries)?;
-        sink.node(0, root, &entries);
-        stats.node_pages = emitter.finish(&budget)?;
+        let mut emitter = NodePageWriter::new(dest, 1);
+        let root = emitter.push(0, &[])?;
+        sink.node(0, root, &[]);
+        stats.node_pages = emitter.finish()?;
         let tree = DiskRTree::commit_external(dest, root, 0, 0, 1)?;
         stats.levels = 1;
         stats.peak_budget_bytes = budget.peak();

@@ -8,6 +8,7 @@ use rtree_index::{ItemId, RTreeConfig};
 use rtree_storage::{DiskRTree, FaultKind, FaultPager, FaultScript, Pager};
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
 
 fn items(n: u64) -> Vec<(Rect, ItemId)> {
     (0..n)
@@ -92,28 +93,43 @@ fn spill_dir_empty_after_failed_pack() {
     );
 }
 
+/// This process's `pack_external` spill directories in the system temp
+/// dir. The directory is shared and the name carries only the pid, so a
+/// census sees every pack in flight in this test binary: the tests that
+/// take one hold [`TEMP_DIR_CENSUS`] from their first count to their
+/// last, which makes each the only such pack while it looks.
+fn my_spill_dirs() -> usize {
+    let mine = format!("extpack-spill-{}-", std::process::id());
+    std::fs::read_dir(std::env::temp_dir())
+        .map(|d| {
+            d.filter_map(Result::ok)
+                .filter(|e| e.file_name().to_string_lossy().starts_with(&mine))
+                .count()
+        })
+        .unwrap_or(0)
+}
+
+static TEMP_DIR_CENSUS: Mutex<()> = Mutex::new(());
+
+fn census() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; its verdict is its own.
+    TEMP_DIR_CENSUS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn pack_external_leaves_no_temp_dirs_behind_on_panic() {
     // Count this process's extpack spill dirs in the system temp dir
     // before and after a pack whose *input stream* panics mid-way.
-    let tempdir = std::env::temp_dir();
-    let mine = format!("extpack-spill-{}-", std::process::id());
-    let count_mine = || {
-        std::fs::read_dir(&tempdir)
-            .map(|d| {
-                d.filter_map(Result::ok)
-                    .filter(|e| e.file_name().to_string_lossy().starts_with(&mine))
-                    .count()
-            })
-            .unwrap_or(0)
-    };
-    let before = count_mine();
+    let _alone = census();
+    let before = my_spill_dirs();
 
     let dest = Pager::temp().expect("dest");
     let config = cfg(16 * 1024);
+    let during = std::cell::Cell::new(0);
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let stream = items(10_000).into_iter().map(|(r, id)| {
             if id.0 == 7_000 {
+                during.set(my_spill_dirs());
                 panic!("simulated producer failure");
             }
             (r, id)
@@ -122,7 +138,12 @@ fn pack_external_leaves_no_temp_dirs_behind_on_panic() {
     }));
     assert!(result.is_err(), "the stream must have panicked");
     assert_eq!(
-        count_mine(),
+        during.get(),
+        before + 1,
+        "the pack's own spill dir exists when its stream panics"
+    );
+    assert_eq!(
+        my_spill_dirs(),
         before,
         "no extpack spill dir may survive the unwind"
     );
@@ -130,20 +151,14 @@ fn pack_external_leaves_no_temp_dirs_behind_on_panic() {
 
 #[test]
 fn pack_external_cleans_temp_dir_on_success() {
-    let tempdir = std::env::temp_dir();
-    let mine = format!("extpack-spill-{}-", std::process::id());
-    let count_mine = || {
-        std::fs::read_dir(&tempdir)
-            .map(|d| {
-                d.filter_map(Result::ok)
-                    .filter(|e| e.file_name().to_string_lossy().starts_with(&mine))
-                    .count()
-            })
-            .unwrap_or(0)
-    };
-    let before = count_mine();
+    let _alone = census();
+    let before = my_spill_dirs();
     let dest = Pager::temp().expect("dest");
     let (tree, _) = pack_external(items(5_000), &cfg(16 * 1024), &dest).expect("pack");
     assert_eq!(tree.len(), 5_000);
-    assert_eq!(count_mine(), before, "spill dir must be gone after return");
+    assert_eq!(
+        my_spill_dirs(),
+        before,
+        "spill dir must be gone after return"
+    );
 }

@@ -18,10 +18,11 @@
 //! half-written index that parses.
 
 use crate::buffer::BufferPool;
-use crate::codec::{self, DiskEntry, DiskNode, MAX_ENTRIES_PER_PAGE};
+use crate::codec::{self, DiskEntry, DiskNode, NodeView, MAX_ENTRIES_PER_PAGE};
 use crate::error::{StorageError, StorageResult};
 use crate::meta::{self, META_SLOTS};
-use crate::page::{Page, PageId, PageType};
+use crate::node_writer::NodePageWriter;
+use crate::page::{PageId, PageType};
 use crate::pager::PageStore;
 use rtree_geom::{Point, Rect};
 use rtree_index::{
@@ -31,6 +32,9 @@ use std::io;
 
 /// Identifies a [`DiskRTree`] meta slot ("PRTREE85" little-endian).
 const META_MAGIC: u64 = u64::from_le_bytes(*b"PRTREE85");
+
+/// Node pages [`DiskRTree::store`] stages per store write (256 KiB).
+const STORE_BATCH_PAGES: usize = 64;
 
 /// Handle to an R-tree stored in a page file.
 #[derive(Debug, Clone, Copy)]
@@ -64,13 +68,13 @@ impl DiskRTree {
             )
             .into());
         }
-        let mut pages_written = 0u32;
-        let root = Self::store_node(tree, tree.root(), store, &mut pages_written)?;
+        let mut writer = NodePageWriter::new(store, STORE_BATCH_PAGES);
+        let root = Self::store_node(tree, tree.root(), &mut writer)?;
         Ok(DiskRTree {
             root,
             depth: tree.depth(),
             len: tree.len(),
-            pages: pages_written,
+            pages: writer.finish()?,
             epoch: 0,
         })
     }
@@ -175,8 +179,7 @@ impl DiskRTree {
     fn store_node(
         tree: &RTree,
         id: NodeId,
-        store: &dyn PageStore,
-        pages_written: &mut u32,
+        writer: &mut NodePageWriter<'_>,
     ) -> StorageResult<PageId> {
         let node = tree.node(id);
         let mut entries = Vec::with_capacity(node.len());
@@ -185,23 +188,12 @@ impl DiskRTree {
                 Child::Item(item) => item.0,
                 Child::Node(c) => {
                     // Post-order: children are on disk before the parent.
-                    Self::store_node(tree, c, store, pages_written)?.0 as u64
+                    Self::store_node(tree, c, writer)?.0 as u64
                 }
             };
             entries.push(DiskEntry { mbr: e.mbr, child });
         }
-        let page_id = store.allocate();
-        let mut page = Page::zeroed();
-        codec::encode(
-            &DiskNode {
-                level: node.level,
-                entries,
-            },
-            &mut page,
-        );
-        store.write_page(page_id, &page)?;
-        *pages_written += 1;
-        Ok(page_id)
+        writer.push(node.level, &entries)
     }
 
     /// Root page of the stored tree.
@@ -244,10 +236,9 @@ impl DiskRTree {
         window: &Rect,
         stats: &mut SearchStats,
     ) -> StorageResult<Vec<ItemId>> {
-        let read = |id| read_node(pool, id);
         let descend = |mbr: &Rect| mbr.intersects(window);
         let report = |mbr: &Rect| mbr.covered_by(window);
-        search_pages(self.root, read, descend, report, stats)
+        search_pages(pool, self.root, descend, report, stats)
     }
 
     /// The Table 1 point query against the disk image.
@@ -257,9 +248,8 @@ impl DiskRTree {
         p: Point,
         stats: &mut SearchStats,
     ) -> StorageResult<Vec<ItemId>> {
-        let read = |id| read_node(pool, id);
         let contains = |mbr: &Rect| mbr.contains_point(p);
-        search_pages(self.root, read, contains, contains, stats)
+        search_pages(pool, self.root, contains, contains, stats)
     }
 
     /// Decodes every reachable node, breadth-first from the root.
@@ -354,11 +344,12 @@ pub(crate) fn dump_pages(
 /// The page-resident `SEARCH` loop of [`DiskRTree`] and
 /// [`PagedRTree`](crate::PagedRTree): from `root`, follow the internal
 /// entries `descend` accepts and collect the leaf entries `report`
-/// accepts, one `read_node` — a page request that can fail — per node
-/// visited.
+/// accepts. Each node visited is one page request to `pool` — which can
+/// fail — and is read where it lies in the pool's frame, through a
+/// validated [`NodeView`]; no node is materialised.
 pub(crate) fn search_pages(
+    pool: &BufferPool<'_>,
     root: PageId,
-    mut read_node: impl FnMut(PageId) -> StorageResult<DiskNode>,
     descend: impl Fn(&Rect) -> bool,
     report: impl Fn(&Rect) -> bool,
     stats: &mut SearchStats,
@@ -368,22 +359,24 @@ pub(crate) fn search_pages(
     let mut stack = vec![root];
     while let Some(pid) = stack.pop() {
         stats.nodes_visited += 1;
-        let node = read_node(pid)?;
-        if node.is_leaf() {
-            stats.leaf_nodes_visited += 1;
-            for (i, e) in node.entries.iter().enumerate() {
-                if report(&e.mbr) {
+        pool.with_page(pid, |page| {
+            let node = NodeView::parse(page)?;
+            if node.is_leaf() {
+                stats.leaf_nodes_visited += 1;
+                for e in node.entries().filter(|e| report(&e.mbr)) {
                     stats.items_reported += 1;
-                    out.push(node.child_item(i));
+                    out.push(ItemId(e.child));
                 }
+            } else {
+                stack.extend(
+                    node.entries()
+                        .filter(|e| descend(&e.mbr))
+                        .map(|e| e.child_page()),
+                );
             }
-        } else {
-            for (i, e) in node.entries.iter().enumerate() {
-                if descend(&e.mbr) {
-                    stack.push(node.child_page(i));
-                }
-            }
-        }
+            Ok(())
+        })?
+        .map_err(|reason: String| StorageError::corrupt(pid, reason))?;
     }
     Ok(out)
 }
@@ -391,6 +384,7 @@ pub(crate) fn search_pages(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::Page;
     use crate::pager::Pager;
     use rtree_index::RTreeConfig;
 

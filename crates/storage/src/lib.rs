@@ -16,7 +16,9 @@
 //!
 //! * [`page`] — fixed-size page type and ids, with a per-page CRC32
 //!   checksum footer and page-type tag;
-//! * [`crc`] — the CRC-32 implementation (no external crates);
+//! * [`crc`] — the CRC-32 implementation (no external crates): a
+//!   carry-less-multiply kernel where the CPU has one, slice-by-8
+//!   everywhere else;
 //! * [`error`] — [`StorageError`], separating I/O failures from detected
 //!   corruption;
 //! * [`pager`] — a file of pages with allocation and a free list, behind
@@ -26,7 +28,10 @@
 //!   `PageStore` wrapper for crash/corruption testing;
 //! * [`buffer`] — the LRU buffer pool;
 //! * [`codec`] — R-tree node ⇄ page serialization (fixed little-endian
-//!   layout, no external serialization crates);
+//!   layout, no external serialization crates), including the borrowed
+//!   [`NodeView`](codec::NodeView) searches read pages through;
+//! * [`node_writer`] — [`NodePageWriter`], the staged batch through
+//!   which bulk builders write node pages;
 //! * [`meta`] — two-slot shadow meta pages for atomic commits;
 //! * [`disk_tree`] — a page-resident R-tree image supporting the paper's
 //!   searches with I/O counted;
@@ -37,7 +42,12 @@
 //! fault harness each guarantee — is documented in `DESIGN.md` §9.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// The crate is `unsafe`-free except for the one call into the
+// `PCLMULQDQ` checksum kernel inside `crc::clmul` (which carries a
+// module-scoped `allow`); off x86_64 that module does not exist and the
+// stronger `forbid` applies to the whole crate.
+#![cfg_attr(not(target_arch = "x86_64"), forbid(unsafe_code))]
+#![cfg_attr(target_arch = "x86_64", deny(unsafe_code))]
 
 pub mod buffer;
 pub mod codec;
@@ -46,6 +56,7 @@ pub mod disk_tree;
 pub mod error;
 pub mod fault;
 pub mod meta;
+pub mod node_writer;
 pub mod page;
 pub mod paged_tree;
 pub mod pager;
@@ -55,6 +66,7 @@ pub use buffer::{BufferPool, BufferStats};
 pub use disk_tree::DiskRTree;
 pub use error::{StorageError, StorageResult};
 pub use fault::{FaultKind, FaultPager, FaultScript, InjectedFault};
+pub use node_writer::NodePageWriter;
 pub use page::{Page, PageId, PageType, PAGE_SIZE, PAYLOAD_SIZE};
 pub use paged_tree::PagedRTree;
 pub use pager::{IoStats, PageStore, Pager};

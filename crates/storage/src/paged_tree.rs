@@ -289,17 +289,15 @@ impl<'a> PagedRTree<'a> {
         window: &Rect,
         stats: &mut SearchStats,
     ) -> StorageResult<Vec<ItemId>> {
-        let read = |id| self.read_node(id);
         let descend = |mbr: &Rect| mbr.intersects(window);
         let report = |mbr: &Rect| mbr.covered_by(window);
-        search_pages(self.root, read, descend, report, stats)
+        search_pages(&self.pool, self.root, descend, report, stats)
     }
 
     /// The Table 1 point query against pages.
     pub fn point_query(&self, p: Point, stats: &mut SearchStats) -> StorageResult<Vec<ItemId>> {
-        let read = |id| self.read_node(id);
         let contains = |mbr: &Rect| mbr.contains_point(p);
-        search_pages(self.root, read, contains, contains, stats)
+        search_pages(&self.pool, self.root, contains, contains, stats)
     }
 
     // ------------------------------------------------------------------

@@ -27,6 +27,17 @@ pub trait PageStore {
     fn page_count(&self) -> u32;
     /// Reads page `id`, verifying its checksum.
     fn read_page(&self, id: PageId) -> StorageResult<Page>;
+    /// Reads page `id` into a buffer the caller already owns, verifying
+    /// its checksum; on error `page`'s contents are unspecified. The
+    /// default forwards to [`read_page`](PageStore::read_page), so
+    /// wrappers that only implement that keep observing every physical
+    /// read; [`Pager`] overrides it to read straight into the buffer,
+    /// which is what lets a buffer-pool miss reuse a frame instead of
+    /// allocating a page.
+    fn read_page_into(&self, id: PageId, page: &mut Page) -> StorageResult<()> {
+        *page = self.read_page(id)?;
+        Ok(())
+    }
     /// Writes page `id`, stamping its checksum.
     fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()>;
     /// Writes `pages.len()` consecutive pages starting at `first`,
@@ -66,6 +77,10 @@ impl<S: PageStore + ?Sized> PageStore for &S {
 
     fn read_page(&self, id: PageId) -> StorageResult<Page> {
         (**self).read_page(id)
+    }
+
+    fn read_page_into(&self, id: PageId, page: &mut Page) -> StorageResult<()> {
+        (**self).read_page_into(id, page)
     }
 
     fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()> {
@@ -130,6 +145,18 @@ struct AllocState {
 }
 
 impl Pager {
+    /// A pager over `file` whose next fresh page id is `next`.
+    fn over(file: File, next: u32) -> Self {
+        Pager {
+            file,
+            state: Mutex::new(AllocState {
+                next,
+                free: Vec::new(),
+            }),
+            stats: IoStats::default(),
+        }
+    }
+
     /// Creates (truncating) a page file at `path`.
     pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let file = OpenOptions::new()
@@ -138,11 +165,7 @@ impl Pager {
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(Pager {
-            file,
-            state: Mutex::new(AllocState::default()),
-            stats: IoStats::default(),
-        })
+        Ok(Self::over(file, 0))
     }
 
     /// Opens an existing page file without truncating it; the allocation
@@ -152,31 +175,37 @@ impl Pager {
         let len = file.metadata()?.len();
         let next = u32::try_from(len.div_ceil(crate::page::PAGE_SIZE as u64))
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file too large"))?;
-        Ok(Pager {
-            file,
-            state: Mutex::new(AllocState {
-                next,
-                free: Vec::new(),
-            }),
-            stats: IoStats::default(),
-        })
+        Ok(Self::over(file, next))
     }
 
     /// Creates a pager backed by an anonymous temporary file in
     /// `std::env::temp_dir()`, deleted on drop.
     pub fn temp() -> io::Result<Self> {
-        let path = std::env::temp_dir().join(format!(
-            "packed-rtree-pager-{}-{:x}.db",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos())
-                .unwrap_or(0)
-        ));
-        let pager = Self::create(&path)?;
-        // Unlink immediately; the open fd keeps the file alive (unix).
-        let _ = std::fs::remove_file(&path);
-        Ok(pager)
+        /// Per-process counter, so no two calls share a name.
+        static NEXT_TEMP: AtomicU64 = AtomicU64::new(0);
+        loop {
+            let path = std::env::temp_dir().join(format!(
+                "packed-rtree-pager-{}-{}.db",
+                std::process::id(),
+                NEXT_TEMP.fetch_add(1, Ordering::Relaxed)
+            ));
+            let opened = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create_new(true)
+                .open(&path);
+            match opened {
+                // A dead process's leftover under a recycled pid: never
+                // share it, take the next name.
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
+                Err(e) => return Err(e),
+                Ok(file) => {
+                    // Unlink at once; the open fd keeps the file alive.
+                    let _ = std::fs::remove_file(&path);
+                    return Ok(Self::over(file, 0));
+                }
+            }
+        }
     }
 
     /// Allocates a fresh (or recycled) page id.
@@ -201,13 +230,8 @@ impl Pager {
         self.state.lock().next
     }
 
-    /// Reads page `id` from disk **without** checksum verification.
-    ///
-    /// Exists for recovery tooling and the fault-injection layer; normal
-    /// code paths go through [`read_page`](Pager::read_page).
-    pub fn read_page_raw(&self, id: PageId) -> io::Result<Page> {
-        let mut page = Page::zeroed();
-        // Pages beyond EOF read as zeroes (sparse file semantics).
+    /// Fills `page` with the file's bytes for `id`, unverified.
+    fn read_raw_into(&self, id: PageId, page: &mut Page) -> io::Result<()> {
         let mut buf = &mut page.bytes_mut()[..];
         let mut off = id.offset();
         while !buf.is_empty() {
@@ -221,16 +245,34 @@ impl Pager {
                 Err(e) => return Err(e),
             }
         }
+        // Pages beyond EOF read as zeroes (sparse file semantics).
+        buf.fill(0);
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Reads page `id` from disk **without** checksum verification.
+    ///
+    /// Exists for recovery tooling and the fault-injection layer; normal
+    /// code paths go through [`read_page`](Pager::read_page).
+    pub fn read_page_raw(&self, id: PageId) -> io::Result<Page> {
+        let mut page = Page::zeroed();
+        self.read_raw_into(id, &mut page)?;
         Ok(page)
     }
 
     /// Reads page `id` from disk, verifying the footer checksum.
     pub fn read_page(&self, id: PageId) -> StorageResult<Page> {
-        let page = self.read_page_raw(id)?;
-        page.verify()
-            .map_err(|reason| StorageError::corrupt(id, reason))?;
+        let mut page = Page::zeroed();
+        self.read_page_into(id, &mut page)?;
         Ok(page)
+    }
+
+    /// [`read_page`](Pager::read_page) into a buffer the caller owns.
+    pub fn read_page_into(&self, id: PageId, page: &mut Page) -> StorageResult<()> {
+        self.read_raw_into(id, page)?;
+        page.verify()
+            .map_err(|reason| StorageError::corrupt(id, reason))
     }
 
     /// Writes page `id` to disk, sealing a fresh footer checksum over the
@@ -313,6 +355,10 @@ impl PageStore for Pager {
         Pager::read_page(self, id)
     }
 
+    fn read_page_into(&self, id: PageId, page: &mut Page) -> StorageResult<()> {
+        Pager::read_page_into(self, id, page)
+    }
+
     fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()> {
         Pager::write_page(self, id, page)
     }
@@ -352,6 +398,61 @@ mod tests {
         pager.free(a);
         assert_eq!(pager.allocate(), a);
         assert_eq!(pager.page_count(), 2);
+    }
+
+    #[test]
+    fn temp_pagers_never_share_a_file() {
+        // 1 000 temp pagers from four threads, made in waves the threads
+        // enter together (200 files open at a time, whatever the fd
+        // limit): every pager of a wave is stamped before any is read
+        // back, so two that shared a file would read the later stamp.
+        const THREADS: usize = 4;
+        const WAVES: usize = 5;
+        const PER_WAVE: usize = 50;
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for thread in 0..THREADS {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    for wave in 0..WAVES {
+                        let stamp = |i: usize| ((thread * WAVES + wave) * PER_WAVE + i) as u16;
+                        barrier.wait();
+                        let pagers: Vec<Pager> =
+                            (0..PER_WAVE).map(|_| Pager::temp().unwrap()).collect();
+                        for (i, pager) in pagers.iter().enumerate() {
+                            let mut page = Page::zeroed();
+                            page.bytes_mut()[..2].copy_from_slice(&stamp(i).to_le_bytes());
+                            pager.write_page(pager.allocate(), &page).unwrap();
+                        }
+                        barrier.wait();
+                        for (i, pager) in pagers.iter().enumerate() {
+                            let back = pager.read_page(PageId(0)).unwrap();
+                            assert_eq!(back.bytes()[..2], stamp(i).to_le_bytes());
+                            assert_eq!(pager.page_count(), 1);
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn read_page_into_overwrites_the_whole_buffer() {
+        // Reading into a used buffer must leave exactly the file's page:
+        // a short file (here: none of page 1 exists) reads as zeroes, not
+        // as whatever the buffer held.
+        let pager = Pager::temp().unwrap();
+        let a = pager.allocate();
+        let b = pager.allocate();
+        let mut page = Page::zeroed();
+        page.bytes_mut().fill(0xEE);
+        pager.write_page(a, &page).unwrap();
+        let mut buf = Page::zeroed();
+        pager.read_page_into(a, &mut buf).unwrap();
+        assert_eq!(buf.bytes()[..100], [0xEE; 100]);
+        pager.read_page_into(b, &mut buf).unwrap();
+        assert!(buf.is_zeroed());
+        assert_eq!(pager.stats().reads(), 2);
     }
 
     #[test]
