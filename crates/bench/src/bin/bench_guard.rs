@@ -42,7 +42,17 @@
 //!    over the same pages — replacement that scans its frames fails it
 //!    on any machine.
 //!
-//! It fails (exit code 1) if any measured ns/op exceeds its
+//! — and the cost of holding a picture at all, both machine-independent:
+//!
+//! 9. **load + first pack vs repack**: adding the delta guard's points to
+//!    a fresh picture and packing it may cost at most 1.6× a repack of
+//!    that picture. A loader that builds an index the pack throws away
+//!    (every `add` a Guttman INSERT: ≈ 3.0×) fails it on any machine;
+//! 10. **packed bytes per object**: the same picture's packed
+//!     `estimated_bytes` per object stays under a committed ceiling —
+//!     two trees and a columnar store, not an enum and a `String` each.
+//!
+//! It fails (exit code 1) if any measured figure exceeds its
 //! baseline by more than the allowed factor. The factor defaults to
 //! 2.0: CI runners are slower and noisier than the machine that wrote
 //! the baselines, so the guard only trips on gross regressions (an
@@ -134,11 +144,20 @@ fn main() {
     // writes must answer windows at packed-picture speed (the delta
     // tree is tiny; the frozen main tree keeps serving).
     let delta_n = (n / 4).clamp(250_000.min(n), 400_000);
-    let mut picture = psql::picture::Picture::new("guard", PAPER_UNIVERSE, RTreeConfig::PAPER);
-    for (i, p) in pts.iter().take(delta_n).enumerate() {
-        picture.add(SpatialObject::Point(*p), &format!("g{i}"));
-    }
-    picture.pack();
+    let load_and_pack = || {
+        let mut picture = psql::picture::Picture::new("guard", PAPER_UNIVERSE, RTreeConfig::PAPER);
+        for (i, p) in pts.iter().take(delta_n).enumerate() {
+            picture.add(SpatialObject::Point(*p), &format!("g{i}"));
+        }
+        picture.pack();
+        picture
+    };
+    // The load guard: what the picture costs per object to load and
+    // pack once, against packing it again; and what it then holds.
+    let load_pack_ns = best_of_three(delta_n, load_and_pack);
+    let mut picture = load_and_pack();
+    let repack_ns = best_of_three(delta_n, || picture.pack());
+    let packed_bytes_per_object = picture.estimated_bytes().0 as f64 / delta_n as f64;
     let packed_picture_ns = best_of_three(windows.len(), || {
         for w in &windows {
             std::hint::black_box(picture.search_window_fast(
@@ -213,6 +232,11 @@ fn main() {
 
     /// What a pool miss may cost at 4 096 frames, in misses at 64.
     const FRAMES_FACTOR: f64 = 1.5;
+    /// What loading a picture and packing it once may cost, in repacks.
+    const LOAD_FACTOR: f64 = 1.6;
+    /// Packed `estimated_bytes` per point with a ≤ 7-byte label: ≈ 129 of
+    /// pointer tree and arena, ≈ 27 of slot, label and offset.
+    const PACKED_BYTES_CEILING: f64 = 160.0;
 
     let mut failed = false;
     let held_to_factor = [
@@ -243,23 +267,40 @@ fn main() {
             node_baseline,
         ),
     ]
-    .map(|(name, measured, baseline)| (name, measured, baseline, factor));
-    let frames_tripwire = (
-        "pool miss, 4096 vs 64 frames",
-        pages.pool_miss_ns_at_4096_frames,
-        pages.pool_miss_ns_at_64_frames,
-        FRAMES_FACTOR,
-    );
-    for (name, measured, baseline, factor) in held_to_factor.into_iter().chain([frames_tripwire]) {
+    .map(|(name, measured, baseline)| (name, measured, baseline, factor, "ns/op"));
+    let tripwires = [
+        (
+            "pool miss, 4096 vs 64 frames",
+            pages.pool_miss_ns_at_4096_frames,
+            pages.pool_miss_ns_at_64_frames,
+            FRAMES_FACTOR,
+            "ns/op",
+        ),
+        (
+            "load + first pack vs repack",
+            load_pack_ns,
+            repack_ns,
+            LOAD_FACTOR,
+            "ns/op",
+        ),
+        (
+            "packed bytes per object",
+            packed_bytes_per_object,
+            PACKED_BYTES_CEILING,
+            1.0,
+            "B",
+        ),
+    ];
+    for (name, measured, baseline, factor, unit) in held_to_factor.into_iter().chain(tripwires) {
         let limit = baseline * factor;
         println!(
-            "bench_guard: {name} path {measured:.0} ns/op \
+            "bench_guard: {name} path {measured:.0} {unit} \
              (baseline {baseline:.0}, limit {limit:.0} = {factor}x, n = {n})"
         );
         if measured > limit {
             eprintln!(
-                "bench_guard: FAIL — {name} at {measured:.0} ns/op exceeds {factor}x \
-                 its baseline; the hot path has regressed"
+                "bench_guard: FAIL — {name} at {measured:.0} {unit} exceeds {factor}x \
+                 its baseline; the guarded path has regressed"
             );
             failed = true;
         }

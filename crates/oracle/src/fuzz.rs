@@ -1004,17 +1004,31 @@ fn check_psql(case: &Case) -> Option<String> {
 /// so they buffer in the delta tree. Every query path — stats, scratch,
 /// and batched — must be bit-identical to brute force over *all* objects
 /// (packed ∪ delta), both before and after `merge_deltas` folds the
-/// delta back into a freshly packed main tree.
+/// delta back into a freshly packed main tree — and, before the pack,
+/// over the loaded prefix, which a never-packed picture indexes only
+/// once the first of these queries arrives.
 fn check_mixed(case: &Case) -> Option<String> {
     let split = case.pack_prefix.min(case.objects.len());
     let mut db = PictorialDatabase::new(RTreeConfig::PAPER);
     if let Err(e) = db.create_picture("pic", Rect::new(-1.0, -1.0, 14.0, 14.0)) {
         return Some(format!("mixed setup failed: {e}"));
     }
-    for obj in &case.objects[..split] {
+    // Before the first pack the picture has no index until a query asks
+    // for one: check at the query that builds the tree, and again after
+    // one more add, which must land in the tree now built.
+    let unqueried = split.saturating_sub(1);
+    for (at, obj) in case.objects[..split].iter().enumerate() {
+        if at == unqueried {
+            if let Some(d) = check_never_packed(case, &db, at) {
+                return Some(d);
+            }
+        }
         if let Err(e) = db.add_object("pic", obj.clone(), "loaded") {
             return Some(format!("mixed load failed: {e}"));
         }
+    }
+    if let Some(d) = check_never_packed(case, &db, split) {
+        return Some(d);
     }
     db.pack_all();
     for obj in &case.objects[split..] {
@@ -1058,6 +1072,14 @@ fn check_mixed(case: &Case) -> Option<String> {
         ));
     }
     check_mixed_queries(case, pic, "post-merge")
+}
+
+/// [`check_mixed_queries`] on a never-packed picture holding the first
+/// `loaded` objects of `case`.
+fn check_never_packed(case: &Case, db: &PictorialDatabase, loaded: usize) -> Option<String> {
+    let mut prefix = case.clone();
+    prefix.objects.truncate(loaded);
+    check_mixed_queries(&prefix, db.picture("pic").expect("pic"), "never-packed")
 }
 
 /// Every picture query path against brute force over all objects.

@@ -52,7 +52,7 @@ fn check_database(db: &PictorialDatabase, checks: DeepChecks, label: &str) {
         let pic = db.picture(name).expect("picture exists");
         let objects: Vec<_> = pic
             .object_ids()
-            .map(|id| pic.object(id).expect("id enumerated").clone())
+            .map(|id| pic.object(id).expect("id enumerated").into_owned())
             .collect();
         validate_deep(&TreeImage::of_rtree(pic.tree()), checks)
             .unwrap_or_else(|e| panic!("{label}: picture {name} fails validate_deep: {e}"));

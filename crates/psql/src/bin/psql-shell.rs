@@ -18,6 +18,7 @@ use psql::ast::Statement;
 use psql::database::PictorialDatabase;
 use psql::exec::execute;
 use psql::parser::{parse_query, parse_statement};
+use psql::picture::Picture;
 use psql::plan::plan;
 use psql::render::render;
 use std::io::{self, BufRead, Write};
@@ -117,7 +118,19 @@ fn run_meta(db: &PictorialDatabase, command: &str, auto_map: &mut bool) -> MetaR
                     .collect();
                 println!("  {name}({})  [{} tuples]", cols.join(", "), rel.len());
             }
-            println!("pictures: us-map, state-map, time-zone-map, lake-map, highway-map");
+            println!("pictures:");
+            let mut pictures: Vec<&Picture> = db.pictures().collect();
+            pictures.sort_unstable_by_key(|pic| pic.name());
+            for pic in pictures {
+                println!(
+                    "  {}  [{} objects: {} packed, {} delta]  {}",
+                    pic.name(),
+                    pic.len(),
+                    pic.packed_len(),
+                    pic.delta_len(),
+                    index_state(pic)
+                );
+            }
         }
         "\\map" => match parts.next() {
             Some(name) => match db.picture(name.trim()) {
@@ -139,6 +152,17 @@ fn run_meta(db: &PictorialDatabase, command: &str, auto_map: &mut bool) -> MetaR
         other => println!("unknown command {other}; try \\help"),
     }
     MetaResult::Continue
+}
+
+/// What answers a picture's queries right now. A never-packed picture
+/// has no index until its first query builds the Guttman tree.
+fn index_state(pic: &Picture) -> String {
+    match (pic.frozen(), pic.delta_len()) {
+        (Some(_), 0) => "packed arena".to_owned(),
+        (Some(_), delta) => format!("packed arena + delta {delta}"),
+        (None, _) if pic.is_indexed() => "guttman tree".to_owned(),
+        (None, _) => "not indexed yet".to_owned(),
+    }
 }
 
 fn run_statement(db: &mut PictorialDatabase, text: &str, auto_map: bool) {

@@ -108,8 +108,10 @@ impl Backlinks {
 /// The integrated pictorial + alphanumeric database PSQL runs against.
 ///
 /// The read path (planning + execution of `select` mappings) takes
-/// `&self` only and uses no interior mutability, so a shared database is
-/// `Sync`-safe to query from many threads at once; mutation requires
+/// `&self` only, and its one piece of interior mutability is a `Sync`,
+/// write-once cell per never-queried, never-packed [`Picture`] (the
+/// first query builds that picture's tree in it), so a shared database
+/// is `Sync`-safe to query from many threads at once; mutation requires
 /// `&mut self`. The concurrent query service exploits this by cloning the
 /// database, mutating the copy, and publishing it as a fresh immutable
 /// snapshot.
@@ -424,7 +426,7 @@ impl PictorialDatabase {
             }
             let mut packed = Picture::clone(packed);
             for id in packed.len() as u64..current.len() as u64 {
-                let object = current.object(id).expect("id below len").clone();
+                let object = current.object(id).expect("id below len").into_owned();
                 packed.add(object, current.label(id).expect("id below len"));
             }
             adopted.push((name.clone(), Arc::new(packed)));

@@ -12,6 +12,7 @@ use crate::spatial::SpatialOp;
 use pictorial_relational::{ColumnType, CompareOp, Relation, TupleId, Value};
 use rtree_geom::SpatialObject;
 use rtree_index::{BatchScratch, ItemId, SearchScratch};
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Plans and executes a query with the built-in pictorial functions.
@@ -365,7 +366,7 @@ impl<'a> Executor<'a> {
                         let outer_obj = pic.object(cand).ok_or_else(|| {
                             PsqlError::Internal(format!("search returned unknown object {cand}"))
                         })?;
-                        if op.eval_objects(outer_obj, inner_obj) && dedupe.insert(cand) {
+                        if op.eval_objects(&outer_obj, &inner_obj) && dedupe.insert(cand) {
                             objs.push(cand);
                         }
                     }
@@ -375,7 +376,7 @@ impl<'a> Executor<'a> {
                             let outer_obj = pic.object(cand).ok_or_else(|| {
                                 PsqlError::Internal(format!("object id {cand} out of range"))
                             })?;
-                            if op.eval_objects(outer_obj, inner_obj) && dedupe.insert(cand) {
+                            if op.eval_objects(&outer_obj, &inner_obj) && dedupe.insert(cand) {
                                 objs.push(cand);
                             }
                         }
@@ -408,7 +409,7 @@ impl<'a> Executor<'a> {
                     let robj = rp.object(ro).ok_or_else(|| {
                         PsqlError::Internal(format!("join produced unknown right object {ro}"))
                     })?;
-                    if !op.eval_objects(lobj, robj) {
+                    if !op.eval_objects(&lobj, &robj) {
                         continue;
                     }
                     for &lt in left_links.map_or(&[][..], |links| links.tuples(lo)) {
@@ -523,7 +524,7 @@ impl<'a> Executor<'a> {
                         let arg = self.loc_arg(*arg);
                         let mut objects = Vec::with_capacity(row_count);
                         for row in tuples.chunks_exact(stride) {
-                            objects.push(self.object_of(row[arg.column.rel], &arg)?.clone());
+                            objects.push(self.object_of(row[arg.column.rel], &arg)?.into_owned());
                         }
                         out.push(self.functions.apply_aggregate(function, &objects)?);
                     }
@@ -648,7 +649,11 @@ impl<'a> Executor<'a> {
     }
 
     /// The spatial object a pointer column of `tuple` refers to.
-    fn object_of(&self, tuple: &[Value], arg: &LocArg<'a>) -> Result<&'a SpatialObject, PsqlError> {
+    fn object_of(
+        &self,
+        tuple: &[Value],
+        arg: &LocArg<'a>,
+    ) -> Result<Cow<'a, SpatialObject>, PsqlError> {
         let obj_id = tuple[arg.column.col]
             .as_pointer()
             .ok_or_else(|| PsqlError::Semantic("NULL loc in pictorial function".into()))?;
@@ -661,7 +666,7 @@ impl<'a> Executor<'a> {
     fn apply(&self, call: &Call<'a>, tuple: &[Value]) -> Result<Value, PsqlError> {
         let object = self.object_of(tuple, &call.arg)?;
         let function = call.function.as_ref().map_err(PsqlError::clone)?;
-        Ok(function(object))
+        Ok(function(&object))
     }
 
     /// Resolves the names of a `where` expression.

@@ -68,6 +68,7 @@ pub mod plan;
 pub mod render;
 pub mod result;
 pub mod spatial;
+mod store;
 pub mod token;
 pub mod wal_record;
 

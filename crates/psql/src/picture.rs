@@ -1,6 +1,7 @@
 //! Pictures: collections of spatial objects indexed by a packed R-tree.
 
 use crate::spatial::SpatialOp;
+use crate::store::ObjectStore;
 use packed_rtree_core::pack;
 use rtree_extpack::{ExtPackConfig, ExtPackError, ExtPackResult, ExtPackStats, NodeSink};
 use rtree_geom::{Point, Rect, SpatialObject};
@@ -9,19 +10,18 @@ use rtree_index::{
     NodeAccess, NodeId, RTree, RTreeConfig, SearchScratch, SearchStats,
 };
 use rtree_storage::{codec, PageId, Pager};
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One packed generation of a picture: everything a pack produced,
 /// immutable until the next pack and shared (behind an [`Arc`]) by
 /// every snapshot published in between.
 #[derive(Debug)]
 struct PackedGeneration {
-    /// Objects `[0, packed_len)`.
-    objects: Vec<SpatialObject>,
-    labels: Vec<String>,
-    /// The packed pointer tree: what [`Picture::tree`] returns. No
-    /// query reads it.
+    /// Objects and labels `[0, packed_len)`.
+    store: ObjectStore,
+    /// The packed pointer tree behind [`Picture::tree`]; no query reads it.
     tree: RTree,
     /// The SoA compilation of `tree`, which serves every query.
     frozen: FrozenRTree,
@@ -34,18 +34,19 @@ struct PackedGeneration {
 /// are the pointer values stored in relations' `loc` columns.
 ///
 /// A picture is an immutable **packed generation** plus an owned
-/// **delta**. [`pack`](Picture::pack) moves every object into a new
-/// generation — objects, labels, the packed pointer tree and its
-/// [`FrozenRTree`] compilation — covering ids `[0, packed_len)`. A
-/// dynamic [`add`](Picture::add) after that (the §3.4 "update problem")
-/// touches only the delta: the object/label tail `[packed_len, len)` and
-/// a small in-memory Guttman tree over it. Every query composes *main +
-/// delta*, whose candidate sets are disjoint by construction; the next
-/// pack (an explicit REPACK or the server's background merge) folds the
-/// delta into a fresh generation. Before the first pack there is no
-/// generation and the Guttman tree indexes every object. DESIGN.md §14
-/// describes the full write path, including the WAL that makes buffered
-/// adds durable.
+/// **delta**, both over one columnar store of objects and labels.
+/// [`pack`](Picture::pack) moves every object into a new generation —
+/// store, packed pointer tree and its [`FrozenRTree`] compilation —
+/// covering ids `[0, packed_len)`. A dynamic [`add`](Picture::add) after
+/// that (the §3.4 "update problem") touches only the delta: the tail
+/// `[packed_len, len)` and a small Guttman tree over it. Every query
+/// composes *main + delta*, whose candidate sets are disjoint by
+/// construction; the next pack (a REPACK or the server's background
+/// merge) folds the delta into a fresh generation. Before the first pack
+/// there is no generation, and no index until someone asks: loading only
+/// appends, and the first query builds the Guttman tree over every object
+/// — behind `&self`, in a write-once cell, the picture's one piece of
+/// interior mutability. DESIGN.md §14 describes the full write path.
 ///
 /// `Clone` shares the packed generation and copies the delta, so a
 /// snapshot of a packed picture costs O(delta), not O(objects).
@@ -53,20 +54,17 @@ struct PackedGeneration {
 pub struct Picture {
     name: String,
     frame: Rect,
+    config: RTreeConfig,
     packed: Option<Arc<PackedGeneration>>,
     /// Objects in `packed` (0 before the first pack), kept beside the
     /// `Arc` so resolving an id needs no pointer chase.
     packed_len: usize,
     /// Objects and labels `[packed_len, len)`.
-    objects: Vec<SpatialObject>,
-    labels: Vec<String>,
+    tail: ObjectStore,
     /// Guttman tree over the tail: the delta of a packed picture, the
-    /// whole index of a never-packed one.
-    delta: RTree,
-    /// Heap bytes of all labels, and of the packed ones — running totals
-    /// so [`estimated_bytes`](Picture::estimated_bytes) walks nothing.
-    label_bytes: usize,
-    packed_label_bytes: usize,
+    /// whole index of a never-packed one. Every pack leaves it set; only
+    /// a never-packed picture nobody has queried yet holds it unset.
+    delta: OnceLock<RTree>,
 }
 
 /// The tree traversal that produces `op`'s candidates: `Some(true)` for
@@ -90,13 +88,11 @@ impl Picture {
         Picture {
             name: name.to_owned(),
             frame,
+            config,
             packed: None,
             packed_len: 0,
-            objects: Vec::new(),
-            labels: Vec::new(),
-            delta: RTree::new(config),
-            label_bytes: 0,
-            packed_label_bytes: 0,
+            tail: ObjectStore::default(),
+            delta: OnceLock::new(),
         }
     }
 
@@ -112,7 +108,7 @@ impl Picture {
 
     /// Number of objects.
     pub fn len(&self) -> usize {
-        self.packed_len + self.objects.len()
+        self.packed_len + self.tail.len()
     }
 
     /// `true` if the picture has no objects.
@@ -120,74 +116,77 @@ impl Picture {
         self.len() == 0
     }
 
-    /// Adds an object (dynamically, via Guttman INSERT), returning its
-    /// object id — the pointer value for `loc` columns. The packed
-    /// generation is never written: the object joins the tail and the
-    /// delta tree, and queries merge both.
+    /// Adds an object, returning its object id — the pointer value for
+    /// `loc` columns. It joins the tail, and the tail's tree (by Guttman
+    /// INSERT) if that exists, as on a packed picture it always does.
     pub fn add(&mut self, object: SpatialObject, label: &str) -> u64 {
         let id = self.len() as u64;
-        self.delta.insert(object.mbr(), ItemId(id));
-        self.objects.push(object);
-        self.labels.push(label.to_owned());
-        self.label_bytes += label.len();
+        if let Some(tree) = self.delta.get_mut() {
+            tree.insert(object.mbr(), ItemId(id));
+        }
+        self.tail.push(object, label);
         id
     }
 
-    /// Every object in id order: the packed prefix, then the tail.
-    fn all_objects(&self) -> impl Iterator<Item = &SpatialObject> {
-        let packed = self.packed.iter().flat_map(|g| &g.objects);
-        packed.chain(&self.objects)
+    /// The Guttman tree over the tail, built — by the id-ordered INSERTs
+    /// `add` would have made — when a never-packed picture first needs it.
+    fn delta(&self) -> &RTree {
+        self.delta.get_or_init(|| {
+            let mut tree = RTree::new(self.config);
+            for (mbr, id) in self.tail.mbrs().zip(self.packed_len as u64..) {
+                tree.insert(mbr, ItemId(id));
+            }
+            tree
+        })
+    }
+
+    /// The stores in id order: the packed generation's, then the tail.
+    fn stores(&self) -> impl Iterator<Item = &ObjectStore> {
+        let packed = self.packed.iter().map(|generation| &generation.store);
+        packed.chain([&self.tail])
     }
 
     /// `(mbr, id)` of every object, in id order — the packers' input.
     fn items(&self) -> Vec<(Rect, ItemId)> {
+        let mbrs = self.stores().flat_map(ObjectStore::mbrs);
         let mut items = Vec::with_capacity(self.len());
-        items.extend(
-            self.all_objects()
-                .zip(0u64..)
-                .map(|(object, id)| (object.mbr(), ItemId(id))),
-        );
+        items.extend(mbrs.zip(0u64..).map(|(mbr, id)| (mbr, ItemId(id))));
         items
     }
 
-    /// Replaces the packed generation with `tree` + `frozen` over every
-    /// object, leaving the delta empty. The old generation's vectors are
-    /// extended in place when this picture is their only owner (the
-    /// bulk-load path copies nothing); when snapshots still share them —
-    /// a merge — they are copied once, off every lock.
-    fn install_generation(&mut self, tree: RTree, frozen: impl FnOnce(&RTree) -> FrozenRTree) {
-        // Everything superseded is released before the new arena is
-        // built, so a pack's peak is two trees and one arena, not more.
-        self.delta = RTree::new(tree.config());
-        let tail_objects = std::mem::take(&mut self.objects);
-        let tail_labels = std::mem::take(&mut self.labels);
-        let (objects, labels) = match self.packed.take().map(Arc::try_unwrap) {
-            None => (tail_objects, tail_labels),
-            Some(previous) => {
-                // An unshared previous generation drops its tree and
-                // arena here.
-                let (mut objects, mut labels) = match previous {
-                    Ok(owned) => (owned.objects, owned.labels),
-                    Err(shared) => {
-                        let len = shared.objects.len() + tail_objects.len();
-                        let mut objects = Vec::with_capacity(len);
-                        objects.extend_from_slice(&shared.objects);
-                        let mut labels = Vec::with_capacity(len);
-                        labels.extend_from_slice(&shared.labels);
-                        (objects, labels)
-                    }
-                };
-                objects.extend(tail_objects);
-                labels.extend(tail_labels);
-                (objects, labels)
+    /// Releases the indexes only this picture holds, for a pack to
+    /// replace, leaving a never-packed, never-queried picture: the store
+    /// folds back into the tail. A shared generation is left alone.
+    fn release_owned_indexes(&mut self) {
+        match self.packed.as_mut().map(Arc::get_mut) {
+            Some(None) => return,
+            Some(Some(owned)) => {
+                owned.store.extend_from(&self.tail);
+                self.tail = std::mem::take(&mut owned.store);
+                (self.packed, self.packed_len) = (None, 0);
             }
-        };
+            None => {}
+        }
+        self.delta.take();
+    }
+
+    /// Replaces the packed generation with `tree` + `frozen` over every
+    /// object, leaving the delta empty. The tail's planes move into it;
+    /// when snapshots still share the old one — a merge — both are
+    /// concatenated once. What is superseded goes before the new arena
+    /// is built, and whatever unwinds leaves a valid picture.
+    fn install_generation(&mut self, tree: RTree, frozen: impl FnOnce(&RTree) -> FrozenRTree) {
+        self.release_owned_indexes();
         let frozen = frozen(&tree);
-        self.packed_len = objects.len();
-        self.packed_label_bytes = self.label_bytes;
+        let store = match &self.packed {
+            Some(shared) => shared.store.followed_by(&self.tail),
+            None => std::mem::take(&mut self.tail),
+        };
+        self.tail = ObjectStore::default();
+        self.packed_len = store.len();
+        self.delta = OnceLock::from(RTree::new(self.config));
         self.packed = Some(Arc::new(PackedGeneration {
-            objects,
-            labels,
+            store,
             tree,
             frozen,
         }));
@@ -195,9 +194,11 @@ impl Picture {
 
     /// Re-packs the picture's R-tree with the paper's PACK algorithm —
     /// the "initial packing" applied once the (static) picture is loaded
-    /// — and compiles the result into the frozen SoA layout.
+    /// — and compiles the result into the frozen SoA layout. The sole
+    /// owner of a generation frees its tree and arena before building.
     pub fn pack(&mut self) {
-        let tree = pack(self.items(), self.delta.config());
+        self.release_owned_indexes();
+        let tree = pack(self.items(), self.config);
         self.install_generation(tree, FrozenRTree::freeze);
     }
 
@@ -218,15 +219,14 @@ impl Picture {
         memory_budget_bytes: u64,
         threads: usize,
     ) -> ExtPackResult<ExtPackStats> {
-        let config = self.delta.config();
         let dest = Pager::temp().map_err(ExtPackError::Io)?;
         let cfg = ExtPackConfig {
-            tree: config,
+            tree: self.config,
             threads,
             ..ExtPackConfig::new(memory_budget_bytes)
         };
         let mut sink = RebuildSink {
-            builder: BottomUpBuilder::new(config),
+            builder: BottomUpBuilder::new(self.config),
             nodes: HashMap::new(),
             by_page: HashMap::new(),
             root: None,
@@ -239,7 +239,7 @@ impl Picture {
             // The packer emits a single empty leaf page; the canonical
             // in-memory form of that is an empty tree, so discard the
             // sink state and build the empty forms directly.
-            let tree = BottomUpBuilder::new(config).finish_empty();
+            let tree = BottomUpBuilder::new(self.config).finish_empty();
             self.install_generation(tree, FrozenRTree::freeze);
         } else {
             let root = sink.root.expect("non-empty pack emits a root");
@@ -257,33 +257,41 @@ impl Picture {
         Ok(stats)
     }
 
-    /// The object with id `id`.
-    pub fn object(&self, id: u64) -> Option<&SpatialObject> {
+    /// The store holding object `id` and the object's position in it.
+    fn locate(&self, id: u64) -> Option<(&ObjectStore, usize)> {
         let id = usize::try_from(id).ok()?;
         match id.checked_sub(self.packed_len) {
-            Some(tail) => self.objects.get(tail),
-            None => self.packed.as_ref()?.objects.get(id),
+            Some(tail) => Some((&self.tail, tail)),
+            None => Some((&self.packed.as_ref()?.store, id)),
         }
+    }
+
+    /// The object with id `id`, for use as a `&SpatialObject`: a point
+    /// rebuilt from its slot or a side object borrowed, no allocation.
+    pub fn object(&self, id: u64) -> Option<Cow<'_, SpatialObject>> {
+        let (store, at) = self.locate(id)?;
+        store.object(at)
     }
 
     /// The label of object `id`.
     pub fn label(&self, id: u64) -> Option<&str> {
-        let id = usize::try_from(id).ok()?;
-        let label = match id.checked_sub(self.packed_len) {
-            Some(tail) => self.labels.get(tail),
-            None => self.packed.as_ref()?.labels.get(id),
-        };
-        label.map(String::as_str)
+        let (store, at) = self.locate(id)?;
+        store.label(at)
     }
 
     /// The picture's main R-tree: the packed pointer tree once packed
     /// (ids `[0, packed_len)`; later objects are in the delta), the
-    /// Guttman tree over every object before the first pack.
+    /// Guttman tree over every object before — built here if need be.
     pub fn tree(&self) -> &RTree {
         match &self.packed {
             Some(generation) => &generation.tree,
-            None => &self.delta,
+            None => self.delta(),
         }
+    }
+
+    /// `true` since the first pack, or the first query before it.
+    pub fn is_indexed(&self) -> bool {
+        self.delta.get().is_some()
     }
 
     /// The frozen compilation of the tree, present since the last
@@ -293,16 +301,15 @@ impl Picture {
         self.packed.as_ref().map(|generation| &generation.frozen)
     }
 
-    /// The in-memory Guttman delta tree over objects added since the
-    /// last pack (ids `packed_len..len`), if there are any. `None` on a
-    /// never-packed or freshly packed picture.
+    /// The Guttman delta tree over the objects added since the last pack
+    /// (ids `packed_len..len`); `None` without a pack or without any.
     pub fn delta_tree(&self) -> Option<&RTree> {
-        (self.packed.is_some() && !self.delta.is_empty()).then_some(&self.delta)
+        self.needs_merge().then(|| self.delta())
     }
 
     /// Objects buffered in the delta tree since the last pack.
     pub fn delta_len(&self) -> usize {
-        self.delta_tree().map_or(0, RTree::len)
+        self.packed.as_ref().map_or(0, |_| self.tail.len())
     }
 
     /// Objects covered by the packed generation (prefix of the object
@@ -314,7 +321,7 @@ impl Picture {
     /// `true` when the picture has buffered dynamic writes the next
     /// merge-repack should fold into the main tree.
     pub fn needs_merge(&self) -> bool {
-        self.delta_tree().is_some()
+        self.delta_len() > 0
     }
 
     /// `true` when `self` and `other` serve the very same packed
@@ -326,20 +333,13 @@ impl Picture {
     }
 
     /// Estimated resident bytes of the `(packed generation, delta)`,
-    /// computed from lengths alone: inline object and label sizes, label
-    /// heap bytes, and each index's node arrays. Region and segment
-    /// vertex storage and allocator overhead are not counted.
+    /// from lengths alone: each store's planes, side table and vertex
+    /// lists, each built index's node arrays. No allocator overhead.
     pub fn estimated_bytes(&self) -> (usize, usize) {
-        let per_object = std::mem::size_of::<SpatialObject>() + std::mem::size_of::<String>();
-        let packed = self.packed.as_ref().map_or(0, |generation| {
-            self.packed_len * per_object
-                + self.packed_label_bytes
-                + generation.tree.approx_bytes()
-                + generation.frozen.approx_bytes()
+        let packed = self.packed.as_ref().map_or(0, |g| {
+            g.store.bytes() + g.tree.approx_bytes() + g.frozen.approx_bytes()
         });
-        let delta = self.objects.len() * per_object
-            + (self.label_bytes - self.packed_label_bytes)
-            + self.delta.approx_bytes();
+        let delta = self.tail.bytes() + self.delta.get().map_or(0, RTree::approx_bytes);
         (packed, delta)
     }
 
@@ -347,16 +347,15 @@ impl Picture {
     /// if packed, and the Guttman tree over the rest if it holds any —
     /// or, before the first pack, over everything.
     pub(crate) fn index_parts(&self) -> (Option<&FrozenRTree>, Option<&RTree>) {
-        let delta = (self.packed.is_none() || !self.delta.is_empty()).then_some(&self.delta);
+        let delta = (self.packed.is_none() || !self.tail.is_empty()).then(|| self.delta());
         (self.frozen(), delta)
     }
 
-    /// [`index_parts`](Self::index_parts) as the first structure a query
-    /// searches and the second, if there is one.
+    /// [`index_parts`](Self::index_parts) in the order a query searches.
     fn parts(&self) -> (&dyn NodeAccess, Option<&dyn NodeAccess>) {
         match self.index_parts() {
             (Some(frozen), delta) => (frozen, delta.map(|delta| delta as &dyn NodeAccess)),
-            (None, _) => (&self.delta, None),
+            (None, _) => (self.delta(), None),
         }
     }
 
@@ -578,14 +577,15 @@ impl Picture {
     ) -> impl Iterator<Item = u64> + 'a {
         candidates.iter().map(|&ItemId(id)| id).filter(move |&id| {
             let object = self.object(id).expect("the index holds live ids only");
-            op.eval_window(object, window)
+            op.eval_window(&object, window)
         })
     }
 
     /// Every object satisfying `obj op window`, by walking the objects:
     /// the `Disjoined` path, which no bounding hierarchy can prune.
     fn scan(&self, op: SpatialOp, window: &Rect) -> Vec<u64> {
-        self.all_objects()
+        self.stores()
+            .flat_map(ObjectStore::objects)
             .zip(0u64..)
             .filter(|(object, _)| op.eval_window(object, window))
             .map(|(_, id)| id)
@@ -664,7 +664,8 @@ impl NodeSink for RebuildSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtree_geom::{Point, Region};
+    use rtree_geom::{Point, Region, Segment};
+    use std::sync::Barrier;
 
     fn sample() -> Picture {
         let mut pic = Picture::new(
@@ -689,7 +690,334 @@ mod tests {
         assert_eq!(pic.len(), 21);
         assert_eq!(pic.label(0), Some("pt0"));
         assert_eq!(pic.label(20), Some("zone"));
-        assert!(pic.object(99).is_none());
+        assert_eq!(
+            pic.object(3).as_deref(),
+            Some(&SpatialObject::Point(Point::new(15.0, 15.0)))
+        );
+        assert!(matches!(
+            pic.object(20).as_deref(),
+            Some(SpatialObject::Region(_))
+        ));
+        assert!(pic.object(99).is_none() && pic.label(99).is_none());
+        assert!(pic.object(u64::MAX).is_none() && pic.label(u64::MAX).is_none());
+        // Loading and looking up asked for no index, so there is none.
+        assert!(!pic.is_indexed());
+    }
+
+    /// Points, segments and regions interleaved, empty and non-ASCII
+    /// labels among theirs.
+    fn mixed_objects(n: u64) -> Vec<(SpatialObject, String)> {
+        (0..n)
+            .map(|i| {
+                let x = (i.wrapping_mul(2654435761) % 90_000) as f64 / 100.0;
+                let y = (i.wrapping_mul(40503) % 90_000) as f64 / 100.0;
+                let object = match i % 3 {
+                    0 => SpatialObject::Point(Point::new(x, y)),
+                    1 => SpatialObject::Segment(Segment::new(
+                        Point::new(x, y),
+                        Point::new(x + 7.0, y + 3.0),
+                    )),
+                    _ => {
+                        SpatialObject::Region(Region::rectangle(Rect::new(x, y, x + 9.0, y + 5.0)))
+                    }
+                };
+                let label = match i % 5 {
+                    0 => String::new(),
+                    1 => format!("Zürich-{i}-湖"),
+                    _ => format!("o{i}"),
+                };
+                (object, label)
+            })
+            .collect()
+    }
+
+    fn mixed_picture(objects: &[(SpatialObject, String)]) -> Picture {
+        let mut pic = Picture::new(
+            "mixed",
+            Rect::new(0.0, 0.0, 1000.0, 1000.0),
+            RTreeConfig::PAPER,
+        );
+        for (object, label) in objects {
+            pic.add(object.clone(), label);
+        }
+        pic
+    }
+
+    fn assert_round_trips(pic: &Picture, expect: &[(SpatialObject, String)]) {
+        assert_eq!(pic.len(), expect.len());
+        for (id, (object, label)) in (0u64..).zip(expect) {
+            assert_eq!(pic.object(id).as_deref(), Some(object), "object {id}");
+            assert_eq!(pic.label(id), Some(label.as_str()), "label {id}");
+        }
+        assert!(pic.object(expect.len() as u64).is_none());
+        assert!(pic.label(expect.len() as u64).is_none());
+    }
+
+    /// Every query shape, in the order the picture answers it.
+    fn answers(pic: &Picture) -> Vec<Vec<u64>> {
+        let mut batch = BatchScratch::new();
+        let windows: Vec<(SpatialOp, Rect)> = (0..16)
+            .map(|i| {
+                let (x, y) = ((i * 97 % 800) as f64, (i * 31 % 800) as f64);
+                let op = [
+                    SpatialOp::CoveredBy,
+                    SpatialOp::Overlapping,
+                    SpatialOp::Covering,
+                    SpatialOp::Disjoined,
+                ][i % 4];
+                (op, Rect::new(x, y, x + 150.0, y + 150.0))
+            })
+            .collect();
+        let knn: Vec<(Point, usize)> = (0..8)
+            .map(|i| {
+                (
+                    Point::new((i * 211 % 900) as f64, (i * 57 % 900) as f64),
+                    1 + i,
+                )
+            })
+            .collect();
+        let mut out = Vec::new();
+        for (op, w) in &windows {
+            out.push(pic.search_window(*op, w, &mut SearchStats::default()));
+            out.push(pic.search_window_fast(*op, w, batch.search()));
+        }
+        out.extend(pic.search_windows_batch(&windows, &mut batch));
+        for &(p, k) in &knn {
+            out.push(pic.nearest(p, k, &mut SearchStats::default()));
+            out.push(pic.nearest_fast(p, k, batch.search()));
+        }
+        out.extend(pic.nearest_batch(&knn, &mut batch));
+        out
+    }
+
+    #[test]
+    fn mixed_classes_round_trip_through_every_stage_of_a_picture() {
+        let objects = mixed_objects(600);
+        let (loaded, rest) = objects.split_at(400);
+        let mut pic = mixed_picture(loaded);
+        assert_round_trips(&pic, loaded);
+        pic.pack();
+        assert_round_trips(&pic, loaded);
+
+        // Clone, then add to both copies: neither sees the other's.
+        let mut copy = pic.clone();
+        copy.add(rest[0].0.clone(), &rest[0].1);
+        pic.add(rest[1].0.clone(), &rest[1].1);
+        let mut in_copy = loaded.to_vec();
+        in_copy.push(rest[0].clone());
+        let mut in_pic = loaded.to_vec();
+        in_pic.push(rest[1].clone());
+        assert_round_trips(&copy, &in_copy);
+        assert_round_trips(&pic, &in_pic);
+
+        // A merge of the generation the copy still shares.
+        for (object, label) in &rest[2..] {
+            pic.add(object.clone(), label);
+        }
+        in_pic.extend_from_slice(&rest[2..]);
+        assert!(pic.shares_packed_with(&copy));
+        pic.pack();
+        assert!(!pic.shares_packed_with(&copy));
+        assert_eq!((pic.packed_len(), pic.delta_len()), (in_pic.len(), 0));
+        assert_round_trips(&pic, &in_pic);
+        assert_round_trips(&copy, &in_copy);
+
+        // An owned repack through the external packer, delta folded in.
+        drop(copy);
+        pic.add(rest[0].0.clone(), &rest[0].1);
+        in_pic.push(rest[0].clone());
+        pic.pack_external(16 * 1024, 2).expect("external pack");
+        assert_eq!((pic.packed_len(), pic.delta_len()), (in_pic.len(), 0));
+        assert_round_trips(&pic, &in_pic);
+        assert_eq!(
+            answers(&pic),
+            answers(&{
+                let mut twin = mixed_picture(&in_pic);
+                twin.pack();
+                twin
+            })
+        );
+    }
+
+    /// The tree a never-packed picture builds at its first query is the
+    /// tree eager INSERTs would have built, whenever that query comes.
+    #[test]
+    fn lazily_built_tree_equals_eager_inserts() {
+        let objects = mixed_objects(500);
+        let mut eager = RTree::new(RTreeConfig::PAPER);
+        for (id, (object, _)) in (0u64..).zip(&objects) {
+            eager.insert(object.mbr(), ItemId(id));
+        }
+        let window = Rect::new(100.0, 100.0, 600.0, 600.0);
+        for first_query_after in [0, objects.len() / 2, objects.len()] {
+            let mut pic = mixed_picture(&objects[..first_query_after]);
+            assert!(!pic.is_indexed(), "adds alone must build nothing");
+            assert_eq!((pic.delta_len(), pic.needs_merge()), (0, false));
+            assert!(!pic.is_indexed(), "delta_len / needs_merge must not build");
+            pic.search_window_fast(SpatialOp::Overlapping, &window, &mut SearchScratch::new());
+            assert!(pic.is_indexed());
+            for (object, label) in &objects[first_query_after..] {
+                pic.add(object.clone(), label);
+            }
+            assert_eq!(pic.tree(), &eager, "first query after {first_query_after}");
+            // Same tree, so the same candidates in the same order.
+            let (mut ps, mut ts) = <(SearchStats, SearchStats)>::default();
+            let expect: Vec<u64> = eager
+                .search_intersecting(&window, &mut ts)
+                .into_iter()
+                .map(|ItemId(id)| id)
+                .filter(|&id| SpatialOp::Overlapping.eval_window(&objects[id as usize].0, &window))
+                .collect();
+            assert_eq!(
+                pic.search_window(SpatialOp::Overlapping, &window, &mut ps),
+                expect
+            );
+            assert_eq!(ps, ts);
+        }
+    }
+
+    #[test]
+    fn racing_first_queries_build_one_tree() {
+        let pic = Arc::new(mixed_picture(&mixed_objects(3_000)));
+        let barrier = Barrier::new(8);
+        let window = Rect::new(50.0, 50.0, 700.0, 700.0);
+        let results: Vec<(Vec<u64>, usize)> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let ids = pic.search_window(
+                            SpatialOp::Overlapping,
+                            &window,
+                            &mut SearchStats::default(),
+                        );
+                        (ids, pic.tree() as *const RTree as usize)
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|racer| racer.join().expect("racer"))
+                .collect()
+        });
+        assert!(results[0].0.len() > 100);
+        assert!(results.iter().all(|r| r == &results[0]), "racers disagree");
+        assert_eq!(pic.tree() as *const RTree as usize, results[0].1);
+    }
+
+    #[test]
+    fn loading_and_packing_never_builds_the_guttman_tree() {
+        let mut pic = Picture::new(
+            "bulk",
+            Rect::new(0.0, 0.0, 1000.0, 1000.0),
+            RTreeConfig::PAPER,
+        );
+        for i in 0..50_000u64 {
+            let x = (i.wrapping_mul(2654435761) % 100_000) as f64 / 100.0;
+            let y = (i.wrapping_mul(40503) % 100_000) as f64 / 100.0;
+            pic.add(SpatialObject::Point(Point::new(x, y)), &format!("o{i}"));
+        }
+        // What a loader and the server's gauges ask costs no index.
+        assert_eq!(
+            (pic.len(), pic.delta_len(), pic.packed_len()),
+            (50_000, 0, 0)
+        );
+        assert!(!pic.needs_merge() && pic.frozen().is_none() && pic.delta_tree().is_none());
+        assert_eq!(pic.label(49_999), Some("o49999"));
+        let (packed, delta) = pic.estimated_bytes();
+        assert_eq!(packed, 0);
+        assert!(
+            delta < 50_000 * 32,
+            "an unbuilt tree counts nothing: {delta}"
+        );
+        assert!(!pic.is_indexed());
+        pic.pack();
+        // The cell a pack leaves is the empty delta, not a built tree.
+        assert!(pic.is_indexed() && pic.delta_tree().is_none());
+        assert_eq!(pic.delta.get().map(RTree::len), Some(0));
+        pic.pack_external(64 * 1024, 1).expect("external repack");
+        assert_eq!(pic.delta.get().map(RTree::len), Some(0));
+        assert_eq!(pic.tree().len(), 50_000);
+    }
+
+    /// Step by step through what an owned repack does first: it passes
+    /// through a never-packed picture that answers everything, so a pack
+    /// that unwinds from there has lost nothing.
+    #[test]
+    fn releasing_an_owned_generation_leaves_a_valid_never_packed_picture() {
+        let objects = mixed_objects(900);
+        let mut pic = mixed_picture(&objects[..800]);
+        pic.pack();
+        for (object, label) in &objects[800..] {
+            pic.add(object.clone(), label);
+        }
+        let before = answers(&pic);
+        let sort = |mut answers: Vec<Vec<u64>>| {
+            answers.iter_mut().for_each(|ids| ids.sort_unstable());
+            answers
+        };
+
+        // Shared with a clone: nothing is released.
+        let copy = pic.clone();
+        pic.release_owned_indexes();
+        assert!(pic.shares_packed_with(&copy));
+        assert_eq!((pic.packed_len(), pic.delta_len()), (800, 100));
+        drop(copy);
+
+        pic.release_owned_indexes();
+        assert!(pic.packed.is_none() && pic.frozen().is_none() && !pic.is_indexed());
+        assert_eq!((pic.len(), pic.packed_len(), pic.delta_len()), (900, 0, 0));
+        assert_round_trips(&pic, &objects);
+        // k-NN ties may order differently between tree shapes; windows
+        // hold the same ids.
+        let windows = before.len() - 8 * 3;
+        assert_eq!(
+            sort(answers(&pic))[..windows],
+            sort(before.clone())[..windows]
+        );
+        assert_eq!(pic.tree().len(), 900);
+
+        pic.pack();
+        assert_eq!((pic.packed_len(), pic.delta_len()), (900, 0));
+        assert_round_trips(&pic, &objects);
+    }
+
+    /// A repack that frees its generation first (owned) and one that
+    /// must leave it to a clone (shared) build the same picture, and the
+    /// clone keeps answering from the generation it holds.
+    #[test]
+    fn owned_and_shared_repacks_agree_and_leave_clones_alone() {
+        let objects = mixed_objects(1_200);
+        let build = || {
+            let mut pic = mixed_picture(&objects[..1_000]);
+            pic.pack();
+            for (object, label) in &objects[1_000..] {
+                pic.add(object.clone(), label);
+            }
+            pic
+        };
+        let (mut owned, mut shared) = (build(), build());
+        let holder = shared.clone();
+        let held = answers(&holder);
+        owned.pack();
+        shared.pack();
+
+        assert!(!shared.shares_packed_with(&holder));
+        assert_eq!((holder.packed_len(), holder.delta_len()), (1_000, 200));
+        assert_eq!(answers(&holder), held, "the clone's answers moved");
+        assert_round_trips(&holder, &objects);
+
+        assert_eq!(owned.tree(), shared.tree());
+        assert_eq!(owned.frozen(), shared.frozen());
+        assert_eq!(owned.estimated_bytes(), shared.estimated_bytes());
+        assert_eq!(answers(&owned), answers(&shared));
+        assert_round_trips(&owned, &objects);
+        assert_round_trips(&shared, &objects);
+        // Both equal a picture that was loaded whole and packed once.
+        let mut fresh = mixed_picture(&objects);
+        fresh.pack();
+        assert_eq!(owned.tree(), fresh.tree());
+        assert_eq!(owned.frozen(), fresh.frozen());
     }
 
     #[test]
@@ -735,8 +1063,9 @@ mod tests {
         let mut pic = sample();
         assert!(pic.frozen().is_none());
         assert_eq!(pic.delta_len(), 0, "pre-pack adds bypass the delta");
+        assert!(!pic.is_indexed(), "nothing asked for an index yet");
         pic.pack();
-        assert!(pic.frozen().is_some());
+        assert!(pic.frozen().is_some() && pic.is_indexed());
         assert_eq!(pic.packed_len(), pic.len());
         // Frozen and pointer paths agree on results and counters.
         let window = Rect::new(0.0, 0.0, 40.0, 40.0);

@@ -36,7 +36,7 @@ pub fn render(picture: &Picture, highlights: &[Highlight], width: usize, height:
             let Some(obj) = picture.object(id) else {
                 continue;
             };
-            draw_object(&mut grid, &frame, obj, is_hi, width, height);
+            draw_object(&mut grid, &frame, &obj, is_hi, width, height);
         }
     }
     // Labels last, so they stay readable.

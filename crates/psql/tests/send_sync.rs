@@ -3,10 +3,13 @@
 //! The concurrent query service shares one immutable [`PictorialDatabase`]
 //! snapshot across worker threads, so every type on the read path must be
 //! `Send + Sync` — which in turn requires that the search path holds no
-//! interior mutability (no `Cell`/`RefCell`) and no thread-bound handles
-//! (no `Rc`). These assertions are evaluated at compile time: if a future
-//! change introduces interior mutability anywhere in the query path, this
-//! test file stops building.
+//! unsynchronised interior mutability (no `Cell`/`RefCell`) and no
+//! thread-bound handles (no `Rc`). The one piece of interior mutability
+//! there is, is `Sync`: the write-once cell (`OnceLock`) in which a
+//! never-packed [`Picture`] builds its tree at the first query. These
+//! assertions are evaluated at compile time: if a future change
+//! introduces anything thread-bound in the query path, this test file
+//! stops building.
 //!
 //! [`SearchScratch`] is deliberately *not* required to be shared: it is
 //! mutable per-thread buffer space. It must still be `Send` so a worker

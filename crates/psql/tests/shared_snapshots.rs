@@ -24,7 +24,7 @@ fn point(x: f64, y: f64) -> SpatialObject {
 
 fn all_objects(pic: &Picture) -> Vec<SpatialObject> {
     pic.object_ids()
-        .map(|id| pic.object(id).expect("enumerated id").clone())
+        .map(|id| pic.object(id).expect("enumerated id").into_owned())
         .collect()
 }
 
@@ -320,6 +320,12 @@ fn adopt_merge_keeps_writes_made_while_the_merge_packed() {
     assert_eq!(pic.packed_len(), base.picture("us-map").unwrap().len());
     assert_eq!((pic.len(), pic.delta_len()), (late as usize + 1, 1));
     assert_eq!(pic.label(late), Some("late"));
+    // The merge concatenated the shared generation's store with the
+    // delta and the catch-up re-added the rest: every object and label
+    // is the current one, id for id.
+    let now = current.picture("us-map").unwrap();
+    assert_eq!(all_objects(pic), all_objects(now));
+    assert!(pic.object_ids().all(|id| pic.label(id) == now.label(id)));
     assert!(window_ids(
         pic,
         SpatialOp::CoveredBy,

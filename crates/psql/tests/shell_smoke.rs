@@ -52,6 +52,27 @@ fn meta_commands() {
     let out = run_session("\\tables\n\\explain select city from cities where population > 5000000;\n\\map lake-map\n\\badcmd\n\\quit\n");
     assert!(out.contains("cities(city:str, state:str, population:int, loc:pointer)"));
     assert!(out.contains("b+tree index on population"));
+    // `\tables` lists what the database holds, sorted by name, with what
+    // serves each picture's queries.
+    let db = psql::PictorialDatabase::with_us_map();
+    let mut listed = out[out.find("pictures:").expect("picture list")..].lines();
+    listed.next();
+    for name in [
+        "highway-map",
+        "lake-map",
+        "state-map",
+        "time-zone-map",
+        "us-map",
+    ] {
+        let n = db.picture(name).expect("us-map picture").len();
+        assert_eq!(
+            listed.next(),
+            Some(format!("  {name}  [{n} objects: {n} packed, 0 delta]  packed arena").as_str()),
+            "{out}"
+        );
+    }
+    assert!(out.contains("  us-map  [42 objects: 42 packed, 0 delta]  packed arena"));
+    assert!(out.contains("  time-zone-map  [4 objects: 4 packed, 0 delta]  packed arena"));
     assert!(
         !out.contains("Superior"),
         "\\map renders without highlights/labels"

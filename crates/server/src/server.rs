@@ -921,7 +921,17 @@ fn ingest_batch(shared: &Arc<Shared>, snapshot: &DatabaseSnapshot, jobs: &[Job])
         for (_, rec, _) in &accepted {
             let opens_delta = db
                 .picture(&rec.picture)
-                .map(|p| p.frozen().is_some() && p.delta_len() == 0)
+                .map(|p| {
+                    // A never-packed picture builds its tree behind
+                    // `&self`. Build it here, while the published
+                    // snapshot still shares the picture, or a reader
+                    // builds it on every snapshot this writer has
+                    // already copied.
+                    if p.frozen().is_none() {
+                        p.tree();
+                    }
+                    p.frozen().is_some() && p.delta_len() == 0
+                })
                 .unwrap_or(false);
             match db.add_object(&rec.picture, rec.object.clone(), &rec.label) {
                 Ok(_) => {

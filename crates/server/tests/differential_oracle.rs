@@ -52,7 +52,7 @@ fn served_queries_match_oracle() {
     let pic = db.picture("us-map").expect("picture");
     let objects: Vec<_> = pic
         .object_ids()
-        .map(|id| pic.object(id).expect("id enumerated").clone())
+        .map(|id| pic.object(id).expect("id enumerated").into_owned())
         .collect();
     let labels: Vec<String> = pic
         .object_ids()

@@ -141,8 +141,23 @@ fn snapshot_gauges_refresh_at_publication_not_stats_time() {
     // mirrored into the registry while serving a STATS request, so an
     // embedder reading `server.metrics()` directly (or a scraper that
     // never sends STATS) saw stale zeros. They must track publication.
+    let mut db = PictorialDatabase::with_us_map();
+    // Beside the map, a picture big enough to read bytes per object off.
+    db.create_picture("dense", rtree_geom::Rect::new(0.0, 0.0, 1000.0, 1000.0))
+        .expect("fresh picture");
+    for i in 0..10_000u64 {
+        let x = (i.wrapping_mul(2654435761) % 100_000) as f64 / 100.0;
+        let y = (i.wrapping_mul(40503) % 100_000) as f64 / 100.0;
+        db.add_object(
+            "dense",
+            SpatialObject::Point(Point::new(x, y)),
+            &format!("d{i:07}"),
+        )
+        .expect("picture exists");
+    }
+    db.pack_all();
     let server = Server::start(
-        PictorialDatabase::with_us_map(),
+        db,
         "127.0.0.1:0",
         ServerConfig {
             workers: 2,
@@ -155,15 +170,30 @@ fn snapshot_gauges_refresh_at_publication_not_stats_time() {
     // Fresh from startup publication: no deltas, frozen trees intact.
     assert_eq!(metrics.delta_items.get(), 0);
     assert_eq!(metrics.serves_frozen_queries.get(), 1);
-    let us_map = || {
+    let gauge_of = |name: &str| {
         let pictures = metrics.pictures.lock().unwrap();
-        assert_eq!(pictures.len(), 5, "one gauge per picture");
+        assert_eq!(pictures.len(), 6, "one gauge per picture");
         pictures
             .iter()
-            .find(|g| g.name == "us-map")
-            .expect("us-map gauge")
+            .find(|g| g.name == name)
+            .unwrap_or_else(|| panic!("{name} gauge"))
             .clone()
     };
+    // The gauge tells the truth about the columnar layout: beside its two
+    // trees, a packed point with an 8-byte label is a 16-byte slot, the
+    // label's bytes and a 4-byte offset — not an enum sized for a region
+    // and a `String` header (≈ 85 B).
+    {
+        let dense = gauge_of("dense");
+        assert_eq!((dense.packed_objects, dense.delta_objects), (10_000, 0));
+        let snap = server.snapshots().load();
+        let pic = snap.db.picture("dense").expect("picture");
+        let trees = pic.tree().approx_bytes() + pic.frozen().expect("packed").approx_bytes();
+        let store = dense.packed_bytes - trees as u64;
+        assert_eq!(store, 10_000 * (16 + 8 + 4), "store bytes");
+        assert!(store <= 10_000 * 40);
+    }
+    let us_map = || gauge_of("us-map");
     let loaded = us_map();
     assert_eq!((loaded.packed_objects, loaded.delta_objects), (42, 0));
     assert!(loaded.packed_bytes > 0);
@@ -215,6 +245,95 @@ fn snapshot_gauges_refresh_at_publication_not_stats_time() {
     let repacked = us_map();
     assert_eq!((repacked.packed_objects, repacked.delta_objects), (45, 0));
     assert!(repacked.packed_bytes > loaded.packed_bytes);
+    server.stop();
+}
+
+/// A never-packed picture builds its tree behind `&self`, at the first
+/// query. Served, that must happen once per picture: a reader that
+/// builds it on a snapshot the writer has already copied leaves the next
+/// publication without it, and the next reader to build all of it again.
+#[test]
+fn served_never_packed_picture_builds_its_tree_once() {
+    use rtree_geom::Rect;
+    use rtree_index::{ItemId, RTree, RTreeConfig, SearchStats};
+
+    let scatter = |i: u64| {
+        let x = (i.wrapping_mul(2654435761) % 100_000) as f64 / 100.0;
+        let y = (i.wrapping_mul(40503) % 100_000) as f64 / 100.0;
+        Point::new(x, y)
+    };
+    let mut db = PictorialDatabase::new(RTreeConfig::PAPER);
+    db.create_picture("raw", Rect::new(0.0, 0.0, 1000.0, 1000.0))
+        .expect("fresh picture");
+    let mut points: Vec<Point> = (0..3_000).map(scatter).collect();
+    for (i, p) in points.iter().enumerate() {
+        db.add_object("raw", SpatialObject::Point(*p), &format!("r{i}"))
+            .expect("picture exists");
+    }
+    let server = Server::start(
+        db,
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 2,
+            merge_threshold: usize::MAX,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut client = connect(&server);
+    let cell = server.snapshots();
+
+    // The reader lags one snapshot behind the writer: it reads what was
+    // current before the insert it has just seen acknowledged.
+    let mut pinned = cell.load();
+    assert!(
+        !pinned.db.picture("raw").expect("picture").is_indexed(),
+        "loading asked for no index"
+    );
+    for round in 0..40u64 {
+        let p = scatter(1_000_000 + round);
+        client
+            .insert_expect_done("raw", &format!("w{round}"), SpatialObject::Point(p))
+            .expect("insert acked");
+        let pic = pinned.db.picture("raw").expect("picture");
+        assert_eq!(pic.len(), points.len());
+        // Only the snapshot the server started with may be found
+        // unindexed; whoever builds its tree, every later one has it.
+        assert!(
+            pic.is_indexed() || pinned.epoch == 1,
+            "round {round}: the snapshot of epoch {} was published without the tree",
+            pinned.epoch
+        );
+        let window = Rect::new(
+            10.0 * round as f64,
+            5.0 * round as f64,
+            10.0 * round as f64 + 300.0,
+            5.0 * round as f64 + 300.0,
+        );
+        let mut got = pic.search_window(
+            psql::SpatialOp::CoveredBy,
+            &window,
+            &mut SearchStats::default(),
+        );
+        got.sort_unstable();
+        let expect: Vec<u64> = (0u64..)
+            .zip(&points)
+            .filter(|(_, p)| window.contains_point(**p))
+            .map(|(id, _)| id)
+            .collect();
+        assert!(expect.len() > 50, "window {window:?} is too empty to tell");
+        assert_eq!(got, expect, "round {round}");
+        points.push(p);
+        pinned = cell.load();
+    }
+
+    // One tree, built once and inserted into since: the one eager
+    // INSERTs build.
+    let mut eager = RTree::new(RTreeConfig::PAPER);
+    for (id, p) in (0u64..).zip(&points) {
+        eager.insert(Rect::from_point(*p), ItemId(id));
+    }
+    assert_eq!(pinned.db.picture("raw").expect("picture").tree(), &eager);
     server.stop();
 }
 
