@@ -1,8 +1,9 @@
 //! Performance regression guard for the window-query hot paths.
 //!
 //! Re-measures the 1M-point window-query profile of `layout_bench`
-//! (same seeds, same tree, same 2000 windows) against the committed
-//! `BENCH_layout.json` on three paths —
+//! (`rtree_bench::window_paths`: same seeds, same tree, same 2000
+//! windows, same loops) against the committed `BENCH_layout.json` on
+//! three paths —
 //!
 //! 1. the pointer-tree scratch path (`pointer_scratch_ns_per_op`);
 //! 2. the frozen-arena scratch path (`frozen_scratch_ns_per_op`);
@@ -63,20 +64,23 @@
 //! Environment knobs:
 //! - `BENCH_GUARD_FACTOR`  — allowed slowdown factor (default `2.0`)
 //! - `BENCH_GUARD_N`       — dataset size (default `1000000`)
-//! - `BENCH_GUARD_LAYOUT_BASELINE` — path to the baseline JSON
-//!   (default `BENCH_layout.json`)
 //!
 //! Run with: `cargo run --release -p rtree-bench --bin bench_guard`
 
-use packed_rtree_core::{default_threads, pack_parallel_with, PackStrategy};
-use rtree_bench::{best_of_three_ns as best_of_three, experiment_seed, page_path, row_pipeline};
-use rtree_geom::SpatialObject;
-use rtree_index::{BatchScratch, FrozenRTree, RTreeConfig, SearchScratch};
-use rtree_workload::{points, queries, rng, PAPER_UNIVERSE};
+use psql::picture::Picture;
+use psql::SpatialOp;
+use rtree_bench::{
+    best_of_three_ns as best_of_three, experiment_seed, page_path, row_pipeline, window_paths,
+    WindowPaths,
+};
+use rtree_geom::{Rect, SpatialObject};
+use rtree_index::{RTreeConfig, SearchScratch};
+use rtree_workload::{points, queries, PAPER_UNIVERSE};
+
+/// The committed baseline, written by `layout_bench` at the repo root.
+const LAYOUT_BASELINE: &str = "BENCH_layout.json";
 
 fn main() {
-    let layout_path = std::env::var("BENCH_GUARD_LAYOUT_BASELINE")
-        .unwrap_or_else(|_| "BENCH_layout.json".to_string());
     let factor: f64 = std::env::var("BENCH_GUARD_FACTOR")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -86,17 +90,17 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(1_000_000);
 
-    let layout = match std::fs::read_to_string(&layout_path) {
+    let layout = match std::fs::read_to_string(LAYOUT_BASELINE) {
         Ok(text) => text,
         Err(e) => {
-            eprintln!("bench_guard: cannot read {layout_path}: {e}");
+            eprintln!("bench_guard: cannot read {LAYOUT_BASELINE}: {e}");
             std::process::exit(1);
         }
     };
     // A guard that silently skips is no guard: a missing key fails.
     let baseline = |key: &str| {
         json_number(&layout, key).unwrap_or_else(|| {
-            eprintln!("bench_guard: no {key} in {layout_path}");
+            eprintln!("bench_guard: no {key} in {LAYOUT_BASELINE}");
             std::process::exit(1);
         })
     };
@@ -109,43 +113,23 @@ fn main() {
     let node_baseline = baseline("disk_search_ns_per_node");
 
     let seed = experiment_seed();
-    let mut data_rng = rng(seed ^ 0x9e3779b97f4a7c15);
-    let pts = points::uniform(&mut data_rng, &PAPER_UNIVERSE, n);
-    let items = points::as_items(&pts);
-    let tree = pack_parallel_with(
-        items,
-        RTreeConfig::PAPER,
-        PackStrategy::NearestNeighbor,
-        default_threads(),
-    );
-    let frozen = FrozenRTree::freeze(&tree);
-    let mut q_rng = rng(seed ^ 0x5851f42d4c957f2d);
-    let windows = queries::window_queries(&mut q_rng, &PAPER_UNIVERSE, 2_000, 0.0001);
-
+    let WindowPaths {
+        points: pts,
+        windows,
+        query_rng: mut q_rng,
+        pointer_scratch_ns_per_op: pointer_ns,
+        frozen_scratch_ns_per_op: frozen_ns,
+        batch_64_ns_per_op: batch_ns,
+        ..
+    } = window_paths(n, seed);
     let mut scratch = SearchScratch::new();
-    let pointer_ns = best_of_three(windows.len(), || {
-        for w in &windows {
-            std::hint::black_box(tree.search_within_into(w, &mut scratch));
-        }
-    });
-    let frozen_ns = best_of_three(windows.len(), || {
-        for w in &windows {
-            std::hint::black_box(frozen.search_within_into(w, &mut scratch));
-        }
-    });
-    let mut batch = BatchScratch::new();
-    let batch_ns = best_of_three(windows.len(), || {
-        for chunk in windows.chunks(64) {
-            std::hint::black_box(frozen.batch_windows(chunk, true, &mut batch));
-        }
-    });
 
     // The delta read guard: a packed picture with buffered dynamic
     // writes must answer windows at packed-picture speed (the delta
     // tree is tiny; the frozen main tree keeps serving).
     let delta_n = (n / 4).clamp(250_000.min(n), 400_000);
     let load_and_pack = || {
-        let mut picture = psql::picture::Picture::new("guard", PAPER_UNIVERSE, RTreeConfig::PAPER);
+        let mut picture = Picture::new("guard", PAPER_UNIVERSE, RTreeConfig::PAPER);
         for (i, p) in pts.iter().take(delta_n).enumerate() {
             picture.add(SpatialObject::Point(*p), &format!("g{i}"));
         }
@@ -158,49 +142,25 @@ fn main() {
     let mut picture = load_and_pack();
     let repack_ns = best_of_three(delta_n, || picture.pack());
     let packed_bytes_per_object = picture.estimated_bytes().0 as f64 / delta_n as f64;
-    let packed_picture_ns = best_of_three(windows.len(), || {
-        for w in &windows {
-            std::hint::black_box(picture.search_window_fast(
-                psql::SpatialOp::CoveredBy,
-                w,
-                &mut scratch,
-            ));
-        }
-    });
+    let packed_picture_ns = picture_window_ns(&picture, &windows, &mut scratch);
     let delta_pts = points::uniform(&mut q_rng, &PAPER_UNIVERSE, 1_024);
     for (i, p) in delta_pts.iter().enumerate() {
         picture.add(SpatialObject::Point(*p), &format!("d{i}"));
     }
     assert!(picture.delta_len() > 0, "delta must be nonempty");
     assert!(picture.frozen().is_some(), "picture lost its arena");
-    let delta_picture_ns = best_of_three(windows.len(), || {
-        for w in &windows {
-            std::hint::black_box(picture.search_window_fast(
-                psql::SpatialOp::CoveredBy,
-                w,
-                &mut scratch,
-            ));
-        }
-    });
+    let delta_picture_ns = picture_window_ns(&picture, &windows, &mut scratch);
 
     // The small-picture guard: Table 1's J = 900 picture, served from
     // its arena, against its own pointer tree on the same queries.
-    let mut small = psql::picture::Picture::new("table1", PAPER_UNIVERSE, RTreeConfig::PAPER);
+    let mut small = Picture::new("table1", PAPER_UNIVERSE, RTreeConfig::PAPER);
     for (i, p) in pts.iter().take(900).enumerate() {
         small.add(SpatialObject::Point(*p), &format!("t{i}"));
     }
     small.pack();
     assert!(small.frozen().is_some() && small.delta_len() == 0);
     let small_windows = queries::window_queries(&mut q_rng, &PAPER_UNIVERSE, 2_000, 0.01);
-    let small_window_ns = best_of_three(small_windows.len(), || {
-        for w in &small_windows {
-            std::hint::black_box(small.search_window_fast(
-                psql::SpatialOp::CoveredBy,
-                w,
-                &mut scratch,
-            ));
-        }
-    });
+    let small_window_ns = picture_window_ns(&small, &small_windows, &mut scratch);
     let small_window_tree_ns = best_of_three(small_windows.len(), || {
         for w in &small_windows {
             let hits = small.tree().search_within_into(w, &mut scratch);
@@ -309,6 +269,15 @@ fn main() {
         std::process::exit(1);
     }
     println!("bench_guard: OK");
+}
+
+/// ns per window of `picture`'s served `covered-by` path.
+fn picture_window_ns(picture: &Picture, windows: &[Rect], scratch: &mut SearchScratch) -> f64 {
+    best_of_three(windows.len(), || {
+        for w in windows {
+            std::hint::black_box(picture.search_window_fast(SpatialOp::CoveredBy, w, scratch));
+        }
+    })
 }
 
 /// Extracts `"key": <number>` from a JSON document by string scan — the

@@ -1,7 +1,7 @@
 //! **EXT-13 / EXT-15**: out-of-core external PACK scaling — wall time,
-//! spill traffic, merge shape, and the pipelined packer's per-phase
-//! breakdown across dataset sizes, memory budgets, and pipeline thread
-//! counts, with the in-memory packer as the baseline.
+//! spill traffic and merge shape of the pipelined packer across dataset
+//! sizes, memory budgets, and pipeline thread counts, with the in-memory
+//! packer as the baseline.
 //!
 //! The external packer must produce the *same tree* the in-memory packer
 //! does (that is its contract, checked by the differential suite); this
@@ -10,8 +10,9 @@
 //!
 //! * build wall time, external vs in-memory, at 1 and 4 pipeline
 //!   threads (the trees are bit-identical; only wall time may differ);
-//! * the per-phase split (produce / sort / spill / merge / emit) that
-//!   shows where each budget spends its time (EXT-15);
+//! * the merge and emit phases' wall time, which show where each budget
+//!   pays (the full produce / sort / spill / merge / emit split at 1M is
+//!   `sysbench`'s `extpack.*_ms` rows on `bulk_load`);
 //! * spill bytes written and the initial/merged run counts (the merge
 //!   fan-in shows how many passes the budget forced);
 //! * peak accounted memory against the budget (the accounting hook);
@@ -20,9 +21,12 @@
 //!   (avg nodes visited per point query) measured on *both* trees, which
 //!   must agree exactly.
 //!
+//! The run fails (a panic, exit code 101) if any row's peak exceeds its
+//! budget, if `A` differs between the two trees, or if a 64 MiB row costs
+//! more than 1.5× its 4 MiB sibling — CI reads the exit code.
+//!
 //! Default sweep is 200k and 1M items at three budgets. Set
 //! `EXTPACK_BENCH_LARGE=1` to add a 10M-item run (several minutes).
-//! Results land in `BENCH_extpack.json`.
 //!
 //! Run with: `cargo run --release -p rtree-bench --bin extpack_scaling`
 
@@ -70,7 +74,8 @@ fn main() {
         "A ext",
         "A mem",
     ]);
-    let mut rows = Vec::new();
+    // (n, budget, threads, ext ms) of every row, for the check below.
+    let mut timings = Vec::new();
 
     for &n in &sizes {
         let items = workload.uniform_items(n);
@@ -96,6 +101,7 @@ fn main() {
             mem_tree.point_query(q, &mut mem_stats);
         }
         let a_mem = mem_stats.avg_nodes_visited();
+        println!("n = {n}: C = {coverage:.1}, O = {overlap:.1} (in-memory twin)");
 
         for &(budget, label) in budgets {
             // The 10M run is a capstone, not a sweep: one mid budget.
@@ -151,30 +157,7 @@ fn main() {
                     f(a_ext, 2),
                     f(a_mem, 2),
                 ]);
-                rows.push(format!(
-                    "    {{\"n\": {n}, \"budget_bytes\": {budget}, \"threads\": {threads}, \
-                     \"ext_ms\": {ext_ms:.1}, \
-                     \"inmem_ms\": {inmem_ms:.1}, \"spill_bytes\": {sb}, \"initial_runs\": {ir}, \
-                     \"merge_partitions\": {mp}, \
-                     \"max_fan_in\": {fi}, \"intermediate_merges\": {im}, \"peak_bytes\": {pk}, \
-                     \"produce_ms\": {pr:.1}, \"sort_ms\": {so:.1}, \"spill_ms\": {sp:.1}, \
-                     \"merge_ms\": {me:.1}, \"emit_ms\": {em:.1}, \
-                     \"coverage\": {cov:.1}, \"overlap\": {ov:.1}, \"avg_visited_ext\": {a_ext:.3}, \
-                     \"avg_visited_mem\": {a_mem:.3}}}",
-                    sb = stats.spill_bytes,
-                    ir = stats.initial_runs,
-                    mp = stats.merge_partitions,
-                    fi = stats.max_fan_in,
-                    im = stats.intermediate_merges,
-                    pk = stats.peak_budget_bytes,
-                    pr = stats.produce_us as f64 / 1000.0,
-                    so = stats.sort_us as f64 / 1000.0,
-                    sp = stats.spill_us as f64 / 1000.0,
-                    me = stats.merge_us as f64 / 1000.0,
-                    em = stats.emit_us as f64 / 1000.0,
-                    cov = coverage,
-                    ov = overlap,
-                ));
+                timings.push((n, budget, threads, ext_ms));
             }
         }
     }
@@ -183,14 +166,21 @@ fn main() {
     println!("never what is built. Tighter budgets trade spill traffic + merge passes");
     println!("for bounded resident memory.\n");
 
-    let json = format!(
-        "{{\n  \"experiment\": \"extpack_scaling\",\n  \"seed\": {},\n  \
-         \"branching\": 4,\n  \"strategy\": \"pack-nn\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        workload.seed,
-        rows.join(",\n"),
-    );
-    match std::fs::write("BENCH_extpack.json", &json) {
-        Ok(()) => println!("wrote BENCH_extpack.json"),
-        Err(e) => println!("could not write BENCH_extpack.json: {e}"),
+    // The run-buffer cap keeps big budgets monotone-or-flat (the old
+    // quadratic in-run ordering made them *slower*): at every (n, threads)
+    // the 64 MiB row may cost at most 1.5x the 4 MiB row.
+    for &(n, budget, threads, ms) in &timings {
+        if budget != 64 << 20 {
+            continue;
+        }
+        let &(.., small) = timings
+            .iter()
+            .find(|t| (t.0, t.1, t.2) == (n, 4 << 20, threads))
+            .expect("every swept size runs the 4 MiB budget");
+        assert!(
+            ms <= 1.5 * small,
+            "64MiB budget regressed vs 4MiB at n={n} threads={threads}: {ms:.1} ms vs {small:.1} ms"
+        );
     }
+    println!("64MiB rows monotone-or-flat vs 4MiB");
 }

@@ -1,29 +1,20 @@
 //! **EXT-8**: construction-cost scaling — the literal O(n²) PACK of the
 //! paper's pseudocode vs the grid-accelerated nearest-neighbour search,
-//! vs the sort-based packers and dynamic INSERT — plus the thread sweep
-//! of the parallel PACK pipeline and the query hot-path comparison.
+//! vs the sort-based packers and dynamic INSERT.
 //!
 //! The paper notes selecting all `M` group members simultaneously "could
 //! be combinatorially explosive"; even its one-at-a-time NN is quadratic
 //! when implemented naively. This sweep shows where the naive variant
 //! stops being viable and that the grid makes PACK's build cost
-//! comparable to a sort.
-//!
-//! The second half measures `pack_parallel` at 1M points across thread
-//! counts (output is bit-identical at every count, so only wall-clock
-//! differs) and steady-state window-query cost through the stats path
-//! vs the allocation-free `SearchScratch` path. Results are written to
-//! `BENCH_pack.json` at the repo root as the machine-readable baseline.
+//! comparable to a sort. (Build cost at 1M points, sequential and
+//! parallel, is `sysbench`'s `core.pack_ms` / `core.pack_parallel_ms`.)
 //!
 //! Run with: `cargo run --release -p rtree-bench --bin pack_scaling`
 
-use packed_rtree_core::{
-    default_threads, effective_threads, pack_parallel_with, pack_with, PackStrategy,
-};
+use packed_rtree_core::{pack_with, PackStrategy};
 use rtree_bench::report::{f, Table};
-use rtree_bench::{build_insert, experiment_seed};
-use rtree_index::{RTreeConfig, SearchScratch, SearchStats, SplitPolicy};
-use rtree_workload::{points, queries, rng, PAPER_UNIVERSE};
+use rtree_bench::{build_insert, experiment_seed, SeededWorkload};
+use rtree_index::{RTreeConfig, SplitPolicy};
 use std::time::Instant;
 
 fn main() {
@@ -39,9 +30,7 @@ fn main() {
         "insert-quad",
     ]);
     for n in [1_000usize, 4_000, 16_000, 64_000] {
-        let mut data_rng = rng(seed);
-        let pts = points::uniform(&mut data_rng, &PAPER_UNIVERSE, n);
-        let items = points::as_items(&pts);
+        let items = SeededWorkload::new(seed).uniform_items(n);
 
         let time = |f: &dyn Fn() -> usize| -> f64 {
             let start = Instant::now();
@@ -49,41 +38,18 @@ fn main() {
             assert_eq!(len, n);
             start.elapsed().as_secs_f64() * 1000.0
         };
+        let pack =
+            |strategy| time(&|| pack_with(items.clone(), RTreeConfig::PAPER, strategy).len());
 
-        let grid = time(&|| {
-            pack_with(
-                items.clone(),
-                RTreeConfig::PAPER,
-                PackStrategy::NearestNeighbor,
-            )
-            .len()
-        });
+        let grid = pack(PackStrategy::NearestNeighbor);
         // The naive O(n²) scan becomes painful quickly; cap it.
         let naive = if n <= 16_000 {
-            f(
-                time(&|| {
-                    pack_with(
-                        items.clone(),
-                        RTreeConfig::PAPER,
-                        PackStrategy::NearestNeighborNaive,
-                    )
-                    .len()
-                }),
-                1,
-            )
+            f(pack(PackStrategy::NearestNeighborNaive), 1)
         } else {
             "(skipped)".to_string()
         };
-        let str_t = time(&|| {
-            pack_with(
-                items.clone(),
-                RTreeConfig::PAPER,
-                PackStrategy::SortTileRecursive,
-            )
-            .len()
-        });
-        let hil =
-            time(&|| pack_with(items.clone(), RTreeConfig::PAPER, PackStrategy::Hilbert).len());
+        let str_t = pack(PackStrategy::SortTileRecursive);
+        let hil = pack(PackStrategy::Hilbert);
         let ins = time(&|| build_insert(&items, SplitPolicy::Quadratic, RTreeConfig::PAPER).len());
 
         table.row([
@@ -98,144 +64,5 @@ fn main() {
     println!("{}", table.render());
     println!("The grid NN keeps the paper's algorithm near sort cost (O(n log n)-ish);");
     println!("the pseudocode's literal NN scan grows quadratically and falls behind");
-    println!("dynamic insertion well before 100k objects.\n");
-
-    parallel_sweep(seed);
-}
-
-/// The parallel-pipeline baseline: build throughput across thread counts
-/// at 1M points, and query ns/op through both search paths.
-fn parallel_sweep(seed: u64) {
-    let hw = default_threads();
-    let n = 1_000_000usize;
-    println!("Parallel PACK sweep — n = {n}, M=4, hardware threads = {hw}\n");
-
-    let mut data_rng = rng(seed ^ 0x9e3779b97f4a7c15);
-    let pts = points::uniform(&mut data_rng, &PAPER_UNIVERSE, n);
-    let items = points::as_items(&pts);
-
-    // Untimed warm-up build: the first 1M-item pack pays one-off page
-    // faults and allocator growth that would otherwise be booked against
-    // whichever thread count runs first.
-    std::hint::black_box(pack_parallel_with(
-        items.clone(),
-        RTreeConfig::PAPER,
-        PackStrategy::NearestNeighbor,
-        1,
-    ));
-
-    let mut table = Table::new(["threads", "effective", "build ms", "items/s", "speedup"]);
-    let mut build_rows = Vec::new();
-    let mut seq_ms = 0.0f64;
-    let mut reference = None;
-    for threads in [1usize, 2, 4, 8] {
-        // Best of three runs per count: one measurement at 1M items is
-        // noisy enough to fake super-linear speedups on loaded hosts.
-        let mut ms = f64::INFINITY;
-        let mut tree = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let t = pack_parallel_with(
-                items.clone(),
-                RTreeConfig::PAPER,
-                PackStrategy::NearestNeighbor,
-                threads,
-            );
-            ms = ms.min(start.elapsed().as_secs_f64() * 1000.0);
-            tree = Some(t);
-        }
-        let tree = tree.expect("two runs above");
-        assert_eq!(tree.len(), n);
-        // Determinism spot-check rides along with the measurement.
-        match &reference {
-            None => {
-                seq_ms = ms;
-                reference = Some(tree);
-            }
-            Some(seq) => assert_eq!(&tree, seq, "parallel output diverged at {threads} threads"),
-        }
-        let rate = n as f64 / (ms / 1000.0);
-        let eff = effective_threads(threads, n);
-        table.row([
-            threads.to_string(),
-            eff.to_string(),
-            f(ms, 1),
-            f(rate, 0),
-            f(seq_ms / ms, 2),
-        ]);
-        build_rows.push((threads, eff, ms, rate, seq_ms / ms));
-    }
-    println!("{}", table.render());
-
-    // Query hot path: steady-state window queries, stats path vs the
-    // reusable-scratch path. Same queries, same tree, same results.
-    let tree = reference.expect("built above");
-    let mut q_rng = rng(seed ^ 0x5851f42d4c957f2d);
-    let windows = queries::window_queries(&mut q_rng, &PAPER_UNIVERSE, 2_000, 0.0001);
-
-    let mut stats = SearchStats::default();
-    // Warm-up (page in the tree), then measure.
-    for w in windows.iter().take(200) {
-        std::hint::black_box(tree.search_within(w, &mut stats));
-    }
-    let mut stats = SearchStats::default();
-    let start = Instant::now();
-    for w in &windows {
-        std::hint::black_box(tree.search_within(w, &mut stats));
-    }
-    let stats_ns = start.elapsed().as_nanos() as f64 / windows.len() as f64;
-
-    let mut scratch = SearchScratch::new();
-    // Full warm-up pass: after seeing the whole workload once the scratch
-    // buffers have reached their high-water marks and must never grow again.
-    for w in &windows {
-        std::hint::black_box(tree.search_within_into(w, &mut scratch));
-    }
-    let warm = scratch.capacities();
-    let start = Instant::now();
-    for w in &windows {
-        std::hint::black_box(tree.search_within_into(w, &mut scratch));
-    }
-    let scratch_ns = start.elapsed().as_nanos() as f64 / windows.len() as f64;
-    assert_eq!(scratch.capacities(), warm, "steady state reallocated");
-
-    let mut qt = Table::new(["query path", "ns/op", "avg nodes visited"]);
-    qt.row([
-        "stats (alloc per query)".into(),
-        f(stats_ns, 0),
-        f(stats.avg_nodes_visited(), 2),
-    ]);
-    qt.row([
-        "scratch (alloc-free)".into(),
-        f(scratch_ns, 0),
-        "same traversal".into(),
-    ]);
-    println!("{}", qt.render());
-
-    let json = format!(
-        "{{\n  \"experiment\": \"pack_parallel_baseline\",\n  \"seed\": {seed},\n  \
-         \"n\": {n},\n  \"branching\": 4,\n  \"hardware_threads\": {hw},\n  \
-         \"build\": [\n{}\n  ],\n  \
-         \"window_query\": {{\n    \"queries\": {qn},\n    \"selectivity\": 0.0001,\n    \
-         \"stats_path_ns_per_op\": {stats_ns:.0},\n    \"scratch_path_ns_per_op\": {scratch_ns:.0},\n    \
-         \"avg_nodes_visited\": {anv:.3}\n  }}\n}}\n",
-        build_rows
-            .iter()
-            .map(|(t, eff, ms, rate, speedup)| format!(
-                "    {{\"threads\": {t}, \"effective_threads\": {eff}, \"ms\": {ms:.1}, \"items_per_s\": {rate:.0}, \"speedup\": {speedup:.3}}}"
-            ))
-            .collect::<Vec<_>>()
-            .join(",\n"),
-        qn = windows.len(),
-        anv = stats.avg_nodes_visited(),
-    );
-    match std::fs::write("BENCH_pack.json", &json) {
-        Ok(()) => println!("wrote BENCH_pack.json"),
-        Err(e) => println!("could not write BENCH_pack.json: {e}"),
-    }
-    if hw == 1 {
-        println!("note: this host exposes a single hardware thread; requested counts are");
-        println!("clamped to 1 effective worker, so speedups ≈ 1.0 are expected here —");
-        println!("the sweep still verifies bit-identical output per requested count.");
-    }
+    println!("dynamic insertion well before 100k objects.");
 }

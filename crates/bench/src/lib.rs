@@ -1,4 +1,4 @@
-//! Shared harness for the experiment binaries and criterion benches.
+//! Shared harness for the experiment binaries.
 //!
 //! Every table and figure of the paper has a binary in `src/bin/` that
 //! regenerates it (see `DESIGN.md` §3 for the index); this library holds
@@ -9,10 +9,13 @@
 
 pub mod report;
 
-use packed_rtree_core::{pack_with, PackStrategy};
+use packed_rtree_core::{default_threads, pack_parallel_with, pack_with, PackStrategy};
 use rand::rngs::StdRng;
 use rtree_geom::{Point, Rect};
-use rtree_index::{ItemId, RTree, RTreeConfig, SearchStats, SplitPolicy, TreeMetrics};
+use rtree_index::{
+    BatchScratch, FrozenRTree, ItemId, RTree, RTreeConfig, SearchScratch, SearchStats, SplitPolicy,
+    TreeMetrics,
+};
 use rtree_workload::{points, queries, rng, PAPER_UNIVERSE};
 
 /// Seed used by all experiments (fixed for reproducibility; vary with
@@ -105,6 +108,81 @@ pub fn best_of_three_ns<T>(n: usize, mut run: impl FnMut() -> T) -> f64 {
         best = best.min(start.elapsed().as_nanos() as f64 / n as f64);
     }
     best
+}
+
+/// The window-query profile `BENCH_layout.json` records: `n` uniform
+/// points packed once (M = 4) and held in both physical forms, 2 000
+/// windows of selectivity 0.0001, and ns per window on the three paths
+/// `bench_guard` holds to that file.
+#[derive(Debug)]
+pub struct WindowPaths {
+    /// The packed points, in generation order.
+    pub points: Vec<Point>,
+    /// PACK's pointer tree over them.
+    pub tree: RTree,
+    /// The same tree frozen into the SoA arena.
+    pub frozen: FrozenRTree,
+    /// The windows every path answers.
+    pub windows: Vec<Rect>,
+    /// The query stream just past the windows, for the caller's further
+    /// draws (probes, k-NN points, delta points).
+    pub query_rng: StdRng,
+    /// `RTree::search_within_into` per window.
+    pub pointer_scratch_ns_per_op: f64,
+    /// `FrozenRTree::search_within_into` per window.
+    pub frozen_scratch_ns_per_op: f64,
+    /// [`batched_window_ns`] per window in packs of 64.
+    pub batch_64_ns_per_op: f64,
+}
+
+/// Measures [`WindowPaths`]. `layout_bench` writes the three figures to
+/// `BENCH_layout.json` and `bench_guard` re-measures them through this
+/// one function, so the guard compares like with like by construction.
+pub fn window_paths(n: usize, seed: u64) -> WindowPaths {
+    let points = points::uniform(&mut rng(seed ^ 0x9e3779b97f4a7c15), &PAPER_UNIVERSE, n);
+    let tree = pack_parallel_with(
+        points::as_items(&points),
+        RTreeConfig::PAPER,
+        PackStrategy::NearestNeighbor,
+        default_threads(),
+    );
+    let frozen = FrozenRTree::freeze(&tree);
+    let mut query_rng = rng(seed ^ 0x5851f42d4c957f2d);
+    let windows = queries::window_queries(&mut query_rng, &PAPER_UNIVERSE, 2_000, 0.0001);
+
+    let mut scratch = SearchScratch::new();
+    let pointer_scratch_ns_per_op = best_of_three_ns(windows.len(), || {
+        for w in &windows {
+            std::hint::black_box(tree.search_within_into(w, &mut scratch));
+        }
+    });
+    let frozen_scratch_ns_per_op = best_of_three_ns(windows.len(), || {
+        for w in &windows {
+            std::hint::black_box(frozen.search_within_into(w, &mut scratch));
+        }
+    });
+    let batch_64_ns_per_op = batched_window_ns(&frozen, &windows, 64);
+    WindowPaths {
+        points,
+        tree,
+        frozen,
+        windows,
+        query_rng,
+        pointer_scratch_ns_per_op,
+        frozen_scratch_ns_per_op,
+        batch_64_ns_per_op,
+    }
+}
+
+/// ns per window of `FrozenRTree::batch_windows` over `windows` in packs
+/// of `pack`.
+pub fn batched_window_ns(frozen: &FrozenRTree, windows: &[Rect], pack: usize) -> f64 {
+    let mut batch = BatchScratch::new();
+    best_of_three_ns(windows.len(), || {
+        for chunk in windows.chunks(pack) {
+            std::hint::black_box(frozen.batch_windows(chunk, true, &mut batch));
+        }
+    })
 }
 
 /// What the PSQL executor adds between the picture search and the

@@ -66,7 +66,8 @@ impl Table {
     }
 }
 
-/// Formats a float with limited decimals, trimming trailing zeros.
+/// Formats a float with exactly `decimals` decimals (trailing zeros kept,
+/// so a column of them aligns).
 pub fn f(x: f64, decimals: usize) -> String {
     format!("{x:.decimals$}")
 }

@@ -164,11 +164,11 @@ fn encode_frame(req: &Request) -> Vec<u8> {
 #[test]
 fn storm_of_concurrent_connections_all_answered_and_correlated() {
     // The connection-storm contract at scale: N simultaneous live
-    // connections (default 1000 under `cargo test`; the bench binary's
-    // storm mode drives 10k through the same server), each held open
-    // across multiple request waves — zero dropped connections, zero
-    // garbled or mis-correlated responses. Scale with the
-    // STORM_CONNECTIONS env var.
+    // connections, each held open across multiple request waves — zero
+    // dropped connections, zero garbled or mis-correlated responses.
+    // Default 1000 under `cargo test`; the full 10k storm (EXT-14) is
+    //   STORM_CONNECTIONS=10000 cargo test --release -p psql-server \
+    //     --test connection_storm storm
     let connections: usize = std::env::var("STORM_CONNECTIONS")
         .ok()
         .and_then(|v| v.parse().ok())
