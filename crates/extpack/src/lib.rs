@@ -25,10 +25,8 @@
 //!    and every group is written as one fully packed node page into the
 //!    destination file in contiguous batches
 //!    ([`PageStore::write_pages`](rtree_storage::PageStore::write_pages)).
-//!    A [`NodeSink`] observes every emitted node, so callers can build
-//!    the frozen query arena *during* the pack. Group MBRs feed the next
-//!    level through the same run machinery, "working ever backwards,
-//!    until the root is finally reached" (§3.3).
+//!    Group MBRs feed the next level through the same run machinery,
+//!    "working ever backwards, until the root is finally reached" (§3.3).
 //! 3. **Commit** — the two-slot meta pair flips only after every node
 //!    page is durable ([`DiskRTree::commit_external`]), so a crash at
 //!    any point leaves the previous tree or a detectably-absent one.
@@ -86,8 +84,7 @@ pub use budget::BudgetAccountant;
 pub use guard::SpillDir;
 pub use merge::MERGE_HEAD_BYTES;
 pub use pack::{
-    pack_external, pack_external_into, pack_external_into_sink, pack_external_with_sink,
-    ExtPackConfig, ExtPackError, ExtPackResult, ExtPackStats, NodeSink, NullSink, MAX_RUN_RECORDS,
-    RUN_RECORD_FOOTPRINT,
+    pack_external, pack_external_into, ExtPackConfig, ExtPackError, ExtPackResult, ExtPackStats,
+    MAX_RUN_RECORDS, RUN_RECORD_FOOTPRINT,
 };
 pub use spill::{SpillRecord, RECORDS_PER_PAGE, RECORD_SIZE};

@@ -10,10 +10,7 @@
 //! affords it — and the merged stream is cut into the in-memory packer's
 //! deterministic slabs ([`SlabPlan`]), grouped with the identical
 //! [`group_slab`] machinery, and written as fully packed node pages in
-//! contiguous batches straight into the destination store. A
-//! [`NodeSink`] observes every emitted node, which lets callers build
-//! the frozen query arena *during* the pack instead of re-reading the
-//! destination afterwards.
+//! contiguous batches straight into the destination store.
 //!
 //! # Budget ledger
 //!
@@ -248,24 +245,6 @@ pub struct ExtPackStats {
     pub emit_us: u64,
 }
 
-/// Receives every packed node as it is emitted — leaves first, each
-/// level in key order, the root last. `page` is the node's destination
-/// page id; leaf entries carry item ids in `child`, internal entries
-/// carry child page ids. Implementations build side structures (the
-/// frozen arena, a pointer tree) during the pack, replacing a full
-/// re-read of the destination.
-pub trait NodeSink {
-    /// Observes one emitted node.
-    fn node(&mut self, level: u32, page: PageId, entries: &[codec::DiskEntry]);
-}
-
-/// A [`NodeSink`] that ignores every node.
-pub struct NullSink;
-
-impl NodeSink for NullSink {
-    fn node(&mut self, _level: u32, _page: PageId, _entries: &[codec::DiskEntry]) {}
-}
-
 /// Per-phase busy-time accumulators, in microseconds. Updated from the
 /// producer, sorter, and consumer threads; phases overlap under
 /// pipelining, so the figures are per-phase busy time, not additive
@@ -485,7 +464,7 @@ impl<'env> RunProducer<'env> {
 
 /// Consumes one level's merged stream: buffers a slab at a time, groups
 /// it exactly as the in-memory packer would, writes every group as one
-/// packed node page (batched), reports it to the sink, and feeds group
+/// packed node page (batched), and feeds group
 /// MBRs to the next level's [`RunProducer`]. Pages go through the
 /// storage layer's staged [`NodePageWriter`]: one contiguous
 /// [`PageStore::write_pages`] per batch, an early flush only if the
@@ -504,10 +483,10 @@ struct LevelBuilder<'a, 'env> {
 }
 
 impl<'a, 'env> LevelBuilder<'a, 'env> {
-    fn push(&mut self, rec: SpillRecord, sink: &mut dyn NodeSink) -> ExtPackResult<()> {
+    fn push(&mut self, rec: SpillRecord) -> ExtPackResult<()> {
         self.slab.push(rec);
         if self.slab.len() == self.plan.slab_len() {
-            self.flush(sink)?;
+            self.flush()?;
         }
         Ok(())
     }
@@ -517,7 +496,7 @@ impl<'a, 'env> LevelBuilder<'a, 'env> {
     /// merge produced it), cut at the same `slab_len` boundaries as the
     /// in-memory packer — so grouping it with an identity `ord` is
     /// exactly [`group_slab`] on the corresponding global slab.
-    fn flush(&mut self, sink: &mut dyn NodeSink) -> ExtPackResult<()> {
+    fn flush(&mut self) -> ExtPackResult<()> {
         if self.slab.is_empty() {
             return Ok(());
         }
@@ -534,7 +513,6 @@ impl<'a, 'env> LevelBuilder<'a, 'env> {
             let mbr =
                 Rect::mbr_of_rects(entries.iter().map(|e| e.mbr)).expect("group is never empty");
             let pid = self.emitter.push(self.level, entries)?;
-            sink.node(self.level, pid, entries);
             self.last_page = Some(pid);
             if let Some(next) = &mut self.next {
                 next.push(SpillRecord {
@@ -615,7 +593,6 @@ fn run_level(
     budget: &BudgetAccountant,
     timers: &PhaseTimers,
     stats: &mut ExtPackStats,
-    sink: &mut dyn NodeSink,
 ) -> ExtPackResult<LevelOutcome> {
     let bb = budget.budget();
     let all_pages: Vec<PageId> = runs_open
@@ -653,14 +630,14 @@ fn run_level(
         budget.charge(heads);
         let mut cursor = MergeCursor::open(spill, runs_open)?;
         while let Some(rec) = cursor.next_record()? {
-            builder.push(rec, sink)?;
+            builder.push(rec)?;
         }
         drop(cursor);
         budget.release(heads);
     } else {
-        merge_partitioned(spill, runs_open, parts, budget, &mut builder, sink)?;
+        merge_partitioned(spill, runs_open, parts, budget, &mut builder)?;
     }
-    builder.flush(sink)?;
+    builder.flush()?;
     for id in all_pages {
         spill.free(id);
     }
@@ -707,7 +684,6 @@ fn merge_partitioned(
     parts: usize,
     budget: &BudgetAccountant,
     builder: &mut LevelBuilder<'_, '_>,
-    sink: &mut dyn NodeSink,
 ) -> ExtPackResult<()> {
     let per_worker = runs.len() as u64 * MERGE_HEAD_BYTES + partition_chunk_bytes();
     let charge = parts as u64 * per_worker;
@@ -758,7 +734,7 @@ fn merge_partitioned(
         'partitions: for rx in &rxs {
             for chunk in rx.iter() {
                 for rec in chunk {
-                    if let Err(e) = builder.push(rec, sink) {
+                    if let Err(e) = builder.push(rec) {
                         consume_err = Some(e);
                         break 'partitions;
                     }
@@ -796,22 +772,6 @@ pub fn pack_external_into<I>(
     cfg: &ExtPackConfig,
     dest: &(dyn PageStore + Sync),
     spill: &(dyn PageStore + Sync),
-) -> ExtPackResult<(DiskRTree, ExtPackStats)>
-where
-    I: IntoIterator<Item = (Rect, ItemId)>,
-{
-    pack_external_into_sink(items, cfg, dest, spill, &mut NullSink)
-}
-
-/// [`pack_external_into`] with a [`NodeSink`] observing every emitted
-/// node (leaves first, root last) — the direct-emission hook for
-/// building the frozen arena or a pointer tree during the pack.
-pub fn pack_external_into_sink<I>(
-    items: I,
-    cfg: &ExtPackConfig,
-    dest: &(dyn PageStore + Sync),
-    spill: &(dyn PageStore + Sync),
-    sink: &mut dyn NodeSink,
 ) -> ExtPackResult<(DiskRTree, ExtPackStats)>
 where
     I: IntoIterator<Item = (Rect, ItemId)>,
@@ -874,7 +834,6 @@ where
     if n == 0 {
         let mut emitter = NodePageWriter::new(dest, 1);
         let root = emitter.push(0, &[])?;
-        sink.node(0, root, &[]);
         stats.node_pages = emitter.finish()?;
         let tree = DiskRTree::commit_external(dest, root, 0, 0, 1)?;
         stats.levels = 1;
@@ -912,7 +871,6 @@ where
             &budget,
             &timers,
             &mut stats,
-            sink,
         )?;
 
         match outcome {
@@ -952,21 +910,6 @@ where
     let spill = dir.create_pager()?;
     pack_external_into(items, cfg, dest, &spill)
     // `spill` then `dir` drop here: fd closes, directory is removed.
-}
-
-/// [`pack_external`] with a [`NodeSink`] observing every emitted node.
-pub fn pack_external_with_sink<I>(
-    items: I,
-    cfg: &ExtPackConfig,
-    dest: &(dyn PageStore + Sync),
-    sink: &mut dyn NodeSink,
-) -> ExtPackResult<(DiskRTree, ExtPackStats)>
-where
-    I: IntoIterator<Item = (Rect, ItemId)>,
-{
-    let dir = SpillDir::create()?;
-    let spill = dir.create_pager()?;
-    pack_external_into_sink(items, cfg, dest, &spill, sink)
 }
 
 #[cfg(test)]
@@ -1113,39 +1056,6 @@ mod tests {
         }
         for pair in images.windows(2) {
             assert_eq!(pair[0], pair[1], "thread count changed the packed image");
-        }
-    }
-
-    #[test]
-    fn sink_observes_every_node_with_real_page_ids() {
-        struct Collect {
-            nodes: Vec<(u32, PageId, usize)>,
-        }
-        impl NodeSink for Collect {
-            fn node(&mut self, level: u32, page: PageId, entries: &[codec::DiskEntry]) {
-                self.nodes.push((level, page, entries.len()));
-            }
-        }
-        let dest = Pager::temp().unwrap();
-        let cfg = ExtPackConfig {
-            memory_budget_bytes: 32 * 1024,
-            threads: 2,
-            ..ExtPackConfig::new(0)
-        };
-        let mut sink = Collect { nodes: Vec::new() };
-        let (tree, stats) = pack_external_with_sink(scatter(500), &cfg, &dest, &mut sink).unwrap();
-        assert_eq!(sink.nodes.len() as u32, stats.node_pages);
-        // Levels appear bottom-up and the root is last.
-        let levels: Vec<u32> = sink.nodes.iter().map(|n| n.0).collect();
-        assert!(levels.windows(2).all(|w| w[0] <= w[1]));
-        let &(last_level, last_page, _) = sink.nodes.last().unwrap();
-        assert_eq!(last_level, tree.depth());
-        assert_eq!(last_page, tree.root());
-        // Every reported node matches the page actually on disk.
-        for &(level, page, n_entries) in &sink.nodes {
-            let node = codec::decode(&dest.read_page(page).unwrap()).unwrap();
-            assert_eq!(node.level, level);
-            assert_eq!(node.entries.len(), n_entries);
         }
     }
 }

@@ -4,28 +4,6 @@ use crate::spatial::SpatialOp;
 use pictorial_relational::{CompareOp, Value};
 use rtree_geom::{Point, Rect};
 
-/// A top-level PSQL statement: either a retrieve mapping or an
-/// administrative command.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Statement {
-    /// A retrieve mapping (`select … from … on … at … where …`).
-    Retrieve(Box<Query>),
-    /// `pack external <picture> budget <bytes> [threads <n>]` — rebuild
-    /// a picture's packed R-tree with the out-of-core external packer,
-    /// bounding the build's resident memory by the given budget. The
-    /// optional `threads` clause sizes the packer's pipeline (overlapped
-    /// sort/spill plus the partitioned merge); 0 or absent selects the
-    /// machine default, and the result is bit-identical at every value.
-    PackExternal {
-        /// Picture whose R-tree is rebuilt.
-        picture: String,
-        /// Memory budget in bytes for the external pack.
-        budget_bytes: u64,
-        /// Pipeline thread count (0 = machine default).
-        threads: usize,
-    },
-}
-
 /// A parsed PSQL retrieve mapping (§2.2):
 ///
 /// ```text

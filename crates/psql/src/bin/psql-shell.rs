@@ -14,10 +14,9 @@
 //! psql> \help
 //! ```
 
-use psql::ast::Statement;
 use psql::database::PictorialDatabase;
 use psql::exec::execute;
-use psql::parser::{parse_query, parse_statement};
+use psql::parser::parse_query;
 use psql::picture::Picture;
 use psql::plan::plan;
 use psql::render::render;
@@ -26,9 +25,6 @@ use std::io::{self, BufRead, Write};
 const HELP: &str = "\
 PSQL shell commands:
   <query>;               run a PSQL retrieve mapping (may span lines, end with ;)
-  pack external <picture> budget <bytes> [threads <n>];
-                         rebuild a picture's packed R-tree out-of-core,
-                         bounding build memory by <bytes>
   \\explain <query>;      show the plan without executing
   \\map <picture>         render a picture (us-map, state-map, time-zone-map,
                          lake-map, highway-map)
@@ -49,7 +45,7 @@ Example queries:
 ";
 
 fn main() {
-    let mut db = PictorialDatabase::with_us_map();
+    let db = PictorialDatabase::with_us_map();
     let stdin = io::stdin();
     let mut lines = stdin.lock().lines();
     let mut buffer = String::new();
@@ -84,7 +80,7 @@ fn main() {
         if text.is_empty() {
             continue;
         }
-        run_statement(&mut db, &text, auto_map);
+        run_query(&db, &text, auto_map);
     }
     println!("bye");
 }
@@ -165,45 +161,8 @@ fn index_state(pic: &Picture) -> String {
     }
 }
 
-fn run_statement(db: &mut PictorialDatabase, text: &str, auto_map: bool) {
-    match parse_statement(text) {
-        Ok(Statement::Retrieve(q)) => run_query(db, &q, auto_map),
-        Ok(Statement::PackExternal {
-            picture,
-            budget_bytes,
-            threads,
-        }) => match db.picture_mut(&picture) {
-            Ok(pic) => match pic.pack_external(budget_bytes, threads) {
-                Ok(stats) => println!(
-                    "packed {} objects out-of-core: {} initial runs, {} intermediate \
-                     merges (fan-in {}), {} spill bytes, peak resident {} of {} budget \
-                     bytes; {} threads, {} merge partitions; phases (ms) produce {} \
-                     sort {} spill {} merge {} emit {}",
-                    stats.items,
-                    stats.initial_runs,
-                    stats.intermediate_merges,
-                    stats.max_fan_in,
-                    stats.spill_bytes,
-                    stats.peak_budget_bytes,
-                    budget_bytes,
-                    stats.threads_used,
-                    stats.merge_partitions,
-                    stats.produce_us / 1000,
-                    stats.sort_us / 1000,
-                    stats.spill_us / 1000,
-                    stats.merge_us / 1000,
-                    stats.emit_us / 1000,
-                ),
-                Err(e) => println!("pack external failed: {e}"),
-            },
-            Err(e) => println!("{e}"),
-        },
-        Err(e) => println!("{e}"),
-    }
-}
-
-fn run_query(db: &PictorialDatabase, query: &psql::ast::Query, auto_map: bool) {
-    match execute(db, query) {
+fn run_query(db: &PictorialDatabase, text: &str, auto_map: bool) {
+    match parse_query(text).and_then(|query| execute(db, &query)) {
         Ok(result) => {
             println!("{result}");
             if auto_map && !result.highlights.is_empty() {

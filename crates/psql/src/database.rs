@@ -342,51 +342,11 @@ impl PictorialDatabase {
         }
     }
 
-    /// Re-packs every picture through the **out-of-core** external
-    /// packer (`rtree-extpack`) under a shared per-picture memory
-    /// budget — the `PACK EXTERNAL` admin path. Bit-identical trees to
-    /// [`pack_all`](Self::pack_all), but peak resident buffer memory per
-    /// picture is bounded by `memory_budget_bytes` rather than by the
-    /// largest picture. `threads` sizes the packer's pipeline (0 =
-    /// machine default) without affecting the trees. Returns the summed
-    /// packer stats.
-    pub fn pack_external_all(
-        &mut self,
-        memory_budget_bytes: u64,
-        threads: usize,
-    ) -> Result<rtree_extpack::ExtPackStats, PsqlError> {
-        let mut total = rtree_extpack::ExtPackStats::default();
-        for pic in self.pictures.values_mut() {
-            let s = Arc::make_mut(pic)
-                .pack_external(memory_budget_bytes, threads)
-                .map_err(|e| PsqlError::Internal(format!("external pack failed: {e}")))?;
-            total.items += s.items;
-            total.initial_runs += s.initial_runs;
-            total.run_capacity_records = total.run_capacity_records.max(s.run_capacity_records);
-            total.spill_pages += s.spill_pages;
-            total.spill_bytes += s.spill_bytes;
-            total.intermediate_merges += s.intermediate_merges;
-            total.max_fan_in = total.max_fan_in.max(s.max_fan_in);
-            total.levels = total.levels.max(s.levels);
-            total.node_pages += s.node_pages;
-            total.peak_budget_bytes = total.peak_budget_bytes.max(s.peak_budget_bytes);
-            total.slab_buffer_bytes = total.slab_buffer_bytes.max(s.slab_buffer_bytes);
-            total.threads_used = total.threads_used.max(s.threads_used);
-            total.merge_partitions = total.merge_partitions.max(s.merge_partitions);
-            total.produce_us += s.produce_us;
-            total.sort_us += s.sort_us;
-            total.spill_us += s.spill_us;
-            total.merge_us += s.merge_us;
-            total.emit_us += s.emit_us;
-        }
-        Ok(total)
-    }
-
     /// Folds every nonempty delta tree back into a freshly packed +
     /// frozen main tree, leaving untouched pictures alone. Returns the
-    /// number of pictures merged. The server's background merge runs
-    /// this on a snapshot clone, off every lock, and installs the result
-    /// with [`adopt_merge`](Self::adopt_merge).
+    /// number of pictures merged. Like [`pack_all`](Self::pack_all), the
+    /// server runs this on a snapshot clone, off every lock, and installs
+    /// the result with [`adopt_merge`](Self::adopt_merge).
     pub fn merge_deltas(&mut self) -> usize {
         let mut merged = 0;
         for pic in self.pictures.values_mut() {
@@ -398,30 +358,29 @@ impl PictorialDatabase {
         merged
     }
 
-    /// Installs a background merge into `self`, the database as it is
-    /// *now*: `merged` is a clone of `base` after
-    /// [`merge_deltas`](Self::merge_deltas), and `self` descends from
-    /// `base` by whatever was written while the merge packed. Each
-    /// picture the merge packed replaces its counterpart here, after the
-    /// objects added since `base` — ids `[merged.len, self.len)` — are
-    /// re-added into its delta, so no write is lost and ids are kept.
+    /// Installs a rebuild into `self`, the database as it is *now*:
+    /// `merged` is a clone of `base` after [`pack_all`](Self::pack_all)
+    /// or [`merge_deltas`](Self::merge_deltas), and `self` descends from
+    /// `base` by whatever was written while the rebuild packed. Each
+    /// picture whose generation the rebuild replaced replaces its
+    /// counterpart here, after the objects added since `base` — ids
+    /// `[merged.len, self.len)` — are re-added into its delta, so no
+    /// write is lost and ids are kept.
     ///
-    /// Returns `false`, leaving `self` untouched, when some merged
-    /// picture no longer serves `base`'s packed generation here: a
-    /// REPACK / PACK EXTERNAL already folded that delta, and the merge
-    /// result is stale.
+    /// Returns `false`, leaving `self` untouched, when some rebuilt
+    /// picture no longer serves `base`'s generation here: another pack
+    /// was published meanwhile, and the rebuild is stale.
     pub fn adopt_merge(&mut self, base: &PictorialDatabase, merged: &PictorialDatabase) -> bool {
         let mut adopted = Vec::new();
-        for (name, before) in &base.pictures {
-            if !before.needs_merge() {
-                continue;
-            }
-            let (Some(current), Some(packed)) =
-                (self.pictures.get(name), merged.pictures.get(name))
+        for (name, packed) in &merged.pictures {
+            let (Some(before), Some(current)) = (base.pictures.get(name), self.pictures.get(name))
             else {
                 return false;
             };
-            if !current.shares_packed_with(before) {
+            if packed.generation() == before.generation() {
+                continue;
+            }
+            if current.generation() != before.generation() {
                 return false;
             }
             let mut packed = Picture::clone(packed);
@@ -822,35 +781,6 @@ mod tests {
         assert!(db
             .create_picture("us-map", Rect::new(0.0, 0.0, 1.0, 1.0))
             .is_err());
-    }
-
-    #[test]
-    fn pack_external_all_matches_pack_all() {
-        let mut a = PictorialDatabase::with_us_map(); // pack_all'd
-        let mut b = a.clone();
-        a.pack_all();
-        let stats = b.pack_external_all(64 * 1024, 2).expect("external pack");
-        let pics = [
-            "us-map",
-            "state-map",
-            "time-zone-map",
-            "lake-map",
-            "highway-map",
-        ];
-        let expected: u64 = pics
-            .iter()
-            .map(|p| b.picture(p).unwrap().len() as u64)
-            .sum();
-        assert_eq!(stats.items, expected, "all pictures packed");
-        for pic in pics {
-            assert_eq!(
-                a.picture(pic).unwrap().tree(),
-                b.picture(pic).unwrap().tree(),
-                "{pic} diverged"
-            );
-            assert!(b.picture(pic).unwrap().frozen().is_some(), "{pic}");
-        }
-        assert!(b.frozen_intact());
     }
 
     #[test]

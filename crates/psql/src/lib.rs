@@ -72,11 +72,10 @@ mod store;
 pub mod token;
 pub mod wal_record;
 
-pub use ast::Statement;
 pub use database::PictorialDatabase;
 pub use error::PsqlError;
 pub use exec::execute;
-pub use parser::{parse_query, parse_statement};
+pub use parser::parse_query;
 pub use result::ResultSet;
 pub use spatial::SpatialOp;
 pub use wal_record::InsertRecord;

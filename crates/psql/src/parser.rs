@@ -8,52 +8,6 @@ use crate::token::Token;
 use pictorial_relational::{CompareOp, Value};
 use rtree_geom::Rect;
 
-/// Parses one PSQL statement: a retrieve mapping, or the administrative
-/// `pack external <picture> budget <bytes> [threads <n>]` command.
-pub fn parse_statement(input: &str) -> Result<Statement, PsqlError> {
-    let tokens = lex(input)?;
-    let is_pack_external = matches!(
-        (tokens.first(), tokens.get(1)),
-        (Some(Token::Ident(a)), Some(Token::Ident(b))) if a == "pack" && b == "external"
-    );
-    if !is_pack_external {
-        return parse_query(input).map(|q| Statement::Retrieve(Box::new(q)));
-    }
-    let mut p = Parser::new(tokens);
-    p.next(); // pack
-    p.next(); // external
-    let picture = p.ident()?;
-    let keyword = p.ident()?;
-    if keyword != "budget" {
-        return Err(PsqlError::Parse(format!(
-            "expected budget, found {keyword}"
-        )));
-    }
-    let n = p.number()?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-        return Err(PsqlError::Parse(format!(
-            "budget must be a non-negative integer byte count, got {n}"
-        )));
-    }
-    let mut threads = 0usize;
-    if matches!(p.peek(), Some(Token::Ident(w)) if w == "threads") {
-        p.next();
-        let t = p.number()?;
-        if t < 0.0 || t.fract() != 0.0 || t > 1024.0 {
-            return Err(PsqlError::Parse(format!(
-                "threads must be an integer in 0..=1024, got {t}"
-            )));
-        }
-        threads = t as usize;
-    }
-    p.end()?;
-    Ok(Statement::PackExternal {
-        picture,
-        budget_bytes: n as u64,
-        threads,
-    })
-}
-
 /// Parses one PSQL query.
 pub fn parse_query(input: &str) -> Result<Query, PsqlError> {
     let tokens = lex(input)?;
@@ -445,41 +399,6 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pack_external_statement() {
-        let s = parse_statement("pack external us-map budget 1048576").unwrap();
-        assert_eq!(
-            s,
-            Statement::PackExternal {
-                picture: "us-map".into(),
-                budget_bytes: 1 << 20,
-                threads: 0,
-            }
-        );
-        // Optional threads clause.
-        let s = parse_statement("pack external us-map budget 65536 threads 4").unwrap();
-        assert_eq!(
-            s,
-            Statement::PackExternal {
-                picture: "us-map".into(),
-                budget_bytes: 64 * 1024,
-                threads: 4,
-            }
-        );
-        // A retrieve mapping still parses through the statement entry.
-        let s = parse_statement("select city from cities on us-map").unwrap();
-        assert!(matches!(s, Statement::Retrieve(_)));
-        // Malformed variants.
-        assert!(parse_statement("pack external us-map").is_err());
-        assert!(parse_statement("pack external us-map budget -1").is_err());
-        assert!(parse_statement("pack external us-map budget 1.5").is_err());
-        assert!(parse_statement("pack external us-map budget 64 extra").is_err());
-        assert!(parse_statement("pack external budget 64").is_err());
-        assert!(parse_statement("pack external us-map budget 64 threads -1").is_err());
-        assert!(parse_statement("pack external us-map budget 64 threads 1.5").is_err());
-        assert!(parse_statement("pack external us-map budget 64 threads 4 junk").is_err());
-    }
 
     #[test]
     fn figure_2_1_query() {

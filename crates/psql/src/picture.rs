@@ -3,15 +3,12 @@
 use crate::spatial::SpatialOp;
 use crate::store::ObjectStore;
 use packed_rtree_core::pack;
-use rtree_extpack::{ExtPackConfig, ExtPackError, ExtPackResult, ExtPackStats, NodeSink};
 use rtree_geom::{Point, Rect, SpatialObject};
 use rtree_index::{
-    BatchScratch, BottomUpBuilder, FrozenChild, FrozenRTree, ItemId, KnnScratch, Neighbor,
-    NodeAccess, NodeId, RTree, RTreeConfig, SearchScratch, SearchStats,
+    BatchScratch, FrozenRTree, ItemId, KnnScratch, Neighbor, NodeAccess, RTree, RTreeConfig,
+    SearchScratch, SearchStats,
 };
-use rtree_storage::{codec, PageId, Pager};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// One packed generation of a picture: everything a pack produced,
@@ -170,14 +167,18 @@ impl Picture {
         self.delta.take();
     }
 
-    /// Replaces the packed generation with `tree` + `frozen` over every
-    /// object, leaving the delta empty. The tail's planes move into it;
-    /// when snapshots still share the old one — a merge — both are
-    /// concatenated once. What is superseded goes before the new arena
-    /// is built, and whatever unwinds leaves a valid picture.
-    fn install_generation(&mut self, tree: RTree, frozen: impl FnOnce(&RTree) -> FrozenRTree) {
+    /// Re-packs the picture's R-tree with the paper's PACK algorithm —
+    /// the "initial packing" applied once the (static) picture is loaded
+    /// — and compiles the result into the frozen SoA layout: a new packed
+    /// generation over every object, the delta left empty. The tail's
+    /// planes move into it; when snapshots still share the old generation
+    /// — a merge — both are concatenated once. The sole owner of a
+    /// generation frees its tree and arena before building, and whatever
+    /// unwinds leaves a valid picture.
+    pub fn pack(&mut self) {
         self.release_owned_indexes();
-        let frozen = frozen(&tree);
+        let tree = pack(self.items(), self.config);
+        let frozen = FrozenRTree::freeze(&tree);
         let store = match &self.packed {
             Some(shared) => shared.store.followed_by(&self.tail),
             None => std::mem::take(&mut self.tail),
@@ -190,71 +191,6 @@ impl Picture {
             tree,
             frozen,
         }));
-    }
-
-    /// Re-packs the picture's R-tree with the paper's PACK algorithm —
-    /// the "initial packing" applied once the (static) picture is loaded
-    /// — and compiles the result into the frozen SoA layout. The sole
-    /// owner of a generation frees its tree and arena before building.
-    pub fn pack(&mut self) {
-        self.release_owned_indexes();
-        let tree = pack(self.items(), self.config);
-        self.install_generation(tree, FrozenRTree::freeze);
-    }
-
-    /// Re-packs the picture with the **out-of-core** external packer
-    /// (`PACK EXTERNAL <picture> BUDGET <bytes> [THREADS <n>]` in PSQL):
-    /// object MBRs stream through budget-bounded spill runs into packed
-    /// disk pages — overlapped, multi-threaded, and partition-merged
-    /// when `threads ≥ 2` — while a [`NodeSink`] rebuilds the pointer
-    /// tree **and** the frozen SoA arena directly from the emission
-    /// stream (no post-pack re-read of the destination, no separate
-    /// freeze pass). Bit-identical to [`pack`](Picture::pack) at every
-    /// budget and thread count, with peak resident buffer memory bounded
-    /// by `memory_budget_bytes` instead of the dataset size. `threads`
-    /// 0 selects the machine default. Returns the packer's counters; on
-    /// an error the picture is unchanged.
-    pub fn pack_external(
-        &mut self,
-        memory_budget_bytes: u64,
-        threads: usize,
-    ) -> ExtPackResult<ExtPackStats> {
-        let dest = Pager::temp().map_err(ExtPackError::Io)?;
-        let cfg = ExtPackConfig {
-            tree: self.config,
-            threads,
-            ..ExtPackConfig::new(memory_budget_bytes)
-        };
-        let mut sink = RebuildSink {
-            builder: BottomUpBuilder::new(self.config),
-            nodes: HashMap::new(),
-            by_page: HashMap::new(),
-            root: None,
-            root_page: 0,
-            depth: 0,
-        };
-        let (_disk, stats) =
-            rtree_extpack::pack_external_with_sink(self.items(), &cfg, &dest, &mut sink)?;
-        if self.is_empty() {
-            // The packer emits a single empty leaf page; the canonical
-            // in-memory form of that is an empty tree, so discard the
-            // sink state and build the empty forms directly.
-            let tree = BottomUpBuilder::new(self.config).finish_empty();
-            self.install_generation(tree, FrozenRTree::freeze);
-        } else {
-            let root = sink.root.expect("non-empty pack emits a root");
-            let tree = sink.builder.finish(root);
-            let (mut nodes, depth, root_page) = (sink.nodes, sink.depth, sink.root_page);
-            let len = self.len();
-            self.install_generation(tree, |tree| {
-                FrozenRTree::from_nodes(tree.config(), depth, len, root_page, |key| {
-                    nodes
-                        .remove(&key)
-                        .expect("every referenced page was emitted")
-                })
-            });
-        }
-        Ok(stats)
     }
 
     /// The store holding object `id` and the object's position in it.
@@ -324,12 +260,21 @@ impl Picture {
         self.delta_len() > 0
     }
 
+    /// Which packed generation the picture serves, as an identity to
+    /// compare while both pictures are alive: every pack makes a new one,
+    /// a clone keeps it, and never-packed pictures all serve `None`.
+    pub(crate) fn generation(&self) -> Option<*const ()> {
+        self.packed
+            .as_ref()
+            .map(|packed| Arc::as_ptr(packed).cast())
+    }
+
     /// `true` when `self` and `other` serve the very same packed
     /// generation — what a snapshot clone must preserve and a pack must
     /// end. Two never-packed pictures share nothing.
     #[doc(hidden)]
     pub fn shares_packed_with(&self, other: &Picture) -> bool {
-        matches!((&self.packed, &other.packed), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+        self.packed.is_some() && self.generation() == other.generation()
     }
 
     /// Estimated resident bytes of the `(packed generation, delta)`,
@@ -593,74 +538,6 @@ impl Picture {
     }
 }
 
-/// Rebuilds the pointer tree **and** captures the node stream for the
-/// frozen SoA arena during the external pack, straight from the packer's
-/// [`NodeSink`] — no post-pack sweep of the destination file. The packer
-/// emits nodes level-major (all leaves, then each internal level, root
-/// last), so every child is observed before its parent and the pointer
-/// tree assembles bottom-up. Emission order within a level is *run
-/// order*, not the BFS sibling order the frozen layout wants (the NN
-/// strategy reorders entries within a group), so the frozen arena is
-/// compiled afterwards by [`FrozenRTree::from_nodes`], whose own
-/// breadth-first walk over the buffered nodes reproduces exactly the
-/// layout [`FrozenRTree::freeze`] would build from the rebuilt tree.
-struct RebuildSink {
-    builder: BottomUpBuilder,
-    /// Emitted nodes by destination page id, fed to `from_nodes`.
-    nodes: HashMap<u64, (u32, Vec<(Rect, FrozenChild)>)>,
-    /// Destination page id → pointer-tree node, for parent resolution.
-    by_page: HashMap<u64, NodeId>,
-    /// Last node seen; the packer emits the root last.
-    root: Option<NodeId>,
-    /// Destination page of the root (last node emitted).
-    root_page: u64,
-    /// Root level — the pointer tree's `depth()`.
-    depth: u32,
-}
-
-impl NodeSink for RebuildSink {
-    fn node(&mut self, level: u32, page: PageId, entries: &[codec::DiskEntry]) {
-        if entries.is_empty() {
-            // Empty-picture pack: the packer still emits one empty root
-            // leaf page, but the caller rebuilds the canonical empty
-            // forms directly, so there is nothing to buffer.
-            return;
-        }
-        let frozen_entries: Vec<(Rect, FrozenChild)> = entries
-            .iter()
-            .map(|e| {
-                let child = if level == 0 {
-                    FrozenChild::Item(ItemId(e.child))
-                } else {
-                    FrozenChild::Node(e.child)
-                };
-                (e.mbr, child)
-            })
-            .collect();
-        self.nodes.insert(page.0 as u64, (level, frozen_entries));
-        let (nid, _) = if level == 0 {
-            self.builder
-                .add_leaf(entries.iter().map(|e| (e.mbr, ItemId(e.child))).collect())
-        } else {
-            let children = entries
-                .iter()
-                .map(|e| {
-                    let nid = *self
-                        .by_page
-                        .get(&e.child)
-                        .expect("packer emits children before parents");
-                    (nid, e.mbr)
-                })
-                .collect();
-            self.builder.add_internal(level, children)
-        };
-        self.by_page.insert(page.0 as u64, nid);
-        self.root = Some(nid);
-        self.root_page = page.0 as u64;
-        self.depth = level;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -822,11 +699,11 @@ mod tests {
         assert_round_trips(&pic, &in_pic);
         assert_round_trips(&copy, &in_copy);
 
-        // An owned repack through the external packer, delta folded in.
+        // An owned repack, delta folded in.
         drop(copy);
         pic.add(rest[0].0.clone(), &rest[0].1);
         in_pic.push(rest[0].clone());
-        pic.pack_external(16 * 1024, 2).expect("external pack");
+        pic.pack();
         assert_eq!((pic.packed_len(), pic.delta_len()), (in_pic.len(), 0));
         assert_round_trips(&pic, &in_pic);
         assert_eq!(
@@ -935,7 +812,7 @@ mod tests {
         // The cell a pack leaves is the empty delta, not a built tree.
         assert!(pic.is_indexed() && pic.delta_tree().is_none());
         assert_eq!(pic.delta.get().map(RTree::len), Some(0));
-        pic.pack_external(64 * 1024, 1).expect("external repack");
+        pic.pack();
         assert_eq!(pic.delta.get().map(RTree::len), Some(0));
         assert_eq!(pic.tree().len(), 50_000);
     }
@@ -1295,74 +1172,6 @@ mod tests {
                 assert_eq!(got, &single, "k-NN at {p:?} k={k} diverged");
             }
         }
-    }
-
-    /// The out-of-core path must reconstruct the very same pointer tree
-    /// (`RTree: PartialEq`, arena layout included) as the in-memory
-    /// packer, and serve identical queries afterwards.
-    #[test]
-    fn pack_external_is_bit_identical_to_pack() {
-        let in_memory = big_picture(5_000); // big_picture packs
-        let mut external = in_memory.clone();
-        // 32 KiB budget: far below the ~480 KiB the items occupy. Two
-        // pipeline threads drive the overlapped produce/sort/spill path.
-        let stats = external.pack_external(32 * 1024, 2).expect("external pack");
-        assert!(stats.initial_runs > 1, "must have spilled: {stats:?}");
-        assert!(stats.peak_budget_bytes <= 32 * 1024);
-        assert_eq!(stats.threads_used, 2);
-        assert_eq!(
-            external.tree(),
-            in_memory.tree(),
-            "trees must be bit-identical"
-        );
-        assert_eq!(external.packed_len(), external.len());
-        assert!(external.frozen().is_some());
-        // The sink-built arena must equal a from-scratch freeze of the
-        // rebuilt pointer tree (direct emission skipped that pass).
-        assert_eq!(
-            external.frozen().expect("frozen"),
-            &FrozenRTree::freeze(external.tree()),
-            "sink-built frozen arena diverged from freeze()"
-        );
-        assert!(!external.needs_merge());
-
-        let window = Rect::new(100.0, 100.0, 400.0, 400.0);
-        for op in [SpatialOp::CoveredBy, SpatialOp::Overlapping] {
-            let mut s1 = SearchStats::default();
-            let mut s2 = SearchStats::default();
-            assert_eq!(
-                external.search_window(op, &window, &mut s1),
-                in_memory.search_window(op, &window, &mut s2),
-                "{op:?} diverged"
-            );
-            assert_eq!(s1, s2, "{op:?} traversal counters diverged");
-        }
-        let mut s = SearchStats::default();
-        assert_eq!(
-            external.nearest(Point::new(500.0, 500.0), 7, &mut s),
-            in_memory.nearest(Point::new(500.0, 500.0), 7, &mut SearchStats::default())
-        );
-    }
-
-    #[test]
-    fn pack_external_folds_delta_and_empty_picture() {
-        let mut pic = sample();
-        pic.pack();
-        pic.add(SpatialObject::Point(Point::new(2.0, 3.0)), "late");
-        assert!(pic.needs_merge());
-        pic.pack_external(0, 1)
-            .expect("degenerate budget still packs");
-        assert!(!pic.needs_merge());
-        assert_eq!(pic.packed_len(), pic.len());
-        let mut twin = sample();
-        twin.add(SpatialObject::Point(Point::new(2.0, 3.0)), "late");
-        twin.pack();
-        assert_eq!(pic.tree(), twin.tree());
-
-        let mut empty = Picture::new("e", Rect::new(0.0, 0.0, 1.0, 1.0), RTreeConfig::PAPER);
-        empty.pack_external(1 << 20, 4).expect("empty pack");
-        assert!(empty.is_empty());
-        assert!(empty.frozen().is_some());
     }
 
     #[test]

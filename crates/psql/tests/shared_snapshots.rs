@@ -336,6 +336,37 @@ fn adopt_merge_keeps_writes_made_while_the_merge_packed() {
     assert_eq!(next.picture("lake-map").unwrap().label(lake), Some("pond"));
 }
 
+/// A REPACK's rebuild is `pack_all`, which also packs pictures that held
+/// no delta and pictures that were never packed. Those serve no
+/// generation before or after, which must read as "unchanged".
+#[test]
+fn adopt_merge_installs_the_first_pack_of_a_never_packed_picture() {
+    let mut base = base_with_delta();
+    base.create_picture("raw", Rect::new(0.0, 0.0, 100.0, 100.0))
+        .unwrap();
+    for i in 0..50 {
+        base.add_object("raw", point(i as f64, i as f64), &format!("r{i}"))
+            .unwrap();
+    }
+    let mut rebuilt = base.clone();
+    rebuilt.pack_all();
+
+    let mut current = base.clone();
+    let late = current.add_object("raw", point(7.5, 7.5), "late").unwrap();
+    let mut next = current.clone();
+    assert!(next.adopt_merge(&base, &rebuilt));
+    let raw = next.picture("raw").unwrap();
+    assert!(raw.shares_packed_with(rebuilt.picture("raw").unwrap()));
+    assert_eq!((raw.packed_len(), raw.delta_len()), (50, 1));
+    assert_eq!(raw.label(late), Some("late"));
+    assert!(window_ids(raw, SpatialOp::CoveredBy, &Rect::new(7.0, 7.0, 8.0, 8.0)).contains(&late));
+    // Every picture was replaced, the ones without a delta included.
+    for pic in next.pictures() {
+        assert!(pic.shares_packed_with(rebuilt.picture(pic.name()).unwrap()));
+    }
+    assert_eq!(next.picture("us-map").unwrap().delta_len(), 0);
+}
+
 #[test]
 fn adopt_merge_discards_a_merge_overtaken_by_a_repack() {
     let base = base_with_delta();

@@ -93,6 +93,19 @@ fn errors_are_reported_not_fatal() {
     assert!(out.contains("New York"));
 }
 
+/// `pack external` was an operator command of this shell once; PSQL has
+/// one statement, the retrieve mapping, and everything else is a syntax
+/// error like any other.
+#[test]
+fn pack_external_is_not_psql() {
+    let out = run_session(
+        "pack external us-map budget 65536;\n\
+         select city from cities where population > 9000000;\n\\quit\n",
+    );
+    assert!(out.contains("parse error:"), "{out}");
+    assert!(out.contains("New York"), "the session went on:\n{out}");
+}
+
 #[test]
 fn aggregate_in_shell() {
     let out = run_session(

@@ -111,188 +111,6 @@ impl PartialEq for FrozenRTree {
 
 impl Eq for FrozenRTree {}
 
-/// One level's staging buffers inside a [`FrozenBuilder`].
-struct FrozenLevel {
-    /// Node-major SoA planes, `4 * fanout` doubles per node, NaN padded.
-    coords: Vec<f64>,
-    /// `fanout` lanes per node: within-child-level position for internal
-    /// lanes, raw item id for leaf lanes, 0 for padding.
-    ids: Vec<u64>,
-    counts: Vec<u32>,
-    /// Caller key → within-level position, for resolving parent lanes.
-    key_to_pos: HashMap<u64, u32>,
-}
-
-impl FrozenLevel {
-    fn new() -> Self {
-        FrozenLevel {
-            coords: Vec::new(),
-            ids: Vec::new(),
-            counts: Vec::new(),
-            key_to_pos: HashMap::new(),
-        }
-    }
-
-    fn node_count(&self) -> usize {
-        self.counts.len()
-    }
-}
-
-/// Incremental, bottom-up construction of a [`FrozenRTree`] arena —
-/// the streaming counterpart of [`FrozenRTree::from_nodes`].
-///
-/// External bulk loaders emit nodes level by level, leaves first and the
-/// root last, with each parent's entries referencing children already
-/// emitted. That is exactly the order this builder accepts: every
-/// [`push_node`](Self::push_node) resolves its child keys immediately
-/// (so nothing but flat SoA buffers is retained), and
-/// [`finish`](Self::finish) stacks the levels root-first — which for a
-/// height-balanced tree *is* the breadth-first order `from_nodes`
-/// produces, because a level's emission order equals the order its
-/// parents reference it. The result is therefore bit-identical to
-/// freezing the equivalent pointer tree, without materializing one.
-pub struct FrozenBuilder {
-    config: RTreeConfig,
-    fanout: usize,
-    /// `levels[l]` stages tree level `l` (0 = leaves).
-    levels: Vec<FrozenLevel>,
-}
-
-impl FrozenBuilder {
-    /// Starts an empty arena for trees built under `config`.
-    pub fn new(config: RTreeConfig) -> Self {
-        FrozenBuilder {
-            fanout: config.max_entries,
-            config,
-            levels: Vec::new(),
-        }
-    }
-
-    /// Appends one node at tree `level` (0 = leaf) under the caller's
-    /// `key`. Entries referencing [`FrozenChild::Node`] keys must name
-    /// nodes already pushed at `level - 1`; nodes within a level must be
-    /// pushed in sibling order (the order their parents will list them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node holds more than the branching factor's entries,
-    /// if `key` repeats within the level, if `level` skips ahead of the
-    /// levels seen so far, or if a child key is unknown.
-    pub fn push_node(&mut self, level: u32, key: u64, entries: &[(Rect, FrozenChild)]) {
-        let l = level as usize;
-        assert!(
-            l <= self.levels.len(),
-            "level {level} pushed before level {}",
-            self.levels.len()
-        );
-        assert!(
-            entries.len() <= self.fanout,
-            "node {key} holds {} entries > branching factor {}",
-            entries.len(),
-            self.fanout
-        );
-        if l == self.levels.len() {
-            self.levels.push(FrozenLevel::new());
-        }
-        // Split borrow: the child level is immutable while this level
-        // grows.
-        let (below, this) = self.levels.split_at_mut(l);
-        let buf = &mut this[0];
-        let pos = buf.node_count() as u32;
-        let prev = buf.key_to_pos.insert(key, pos);
-        assert!(
-            prev.is_none(),
-            "node key {key} pushed twice at level {level}"
-        );
-        buf.counts.push(entries.len() as u32);
-        let base = buf.coords.len();
-        buf.coords.resize(base + 4 * self.fanout, f64::NAN);
-        for (lane, &(mbr, _)) in entries.iter().enumerate() {
-            buf.coords[base + lane] = mbr.min_x;
-            buf.coords[base + self.fanout + lane] = mbr.min_y;
-            buf.coords[base + 2 * self.fanout + lane] = mbr.max_x;
-            buf.coords[base + 3 * self.fanout + lane] = mbr.max_y;
-        }
-        let id_base = buf.ids.len();
-        buf.ids.resize(id_base + self.fanout, 0);
-        for (lane, &(_, child)) in entries.iter().enumerate() {
-            buf.ids[id_base + lane] = match child {
-                FrozenChild::Node(k) => {
-                    assert!(l > 0, "leaf node {key} references child node {k}");
-                    *below[l - 1]
-                        .key_to_pos
-                        .get(&k)
-                        .unwrap_or_else(|| panic!("node {key}: unknown child key {k}"))
-                        as u64
-                }
-                FrozenChild::Item(item) => item.0,
-            };
-        }
-    }
-
-    /// Seals the arena. `len` is the number of indexed items (the leaf
-    /// entry total the caller streamed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no node was pushed or the topmost level holds more than
-    /// one node (no root).
-    pub fn finish(self, len: usize) -> FrozenRTree {
-        let FrozenBuilder {
-            config,
-            fanout,
-            levels,
-        } = self;
-        assert!(!levels.is_empty(), "finish() before any node was pushed");
-        let top = levels.len() - 1;
-        assert_eq!(
-            levels[top].node_count(),
-            1,
-            "topmost level holds {} nodes, expected a single root",
-            levels[top].node_count()
-        );
-        // Root-first stacking: arena offset of level `l` is the node
-        // count of all levels above it.
-        let mut offsets = vec![0u32; levels.len()];
-        for l in (0..top).rev() {
-            offsets[l] = offsets[l + 1] + levels[l + 1].node_count() as u32;
-        }
-        let num_nodes: usize = levels.iter().map(FrozenLevel::node_count).sum();
-        let mut coords = Vec::with_capacity(num_nodes * 4 * fanout);
-        let mut ids = Vec::with_capacity(num_nodes * fanout);
-        let mut counts = Vec::with_capacity(num_nodes);
-        for (l, level) in levels.iter().enumerate().rev() {
-            coords.extend_from_slice(&level.coords);
-            counts.extend_from_slice(&level.counts);
-            if l == 0 {
-                // Leaf lanes carry item ids verbatim.
-                ids.extend_from_slice(&level.ids);
-            } else {
-                // Internal lanes: within-level child position → arena
-                // index. Padding lanes stay 0, matching `from_nodes`.
-                let child_off = offsets[l - 1] as u64;
-                for (node, chunk) in level.ids.chunks(fanout).enumerate() {
-                    let valid = level.counts[node] as usize;
-                    for (lane, &pos) in chunk.iter().enumerate() {
-                        ids.push(if lane < valid { child_off + pos } else { 0 });
-                    }
-                }
-            }
-        }
-        FrozenRTree {
-            config,
-            fanout,
-            num_nodes: num_nodes as u32,
-            leaf_start: offsets[0],
-            depth: top as u32,
-            len,
-            coords,
-            ids,
-            counts,
-        }
-    }
-}
-
 impl FrozenRTree {
     /// Compiles a pointer tree into the frozen layout.
     pub fn freeze(tree: &RTree) -> FrozenRTree {
@@ -738,83 +556,6 @@ mod tests {
             t.insert(pt(x, y), ItemId(i as u64));
         }
         t
-    }
-
-    /// Replays a pointer tree into a [`FrozenBuilder`] bottom-up, the way
-    /// an external bulk loader emits nodes: leaves left-to-right, then
-    /// each internal level, root last.
-    fn rebuild_bottom_up(tree: &RTree) -> FrozenRTree {
-        let mut builder = FrozenBuilder::new(tree.config());
-        // Gather nodes per level in left-to-right order via a BFS from
-        // the root (BFS visits each level in sibling order).
-        let mut by_level: Vec<Vec<NodeId>> = vec![Vec::new(); tree.depth() as usize + 1];
-        let mut queue = VecDeque::from([tree.root()]);
-        while let Some(id) = queue.pop_front() {
-            let node = tree.node(id);
-            by_level[node.level as usize].push(id);
-            for e in &node.entries {
-                if let Child::Node(c) = e.child {
-                    queue.push_back(c);
-                }
-            }
-        }
-        for level in 0..by_level.len() as u32 {
-            for &id in &by_level[level as usize] {
-                let entries: Vec<(Rect, FrozenChild)> = tree
-                    .node(id)
-                    .entries
-                    .iter()
-                    .map(|e| {
-                        let child = match e.child {
-                            Child::Node(c) => FrozenChild::Node(c.index() as u64),
-                            Child::Item(item) => FrozenChild::Item(item),
-                        };
-                        (e.mbr, child)
-                    })
-                    .collect();
-                builder.push_node(level, id.index() as u64, &entries);
-            }
-        }
-        builder.finish(tree.len())
-    }
-
-    #[test]
-    fn builder_output_is_bit_identical_to_freeze() {
-        // Sizes that produce 1-level, 2-level and 3-level trees, plus
-        // ragged last nodes at every level.
-        for n in [1, 3, 4, 5, 16, 17, 57, 200, 643] {
-            let tree = build(n);
-            let frozen = FrozenRTree::freeze(&tree);
-            let built = rebuild_bottom_up(&tree);
-            assert_eq!(built, frozen, "n={n}");
-            // Sanity: PartialEq is reflexive despite NaN padding lanes.
-            assert_eq!(frozen, frozen.clone(), "n={n} self-equality");
-        }
-    }
-
-    #[test]
-    fn builder_accepts_empty_root_leaf() {
-        let empty = FrozenRTree::freeze(&RTree::new(RTreeConfig::PAPER));
-        let mut b = FrozenBuilder::new(RTreeConfig::PAPER);
-        b.push_node(0, 0, &[]);
-        assert_eq!(b.finish(0), empty);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected a single root")]
-    fn builder_rejects_missing_root() {
-        let mut b = FrozenBuilder::new(RTreeConfig::PAPER);
-        b.push_node(0, 0, &[(pt(0.0, 0.0), FrozenChild::Item(ItemId(0)))]);
-        b.push_node(0, 1, &[(pt(1.0, 1.0), FrozenChild::Item(ItemId(1)))]);
-        let _ = b.finish(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown child key")]
-    fn builder_rejects_dangling_child_key() {
-        let mut b = FrozenBuilder::new(RTreeConfig::PAPER);
-        b.push_node(0, 0, &[(pt(0.0, 0.0), FrozenChild::Item(ItemId(0)))]);
-        b.push_node(1, 7, &[(pt(0.0, 0.0), FrozenChild::Node(99))]);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use access::NodeAccess;
 pub use batch::{BatchScratch, ItemBatches, NeighborBatches};
 pub use builder::{BottomUpBuilder, ReservedRange};
 pub use config::{RTreeConfig, SplitPolicy};
-pub use frozen::{FrozenBuilder, FrozenChild, FrozenRTree};
+pub use frozen::{FrozenChild, FrozenRTree};
 pub use knn::{KnnScratch, Neighbor};
 pub use metrics::TreeMetrics;
 pub use node::{Child, Entry, ItemId, Node, NodeId};

@@ -191,19 +191,27 @@ fn run_smoke(mut config: ServerConfig) {
     assert_eq!(post_epoch, epoch);
     println!("[smoke] repack published epoch {epoch}");
 
-    // 8b. Admin out-of-core external pack under a 4 MiB memory budget
-    // with a 2-thread pipeline publishes another snapshot, and queries
-    // answer against it with the same results the in-memory pack
-    // produced (the packer is bit-identical at every thread count).
-    let prev_epoch = epoch;
-    let epoch = c.pack_external_with(4 << 20, 2).expect("pack external");
-    assert!(epoch > prev_epoch, "external pack must publish: {epoch}");
-    let (post_epoch, rows) = c
-        .query_expect_result("select zone from time-zones")
-        .expect("post-external-pack query");
-    assert_eq!(post_epoch, epoch);
-    assert!(!rows.rows.is_empty(), "externally packed picture answers");
-    println!("[smoke] pack external published epoch {epoch}");
+    // 8b. No insert waits for a pack: one sent while a REPACK is in
+    // flight is acknowledged, and the snapshot the two leave behind
+    // holds it — packed if it beat the rebuild's clone, in the new
+    // generation's delta if not.
+    let mut admin = Client::connect_timeout(addr, timeout).expect("second connection");
+    let (repacked, inserted) = std::thread::scope(|scope| {
+        let repack = scope.spawn(|| admin.repack().expect("repack beside an insert"));
+        let late = SpatialObject::Point(Point::new(51.0, 26.0));
+        let inserted = c
+            .insert_expect_done("us-map", "smoke-late", late)
+            .expect("insert beside a repack");
+        (repack.join().expect("repack thread"), inserted)
+    });
+    let epoch = repacked.max(inserted);
+    let stats = c.stats().expect("stats");
+    assert!(
+        stats.contains("\"us-map\":{\"packed_objects\":44,\"delta_objects\":0,")
+            || stats.contains("\"us-map\":{\"packed_objects\":43,\"delta_objects\":1,"),
+        "{stats}"
+    );
+    println!("[smoke] insert beside a repack ok (epochs {inserted} and {repacked})");
 
     // 9. STATS reflects the session, write path included.
     let stats = c.stats().expect("stats");
@@ -213,8 +221,8 @@ fn run_smoke(mut config: ServerConfig) {
         "{stats}"
     );
     assert!(stats.contains("\"timeout\":1"), "{stats}");
-    assert!(stats.contains("\"inserts\":1"), "{stats}");
-    assert!(stats.contains("\"wal_appends\":1"), "{stats}");
+    assert!(stats.contains("\"inserts\":2"), "{stats}");
+    assert!(stats.contains("\"wal_appends\":2"), "{stats}");
     println!("[smoke] stats: {stats}");
 
     // 10. Graceful shutdown over the wire, then drain.
@@ -222,7 +230,7 @@ fn run_smoke(mut config: ServerConfig) {
     server.wait();
     println!("[smoke] clean shutdown");
 
-    // 11. Restart on the same WAL: the acknowledged insert is replayed
+    // 11. Restart on the same WAL: the acknowledged inserts are replayed
     // into the delta tree of a fresh base database.
     let server = Server::start(
         PictorialDatabase::with_us_map(),
@@ -232,12 +240,12 @@ fn run_smoke(mut config: ServerConfig) {
     .expect("rebind");
     let mut c = Client::connect_timeout(server.local_addr(), timeout).expect("reconnect");
     let stats = c.stats().expect("post-restart stats");
-    assert!(stats.contains("\"wal_recovered\":1"), "{stats}");
-    assert!(stats.contains("\"delta_items\":1"), "{stats}");
+    assert!(stats.contains("\"wal_recovered\":2"), "{stats}");
+    assert!(stats.contains("\"delta_items\":2"), "{stats}");
     c.shutdown_server().expect("second shutdown");
     server.wait();
     if let Some(path) = &config.wal_path {
         let _ = std::fs::remove_file(path);
     }
-    println!("[smoke] restart replayed the WAL insert; all good");
+    println!("[smoke] restart replayed the WAL inserts; all good");
 }

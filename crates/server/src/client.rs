@@ -262,34 +262,6 @@ impl Client {
         }
     }
 
-    /// Admin: rebuild every picture's packed R-tree with the out-of-core
-    /// external packer under the given memory budget and publish a new
-    /// snapshot, with the packer's default pipeline thread count.
-    /// Returns the new epoch.
-    pub fn pack_external(&mut self, budget_bytes: u64) -> Result<u64, ClientError> {
-        self.pack_external_with(budget_bytes, 0)
-    }
-
-    /// Admin: like [`pack_external`](Self::pack_external), but with an
-    /// explicit packer pipeline thread count (0 = machine default). The
-    /// resulting trees are bit-identical at every thread count.
-    pub fn pack_external_with(
-        &mut self,
-        budget_bytes: u64,
-        threads: u32,
-    ) -> Result<u64, ClientError> {
-        let id = self.take_id();
-        let resp = self.roundtrip(&Request::PackExternal {
-            id,
-            budget_bytes,
-            threads,
-        })?;
-        match self.expect_id(id, resp)? {
-            Response::Done { epoch, .. } => Ok(epoch),
-            other => Err(ClientError::Wire(format!("expected done, got {other:?}"))),
-        }
-    }
-
     /// Admin: ask the server to shut down gracefully.
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
         let id = self.take_id();

@@ -27,7 +27,7 @@
 //!   gauge, log₂ latency histograms) served by the protocol's `STATS`
 //!   command.
 //! * [`client`] — a small blocking client used by tests, the CI smoke
-//!   script, and `rtree-bench`'s `server_load` load generator.
+//!   script, and `sysbench`'s served workloads.
 //!
 //! # Quick start
 //!

@@ -229,11 +229,12 @@ pub struct Metrics {
     pub queue_depth: Gauge,
     /// End-to-end latency of executed queries (µs buckets).
     pub query_latency: Histogram,
-    /// Latency of admin operations (repack).
+    /// Duration of rebuilds (`REPACK` or background merge), pack and
+    /// publication together.
     pub admin_latency: Histogram,
     /// Time inside one snapshot publication under the writer lock: the
     /// clone-mutate-publish of an insert batch, or the locked tail of a
-    /// background merge. O(delta) by design; a long tail here means a
+    /// rebuild. O(delta) by design; a long tail here means a
     /// writer is copying something it should be sharing.
     pub publish_latency: Histogram,
     /// Dynamic inserts applied and acknowledged (`Done`).
@@ -250,11 +251,12 @@ pub struct Metrics {
     /// Objects currently buffered in delta trees — mirrored from the
     /// published snapshot when `STATS` is served.
     pub delta_items: Counter,
-    /// Background merge publications (delta folded into a freshly packed
-    /// + frozen main tree).
+    /// Rebuild publications — background merges and `REPACK`s, which are
+    /// forced merges (deltas folded into freshly packed + frozen main
+    /// trees).
     pub merges: Counter,
-    /// Background merges whose result was discarded because an admin
-    /// rebuild replaced the packed generation while the merge packed.
+    /// Rebuilds whose result was discarded because another pack replaced
+    /// a packed generation while they packed.
     pub merges_discarded: Counter,
     /// Per-picture sizes, sorted by name — mirrored from the published
     /// snapshot at every publication.
@@ -273,9 +275,6 @@ pub struct Metrics {
     pub plan_cache_misses: Counter,
     /// Entries evicted by LRU pressure.
     pub plan_cache_evictions: Counter,
-    /// Wholesale plan invalidations (`REPACK` / `PACK EXTERNAL`
-    /// rebuilding the physical trees).
-    pub plan_cache_invalidations: Counter,
     /// Entries currently cached — mirrored when `STATS` is served.
     pub plan_cache_entries: Counter,
     /// Buffer-pool page requests served from memory.
@@ -345,7 +344,7 @@ impl Metrics {
                 "\"merges_discarded\":{},\"serves_frozen_queries\":{}}},",
                 "\"pictures\":{{{}}},",
                 "\"plan_cache\":{{\"hits\":{},\"parse_hits\":{},\"misses\":{},",
-                "\"evictions\":{},\"invalidations\":{},\"entries\":{}}},",
+                "\"evictions\":{},\"entries\":{}}},",
                 "\"buffer_pool\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"writebacks\":{}}}",
                 "}}"
             ),
@@ -395,7 +394,6 @@ impl Metrics {
             self.plan_cache_parse_hits.get(),
             self.plan_cache_misses.get(),
             self.plan_cache_evictions.get(),
-            self.plan_cache_invalidations.get(),
             self.plan_cache_entries.get(),
             self.buffer_hits.get(),
             self.buffer_misses.get(),

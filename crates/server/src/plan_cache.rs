@@ -13,11 +13,11 @@
 //!    a plan is served only while the executing snapshot's epoch
 //!    matches; a stale stamp falls back to re-planning and restamps.
 //!
-//! Eviction is LRU over a bounded entry count. Epoch stamping already
-//! retires plans naturally as snapshots advance, but `REPACK` and
-//! `PACK EXTERNAL` rebuild every picture's physical tree wholesale —
-//! those paths call [`PlanCache::invalidate_plans`] explicitly so no
-//! plan compiled against the pre-rebuild layout outlives it.
+//! Eviction is LRU over a bounded entry count. The epoch stamp is all
+//! the invalidation there is: every publication — an insert batch, a
+//! background merge, a `REPACK` — bumps the epoch, so no plan compiled
+//! against an earlier snapshot's trees is ever served against a later
+//! one.
 //!
 //! Locking: one mutex over the table, held only for HashMap operations —
 //! parsing and planning (the expensive parts) run outside the lock. Two
@@ -137,16 +137,6 @@ impl PlanCache {
         evicted
     }
 
-    /// Drops every cached plan (parse entries survive — text → AST never
-    /// goes stale). Called when `REPACK` / `PACK EXTERNAL` rebuild the
-    /// physical trees out from under compiled access paths.
-    pub fn invalidate_plans(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        for entry in state.map.values_mut() {
-            entry.plan = None;
-        }
-    }
-
     /// Number of cached entries.
     pub fn len(&self) -> usize {
         self.state
@@ -221,17 +211,6 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert!(matches!(cache.prepare(Q2, 1), Prepared::Miss));
         assert!(matches!(cache.prepare(Q1, 1), Prepared::Query(_)));
-    }
-
-    #[test]
-    fn invalidate_drops_plans_keeps_parses() {
-        let db = PictorialDatabase::with_us_map();
-        let cache = PlanCache::new(4);
-        let (q, p) = prep(Q1, &db);
-        cache.store(Q1, q, Some((1, p)));
-        cache.invalidate_plans();
-        assert!(matches!(cache.prepare(Q1, 1), Prepared::Query(_)));
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -78,17 +78,6 @@ pub enum Request {
         /// The object to insert.
         object: SpatialObject,
     },
-    /// Admin: rebuild every picture's packed R-tree with the out-of-core
-    /// external packer, bounding the rebuild's resident memory by the
-    /// given budget, and publish the result as a new snapshot.
-    PackExternal {
-        /// Correlation id echoed in the response.
-        id: u64,
-        /// Memory budget in bytes for the external pack.
-        budget_bytes: u64,
-        /// Packer pipeline thread count (0 = machine default).
-        threads: u32,
-    },
 }
 
 const OP_QUERY: u8 = 1;
@@ -97,7 +86,6 @@ const OP_PING: u8 = 3;
 const OP_REPACK: u8 = 4;
 const OP_SHUTDOWN: u8 = 5;
 const OP_INSERT: u8 = 6;
-const OP_PACK_EXTERNAL: u8 = 7;
 
 /// Classifies an error reported over the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -617,16 +605,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_string(&mut out, label);
             put_object(&mut out, object);
         }
-        Request::PackExternal {
-            id,
-            budget_bytes,
-            threads,
-        } => {
-            out.extend_from_slice(&id.to_be_bytes());
-            out.push(OP_PACK_EXTERNAL);
-            out.extend_from_slice(&budget_bytes.to_be_bytes());
-            out.extend_from_slice(&threads.to_be_bytes());
-        }
     }
     out
 }
@@ -662,11 +640,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
                 object,
             }
         }
-        OP_PACK_EXTERNAL => Request::PackExternal {
-            id,
-            budget_bytes: c.u64()?,
-            threads: c.u32()?,
-        },
         _ => return Err(format!("unknown opcode {op}")),
     };
     c.done()?;
@@ -842,11 +815,6 @@ mod tests {
         roundtrip_request(Request::Ping { id: u64::MAX });
         roundtrip_request(Request::Repack { id: 0 });
         roundtrip_request(Request::Shutdown { id: 3 });
-        roundtrip_request(Request::PackExternal {
-            id: 11,
-            budget_bytes: 64 * 1024 * 1024,
-            threads: 4,
-        });
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -121,6 +122,29 @@ impl<T> BoundedQueue<T> {
         take
     }
 
+    /// [`pop_batch`](Self::pop_batch) that waits at most `patience` for
+    /// the first item: `Some(0)` when none came, `None` once the queue is
+    /// closed **and** drained. For a consumer with something to check at
+    /// intervals whether or not anything is queued.
+    pub fn pop_batch_timeout(
+        &self,
+        out: &mut Vec<T>,
+        max: usize,
+        patience: Duration,
+    ) -> Option<usize> {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        if state.items.is_empty() && !state.closed {
+            let waited = self.available.wait_timeout(state, patience);
+            state = waited.unwrap_or_else(|e| e.into_inner()).0;
+        }
+        if state.items.is_empty() && state.closed {
+            return None;
+        }
+        let take = max.min(state.items.len());
+        out.extend(state.items.drain(..take));
+        Some(take)
+    }
+
     /// Closes the queue: future pushes fail, queued items still drain,
     /// and idle consumers wake up to observe the close.
     pub fn close(&self) {
@@ -182,6 +206,38 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         assert_eq!(h.join().unwrap(), None);
+    }
+
+    #[test]
+    fn pop_batch_timeout_gives_up_drains_and_wakes_on_close() {
+        use std::time::{Duration, Instant};
+
+        let q = Arc::new(BoundedQueue::new(4));
+        let mut out = Vec::new();
+        let patience = Duration::from_millis(10);
+        // Nothing came: an empty batch, not the end.
+        assert_eq!(q.pop_batch_timeout(&mut out, 8, patience), Some(0));
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        assert_eq!(q.pop_batch_timeout(&mut out, 8, patience), Some(2));
+        // What was accepted before the close still drains; then the end.
+        q.try_push(3).unwrap();
+        q.close();
+        assert_eq!(q.pop_batch_timeout(&mut out, 8, patience), Some(1));
+        assert_eq!(q.pop_batch_timeout(&mut out, 8, patience), None);
+        assert_eq!(out, vec![1, 2, 3]);
+
+        // A consumer waiting out a long patience wakes when the queue closes.
+        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
+        let q2 = Arc::clone(&q);
+        let started = Instant::now();
+        let h = std::thread::spawn(move || {
+            q2.pop_batch_timeout(&mut Vec::new(), 8, Duration::from_secs(60))
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        q.close();
+        assert_eq!(h.join().unwrap(), None);
+        assert!(started.elapsed() < Duration::from_secs(30));
     }
 
     #[test]

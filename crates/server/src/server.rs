@@ -8,18 +8,21 @@
 //!   and every connection: nonblocking accept into a slab, incremental
 //!   frame reassembly per connection, and all socket writes. Cheap
 //!   control requests (`PING`, `STATS`) are answered inline on the
-//!   reactor; queries and inserts go to the bounded worker queue; admin
-//!   rebuilds (`REPACK`, `PACK EXTERNAL`) go to a dedicated admin
-//!   thread so a long rebuild never stalls the queue or the loop. A
-//!   full queue is answered immediately with `Overloaded` — the reactor
-//!   never blocks on the pool.
+//!   reactor; queries and inserts go to the bounded worker queue; a
+//!   `REPACK` waits in a small bounded slot for the rebuild thread, so
+//!   a long rebuild never stalls the queue or the loop. A full queue or
+//!   slot is answered immediately with `Overloaded` — the reactor never
+//!   blocks on the pool.
 //! * `workers` **worker threads** pop queries in batches, pin the
 //!   current database snapshot through a per-thread lock-free cache,
 //!   execute (reusing cached plans where the epoch still matches), and
 //!   park response frames in the connection's outbox for the reactor to
 //!   flush.
-//! * One **admin thread** serializes snapshot rebuilds; one **merge
-//!   thread** folds delta trees in the background.
+//! * One **rebuild thread** replaces packed generations: every
+//!   picture's when a `REPACK` waits, the pictures holding a delta when
+//!   the delta population passes `merge_threshold`. Either way it packs
+//!   a clone under no lock and takes the writer lock only to catch up
+//!   and publish, so no insert ever waits for a pack.
 //!
 //! There are *no per-connection threads*: ten thousand idle connections
 //! cost ten thousand slab entries, not ten thousand stacks.
@@ -75,12 +78,12 @@ pub struct ServerConfig {
     /// `None` keeps inserts memory-only (tests, ephemeral servers).
     pub wal_path: Option<PathBuf>,
     /// Delta-tree population that wakes the background merge: once this
-    /// many objects sit in delta trees, a merge thread folds them into
-    /// freshly packed + frozen main trees and publishes the result.
+    /// many objects sit in delta trees, the rebuild thread folds them
+    /// into freshly packed + frozen main trees and publishes the result.
     /// `usize::MAX` disables background merging (admin `REPACK` still
     /// folds deltas).
     pub merge_threshold: usize,
-    /// How often the background merge thread polls the delta population.
+    /// How often the rebuild thread polls the delta population.
     pub merge_interval: Duration,
     /// Entries in the cached-plan table (query text → parsed AST +
     /// epoch-stamped plan). `0` disables plan caching.
@@ -123,18 +126,10 @@ pub(crate) struct Job {
     session: Arc<Session>,
 }
 
-/// One queued admin rebuild — served by the dedicated admin thread so a
-/// multi-second repack never occupies a query worker or the reactor.
-pub(crate) enum AdminJob {
-    /// In-memory re-pack of every picture.
-    Repack { id: u64, session: Arc<Session> },
-    /// Budget-bounded external re-pack of every picture.
-    PackExternal {
-        id: u64,
-        budget_bytes: u64,
-        threads: u32,
-        session: Arc<Session>,
-    },
+/// One accepted `REPACK`, waiting for the rebuild that answers it.
+pub(crate) struct Repack {
+    id: u64,
+    session: Arc<Session>,
 }
 
 pub(crate) struct Shared {
@@ -144,7 +139,9 @@ pub(crate) struct Shared {
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) functions: FunctionRegistry,
     pub(crate) queue: BoundedQueue<Job>,
-    pub(crate) admin_queue: BoundedQueue<AdminJob>,
+    /// `REPACK`s waiting for a rebuild. The rebuild thread drains the
+    /// slot whole, so several waiting at once share one rebuild.
+    pub(crate) repacks: BoundedQueue<Repack>,
     pub(crate) plans: PlanCache,
     pub(crate) notifier: Arc<Notifier>,
     pub(crate) shutting_down: AtomicBool,
@@ -156,15 +153,15 @@ pub(crate) struct Shared {
     /// response that will ever exist is in an outbox, so the reactor may
     /// final-flush and exit.
     pub(crate) workers_done: AtomicBool,
-    /// Serializes *writers* (insert batches, the background merge's
-    /// publication, admin repack): each clones the latest snapshot,
-    /// mutates, and publishes. Two concurrent clone-mutate-publish
-    /// cycles would silently drop whichever published first, so every
-    /// mutation holds this lock around its whole read-modify-publish.
-    /// Readers never touch it. The WAL lives inside so "durable before
-    /// published" is one critical section. The background merge packs
-    /// *outside* it and takes it only to re-apply what was written
-    /// meanwhile and publish, so an insert never waits for a pack.
+    /// Serializes *writers* (insert batches, a rebuild's publication):
+    /// each clones the latest snapshot, mutates, and publishes. Two
+    /// concurrent clone-mutate-publish cycles would silently drop
+    /// whichever published first, so every mutation holds this lock
+    /// around its whole read-modify-publish. Readers never touch it. The
+    /// WAL lives inside so "durable before published" is one critical
+    /// section. A rebuild packs *outside* it and takes it only to
+    /// re-apply what was written meanwhile and publish, so an insert
+    /// never waits for a pack.
     write_lock: Mutex<Option<Wal<Pager>>>,
 }
 
@@ -174,8 +171,7 @@ pub(crate) struct Shared {
 pub struct Server {
     shared: Arc<Shared>,
     reactor_thread: Option<JoinHandle<()>>,
-    admin_thread: Option<JoinHandle<()>>,
-    merge_thread: Option<JoinHandle<()>>,
+    rebuild_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -242,7 +238,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
-            admin_queue: BoundedQueue::new(4),
+            repacks: BoundedQueue::new(4),
             plans: PlanCache::new(config.plan_cache_capacity),
             notifier: Arc::new(Notifier::new()?),
             config,
@@ -270,25 +266,10 @@ impl Server {
             );
         }
 
-        let admin_thread = {
-            let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("psql-admin".into())
-                    .spawn(move || admin_loop(&shared))?,
-            )
-        };
-
-        let merge_thread = if shared.config.merge_threshold != usize::MAX {
-            let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("psql-merge".into())
-                    .spawn(move || merge_loop(&shared))?,
-            )
-        } else {
-            None
-        };
+        let rebuild_shared = Arc::clone(&shared);
+        let rebuild_thread = std::thread::Builder::new()
+            .name("psql-rebuild".into())
+            .spawn(move || rebuild_loop(&rebuild_shared))?;
 
         let reactor_shared = Arc::clone(&shared);
         let reactor_thread = std::thread::Builder::new()
@@ -298,8 +279,7 @@ impl Server {
         Ok(Server {
             shared,
             reactor_thread: Some(reactor_thread),
-            admin_thread,
-            merge_thread,
+            rebuild_thread: Some(rebuild_thread),
             workers,
         })
     }
@@ -340,13 +320,11 @@ impl Server {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        self.shared.admin_queue.close();
-        if let Some(a) = self.admin_thread.take() {
-            let _ = a.join();
-        }
-        // The merge thread notices the flag within one poll interval.
-        if let Some(m) = self.merge_thread.take() {
-            let _ = m.join();
+        // Closing the slot wakes the rebuild thread at once; `REPACK`s
+        // it had accepted are still answered first.
+        self.shared.repacks.close();
+        if let Some(r) = self.rebuild_thread.take() {
+            let _ = r.join();
         }
         // Every response that will ever exist is now queued; let the
         // reactor flush them out and exit.
@@ -373,9 +351,8 @@ fn begin_shutdown(shared: &Shared) {
 
 /// Mirrors the published snapshot's write-path view (delta population,
 /// frozen-tree invariant, per-picture sizes) into the metrics registry.
-/// Called at every snapshot publication — insert batch, background
-/// merge, admin rebuild — so the gauges are always as fresh as the
-/// snapshot itself. Everything is computed from lengths; nothing walks
+/// Called at every snapshot publication — insert batch or rebuild — so
+/// the gauges are always as fresh as the snapshot itself. Everything is computed from lengths; nothing walks
 /// the heap.
 fn refresh_snapshot_gauges(shared: &Shared) {
     let snap = shared.snapshots.load();
@@ -444,33 +421,13 @@ pub(crate) fn handle_frame(payload: &[u8], session: &Arc<Session>, shared: &Arc<
         }
         Request::Repack { id } => {
             shared.metrics.control_requests.incr();
-            enqueue_admin(
-                shared,
+            let waiter = Repack {
                 id,
-                AdminJob::Repack {
-                    id,
-                    session: Arc::clone(session),
-                },
-                session,
-            );
-        }
-        Request::PackExternal {
-            id,
-            budget_bytes,
-            threads,
-        } => {
-            shared.metrics.control_requests.incr();
-            enqueue_admin(
-                shared,
-                id,
-                AdminJob::PackExternal {
-                    id,
-                    budget_bytes,
-                    threads,
-                    session: Arc::clone(session),
-                },
-                session,
-            );
+                session: Arc::clone(session),
+            };
+            if let Err(refused) = shared.repacks.try_push(waiter) {
+                refuse(shared, session, id, refused);
+            }
         }
         Request::Shutdown { id } => {
             shared.metrics.control_requests.incr();
@@ -531,107 +488,31 @@ fn enqueue(shared: &Arc<Shared>, id: u64, kind: JobKind, budget: Duration, sessi
     };
     match shared.queue.try_push(job) {
         Ok(()) => shared.metrics.queue_depth.inc(),
-        Err(PushError::Full(job)) => {
-            shared.metrics.overloads.incr();
-            job.session.send(&Response::Overloaded {
-                id,
-                retry_after_ms: shared.config.retry_after_ms,
-            });
-        }
-        Err(PushError::Closed(job)) => {
-            job.session.send(&Response::Error {
-                id,
-                kind: ErrorKind::Internal,
-                message: "server is shutting down".into(),
-            });
-        }
+        Err(refused) => refuse(shared, session, id, refused),
     }
 }
 
-/// Pushes one admin rebuild onto the (small) admin queue.
-fn enqueue_admin(shared: &Arc<Shared>, id: u64, job: AdminJob, session: &Arc<Session>) {
-    match shared.admin_queue.try_push(job) {
-        Ok(()) => {}
-        Err(PushError::Full(_)) => {
+/// Answers a request a bounded queue would not take: `Overloaded` from a
+/// full one, the typed shutdown error from a closed one.
+fn refuse<T>(shared: &Shared, session: &Session, id: u64, refused: PushError<T>) {
+    match refused {
+        PushError::Full(_) => {
             shared.metrics.overloads.incr();
             session.send(&Response::Overloaded {
                 id,
                 retry_after_ms: shared.config.retry_after_ms,
             });
         }
-        Err(PushError::Closed(_)) => {
-            session.send(&Response::Error {
-                id,
-                kind: ErrorKind::Internal,
-                message: "server is shutting down".into(),
-            });
-        }
+        PushError::Closed(_) => session.send(&shutting_down(id)),
     }
 }
 
-/// The dedicated admin thread: serializes snapshot rebuilds off the
-/// reactor and off the query workers, so a multi-second `REPACK` stalls
-/// neither the event loop nor query execution. Both rebuilds drop every
-/// cached plan — the physical trees the plans were compiled against are
-/// being replaced wholesale.
-fn admin_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.admin_queue.pop() {
-        match job {
-            AdminJob::Repack { id, session } => {
-                // Clone + re-pack outside the snapshot lock, publish
-                // atomically. Holds the writer lock so a concurrent
-                // insert batch or background merge can't publish a
-                // snapshot this clone never saw.
-                let started = Instant::now();
-                let guard = shared.write_lock.lock().unwrap_or_else(|e| e.into_inner());
-                let epoch = shared.snapshots.update(|db| db.pack_all());
-                drop(guard);
-                shared.plans.invalidate_plans();
-                shared.metrics.plan_cache_invalidations.incr();
-                refresh_snapshot_gauges(shared);
-                shared.metrics.snapshots_published.incr();
-                shared.metrics.admin_latency.record(started.elapsed());
-                session.send(&Response::Done { id, epoch });
-            }
-            AdminJob::PackExternal {
-                id,
-                budget_bytes,
-                threads,
-                session,
-            } => {
-                // Same admin discipline, but the rebuild runs the
-                // out-of-core external packer under a memory budget. The
-                // clone is published only if every picture repacks
-                // cleanly — a spill-file I/O error must not publish a
-                // half-packed db.
-                let started = Instant::now();
-                let guard = shared.write_lock.lock().unwrap_or_else(|e| e.into_inner());
-                let base = shared.snapshots.load();
-                let mut db = base.db.clone();
-                drop(base);
-                match db.pack_external_all(budget_bytes, threads as usize) {
-                    Ok(_stats) => {
-                        let epoch = shared.snapshots.publish(db);
-                        drop(guard);
-                        shared.plans.invalidate_plans();
-                        shared.metrics.plan_cache_invalidations.incr();
-                        refresh_snapshot_gauges(shared);
-                        shared.metrics.snapshots_published.incr();
-                        shared.metrics.admin_latency.record(started.elapsed());
-                        session.send(&Response::Done { id, epoch });
-                    }
-                    Err(e) => {
-                        drop(guard);
-                        shared.metrics.admin_latency.record(started.elapsed());
-                        session.send(&Response::Error {
-                            id,
-                            kind: ErrorKind::from(&e),
-                            message: e.to_string(),
-                        });
-                    }
-                }
-            }
-        }
+/// What a request accepted too late to be served is answered.
+fn shutting_down(id: u64) -> Response {
+    Response::Error {
+        id,
+        kind: ErrorKind::Internal,
+        message: "server is shutting down".into(),
     }
 }
 
@@ -962,90 +843,130 @@ fn ingest_batch(shared: &Arc<Shared>, snapshot: &DatabaseSnapshot, jobs: &[Job])
     }
 }
 
-/// The background merge thread: once the delta population crosses the
-/// configured threshold, fold every delta into a freshly packed + frozen
-/// main tree and publish the result. Queries keep serving the old
-/// snapshot throughout, and so do writers: the O(N) pack runs on a clone
-/// outside the writer lock ([`pack_merge`]), which is then taken only
-/// for the O(delta) catch-up and the swap ([`publish_merge`]).
-fn merge_loop(shared: &Arc<Shared>) {
-    loop {
-        std::thread::sleep(shared.config.merge_interval);
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        if shared.snapshots.load().db.delta_len() < shared.config.merge_threshold {
+/// The rebuild thread, the one place a packed generation is replaced. A
+/// waiting `REPACK` rebuilds every picture; without one, a delta
+/// population at or over `merge_threshold` rebuilds the pictures holding
+/// a delta. Queries keep serving the old snapshot throughout, and so do
+/// writers: the O(N) pack runs on a clone outside the writer lock
+/// ([`pack_rebuild`]), which is then taken only for the O(delta) catch-up
+/// and the swap ([`publish_rebuild`]). Every `REPACK` that waited is
+/// answered with the epoch its rebuild published. The loop wakes when a
+/// `REPACK` arrives, at each `merge_interval`, and when the slot closes —
+/// which ends it once the `REPACK`s accepted before have been served.
+fn rebuild_loop(shared: &Arc<Shared>) {
+    let mut waiting: Vec<Repack> = Vec::new();
+    let patience = shared.config.merge_interval;
+    while shared
+        .repacks
+        .pop_batch_timeout(&mut waiting, usize::MAX, patience)
+        .is_some()
+    {
+        let forced = !waiting.is_empty();
+        if !forced && shared.snapshots.load().db.delta_len() < shared.config.merge_threshold {
             continue;
         }
-        let merge = pack_merge(shared);
-        publish_merge(shared, merge);
+        let epoch = finish_rebuild(shared, pack_rebuild(shared, forced));
+        for Repack { id, session } in waiting.drain(..) {
+            session.send(&match epoch {
+                Some(epoch) => Response::Done { id, epoch },
+                None => shutting_down(id),
+            });
+        }
     }
 }
 
-/// A background merge between its two halves: packed, not yet published.
-struct PendingMerge {
+/// A rebuild between its two halves: packed, not yet published.
+struct PendingRebuild {
     started: Instant,
-    /// The snapshot the merge cloned.
+    /// A `REPACK` waits on it: every picture was packed, not only those
+    /// holding a delta, and a stale result is packed again.
+    forced: bool,
+    /// The snapshot the rebuild cloned.
     base: Arc<DatabaseSnapshot>,
-    /// `base.db` with every delta folded into a new packed generation.
-    merged: PictorialDatabase,
-    folded: usize,
+    /// `base.db` with new packed generations and no delta in them.
+    rebuilt: PictorialDatabase,
 }
 
-/// First half of a background merge, under no lock: clone the current
-/// snapshot (free) and re-pack every picture holding a delta. Inserts
-/// keep publishing meanwhile.
-fn pack_merge(shared: &Shared) -> PendingMerge {
+/// First half of a rebuild, under no lock: clone the current snapshot
+/// (free) and re-pack — every picture when `forced`, else those holding
+/// a delta. Inserts keep publishing meanwhile.
+fn pack_rebuild(shared: &Shared, forced: bool) -> PendingRebuild {
     let started = Instant::now();
     let base = shared.snapshots.load();
-    let mut merged = base.db.clone();
-    let folded = merged.merge_deltas();
-    PendingMerge {
+    let mut rebuilt = base.db.clone();
+    if forced {
+        rebuilt.pack_all();
+    } else {
+        rebuilt.merge_deltas();
+    }
+    PendingRebuild {
         started,
+        forced,
         base,
-        merged,
-        folded,
+        rebuilt,
     }
 }
 
 /// Second half, under the writer lock: re-add the objects acknowledged
-/// since `pack_merge` cloned its base into the new generation's deltas
-/// and publish — or discard the merge if an admin REPACK / PACK EXTERNAL
-/// replaced the packed generation in between. Either way every
-/// acknowledged insert is in the published snapshot. Returns the epoch
-/// published, if any.
-fn publish_merge(shared: &Shared, merge: PendingMerge) -> Option<u64> {
+/// since `pack_rebuild` cloned its base into the new generations' deltas
+/// and publish — or discard the rebuild if another pack was published in
+/// between (through [`Server::snapshots`]; nothing in the server does).
+/// Either way every acknowledged insert is in the published snapshot.
+/// Returns the epoch published, if any.
+fn publish_rebuild(shared: &Shared, rebuild: PendingRebuild) -> Option<u64> {
     let guard = shared.write_lock.lock().unwrap_or_else(|e| e.into_inner());
     let publishing = Instant::now();
     let mut next = shared.snapshots.load().db.clone();
     let epoch = next
-        .adopt_merge(&merge.base.db, &merge.merged)
+        .adopt_merge(&rebuild.base.db, &rebuild.rebuilt)
         .then(|| shared.snapshots.publish(next));
     shared.metrics.publish_latency.record(publishing.elapsed());
     drop(guard);
-    shared.metrics.admin_latency.record(merge.started.elapsed());
+    shared
+        .metrics
+        .admin_latency
+        .record(rebuild.started.elapsed());
+    let what = if rebuild.forced {
+        "REPACK"
+    } else {
+        "background merge"
+    };
     match epoch {
         Some(epoch) => {
             refresh_snapshot_gauges(shared);
             shared.metrics.merges.incr();
             shared.metrics.snapshots_published.incr();
             eprintln!(
-                "[psql-server] background merge folded {} delta tree(s) into packed + \
-                 frozen main trees (epoch {epoch}, {:?})",
-                merge.folded,
-                merge.started.elapsed()
+                "[psql-server] {what} folded every delta into packed + frozen main trees \
+                 (epoch {epoch}, {:?})",
+                rebuild.started.elapsed()
             );
         }
         None => {
             shared.metrics.merges_discarded.incr();
             eprintln!(
-                "[psql-server] background merge discarded: an admin rebuild replaced the \
-                 packed generation while it packed ({:?})",
-                merge.started.elapsed()
+                "[psql-server] {what} discarded: another pack was published while it packed \
+                 ({:?})",
+                rebuild.started.elapsed()
             );
         }
     }
     epoch
+}
+
+/// Publishes `rebuild`, packing again for as long as it turns out stale
+/// and a `REPACK` waits on it. `None` when nothing was published: a
+/// stale background merge (the next tick starts over), or a stale
+/// `REPACK` at shutdown.
+fn finish_rebuild(shared: &Shared, mut rebuild: PendingRebuild) -> Option<u64> {
+    loop {
+        let forced = rebuild.forced;
+        let epoch = publish_rebuild(shared, rebuild);
+        if epoch.is_some() || !forced || shared.shutting_down.load(Ordering::SeqCst) {
+            return epoch;
+        }
+        rebuild = pack_rebuild(shared, true);
+    }
 }
 
 /// Executes one job exactly as the pre-batching worker did: deadline
@@ -1170,7 +1091,7 @@ mod tests {
 
     /// A server whose background merge never runs by itself, with three
     /// acknowledged inserts sitting in `us-map`'s delta, so the tests
-    /// below can step a merge's two halves around other writers.
+    /// below can step a rebuild's two halves around other writers.
     fn server_with_delta() -> (Server, Client, usize) {
         let server = Server::start(
             PictorialDatabase::with_us_map(),
@@ -1200,51 +1121,89 @@ mod tests {
         (server, client, baseline)
     }
 
+    /// Both triggers — the delta population and a REPACK — go through
+    /// the same two halves, and an insert that gets in between them is
+    /// acknowledged by a writer lock nobody holds and lands in the new
+    /// generation's delta.
     #[test]
-    fn insert_acknowledged_while_a_merge_packs_is_in_the_merged_snapshot() {
-        let (server, mut client, baseline) = server_with_delta();
-        let merge = pack_merge(&server.shared);
-        // The pack is done and unpublished; a writer gets in first.
-        let late_epoch = client
-            .insert_expect_done(
-                "us-map",
-                "late",
-                SpatialObject::Point(Point::new(77.0, 33.0)),
-            )
-            .expect("insert acked while the merge holds no lock");
-        let epoch = publish_merge(&server.shared, merge).expect("nothing replaced the generation");
-        assert!(epoch > late_epoch);
+    fn insert_acknowledged_while_a_rebuild_packs_is_in_the_published_snapshot() {
+        for forced in [false, true] {
+            let (server, mut client, baseline) = server_with_delta();
+            let before = server.shared.snapshots.load();
+            let rebuild = pack_rebuild(&server.shared, forced);
+            // The pack is done and unpublished; a writer gets in first.
+            let late_epoch = client
+                .insert_expect_done(
+                    "us-map",
+                    "late",
+                    SpatialObject::Point(Point::new(77.0, 33.0)),
+                )
+                .expect("insert acked while the rebuild holds no lock");
+            let epoch =
+                publish_rebuild(&server.shared, rebuild).expect("nothing replaced the generation");
+            assert!(epoch > late_epoch);
 
-        let snap = server.shared.snapshots.load();
-        assert_eq!(snap.epoch, epoch);
-        let pic = snap.db.picture("us-map").unwrap();
-        assert_eq!(pic.packed_len(), baseline + 3, "the merge folded the delta");
-        assert_eq!((pic.len(), pic.delta_len()), (baseline + 4, 1));
-        assert_eq!(pic.label((baseline + 3) as u64), Some("late"));
-        let metrics = &server.shared.metrics;
-        assert_eq!(metrics.merges.get(), 1);
-        assert_eq!(metrics.merges_discarded.get(), 0);
-        assert_eq!(metrics.delta_items.get(), 1, "gauges follow the merge");
-        drop(snap);
-        server.stop();
+            let snap = server.shared.snapshots.load();
+            assert_eq!(snap.epoch, epoch);
+            let pic = snap.db.picture("us-map").unwrap();
+            assert_eq!(
+                pic.packed_len(),
+                baseline + 3,
+                "the rebuild folded the delta"
+            );
+            assert_eq!((pic.len(), pic.delta_len()), (baseline + 4, 1));
+            assert_eq!(pic.label((baseline + 3) as u64), Some("late"));
+            // Only a REPACK packs a picture that held no delta.
+            let lakes = snap.db.picture("lake-map").unwrap();
+            assert_eq!(
+                lakes.shares_packed_with(before.db.picture("lake-map").unwrap()),
+                !forced
+            );
+            let metrics = &server.shared.metrics;
+            assert_eq!(metrics.merges.get(), 1);
+            assert_eq!(metrics.merges_discarded.get(), 0);
+            assert_eq!(metrics.delta_items.get(), 1, "gauges follow the rebuild");
+            drop((before, snap));
+            server.stop();
+        }
     }
 
+    /// Nothing in the server publishes a pack underneath a rebuild any
+    /// more, but `Server::snapshots()` lets an embedder do it. The stale
+    /// rebuild is never adopted; the background merge gives up until its
+    /// next tick, and a REPACK — someone is waiting on it — packs again.
     #[test]
-    fn repack_racing_a_merge_makes_the_merge_discard_its_result() {
-        let (server, mut client, baseline) = server_with_delta();
-        let merge = pack_merge(&server.shared);
-        let repacked = client.repack().expect("repack");
-        assert_eq!(publish_merge(&server.shared, merge), None);
+    fn rebuild_overtaken_by_a_published_pack_is_discarded_and_a_repack_packs_again() {
+        for forced in [false, true] {
+            let (server, _client, baseline) = server_with_delta();
+            let stale = pack_rebuild(&server.shared, forced);
+            let overtaking = server.snapshots().update(|db| db.pack_all());
+            let epoch = finish_rebuild(&server.shared, stale);
 
-        let snap = server.shared.snapshots.load();
-        assert_eq!(snap.epoch, repacked, "a stale merge must publish nothing");
-        let pic = snap.db.picture("us-map").unwrap();
-        assert_eq!((pic.packed_len(), pic.delta_len()), (baseline + 3, 0));
-        let metrics = &server.shared.metrics;
-        assert_eq!(metrics.merges.get(), 0);
-        assert_eq!(metrics.merges_discarded.get(), 1);
-        drop(snap);
-        server.stop();
+            let snap = server.shared.snapshots.load();
+            let metrics = &server.shared.metrics;
+            assert_eq!(metrics.merges_discarded.get(), 1);
+            if forced {
+                assert_eq!(epoch, Some(snap.epoch));
+                assert!(
+                    snap.epoch > overtaking,
+                    "the REPACK's own pack is published"
+                );
+                assert_eq!(metrics.merges.get(), 1);
+            } else {
+                assert_eq!(epoch, None);
+                assert_eq!(snap.epoch, overtaking, "a stale merge publishes nothing");
+                assert_eq!(metrics.merges.get(), 0);
+            }
+            // Whichever pack is being served, it lost nothing.
+            for pic in snap.db.pictures() {
+                assert!(pic.frozen().is_some() && pic.delta_len() == 0);
+            }
+            let pic = snap.db.picture("us-map").unwrap();
+            assert_eq!(pic.packed_len(), baseline + 3);
+            drop(snap);
+            server.stop();
+        }
     }
 
     #[test]
@@ -1324,6 +1283,24 @@ mod tests {
             .unwrap();
         assert_eq!(first, fourth);
         assert_eq!(metrics.plan_cache_hits.get(), 2);
+        // A REPACK replaces every tree the plan was compiled against and
+        // publishes under a new epoch; the stamp alone retires the plan.
+        let mut repacked = db.clone();
+        repacked.pack_all();
+        let fifth = run_query(
+            &repacked,
+            3,
+            text,
+            &functions,
+            &mut scratch,
+            &plans,
+            &metrics,
+        )
+        .ok()
+        .unwrap();
+        assert_eq!(first, fifth);
+        assert_eq!(metrics.plan_cache_parse_hits.get(), 2, "a parse hit");
+        assert_eq!(metrics.plan_cache_hits.get(), 2, "not a plan hit");
     }
 
     #[test]

@@ -138,6 +138,33 @@ fn junk_opcode_and_truncated_payloads_get_typed_errors() {
     server.stop();
 }
 
+/// Opcode 7 was `PACK EXTERNAL` once. It is a junk opcode like any other
+/// now: a frame that used to rebuild every picture is answered with the
+/// typed error, under its own id, and the session goes on.
+#[test]
+fn retired_pack_external_opcode_is_an_unknown_opcode() {
+    let server = start_server();
+    let mut c = connect(&server);
+    let mut payload = 21u64.to_be_bytes().to_vec(); // id
+    payload.push(7); // the retired opcode
+    payload.extend_from_slice(&(4u64 << 20).to_be_bytes()); // budget
+    payload.extend_from_slice(&2u32.to_be_bytes()); // threads
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    c.send_raw(&frame).unwrap();
+    match c.read_response().expect("answered") {
+        Response::Error { id, kind, message } => {
+            assert_eq!(id, 21, "error correlates to the request");
+            assert_eq!(kind, ErrorKind::Protocol);
+            assert!(message.contains("unknown opcode 7"), "{message}");
+        }
+        other => panic!("expected protocol error, got {other:?}"),
+    }
+    assert_eq!(server.snapshots().current_epoch(), 1, "nothing was rebuilt");
+    c.ping().expect("session survived");
+    server.stop();
+}
+
 #[test]
 fn fuzzish_random_frames_never_kill_the_server() {
     let server = start_server();

@@ -25,6 +25,7 @@ fn thread_count() -> usize {
 
 #[test]
 fn connections_do_not_spawn_threads() {
+    let before = thread_count();
     let server = Server::start(
         PictorialDatabase::with_us_map(),
         "127.0.0.1:0",
@@ -37,8 +38,9 @@ fn connections_do_not_spawn_threads() {
     let addr = server.local_addr();
 
     // Baseline after the server's fixed complement is up (reactor +
-    // admin + merge + workers).
+    // rebuild + workers).
     let baseline = thread_count();
+    assert_eq!(baseline - before, 1 + 1 + 2, "the fixed complement");
 
     // 64 live connections, each proven active with a ping.
     let mut clients: Vec<Client> = (0..64)

@@ -580,55 +580,141 @@ fn pipelined_inserts_group_commit_under_one_fsync() {
     let _ = std::fs::remove_file(&wal);
 }
 
+/// A rebuild is adopted when the pictures it packed still serve the
+/// generation it cloned — and a never-packed picture serves none, before
+/// and after. A REPACK of one must read that as "unchanged", not as
+/// "replaced underneath me", or it would pack again for ever.
 #[test]
-fn pack_external_over_the_wire_folds_delta_and_preserves_results() {
+fn repack_packs_a_never_packed_picture_and_keeps_what_was_added_meanwhile() {
+    use rtree_geom::Rect;
+    use rtree_index::RTreeConfig;
+
+    let scatter = |i: u64| {
+        let x = (i.wrapping_mul(2654435761) % 100_000) as f64 / 100.0;
+        let y = (i.wrapping_mul(40503) % 100_000) as f64 / 100.0;
+        SpatialObject::Point(Point::new(x, y))
+    };
+    let mut db = PictorialDatabase::new(RTreeConfig::PAPER);
+    db.create_picture("raw", Rect::new(0.0, 0.0, 1000.0, 1000.0))
+        .expect("fresh picture");
+    for i in 0..20_000 {
+        db.add_object("raw", scatter(i), &format!("r{i}"))
+            .expect("picture exists");
+    }
     let server = Server::start(
-        PictorialDatabase::with_us_map(),
+        db,
         "127.0.0.1:0",
         ServerConfig {
             workers: 2,
-            // Keep the background merge out of the way (the threshold is
-            // never reached): this test wants the external pack itself
-            // to fold the delta. The interval stays short because the
-            // merge thread only notices shutdown once per tick.
-            merge_threshold: 1_000_000,
+            merge_threshold: usize::MAX,
             ..ServerConfig::default()
         },
     )
     .expect("bind");
-    let mut client = connect(&server);
+    let mut admin = connect(&server);
+    let mut writer = connect(&server);
 
-    // Buffer a few dynamic inserts in the delta.
-    for i in 0..6 {
-        client
-            .insert_expect_done(
-                "us-map",
-                &format!("ext-city-{i}"),
-                SpatialObject::Point(Point::new(40.0 + i as f64, 22.0)),
-            )
-            .expect("insert acked");
+    // Inserts keep arriving until the REPACK has been answered.
+    let answered = std::sync::atomic::AtomicBool::new(false);
+    let (epoch, added) = std::thread::scope(|scope| {
+        let inserting = scope.spawn(|| {
+            let mut added = 0u64;
+            while !answered.load(Ordering::SeqCst) || added < 10 {
+                writer
+                    .insert_expect_done("raw", &format!("w{added}"), scatter(1_000_000 + added))
+                    .expect("insert acked beside the repack");
+                added += 1;
+            }
+            added
+        });
+        let epoch = admin
+            .repack()
+            .expect("a REPACK of a never-packed picture ends");
+        answered.store(true, Ordering::SeqCst);
+        (epoch, inserting.join().expect("writer"))
+    });
+
+    let snap = server.snapshots().load();
+    assert!(snap.epoch >= epoch);
+    let pic = snap.db.picture("raw").expect("picture");
+    assert!(pic.frozen().is_some(), "REPACK left the picture unpacked");
+    assert!(pic.packed_len() >= 20_000);
+    assert_eq!(pic.len() as u64, 20_000 + added);
+    for i in 0..added {
+        assert_eq!(pic.label(20_000 + i), Some(format!("w{i}").as_str()));
+        assert_eq!(
+            pic.object(20_000 + i).as_deref(),
+            Some(&scatter(1_000_000 + i))
+        );
     }
-    let query = "select city from cities on us-map at loc overlapping {50 +- 50, 25 +- 25}";
-    let (_, before) = client.query_expect_result(query).expect("pre-pack query");
-    let epoch_before = server.snapshots().current_epoch();
-
-    // External pack over the wire under a tight 64 KiB budget.
-    let epoch = client.pack_external(64 * 1024).expect("pack external");
-    assert!(epoch > epoch_before, "must publish a new snapshot");
-
-    // Same answers, now from the externally packed + refrozen trees,
-    // with the delta folded in.
-    let (post_epoch, after) = client.query_expect_result(query).expect("post-pack query");
-    assert_eq!(post_epoch, epoch);
-    let sorted = |r: &psql::ResultSet| {
-        let mut rows: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
-        rows.sort();
-        rows
-    };
-    assert_eq!(sorted(&before), sorted(&after));
-
-    let stats = client.stats().expect("stats");
-    assert_eq!(json_u64(&stats, "delta_items"), 0, "{stats}");
-    assert!(stats.contains("\"serves_frozen_queries\":true"), "{stats}");
+    assert_eq!(server.metrics().merges_discarded.get(), 0);
+    drop(snap);
     server.stop();
+}
+
+/// Every REPACK is answered exactly once, however many share a rebuild
+/// and whenever the server stops: `Done` for one it accepted (or the
+/// typed shutdown error), `Overloaded` for one the full slot turned away.
+#[test]
+fn every_repack_gets_exactly_one_answer_across_shutdown() {
+    use psql_server::protocol::{encode_request, write_frame, ErrorKind, Request};
+    use rtree_geom::Rect;
+
+    // Big enough that the burst below outlasts the first rebuild.
+    let mut db = PictorialDatabase::with_us_map();
+    db.create_picture("dense", Rect::new(0.0, 0.0, 1000.0, 1000.0))
+        .expect("fresh picture");
+    for i in 0..30_000u64 {
+        let x = (i.wrapping_mul(2654435761) % 100_000) as f64 / 100.0;
+        let y = (i.wrapping_mul(40503) % 100_000) as f64 / 100.0;
+        db.add_object("dense", SpatialObject::Point(Point::new(x, y)), "d")
+            .expect("picture exists");
+    }
+    let server = Server::start(
+        db,
+        "127.0.0.1:0",
+        ServerConfig {
+            merge_threshold: usize::MAX,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut admin = connect(&server);
+    // One REPACK to start a rebuild, then nine in one write while it
+    // packs: more than the slot holds at once. (The pause only makes that
+    // interleaving likely; what is asserted holds for every one.)
+    let frames = |ids: std::ops::Range<u64>| {
+        let mut frames = Vec::new();
+        for id in ids {
+            write_frame(&mut frames, &encode_request(&Request::Repack { id })).expect("to memory");
+        }
+        frames
+    };
+    admin.send_raw(&frames(100..101)).expect("first sent");
+    std::thread::sleep(Duration::from_millis(5));
+    admin.send_raw(&frames(101..110)).expect("burst sent");
+    // The server stops with some of them still waiting for a rebuild.
+    connect(&server).shutdown_server().expect("shutdown");
+    server.wait();
+
+    let (mut answered, mut done) = (Vec::new(), 0);
+    for _ in 0..10 {
+        match admin.read_response().expect("one answer per request") {
+            Response::Done { id, .. } => {
+                done += 1;
+                answered.push(id);
+            }
+            Response::Overloaded { id, .. } => answered.push(id),
+            Response::Error { id, kind, message } => {
+                assert_eq!(kind, ErrorKind::Internal, "{message}");
+                assert!(message.contains("shutting down"), "{message}");
+                answered.push(id);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    answered.sort_unstable();
+    assert_eq!(answered, (100..110).collect::<Vec<u64>>());
+    assert!(done >= 1, "the first REPACK at least was accepted");
+    assert!(admin.read_response().is_err(), "an eleventh answer");
 }
