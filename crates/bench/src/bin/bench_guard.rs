@@ -53,6 +53,15 @@
 //!     `estimated_bytes` per object stays under a committed ceiling —
 //!     two trees and a columnar store, not an enum and a `String` each.
 //!
+//! — and one more machine-independent tripwire, on PACK itself:
+//!
+//! 11. **PACK horizontal line vs uniform**: packing the delta guard's
+//!     points moved onto one horizontal line may cost at most 2× packing
+//!     them where they are. The nearest-neighbour sweep runs along each
+//!     slab's longer extent; one that always swept y would scan the whole
+//!     slab per neighbour on such a line (≈ 13×) and fails it on any
+//!     machine.
+//!
 //! It fails (exit code 1) if any measured figure exceeds its
 //! baseline by more than the allowed factor. The factor defaults to
 //! 2.0: CI runners are slower and noisier than the machine that wrote
@@ -67,14 +76,15 @@
 //!
 //! Run with: `cargo run --release -p rtree-bench --bin bench_guard`
 
+use packed_rtree_core::pack;
 use psql::picture::Picture;
 use psql::SpatialOp;
 use rtree_bench::{
     best_of_three_ns as best_of_three, experiment_seed, page_path, row_pipeline, window_paths,
     WindowPaths,
 };
-use rtree_geom::{Rect, SpatialObject};
-use rtree_index::{RTreeConfig, SearchScratch};
+use rtree_geom::{Point, Rect, SpatialObject};
+use rtree_index::{ItemId, RTreeConfig, SearchScratch};
 use rtree_workload::{points, queries, PAPER_UNIVERSE};
 
 /// The committed baseline, written by `layout_bench` at the repo root.
@@ -181,6 +191,18 @@ fn main() {
         }
     });
 
+    // The distribution tripwire: the same points, then on one line.
+    let line_y = PAPER_UNIVERSE.center().y;
+    let pack_ns = |at: &dyn Fn(&Point) -> Point| {
+        let items: Vec<(Rect, ItemId)> = (0u64..)
+            .zip(&pts[..delta_n])
+            .map(|(i, p)| (Rect::from_point(at(p)), ItemId(i)))
+            .collect();
+        best_of_three(delta_n, || pack(items.clone(), RTreeConfig::PAPER))
+    };
+    let pack_uniform_ns = pack_ns(&|p| *p);
+    let pack_line_ns = pack_ns(&|p| Point::new(p.x, line_y));
+
     let rows = row_pipeline(&pts, seed ^ 0x5851f42d4c957f2d);
     assert!(rows.rows_per_query > 10.0, "windows stopped answering rows");
 
@@ -197,6 +219,8 @@ fn main() {
     /// Packed `estimated_bytes` per point with a ≤ 7-byte label: ≈ 129 of
     /// pointer tree and arena, ≈ 27 of slot, label and offset.
     const PACKED_BYTES_CEILING: f64 = 160.0;
+    /// What packing points on one line may cost, in uniform packs.
+    const LINE_FACTOR: f64 = 2.0;
 
     let mut failed = false;
     let held_to_factor = [
@@ -249,6 +273,13 @@ fn main() {
             PACKED_BYTES_CEILING,
             1.0,
             "B",
+        ),
+        (
+            "PACK horizontal line vs uniform",
+            pack_line_ns,
+            pack_uniform_ns,
+            LINE_FACTOR,
+            "ns/op",
         ),
     ];
     for (name, measured, baseline, factor, unit) in held_to_factor.into_iter().chain(tripwires) {

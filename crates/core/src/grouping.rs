@@ -6,20 +6,21 @@
 //! [`group`] function dispatches on [`PackStrategy`]
 //! (re-exported from the [`mod@crate::pack`] module).
 
-use crate::hilbert;
-use crate::nn::{GridNeighbors, NaiveNeighbors, NeighborSet};
+use crate::nn::{NaiveNeighbors, NeighborSet, SweepNeighbors};
 use rtree_geom::{Point, Rect};
+use std::cmp::Ordering;
 
 /// The available packing strategies (see crate docs for provenance).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PackStrategy {
     /// The paper's PACK (§3.3): ascending-x order, groups filled by
-    /// repeated nearest-neighbour selection (grid-accelerated).
+    /// repeated nearest-neighbour selection (a sweep along each slab's
+    /// longer extent).
     #[default]
     NearestNeighbor,
     /// PACK with the pseudocode's literal O(n²) nearest-neighbour scan;
-    /// identical output to [`PackStrategy::NearestNeighbor`] up to
-    /// distance ties.
+    /// identical output to [`PackStrategy::NearestNeighbor`] (both break
+    /// distance ties towards the lowest slab position).
     NearestNeighborNaive,
     /// Plain ascending-x runs of `M` — the paper's sort criterion without
     /// the NN refinement; poor on the y axis, used as an ablation.
@@ -183,36 +184,19 @@ pub fn group(strategy: PackStrategy, rects: &[Rect], m: usize) -> Vec<Vec<usize>
 /// objects of DLIST by some spatial criterion, e.g. ascending
 /// x-coordinate" (§3.3) — or Hilbert-curve order of the centers.
 pub fn order(strategy: PackStrategy, rects: &[Rect]) -> Vec<usize> {
-    let mut ord: Vec<usize> = (0..rects.len()).collect();
-    match strategy {
-        PackStrategy::Hilbert => {
-            let keys = hilbert_keys(rects);
-            ord.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
-        }
-        _ => ord.sort_unstable_by(|&a, &b| x_cmp(rects, a, b)),
-    }
-    ord
+    crate::parallel::level_order(strategy, rects, 1)
 }
 
-/// The ascending-x comparator (ties by y then index, for a total order
-/// free of equal elements). Shared with the parallel sort so both
-/// produce the same permutation.
+/// A center's sort key: `(primary, secondary, index)`.
+pub(crate) type CenterKey = (f64, f64, usize);
+
+/// Orders [`CenterKey`]s: a total order with no equal elements, so every
+/// sort of the same keys yields the same permutation.
 #[inline]
-pub(crate) fn x_cmp(rects: &[Rect], a: usize, b: usize) -> std::cmp::Ordering {
-    let ca = rects[a].center();
-    let cb = rects[b].center();
-    ca.x.total_cmp(&cb.x)
-        .then(ca.y.total_cmp(&cb.y))
-        .then(a.cmp(&b))
-}
-
-/// Hilbert sort keys of all rect centers (within the level's MBR).
-pub(crate) fn hilbert_keys(rects: &[Rect]) -> Vec<u64> {
-    let bounds = Rect::mbr_of_rects(rects.iter().copied()).expect("non-empty");
-    rects
-        .iter()
-        .map(|r| hilbert::rect_index(r, &bounds))
-        .collect()
+pub(crate) fn key_cmp(a: &CenterKey, b: &CenterKey) -> Ordering {
+    a.0.total_cmp(&b.0)
+        .then(a.1.total_cmp(&b.1))
+        .then(a.2.cmp(&b.2))
 }
 
 /// Groups one slab of the level's sort order (global indices into
@@ -224,66 +208,78 @@ pub fn group_slab(
     ord: &[usize],
     plan: &SlabPlan,
 ) -> Vec<Vec<usize>> {
+    slab_order(strategy, rects, ord, plan)
+        .chunks(plan.m())
+        .map(<[usize]>::to_vec)
+        .collect()
+}
+
+/// [`group_slab`]'s groups laid end to end: group `g` is the `g`-th of
+/// the result's `chunks(m)`, since every group but the slab's last is
+/// full.
+pub(crate) fn slab_order(
+    strategy: PackStrategy,
+    rects: &[Rect],
+    ord: &[usize],
+    plan: &SlabPlan,
+) -> Vec<usize> {
     let m = plan.m();
     match strategy {
         PackStrategy::NearestNeighbor => {
-            let centers: Vec<Point> = ord.iter().map(|&i| rects[i].center()).collect();
-            nearest_neighbor_groups(ord, m, GridNeighbors::from_centers(centers))
+            nearest_neighbor_order(ord, m, SweepNeighbors::new(&centers(rects, ord)))
         }
         PackStrategy::NearestNeighborNaive => {
-            let centers: Vec<Point> = ord.iter().map(|&i| rects[i].center()).collect();
-            nearest_neighbor_groups(ord, m, NaiveNeighbors::from_centers(centers))
+            nearest_neighbor_order(ord, m, NaiveNeighbors::new(centers(rects, ord)))
         }
-        PackStrategy::XSort | PackStrategy::Hilbert => {
-            ord.chunks(m).map(<[usize]>::to_vec).collect()
-        }
+        PackStrategy::XSort | PackStrategy::Hilbert => ord.to_vec(),
         PackStrategy::SortTileRecursive => {
-            // slab_len is a multiple of str_capacity, so slab-local
-            // tiling cuts at the same boundaries as global tiling.
-            let mut groups = Vec::with_capacity(ord.len().div_ceil(m));
+            // slab_len is a multiple of str_capacity, and str_capacity of
+            // m, so slab-local tiling cuts at the same boundaries as
+            // global tiling and every x-slab ends on a group boundary.
+            let mut out = Vec::with_capacity(ord.len());
             for x_slab in ord.chunks(plan.str_capacity().max(1)) {
-                let mut x_slab: Vec<usize> = x_slab.to_vec();
-                x_slab.sort_by(|&a, &b| {
-                    let ca = rects[a].center();
-                    let cb = rects[b].center();
-                    ca.y.total_cmp(&cb.y)
-                        .then(ca.x.total_cmp(&cb.x))
-                        .then(a.cmp(&b))
-                });
-                for chunk in x_slab.chunks(m) {
-                    groups.push(chunk.to_vec());
-                }
+                let mut keys: Vec<CenterKey> = x_slab
+                    .iter()
+                    .map(|&i| {
+                        let c = rects[i].center();
+                        (c.y, c.x, i)
+                    })
+                    .collect();
+                keys.sort_unstable_by(key_cmp);
+                out.extend(keys.iter().map(|k| k.2));
             }
-            groups
+            out
         }
     }
+}
+
+/// The centers of `ord`'s rects, in slab order.
+fn centers(rects: &[Rect], ord: &[usize]) -> Vec<Point> {
+    ord.iter().map(|&i| rects[i].center()).collect()
 }
 
 /// The paper's grouping loop over one slab: take the first remaining
 /// object `I1` (in slab order, i.e. ascending x), then `NN(DLIST, I1)`
 /// until the node is full.
 ///
-/// `set` indexes the slab locally (0..ord.len() in slab order); returned
-/// groups carry the global indices from `ord`.
-fn nearest_neighbor_groups<S: NeighborSet>(ord: &[usize], m: usize, mut set: S) -> Vec<Vec<usize>> {
-    let mut groups = Vec::with_capacity(ord.len().div_ceil(m));
+/// `set` indexes the slab locally (0..ord.len() in slab order); the
+/// groups, laid end to end, carry the global indices from `ord`.
+fn nearest_neighbor_order<S: NeighborSet>(ord: &[usize], m: usize, mut set: S) -> Vec<usize> {
+    let mut out = Vec::with_capacity(ord.len());
     for i1 in 0..ord.len() {
         if !set.remove(i1) {
             continue; // already consumed as someone's neighbour
         }
-        let mut grp = Vec::with_capacity(m);
-        grp.push(ord[i1]);
+        out.push(ord[i1]);
         // I2 = NN(DLIST, I1); I3 = NN(DLIST, I1); … — all relative to I1.
-        let anchor = set.center(i1);
-        while grp.len() < m {
-            match set.take_nearest(anchor) {
-                Some(j) => grp.push(ord[j]),
+        for _ in 1..m {
+            match set.take_nearest(i1) {
+                Some(j) => out.push(ord[j]),
                 None => break,
             }
         }
-        groups.push(grp);
     }
-    groups
+    out
 }
 
 #[cfg(test)]
@@ -386,13 +382,40 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_grid_nn_agree_without_ties() {
-        // Points with unique pairwise distances: both NN providers must
-        // produce identical groups.
-        let rects = scatter(64);
-        let a = group(PackStrategy::NearestNeighbor, &rects, 4);
-        let b = group(PackStrategy::NearestNeighborNaive, &rects, 4);
-        assert_eq!(a, b);
+    fn sweep_and_naive_nn_group_identically() {
+        // Tie-free scatter and a lattice full of distance ties: both NN
+        // providers break ties to the lowest slab position, so the groups
+        // are identical either way.
+        let lattice: Vec<(f64, f64)> = (0..300)
+            .map(|i| ((i % 17) as f64, (i / 17) as f64))
+            .collect();
+        for rects in [scatter(64), pts(&lattice)] {
+            let a = group(PackStrategy::NearestNeighbor, &rects, 4);
+            let b = group(PackStrategy::NearestNeighborNaive, &rects, 4);
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn rect_items_use_centers() {
+        // NN distance is center to center. Rect 1 reaches to within 0.5 of
+        // rect 0 (its lower-left corner is 1.5 away) but its center is 11
+        // away; rect 2's center is 5 away. By centers, 0 pairs with 2.
+        let rects = vec![
+            Rect::new(-0.5, -0.5, 0.5, 0.5), // center (0,0)
+            Rect::new(1.0, -0.5, 21.0, 0.5), // center (11,0)
+            Rect::new(4.5, -0.5, 5.5, 0.5),  // center (5,0)
+        ];
+        for strategy in [
+            PackStrategy::NearestNeighbor,
+            PackStrategy::NearestNeighborNaive,
+        ] {
+            assert_eq!(
+                group(strategy, &rects, 2),
+                vec![vec![0, 2], vec![1]],
+                "{strategy:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! # Variants and extensions
 //!
 //! * [`pack_naive`] — same algorithm with the literal O(n²) nearest-
-//!   neighbour scan of the pseudocode (the default uses a uniform grid);
+//!   neighbour scan of the pseudocode (the default sweeps each slab along
+//!   its longer extent, and builds the same tree);
 //! * [`pack_xsort`] — packing by pure ascending-x runs (the paper's sort
 //!   criterion without the NN refinement);
 //! * [`pack_str`] — Sort-Tile-Recursive (Leutenegger et al. 1997), the
@@ -64,7 +65,6 @@ pub mod zero_overlap;
 pub use grouping::PackStrategy;
 pub use pack::{pack, pack_hilbert, pack_naive, pack_str, pack_with, pack_xsort};
 pub use parallel::{
-    default_threads, effective_threads, order_parallel, pack_parallel, pack_parallel_with,
-    par_sort_values,
+    default_threads, effective_threads, pack_parallel, pack_parallel_with, par_sort_values,
 };
 pub use repack::AutoRepack;

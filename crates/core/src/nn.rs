@@ -3,66 +3,52 @@
 //! The paper specifies: "`NN(DLIST, I)` returns the item in the list DLIST
 //! which is spatially closest to item `I` and has the additional effect of
 //! deleting that item from DLIST." Distances are between MBR centers
-//! (exact point distance when the items are points).
+//! (exact point distance when the items are points). Both providers break
+//! a distance tie towards the lowest index — the literal scan's
+//! first-found rule — so they return the same item on every input.
 //!
 //! Two implementations:
 //! * [`NaiveNeighbors`] — the literal O(n) scan per query, kept as the
 //!   fidelity reference (`pack_naive`);
-//! * [`GridNeighbors`] — a uniform-grid index answering NN queries in
-//!   ~O(1) expected for the paper's uniformly distributed workloads,
-//!   making `pack` usable at realistic sizes.
+//! * [`SweepNeighbors`] — the centers as a doubly linked list sorted
+//!   along the set's longer extent; a query walks outward from the
+//!   anchor and stops once the gap along that axis alone exceeds the best
+//!   distance found, making `pack` usable at realistic sizes.
 
 use rtree_geom::{Point, Rect};
 
-/// A removable set of items supporting nearest queries against a point.
+/// A removable set of items answering nearest queries against one of its
+/// own (already removed) items — the shape of PACK's grouping loop.
 pub trait NeighborSet {
-    /// Number of items still present.
-    fn len(&self) -> usize;
-    /// `true` if no items remain.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Removes and returns the index of the item closest to `query`
-    /// (ties broken arbitrarily), or `None` if empty.
-    fn take_nearest(&mut self, query: Point) -> Option<usize>;
-    /// Removes a specific item by index. Returns `false` if already gone.
+    /// Removes item `index`. Returns `false` if it was already gone.
     fn remove(&mut self, index: usize) -> bool;
-    /// The center point item `index` was built from (valid whether or not
-    /// the item has been removed).
-    fn center(&self, index: usize) -> Point;
+    /// Removes and returns the remaining item whose center is closest to
+    /// removed item `anchor`'s (ties to the lowest index), or `None` if
+    /// none remains.
+    fn take_nearest(&mut self, anchor: usize) -> Option<usize>;
 }
 
 /// O(n)-per-query scan over MBR centers.
 pub struct NaiveNeighbors {
     centers: Vec<Point>,
     alive: Vec<bool>,
-    remaining: usize,
 }
 
 impl NaiveNeighbors {
-    /// Builds from item bounding rectangles.
-    pub fn new(rects: &[Rect]) -> Self {
-        Self::from_centers(rects.iter().map(Rect::center).collect())
-    }
-
-    /// Builds directly from precomputed MBR centers (the slab-local
-    /// grouping path, which already holds the centers).
-    pub fn from_centers(centers: Vec<Point>) -> Self {
-        let n = centers.len();
-        NaiveNeighbors {
-            centers,
-            alive: vec![true; n],
-            remaining: n,
-        }
+    /// Builds from the items' MBR centers.
+    pub fn new(centers: Vec<Point>) -> Self {
+        let alive = vec![true; centers.len()];
+        NaiveNeighbors { centers, alive }
     }
 }
 
 impl NeighborSet for NaiveNeighbors {
-    fn len(&self) -> usize {
-        self.remaining
+    fn remove(&mut self, index: usize) -> bool {
+        std::mem::replace(&mut self.alive[index], false)
     }
 
-    fn take_nearest(&mut self, query: Point) -> Option<usize> {
+    fn take_nearest(&mut self, anchor: usize) -> Option<usize> {
+        let query = self.centers[anchor];
         let mut best: Option<(f64, usize)> = None;
         for (i, (&c, &alive)) in self.centers.iter().zip(&self.alive).enumerate() {
             if !alive {
@@ -77,157 +63,171 @@ impl NeighborSet for NaiveNeighbors {
         self.remove(idx);
         Some(idx)
     }
-
-    fn remove(&mut self, index: usize) -> bool {
-        if self.alive[index] {
-            self.alive[index] = false;
-            self.remaining -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn center(&self, index: usize) -> Point {
-        self.centers[index]
-    }
 }
 
-/// Uniform-grid nearest-neighbour index over MBR centers.
+/// End of the sweep list.
+const NIL: u32 = u32::MAX;
+
+/// One center in sweep order: its coordinate along the sweep axis and
+/// across it, its index, and its list links.
+#[derive(Clone, Copy)]
+struct Slot {
+    along: f64,
+    across: f64,
+    index: u32,
+    prev: u32,
+    next: u32,
+    alive: bool,
+}
+
+/// Nearest-neighbour sweep over MBR centers.
 ///
-/// Cells hold item indices; a query spirals outward ring by ring and stops
-/// once no unexplored ring can beat the best candidate. Expected O(1) per
-/// query on roughly uniform data; degrades gracefully (never worse than a
-/// full scan) on pathological clustering.
-pub struct GridNeighbors {
-    centers: Vec<Point>,
-    alive: Vec<bool>,
-    remaining: usize,
-    origin: Point,
-    cell: f64,
-    nx: usize,
-    ny: usize,
-    cells: Vec<Vec<u32>>,
+/// The centers sit in a doubly linked list sorted along the set's longer
+/// extent (ties by index). A query walks the list outward from the
+/// anchor's slot in both directions and stops each walk once the squared
+/// gap along the axis exceeds the best distance so far. At a gap equal to
+/// it, an item further along could still tie, and a tie goes to the lower
+/// index, so the walk stops there only if no item from there to that
+/// end of the list has a lower index than the best — which is what makes
+/// a run of identical centers cost O(1) per query instead of a scan. A
+/// taken item is unlinked in O(1); the anchor keeps the links it had when
+/// it was removed, and every item between it and the live item they
+/// reach has been removed since, so a walk skips those and shortens the
+/// link.
+///
+/// Sweeping the *longer* extent is what keeps the walks short: a PACK
+/// slab is a strip of the level's x order, so on spread-out data it is
+/// tall and narrow and the sweep runs along y, and on data lying along
+/// one horizontal line it runs along x.
+pub struct SweepNeighbors {
+    slots: Vec<Slot>,
+    slot_of: Vec<u32>,
+    /// Lowest index at or after each slot, and at or before it (removed
+    /// items included, so a bound on the live ones).
+    lowest_after: Vec<u32>,
+    lowest_before: Vec<u32>,
 }
 
-impl GridNeighbors {
-    /// Builds from item bounding rectangles.
-    pub fn new(rects: &[Rect]) -> Self {
-        Self::from_centers(rects.iter().map(Rect::center).collect())
+impl SweepNeighbors {
+    /// Builds from the items' MBR centers.
+    pub fn new(centers: &[Point]) -> Self {
+        assert!(centers.len() < NIL as usize, "too many items for one sweep");
+        let along_y =
+            Rect::mbr_of_points(centers.iter().copied()).is_some_and(|b| b.height() > b.width());
+        let along = |c: &Point| if along_y { c.y } else { c.x };
+        let mut order: Vec<(f64, u32)> = centers
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (along(c), i as u32))
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut slot_of = vec![0; centers.len()];
+        let slots = order
+            .iter()
+            .enumerate()
+            .map(|(s, &(along, index))| {
+                slot_of[index as usize] = s as u32;
+                let c = centers[index as usize];
+                Slot {
+                    along,
+                    across: if along_y { c.x } else { c.y },
+                    index,
+                    prev: if s == 0 { NIL } else { s as u32 - 1 },
+                    next: if s + 1 == order.len() {
+                        NIL
+                    } else {
+                        s as u32 + 1
+                    },
+                    alive: true,
+                }
+            })
+            .collect();
+        let running_min = |low: &mut u32, &(_, index): &(f64, u32)| {
+            *low = (*low).min(index);
+            Some(*low)
+        };
+        let mut lowest_after: Vec<u32> = order.iter().rev().scan(u32::MAX, running_min).collect();
+        lowest_after.reverse();
+        SweepNeighbors {
+            slots,
+            slot_of,
+            lowest_after,
+            lowest_before: order.iter().scan(u32::MAX, running_min).collect(),
+        }
     }
 
-    /// Builds directly from precomputed MBR centers.
-    pub fn from_centers(centers: Vec<Point>) -> Self {
-        let n = centers.len();
-        let bounds = Rect::mbr_of_points(centers.iter().copied())
-            .unwrap_or_else(|| Rect::new(0.0, 0.0, 1.0, 1.0));
-        // Aim for ~1-2 items per cell on uniform data.
-        let side = (n as f64).sqrt().ceil().max(1.0) as usize;
-        let cell = (bounds.width().max(bounds.height()) / side as f64).max(f64::MIN_POSITIVE);
-        // Guard against degenerate extents (all centers identical).
-        let cell = if cell.is_normal() { cell } else { 1.0 };
-        let nx = ((bounds.width() / cell).ceil() as usize + 1).max(1);
-        let ny = ((bounds.height() / cell).ceil() as usize + 1).max(1);
-        let mut cells = vec![Vec::new(); nx * ny];
-        for (i, c) in centers.iter().enumerate() {
-            let cx =
-                (((c.x - bounds.min_x) / cell).floor() as isize).clamp(0, nx as isize - 1) as usize;
-            let cy =
-                (((c.y - bounds.min_y) / cell).floor() as isize).clamp(0, ny as isize - 1) as usize;
-            cells[cy * nx + cx].push(i as u32);
+    fn unlink(&mut self, s: usize) {
+        let Slot { prev, next, .. } = self.slots[s];
+        self.slots[s].alive = false;
+        if prev != NIL {
+            self.slots[prev as usize].next = next;
         }
-        GridNeighbors {
-            centers,
-            alive: vec![true; n],
-            remaining: n,
-            origin: Point::new(bounds.min_x, bounds.min_y),
-            cell,
-            nx,
-            ny,
-            cells,
+        if next != NIL {
+            self.slots[next as usize].prev = prev;
         }
     }
 
-    #[inline]
-    fn cell_coords(&self, p: Point) -> (isize, isize) {
-        let cx = ((p.x - self.origin.x) / self.cell).floor() as isize;
-        let cy = ((p.y - self.origin.y) / self.cell).floor() as isize;
-        (
-            cx.clamp(0, self.nx as isize - 1),
-            cy.clamp(0, self.ny as isize - 1),
-        )
-    }
-
-    /// Scans one cell for the best alive candidate.
-    fn scan_cell(&self, cx: isize, cy: isize, query: Point, best: &mut Option<(f64, usize)>) {
-        if cx < 0 || cy < 0 || cx >= self.nx as isize || cy >= self.ny as isize {
-            return;
+    /// The first live slot after (`forward`) or before removed slot `s`,
+    /// stored back into `s`'s link so the next walk starts there.
+    fn live_neighbour(&mut self, s: usize, forward: bool) -> u32 {
+        let step = |slot: &Slot| if forward { slot.next } else { slot.prev };
+        let mut j = step(&self.slots[s]);
+        while j != NIL && !self.slots[j as usize].alive {
+            j = step(&self.slots[j as usize]);
         }
-        for &i in &self.cells[cy as usize * self.nx + cx as usize] {
-            let i = i as usize;
-            if !self.alive[i] {
-                continue;
-            }
-            let d = self.centers[i].distance_sq(query);
-            if best.is_none_or(|(bd, _)| d < bd) {
-                *best = Some((d, i));
-            }
+        if forward {
+            self.slots[s].next = j;
+        } else {
+            self.slots[s].prev = j;
         }
+        j
     }
 }
 
-impl NeighborSet for GridNeighbors {
-    fn len(&self) -> usize {
-        self.remaining
+impl NeighborSet for SweepNeighbors {
+    fn remove(&mut self, index: usize) -> bool {
+        let s = self.slot_of[index] as usize;
+        let alive = self.slots[s].alive;
+        if alive {
+            self.unlink(s);
+        }
+        alive
     }
 
-    fn take_nearest(&mut self, query: Point) -> Option<usize> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let (qx, qy) = self.cell_coords(query);
-        let max_ring = self.nx.max(self.ny) as isize;
-        let mut best: Option<(f64, usize)> = None;
-        for r in 0..=max_ring {
-            // Once a candidate is found, stop when the nearest possible
-            // point of ring r is farther than the candidate.
-            if let Some((bd, _)) = best {
-                let ring_min = (r - 1).max(0) as f64 * self.cell;
-                if ring_min * ring_min > bd {
+    fn take_nearest(&mut self, anchor: usize) -> Option<usize> {
+        let a = self.slot_of[anchor] as usize;
+        debug_assert!(!self.slots[a].alive, "the anchor must be removed first");
+        let query = self.slots[a];
+        let (mut best_d, mut best_index, mut best_slot) = (f64::INFINITY, u32::MAX, NIL);
+        for forward in [true, false] {
+            let mut j = self.live_neighbour(a, forward);
+            let lowest = if forward {
+                &self.lowest_after
+            } else {
+                &self.lowest_before
+            };
+            while j != NIL {
+                let slot = &self.slots[j as usize];
+                let gap = slot.along - query.along;
+                let gap_sq = gap * gap;
+                if gap_sq > best_d || (gap_sq == best_d && lowest[j as usize] > best_index) {
                     break;
                 }
-            }
-            if r == 0 {
-                self.scan_cell(qx, qy, query, &mut best);
-                continue;
-            }
-            // The ring at Chebyshev distance r.
-            for cx in (qx - r)..=(qx + r) {
-                self.scan_cell(cx, qy - r, query, &mut best);
-                self.scan_cell(cx, qy + r, query, &mut best);
-            }
-            for cy in (qy - r + 1)..(qy + r) {
-                self.scan_cell(qx - r, cy, query, &mut best);
-                self.scan_cell(qx + r, cy, query, &mut best);
+                // The same sum `Point::distance_sq` forms, in either axis
+                // order: the naive scan sees bit-identical distances.
+                let off = slot.across - query.across;
+                let d = gap_sq + off * off;
+                if d < best_d || (d == best_d && slot.index < best_index) {
+                    (best_d, best_index, best_slot) = (d, slot.index, j);
+                }
+                j = if forward { slot.next } else { slot.prev };
             }
         }
-        let (_, idx) = best?;
-        self.remove(idx);
-        Some(idx)
-    }
-
-    fn remove(&mut self, index: usize) -> bool {
-        if self.alive[index] {
-            self.alive[index] = false;
-            self.remaining -= 1;
-            true
-        } else {
-            false
+        if best_slot == NIL {
+            return None;
         }
-    }
-
-    fn center(&self, index: usize) -> Point {
-        self.centers[index]
+        self.unlink(best_slot as usize);
+        Some(best_index as usize)
     }
 }
 
@@ -235,11 +235,8 @@ impl NeighborSet for GridNeighbors {
 mod tests {
     use super::*;
 
-    fn rects_at(points: &[(f64, f64)]) -> Vec<Rect> {
-        points
-            .iter()
-            .map(|&(x, y)| Rect::from_point(Point::new(x, y)))
-            .collect()
+    fn at(points: &[(f64, f64)]) -> Vec<Point> {
+        points.iter().map(|&(x, y)| Point::new(x, y)).collect()
     }
 
     fn pseudo_random_points(n: usize, seed: u64) -> Vec<(f64, f64)> {
@@ -259,93 +256,121 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn naive_take_nearest_order() {
-        let rects = rects_at(&[(0.0, 0.0), (5.0, 0.0), (1.0, 0.0), (9.0, 0.0)]);
-        let mut nn = NaiveNeighbors::new(&rects);
-        let q = Point::new(0.0, 0.0);
-        assert_eq!(nn.take_nearest(q), Some(0));
-        assert_eq!(nn.take_nearest(q), Some(2));
-        assert_eq!(nn.take_nearest(q), Some(1));
-        assert_eq!(nn.take_nearest(q), Some(3));
-        assert_eq!(nn.take_nearest(q), None);
-        assert!(nn.is_empty());
-    }
-
-    #[test]
-    fn grid_matches_naive_on_random_data() {
-        let pts = pseudo_random_points(500, 7);
-        let rects = rects_at(&pts);
-        let mut naive = NaiveNeighbors::new(&rects);
-        let mut grid = GridNeighbors::new(&rects);
-        // Drain both from a sequence of query points; distances must agree
-        // at every step (indices may differ only under exact ties).
-        let queries = pseudo_random_points(500, 99);
-        for (qx, qy) in queries {
-            let q = Point::new(qx, qy);
-            let a = naive.take_nearest(q);
-            let b = grid.take_nearest(q);
-            match (a, b) {
-                (Some(i), Some(j)) => {
-                    let da = Point::new(pts[i].0, pts[i].1).distance_sq(q);
-                    let db = Point::new(pts[j].0, pts[j].1).distance_sq(q);
-                    assert!((da - db).abs() < 1e-9, "naive {da} vs grid {db}");
-                    // Keep the two sets identical for the next iteration.
-                    if i != j {
-                        naive.alive[i] = true;
-                        naive.remaining += 1;
-                        naive.remove(j);
-                    }
+    /// Drains both providers with PACK's own loop shape (anchor = first
+    /// remaining index, then `m − 1` takes) and requires the same item
+    /// at every step.
+    fn assert_sweep_matches_naive(centers: &[Point], m: usize) {
+        let mut naive = NaiveNeighbors::new(centers.to_vec());
+        let mut sweep = SweepNeighbors::new(centers);
+        for anchor in 0..centers.len() {
+            let removed = naive.remove(anchor);
+            assert_eq!(sweep.remove(anchor), removed, "remove({anchor})");
+            if !removed {
+                continue;
+            }
+            for _ in 1..m {
+                let expect = naive.take_nearest(anchor);
+                assert_eq!(sweep.take_nearest(anchor), expect, "anchor {anchor}");
+                if expect.is_none() {
+                    break;
                 }
-                (None, None) => break,
-                other => panic!("divergence: {other:?}"),
             }
         }
     }
 
     #[test]
-    fn grid_handles_identical_points() {
-        let rects = rects_at(&[(5.0, 5.0); 10]);
-        let mut grid = GridNeighbors::new(&rects);
-        let mut count = 0;
-        while grid.take_nearest(Point::new(5.0, 5.0)).is_some() {
-            count += 1;
+    fn naive_take_nearest_order() {
+        let mut nn = NaiveNeighbors::new(at(&[(0.0, 0.0), (5.0, 0.0), (1.0, 0.0), (9.0, 0.0)]));
+        assert!(nn.remove(0));
+        assert_eq!(nn.take_nearest(0), Some(2));
+        assert_eq!(nn.take_nearest(0), Some(1));
+        assert_eq!(nn.take_nearest(0), Some(3));
+        assert_eq!(nn.take_nearest(0), None);
+        assert!(!nn.remove(0));
+    }
+
+    #[test]
+    fn sweep_matches_naive_on_random_data() {
+        let centers = at(&pseudo_random_points(500, 7));
+        for m in [2, 4, 16] {
+            assert_sweep_matches_naive(&centers, m);
         }
-        assert_eq!(count, 10);
     }
 
     #[test]
-    fn grid_single_item() {
-        let rects = rects_at(&[(1.0, 2.0)]);
-        let mut grid = GridNeighbors::new(&rects);
-        assert_eq!(grid.take_nearest(Point::new(100.0, 100.0)), Some(0));
-        assert_eq!(grid.take_nearest(Point::new(0.0, 0.0)), None);
+    fn sweep_breaks_ties_to_the_lowest_index() {
+        // Every neighbour of the anchor is at distance 1: lowest index wins.
+        let mut sweep = SweepNeighbors::new(&at(&[
+            (5.0, 5.0),
+            (6.0, 5.0),
+            (5.0, 4.0),
+            (4.0, 5.0),
+            (5.0, 6.0),
+        ]));
+        assert!(sweep.remove(0));
+        assert_eq!(sweep.take_nearest(0), Some(1));
+        assert_eq!(sweep.take_nearest(0), Some(2));
+        assert_eq!(sweep.take_nearest(0), Some(3));
+        assert_eq!(sweep.take_nearest(0), Some(4));
+        assert_eq!(sweep.take_nearest(0), None);
     }
 
     #[test]
-    fn grid_query_far_outside_bounds() {
-        let rects = rects_at(&[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]);
-        let mut grid = GridNeighbors::new(&rects);
-        assert_eq!(grid.take_nearest(Point::new(-1000.0, -1000.0)), Some(0));
-        assert_eq!(grid.take_nearest(Point::new(1000.0, 1000.0)), Some(2));
+    fn sweep_matches_naive_on_a_lattice() {
+        let lattice: Vec<(f64, f64)> = (0..400)
+            .map(|i| ((i % 20) as f64, (i / 20) as f64))
+            .collect();
+        assert_sweep_matches_naive(&at(&lattice), 4);
+        // A lattice wider than tall sweeps along x instead.
+        let wide: Vec<(f64, f64)> = (0..300)
+            .map(|i| ((i % 50) as f64, (i / 50) as f64))
+            .collect();
+        assert_sweep_matches_naive(&at(&wide), 4);
     }
 
     #[test]
-    fn remove_is_idempotent() {
-        let rects = rects_at(&[(0.0, 0.0), (1.0, 1.0)]);
-        let mut grid = GridNeighbors::new(&rects);
-        assert!(grid.remove(0));
-        assert!(!grid.remove(0));
-        assert_eq!(grid.len(), 1);
+    fn sweep_handles_identical_points() {
+        let centers = at(&[(5.0, 5.0); 10]);
+        assert_sweep_matches_naive(&centers, 4);
+        let mut sweep = SweepNeighbors::new(&centers);
+        assert!(sweep.remove(0));
+        let taken: Vec<usize> = std::iter::from_fn(|| sweep.take_nearest(0)).collect();
+        assert_eq!(taken, (1..10).collect::<Vec<_>>());
     }
 
     #[test]
-    fn rect_items_use_centers() {
-        let rects = vec![
-            Rect::new(0.0, 0.0, 2.0, 2.0),     // center (1,1)
-            Rect::new(10.0, 10.0, 14.0, 14.0), // center (12,12)
-        ];
-        let mut nn = NaiveNeighbors::new(&rects);
-        assert_eq!(nn.take_nearest(Point::new(11.0, 11.0)), Some(1));
+    fn sweep_handles_horizontal_and_vertical_lines() {
+        let line: Vec<(f64, f64)> = pseudo_random_points(300, 3)
+            .into_iter()
+            .map(|(x, _)| (x, 7.0))
+            .collect();
+        assert_sweep_matches_naive(&at(&line), 4);
+        let column: Vec<(f64, f64)> = line.iter().map(|&(x, y)| (y, x)).collect();
+        assert_sweep_matches_naive(&at(&column), 4);
+    }
+
+    #[test]
+    fn sweep_single_item() {
+        let mut sweep = SweepNeighbors::new(&at(&[(1.0, 2.0)]));
+        assert!(sweep.remove(0));
+        assert!(!sweep.remove(0));
+        assert_eq!(sweep.take_nearest(0), None);
+    }
+
+    #[test]
+    fn sweep_anchor_far_outside_the_rest() {
+        let centers = at(&[
+            (-1000.0, -1000.0),
+            (0.0, 0.0),
+            (1.0, 1.0),
+            (2.0, 2.0),
+            (1000.0, 3.0),
+        ]);
+        let mut sweep = SweepNeighbors::new(&centers);
+        assert!(sweep.remove(0));
+        assert_eq!(sweep.take_nearest(0), Some(1));
+        assert!(sweep.remove(4));
+        assert_eq!(sweep.take_nearest(4), Some(3));
+        assert_sweep_matches_naive(&centers, 3);
     }
 }

@@ -10,7 +10,8 @@ use rtree_geom::Rect;
 use rtree_index::{ItemId, RTree, RTreeConfig};
 
 /// Packs `items` into an R-tree with the paper's algorithm
-/// (ascending-x order + nearest-neighbour grouping, grid-accelerated).
+/// (ascending-x order + nearest-neighbour grouping, each slab's
+/// nearest-neighbour step a sweep along its longer extent).
 ///
 /// The resulting tree has every node fully packed except possibly the last
 /// node of each level, minimal depth `⌈log_M n⌉`-ish, and the
@@ -23,8 +24,9 @@ pub fn pack(items: Vec<(Rect, ItemId)>, config: RTreeConfig) -> RTree {
 
 /// PACK with the pseudocode's literal O(n²) nearest-neighbour scan.
 ///
-/// Output is identical to [`pack`] up to exact distance ties; kept as the
-/// fidelity reference and for the `pack_fidelity` tests.
+/// Output is identical to [`pack`] on every input — both break distance
+/// ties towards the lowest slab position; kept as the fidelity reference
+/// and for the `pack_fidelity` tests.
 pub fn pack_naive(items: Vec<(Rect, ItemId)>, config: RTreeConfig) -> RTree {
     pack_with(items, config, PackStrategy::NearestNeighborNaive)
 }
@@ -190,21 +192,49 @@ mod tests {
         );
     }
 
+    fn items_at(coords: &[(f64, f64)]) -> Vec<(Rect, ItemId)> {
+        coords
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| (Rect::from_point(Point::new(x, y)), ItemId(i as u64)))
+            .collect()
+    }
+
     #[test]
-    fn pack_and_pack_naive_agree_on_metrics() {
-        let items = points(200, 31);
-        let a = pack(items.clone(), RTreeConfig::PAPER);
-        let b = pack_naive(items, RTreeConfig::PAPER);
-        let (ma, mb) = (a.metrics(), b.metrics());
-        assert_eq!(ma.nodes, mb.nodes);
-        assert_eq!(ma.depth, mb.depth);
-        // Identical groupings up to ties → identical coverage.
-        assert!(
-            (ma.coverage - mb.coverage).abs() < 1e-6 * ma.coverage.max(1.0),
-            "coverage {} vs {}",
-            ma.coverage,
-            mb.coverage
-        );
+    fn pack_equals_pack_naive() {
+        let random: Vec<(f64, f64)> = points(2_000, 31)
+            .iter()
+            .map(|(r, _)| (r.min_x, r.min_y))
+            .collect();
+        // A 50 × 50 lattice, fed in a scrambled order so input index and
+        // slab position disagree: ties everywhere.
+        let lattice: Vec<(f64, f64)> = (0..2_500u64)
+            .map(|i| (i * 1_103) % 2_500)
+            .map(|k| ((k % 50) as f64, (k / 50) as f64))
+            .collect();
+        let line: Vec<(f64, f64)> = random
+            .iter()
+            .map(|&(x, _)| ((x * 4.0).round(), 7.0))
+            .collect();
+        let column: Vec<(f64, f64)> = line.iter().map(|&(x, y)| (y, x)).collect();
+        let mut far = random.clone();
+        far.extend([(-1e6, -1e6), (1e6, 3.0), (5.0, 1e6)]);
+        let inputs = [
+            ("random", random),
+            ("lattice", lattice),
+            ("duplicates", vec![(5.0, 5.0); 1_000]),
+            ("horizontal line", line),
+            ("vertical line", column),
+            ("one point", vec![(1.0, 2.0)]),
+            ("far outside", far),
+        ];
+        for (name, coords) in inputs {
+            let items = items_at(&coords);
+            let a = pack(items.clone(), RTreeConfig::PAPER);
+            let b = pack_naive(items, RTreeConfig::PAPER);
+            a.validate_with(false).unwrap();
+            assert!(a == b, "{name}: pack and pack_naive built different trees");
+        }
     }
 
     #[test]

@@ -216,109 +216,72 @@ fn fill_slab(
     range: &ReservedRange,
     job: SlabJob<'_>,
 ) {
-    let groups = grouping::group_slab(strategy, rects, job.ord, plan);
+    let order = grouping::slab_order(strategy, rects, job.ord, plan);
+    let groups = order.chunks(plan.m());
     debug_assert_eq!(groups.len(), job.slots.len(), "slab group-count invariant");
     let base = plan.group_offset(job.k);
-    for (g, grp) in groups.into_iter().enumerate() {
+    for (g, grp) in groups.enumerate() {
         let mut node = Node::new(level);
-        node.entries = grp.into_iter().map(make_entry).collect();
+        node.entries = grp.iter().map(|&i| make_entry(i)).collect();
         let mbr = node.mbr().expect("non-empty group");
         job.handles[g] = (range.id(base + g), mbr);
         job.slots[g] = Some(node);
     }
 }
 
-/// The level's sort order under `strategy`, computed with up to
-/// `threads` workers but always equal to [`grouping::order`]'s
-/// sequential result (the comparators have no equal elements, so every
-/// merge schedule produces the same permutation).
-///
-/// Exposed for external packers (the `rtree-extpack` crate) that sort
-/// spill-run buffers with the same key the in-memory packer uses.
-pub fn order_parallel(strategy: PackStrategy, rects: &[Rect], threads: usize) -> Vec<usize> {
-    level_order(strategy, rects, threads)
-}
-
-/// The level's sort order, computed with up to `threads` workers but
-/// always equal to [`grouping::order`]'s sequential result (the
-/// comparators have no equal elements, so every merge schedule produces
-/// the same permutation).
-fn level_order(strategy: PackStrategy, rects: &[Rect], threads: usize) -> Vec<usize> {
-    if threads <= 1 {
-        return grouping::order(strategy, rects);
-    }
-    let mut ord: Vec<usize> = (0..rects.len()).collect();
+/// The level's sort order under `strategy` ([`grouping::order`]),
+/// computed with up to `threads` workers. The sort keys are extracted
+/// once — `(center.x, center.y, index)` or `(hilbert key, index)` — and
+/// sorted as values; they have no equal elements, so every thread count
+/// and merge schedule produces the same permutation.
+pub(crate) fn level_order(strategy: PackStrategy, rects: &[Rect], threads: usize) -> Vec<usize> {
     match strategy {
         PackStrategy::Hilbert => {
-            let keys = par_hilbert_keys(rects, threads);
-            par_sort_by(&mut ord, threads, &|a, b| {
-                keys[a].cmp(&keys[b]).then(a.cmp(&b))
-            });
+            let mut keys: Vec<(u64, usize)> = hilbert_keys(rects, threads)
+                .into_iter()
+                .enumerate()
+                .map(|(i, k)| (k, i))
+                .collect();
+            par_sort_values(&mut keys, threads, Ord::cmp);
+            keys.into_iter().map(|(_, i)| i).collect()
         }
-        _ => par_sort_by(&mut ord, threads, &|a, b| grouping::x_cmp(rects, a, b)),
+        _ => {
+            let mut keys: Vec<grouping::CenterKey> = rects
+                .iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    let c = r.center();
+                    (c.x, c.y, i)
+                })
+                .collect();
+            par_sort_values(&mut keys, threads, grouping::key_cmp);
+            keys.into_iter().map(|k| k.2).collect()
+        }
     }
-    ord
 }
 
-/// Hilbert keys of all centers, computed in parallel chunks.
-fn par_hilbert_keys(rects: &[Rect], threads: usize) -> Vec<u64> {
+/// Hilbert keys of all centers (within the level's MBR), computed in
+/// `threads` chunks.
+fn hilbert_keys(rects: &[Rect], threads: usize) -> Vec<u64> {
     let bounds = Rect::mbr_of_rects(rects.iter().copied()).expect("non-empty");
     let mut keys = vec![0u64; rects.len()];
-    let chunk = rects.len().div_ceil(threads).max(1);
+    let chunk = rects.len().div_ceil(threads.max(1)).max(1);
+    let fill = |keys: &mut [u64], rects: &[Rect]| {
+        for (k, r) in keys.iter_mut().zip(rects) {
+            *k = crate::hilbert::rect_index(r, &bounds);
+        }
+    };
+    if chunk >= rects.len() {
+        fill(&mut keys, rects);
+        return keys;
+    }
     std::thread::scope(|scope| {
         for (keys_chunk, rects_chunk) in keys.chunks_mut(chunk).zip(rects.chunks(chunk)) {
-            let bounds = &bounds;
-            scope.spawn(move || {
-                for (k, r) in keys_chunk.iter_mut().zip(rects_chunk) {
-                    *k = crate::hilbert::rect_index(r, bounds);
-                }
-            });
+            let fill = &fill;
+            scope.spawn(move || fill(keys_chunk, rects_chunk));
         }
     });
     keys
-}
-
-/// Parallel merge sort over index values: sort `threads` chunks
-/// concurrently, then merge runs pairwise. Deterministic for any total
-/// order; with tie-free comparators the result is independent of the
-/// chunk boundaries (hence of `threads`).
-fn par_sort_by(ord: &mut [usize], threads: usize, cmp: &(dyn Fn(usize, usize) -> Ordering + Sync)) {
-    let n = ord.len();
-    let chunk = n.div_ceil(threads).max(1);
-    if threads <= 1 || chunk >= n {
-        ord.sort_unstable_by(|&a, &b| cmp(a, b));
-        return;
-    }
-    std::thread::scope(|scope| {
-        for part in ord.chunks_mut(chunk) {
-            scope.spawn(move || part.sort_unstable_by(|&a, &b| cmp(a, b)));
-        }
-    });
-    // Bottom-up merge cascade over the sorted runs of length `chunk`.
-    let mut buf = vec![0usize; n];
-    let mut src_is_ord = true;
-    let mut width = chunk;
-    while width < n {
-        {
-            let (src, dst): (&[usize], &mut [usize]) = if src_is_ord {
-                (&*ord, &mut buf)
-            } else {
-                (&*buf, ord)
-            };
-            let mut lo = 0;
-            while lo < n {
-                let mid = (lo + width).min(n);
-                let hi = (lo + 2 * width).min(n);
-                merge_runs(&src[lo..mid], &src[mid..hi], &mut dst[lo..hi], cmp);
-                lo = hi;
-            }
-        }
-        src_is_ord = !src_is_ord;
-        width *= 2;
-    }
-    if !src_is_ord {
-        ord.copy_from_slice(&buf);
-    }
 }
 
 /// Sorts a slice of values across up to `threads` workers: chunk-sort
@@ -326,9 +289,9 @@ fn par_sort_by(ord: &mut [usize], threads: usize, cmp: &(dyn Fn(usize, usize) ->
 /// With a tie-free comparator the result is independent of the chunk
 /// boundaries — hence of `threads` — and equals `sort_unstable_by`.
 ///
-/// Exposed for external packers (the `rtree-extpack` crate), which sort
-/// spill-run record buffers by the pack key directly instead of through
-/// an index permutation.
+/// The in-memory packer's level sort runs on it, and so do external
+/// packers (the `rtree-extpack` crate), which sort spill-run record
+/// buffers by the same pack key.
 pub fn par_sort_values<T, F>(data: &mut [T], threads: usize, cmp: F)
 where
     T: Copy + Send + Sync,
@@ -383,27 +346,6 @@ fn merge_value_runs<T: Copy>(
     for slot in out.iter_mut() {
         *slot = if i < left.len()
             && (j >= right.len() || cmp(&left[i], &right[j]) != Ordering::Greater)
-        {
-            i += 1;
-            left[i - 1]
-        } else {
-            j += 1;
-            right[j - 1]
-        };
-    }
-}
-
-/// Stable two-run merge (left run wins ties).
-fn merge_runs(
-    left: &[usize],
-    right: &[usize],
-    out: &mut [usize],
-    cmp: &(dyn Fn(usize, usize) -> Ordering + Sync),
-) {
-    let (mut i, mut j) = (0, 0);
-    for slot in out.iter_mut() {
-        *slot = if i < left.len()
-            && (j >= right.len() || cmp(left[i], right[j]) != Ordering::Greater)
         {
             i += 1;
             left[i - 1]

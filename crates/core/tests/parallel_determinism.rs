@@ -8,7 +8,7 @@
 //! internal cutoff).
 
 use packed_rtree_core::grouping::{self, PackStrategy, SlabPlan};
-use packed_rtree_core::{pack_parallel_with, pack_with};
+use packed_rtree_core::{pack, pack_naive, pack_parallel_with, pack_with};
 use proptest::prelude::*;
 use rtree_geom::{Point, Rect};
 use rtree_index::{ItemId, RTreeConfig};
@@ -164,5 +164,32 @@ proptest! {
         let seq = pack_with(items.clone(), RTreeConfig::PAPER, strategy);
         let par = pack_parallel_with(items, RTreeConfig::PAPER, strategy, 4);
         prop_assert_eq!(par, seq);
+    }
+
+    /// The nearest-neighbour sweep breaks distance ties exactly as the
+    /// literal scan does (lowest slab position), so `pack` equals
+    /// `pack_naive` on inputs made of ties: points on a coarse grid
+    /// (duplicates and collinear runs), optionally all on one horizontal
+    /// or one vertical line.
+    #[test]
+    fn pack_equals_pack_naive_on_duplicated_and_collinear_inputs(
+        coords in prop::collection::vec((0u8..12, 0u8..12), 1..400),
+        line in 0u8..3,
+    ) {
+        let items: Vec<(Rect, ItemId)> = coords
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| {
+                let (x, y) = match line {
+                    1 => (x, 5),
+                    2 => (5, y),
+                    _ => (x, y),
+                };
+                let p = Point::new(f64::from(x), f64::from(y));
+                (Rect::from_point(p), ItemId(i as u64))
+            })
+            .collect();
+        let naive = pack_naive(items.clone(), RTreeConfig::PAPER);
+        prop_assert!(pack(items, RTreeConfig::PAPER) == naive);
     }
 }
