@@ -1,19 +1,18 @@
-//! **EXT-8**: the crash/reopen matrix — scripted fault injection against
-//! both page-resident trees, over every (or a sampled set of) physical
-//! write positions, across several seeds.
+//! **EXT-24**: the crash/reopen matrix — scripted fault injection
+//! against the page-resident tree's two writers, over every (or a
+//! sampled set of) physical write positions, across several seeds.
 //!
 //! For each seed the harness commits a baseline image, snapshots the
-//! file, then repeatedly replays a deterministic update workload with a
+//! file, then repeatedly replays a deterministic rebuild with a
 //! simulated crash at write *k* (torn or dropped write, then total I/O
 //! failure), reopens the file cold, and classifies what recovery sees:
 //!
 //! * `DiskRTree::store_with_meta` (rebuild-and-swap) must roll back to
 //!   the previous image at **every** crash point — same epoch, same
 //!   query answers — or commit fully when no fault fires;
-//! * `PagedRTree` (in-place updates) must reopen at a committed epoch
-//!   and either present a clean pre-/post-commit tree or *report* the
-//!   inconsistency (checksum or validation failure) — never panic,
-//!   never silently serve a wrong-but-plausible tree.
+//! * the out-of-core external pack must preserve the previous image
+//!   wherever it crashes (or commit fully inside the meta flip), and a
+//!   spill-file fault must never disturb the destination.
 //!
 //! Any violation fails the run with a nonzero exit. Environment:
 //! `CRASH_SEEDS` (comma-separated, default `7,42,1985`) and
@@ -26,7 +25,7 @@ use rtree_bench::report::Table;
 use rtree_geom::Rect;
 use rtree_index::{ItemId, RTree, RTreeConfig, SearchStats};
 use rtree_storage::fault::{FaultKind, FaultPager, FaultScript};
-use rtree_storage::{BufferPool, DiskRTree, PageId, PagedRTree, Pager, StorageError};
+use rtree_storage::{BufferPool, DiskRTree, Pager};
 use rtree_workload::{points, rng, PAPER_UNIVERSE};
 use std::io;
 use std::path::PathBuf;
@@ -196,103 +195,6 @@ fn disk_matrix(seed: u64, budget: u64) -> io::Result<DiskOutcome> {
     Ok(out)
 }
 
-struct PagedOutcome {
-    trials: u64,
-    clean_pre: u64,
-    clean_post: u64,
-    detected: u64,
-    violations: u64,
-}
-
-fn paged_matrix(seed: u64, budget: u64) -> io::Result<PagedOutcome> {
-    let path = scratch("paged", seed);
-    let mut r = rng(seed ^ 0xdead);
-    let pts = points::uniform(&mut r, &PAPER_UNIVERSE, 120);
-    let items: Vec<(Rect, ItemId)> = pts
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (Rect::from_point(p), ItemId(i as u64)))
-        .collect();
-    let (pre_len, post_len) = (70usize, 70 + 50 - 15);
-
-    {
-        let pager = Pager::create(&path)?;
-        let mut tree = PagedRTree::create(&pager, RTreeConfig::with_branching(8), 16)?;
-        for &(mbr, id) in &items[..70] {
-            tree.insert(mbr, id)?;
-        }
-        tree.close()?;
-    }
-    let snapshot = std::fs::read(&path)?;
-
-    let apply = |store: &dyn rtree_storage::PageStore| -> rtree_storage::StorageResult<()> {
-        let mut tree = PagedRTree::open(store, PageId(0), 16)?;
-        for &(mbr, id) in &items[70..120] {
-            tree.insert(mbr, id)?;
-        }
-        for &(mbr, id) in &items[..15] {
-            tree.remove(mbr, id)?;
-        }
-        tree.commit()
-    };
-
-    let total_writes = {
-        let pager = Pager::open(&path)?;
-        let faulty = FaultPager::new(&pager, FaultScript::new());
-        apply(&faulty).map_err(io::Error::from)?;
-        faulty.writes_seen()
-    };
-
-    let mut out = PagedOutcome {
-        trials: 0,
-        clean_pre: 0,
-        clean_post: 0,
-        detected: 0,
-        violations: 0,
-    };
-    for k in crash_points(total_writes, budget) {
-        out.trials += 1;
-        std::fs::write(&path, &snapshot)?;
-        {
-            let pager = Pager::open(&path)?;
-            let script = FaultScript::new().on_write(k, kind_for(k), true);
-            let faulty = FaultPager::new(&pager, script);
-            if apply(&faulty).is_ok() {
-                eprintln!("seed {seed} paged k={k}: workload survived its own crash");
-                out.violations += 1;
-                continue;
-            }
-        }
-        let pager = Pager::open(&path)?;
-        let tree = match PagedRTree::open(&pager, PageId(0), 16) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("seed {seed} paged k={k}: reopen failed: {e}");
-                out.violations += 1;
-                continue;
-            }
-        };
-        match tree.validate_with(false) {
-            Ok(Ok(())) if tree.len() == pre_len => out.clean_pre += 1,
-            Ok(Ok(())) if tree.len() == post_len => out.clean_post += 1,
-            Ok(Ok(())) => {
-                eprintln!(
-                    "seed {seed} paged k={k}: clean tree with impossible len {}",
-                    tree.len()
-                );
-                out.violations += 1;
-            }
-            Ok(Err(_)) | Err(StorageError::Corrupt { .. }) => out.detected += 1,
-            Err(e) => {
-                eprintln!("seed {seed} paged k={k}: validation I/O error: {e}");
-                out.violations += 1;
-            }
-        }
-    }
-    let _ = std::fs::remove_file(&path);
-    Ok(out)
-}
-
 struct ExtOutcome {
     trials: u64,
     preserved: u64,
@@ -450,7 +352,7 @@ fn main() -> io::Result<()> {
     let seeds = env_seeds();
     let budget = env_u64("CRASH_POINTS", 0);
     println!(
-        "EXT-8 — crash/reopen matrix (seeds {seeds:?}, points/phase: {})",
+        "EXT-24 — crash/reopen matrix (seeds {seeds:?}, points/phase: {})",
         {
             if budget == 0 {
                 "all".to_string()
@@ -465,10 +367,6 @@ fn main() -> io::Result<()> {
         "seed",
         "disk trials",
         "rollbacks",
-        "paged trials",
-        "clean pre",
-        "clean post",
-        "detected",
         "ext trials",
         "preserved",
         "committed",
@@ -477,27 +375,21 @@ fn main() -> io::Result<()> {
     let mut violations = 0u64;
     for &seed in &seeds {
         let d = disk_matrix(seed, budget)?;
-        let p = paged_matrix(seed, budget)?;
         let e = extpack_matrix(seed, budget)?;
-        violations += d.violations + p.violations + e.violations;
+        violations += d.violations + e.violations;
         table.row([
             seed.to_string(),
             d.trials.to_string(),
             d.rollbacks.to_string(),
-            p.trials.to_string(),
-            p.clean_pre.to_string(),
-            p.clean_post.to_string(),
-            p.detected.to_string(),
             e.trials.to_string(),
             e.preserved.to_string(),
             e.committed.to_string(),
-            (d.violations + p.violations + e.violations).to_string(),
+            (d.violations + e.violations).to_string(),
         ]);
     }
     println!("{}", table.render());
     println!("disk = rebuild-and-swap commit: every crash point must roll back");
-    println!("bit-for-bit; paged = in-place updates: reopen must be a clean");
-    println!("pre/post-commit tree or a *reported* inconsistency (DESIGN.md §9);");
+    println!("bit-for-bit (DESIGN.md §9);");
     println!("ext = out-of-core external pack: a crash anywhere in the pipeline");
     println!("preserves the previous tree (or commits fully inside the meta flip),");
     println!("and spill-file faults never disturb the destination (DESIGN.md §15).");

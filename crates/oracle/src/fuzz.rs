@@ -28,7 +28,7 @@ use rtree_geom::{Point, Rect, Region, Segment, SpatialObject};
 use rtree_index::{
     BatchScratch, FrozenRTree, ItemId, NodeAccess, RTree, RTreeConfig, SearchScratch, SearchStats,
 };
-use rtree_storage::{BufferPool, DiskRTree, PagedRTree, Pager};
+use rtree_storage::{BufferPool, DiskRTree, Pager};
 
 const ALL_OPS: [SpatialOp; 4] = [
     SpatialOp::Covering,
@@ -52,8 +52,8 @@ pub struct Case {
     /// Which objects the dynamic-tree phase removes (aligned with
     /// `objects`).
     pub remove_mask: Vec<bool>,
-    /// Whether to also run the disk representations (`DiskRTree`,
-    /// `PagedRTree`) for this case.
+    /// Whether to also run the disk representation (`DiskRTree`) for
+    /// this case.
     pub check_disk: bool,
     /// Whether the PSQL database packs its picture before querying
     /// (exercises the packed path; otherwise the dynamic insert path).
@@ -516,6 +516,23 @@ fn check_tree(case: &Case) -> Option<String> {
             ));
         }
     }
+    // A tree reshaped by Guttman deletes still freezes: same answers,
+    // dynamic (not packed) fill invariants.
+    let frozen = FrozenRTree::freeze(&dynamic);
+    if let Err(e) = validate_deep(&TreeImage::of_frozen(&frozen), DeepChecks::dynamic()) {
+        return Some(format!(
+            "frozen dynamic tree fails validate_deep after removes: {e}"
+        ));
+    }
+    for (wi, w) in case.windows.iter().enumerate() {
+        let got = sorted(frozen.search_within(w, &mut SearchStats::default()));
+        let expect = sorted(reference::window_items(&survivors, w, true));
+        if got != expect {
+            return Some(format!(
+                "frozen dynamic tree window {wi} after removes: diverges from oracle"
+            ));
+        }
+    }
 
     // Level 4: the frozen arena must be bit-identical to the pointer
     // tree — same result order, same counters, on every query path.
@@ -751,7 +768,7 @@ fn check_frozen(case: &Case, packed: &RTree, tree_a: &RTree, tree_b: &RTree) -> 
     None
 }
 
-/// Same differential checks against the two on-disk representations.
+/// Same differential checks against the on-disk representation.
 fn check_disk_trees(case: &Case, items: &[(Rect, ItemId)], packed: &RTree) -> Option<String> {
     let pager = match Pager::temp() {
         Ok(p) => p,
@@ -832,74 +849,6 @@ fn check_disk_trees(case: &Case, items: &[(Rect, ItemId)], packed: &RTree) -> Op
             }
         }
         Err(e) => return Some(format!("DiskRTree freeze failed: {e}")),
-    }
-
-    let pager2 = match Pager::temp() {
-        Ok(p) => p,
-        Err(e) => return Some(format!("Pager::temp failed: {e}")),
-    };
-    let mut paged = match PagedRTree::from_tree(packed, &pager2, 32) {
-        Ok(t) => t,
-        Err(e) => return Some(format!("PagedRTree::from_tree failed: {e}")),
-    };
-    let mut survivors = Vec::new();
-    for (i, &(r, id)) in items.iter().enumerate() {
-        if case.remove_mask.get(i).copied().unwrap_or(false) {
-            match paged.remove(r, id) {
-                Ok(true) => {}
-                Ok(false) => return Some(format!("PagedRTree remove of item {i} returned false")),
-                Err(e) => return Some(format!("PagedRTree remove failed: {e}")),
-            }
-            match TreeImage::of_paged_tree(&paged) {
-                Ok(img) => {
-                    if let Err(e) = validate_deep(&img, DeepChecks::dynamic()) {
-                        return Some(format!(
-                            "PagedRTree fails validate_deep after removing item {i}: {e}"
-                        ));
-                    }
-                }
-                Err(e) => return Some(format!("PagedRTree image dump failed: {e}")),
-            }
-        } else {
-            survivors.push((r, id));
-        }
-    }
-    for (wi, w) in case.windows.iter().enumerate() {
-        let mut stats = SearchStats::default();
-        match paged.search_within(w, &mut stats) {
-            Ok(got) => {
-                let expect = sorted(reference::window_items(&survivors, w, true));
-                if sorted(got) != expect {
-                    return Some(format!(
-                        "PagedRTree window {wi} after removes: within search diverges"
-                    ));
-                }
-            }
-            Err(e) => return Some(format!("PagedRTree search failed: {e}")),
-        }
-    }
-
-    // A tree reshaped by Guttman deletes still freezes: same answers,
-    // dynamic (not packed) fill invariants.
-    match paged.freeze() {
-        Ok(frozen) => {
-            if let Err(e) = validate_deep(&TreeImage::of_frozen(&frozen), DeepChecks::dynamic()) {
-                return Some(format!(
-                    "frozen PagedRTree fails validate_deep after removes: {e}"
-                ));
-            }
-            for (wi, w) in case.windows.iter().enumerate() {
-                let mut fs = SearchStats::default();
-                let got = sorted(frozen.search_within(w, &mut fs));
-                let expect = sorted(reference::window_items(&survivors, w, true));
-                if got != expect {
-                    return Some(format!(
-                        "frozen PagedRTree window {wi} after removes: diverges from oracle"
-                    ));
-                }
-            }
-        }
-        Err(e) => return Some(format!("PagedRTree freeze failed: {e}")),
     }
     None
 }

@@ -1,18 +1,16 @@
 //! A representation-neutral snapshot of an R-tree's structure.
 //!
-//! The workspace has three tree representations — the in-memory arena
-//! [`RTree`], the read-only page image [`DiskRTree`], and the updatable
-//! [`PagedRTree`] — and one set of structural invariants they must all
-//! satisfy. [`TreeImage`] is the common denominator: every variant is
-//! flattened into the same id → node map, and
+//! The workspace has two tree representations — the in-memory forms
+//! ([`RTree`] and its frozen arena [`FrozenRTree`]) and the read-only
+//! page image [`DiskRTree`] — and one set of structural invariants they
+//! must all satisfy. [`TreeImage`] is the common denominator: every
+//! variant is flattened into the same id → node map, and
 //! [`validate_deep`](crate::invariant::validate_deep) checks the
-//! invariants once, against the image, instead of three times against
-//! three APIs.
+//! invariants once, against the image, instead of once per API.
 
 use rtree_geom::Rect;
 use rtree_index::{Child, FrozenRTree, ItemId, NodeAccess, RTree};
-use rtree_storage::codec::DiskNode;
-use rtree_storage::{BufferPool, DiskRTree, PagedRTree, StorageResult};
+use rtree_storage::{BufferPool, DiskRTree, StorageResult};
 use std::collections::HashMap;
 
 /// What one entry of an image node points at.
@@ -102,34 +100,51 @@ impl TreeImage {
         }
     }
 
-    /// Snapshots a read-only [`DiskRTree`]. The disk image does not
-    /// record its packing configuration, so the caller supplies the
-    /// `(max, min)` entry bounds the tree was built with.
+    /// Snapshots a read-only [`DiskRTree`] — including one freshly
+    /// reopened after a crash, which is exactly when deep validation
+    /// earns its keep. The disk image does not record its packing
+    /// configuration, so the caller supplies the `(max, min)` entry
+    /// bounds the tree was built with.
     pub fn of_disk_tree(
         tree: &DiskRTree,
         pool: &BufferPool<'_>,
         max_entries: usize,
         min_entries: usize,
     ) -> StorageResult<TreeImage> {
-        Ok(from_disk_nodes(
-            tree.dump_nodes(pool)?,
-            tree.depth(),
-            tree.len(),
+        // `dump_nodes` is breadth-first from the root, so the first
+        // element is the root.
+        let dump = tree.dump_nodes(pool)?;
+        let root = dump.first().map_or(0, |(pid, _)| pid.0 as u64);
+        let nodes = dump
+            .into_iter()
+            .map(|(pid, node)| {
+                let entries = (0..node.entries.len())
+                    .map(|i| ImageEntry {
+                        mbr: node.entries[i].mbr,
+                        child: if node.is_leaf() {
+                            ImageChild::Item(node.child_item(i))
+                        } else {
+                            ImageChild::Node(node.child_page(i).0 as u64)
+                        },
+                    })
+                    .collect();
+                (
+                    pid.0 as u64,
+                    ImageNode {
+                        level: node.level,
+                        entries,
+                    },
+                )
+            })
+            .collect();
+        Ok(TreeImage {
+            nodes,
+            root,
+            declared_depth: tree.depth(),
+            declared_len: tree.len(),
             max_entries,
             min_entries,
-        ))
-    }
-
-    /// Snapshots a [`PagedRTree`] — including one freshly reopened after
-    /// a crash, which is exactly when deep validation earns its keep.
-    pub fn of_paged_tree(tree: &PagedRTree<'_>) -> StorageResult<TreeImage> {
-        Ok(from_disk_nodes(
-            tree.dump_nodes()?,
-            tree.depth(),
-            tree.len(),
-            tree.config().max_entries,
-            tree.config().min_entries,
-        ))
+        })
     }
 
     /// Snapshots a [`FrozenRTree`]. Image ids are the BFS node indices
@@ -230,47 +245,5 @@ impl TreeImage {
             .filter(|n| n.level == 0)
             .map(|n| n.entries.len())
             .sum()
-    }
-}
-
-/// Converts a `dump_nodes` result (breadth-first from the root, so the
-/// first element is the root) into an image.
-fn from_disk_nodes(
-    dump: Vec<(rtree_storage::PageId, DiskNode)>,
-    depth: u32,
-    len: usize,
-    max_entries: usize,
-    min_entries: usize,
-) -> TreeImage {
-    let root = dump.first().map_or(0, |(pid, _)| pid.0 as u64);
-    let nodes = dump
-        .into_iter()
-        .map(|(pid, node)| {
-            let entries = (0..node.entries.len())
-                .map(|i| ImageEntry {
-                    mbr: node.entries[i].mbr,
-                    child: if node.is_leaf() {
-                        ImageChild::Item(node.child_item(i))
-                    } else {
-                        ImageChild::Node(node.child_page(i).0 as u64)
-                    },
-                })
-                .collect();
-            (
-                pid.0 as u64,
-                ImageNode {
-                    level: node.level,
-                    entries,
-                },
-            )
-        })
-        .collect();
-    TreeImage {
-        nodes,
-        root,
-        declared_depth: depth,
-        declared_len: len,
-        max_entries,
-        min_entries,
     }
 }

@@ -1,18 +1,89 @@
-//! Crash/reopen differential: drive a [`PagedRTree`] update batch through
-//! [`FaultPager`], crashing at every physical write, and for every
-//! survivor that reopens cleanly run the full oracle battery — deep
-//! structural validation of the page image plus engine-vs-linear-scan
-//! search over whichever committed state (pre or post) the tree presents.
+//! Crash/reopen differential: rebuild a committed [`DiskRTree`] from a
+//! 60-item "pre" tree to an 80-item "post" tree with
+//! [`DiskRTree::store_with_meta`] through [`FaultPager`], crashing at
+//! every physical write, and run the full oracle battery on every
+//! survivor — deep structural validation of the page image plus
+//! engine-vs-linear-scan search, on the pages and on the arena they
+//! freeze into.
+//!
+//! A rebuild appends fresh pages and commits with one meta flip, so the
+//! contract is exact: every crash point reopens to "pre" at epoch 1, and
+//! only the fault-free control run commits "post", at epoch 2.
 
 use rtree_geom::{Point, Rect};
-use rtree_index::{BatchScratch, ItemId, RTreeConfig, SearchStats};
+use rtree_index::{BatchScratch, ItemId, RTree, RTreeConfig, SearchStats};
 use rtree_oracle::{reference, validate_deep, DeepChecks, TreeImage};
 use rtree_storage::fault::{FaultKind, FaultPager, FaultScript};
-use rtree_storage::{PageId, PagedRTree, Pager, StorageError};
+use rtree_storage::{BufferPool, DiskRTree, Pager};
 
 fn sorted(mut ids: Vec<ItemId>) -> Vec<ItemId> {
     ids.sort_unstable_by_key(|&ItemId(i)| i);
     ids
+}
+
+fn windows() -> [Rect; 3] {
+    [
+        Rect::new(0.0, 0.0, 250.0, 250.0),
+        Rect::new(40.0, 40.0, 120.0, 150.0),
+        Rect::new(100.0, 0.0, 100.0, 200.0), // degenerate line
+    ]
+}
+
+/// Everything the oracle can say about a reopened image that must hold
+/// exactly `items`.
+fn battery(at: &str, pager: &Pager, disk: &DiskRTree, items: &[(Rect, ItemId)]) {
+    let windows = windows();
+    let config = RTreeConfig::PAPER;
+    // Smaller than the tree, so the searches below also miss and evict.
+    let pool = BufferPool::new(pager, 16);
+    let img = TreeImage::of_disk_tree(disk, &pool, config.max_entries, config.min_entries)
+        .unwrap_or_else(|e| panic!("{at}: image dump failed: {e}"));
+    validate_deep(&img, DeepChecks::dynamic())
+        .unwrap_or_else(|e| panic!("{at}: survivor fails validate_deep: {e}"));
+    for w in &windows {
+        let got = disk
+            .search_within(&pool, w, &mut SearchStats::default())
+            .unwrap_or_else(|e| panic!("{at}: search failed: {e}"));
+        let expect = sorted(reference::window_items(items, w, true));
+        assert_eq!(sorted(got), expect, "{at}: survivor diverges on {w:?}");
+    }
+
+    // The survivor must also freeze into a structurally sound arena that
+    // gives the same answers.
+    let frozen = disk
+        .freeze(&pool, config)
+        .unwrap_or_else(|e| panic!("{at}: freeze failed: {e}"));
+    validate_deep(&TreeImage::of_frozen(&frozen), DeepChecks::dynamic())
+        .unwrap_or_else(|e| panic!("{at}: frozen survivor fails validate_deep: {e}"));
+    for w in &windows {
+        let got = frozen.search_within(w, &mut SearchStats::default());
+        let expect = sorted(reference::window_items(items, w, true));
+        assert_eq!(
+            sorted(got.clone()),
+            expect,
+            "{at}: frozen survivor diverges on {w:?}"
+        );
+        // The scalar kernel must agree with the default (possibly SIMD)
+        // kernel on the survivor too.
+        assert_eq!(
+            frozen.search_within_scalar(w, &mut SearchStats::default()),
+            got,
+            "{at}: scalar kernel diverges on {w:?}"
+        );
+    }
+    // Batched execution over the frozen survivor matches the
+    // one-at-a-time answers slice for slice.
+    let mut batch = BatchScratch::new();
+    let batched = frozen.batch_windows(&windows, true, &mut batch);
+    for (wi, w) in windows.iter().enumerate() {
+        assert_eq!(
+            batched.get(wi),
+            frozen
+                .search_within(w, &mut SearchStats::default())
+                .as_slice(),
+            "{at}: batched window {wi} diverges on survivor"
+        );
+    }
 }
 
 #[test]
@@ -26,131 +97,72 @@ fn crash_survivors_validate_deep_and_match_oracle() {
             (Rect::from_point(Point::new(x, y)), ItemId(i))
         })
         .collect();
-    let pre: Vec<_> = items[..60].to_vec();
-    let post: Vec<_> = items[10..].to_vec(); // batch inserts 60..90, removes 0..10
-    let windows = [
-        Rect::new(0.0, 0.0, 250.0, 250.0),
-        Rect::new(40.0, 40.0, 120.0, 150.0),
-        Rect::new(100.0, 0.0, 100.0, 200.0), // degenerate line
-    ];
+    let pre_items = &items[..60];
+    let post_items = &items[10..]; // inserts 60..90, removes 0..10
+
+    // "post" is "pre" reshaped by Guttman inserts and deletes.
+    let mut pre = RTree::new(RTreeConfig::PAPER);
+    for &(mbr, id) in pre_items {
+        pre.insert(mbr, id);
+    }
+    let mut post = pre.clone();
+    for &(mbr, id) in &items[60..] {
+        post.insert(mbr, id);
+    }
+    for &(mbr, id) in &items[..10] {
+        assert!(post.remove(mbr, id), "{id:?} is in the pre tree");
+    }
 
     {
         let pager = Pager::create(&path).expect("create db file");
-        let mut tree = PagedRTree::create(&pager, RTreeConfig::PAPER, 16).expect("create tree");
-        for &(mbr, id) in &pre {
-            tree.insert(mbr, id).expect("seed insert");
-        }
-        tree.close().expect("close");
+        DiskRTree::store_with_meta(&pre, &pager).expect("commit pre");
     }
     let snapshot = std::fs::read(&path).expect("snapshot");
 
-    let apply = |store: &dyn rtree_storage::PageStore| -> rtree_storage::StorageResult<()> {
-        let mut tree = PagedRTree::open(store, PageId(0), 16)?;
-        for &(mbr, id) in &items[60..90] {
-            tree.insert(mbr, id)?;
-        }
-        for &(mbr, id) in &items[..10] {
-            tree.remove(mbr, id)?;
-        }
-        tree.commit()
-    };
-
-    // Count the batch's physical writes on a fault-free run.
+    // Count the rebuild's physical writes on a fault-free run.
     let total_writes = {
         let pager = Pager::open(&path).expect("open");
         let faulty = FaultPager::new(&pager, FaultScript::new());
-        apply(&faulty).expect("fault-free batch");
+        DiskRTree::store_with_meta(&post, &faulty).expect("fault-free rebuild");
         faulty.writes_seen()
     };
-    assert!(total_writes > 3);
+    assert!(total_writes > 3, "matrix needs several crash points");
 
-    let mut clean = 0u32;
     for k in 1..=total_writes {
         std::fs::write(&path, &snapshot).expect("restore snapshot");
         {
             let pager = Pager::open(&path).expect("open");
             let script = FaultScript::new().on_write(k, FaultKind::TornWrite, true);
             let faulty = FaultPager::new(&pager, script);
-            assert!(apply(&faulty).is_err(), "crash point {k} must abort");
+            assert!(
+                DiskRTree::store_with_meta(&post, &faulty).is_err(),
+                "crash point {k} must abort"
+            );
         }
         let pager = Pager::open(&path).expect("open survivor");
-        let tree = PagedRTree::open(&pager, PageId(0), 16)
+        let disk = DiskRTree::open_default(&pager)
             .unwrap_or_else(|e| panic!("crash point {k}: open failed: {e}"));
-        // A survivor either reports its damage or presents a committed
-        // state; in the latter case the oracle must fully agree with it.
-        match TreeImage::of_paged_tree(&tree) {
-            Ok(img) => {
-                if validate_deep(&img, DeepChecks::dynamic()).is_err() {
-                    continue; // damage reported by the deep validator
-                }
-                let expect_items = if tree.len() == pre.len() {
-                    &pre
-                } else if tree.len() == post.len() {
-                    &post
-                } else {
-                    panic!(
-                        "crash point {k}: clean tree with impossible len {}",
-                        tree.len()
-                    );
-                };
-                for w in &windows {
-                    let mut stats = SearchStats::default();
-                    let got = sorted(tree.search_within(w, &mut stats).unwrap_or_else(|e| {
-                        panic!("crash point {k}: search failed on clean tree: {e}")
-                    }));
-                    let expect = sorted(reference::window_items(expect_items, w, true));
-                    assert_eq!(
-                        got, expect,
-                        "crash point {k}: survivor tree diverges from oracle on {w:?}"
-                    );
-                }
-                // A clean survivor must also freeze into a structurally
-                // sound arena that gives the same answers.
-                let frozen = tree
-                    .freeze()
-                    .unwrap_or_else(|e| panic!("crash point {k}: freeze failed: {e}"));
-                validate_deep(&TreeImage::of_frozen(&frozen), DeepChecks::dynamic())
-                    .unwrap_or_else(|e| {
-                        panic!("crash point {k}: frozen survivor fails validate_deep: {e}")
-                    });
-                for w in &windows {
-                    let mut stats = SearchStats::default();
-                    let got = sorted(frozen.search_within(w, &mut stats));
-                    let expect = sorted(reference::window_items(expect_items, w, true));
-                    assert_eq!(
-                        got, expect,
-                        "crash point {k}: frozen survivor diverges from oracle on {w:?}"
-                    );
-                    // The scalar kernel must agree with the default
-                    // (possibly SIMD) kernel on the survivor too.
-                    let mut ss = SearchStats::default();
-                    assert_eq!(
-                        frozen.search_within_scalar(w, &mut ss),
-                        frozen.search_within(w, &mut SearchStats::default()),
-                        "crash point {k}: scalar kernel diverges on {w:?}"
-                    );
-                }
-                // Batched execution over the frozen survivor matches the
-                // one-at-a-time answers slice for slice.
-                let mut batch = BatchScratch::new();
-                let batched = frozen.batch_windows(&windows, true, &mut batch);
-                for (wi, w) in windows.iter().enumerate() {
-                    assert_eq!(
-                        batched.get(wi),
-                        frozen
-                            .search_within(w, &mut SearchStats::default())
-                            .as_slice(),
-                        "crash point {k}: batched window {wi} diverges on survivor"
-                    );
-                }
-                clean += 1;
-            }
-            Err(StorageError::Corrupt { .. }) => {} // damage reported
-            Err(e) => panic!("crash point {k}: unexpected error {e:?}"),
-        }
+        assert_eq!(
+            (disk.epoch(), disk.len()),
+            (1, pre_items.len()),
+            "crash point {k}: must reopen to pre"
+        );
+        battery(&format!("crash point {k}"), &pager, &disk, pre_items);
     }
-    // The matrix must exercise the interesting path: at least the final
-    // crash points (after the meta flip) leave a clean committed tree.
-    assert!(clean > 0, "no crash point produced a clean survivor");
+
+    // Control: with no fault the rebuild commits "post" as epoch 2.
+    std::fs::write(&path, &snapshot).expect("restore snapshot");
+    {
+        let pager = Pager::open(&path).expect("open");
+        DiskRTree::store_with_meta(&post, &pager).expect("control rebuild");
+    }
+    let pager = Pager::open(&path).expect("reopen control");
+    let disk = DiskRTree::open_default(&pager).expect("open control");
+    assert_eq!(
+        (disk.epoch(), disk.len()),
+        (2, post_items.len()),
+        "control must commit post"
+    );
+    battery("control", &pager, &disk, post_items);
     let _ = std::fs::remove_file(&path);
 }

@@ -49,7 +49,7 @@ pub mod metrics;
 pub mod node;
 pub mod search;
 pub(crate) mod simd;
-pub mod split;
+mod split;
 pub mod stats;
 pub mod tree;
 

@@ -11,28 +11,17 @@ use rtree_geom::Rect;
 
 /// Splits `entries` (length `M + 1`) into two groups per the configured
 /// policy. Both groups are non-empty and respect the minimum fill.
-pub(crate) fn split_entries(config: &RTreeConfig, entries: Vec<Entry>) -> (Vec<Entry>, Vec<Entry>) {
-    split_rect_entries(config, entries, |e| e.mbr)
-}
-
-/// Splits any list of entries carrying MBRs — the same Guttman algorithms
-/// the in-memory tree uses, exposed for page-resident trees and other
-/// node layouts. `mbr_of` extracts each entry's rectangle.
 ///
 /// # Panics
 ///
 /// Panics (in debug builds) if `entries.len() ≤ M` or a policy produces
 /// an illegal partition.
-pub fn split_rect_entries<T>(
-    config: &RTreeConfig,
-    entries: Vec<T>,
-    mbr_of: impl Fn(&T) -> Rect + Copy,
-) -> (Vec<T>, Vec<T>) {
+pub(crate) fn split_entries(config: &RTreeConfig, entries: Vec<Entry>) -> (Vec<Entry>, Vec<Entry>) {
     debug_assert!(entries.len() > config.max_entries);
     let (a, b) = match config.split {
-        SplitPolicy::Linear => linear_split(config, entries, mbr_of),
-        SplitPolicy::Quadratic => quadratic_split(config, entries, mbr_of),
-        SplitPolicy::Exhaustive => exhaustive_split(config, entries, mbr_of),
+        SplitPolicy::Linear => linear_split(config, entries),
+        SplitPolicy::Quadratic => quadratic_split(config, entries),
+        SplitPolicy::Exhaustive => exhaustive_split(config, entries),
     };
     debug_assert!(a.len() >= config.min_entries && b.len() >= config.min_entries);
     debug_assert!(a.len() <= config.max_entries && b.len() <= config.max_entries);
@@ -47,11 +36,7 @@ fn group_mbr(entries: &[Entry]) -> Rect {
 /// Guttman's `LinearPickSeeds`: the pair with the greatest separation,
 /// normalized by the spread on each dimension; remaining entries are
 /// assigned in input order to the group needing the least enlargement.
-fn linear_split<T>(
-    config: &RTreeConfig,
-    entries: Vec<T>,
-    mbr_of: impl Fn(&T) -> Rect + Copy,
-) -> (Vec<T>, Vec<T>) {
+fn linear_split(config: &RTreeConfig, entries: Vec<Entry>) -> (Vec<Entry>, Vec<Entry>) {
     let n = entries.len();
     // Per dimension: highest low side and lowest high side, plus spread.
     let (mut best_norm_sep, mut seed_a, mut seed_b) = (f64::NEG_INFINITY, 0, 1);
@@ -63,7 +48,7 @@ fn linear_split<T>(
         let mut min_low = f64::INFINITY;
         let mut max_high = f64::NEG_INFINITY;
         for (i, e) in entries.iter().enumerate() {
-            let r = mbr_of(e);
+            let r = e.mbr;
             let (l, h) = (low(&r), high(&r));
             if l > highest_low.1 {
                 highest_low = (i, l);
@@ -86,21 +71,17 @@ fn linear_split<T>(
         // All entries identical on both dimensions; any pair will do.
         seed_b = (seed_a + 1) % n;
     }
-    distribute_by_enlargement(config, entries, seed_a, seed_b, mbr_of)
+    distribute_by_enlargement(config, entries, seed_a, seed_b)
 }
 
 /// Guttman's quadratic `PickSeeds` + `PickNext`.
-fn quadratic_split<T>(
-    config: &RTreeConfig,
-    entries: Vec<T>,
-    mbr_of: impl Fn(&T) -> Rect + Copy,
-) -> (Vec<T>, Vec<T>) {
+fn quadratic_split(config: &RTreeConfig, entries: Vec<Entry>) -> (Vec<Entry>, Vec<Entry>) {
     let n = entries.len();
     // PickSeeds: the pair that wastes the most area if grouped together.
     let (mut seed_a, mut seed_b, mut worst) = (0, 1, f64::NEG_INFINITY);
     for i in 0..n {
         for j in (i + 1)..n {
-            let (ri, rj) = (mbr_of(&entries[i]), mbr_of(&entries[j]));
+            let (ri, rj) = (entries[i].mbr, entries[j].mbr);
             let waste = ri.union(&rj).area() - ri.area() - rj.area();
             if waste > worst {
                 worst = waste;
@@ -110,11 +91,11 @@ fn quadratic_split<T>(
         }
     }
 
-    let mut mbr_a = mbr_of(&entries[seed_a]);
-    let mut mbr_b = mbr_of(&entries[seed_b]);
+    let mut mbr_a = entries[seed_a].mbr;
+    let mut mbr_b = entries[seed_b].mbr;
     let mut group_a = Vec::new();
     let mut group_b = Vec::new();
-    let mut rest: Vec<T> = Vec::new();
+    let mut rest: Vec<Entry> = Vec::new();
     for (i, e) in entries.into_iter().enumerate() {
         if i == seed_a {
             group_a.push(e);
@@ -138,7 +119,7 @@ fn quadratic_split<T>(
         // PickNext: the entry with the greatest preference difference.
         let (mut best_idx, mut best_diff) = (0, f64::NEG_INFINITY);
         for (i, e) in rest.iter().enumerate() {
-            let r = mbr_of(e);
+            let r = e.mbr;
             let d1 = mbr_a.enlargement(&r);
             let d2 = mbr_b.enlargement(&r);
             let diff = (d1 - d2).abs();
@@ -148,7 +129,7 @@ fn quadratic_split<T>(
             }
         }
         let e = rest.swap_remove(best_idx);
-        let r = mbr_of(&e);
+        let r = e.mbr;
         let d1 = mbr_a.enlargement(&r);
         let d2 = mbr_b.enlargement(&r);
         // Resolve by enlargement, then area, then count.
@@ -177,18 +158,17 @@ fn quadratic_split<T>(
 /// Distributes non-seed entries (in input order) to the group whose MBR
 /// needs the least enlargement — the cheap assignment Guttman pairs with
 /// linear seed picking.
-fn distribute_by_enlargement<T>(
+fn distribute_by_enlargement(
     config: &RTreeConfig,
-    entries: Vec<T>,
+    entries: Vec<Entry>,
     seed_a: usize,
     seed_b: usize,
-    mbr_of: impl Fn(&T) -> Rect + Copy,
-) -> (Vec<T>, Vec<T>) {
-    let mut mbr_a = mbr_of(&entries[seed_a]);
-    let mut mbr_b = mbr_of(&entries[seed_b]);
+) -> (Vec<Entry>, Vec<Entry>) {
+    let mut mbr_a = entries[seed_a].mbr;
+    let mut mbr_b = entries[seed_b].mbr;
     let mut group_a = Vec::new();
     let mut group_b = Vec::new();
-    let mut rest: Vec<T> = Vec::new();
+    let mut rest: Vec<Entry> = Vec::new();
     for (i, e) in entries.into_iter().enumerate() {
         if i == seed_a {
             group_a.push(e);
@@ -200,7 +180,7 @@ fn distribute_by_enlargement<T>(
     }
     let total = rest.len() + 2;
     for (k, e) in rest.into_iter().enumerate() {
-        let r = mbr_of(&e);
+        let r = e.mbr;
         let remaining = total - 2 - k - 1;
         if group_a.len() + remaining + 1 == config.min_entries {
             mbr_a = mbr_a.union(&r);
@@ -233,11 +213,7 @@ fn distribute_by_enlargement<T>(
 /// Exhaustive split: enumerate all 2-partitions (via bitmask) honouring
 /// minimum fill, keep the one minimizing total MBR area, breaking ties by
 /// overlap between the halves.
-fn exhaustive_split<T>(
-    config: &RTreeConfig,
-    entries: Vec<T>,
-    mbr_of: impl Fn(&T) -> Rect + Copy,
-) -> (Vec<T>, Vec<T>) {
+fn exhaustive_split(config: &RTreeConfig, entries: Vec<Entry>) -> (Vec<Entry>, Vec<Entry>) {
     let n = entries.len();
     assert!(n <= 16, "exhaustive split limited to 16 entries");
     let mut best: Option<(f64, f64, u32)> = None;
@@ -256,7 +232,7 @@ fn exhaustive_split<T>(
         let mut mbr_a: Option<Rect> = None;
         let mut mbr_b: Option<Rect> = None;
         for (i, e) in entries.iter().enumerate() {
-            let er = mbr_of(e);
+            let er = e.mbr;
             let target = if mask & (1 << i) == 0 {
                 &mut mbr_a
             } else {

@@ -6,7 +6,6 @@
 //! `STATS` command reads each atomic independently; counts may be
 //! momentarily skewed by in-flight requests, never torn).
 
-use rtree_storage::BufferStats;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -29,9 +28,9 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrites the value. Used to mirror counters that are
-    /// accumulated elsewhere (the buffer pool keeps its own cumulative
-    /// totals; `STATS` just republishes the latest observation).
+    /// Overwrites the value. Used to mirror values that are kept
+    /// elsewhere (the published snapshot, the plan cache); `STATS` just
+    /// republishes the latest observation.
     pub fn store(&self, n: u64) {
         self.0.store(n, Ordering::Relaxed);
     }
@@ -277,27 +276,9 @@ pub struct Metrics {
     pub plan_cache_evictions: Counter,
     /// Entries currently cached — mirrored when `STATS` is served.
     pub plan_cache_entries: Counter,
-    /// Buffer-pool page requests served from memory.
-    pub buffer_hits: Counter,
-    /// Buffer-pool page requests that required a disk read.
-    pub buffer_misses: Counter,
-    /// Buffer-pool frames evicted to make room.
-    pub buffer_evictions: Counter,
-    /// Buffer-pool dirty frames written back.
-    pub buffer_writebacks: Counter,
 }
 
 impl Metrics {
-    /// Mirrors a [`BufferStats`] observation into the registry. The
-    /// pool's totals are cumulative, so each observation overwrites the
-    /// previous one.
-    pub fn observe_buffer_stats(&self, stats: &BufferStats) {
-        self.buffer_hits.store(stats.hits);
-        self.buffer_misses.store(stats.misses);
-        self.buffer_evictions.store(stats.evictions);
-        self.buffer_writebacks.store(stats.writebacks);
-    }
-
     /// Renders the registry as a JSON object (the `STATS` payload).
     pub fn to_json(&self, snapshot_epoch: u64, queue_capacity: usize, workers: usize) -> String {
         let q = &self.query_latency;
@@ -344,8 +325,7 @@ impl Metrics {
                 "\"merges_discarded\":{},\"serves_frozen_queries\":{}}},",
                 "\"pictures\":{{{}}},",
                 "\"plan_cache\":{{\"hits\":{},\"parse_hits\":{},\"misses\":{},",
-                "\"evictions\":{},\"entries\":{}}},",
-                "\"buffer_pool\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"writebacks\":{}}}",
+                "\"evictions\":{},\"entries\":{}}}",
                 "}}"
             ),
             workers,
@@ -395,10 +375,6 @@ impl Metrics {
             self.plan_cache_misses.get(),
             self.plan_cache_evictions.get(),
             self.plan_cache_entries.get(),
-            self.buffer_hits.get(),
-            self.buffer_misses.get(),
-            self.buffer_evictions.get(),
-            self.buffer_writebacks.get(),
         )
     }
 }
@@ -439,37 +415,6 @@ mod tests {
         g.inc();
         assert_eq!(g.get(), 2);
         assert_eq!(g.high_water(), 2);
-    }
-
-    #[test]
-    fn buffer_pool_counters_move_under_paged_workload() {
-        use rtree_geom::{Point, Rect};
-        use rtree_index::{ItemId, RTreeConfig, SearchStats};
-        use rtree_storage::{PagedRTree, Pager};
-
-        // A pool smaller than the tree forces misses and evictions;
-        // inserts dirty pages, so writebacks follow.
-        let pager = Pager::temp().expect("temp pager");
-        let mut tree = PagedRTree::create(&pager, RTreeConfig::PAPER, 4).expect("create");
-        for i in 0..300u64 {
-            let x = (i * 37 % 211) as f64;
-            let y = (i * 53 % 197) as f64;
-            tree.insert(Rect::from_point(Point::new(x, y)), ItemId(i))
-                .expect("insert");
-        }
-        let mut stats = SearchStats::default();
-        tree.search_within(&Rect::new(0.0, 0.0, 211.0, 197.0), &mut stats)
-            .expect("search");
-
-        let m = Metrics::default();
-        m.observe_buffer_stats(&tree.pool_stats());
-        assert!(m.buffer_hits.get() > 0, "no buffer hits recorded");
-        assert!(m.buffer_misses.get() > 0, "no buffer misses recorded");
-        assert!(m.buffer_evictions.get() > 0, "no evictions recorded");
-        assert!(m.buffer_writebacks.get() > 0, "no writebacks recorded");
-        let json = m.to_json(0, 64, 4);
-        assert!(json.contains("\"buffer_pool\":{\"hits\":"));
-        assert!(json.contains("\"evictions\":"));
     }
 
     #[test]

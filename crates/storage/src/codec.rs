@@ -15,15 +15,15 @@
 //! as pointers to other R-tree nodes if CLASS is non_leaf and to database
 //! tuples if CLASS is leaf".
 //!
-//! [`encode`] tags the page as [`PageType::Node`]. [`NodeView::parse`]
-//! is the one parser: it validates the tag and structural bounds,
-//! reports violations as an error string (the storage layers wrap it
-//! into [`StorageError::Corrupt`](crate::StorageError::Corrupt) with the
-//! page id attached) and hands back a borrowed view whose entries decode
-//! on the fly — what the search loop reads, straight out of the buffer
-//! pool's frame. [`decode`] is that view copied into an owned
-//! [`DiskNode`], for callers that edit the node or keep it. The
-//! page-level CRC is the pager's job.
+//! [`encode_entries`] tags the page as [`PageType::Node`].
+//! [`NodeView::parse`] is the one parser: it validates the tag and
+//! structural bounds, reports violations as an error string (the storage
+//! layers wrap it into [`StorageError::Corrupt`](crate::StorageError::Corrupt)
+//! with the page id attached) and hands back a borrowed view whose
+//! entries decode on the fly — what the search loop reads, straight out
+//! of the buffer pool's frame. [`decode`] is that view copied into an
+//! owned [`DiskNode`], for callers that keep the node. The page-level
+//! CRC is the pager's job.
 
 use crate::page::{Page, PageId, PageType, PAYLOAD_SIZE};
 use rtree_geom::Rect;
@@ -106,17 +106,9 @@ impl DiskEntry {
     }
 }
 
-/// Serializes a node into a page and tags it as [`PageType::Node`].
-///
-/// # Panics
-///
-/// Panics if the node has more than [`MAX_ENTRIES_PER_PAGE`] entries.
-pub fn encode(node: &DiskNode, page: &mut Page) {
-    encode_entries(node.level, &node.entries, page);
-}
-
-/// [`encode`] from a borrowed entry slice; returns the payload bytes
-/// written (header + entries). Bytes past them are left as they were.
+/// Serializes a node's entries into a page and tags it as
+/// [`PageType::Node`]; returns the payload bytes written (header +
+/// entries). Bytes past them are left as they were.
 ///
 /// # Panics
 ///
@@ -227,6 +219,10 @@ pub fn decode(page: &Page) -> Result<DiskNode, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(node: &DiskNode, page: &mut Page) {
+        encode_entries(node.level, &node.entries, page);
+    }
 
     fn sample_node(level: u32, n: usize) -> DiskNode {
         DiskNode {
@@ -411,9 +407,7 @@ mod tests {
         let used = encode_entries(node.level, &node.entries, &mut page);
         assert_eq!(used, HEADER_SIZE + 5 * ENTRY_SIZE);
         assert!(page.bytes()[used..PAYLOAD_SIZE].iter().all(|&b| b == 0));
-        let mut whole = Page::zeroed();
-        encode(&node, &mut whole);
-        assert_eq!(page.bytes()[..], whole.bytes()[..]);
+        assert_eq!(decode(&page).unwrap(), node);
     }
 
     #[test]

@@ -22,12 +22,13 @@ use crate::codec::{self, DiskEntry, DiskNode, NodeView, MAX_ENTRIES_PER_PAGE};
 use crate::error::{StorageError, StorageResult};
 use crate::meta::{self, META_SLOTS};
 use crate::node_writer::NodePageWriter;
-use crate::page::{PageId, PageType};
+use crate::page::PageId;
 use crate::pager::PageStore;
 use rtree_geom::{Point, Rect};
 use rtree_index::{
     Child, FrozenChild, FrozenRTree, ItemId, NodeId, RTree, RTreeConfig, SearchStats,
 };
+use std::collections::{HashMap, VecDeque};
 use std::io;
 
 /// Identifies a [`DiskRTree`] meta slot ("PRTREE85" little-endian).
@@ -94,24 +95,15 @@ impl DiskRTree {
         while store.page_count() < META_SLOTS {
             store.allocate();
         }
-        let prev_epoch = meta::load_newest(store, PageId(0), META_MAGIC)?
-            .map(|(_, e)| e)
-            .unwrap_or(0);
         let disk = Self::store(tree, store)?;
-        let epoch = prev_epoch + 1;
-        meta::commit(store, PageId(0), META_MAGIC, epoch, PageType::Meta, |b| {
-            b[0..4].copy_from_slice(&disk.root.0.to_le_bytes());
-            b[4..8].copy_from_slice(&disk.depth.to_le_bytes());
-            b[8..16].copy_from_slice(&(disk.len as u64).to_le_bytes());
-            b[16..20].copy_from_slice(&disk.pages.to_le_bytes());
-        })?;
-        Ok(DiskRTree { epoch, ..disk })
+        Self::commit_external(store, disk.root, disk.depth, disk.len, disk.pages)
     }
 
     /// Commits a node image that was written into `store` by an
     /// *external* builder (the `rtree-extpack` streaming packer), which
     /// emits fully packed pages itself instead of serializing an
-    /// in-memory [`RTree`].
+    /// in-memory [`RTree`]; [`store_with_meta`](DiskRTree::store_with_meta)
+    /// commits through it too.
     ///
     /// The caller must have reserved the meta pair (pages 0–1) before
     /// writing any node page, and `root`/`depth`/`len`/`pages` must
@@ -134,7 +126,7 @@ impl DiskRTree {
             .map(|(_, e)| e)
             .unwrap_or(0);
         let epoch = prev_epoch + 1;
-        meta::commit(store, PageId(0), META_MAGIC, epoch, PageType::Meta, |b| {
+        meta::commit(store, PageId(0), META_MAGIC, epoch, |b| {
             b[0..4].copy_from_slice(&root.0.to_le_bytes());
             b[4..8].copy_from_slice(&depth.to_le_bytes());
             b[8..16].copy_from_slice(&(len as u64).to_le_bytes());
@@ -238,7 +230,7 @@ impl DiskRTree {
     ) -> StorageResult<Vec<ItemId>> {
         let descend = |mbr: &Rect| mbr.intersects(window);
         let report = |mbr: &Rect| mbr.covered_by(window);
-        search_pages(pool, self.root, descend, report, stats)
+        self.search_pages(pool, descend, report, stats)
     }
 
     /// The Table 1 point query against the disk image.
@@ -249,7 +241,46 @@ impl DiskRTree {
         stats: &mut SearchStats,
     ) -> StorageResult<Vec<ItemId>> {
         let contains = |mbr: &Rect| mbr.contains_point(p);
-        search_pages(pool, self.root, contains, contains, stats)
+        self.search_pages(pool, contains, contains, stats)
+    }
+
+    /// The page-resident `SEARCH` loop: from the root, follow the
+    /// internal entries `descend` accepts and collect the leaf entries
+    /// `report` accepts. Each node visited is one page request to `pool`
+    /// — which can fail — and is read where it lies in the pool's frame,
+    /// through a validated [`NodeView`]; no node is materialised.
+    fn search_pages(
+        &self,
+        pool: &BufferPool<'_>,
+        descend: impl Fn(&Rect) -> bool,
+        report: impl Fn(&Rect) -> bool,
+        stats: &mut SearchStats,
+    ) -> StorageResult<Vec<ItemId>> {
+        stats.queries += 1;
+        let mut out = Vec::new();
+        let mut stack = vec![self.root];
+        while let Some(pid) = stack.pop() {
+            stats.nodes_visited += 1;
+            pool.with_page(pid, |page| {
+                let node = NodeView::parse(page)?;
+                if node.is_leaf() {
+                    stats.leaf_nodes_visited += 1;
+                    for e in node.entries().filter(|e| report(&e.mbr)) {
+                        stats.items_reported += 1;
+                        out.push(ItemId(e.child));
+                    }
+                } else {
+                    stack.extend(
+                        node.entries()
+                            .filter(|e| descend(&e.mbr))
+                            .map(|e| e.child_page()),
+                    );
+                }
+                Ok(())
+            })?
+            .map_err(|reason: String| StorageError::corrupt(pid, reason))?;
+        }
+        Ok(out)
     }
 
     /// Decodes every reachable node, breadth-first from the root.
@@ -260,7 +291,20 @@ impl DiskRTree {
     /// parent/child graph without this crate hardcoding any invariant
     /// policy.
     pub fn dump_nodes(&self, pool: &BufferPool<'_>) -> StorageResult<Vec<(PageId, DiskNode)>> {
-        dump_pages(self.root, |id| read_node(pool, id))
+        let mut out = Vec::new();
+        let mut queue = VecDeque::from([self.root]);
+        while let Some(pid) = queue.pop_front() {
+            let node = pool
+                .with_page(pid, codec::decode)?
+                .map_err(|reason| StorageError::corrupt(pid, reason))?;
+            if !node.is_leaf() {
+                for i in 0..node.entries.len() {
+                    queue.push_back(node.child_page(i));
+                }
+            }
+            out.push((pid, node));
+        }
+        Ok(out)
     }
 
     /// Materializes the page image as an in-memory
@@ -269,116 +313,35 @@ impl DiskRTree {
     /// its packing configuration, so the caller supplies the `config` the
     /// tree was built with.
     pub fn freeze(&self, pool: &BufferPool<'_>, config: RTreeConfig) -> StorageResult<FrozenRTree> {
-        frozen_from_dump(
-            self.dump_nodes(pool)?,
+        let nodes: HashMap<u64, DiskNode> = self
+            .dump_nodes(pool)?
+            .into_iter()
+            .map(|(pid, n)| (pid.0 as u64, n))
+            .collect();
+        Ok(FrozenRTree::from_nodes(
             config,
             self.depth,
             self.len,
-            self.root,
-        )
+            self.root.0 as u64,
+            |key| {
+                let node = &nodes[&key];
+                let leaf = node.is_leaf();
+                let entries = node
+                    .entries
+                    .iter()
+                    .map(|e| {
+                        let child = if leaf {
+                            FrozenChild::Item(ItemId(e.child))
+                        } else {
+                            FrozenChild::Node(e.child)
+                        };
+                        (e.mbr, child)
+                    })
+                    .collect();
+                (node.level, entries)
+            },
+        ))
     }
-}
-
-/// Compiles a `dump_nodes` result into a [`FrozenRTree`]; shared by
-/// [`DiskRTree::freeze`] and [`PagedRTree::freeze`](crate::PagedRTree::freeze).
-pub(crate) fn frozen_from_dump(
-    dump: Vec<(PageId, DiskNode)>,
-    config: RTreeConfig,
-    depth: u32,
-    len: usize,
-    root: PageId,
-) -> StorageResult<FrozenRTree> {
-    let nodes: std::collections::HashMap<u64, DiskNode> =
-        dump.into_iter().map(|(pid, n)| (pid.0 as u64, n)).collect();
-    Ok(FrozenRTree::from_nodes(
-        config,
-        depth,
-        len,
-        root.0 as u64,
-        |key| {
-            let node = &nodes[&key];
-            let leaf = node.is_leaf();
-            let entries = node
-                .entries
-                .iter()
-                .map(|e| {
-                    let child = if leaf {
-                        FrozenChild::Item(ItemId(e.child))
-                    } else {
-                        FrozenChild::Node(e.child)
-                    };
-                    (e.mbr, child)
-                })
-                .collect();
-            (node.level, entries)
-        },
-    ))
-}
-
-/// Decodes a node page through the pool, attaching the page id to any
-/// corruption reason.
-pub(crate) fn read_node(pool: &BufferPool<'_>, id: PageId) -> StorageResult<DiskNode> {
-    pool.with_page(id, codec::decode)?
-        .map_err(|reason| StorageError::corrupt(id, reason))
-}
-
-/// Every node reachable from `root`, breadth-first.
-pub(crate) fn dump_pages(
-    root: PageId,
-    mut read_node: impl FnMut(PageId) -> StorageResult<DiskNode>,
-) -> StorageResult<Vec<(PageId, DiskNode)>> {
-    let mut out = Vec::new();
-    let mut queue = std::collections::VecDeque::from([root]);
-    while let Some(pid) = queue.pop_front() {
-        let node = read_node(pid)?;
-        if !node.is_leaf() {
-            for i in 0..node.entries.len() {
-                queue.push_back(node.child_page(i));
-            }
-        }
-        out.push((pid, node));
-    }
-    Ok(out)
-}
-
-/// The page-resident `SEARCH` loop of [`DiskRTree`] and
-/// [`PagedRTree`](crate::PagedRTree): from `root`, follow the internal
-/// entries `descend` accepts and collect the leaf entries `report`
-/// accepts. Each node visited is one page request to `pool` — which can
-/// fail — and is read where it lies in the pool's frame, through a
-/// validated [`NodeView`]; no node is materialised.
-pub(crate) fn search_pages(
-    pool: &BufferPool<'_>,
-    root: PageId,
-    descend: impl Fn(&Rect) -> bool,
-    report: impl Fn(&Rect) -> bool,
-    stats: &mut SearchStats,
-) -> StorageResult<Vec<ItemId>> {
-    stats.queries += 1;
-    let mut out = Vec::new();
-    let mut stack = vec![root];
-    while let Some(pid) = stack.pop() {
-        stats.nodes_visited += 1;
-        pool.with_page(pid, |page| {
-            let node = NodeView::parse(page)?;
-            if node.is_leaf() {
-                stats.leaf_nodes_visited += 1;
-                for e in node.entries().filter(|e| report(&e.mbr)) {
-                    stats.items_reported += 1;
-                    out.push(ItemId(e.child));
-                }
-            } else {
-                stack.extend(
-                    node.entries()
-                        .filter(|e| descend(&e.mbr))
-                        .map(|e| e.child_page()),
-                );
-            }
-            Ok(())
-        })?
-        .map_err(|reason: String| StorageError::corrupt(pid, reason))?;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Deterministic fault injection for crash testing.
 //!
 //! [`FaultPager`] wraps a real [`Pager`] and implements [`PageStore`], so
-//! the buffer pool and both page-resident trees run against it unchanged.
+//! the buffer pool, the page-resident tree and the WAL run against it
+//! unchanged.
 //! A [`FaultScript`] names, by 1-based physical-operation index within
 //! each class (writes counted separately from reads), exactly which
 //! operations misbehave and how ([`FaultKind`]):

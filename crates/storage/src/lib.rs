@@ -1,5 +1,5 @@
-//! Simulated disk substrate: page files, an LRU buffer pool, and
-//! page-resident R-trees with I/O accounting.
+//! Simulated disk substrate: page files, an LRU buffer pool, and a
+//! page-resident R-tree image with I/O accounting.
 //!
 //! The paper motivates R-trees over quad-trees partly because "the storage
 //! organization of R-trees is based on B-trees, \[so\] they are better in
@@ -26,7 +26,7 @@
 //!   read);
 //! * [`fault`] — [`FaultPager`], a deterministic fault-injecting
 //!   `PageStore` wrapper for crash/corruption testing;
-//! * [`buffer`] — the LRU buffer pool;
+//! * [`buffer`] — the LRU buffer pool, a read-only page cache;
 //! * [`codec`] — R-tree node ⇄ page serialization (fixed little-endian
 //!   layout, no external serialization crates), including the borrowed
 //!   [`NodeView`](codec::NodeView) searches read pages through;
@@ -58,7 +58,6 @@ pub mod fault;
 pub mod meta;
 pub mod node_writer;
 pub mod page;
-pub mod paged_tree;
 pub mod pager;
 pub mod wal;
 
@@ -68,6 +67,5 @@ pub use error::{StorageError, StorageResult};
 pub use fault::{FaultKind, FaultPager, FaultScript, InjectedFault};
 pub use node_writer::NodePageWriter;
 pub use page::{Page, PageId, PageType, PAGE_SIZE, PAYLOAD_SIZE};
-pub use paged_tree::PagedRTree;
 pub use pager::{IoStats, PageStore, Pager};
 pub use wal::{Wal, WAL_RECORD_MAX};

@@ -2,8 +2,8 @@
 //!
 //! A tree's meta page is its commit record: whoever it points at *is*
 //! the tree. Overwriting a single meta page in place is not atomic — a
-//! crash mid-`pwrite` tears it and loses the whole index. Instead both
-//! page-resident trees keep **two** adjacent meta slots and alternate
+//! crash mid-`pwrite` tears it and loses the whole index. Instead the
+//! page-resident tree keeps **two** adjacent meta slots and alternates
 //! between them, stamping each commit with a monotonically increasing
 //! epoch:
 //!
@@ -18,7 +18,7 @@
 //! Slot layout (within the page payload):
 //!
 //! ```text
-//! offset 0   u64  magic (per tree type)
+//! offset 0   u64  magic
 //! offset 8   u64  epoch (≥ 1; 0 marks an empty slot)
 //! offset 16  tree-specific fields
 //! ```
@@ -72,13 +72,12 @@ pub fn load_newest(
 /// `base`: data sync → write the alternating slot → meta sync.
 ///
 /// `fill` receives the tree-specific field region (payload bytes from
-/// [`META_FIELDS`]) of a zeroed page.
+/// [`META_FIELDS`]) of a zeroed page, which is tagged [`PageType::Meta`].
 pub fn commit(
     store: &dyn PageStore,
     base: PageId,
     magic: u64,
     epoch: u64,
-    ty: PageType,
     fill: impl FnOnce(&mut [u8]),
 ) -> StorageResult<()> {
     debug_assert!(epoch >= 1, "epoch 0 marks an empty slot");
@@ -87,7 +86,7 @@ pub fn commit(
     bytes[0..8].copy_from_slice(&magic.to_le_bytes());
     bytes[8..16].copy_from_slice(&epoch.to_le_bytes());
     fill(&mut bytes[META_FIELDS..PAYLOAD_SIZE]);
-    page.set_type(ty);
+    page.set_type(PageType::Meta);
 
     // Barrier: everything the meta record points at must be durable
     // before the record itself is.
@@ -120,7 +119,7 @@ mod tests {
     #[test]
     fn commit_then_load_roundtrip() {
         let pager = setup();
-        commit(&pager, PageId(0), MAGIC, 1, PageType::Meta, |b| b[0] = 0xAB).unwrap();
+        commit(&pager, PageId(0), MAGIC, 1, |b| b[0] = 0xAB).unwrap();
         let (page, epoch) = load_newest(&pager, PageId(0), MAGIC).unwrap().unwrap();
         assert_eq!(epoch, 1);
         assert_eq!(page.bytes()[META_FIELDS], 0xAB);
@@ -129,8 +128,8 @@ mod tests {
     #[test]
     fn newer_epoch_wins_and_slots_alternate() {
         let pager = setup();
-        commit(&pager, PageId(0), MAGIC, 1, PageType::Meta, |b| b[0] = 1).unwrap();
-        commit(&pager, PageId(0), MAGIC, 2, PageType::Meta, |b| b[0] = 2).unwrap();
+        commit(&pager, PageId(0), MAGIC, 1, |b| b[0] = 1).unwrap();
+        commit(&pager, PageId(0), MAGIC, 2, |b| b[0] = 2).unwrap();
         let (page, epoch) = load_newest(&pager, PageId(0), MAGIC).unwrap().unwrap();
         assert_eq!(epoch, 2);
         assert_eq!(page.bytes()[META_FIELDS], 2);
@@ -144,8 +143,8 @@ mod tests {
     #[test]
     fn torn_slot_rolls_back_to_previous_epoch() {
         let pager = setup();
-        commit(&pager, PageId(0), MAGIC, 1, PageType::Meta, |b| b[0] = 1).unwrap();
-        commit(&pager, PageId(0), MAGIC, 2, PageType::Meta, |b| b[0] = 2).unwrap();
+        commit(&pager, PageId(0), MAGIC, 1, |b| b[0] = 1).unwrap();
+        commit(&pager, PageId(0), MAGIC, 2, |b| b[0] = 2).unwrap();
         // Tear the epoch-2 slot (slot 0) with a partial garbage write.
         let mut garbage = Page::zeroed();
         garbage.bytes_mut()[..64].copy_from_slice(&[0xFF; 64]);
@@ -160,7 +159,7 @@ mod tests {
     #[test]
     fn wrong_magic_ignored() {
         let pager = setup();
-        commit(&pager, PageId(0), MAGIC, 1, PageType::Meta, |_| {}).unwrap();
+        commit(&pager, PageId(0), MAGIC, 1, |_| {}).unwrap();
         assert!(load_newest(&pager, PageId(0), MAGIC ^ 1).unwrap().is_none());
     }
 }

@@ -45,8 +45,8 @@ pub enum PageType {
     Node = 1,
     /// A [`DiskRTree`](crate::DiskRTree) meta slot.
     Meta = 2,
-    /// A [`PagedRTree`](crate::PagedRTree) meta slot.
-    DynMeta = 3,
+    // Tag 3 is retired: files written by older code may still hold it,
+    // so `from_tag` rejects it and no new type may take it.
     /// A write-ahead-log page ([`wal`](crate::wal)).
     Wal = 4,
     /// An external-pack spill-run page (the `rtree-extpack` crate).
@@ -60,7 +60,6 @@ impl PageType {
             0 => Some(PageType::Free),
             1 => Some(PageType::Node),
             2 => Some(PageType::Meta),
-            3 => Some(PageType::DynMeta),
             4 => Some(PageType::Wal),
             5 => Some(PageType::Spill),
             _ => None,
@@ -228,8 +227,9 @@ mod tests {
     #[test]
     fn type_tag_roundtrip() {
         let mut p = Page::zeroed();
-        p.set_type(PageType::DynMeta);
-        assert_eq!(PageType::from_tag(p.tag()), Some(PageType::DynMeta));
+        p.set_type(PageType::Meta);
+        assert_eq!(PageType::from_tag(p.tag()), Some(PageType::Meta));
+        assert_eq!(PageType::from_tag(3), None, "retired tag");
         assert_eq!(PageType::from_tag(250), None);
     }
 }

@@ -11,8 +11,8 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The interface the buffer pool and the page-resident trees program
-/// against: allocate/free page ids, read/write whole pages, and flush to
+/// The interface the buffer pool, the page-resident tree and the WAL
+/// program against: allocate/free page ids, read/write whole pages, and flush to
 /// stable storage.
 ///
 /// [`Pager`] is the real implementation;

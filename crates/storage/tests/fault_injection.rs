@@ -1,5 +1,5 @@
 //! End-to-end fault-injection tests: corruption detection and
-//! crash/reopen behaviour for both page-resident trees.
+//! crash/reopen behaviour of the page-resident tree.
 //!
 //! The unit tests in `src/` cover each mechanism in isolation; these
 //! tests drive whole trees through [`FaultPager`] and assert the
@@ -9,14 +9,12 @@
 //!   [`StorageError::Corrupt`], never as a garbage decode or a panic;
 //! * the [`DiskRTree`] rebuild-and-swap commit is *atomic* — a crash at
 //!   any write during `store_with_meta` leaves the previous image
-//!   readable and correct;
-//! * a [`PagedRTree`] reopened after a crash either presents a
-//!   consistent pre-/post-commit tree or reports the inconsistency.
+//!   readable and correct.
 
 use rtree_geom::{Point, Rect};
 use rtree_index::{ItemId, RTree, RTreeConfig, SearchStats};
 use rtree_storage::fault::{FaultKind, FaultPager, FaultScript};
-use rtree_storage::{BufferPool, DiskRTree, PageId, PagedRTree, Pager, StorageError};
+use rtree_storage::{BufferPool, DiskRTree, Pager, StorageError};
 
 fn sample_tree(n: u64, stride: u64) -> RTree {
     let mut t = RTree::new(RTreeConfig::PAPER);
@@ -168,168 +166,4 @@ fn transient_read_fails_once_then_search_succeeds() {
     let mut got = got;
     got.sort();
     assert_eq!(got, expect);
-}
-
-#[test]
-fn paged_tree_crash_matrix_detected_or_consistent() {
-    // PagedRTree updates node pages IN PLACE, so its contract after a
-    // mid-commit crash is weaker than DiskRTree's (DESIGN.md §9): reopen
-    // must never panic, and the tree it presents must either validate
-    // cleanly with the pre- or post-commit item count, or the damage must
-    // be *reported* (checksum Corrupt or a structural validation error)
-    // — never a silently wrong tree that claims to be fine.
-    let path = std::env::temp_dir().join(format!("fault-paged-matrix-{}.db", std::process::id()));
-    let items: Vec<(Rect, ItemId)> = (0..90)
-        .map(|i| {
-            let x = (i * 37 % 211) as f64;
-            let y = (i * 53 % 197) as f64;
-            (Rect::from_point(Point::new(x, y)), ItemId(i))
-        })
-        .collect();
-
-    {
-        let pager = Pager::create(&path).unwrap();
-        let mut tree = PagedRTree::create(&pager, RTreeConfig::PAPER, 16).unwrap();
-        for &(mbr, id) in &items[..60] {
-            tree.insert(mbr, id).unwrap();
-        }
-        tree.close().unwrap();
-    }
-    let snapshot = std::fs::read(&path).unwrap();
-    let pre_len = 60;
-    let post_len = 60 + 30 - 10;
-
-    // Deterministic update batch: 30 inserts, 10 deletes, one commit.
-    let apply = |store: &dyn rtree_storage::PageStore| -> rtree_storage::StorageResult<()> {
-        let mut tree = PagedRTree::open(store, PageId(0), 16)?;
-        for &(mbr, id) in &items[60..90] {
-            tree.insert(mbr, id)?;
-        }
-        for &(mbr, id) in &items[..10] {
-            tree.remove(mbr, id)?;
-        }
-        tree.commit()
-    };
-
-    let total_writes = {
-        let pager = Pager::open(&path).unwrap();
-        let faulty = FaultPager::new(&pager, FaultScript::new());
-        apply(&faulty).unwrap();
-        faulty.writes_seen()
-    };
-    assert!(total_writes > 3);
-
-    let mut clean = 0u32;
-    let mut reported = 0u32;
-    for k in 1..=total_writes {
-        std::fs::write(&path, &snapshot).unwrap();
-        {
-            let pager = Pager::open(&path).unwrap();
-            let script = FaultScript::new().on_write(k, FaultKind::TornWrite, true);
-            let faulty = FaultPager::new(&pager, script);
-            assert!(apply(&faulty).is_err(), "crash point {k} must abort");
-        }
-        let pager = Pager::open(&path).unwrap();
-        let tree = PagedRTree::open(&pager, PageId(0), 16)
-            .unwrap_or_else(|e| panic!("crash point {k}: open failed: {e}"));
-        match tree.validate_with(false) {
-            Ok(Ok(())) => {
-                assert!(
-                    tree.len() == pre_len || tree.len() == post_len,
-                    "crash point {k}: clean tree with impossible len {}",
-                    tree.len()
-                );
-                clean += 1;
-            }
-            Ok(Err(_)) | Err(StorageError::Corrupt { .. }) => reported += 1,
-            Err(e) => panic!("crash point {k}: unexpected I/O error {e}"),
-        }
-    }
-    // The last write is the meta slot: crashing there must always leave
-    // the epoch-1 tree clean (data was already synced). So `clean` is
-    // non-zero, and every trial fell in one of the two sanctioned
-    // buckets (the asserts above).
-    assert!(clean >= 1, "meta-write crash must roll back cleanly");
-    assert_eq!(clean + reported, total_writes as u32);
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn paged_meta_crash_keeps_old_epoch_and_detects_drift() {
-    // Crash exactly on the meta-slot write (the last physical write of a
-    // commit). The meta flip itself is atomic — reopen lands on the
-    // previous epoch — but the node flush that preceded it already
-    // rewrote pages in place, so the old meta now describes drifted
-    // contents. The contract (DESIGN.md §9): the old epoch is what
-    // reopens, and the drift is *reported* by validation (the recorded
-    // item count no longer matches the leaves), never silently accepted.
-    let path = std::env::temp_dir().join(format!("fault-paged-meta-{}.db", std::process::id()));
-    {
-        let pager = Pager::create(&path).unwrap();
-        let mut tree = PagedRTree::create(&pager, RTreeConfig::PAPER, 16).unwrap();
-        for i in 0..40u64 {
-            let p = Point::new((i * 7 % 101) as f64, (i * 13 % 103) as f64);
-            tree.insert(Rect::from_point(p), ItemId(i)).unwrap();
-        }
-        tree.close().unwrap();
-    }
-    let base_epoch = {
-        let pager = Pager::open(&path).unwrap();
-        let epoch = PagedRTree::open(&pager, PageId(0), 16).unwrap().epoch();
-        epoch
-    };
-
-    let total_writes = {
-        let snapshot = std::fs::read(&path).unwrap();
-        let pager = Pager::open(&path).unwrap();
-        let faulty = FaultPager::new(&pager, FaultScript::new());
-        let mut tree = PagedRTree::open(&faulty, PageId(0), 16).unwrap();
-        tree.insert(Rect::from_point(Point::new(999.0, 999.0)), ItemId(999))
-            .unwrap();
-        tree.commit().unwrap();
-        drop(tree);
-        let n = faulty.writes_seen();
-        std::fs::write(&path, &snapshot).unwrap();
-        n
-    };
-
-    {
-        let pager = Pager::open(&path).unwrap();
-        let script = FaultScript::new().on_write(total_writes, FaultKind::TornWrite, true);
-        let faulty = FaultPager::new(&pager, script);
-        let mut tree = PagedRTree::open(&faulty, PageId(0), 16).unwrap();
-        tree.insert(Rect::from_point(Point::new(999.0, 999.0)), ItemId(999))
-            .unwrap();
-        assert!(tree.commit().is_err(), "meta write must crash");
-        assert_eq!(
-            faulty.injected().last().unwrap().page,
-            PageId((base_epoch as u32 & 1) ^ 1),
-            "the torn write hit the alternate meta slot"
-        );
-    }
-
-    let pager = Pager::open(&path).unwrap();
-    let tree = PagedRTree::open(&pager, PageId(0), 16).unwrap();
-    assert_eq!(tree.epoch(), base_epoch, "must reopen at the old epoch");
-    assert_eq!(tree.len(), 40, "the old meta record is what reopens");
-    let drift = tree
-        .validate_with(false)
-        .expect("validation reads must succeed")
-        .expect_err("in-place flush before the meta crash drifted the contents");
-    assert!(drift.contains("items != len"), "{drift}");
-
-    // A no-op commit, by contrast, flushes no node pages: crashing on
-    // its meta write rolls back with zero drift.
-    {
-        let script = FaultScript::new().on_write(1, FaultKind::TornWrite, true);
-        let faulty = FaultPager::new(&pager, script);
-        let mut t = PagedRTree::open(&faulty, PageId(0), 16).unwrap();
-        assert!(t.commit().is_err(), "meta write must crash");
-    }
-    let pager = Pager::open(&path).unwrap();
-    let tree = PagedRTree::open(&pager, PageId(0), 16).unwrap();
-    assert_eq!(tree.epoch(), base_epoch);
-    let mut stats = SearchStats::default();
-    tree.point_query(Point::new(0.0, 0.0), &mut stats).unwrap();
-    let _ = std::fs::remove_file(&path);
 }
