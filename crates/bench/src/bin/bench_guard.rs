@@ -3,29 +3,28 @@
 //! Re-measures the 1M-point window-query profile of `layout_bench`
 //! (`rtree_bench::window_paths`: same seeds, same tree, same 2000
 //! windows, same loops) against the committed `BENCH_layout.json` on
-//! three paths —
+//! two paths —
 //!
 //! 1. the pointer-tree scratch path (`pointer_scratch_ns_per_op`);
 //! 2. the frozen-arena scratch path (`frozen_scratch_ns_per_op`);
-//! 3. the batched window path in packs of 64 (`batch_64_ns_per_op`);
 //!
 //! — and two `Picture` read paths against a reference measured in the
 //! same run, so they are immune to machine variance:
 //!
-//! 4. the `Picture` read path with a **nonempty delta** (buffered
+//! 3. the `Picture` read path with a **nonempty delta** (buffered
 //!    dynamic writes awaiting the background merge), against the same
 //!    picture freshly packed. Before the write-path fix a single
 //!    dynamic insert silently dropped the frozen arena and roughly
 //!    doubled query latency; this is the tripwire against that class
 //!    of regression;
-//! 5. a **Table-1-scale picture** (J = 900, M = 4) answering windows
+//! 4. a **Table-1-scale picture** (J = 900, M = 4) answering windows
 //!    and k-NN from its arena, against the same queries on its own
 //!    pointer `tree()`: every packed picture serves the arena whatever
 //!    its size, and this row is what says small ones lose nothing by it.
 //!
 //! — and the layer downstream of the tree, against the same file:
 //!
-//! 6. the PSQL executor's **row pipeline** (`execute_ns_per_row` of the
+//! 5. the PSQL executor's **row pipeline** (`execute_ns_per_row` of the
 //!    `row_pipeline` entry): 20-row `covered-by` windows through
 //!    `execute_plan_with_scratch` on a `sites`-shaped relation —
 //!    backlinks, tuple fetch, projection and highlights per answered
@@ -34,28 +33,28 @@
 //! — and the layer under the disk tree, the storage crate's per-page
 //! software cost (the `page_path` entry, on a 200 000-point tree):
 //!
-//! 7. the page **checksum** (`crc_ns_per_page`), a buffer-pool **miss**
+//! 6. the page **checksum** (`crc_ns_per_page`), a buffer-pool **miss**
 //!    over a page file at 1 024 frames (`pool_miss_ns_per_page`) and a
 //!    **node visited** by `DiskRTree::search_within`
 //!    (`disk_search_ns_per_node`), each against the same file;
-//! 8. one machine-independent tripwire measured in this run: a pool
+//! 7. one machine-independent tripwire measured in this run: a pool
 //!    miss at 4 096 frames may cost at most 1.5× a miss at 64 frames
 //!    over the same pages — replacement that scans its frames fails it
 //!    on any machine.
 //!
 //! — and the cost of holding a picture at all, both machine-independent:
 //!
-//! 9. **load + first pack vs repack**: adding the delta guard's points to
+//! 8. **load + first pack vs repack**: adding the delta guard's points to
 //!    a fresh picture and packing it may cost at most 1.6× a repack of
 //!    that picture. A loader that builds an index the pack throws away
 //!    (every `add` a Guttman INSERT: ≈ 3.0×) fails it on any machine;
-//! 10. **packed bytes per object**: the same picture's packed
-//!     `estimated_bytes` per object stays under a committed ceiling —
-//!     two trees and a columnar store, not an enum and a `String` each.
+//! 9. **packed bytes per object**: the same picture's packed
+//!    `estimated_bytes` per object stays under a committed ceiling —
+//!    two trees and a columnar store, not an enum and a `String` each.
 //!
 //! — and one more machine-independent tripwire, on PACK itself:
 //!
-//! 11. **PACK horizontal line vs uniform**: packing the delta guard's
+//! 10. **PACK horizontal line vs uniform**: packing the delta guard's
 //!     points moved onto one horizontal line may cost at most 2× packing
 //!     them where they are. The nearest-neighbour sweep runs along each
 //!     slab's longer extent; one that always swept y would scan the whole
@@ -67,8 +66,7 @@
 //! 2.0: CI runners are slower and noisier than the machine that wrote
 //! the baselines, so the guard only trips on gross regressions (an
 //! accidentally quadratic traversal, a reintroduced per-query
-//! allocation storm, a batch engine that stopped sharing fetches),
-//! never on scheduler jitter.
+//! allocation storm), never on scheduler jitter.
 //!
 //! Environment knobs:
 //! - `BENCH_GUARD_FACTOR`  — allowed slowdown factor (default `2.0`)
@@ -116,7 +114,6 @@ fn main() {
     };
     let pointer_baseline = baseline("pointer_scratch_ns_per_op");
     let frozen_baseline = baseline("frozen_scratch_ns_per_op");
-    let batch_baseline = baseline("batch_64_ns_per_op");
     let row_baseline = baseline("execute_ns_per_row");
     let crc_baseline = baseline("crc_ns_per_page");
     let miss_baseline = baseline("pool_miss_ns_per_page");
@@ -129,7 +126,6 @@ fn main() {
         query_rng: mut q_rng,
         pointer_scratch_ns_per_op: pointer_ns,
         frozen_scratch_ns_per_op: frozen_ns,
-        batch_64_ns_per_op: batch_ns,
         ..
     } = window_paths(n, seed);
     let mut scratch = SearchScratch::new();
@@ -226,7 +222,6 @@ fn main() {
     let held_to_factor = [
         ("pointer scratch window", pointer_ns, pointer_baseline),
         ("frozen scratch window", frozen_ns, frozen_baseline),
-        ("batched (64) window", batch_ns, batch_baseline),
         ("nonempty delta window", delta_picture_ns, packed_picture_ns),
         (
             "J=900 picture window",

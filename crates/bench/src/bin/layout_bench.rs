@@ -20,10 +20,10 @@ use packed_rtree_core::{default_threads, PackStrategy};
 use psql::join::{rtree_join, JoinStats};
 use rtree_bench::report::{f, Table};
 use rtree_bench::{
-    batched_window_ns, best_of_three_ns as ns_per_op, build_pack, experiment_seed, page_path,
-    row_pipeline, window_paths, SeededWorkload, WindowPaths, PAGE_PATH_FRAMES,
+    best_of_three_ns as ns_per_op, build_pack, experiment_seed, page_path, row_pipeline,
+    window_paths, SeededWorkload, WindowPaths, PAGE_PATH_FRAMES,
 };
-use rtree_index::{BatchScratch, FrozenRTree, ItemId, RTreeConfig, SearchScratch, SearchStats};
+use rtree_index::{FrozenRTree, ItemId, RTreeConfig, SearchScratch, SearchStats};
 use rtree_workload::{points, queries, PAPER_UNIVERSE};
 
 use psql::SpatialOp;
@@ -87,7 +87,7 @@ fn table1_ab(seed: u64) {
 /// The 1M-point mix.
 fn million_point_ab(seed: u64) {
     let n = 1_000_000usize;
-    // --- window queries: the three paths `bench_guard` re-measures ----
+    // --- window queries: the two paths `bench_guard` re-measures ------
     let WindowPaths {
         points: pts,
         tree,
@@ -96,7 +96,6 @@ fn million_point_ab(seed: u64) {
         query_rng: mut q_rng,
         pointer_scratch_ns_per_op: ptr_scratch_ns,
         frozen_scratch_ns_per_op: frz_scratch_ns,
-        batch_64_ns_per_op,
     } = window_paths(n, seed);
     let items = points::as_items(&pts);
     let probes = queries::point_queries(&mut q_rng, &PAPER_UNIVERSE, 2_000);
@@ -180,32 +179,6 @@ fn million_point_ab(seed: u64) {
             frozen.nearest_neighbors_into(p, k, scratch.knn()),
             "k-NN diverged at {p:?}"
         );
-    }
-
-    // --- batched windows sweep --------------------------------------
-    // The same 2000-window workload pushed through the batch API in
-    // packs of 1/8/64/512: Z-order grouping + the shared wavefront
-    // traversal fetch each node once per pack and keep the frontier a
-    // prefetch lookahead ahead of the pruning point, so bigger packs
-    // amortize more of the memory-latency bill.
-    let batched = |pack| (pack, batched_window_ns(&frozen, &windows, pack));
-    let batched_ns = [
-        batched(1),
-        batched(8),
-        (64, batch_64_ns_per_op),
-        batched(512),
-    ];
-    // Identity: every batched slice equals the one-at-a-time answer.
-    let mut batch = BatchScratch::new();
-    for chunk in windows.chunks(64) {
-        let batched = frozen.batch_windows(chunk, true, &mut batch);
-        for (i, w) in chunk.iter().enumerate() {
-            assert_eq!(
-                batched.get(i),
-                frozen.search_within_into(w, &mut scratch),
-                "batched window diverged at {w:?}"
-            );
-        }
     }
 
     // --- juxtaposition join -----------------------------------------
@@ -294,15 +267,6 @@ fn million_point_ab(seed: u64) {
     );
     println!();
 
-    let mut bt = Table::new(["batched windows", "ns/op", "vs single frozen"]);
-    for &(bs, ns) in &batched_ns {
-        bt.row([
-            format!("batch={bs}"),
-            f(ns, 0),
-            format!("{:.2}x", frz_scratch_ns / ns),
-        ]);
-    }
-    println!("{}", bt.render());
     println!(
         "row pipeline: {:.0} ns per answered row ({:.1} rows per query, {} covered-by \
          windows through execute_plan_with_scratch, search included)\n",
@@ -327,8 +291,7 @@ fn million_point_ab(seed: u64) {
          \"branching\": 4,\n  \"hardware_threads\": {hw},\n  \
          \"window_query\": {{\"queries\": {wn}, \"selectivity\": 0.0001, \
          \"pointer_scratch_ns_per_op\": {ptr_scratch_ns:.0}, \
-         \"frozen_scratch_ns_per_op\": {frz_scratch_ns:.0}, \
-         \"batch_64_ns_per_op\": {batch_64_ns_per_op:.0}}},\n  \
+         \"frozen_scratch_ns_per_op\": {frz_scratch_ns:.0}}},\n  \
          \"row_pipeline\": {{\"queries\": {rq}, \"rows_per_query\": {rpq:.1}, \
          \"execute_ns_per_row\": {row_ns:.0}}},\n  \
          \"page_path\": {{\"points\": {pp_n}, \"pool_frames\": {PAGE_PATH_FRAMES}, \

@@ -1,11 +1,11 @@
 //! **EXT-8**: construction-cost scaling — the literal O(n²) PACK of the
-//! paper's pseudocode vs the grid-accelerated nearest-neighbour search,
-//! vs the sort-based packers and dynamic INSERT.
+//! paper's pseudocode vs the sweep nearest-neighbour search, vs the
+//! sort-based packers and dynamic INSERT.
 //!
 //! The paper notes selecting all `M` group members simultaneously "could
 //! be combinatorially explosive"; even its one-at-a-time NN is quadratic
 //! when implemented naively. This sweep shows where the naive variant
-//! stops being viable and that the grid makes PACK's build cost
+//! stops being viable and that the sweep makes PACK's build cost
 //! comparable to a sort. (Build cost at 1M points, sequential and
 //! parallel, is `sysbench`'s `core.pack_ms` / `core.pack_parallel_ms`.)
 //!
@@ -23,7 +23,7 @@ fn main() {
 
     let mut table = Table::new([
         "n",
-        "pack-nn(grid)",
+        "pack-nn(sweep)",
         "pack-nn-naive",
         "pack-str",
         "pack-hilbert",
@@ -41,7 +41,7 @@ fn main() {
         let pack =
             |strategy| time(&|| pack_with(items.clone(), RTreeConfig::PAPER, strategy).len());
 
-        let grid = pack(PackStrategy::NearestNeighbor);
+        let sweep = pack(PackStrategy::NearestNeighbor);
         // The naive O(n²) scan becomes painful quickly; cap it.
         let naive = if n <= 16_000 {
             f(pack(PackStrategy::NearestNeighborNaive), 1)
@@ -54,7 +54,7 @@ fn main() {
 
         table.row([
             n.to_string(),
-            f(grid, 1),
+            f(sweep, 1),
             naive,
             f(str_t, 1),
             f(hil, 1),
@@ -62,7 +62,7 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
-    println!("The grid NN keeps the paper's algorithm near sort cost (O(n log n)-ish);");
+    println!("The sweep NN keeps the paper's algorithm near sort cost (O(n log n)-ish);");
     println!("the pseudocode's literal NN scan grows quadratically and falls behind");
     println!("dynamic insertion well before 100k objects.");
 }

@@ -13,8 +13,7 @@ use packed_rtree_core::{default_threads, pack_parallel_with, pack_with, PackStra
 use rand::rngs::StdRng;
 use rtree_geom::{Point, Rect};
 use rtree_index::{
-    BatchScratch, FrozenRTree, ItemId, RTree, RTreeConfig, SearchScratch, SearchStats, SplitPolicy,
-    TreeMetrics,
+    FrozenRTree, ItemId, RTree, RTreeConfig, SearchScratch, SearchStats, SplitPolicy, TreeMetrics,
 };
 use rtree_workload::{points, queries, rng, PAPER_UNIVERSE};
 
@@ -112,7 +111,7 @@ pub fn best_of_three_ns<T>(n: usize, mut run: impl FnMut() -> T) -> f64 {
 
 /// The window-query profile `BENCH_layout.json` records: `n` uniform
 /// points packed once (M = 4) and held in both physical forms, 2 000
-/// windows of selectivity 0.0001, and ns per window on the three paths
+/// windows of selectivity 0.0001, and ns per window on the two paths
 /// `bench_guard` holds to that file.
 #[derive(Debug)]
 pub struct WindowPaths {
@@ -131,11 +130,9 @@ pub struct WindowPaths {
     pub pointer_scratch_ns_per_op: f64,
     /// `FrozenRTree::search_within_into` per window.
     pub frozen_scratch_ns_per_op: f64,
-    /// [`batched_window_ns`] per window in packs of 64.
-    pub batch_64_ns_per_op: f64,
 }
 
-/// Measures [`WindowPaths`]. `layout_bench` writes the three figures to
+/// Measures [`WindowPaths`]. `layout_bench` writes the two figures to
 /// `BENCH_layout.json` and `bench_guard` re-measures them through this
 /// one function, so the guard compares like with like by construction.
 pub fn window_paths(n: usize, seed: u64) -> WindowPaths {
@@ -161,7 +158,6 @@ pub fn window_paths(n: usize, seed: u64) -> WindowPaths {
             std::hint::black_box(frozen.search_within_into(w, &mut scratch));
         }
     });
-    let batch_64_ns_per_op = batched_window_ns(&frozen, &windows, 64);
     WindowPaths {
         points,
         tree,
@@ -170,19 +166,7 @@ pub fn window_paths(n: usize, seed: u64) -> WindowPaths {
         query_rng,
         pointer_scratch_ns_per_op,
         frozen_scratch_ns_per_op,
-        batch_64_ns_per_op,
     }
-}
-
-/// ns per window of `FrozenRTree::batch_windows` over `windows` in packs
-/// of `pack`.
-pub fn batched_window_ns(frozen: &FrozenRTree, windows: &[Rect], pack: usize) -> f64 {
-    let mut batch = BatchScratch::new();
-    best_of_three_ns(windows.len(), || {
-        for chunk in windows.chunks(pack) {
-            std::hint::black_box(frozen.batch_windows(chunk, true, &mut batch));
-        }
-    })
 }
 
 /// What the PSQL executor adds between the picture search and the

@@ -36,7 +36,7 @@ fn main() -> ExitCode {
 
     println!(
         "differential fuzz: {} seed(s) × {cases} case(s), five levels \
-         (geom predicates, tree queries, frozen/SIMD/batched identity, \
+         (geom predicates, tree queries, frozen identity, \
          PSQL end-to-end, mixed read/write frozen+delta)",
         seeds.len()
     );

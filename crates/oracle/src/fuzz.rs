@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtree_geom::{Point, Rect, Region, Segment, SpatialObject};
 use rtree_index::{
-    BatchScratch, FrozenRTree, ItemId, NodeAccess, RTree, RTreeConfig, SearchScratch, SearchStats,
+    FrozenRTree, ItemId, NodeAccess, RTree, RTreeConfig, SearchScratch, SearchStats,
 };
 use rtree_storage::{BufferPool, DiskRTree, Pager};
 
@@ -630,107 +630,6 @@ fn check_frozen(case: &Case, packed: &RTree, tree_a: &RTree, tree_b: &RTree) -> 
         }
     }
 
-    // SIMD-vs-scalar: the explicit lane kernels behind the default
-    // query paths must be bit-identical to the always-compiled scalar
-    // kernels — same items, same order, same counters.
-    for (wi, w) in case.windows.iter().enumerate() {
-        for within in [true, false] {
-            let mut ds = SearchStats::default();
-            let mut ss = SearchStats::default();
-            let (default_got, scalar_got) = if within {
-                (
-                    frozen.search_within(w, &mut ds),
-                    frozen.search_within_scalar(w, &mut ss),
-                )
-            } else {
-                (
-                    frozen.search_intersecting(w, &mut ds),
-                    frozen.search_intersecting_scalar(w, &mut ss),
-                )
-            };
-            if scalar_got != default_got || ss != ds {
-                return Some(format!(
-                    "frozen window {wi} within={within}: scalar kernel diverges from default"
-                ));
-            }
-        }
-    }
-    for (pi, &p) in case.probes.iter().enumerate() {
-        let mut ds = SearchStats::default();
-        let mut ss = SearchStats::default();
-        if frozen.point_query_scalar(p, &mut ss) != frozen.point_query(p, &mut ds) || ss != ds {
-            return Some(format!(
-                "frozen probe {pi}: scalar kernel diverges from default"
-            ));
-        }
-    }
-    for (ki, &(p, k)) in case.knn.iter().enumerate() {
-        let mut ds = SearchStats::default();
-        let mut ss = SearchStats::default();
-        if frozen.nearest_neighbors_scalar(p, k, &mut ss) != frozen.nearest_neighbors(p, k, &mut ds)
-            || ss != ds
-        {
-            return Some(format!(
-                "frozen knn {ki} (k={k}): scalar kernel diverges from default"
-            ));
-        }
-    }
-
-    // Batched-vs-single: executing the whole query stream as one batch
-    // must reproduce every per-query result slice in input order, and
-    // the batch's stats must equal the sum of the single-query stats.
-    let mut batch = BatchScratch::new();
-    for within in [true, false] {
-        let mut bs = SearchStats::default();
-        let batched = frozen.batch_windows_stats(&case.windows, within, &mut batch, &mut bs);
-        let mut sum = SearchStats::default();
-        for (wi, w) in case.windows.iter().enumerate() {
-            let single = if within {
-                frozen.search_within(w, &mut sum)
-            } else {
-                frozen.search_intersecting(w, &mut sum)
-            };
-            if batched.get(wi) != single.as_slice() {
-                return Some(format!(
-                    "batched window {wi} within={within}: diverges from single query"
-                ));
-            }
-        }
-        if bs != sum {
-            return Some(format!(
-                "batched windows within={within}: stats {bs:?} != summed {sum:?}"
-            ));
-        }
-    }
-    {
-        let mut bs = SearchStats::default();
-        let batched = frozen.batch_points_stats(&case.probes, &mut batch, &mut bs);
-        let mut sum = SearchStats::default();
-        for (pi, &p) in case.probes.iter().enumerate() {
-            if batched.get(pi) != frozen.point_query(p, &mut sum).as_slice() {
-                return Some(format!("batched probe {pi}: diverges from single query"));
-            }
-        }
-        if bs != sum {
-            return Some(format!("batched probes: stats {bs:?} != summed {sum:?}"));
-        }
-    }
-    {
-        let mut bs = SearchStats::default();
-        let batched = frozen.batch_knn_stats(&case.knn, &mut batch, &mut bs);
-        let mut sum = SearchStats::default();
-        for (ki, &(p, k)) in case.knn.iter().enumerate() {
-            if batched.get(ki) != frozen.nearest_neighbors(p, k, &mut sum).as_slice() {
-                return Some(format!(
-                    "batched knn {ki} (k={k}): diverges from single query"
-                ));
-            }
-        }
-        if bs != sum {
-            return Some(format!("batched knn: stats {bs:?} != summed {sum:?}"));
-        }
-    }
-
     // One join over every mix of storage forms: each must reproduce the
     // pointer x pointer pair sequence and counters (which the tree level
     // above holds to `reference::join_pairs`).
@@ -827,23 +726,6 @@ fn check_disk_trees(case: &Case, items: &[(Rect, ItemId)], packed: &RTree) -> Op
                 if got != pointer || fs != ps {
                     return Some(format!(
                         "frozen DiskRTree window {wi}: diverges from pointer tree"
-                    ));
-                }
-                let mut ss = SearchStats::default();
-                if frozen.search_within_scalar(w, &mut ss) != got || ss != fs {
-                    return Some(format!(
-                        "frozen DiskRTree window {wi}: scalar kernel diverges"
-                    ));
-                }
-            }
-            // The batched path over a disk-rehydrated frozen tree.
-            let mut batch = BatchScratch::new();
-            let batched = frozen.batch_windows(&case.windows, true, &mut batch);
-            for (wi, w) in case.windows.iter().enumerate() {
-                let single = frozen.search_within(w, &mut SearchStats::default());
-                if batched.get(wi) != single.as_slice() {
-                    return Some(format!(
-                        "frozen DiskRTree batched window {wi}: diverges from single query"
                     ));
                 }
             }
@@ -950,8 +832,8 @@ fn check_psql(case: &Case) -> Option<String> {
 
 /// The sustained-write path: load a prefix of the objects, pack (so the
 /// picture carries a frozen main tree), then insert the rest dynamically
-/// so they buffer in the delta tree. Every query path — stats, scratch,
-/// and batched — must be bit-identical to brute force over *all* objects
+/// so they buffer in the delta tree. Both query paths — stats and
+/// scratch — must be bit-identical to brute force over *all* objects
 /// (packed ∪ delta), both before and after `merge_deltas` folds the
 /// delta back into a freshly packed main tree — and, before the pack,
 /// over the loaded prefix, which a never-packed picture indexes only
@@ -1057,27 +939,6 @@ fn check_mixed_queries(case: &Case, pic: &psql::picture::Picture, stage: &str) -
         }
     }
 
-    // The batched executor path over the same query pack.
-    let queries: Vec<(SpatialOp, Rect)> = case
-        .windows
-        .iter()
-        .flat_map(|&w| ALL_OPS.iter().map(move |&op| (op, w)))
-        .collect();
-    let mut batch = BatchScratch::new();
-    for (qi, ((op, w), got)) in queries
-        .iter()
-        .zip(pic.search_windows_batch(&queries, &mut batch))
-        .enumerate()
-    {
-        let mut got = got;
-        got.sort_unstable();
-        if got != reference::window_objects(&case.objects, *op, w) {
-            return Some(format!(
-                "mixed {stage} batched query {qi} ({op}): diverges from brute force"
-            ));
-        }
-    }
-
     // k-NN compares distance sequences (ties at the cut-off make the
     // k-th identity legitimately ambiguous).
     let items: Vec<(Rect, ItemId)> = case
@@ -1106,14 +967,6 @@ fn check_mixed_queries(case: &Case, pic: &psql::picture::Picture, stage: &str) -
             return Some(format!(
                 "mixed {stage} knn {ki} (k={k}): scratch path diverges from \
                  brute force"
-            ));
-        }
-    }
-    for (ki, got) in pic.nearest_batch(&case.knn, &mut batch).iter().enumerate() {
-        let (p, k) = case.knn[ki];
-        if dist(p, got) != reference::nearest_distances(&items, p, k) {
-            return Some(format!(
-                "mixed {stage} batched knn {ki} (k={k}): diverges from brute force"
             ));
         }
     }

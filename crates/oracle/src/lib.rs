@@ -24,9 +24,9 @@
 //!    over all objects.
 //! 4. **Mixed read/write** — a prefix of the objects is loaded and
 //!    packed (frozen main tree), the rest arrive as dynamic inserts
-//!    buffered in the delta tree; every query path (stats, scratch,
-//!    batched) must be bit-identical to brute force over packed ∪
-//!    delta, before and after the merge folds the delta back in.
+//!    buffered in the delta tree; both query paths (stats, scratch)
+//!    must be bit-identical to brute force over packed ∪ delta, before
+//!    and after the merge folds the delta back in.
 //!
 //! Reproduction is deterministic: every counterexample carries the seed
 //! and case index that produced it (see `DESIGN.md` §11).

@@ -72,123 +72,18 @@ pub fn execute_plan_with_scratch(
     executor.finish(rows)
 }
 
-/// Plans and executes a pack of queries, reusing a caller-owned
-/// [`BatchScratch`], and returns per-query results **in input order**:
-/// [`execute_plans_batch_with_scratch`] over the queries that plan, with
-/// each planning failure reported in its own slot.
+/// [`execute_with_scratch`] over a pack of queries, in input order, each
+/// failure in its own slot. Kept only because `sysbench`'s
+/// `psql.execute_batch_us` probe calls it.
 pub fn execute_batch_with_scratch(
     db: &PictorialDatabase,
     queries: &[Query],
     functions: &FunctionRegistry,
-    batch: &mut BatchScratch,
+    scratch: &mut BatchScratch,
 ) -> Vec<Result<ResultSet, PsqlError>> {
-    let planned: Vec<Result<Plan, PsqlError>> = queries.iter().map(|q| plan::plan(db, q)).collect();
-    let plans: Vec<&Plan> = planned.iter().filter_map(|p| p.as_ref().ok()).collect();
-    let mut results = execute_plans_batch_with_scratch(db, &plans, functions, batch).into_iter();
-    planned
+    queries
         .iter()
-        .map(|planned| match planned {
-            Ok(_) => results.next().expect("one result per plan"),
-            Err(e) => Err(e.clone()),
-        })
-        .collect()
-}
-
-/// Executes a pack of already-built plans, reusing a caller-owned
-/// [`BatchScratch`], and returns per-plan results **in input order**.
-///
-/// Plans that are direct spatial searches (`at … covered-by /
-/// overlapping / covering / disjoined` windows, or `at … nearest`) are
-/// grouped by target picture and executed through the picture's batched
-/// paths ([`search_windows_batch`](crate::picture::Picture::search_windows_batch) /
-/// [`nearest_batch`](crate::picture::Picture::nearest_batch)): the
-/// frozen tree traverses them in spatial (Z-order) groups over one
-/// shared scratch, so a batch of nearby windows touches each hot node
-/// once instead of once per query. Every other plan shape executes
-/// exactly as [`execute_plan_with_scratch`] would. Per-plan results are
-/// bit-identical to one-at-a-time execution either way.
-pub fn execute_plans_batch_with_scratch(
-    db: &PictorialDatabase,
-    plans: &[&Plan],
-    functions: &FunctionRegistry,
-    batch: &mut BatchScratch,
-) -> Vec<Result<ResultSet, PsqlError>> {
-    let mut out: Vec<Option<Result<ResultSet, PsqlError>>> = Vec::new();
-    out.resize_with(plans.len(), || None);
-
-    // Group batchable plans by (kind, picture name).
-    let mut groups: Vec<(bool, &str, Vec<usize>)> = Vec::new();
-    for (i, plan) in plans.iter().enumerate() {
-        let (windows, picture) = match &plan.spatial {
-            SpatialStrategy::Window { picture, .. } => (true, picture.as_str()),
-            SpatialStrategy::Nearest { picture, .. } => (false, picture.as_str()),
-            _ => {
-                out[i] = Some(execute_plan_with_scratch(
-                    db,
-                    plan,
-                    functions,
-                    batch.search(),
-                ));
-                continue;
-            }
-        };
-        match groups
-            .iter_mut()
-            .find(|(w, name, _)| *w == windows && *name == picture)
-        {
-            Some((_, _, idxs)) => idxs.push(i),
-            None => groups.push((windows, picture, vec![i])),
-        }
-    }
-
-    for (windows, picture_name, idxs) in groups {
-        let Ok(pic) = db.picture(picture_name) else {
-            // Missing picture: fall back so each query reports its own
-            // error exactly as the single-query path would.
-            for &i in &idxs {
-                out[i] = Some(execute_plan_with_scratch(
-                    db,
-                    plans[i],
-                    functions,
-                    batch.search(),
-                ));
-            }
-            continue;
-        };
-        let per_query = if windows {
-            let specs: Vec<(SpatialOp, rtree_geom::Rect)> = idxs
-                .iter()
-                .map(|&i| match &plans[i].spatial {
-                    SpatialStrategy::Window { op, window, .. } => (*op, *window),
-                    _ => unreachable!("window group holds only window plans"),
-                })
-                .collect();
-            pic.search_windows_batch(&specs, batch)
-        } else {
-            let specs: Vec<(rtree_geom::Point, usize)> = idxs
-                .iter()
-                .map(|&i| match &plans[i].spatial {
-                    SpatialStrategy::Nearest { k, point, .. } => (*point, *k),
-                    _ => unreachable!("nearest group holds only nearest plans"),
-                })
-                .collect();
-            pic.nearest_batch(&specs, batch)
-        };
-        for (&i, objs) in idxs.iter().zip(&per_query) {
-            let (SpatialStrategy::Window { column, .. } | SpatialStrategy::Nearest { column, .. }) =
-                &plans[i].spatial
-            else {
-                unreachable!("grouped plans are direct searches")
-            };
-            out[i] = Some(
-                Executor::bind(db, plans[i], functions)
-                    .and_then(|executor| executor.finish(executor.objects_to_rows(*column, objs))),
-            );
-        }
-    }
-
-    out.into_iter()
-        .map(|r| r.expect("every plan executed"))
+        .map(|q| execute_with_scratch(db, q, functions, scratch))
         .collect()
 }
 

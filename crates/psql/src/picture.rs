@@ -5,8 +5,8 @@ use crate::store::ObjectStore;
 use packed_rtree_core::pack;
 use rtree_geom::{Point, Rect, SpatialObject};
 use rtree_index::{
-    BatchScratch, FrozenRTree, ItemId, KnnScratch, Neighbor, NodeAccess, RTree, RTreeConfig,
-    SearchScratch, SearchStats,
+    FrozenRTree, ItemId, KnnScratch, Neighbor, NodeAccess, RTree, RTreeConfig, SearchScratch,
+    SearchStats,
 };
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
@@ -422,97 +422,6 @@ impl Picture {
         self.knn(p, k, scratch.knn(), None)
     }
 
-    /// Batched [`search_window_fast`](Self::search_window_fast): executes
-    /// a pack of window queries and returns per-query refined object ids
-    /// **in input order**. Queries are partitioned by traversal kind
-    /// (`within` for covered-by, `intersecting` for overlap/cover) and
-    /// each partition runs through [`FrozenRTree::batch_windows`] —
-    /// spatially grouped over one shared scratch — once the picture is
-    /// packed; before that each query falls back to the one-at-a-time
-    /// path. Per-query results are bit-identical to
-    /// `search_window_fast` either way.
-    pub fn search_windows_batch(
-        &self,
-        queries: &[(SpatialOp, Rect)],
-        batch: &mut BatchScratch,
-    ) -> Vec<Vec<u64>> {
-        let Some(frozen) = self.frozen() else {
-            return queries
-                .iter()
-                .map(|(op, window)| self.search_window_fast(*op, window, batch.search()))
-                .collect();
-        };
-        let mut out: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
-        // Disjointness enumerates; it gains nothing from tree batching.
-        for (slot, (op, window)) in out.iter_mut().zip(queries) {
-            if traversal(*op).is_none() {
-                *slot = self.scan(*op, window);
-            }
-        }
-        for within in [true, false] {
-            let group: Vec<usize> = (0..queries.len())
-                .filter(|&i| traversal(queries[i].0) == Some(within))
-                .collect();
-            if group.is_empty() {
-                continue;
-            }
-            let windows: Vec<Rect> = group.iter().map(|&i| queries[i].1).collect();
-            {
-                let results = frozen.batch_windows(&windows, within, batch);
-                for (slot, &i) in group.iter().enumerate() {
-                    let (op, window) = &queries[i];
-                    out[i] = self.refine(*op, window, results.get(slot)).collect();
-                }
-            }
-            // Buffered delta objects merge in after the frozen batch
-            // (the batch results borrow the scratch, so this is a
-            // second pass once that borrow ends).
-            if let Some(delta) = self.delta_tree() {
-                for &i in &group {
-                    let (op, window) = &queries[i];
-                    let candidates = delta.search_window(window, within, batch.search(), None);
-                    out[i].extend(self.refine(*op, window, candidates));
-                }
-            }
-        }
-        out
-    }
-
-    /// Batched [`nearest_fast`](Self::nearest_fast): the `k` nearest
-    /// object ids per `(point, k)` query, in input order, via
-    /// [`FrozenRTree::batch_knn`] once the picture is packed and the
-    /// one-at-a-time path before.
-    pub fn nearest_batch(
-        &self,
-        queries: &[(Point, usize)],
-        batch: &mut BatchScratch,
-    ) -> Vec<Vec<u64>> {
-        let Some(frozen) = self.frozen() else {
-            return queries
-                .iter()
-                .map(|&(p, k)| self.nearest_fast(p, k, batch.search()))
-                .collect();
-        };
-        let Some(delta) = self.delta_tree() else {
-            let results = frozen.batch_knn(queries, batch);
-            return results.iter().map(neighbor_ids).collect();
-        };
-        // Copy the frozen batch out (it borrows the scratch), then merge
-        // each query's delta neighbours in.
-        let main: Vec<Vec<Neighbor>> = {
-            let results = frozen.batch_knn(queries, batch);
-            results.iter().map(<[Neighbor]>::to_vec).collect()
-        };
-        queries
-            .iter()
-            .zip(main)
-            .map(|(&(p, k), near)| {
-                let extra = delta.nearest_neighbors_into(p, k, batch.search().knn());
-                neighbor_ids(&Self::merge_neighbors(&near, extra, k))
-            })
-            .collect()
-    }
-
     /// Exact-geometry refinement of index candidates.
     fn refine<'a>(
         &'a self,
@@ -632,7 +541,7 @@ mod tests {
 
     /// Every query shape, in the order the picture answers it.
     fn answers(pic: &Picture) -> Vec<Vec<u64>> {
-        let mut batch = BatchScratch::new();
+        let mut scratch = SearchScratch::new();
         let windows: Vec<(SpatialOp, Rect)> = (0..16)
             .map(|i| {
                 let (x, y) = ((i * 97 % 800) as f64, (i * 31 % 800) as f64);
@@ -656,14 +565,12 @@ mod tests {
         let mut out = Vec::new();
         for (op, w) in &windows {
             out.push(pic.search_window(*op, w, &mut SearchStats::default()));
-            out.push(pic.search_window_fast(*op, w, batch.search()));
+            out.push(pic.search_window_fast(*op, w, &mut scratch));
         }
-        out.extend(pic.search_windows_batch(&windows, &mut batch));
         for &(p, k) in &knn {
             out.push(pic.nearest(p, k, &mut SearchStats::default()));
-            out.push(pic.nearest_fast(p, k, batch.search()));
+            out.push(pic.nearest_fast(p, k, &mut scratch));
         }
-        out.extend(pic.nearest_batch(&knn, &mut batch));
         out
     }
 
@@ -980,7 +887,7 @@ mod tests {
     }
 
     /// The delta path on a picture large enough to serve frozen queries:
-    /// every query shape (window ops, k-NN, batched forms) must agree
+    /// every query shape (window ops, k-NN, both entry points) must agree
     /// with a freshly packed copy of the same objects.
     #[test]
     fn delta_merge_is_equivalent_to_repacked() {
@@ -998,7 +905,7 @@ mod tests {
         let mut repacked = live.clone();
         repacked.pack();
 
-        let mut batch = BatchScratch::new();
+        let mut scratch = SearchScratch::new();
         let windows: Vec<(SpatialOp, Rect)> = (0..30)
             .map(|i| {
                 let x = (i * 97 % 800) as f64;
@@ -1020,14 +927,9 @@ mod tests {
             merged.sort_unstable();
             packed.sort_unstable();
             assert_eq!(merged, packed, "{op:?} {w:?} diverged from repacked");
-            let mut fast = live.search_window_fast(*op, w, batch.search());
+            let mut fast = live.search_window_fast(*op, w, &mut scratch);
             fast.sort_unstable();
             assert_eq!(fast, merged, "fast path diverged on {op:?}");
-        }
-        let batched = live.search_windows_batch(&windows, &mut batch);
-        for (got, (op, w)) in batched.iter().zip(&windows) {
-            let single = live.search_window_fast(*op, w, batch.search());
-            assert_eq!(got, &single, "batched {op:?} {w:?} diverged");
         }
 
         // k-NN: distances must match the repacked picture (ties at the
@@ -1051,13 +953,8 @@ mod tests {
             let packed = repacked.nearest(p, k, &mut s2);
             assert_eq!(merged.len(), packed.len());
             assert_eq!(dist(&live, p, &merged), dist(&repacked, p, &packed));
-            let fast = live.nearest_fast(p, k, batch.search());
+            let fast = live.nearest_fast(p, k, &mut scratch);
             assert_eq!(merged, fast, "k-NN fast path diverged at {p:?}");
-        }
-        let batched = live.nearest_batch(&knn_queries, &mut batch);
-        for (got, &(p, k)) in batched.iter().zip(&knn_queries) {
-            let single = live.nearest_fast(p, k, batch.search());
-            assert_eq!(got, &single, "batched k-NN at {p:?} k={k} diverged");
         }
     }
 
@@ -1118,58 +1015,6 @@ mod tests {
                     ids(near.iter().map(|n| n.item).collect())
                 );
                 assert_eq!(ps, ts, "counters diverged from the pointer tree");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_window_queries_match_single_queries() {
-        let mut batch = BatchScratch::new();
-        for pic in [big_picture(16_000), {
-            let mut small = sample();
-            small.pack();
-            small
-        }] {
-            let queries: Vec<(SpatialOp, Rect)> = (0..40)
-                .map(|i| {
-                    let x = (i * 23 % 900) as f64;
-                    let y = (i * 41 % 900) as f64;
-                    let op = match i % 4 {
-                        0 => SpatialOp::CoveredBy,
-                        1 => SpatialOp::Overlapping,
-                        2 => SpatialOp::Covering,
-                        _ => SpatialOp::Disjoined,
-                    };
-                    (op, Rect::new(x, y, x + 40.0, y + 40.0))
-                })
-                .collect();
-            let batched = pic.search_windows_batch(&queries, &mut batch);
-            for (got, (op, window)) in batched.iter().zip(&queries) {
-                let single = pic.search_window_fast(*op, window, batch.search());
-                assert_eq!(got, &single, "{op:?} {window:?} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_nearest_matches_single_queries() {
-        let mut batch = BatchScratch::new();
-        for pic in [big_picture(16_000), {
-            let mut small = sample();
-            small.pack();
-            small
-        }] {
-            let queries: Vec<(Point, usize)> = (0..30)
-                .map(|i| {
-                    let x = (i * 137 % 1000) as f64;
-                    let y = (i * 71 % 1000) as f64;
-                    (Point::new(x, y), 1 + i % 7)
-                })
-                .collect();
-            let batched = pic.nearest_batch(&queries, &mut batch);
-            for (got, &(p, k)) in batched.iter().zip(&queries) {
-                let single = pic.nearest_fast(p, k, batch.search());
-                assert_eq!(got, &single, "k-NN at {p:?} k={k} diverged");
             }
         }
     }

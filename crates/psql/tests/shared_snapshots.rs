@@ -9,7 +9,7 @@ use psql::join::{picture_join, JoinStats};
 use psql::picture::Picture;
 use psql::SpatialOp;
 use rtree_geom::{Point, Rect, Region, SpatialObject};
-use rtree_index::{BatchScratch, SearchScratch, SearchStats};
+use rtree_index::{SearchScratch, SearchStats};
 
 const OPS: [SpatialOp; 4] = [
     SpatialOp::CoveredBy,
@@ -172,8 +172,6 @@ fn small_packed_picture_with_a_delta_matches_brute_force() {
         Rect::new(200.0, 200.0, 210.0, 210.0),
     ];
     let mut scratch = SearchScratch::new();
-    let mut batch = BatchScratch::new();
-    let mut queries = Vec::new();
     for w in &windows {
         for op in OPS {
             let expect: Vec<u64> = (0..objects.len() as u64)
@@ -183,7 +181,6 @@ fn small_packed_picture_with_a_delta_matches_brute_force() {
             let mut fast = pic.search_window_fast(op, w, &mut scratch);
             fast.sort_unstable();
             assert_eq!(fast, expect, "fast {op} {w:?}");
-            queries.push((op, *w));
             if op == SpatialOp::Disjoined {
                 continue;
             }
@@ -201,17 +198,6 @@ fn small_packed_picture_with_a_delta_matches_brute_force() {
             pointer.absorb_traversal(&delta);
             assert_eq!(got, pointer, "counters {op} {w:?}");
         }
-    }
-    for (got, (op, w)) in pic
-        .search_windows_batch(&queries, &mut batch)
-        .iter()
-        .zip(&queries)
-    {
-        assert_eq!(
-            got,
-            &pic.search_window_fast(*op, w, &mut scratch),
-            "batched {op} {w:?}"
-        );
     }
 
     // k-NN: the distances of the answer are the k smallest there are.
@@ -233,9 +219,6 @@ fn small_packed_picture_with_a_delta_matches_brute_force() {
         let got = pic.nearest(p, k, &mut SearchStats::default());
         assert_eq!(distances(p, &got), expect, "k-NN at {p:?} k={k}");
         assert_eq!(pic.nearest_fast(p, k, &mut scratch), got);
-    }
-    for (got, &(p, k)) in pic.nearest_batch(&knn, &mut batch).iter().zip(&knn) {
-        assert_eq!(got, &pic.nearest_fast(p, k, &mut scratch));
     }
 }
 

@@ -22,9 +22,8 @@ use rtree_geom::{Point, Rect};
 /// for lane `64 c + i`, so a traversal is a loop over
 /// `fanout().div_ceil(64)` chunks whatever the branching factor (and
 /// no loop at all, at compile time, for the usual single chunk). Each
-/// layout evaluates a chunk its own way — a per-entry loop, a SIMD
-/// kernel over coordinate planes — and all must return the same bits
-/// and distances.
+/// layout evaluates a chunk its own way — a per-entry loop, a fold over
+/// coordinate planes — and all must return the same bits and distances.
 ///
 /// The trait is infallible: page-backed trees, whose node reads can
 /// fail, share their own loop in `rtree-storage` instead.

@@ -13,11 +13,10 @@
 //!   into four `f64` planes (`x1/y1/x2/y2` = min-x/min-y/max-x/max-y)
 //!   of `fanout` lanes each, and a node's four planes are stored as
 //!   one contiguous block (`[x1 lanes][y1 lanes][x2 lanes][y2 lanes]`,
-//!   `4 * fanout` doubles). Window pruning is a branchless min/max
-//!   compare over contiguous lanes that vectorizes, and one node visit
+//!   `4 * fanout` doubles). Window pruning is a branchless compare
+//!   over contiguous lanes, folded into a hit mask, and one node visit
 //!   touches two-to-three cache lines (128 bytes at `M = 4`) instead
-//!   of the four half-used lines that tree-wide planes would cost —
-//!   the memory-bound batch engine lives off that difference.
+//!   of the four half-used lines that tree-wide planes would cost.
 //! * **NaN padding lanes.** Nodes with fewer than `fanout` entries pad
 //!   the remaining lanes with `NaN` rectangles. Every query predicate in
 //!   the engine (`INTERSECTS`, `WITHIN`, `contains_point`) is a pure
@@ -38,8 +37,7 @@ use crate::access::NodeAccess;
 use crate::config::RTreeConfig;
 use crate::knn::{KnnScratch, Neighbor};
 use crate::node::{Child, ItemId, NodeId};
-use crate::search::SearchScratch;
-use crate::simd::{DefaultKernel, LaneKernel, ScalarKernel};
+use crate::search::{BatchScratch, SearchScratch};
 use crate::stats::SearchStats;
 use crate::tree::RTree;
 use rtree_geom::{Point, Rect};
@@ -274,8 +272,8 @@ impl FrozenRTree {
         (x1, y1, x2, y2)
     }
 
-    /// Lanes `[64 chunk, end)` of `node`'s four planes, 64 at most. A
-    /// mask kernel folds them up to `fanout`, NaN padding included
+    /// Lanes `[64 chunk, end)` of `node`'s four planes, 64 at most. The
+    /// `lanes` kernels fold them up to `fanout`, NaN padding included
     /// (padding lanes fail every comparison).
     #[inline(always)]
     fn chunk_planes(
@@ -308,26 +306,20 @@ impl FrozenRTree {
             .to_vec()
     }
 
-    /// [`search_within`](Self::search_within) forced through the scalar
-    /// lane kernel — the reference path the differential fuzzer holds
-    /// the SIMD kernels against. Compiled on every target and feature
-    /// set.
-    pub fn search_within_scalar(&self, window: &Rect, stats: &mut SearchStats) -> Vec<ItemId> {
-        ScalarLanes(self)
-            .search_window(window, true, &mut SearchScratch::new(), Some(stats))
-            .to_vec()
-    }
-
-    /// [`search_intersecting`](Self::search_intersecting) forced through
-    /// the scalar lane kernel.
-    pub fn search_intersecting_scalar(
+    /// One window query per entry of `windows` (`WITHIN` when `within`,
+    /// intersection otherwise), answered in input order. A plain loop
+    /// over [`search_window`](NodeAccess::search_window), kept only
+    /// because `sysbench`'s `rtree.batch_window_us` probe calls it.
+    pub fn batch_windows(
         &self,
-        window: &Rect,
-        stats: &mut SearchStats,
-    ) -> Vec<ItemId> {
-        ScalarLanes(self)
-            .search_window(window, false, &mut SearchScratch::new(), Some(stats))
-            .to_vec()
+        windows: &[Rect],
+        within: bool,
+        scratch: &mut BatchScratch,
+    ) -> Vec<Vec<ItemId>> {
+        windows
+            .iter()
+            .map(|w| self.search_window(w, within, scratch, None).to_vec())
+            .collect()
     }
 
     /// [`search_within`](Self::search_within) without statistics or
@@ -350,30 +342,9 @@ impl FrozenRTree {
         self.search_window(window, false, scratch, None)
     }
 
-    /// Hints the caches toward node `index`'s lanes — both ends of the
-    /// coordinate block and the id plane. Purely a latency hint (a
-    /// no-op without the `simd` feature): the batch engine issues it
-    /// for the node a traversal fiber will visit on its next turn, so
-    /// the lines fill from DRAM while the other fibers execute.
-    #[inline(always)]
-    pub(crate) fn prefetch_node(&self, index: u32) {
-        let block = index as usize * 4 * self.fanout;
-        crate::simd::prefetch_read(&self.coords[block]);
-        crate::simd::prefetch_read(&self.coords[block + 4 * self.fanout - 1]);
-        crate::simd::prefetch_read(&self.ids[index as usize * self.fanout]);
-    }
-
     /// The Table 1 point query; identical to [`RTree::point_query`].
     pub fn point_query(&self, p: Point, stats: &mut SearchStats) -> Vec<ItemId> {
         self.search_point(p, &mut SearchScratch::new(), Some(stats))
-            .to_vec()
-    }
-
-    /// [`point_query`](Self::point_query) forced through the scalar lane
-    /// kernel (differential-testing reference path).
-    pub fn point_query_scalar(&self, p: Point, stats: &mut SearchStats) -> Vec<ItemId> {
-        ScalarLanes(self)
-            .search_point(p, &mut SearchScratch::new(), Some(stats))
             .to_vec()
     }
 
@@ -390,19 +361,6 @@ impl FrozenRTree {
             .to_vec()
     }
 
-    /// [`nearest_neighbors`](Self::nearest_neighbors) forced through the
-    /// scalar lane kernel (differential-testing reference path).
-    pub fn nearest_neighbors_scalar(
-        &self,
-        p: Point,
-        k: usize,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        ScalarLanes(self)
-            .search_nearest(p, k, &mut KnnScratch::new(), Some(stats))
-            .to_vec()
-    }
-
     /// [`nearest_neighbors`](Self::nearest_neighbors) without statistics
     /// or per-call allocation.
     pub fn nearest_neighbors_into<'s>(
@@ -416,11 +374,9 @@ impl FrozenRTree {
 }
 
 /// Node ids are BFS arena indices. The mask and distance methods hand a
-/// chunk of the node's coordinate planes to the build's default
-/// [`LaneKernel`] (scalar `&`-folding or explicit SSE2/AVX — every
-/// kernel produces the identical mask, and NaN padding lanes never set a
-/// bit), so the shared traversals visit, report and count exactly as on
-/// the pointer tree.
+/// chunk of the node's coordinate planes to the `lanes` kernels (NaN
+/// padding lanes never set a bit), so the shared traversals visit,
+/// report and count exactly as on the pointer tree.
 impl NodeAccess for FrozenRTree {
     fn root(&self) -> NodeId {
         NodeId(0)
@@ -465,84 +421,100 @@ impl NodeAccess for FrozenRTree {
     #[inline(always)]
     fn mask_within(&self, node: NodeId, chunk: usize, window: &Rect) -> u64 {
         let (x1, y1, x2, y2) = self.chunk_planes(node, chunk, self.fanout);
-        DefaultKernel::mask_within(x1, y1, x2, y2, window)
+        lanes::within(x1, y1, x2, y2, window)
     }
 
     #[inline(always)]
     fn mask_intersects(&self, node: NodeId, chunk: usize, window: &Rect) -> u64 {
         let (x1, y1, x2, y2) = self.chunk_planes(node, chunk, self.fanout);
-        DefaultKernel::mask_intersects(x1, y1, x2, y2, window)
+        lanes::intersects(x1, y1, x2, y2, window)
     }
 
     #[inline(always)]
     fn mask_point(&self, node: NodeId, chunk: usize, p: Point) -> u64 {
         let (x1, y1, x2, y2) = self.chunk_planes(node, chunk, self.fanout);
-        DefaultKernel::mask_point(x1, y1, x2, y2, p)
+        lanes::point(x1, y1, x2, y2, p)
     }
 
     fn lane_distances(&self, node: NodeId, chunk: usize, p: Point, out: &mut [f64]) {
         let (x1, y1, x2, y2) = self.chunk_planes(node, chunk, chunk * 64 + out.len());
-        DefaultKernel::distances(x1, y1, x2, y2, p, out)
+        lanes::distances(x1, y1, x2, y2, p, out)
     }
 }
 
-/// A [`FrozenRTree`] pruned through the [`ScalarKernel`]: the reference
-/// the `_scalar` query variants run, structure shared with the arena.
-struct ScalarLanes<'a>(&'a FrozenRTree);
+/// The predicates of the paper's `SEARCH` over one node's coordinate
+/// planes: query operand against plane operand, folded with `&`, so a
+/// NaN padding lane fails every predicate. The mask functions take
+/// equal-length slices of at most 64 lanes, and bit `i` of the mask is
+/// set iff lane `i` satisfies the predicate.
+mod lanes {
+    use rtree_geom::{Point, Rect};
 
-impl NodeAccess for ScalarLanes<'_> {
-    fn root(&self) -> NodeId {
-        self.0.root()
+    /// `WITHIN`: lane rectangle covered by `w`
+    /// (`w.min <= lane.min && lane.max <= w.max`, both axes).
+    #[inline]
+    pub(super) fn within(x1: &[f64], y1: &[f64], x2: &[f64], y2: &[f64], w: &Rect) -> u64 {
+        let mut mask = 0u64;
+        for lane in 0..x1.len() {
+            let hit = (w.min_x <= x1[lane])
+                & (w.min_y <= y1[lane])
+                & (x2[lane] <= w.max_x)
+                & (y2[lane] <= w.max_y);
+            mask |= (hit as u64) << lane;
+        }
+        mask
     }
 
-    fn fanout(&self) -> usize {
-        self.0.fanout
+    /// `INTERSECTS`: lane rectangle shares at least a point with `w`.
+    #[inline]
+    pub(super) fn intersects(x1: &[f64], y1: &[f64], x2: &[f64], y2: &[f64], w: &Rect) -> u64 {
+        let mut mask = 0u64;
+        for lane in 0..x1.len() {
+            let hit = (x1[lane] <= w.max_x)
+                & (w.min_x <= x2[lane])
+                & (y1[lane] <= w.max_y)
+                & (w.min_y <= y2[lane]);
+            mask |= (hit as u64) << lane;
+        }
+        mask
     }
 
-    fn is_leaf(&self, node: NodeId) -> bool {
-        self.0.is_leaf(node)
+    /// `contains_point`: lane rectangle contains `p`.
+    #[inline]
+    pub(super) fn point(x1: &[f64], y1: &[f64], x2: &[f64], y2: &[f64], p: Point) -> u64 {
+        let mut mask = 0u64;
+        for lane in 0..x1.len() {
+            let hit = (x1[lane] <= p.x) & (p.x <= x2[lane]) & (y1[lane] <= p.y) & (p.y <= y2[lane]);
+            mask |= (hit as u64) << lane;
+        }
+        mask
     }
 
-    fn entry_count(&self, node: NodeId) -> usize {
-        self.0.entry_count(node)
-    }
-
-    fn lane_mbr(&self, node: NodeId, lane: usize) -> Rect {
-        self.0.lane_mbr(node, lane)
-    }
-
-    fn child_node(&self, node: NodeId, lane: usize) -> NodeId {
-        self.0.child_node(node, lane)
-    }
-
-    fn child_item(&self, node: NodeId, lane: usize) -> ItemId {
-        self.0.child_item(node, lane)
-    }
-
-    fn mask_within(&self, node: NodeId, chunk: usize, window: &Rect) -> u64 {
-        let (x1, y1, x2, y2) = self.0.chunk_planes(node, chunk, self.0.fanout);
-        ScalarKernel::mask_within(x1, y1, x2, y2, window)
-    }
-
-    fn mask_intersects(&self, node: NodeId, chunk: usize, window: &Rect) -> u64 {
-        let (x1, y1, x2, y2) = self.0.chunk_planes(node, chunk, self.0.fanout);
-        ScalarKernel::mask_intersects(x1, y1, x2, y2, window)
-    }
-
-    fn mask_point(&self, node: NodeId, chunk: usize, p: Point) -> u64 {
-        let (x1, y1, x2, y2) = self.0.chunk_planes(node, chunk, self.0.fanout);
-        ScalarKernel::mask_point(x1, y1, x2, y2, p)
-    }
-
-    fn lane_distances(&self, node: NodeId, chunk: usize, p: Point, out: &mut [f64]) {
-        let (x1, y1, x2, y2) = self.0.chunk_planes(node, chunk, chunk * 64 + out.len());
-        ScalarKernel::distances(x1, y1, x2, y2, p, out)
+    /// `min_distance_sq(p)` per lane, written into `out` (as long as the
+    /// planes; may exceed 64) — [`Rect::min_distance_sq`] bit for bit.
+    #[inline]
+    pub(super) fn distances(
+        x1: &[f64],
+        y1: &[f64],
+        x2: &[f64],
+        y2: &[f64],
+        p: Point,
+        out: &mut [f64],
+    ) {
+        for lane in 0..out.len() {
+            // `Rect::min_distance_sq` unrolled over the planes.
+            let dx = (x1[lane] - p.x).max(0.0).max(p.x - x2[lane]);
+            let dy = (y1[lane] - p.y).max(0.0).max(p.y - y2[lane]);
+            out[lane] = dx * dx + dy * dy;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn pt(x: f64, y: f64) -> Rect {
         Rect::from_point(Point::new(x, y))
@@ -695,35 +667,95 @@ mod tests {
         assert_eq!(f.items(), tree.items());
     }
 
-    #[test]
-    fn scalar_kernel_paths_are_bit_identical_to_default() {
-        // On SIMD builds this pins the vector kernels to the scalar
-        // reference (results, order, counters); on scalar builds both
-        // sides run the same kernel and the test is a tautology — which
-        // is exactly the claim the feature gate makes.
-        let tree = build(400);
-        let f = FrozenRTree::freeze(&tree);
-        let mut ds = SearchStats::default();
-        let mut ss = SearchStats::default();
-        for q in 0..40 {
-            let g = q as f64;
-            let w = Rect::new(g * 0.9, g * 0.6, g * 0.9 + 14.0, g * 0.6 + 11.0);
-            assert_eq!(
-                f.search_within(&w, &mut ds),
-                f.search_within_scalar(&w, &mut ss)
-            );
-            assert_eq!(
-                f.search_intersecting(&w, &mut ds),
-                f.search_intersecting_scalar(&w, &mut ss)
-            );
-            let p = Point::new(g * 1.7, g * 0.8);
-            assert_eq!(f.point_query(p, &mut ds), f.point_query_scalar(p, &mut ss));
-            assert_eq!(
-                f.nearest_neighbors(p, 7, &mut ds),
-                f.nearest_neighbors_scalar(p, 7, &mut ss)
-            );
+    /// Random planes with NaN padding sprinkled in.
+    fn random_planes(rng: &mut StdRng, n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
+        let mut x1 = Vec::with_capacity(n);
+        let mut y1 = Vec::with_capacity(n);
+        let mut x2 = Vec::with_capacity(n);
+        let mut y2 = Vec::with_capacity(n);
+        for _ in 0..n {
+            if rng.gen_bool(0.2) {
+                x1.push(f64::NAN);
+                y1.push(f64::NAN);
+                x2.push(f64::NAN);
+                y2.push(f64::NAN);
+            } else {
+                let ax = rng.gen_range(-100.0..100.0);
+                let ay = rng.gen_range(-100.0..100.0);
+                let w = rng.gen_range(0.0..30.0);
+                let h = rng.gen_range(0.0..30.0);
+                x1.push(ax);
+                y1.push(ay);
+                x2.push(ax + w);
+                y2.push(ay + h);
+            }
         }
-        assert_eq!(ds, ss, "kernel counters diverged");
+        (x1, y1, x2, y2)
+    }
+
+    /// Regular, degenerate, infinite, and NaN query windows (struct
+    /// literals: the predicates must stay safe for any bit pattern).
+    fn query_windows() -> Vec<Rect> {
+        vec![
+            Rect::new(-20.0, -20.0, 40.0, 40.0),
+            Rect::new(-50.0, -50.0, 50.0, 50.0),
+            Rect::new(0.0, 0.0, 0.0, 0.0),
+            Rect {
+                min_x: f64::NEG_INFINITY,
+                min_y: f64::NEG_INFINITY,
+                max_x: f64::INFINITY,
+                max_y: f64::INFINITY,
+            },
+            Rect {
+                min_x: f64::NAN,
+                min_y: 0.0,
+                max_x: 10.0,
+                max_y: 10.0,
+            },
+            Rect {
+                min_x: -10.0,
+                min_y: -10.0,
+                max_x: f64::NAN,
+                max_y: f64::NAN,
+            },
+        ]
+    }
+
+    /// Each lane kernel agrees with the `Rect` method it stands for, lane
+    /// by lane, over odd widths up to a full chunk and every kind of
+    /// window; a NaN padding lane never matches and is never measured.
+    #[test]
+    fn mask_predicates_match_rect_methods() {
+        let mut rng = StdRng::seed_from_u64(0xAB_CD);
+        for n in [1usize, 3, 4, 5, 13, 32, 64] {
+            let (x1, y1, x2, y2) = random_planes(&mut rng, n);
+            for w in &query_windows() {
+                let p = Point::new(w.min_x, w.min_y);
+                let within = lanes::within(&x1, &y1, &x2, &y2, w);
+                let inter = lanes::intersects(&x1, &y1, &x2, &y2, w);
+                let at = lanes::point(&x1, &y1, &x2, &y2, p);
+                let mut dist = vec![0.0f64; n];
+                lanes::distances(&x1, &y1, &x2, &y2, p, &mut dist);
+                for lane in 0..n {
+                    if x1[lane].is_nan() {
+                        assert_eq!(within >> lane & 1, 0, "NaN lane {lane} matched within");
+                        assert_eq!(inter >> lane & 1, 0, "NaN lane {lane} matched intersects");
+                        assert_eq!(at >> lane & 1, 0, "NaN lane {lane} matched point");
+                        continue;
+                    }
+                    let r = Rect::new(x1[lane], y1[lane], x2[lane], y2[lane]);
+                    let at_lane = format!("n={n} lane {lane} w={w:?}");
+                    assert_eq!(within >> lane & 1 == 1, r.covered_by(w), "{at_lane}");
+                    assert_eq!(inter >> lane & 1 == 1, r.intersects(w), "{at_lane}");
+                    assert_eq!(at >> lane & 1 == 1, r.contains_point(p), "{at_lane}");
+                    assert_eq!(
+                        dist[lane].to_bits(),
+                        r.min_distance_sq(p).to_bits(),
+                        "{at_lane}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -742,8 +774,7 @@ mod tests {
 
     /// Fan-out 102 — the branching factor of a disk page — spreads a
     /// node over two 64-lane chunks: every path must still agree with
-    /// the pointer tree and the `_scalar` reference, order and counters
-    /// included.
+    /// the pointer tree, order and counters included.
     #[test]
     fn wide_nodes_traverse_in_chunks() {
         let mut tree = RTree::new(RTreeConfig::with_branching(102));
@@ -755,8 +786,7 @@ mod tests {
         assert!(tree.depth() >= 1);
         let f = FrozenRTree::freeze(&tree);
         assert_eq!(f.fanout().div_ceil(64), 2);
-        let (mut ts, mut fs, mut ss) = <(SearchStats, SearchStats, SearchStats)>::default();
-        let mut batch = crate::BatchScratch::new();
+        let (mut ts, mut fs) = <(SearchStats, SearchStats)>::default();
         let windows: Vec<Rect> = (0..40)
             .map(|q| {
                 let g = q as f64;
@@ -764,45 +794,27 @@ mod tests {
             })
             .collect();
         for within in [true, false] {
-            let mut batch_stats = SearchStats::default();
-            let mut single_stats = SearchStats::default();
-            let batched = f.batch_windows_stats(&windows, within, &mut batch, &mut batch_stats);
             for (i, w) in windows.iter().enumerate() {
-                let (pointer, frozen, scalar) = if within {
-                    (
-                        tree.search_within(w, &mut ts),
-                        f.search_within(w, &mut single_stats),
-                        f.search_within_scalar(w, &mut ss),
-                    )
+                let (pointer, frozen) = if within {
+                    (tree.search_within(w, &mut ts), f.search_within(w, &mut fs))
                 } else {
                     (
                         tree.search_intersecting(w, &mut ts),
-                        f.search_intersecting(w, &mut single_stats),
-                        f.search_intersecting_scalar(w, &mut ss),
+                        f.search_intersecting(w, &mut fs),
                     )
                 };
                 assert!(!pointer.is_empty(), "window {i} must hit something");
                 assert_eq!(frozen, pointer, "window {i} within={within}");
-                assert_eq!(scalar, pointer, "scalar window {i} within={within}");
-                assert_eq!(batched.get(i), pointer.as_slice(), "batched window {i}");
             }
-            assert_eq!(
-                batch_stats, single_stats,
-                "batched counters within={within}"
-            );
-            fs += single_stats;
         }
         for w in &windows {
             let p = Point::new(w.min_x, w.min_y);
             let pointer = tree.point_query(p, &mut ts);
             assert_eq!(f.point_query(p, &mut fs), pointer);
-            assert_eq!(f.point_query_scalar(p, &mut ss), pointer);
             let pointer = tree.nearest_neighbors(p, 70, &mut ts);
             assert_eq!(f.nearest_neighbors(p, 70, &mut fs), pointer);
-            assert_eq!(f.nearest_neighbors_scalar(p, 70, &mut ss), pointer);
         }
         assert_eq!(fs, ts, "frozen counters diverged from pointer tree");
-        assert_eq!(ss, ts, "scalar counters diverged from pointer tree");
     }
 
     #[test]

@@ -25,19 +25,10 @@
 //! not the actual tuples themselves", §3).
 
 #![warn(missing_docs)]
-// The crate is `unsafe`-free except for the `core::arch` intrinsic
-// calls inside `simd::x86` (which carries a module-scoped `allow`).
-// Without the `simd` feature — or off x86_64 — the stronger `forbid`
-// applies to the whole crate.
-#![cfg_attr(
-    not(all(feature = "simd", target_arch = "x86_64")),
-    forbid(unsafe_code)
-)]
-#![cfg_attr(all(feature = "simd", target_arch = "x86_64"), deny(unsafe_code))]
+#![forbid(unsafe_code)]
 
 pub mod access;
 pub mod ascii;
-pub mod batch;
 pub mod builder;
 pub mod config;
 mod delete;
@@ -48,19 +39,17 @@ pub mod knn;
 pub mod metrics;
 pub mod node;
 pub mod search;
-pub(crate) mod simd;
 mod split;
 pub mod stats;
 pub mod tree;
 
 pub use access::NodeAccess;
-pub use batch::{BatchScratch, ItemBatches, NeighborBatches};
 pub use builder::{BottomUpBuilder, ReservedRange};
 pub use config::{RTreeConfig, SplitPolicy};
 pub use frozen::{FrozenChild, FrozenRTree};
 pub use knn::{KnnScratch, Neighbor};
 pub use metrics::TreeMetrics;
 pub use node::{Child, Entry, ItemId, Node, NodeId};
-pub use search::SearchScratch;
+pub use search::{BatchScratch, SearchScratch};
 pub use stats::SearchStats;
 pub use tree::RTree;

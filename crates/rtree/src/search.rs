@@ -51,6 +51,11 @@ impl SearchScratch {
     }
 }
 
+/// The scratch of [`FrozenRTree::batch_windows`](crate::FrozenRTree::batch_windows):
+/// a pack of queries runs one at a time over one [`SearchScratch`].
+/// Kept only because `sysbench`'s probes name it.
+pub type BatchScratch = SearchScratch;
+
 /// Where traversal counters go. The statistics-free implementation is a
 /// set of empty inlined methods, so the fast path pays nothing for the
 /// instrumentation the paper's Table 1 experiments need.

@@ -144,10 +144,10 @@ impl Client {
     }
 
     /// Sends a query *without* waiting for the response and returns its
-    /// request id. Pipelining lets a backlog form on the server, which
-    /// the worker pool then dequeues and executes as one batch; collect
-    /// the responses with [`read_response`](Self::read_response) and
-    /// match them to ids (they may arrive in any order).
+    /// request id. Pipelining lets a backlog form on the server, which a
+    /// worker then dequeues as one pack and answers query by query;
+    /// collect the responses with [`read_response`](Self::read_response)
+    /// and match them to ids (they may arrive in any order).
     pub fn send_query(&mut self, text: &str) -> Result<u64, ClientError> {
         self.send_query_with_timeout(text, 0)
     }

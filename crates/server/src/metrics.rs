@@ -219,11 +219,6 @@ pub struct Metrics {
     pub internal_errors: Counter,
     /// Snapshot publications since start.
     pub snapshots_published: Counter,
-    /// Multi-query packs executed through the batched path (a pack of
-    /// one query counts as single-query execution, not a batch).
-    pub query_batches: Counter,
-    /// Queries that rode in those packs.
-    pub batched_queries: Counter,
     /// Request-queue depth (live) and high-water mark.
     pub queue_depth: Gauge,
     /// End-to-end latency of executed queries (µs buckets).
@@ -314,7 +309,6 @@ impl Metrics {
                 "\"responses\":{{\"ok\":{},\"query_error\":{},\"protocol_error\":{},",
                 "\"timeout\":{},\"overloaded\":{},\"internal_error\":{}}},",
                 "\"snapshots_published\":{},",
-                "\"batching\":{{\"batches\":{},\"batched_queries\":{}}},",
                 "\"queue\":{{\"depth\":{},\"high_water\":{}}},",
                 "\"query_latency_us\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{}}},",
                 "\"admin_latency_us\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p99\":{}}},",
@@ -342,8 +336,6 @@ impl Metrics {
             self.overloads.get(),
             self.internal_errors.get(),
             self.snapshots_published.get(),
-            self.query_batches.get(),
-            self.batched_queries.get(),
             self.queue_depth.get(),
             self.queue_depth.high_water(),
             q.count(),
@@ -423,13 +415,10 @@ mod tests {
         m.queries.incr();
         m.ok.incr();
         m.query_latency.record(Duration::from_micros(500));
-        m.query_batches.incr();
-        m.batched_queries.add(5);
         let json = m.to_json(3, 64, 4);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"snapshot_epoch\":3"));
         assert!(json.contains("\"queries\":1"));
-        assert!(json.contains("\"batching\":{\"batches\":1,\"batched_queries\":5}"));
         assert!(json.contains("\"p99\":"));
         // Write-path section renders, with the frozen flag as a bool.
         assert!(json.contains("\"write_path\":{\"inserts\":0"));

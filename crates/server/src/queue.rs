@@ -5,7 +5,7 @@
 //! [`BoundedQueue::try_push`]: a full queue is an immediate
 //! [`PushError::Full`], which the server turns into an `Overloaded`
 //! response — load is shed at the door instead of building an unbounded
-//! backlog. Consumers (workers) block in [`BoundedQueue::pop`];
+//! backlog. Consumers (workers) block in [`BoundedQueue::pop_batch`];
 //! [`BoundedQueue::close`] lets already-queued jobs drain (pops keep
 //! succeeding) and wakes every worker once the queue is empty.
 
@@ -67,30 +67,12 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Dequeues, blocking while the queue is empty and open. Returns
-    /// `None` once the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .available
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
     /// Dequeues up to `max` items into `out`, blocking only for the
     /// first one. Whatever else is *already* queued rides along (up to
     /// the cap) without waiting — batch formation never adds latency: a
     /// lone job departs alone, a backlog drains in packs. Returns the
-    /// number of items appended; `0` means closed **and** drained, like
-    /// [`pop`](Self::pop) returning `None`.
+    /// number of items appended; `0` means the queue is closed **and**
+    /// drained.
     pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         if max == 0 {
             return 0;
@@ -180,7 +162,9 @@ mod tests {
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(q.pop(), Some(1));
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch(&mut out, 1), 1);
+        assert_eq!(out, vec![1]);
         q.try_push(3).unwrap();
         assert_eq!(q.len(), 2);
     }
@@ -192,20 +176,22 @@ mod tests {
         q.try_push(2).unwrap();
         q.close();
         assert_eq!(q.try_push(3), Err(PushError::Closed(3)));
-        // Queued items still drain.
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
+        // Queued items still drain, one pop at a time.
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch(&mut out, 1), 1);
+        assert_eq!(q.pop_batch(&mut out, 1), 1);
+        assert_eq!(out, vec![1, 2]);
+        assert_eq!(q.pop_batch(&mut out, 1), 0);
     }
 
     #[test]
     fn blocked_consumer_wakes_on_close() {
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop());
+        let h = std::thread::spawn(move || q2.pop_batch(&mut Vec::new(), 8));
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
-        assert_eq!(h.join().unwrap(), None);
+        assert_eq!(h.join().unwrap(), 0);
     }
 
     #[test]
@@ -290,8 +276,9 @@ mod tests {
             let q = Arc::clone(&q);
             consumers.push(std::thread::spawn(move || {
                 let mut sum = 0u64;
-                while let Some(v) = q.pop() {
-                    sum += v;
+                let mut out = Vec::new();
+                while q.pop_batch(&mut out, 3) > 0 {
+                    sum += out.drain(..).sum::<u64>();
                 }
                 sum
             }));

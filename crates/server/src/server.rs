@@ -13,11 +13,13 @@
 //!   a long rebuild never stalls the queue or the loop. A full queue or
 //!   slot is answered immediately with `Overloaded` — the reactor never
 //!   blocks on the pool.
-//! * `workers` **worker threads** pop queries in batches, pin the
-//!   current database snapshot through a per-thread lock-free cache,
-//!   execute (reusing cached plans where the epoch still matches), and
-//!   park response frames in the connection's outbox for the reactor to
-//!   flush.
+//! * `workers` **worker threads** dequeue whatever jobs are waiting, up
+//!   to `max_batch` at once, and pin the current database snapshot
+//!   through a per-thread lock-free cache. The inserts among the jobs
+//!   commit under one WAL sync and one publication; then each query is
+//!   answered on its own through one function (deadline, cached plan,
+//!   execution), and the jobs' response frames are parked in their
+//!   connections' outboxes for the reactor to flush.
 //! * One **rebuild thread** replaces packed generations: every
 //!   picture's when a `REPACK` waits, the pictures holding a delta when
 //!   the delta population passes `merge_threshold`. Either way it packs
@@ -42,7 +44,7 @@ use psql::database::PictorialDatabase;
 use psql::functions::FunctionRegistry;
 use psql::plan::Plan;
 use psql::{InsertRecord, PsqlError, ResultSet};
-use rtree_index::{BatchScratch, SearchScratch};
+use rtree_index::SearchScratch;
 use rtree_storage::{Pager, Wal, WAL_RECORD_MAX};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -67,13 +69,12 @@ pub struct ServerConfig {
     pub default_deadline: Duration,
     /// Back-off hint carried in `Overloaded` responses.
     pub retry_after_ms: u32,
-    /// Most queries a worker dequeues in one go. Whatever backlog is
-    /// already queued rides along (never waiting for more), and the pack
-    /// executes through the batched query path — spatially grouped
-    /// traversal over one shared scratch. `1` disables batching.
+    /// Jobs a worker dequeues at once; the inserts among them share one
+    /// WAL sync and one publication. Whatever backlog is already queued
+    /// rides along (a worker never waits for more).
     pub max_batch: usize,
     /// Write-ahead-log file for dynamic inserts. When set, every insert
-    /// is appended + fsynced (group commit per worker batch) *before* it
+    /// is appended + fsynced (group commit per dequeued pack) *before* it
     /// is acknowledged, and startup replays the log into the delta trees.
     /// `None` keeps inserts memory-only (tests, ephemeral servers).
     pub wal_path: Option<PathBuf>,
@@ -517,7 +518,7 @@ fn shutting_down(id: u64) -> Response {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    let mut batch = BatchScratch::new();
+    let mut scratch = SearchScratch::new();
     let mut cache = SnapshotCache::new();
     let mut jobs: Vec<Job> = Vec::new();
     let max_batch = shared.config.max_batch.max(1);
@@ -546,131 +547,19 @@ fn worker_loop(shared: &Arc<Shared>) {
             snapshot = shared.snapshots.load_cached(&mut cache);
         }
 
-        let query_count = jobs
+        // Each query is answered on its own; the pack's responses leave
+        // together once the last is built.
+        let answers: Vec<(&Job, Response)> = jobs
             .iter()
-            .filter(|j| matches!(j.kind, JobKind::Query(_)))
-            .count();
-        if query_count == 0 {
-            continue;
-        }
-        if query_count == 1 {
-            if let Some(job) = jobs.iter().find(|j| matches!(j.kind, JobKind::Query(_))) {
-                run_job(shared, &snapshot, job, batch.search());
-            }
-            continue;
-        }
-
-        // A dequeued pack: answer already-expired jobs, run diagnostics
-        // directives one at a time (a `#sleep` must not stall the rest
-        // of the pack's responses), prepare the remainder (through the
-        // plan cache), and execute the prepared plans as one
-        // spatially-grouped batch. One expired (or malformed, or
-        // panicking) job never poisons its pack-mates: each is answered
-        // individually and the rest still execute.
-        let mut pack: Vec<(usize, Arc<Plan>)> = Vec::new();
-        let mut preparing = Duration::ZERO;
-        for (i, job) in jobs.iter().enumerate() {
-            let JobKind::Query(text) = &job.kind else {
-                continue; // inserts already acknowledged above
-            };
-            if Instant::now() > job.deadline {
-                shared.metrics.timeouts.incr();
-                job.session.send(&Response::Timeout { id: job.id });
-            } else if text.trim_start().starts_with('#') {
-                run_job(shared, &snapshot, job, batch.search());
-            } else {
-                let started = Instant::now();
-                let prepared = catch_unwind(AssertUnwindSafe(|| {
-                    prepare(
-                        &snapshot.db,
-                        snapshot.epoch,
-                        text.trim(),
-                        &shared.plans,
-                        &shared.metrics,
-                    )
-                }));
-                preparing += started.elapsed();
-                match prepared {
-                    Ok(Ok(plan)) => pack.push((i, plan)),
-                    Ok(Err(e)) => {
-                        shared.metrics.query_errors.incr();
-                        job.session.send(&Response::Error {
-                            id: job.id,
-                            kind: ErrorKind::from(&e),
-                            message: e.to_string(),
-                        });
-                    }
-                    Err(_) => {
-                        shared.metrics.internal_errors.incr();
-                        job.session.send(&Response::Error {
-                            id: job.id,
-                            kind: ErrorKind::Internal,
-                            message: "query execution panicked (contained; session unaffected)"
-                                .into(),
-                        });
-                    }
+            .filter_map(|job| match &job.kind {
+                JobKind::Query(text) => {
+                    Some((job, answer(shared, &snapshot, job, text, &mut scratch)))
                 }
-            }
-        }
-        if pack.is_empty() {
-            continue;
-        }
-        let plans: Vec<&Plan> = pack.iter().map(|(_, plan)| plan.as_ref()).collect();
-        if plans.len() >= 2 {
-            shared.metrics.query_batches.incr();
-            shared.metrics.batched_queries.add(plans.len() as u64);
-        }
-        let started = Instant::now();
-        let results = catch_unwind(AssertUnwindSafe(|| {
-            psql::exec::execute_plans_batch_with_scratch(
-                &snapshot.db,
-                &plans,
-                &shared.functions,
-                &mut batch,
-            )
-        }));
-        match results {
-            Ok(results) => {
-                // The pack ran as one grouped traversal; its wall time
-                // (preparation included, as on the single-query path)
-                // split evenly is the honest per-query cost.
-                let share = (preparing + started.elapsed()) / plans.len() as u32;
-                for (&(i, _), result) in pack.iter().zip(results) {
-                    shared.metrics.query_latency.record(share);
-                    let job = &jobs[i];
-                    if Instant::now() > job.deadline {
-                        shared.metrics.timeouts.incr();
-                        job.session.send(&Response::Timeout { id: job.id });
-                        continue;
-                    }
-                    match result {
-                        Ok(result) => {
-                            shared.metrics.ok.incr();
-                            job.session.send(&Response::Result {
-                                id: job.id,
-                                epoch: snapshot.epoch,
-                                result,
-                            });
-                        }
-                        Err(e) => {
-                            shared.metrics.query_errors.incr();
-                            job.session.send(&Response::Error {
-                                id: job.id,
-                                kind: ErrorKind::from(&e),
-                                message: e.to_string(),
-                            });
-                        }
-                    }
-                }
-            }
-            Err(_) => {
-                // A panic mid-batch is contained by retrying each job
-                // alone, so only the offending query answers the typed
-                // internal error and innocent pack-mates still succeed.
-                for &(i, _) in &pack {
-                    run_job(shared, &snapshot, &jobs[i], batch.search());
-                }
-            }
+                JobKind::Insert(_) => None, // acknowledged by ingest_batch
+            })
+            .collect();
+        for (job, response) in answers {
+            job.session.send(&response);
         }
     }
 }
@@ -679,8 +568,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// through the cached-plan table: a full hit (plan stamped with this
 /// snapshot's epoch) skips parse *and* plan; a parse hit skips the parse
 /// and restamps a fresh plan; a miss prepares from scratch and populates
-/// the cache. Parse/plan failures are never cached. The single-query and
-/// the batched path both prepare here.
+/// the cache. Parse/plan failures are never cached.
 fn prepare(
     db: &PictorialDatabase,
     epoch: u64,
@@ -969,18 +857,21 @@ fn finish_rebuild(shared: &Shared, mut rebuild: PendingRebuild) -> Option<u64> {
     }
 }
 
-/// Executes one job exactly as the pre-batching worker did: deadline
-/// check, prepare (through the plan cache) + execute under
-/// `catch_unwind`, deadline re-check, respond.
-fn run_job(shared: &Shared, snapshot: &DatabaseSnapshot, job: &Job, scratch: &mut SearchScratch) {
-    let JobKind::Query(text) = &job.kind else {
-        return; // inserts flow through ingest_batch, never here
-    };
+/// Answers one query job: deadline check, prepare (through the plan
+/// cache) + execute under `catch_unwind`, deadline re-check. One
+/// expired, malformed or panicking job is answered alone; it never
+/// touches its pack-mates.
+fn answer(
+    shared: &Shared,
+    snapshot: &DatabaseSnapshot,
+    job: &Job,
+    text: &str,
+    scratch: &mut SearchScratch,
+) -> Response {
     if Instant::now() > job.deadline {
         // Expired while queued: answer without executing.
         shared.metrics.timeouts.incr();
-        job.session.send(&Response::Timeout { id: job.id });
-        return;
+        return Response::Timeout { id: job.id };
     }
     let started = Instant::now();
     let outcome = run_query(
@@ -997,33 +888,32 @@ fn run_job(shared: &Shared, snapshot: &DatabaseSnapshot, job: &Job, scratch: &mu
         // Finished, but past the promise: the client already moved
         // on, so report the timeout it observed.
         shared.metrics.timeouts.incr();
-        job.session.send(&Response::Timeout { id: job.id });
-        return;
+        return Response::Timeout { id: job.id };
     }
     match outcome {
         Ok(result) => {
             shared.metrics.ok.incr();
-            job.session.send(&Response::Result {
+            Response::Result {
                 id: job.id,
                 epoch: snapshot.epoch,
                 result,
-            });
+            }
         }
         Err(QueryFailure::Psql(e)) => {
             shared.metrics.query_errors.incr();
-            job.session.send(&Response::Error {
+            Response::Error {
                 id: job.id,
                 kind: ErrorKind::from(&e),
                 message: e.to_string(),
-            });
+            }
         }
         Err(QueryFailure::Panicked) => {
             shared.metrics.internal_errors.incr();
-            job.session.send(&Response::Error {
+            Response::Error {
                 id: job.id,
                 kind: ErrorKind::Internal,
                 message: "query execution panicked (contained; session unaffected)".into(),
-            });
+            }
         }
     }
 }
