@@ -174,7 +174,8 @@ pub fn group(strategy: PackStrategy, rects: &[Rect], m: usize) -> Vec<Vec<usize>
     let plan = SlabPlan::new(strategy, rects.len(), m);
     let mut groups = Vec::with_capacity(plan.total_groups());
     for k in 0..plan.slab_count() {
-        groups.extend(group_slab(strategy, rects, &ord[plan.slab_range(k)], &plan));
+        let order = slab_order(strategy, rects, &ord[plan.slab_range(k)], &plan);
+        groups.extend(order.chunks(m).map(<[usize]>::to_vec));
     }
     groups
 }
@@ -200,24 +201,11 @@ pub(crate) fn key_cmp(a: &CenterKey, b: &CenterKey) -> Ordering {
 }
 
 /// Groups one slab of the level's sort order (global indices into
-/// `rects`, already ordered by [`order`]). Produces exactly
-/// `⌈ord.len()/m⌉` groups, full except possibly the last.
-pub fn group_slab(
-    strategy: PackStrategy,
-    rects: &[Rect],
-    ord: &[usize],
-    plan: &SlabPlan,
-) -> Vec<Vec<usize>> {
-    slab_order(strategy, rects, ord, plan)
-        .chunks(plan.m())
-        .map(<[usize]>::to_vec)
-        .collect()
-}
-
-/// [`group_slab`]'s groups laid end to end: group `g` is the `g`-th of
-/// the result's `chunks(m)`, since every group but the slab's last is
-/// full.
-pub(crate) fn slab_order(
+/// `rects`, already ordered by [`order`]) and returns the groups laid
+/// end to end: group `g` is the `g`-th of the result's
+/// `chunks(plan.m())`, since every group but the slab's last is full —
+/// `⌈ord.len()/m⌉` groups in all.
+pub fn slab_order(
     strategy: PackStrategy,
     rects: &[Rect],
     ord: &[usize],

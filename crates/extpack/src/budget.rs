@@ -1,31 +1,24 @@
 //! The memory-budget accounting hook.
 //!
-//! Every byte of run buffer, merge head, partition chunk, and emission
-//! batch the external packer holds is charged here before use and
-//! released after, so tests can assert that peak resident buffer usage
-//! never exceeded
+//! Every byte of run buffer, merge head, and emission batch the external
+//! packer holds is charged here before use and released after, so tests
+//! can assert that peak resident buffer usage never exceeded
 //! [`ExtPackConfig::memory_budget_bytes`](crate::ExtPackConfig::memory_budget_bytes).
-//!
-//! The accountant is lock-free and shared by reference across the
-//! pipeline's worker threads (the background run sorter, the partition
-//! mergers): charges are atomic adds and the peak is maintained with a
-//! compare-free `fetch_max`, so concurrent charges from any number of
-//! workers still produce an exact high-water mark.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Tracks current and peak accounted bytes against a budget.
 ///
 /// The accountant does not *enforce* the budget — the packer sizes its
-/// buffers, fan-ins, and worker counts so charges stay within it (above
-/// a small floor: a merge needs at least two heads and a run buffer at
-/// least one record) — it records what was actually held so the bound is
-/// checkable from outside.
+/// buffers and fan-ins so charges stay within it (above a small floor: a
+/// merge needs at least two heads and a run buffer at least one record)
+/// — it records what was actually held so the bound is checkable from
+/// outside.
 #[derive(Debug)]
 pub struct BudgetAccountant {
     budget: u64,
-    current: AtomicU64,
-    peak: AtomicU64,
+    current: Cell<u64>,
+    peak: Cell<u64>,
 }
 
 impl BudgetAccountant {
@@ -33,33 +26,22 @@ impl BudgetAccountant {
     pub fn new(budget: u64) -> BudgetAccountant {
         BudgetAccountant {
             budget,
-            current: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
+            current: Cell::new(0),
+            peak: Cell::new(0),
         }
     }
 
     /// Charges `bytes` of resident buffer memory.
     pub fn charge(&self, bytes: u64) {
-        let now = self.current.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak.fetch_max(now, Ordering::Relaxed);
+        let now = self.current.get() + bytes;
+        self.current.set(now);
+        self.peak.set(self.peak.get().max(now));
     }
 
-    /// Releases `bytes` previously charged.
+    /// Releases `bytes` previously charged. Saturating: a release can
+    /// never drive the ledger negative.
     pub fn release(&self, bytes: u64) {
-        // Saturating: a release can never drive the ledger negative.
-        let mut cur = self.current.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match self.current.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        self.current.set(self.current.get().saturating_sub(bytes));
     }
 
     /// The budget this accountant was created with.
@@ -69,17 +51,12 @@ impl BudgetAccountant {
 
     /// Bytes currently charged.
     pub fn current(&self) -> u64 {
-        self.current.load(Ordering::Relaxed)
-    }
-
-    /// Budget bytes not currently charged (0 when over the floor).
-    pub fn headroom(&self) -> u64 {
-        self.budget.saturating_sub(self.current())
+        self.current.get()
     }
 
     /// The high-water mark of charged bytes.
     pub fn peak(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
+        self.peak.get()
     }
 }
 
@@ -97,7 +74,6 @@ mod tests {
         assert_eq!(b.current(), 30);
         assert_eq!(b.peak(), 80);
         assert_eq!(b.budget(), 100);
-        assert_eq!(b.headroom(), 70);
     }
 
     #[test]
@@ -107,26 +83,5 @@ mod tests {
         b.release(100);
         assert_eq!(b.current(), 0);
         assert_eq!(b.peak(), 5);
-    }
-
-    #[test]
-    fn concurrent_charges_keep_an_exact_peak() {
-        // 4 threads × 1000 balanced charge/release pairs of 7 bytes: the
-        // ledger must return to zero and the peak can never exceed the
-        // sum of simultaneously outstanding charges.
-        let b = BudgetAccountant::new(1 << 20);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        b.charge(7);
-                        b.release(7);
-                    }
-                });
-            }
-        });
-        assert_eq!(b.current(), 0);
-        assert!(b.peak() >= 7, "at least one charge was outstanding");
-        assert!(b.peak() <= 4 * 7, "peak {} > 4 workers × 7", b.peak());
     }
 }

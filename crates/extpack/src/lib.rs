@@ -11,17 +11,12 @@
 //!    in-memory packer, applied with
 //!    [`par_sort_values`](packed_rtree_core::par_sort_values)) and
 //!    spilled as a CRC-framed run of
-//!    [`PageType::Spill`](rtree_storage::PageType) pages. With
-//!    `threads ≥ 2` production is **overlapped**: a background sorter
-//!    sorts and spills run N while the producer fills run N+1
-//!    (double-buffered, both buffers budget-accounted).
-//! 2. **Merge → emit** — the runs are k-way merged, **partitioned by
-//!    key range across worker threads** when budget and thread count
-//!    allow (keys are unique per level, so the stitched partitions equal
-//!    the global merge record for record); the merged stream is cut into
-//!    the *same* deterministic slabs as the in-memory packer
+//!    [`PageType::Spill`](rtree_storage::PageType) pages before the next
+//!    buffer fills.
+//! 2. **Merge → emit** — the runs are k-way merged; the merged stream is
+//!    cut into the *same* deterministic slabs as the in-memory packer
 //!    ([`SlabPlan`](packed_rtree_core::grouping::SlabPlan)), each slab is
-//!    grouped with [`group_slab`](packed_rtree_core::grouping::group_slab),
+//!    grouped with [`slab_order`](packed_rtree_core::grouping::slab_order),
 //!    and every group is written as one fully packed node page into the
 //!    destination file in contiguous batches
 //!    ([`PageStore::write_pages`](rtree_storage::PageStore::write_pages)).
@@ -31,23 +26,23 @@
 //!    page is durable ([`DiskRTree::commit_external`]), so a crash at
 //!    any point leaves the previous tree or a detectably-absent one.
 //!
+//! The pack runs on the calling thread; its one parallel step is the
+//! run-buffer sort, which uses up to [`ExtPackConfig::threads`] workers.
 //! Because run boundaries are contiguous arrival chunks whose size
-//! depends only on the budget (never the thread count), the merge
-//! comparator (center-x, center-y, arrival order) reproduces exactly the
-//! global sorted permutation of the in-memory packer, and because the
-//! slab plan is a pure function of `(strategy, n, m)`, the resulting
-//! tree is **bit-identical** to [`pack`](packed_rtree_core::pack) at any
-//! memory budget *and any thread count* — the differential suite asserts
-//! this down to budgets that force one-record runs.
+//! depends only on the budget, the merge comparator (center-x,
+//! center-y, arrival order) reproduces exactly the global sorted
+//! permutation of the in-memory packer, and because the slab plan is a
+//! pure function of `(strategy, n, m)`, the resulting tree is
+//! **bit-identical** to [`pack`](packed_rtree_core::pack) at any memory
+//! budget and any thread count — the differential suite asserts this
+//! down to budgets that force one-record runs.
 //!
 //! Memory is governed by one knob,
 //! [`ExtPackConfig::memory_budget_bytes`], which bounds run buffers,
-//! merge heads, partition chunks, and the emission batch (asserted
-//! through the [`BudgetAccountant`] hook); worker counts are clamped to
-//! what the budget affords, so over-subscribed `threads` degrade rather
-//! than overshoot. The slab buffer is a fixed working set of ~`512·M`
-//! entries reported separately in [`ExtPackStats`]. See `DESIGN.md`
-//! §15 and §17.
+//! merge heads, and the emission batch (asserted through the
+//! [`BudgetAccountant`] hook). The slab buffer is a fixed working set of
+//! ~`512·M` entries reported separately in [`ExtPackStats`]. See
+//! `DESIGN.md` §15 and §17.
 //!
 //! # Quick start
 //!

@@ -1,5 +1,4 @@
-//! K-way merge of spill runs in pack-key order — sequential and
-//! partitioned-parallel.
+//! K-way merge of spill runs in pack-key order.
 //!
 //! [`MergeCursor`] is a pull-based heap merge over any number of open
 //! runs; the driver pumps it record by record straight into page
@@ -7,22 +6,11 @@
 //! number of runs exceeds what the memory budget allows to be open at
 //! once, [`reduce_runs`] first merges **rounds of consecutive
 //! fixed-size chunks** into longer runs — the classic multi-pass
-//! external merge, shaped so chunk boundaries are a pure function of the
-//! fan-in (never of the worker count): the rounds can run on any number
-//! of threads and still produce the identical run queue and identical
-//! merge statistics.
-//!
-//! The final merge of a level can additionally be **partitioned by key
-//! range** ([`plan_partitions`] + [`merge_range`]): sample the runs'
-//! page first-keys to choose split keys, open every run *seeked* to the
-//! range start ([`RunReader::open_at`]), merge each range on its own
-//! worker, and concatenate the ranges in key order. Keys are globally
-//! unique within a level (`seq` is unique), so the concatenation equals
-//! the global heap merge record for record, for any choice of split
-//! keys — partitioning is pure scheduling and cannot perturb the tree.
+//! external merge, with chunk boundaries a pure function of the queue
+//! order and the fan-in.
 
 use crate::budget::BudgetAccountant;
-use crate::spill::{first_key_of_page, Run, RunReader, RunWriter, SortKey, SpillRecord};
+use crate::spill::{Run, RunReader, RunWriter, SortKey, SpillRecord};
 use rtree_storage::{PageStore, StorageResult, PAGE_SIZE};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -30,19 +18,6 @@ use std::collections::BinaryHeap;
 /// Accounted bytes per open merge head: one resident spill page plus the
 /// reader's cursor bookkeeping.
 pub const MERGE_HEAD_BYTES: u64 = PAGE_SIZE as u64 + 64;
-
-/// Records per chunk a partition worker hands to the consumer. One chunk
-/// is ~96 KiB; each worker accounts [`CHUNKS_PER_WORKER`] of them (one
-/// being filled, one in the channel, one being drained).
-pub const PARTITION_CHUNK_RECORDS: usize = 2048;
-
-/// Chunks a partition worker may have in flight at once.
-pub const CHUNKS_PER_WORKER: u64 = 3;
-
-/// Accounted bytes one partition worker holds beyond its merge heads.
-pub fn partition_chunk_bytes() -> u64 {
-    CHUNKS_PER_WORKER * (PARTITION_CHUNK_RECORDS * crate::spill::RECORD_SIZE) as u64
-}
 
 /// One heap entry: the head record of run `src`.
 struct HeapItem {
@@ -82,38 +57,11 @@ pub struct MergeCursor<'a> {
 
 impl<'a> MergeCursor<'a> {
     /// Opens every run and primes the heap with each run's head record.
-    pub fn open(
-        store: &'a (dyn PageStore + Sync),
-        runs: Vec<Run>,
-    ) -> StorageResult<MergeCursor<'a>> {
-        let readers: Vec<RunReader<'a>> = runs
+    pub fn open(store: &'a dyn PageStore, runs: Vec<Run>) -> StorageResult<MergeCursor<'a>> {
+        let mut readers: Vec<RunReader<'a>> = runs
             .into_iter()
             .map(|r| RunReader::open(store, r))
             .collect();
-        MergeCursor::prime(readers)
-    }
-
-    /// Opens every run positioned at its first record with key ≥ `lo`
-    /// (from the start when `lo` is `None`).
-    pub fn open_at(
-        store: &'a (dyn PageStore + Sync),
-        runs: Vec<Run>,
-        lo: Option<&SortKey>,
-    ) -> StorageResult<MergeCursor<'a>> {
-        let readers: Vec<RunReader<'a>> = match lo {
-            None => runs
-                .into_iter()
-                .map(|r| RunReader::open(store, r))
-                .collect(),
-            Some(key) => runs
-                .into_iter()
-                .map(|r| RunReader::open_at(store, r, key))
-                .collect::<StorageResult<_>>()?,
-        };
-        MergeCursor::prime(readers)
-    }
-
-    fn prime(mut readers: Vec<RunReader<'a>>) -> StorageResult<MergeCursor<'a>> {
         let mut heap = BinaryHeap::with_capacity(readers.len());
         for (src, reader) in readers.iter_mut().enumerate() {
             if let Some(rec) = reader.next_record()? {
@@ -145,7 +93,7 @@ impl<'a> MergeCursor<'a> {
 
     /// Consumes the cursor, returning every input page to the spill
     /// store's free list for recycling.
-    pub fn dispose(self, store: &(dyn PageStore + Sync)) {
+    pub fn dispose(self, store: &dyn PageStore) {
         for reader in self.readers {
             for id in reader.into_run().pages {
                 store.free(id);
@@ -166,7 +114,7 @@ pub struct MergeStats {
 }
 
 /// Merges one batch of runs into a single new run.
-fn merge_batch(store: &(dyn PageStore + Sync), batch: Vec<Run>) -> StorageResult<Run> {
+fn merge_batch(store: &dyn PageStore, batch: Vec<Run>) -> StorageResult<Run> {
     let mut cursor = MergeCursor::open(store, batch)?;
     let mut writer = RunWriter::new(store);
     while let Some(rec) = cursor.next_record()? {
@@ -180,19 +128,13 @@ fn merge_batch(store: &(dyn PageStore + Sync), batch: Vec<Run>) -> StorageResult
 /// `fan_in` runs remain.
 ///
 /// Chunk boundaries are a pure function of the queue order and `fan_in`,
-/// and merged chunks re-enter the queue in chunk order — so the
-/// resulting run queue **and** the statistics are identical at every
-/// `threads` value; worker count is pure scheduling. Each in-flight
-/// chunk charges `(fan_in + 1) · MERGE_HEAD_BYTES` (its heads plus the
-/// output writer's page) against `budget`, and the number of chunks
-/// merged concurrently is clamped so the total stays within the
-/// accountant's headroom — over-subscribed thread requests degrade to
-/// fewer workers, never to an overshoot.
+/// and merged chunks re-enter the queue in chunk order. The chunk being
+/// merged charges `(fan_in + 1) · MERGE_HEAD_BYTES` (its heads plus the
+/// output writer's page) against `budget` for the whole round.
 pub fn reduce_runs(
-    store: &(dyn PageStore + Sync),
+    store: &dyn PageStore,
     runs: Vec<Run>,
     fan_in: usize,
-    threads: usize,
     budget: &BudgetAccountant,
 ) -> StorageResult<(Vec<Run>, MergeStats)> {
     let fan_in = fan_in.max(2);
@@ -201,147 +143,28 @@ pub fn reduce_runs(
     while queue.len() > fan_in {
         // One round: consecutive chunks of `fan_in` runs each collapse
         // into one; a short tail chunk of a single run passes through.
-        let mut chunks: Vec<Vec<Run>> = Vec::with_capacity(queue.len().div_ceil(fan_in));
+        let per_chunk = (fan_in as u64 + 1) * MERGE_HEAD_BYTES;
+        budget.charge(per_chunk);
+        let mut merged = Vec::with_capacity(queue.len().div_ceil(fan_in));
         let mut iter = queue.into_iter().peekable();
         while iter.peek().is_some() {
-            chunks.push(iter.by_ref().take(fan_in).collect());
-        }
-        let chunk_lens: Vec<usize> = chunks.iter().map(Vec::len).collect();
-        let per_chunk = (fan_in as u64 + 1) * MERGE_HEAD_BYTES;
-        let workers = clamp_workers(threads, budget.headroom(), per_chunk)
-            .min(chunks.iter().filter(|c| c.len() > 1).count().max(1));
-        for chunk in &chunks {
-            if chunk.len() > 1 {
-                stats.intermediate_merges += 1;
-                stats.max_fan_in = stats.max_fan_in.max(chunk.len() as u32);
+            let chunk: Vec<Run> = iter.by_ref().take(fan_in).collect();
+            if chunk.len() == 1 {
+                merged.extend(chunk);
+                continue;
             }
+            stats.intermediate_merges += 1;
+            stats.max_fan_in = stats.max_fan_in.max(chunk.len() as u32);
+            let run = merge_batch(store, chunk)?;
+            // Pass-through chunks wrote nothing; count only freshly
+            // merged runs' pages.
+            stats.spill_pages += run.pages.len() as u64;
+            merged.push(run);
         }
-        budget.charge(workers as u64 * per_chunk);
-        let merged: Vec<Run> = if workers <= 1 {
-            let mut out = Vec::with_capacity(chunks.len());
-            for chunk in chunks {
-                out.push(if chunk.len() == 1 {
-                    chunk.into_iter().next().expect("single run")
-                } else {
-                    merge_batch(store, chunk)?
-                });
-            }
-            out
-        } else {
-            // Strided assignment (chunk k → worker k mod w); results are
-            // collected back in chunk order, so scheduling is invisible.
-            let mut slots: Vec<Option<StorageResult<Run>>> = Vec::new();
-            slots.resize_with(chunks.len(), || None);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                let jobs: Vec<(usize, Vec<Run>)> = chunks.into_iter().enumerate().collect();
-                let mut buckets: Vec<Vec<(usize, Vec<Run>)>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for job in jobs {
-                    let w = job.0 % workers;
-                    buckets[w].push(job);
-                }
-                for bucket in buckets {
-                    handles.push(scope.spawn(move || {
-                        bucket
-                            .into_iter()
-                            .map(|(k, chunk)| {
-                                let out = if chunk.len() == 1 {
-                                    Ok(chunk.into_iter().next().expect("single run"))
-                                } else {
-                                    merge_batch(store, chunk)
-                                };
-                                (k, out)
-                            })
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                for h in handles {
-                    for (k, out) in h.join().expect("reduce worker panicked") {
-                        slots[k] = Some(out);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("every chunk produced a result"))
-                .collect::<StorageResult<Vec<Run>>>()?
-        };
-        budget.release(workers as u64 * per_chunk);
-        // Pass-through chunks wrote nothing; count only freshly merged
-        // runs' pages.
-        stats.spill_pages += merged
-            .iter()
-            .zip(&chunk_lens)
-            .filter(|(_, &len)| len > 1)
-            .map(|(r, _)| r.pages.len() as u64)
-            .sum::<u64>();
+        budget.release(per_chunk);
         queue = merged;
     }
     Ok((queue, stats))
-}
-
-/// Clamps a requested worker count to what `headroom` bytes can pay for
-/// at `per_worker` bytes each (floored at one worker).
-pub fn clamp_workers(requested: usize, headroom: u64, per_worker: u64) -> usize {
-    let affordable = headroom.checked_div(per_worker).unwrap_or(requested as u64);
-    requested.max(1).min(affordable.max(1) as usize)
-}
-
-/// Chooses `parts - 1` ascending split keys by sampling the runs' page
-/// first-keys (a bounded number of single-page probe reads). Split keys
-/// only steer load balance: any choice yields the same merged output.
-pub fn plan_partitions(
-    store: &(dyn PageStore + Sync),
-    runs: &[Run],
-    parts: usize,
-) -> StorageResult<Vec<SortKey>> {
-    if parts <= 1 {
-        return Ok(Vec::new());
-    }
-    let total_pages: usize = runs.iter().map(|r| r.pages.len()).sum();
-    let target = (parts * 32).clamp(parts, 256);
-    let stride = (total_pages / target).max(1);
-    let mut samples: Vec<SortKey> = Vec::with_capacity(target + runs.len());
-    for run in runs {
-        for idx in (0..run.pages.len()).step_by(stride) {
-            samples.push(first_key_of_page(store, run.pages[idx])?);
-        }
-    }
-    samples.sort_unstable();
-    if samples.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut splits = Vec::with_capacity(parts - 1);
-    for p in 1..parts {
-        splits.push(samples[p * samples.len() / parts]);
-    }
-    Ok(splits)
-}
-
-/// Merges the key range `[lo, hi)` of `runs` (unbounded where `None`),
-/// invoking `emit` for every record in global key order. This is one
-/// partition worker's whole job; the input pages are left alone — the
-/// level driver frees them once every partition is done.
-pub fn merge_range(
-    store: &(dyn PageStore + Sync),
-    runs: Vec<Run>,
-    lo: Option<&SortKey>,
-    hi: Option<&SortKey>,
-    emit: &mut dyn FnMut(SpillRecord) -> bool,
-) -> StorageResult<()> {
-    let mut cursor = MergeCursor::open_at(store, runs, lo)?;
-    while let Some(rec) = cursor.next_record()? {
-        if let Some(h) = hi {
-            if rec.key() >= *h {
-                break;
-            }
-        }
-        if !emit(rec) {
-            break;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -360,7 +183,7 @@ mod tests {
     }
 
     /// Writes `recs` (already in run order) as one run.
-    fn write_run(store: &(dyn PageStore + Sync), recs: &[SpillRecord]) -> Run {
+    fn write_run(store: &dyn PageStore, recs: &[SpillRecord]) -> Run {
         let mut w = RunWriter::new(store);
         for r in recs {
             w.push(r).unwrap();
@@ -415,7 +238,7 @@ mod tests {
             .collect();
         let before = pager.page_count();
         let budget = BudgetAccountant::new(u64::MAX);
-        let (reduced, stats) = reduce_runs(&pager, runs, 3, 1, &budget).unwrap();
+        let (reduced, stats) = reduce_runs(&pager, runs, 3, &budget).unwrap();
         assert!(reduced.len() <= 3, "got {} runs", reduced.len());
         assert_eq!(
             reduced.iter().map(|r| r.records).sum::<u64>(),
@@ -436,69 +259,43 @@ mod tests {
     }
 
     #[test]
-    fn reduce_runs_is_identical_at_every_thread_count() {
-        // Same 23 runs reduced at threads 1, 2, 4, 8: the run queue
-        // (records, page contents) and stats must be identical.
-        let mut images: Vec<(Vec<Vec<SpillRecord>>, u32, u32)> = Vec::new();
-        for threads in [1usize, 2, 4, 8] {
-            let pager = Pager::temp().unwrap();
-            let runs: Vec<Run> = (0..23)
-                .map(|r| {
-                    write_run(
-                        &pager,
-                        &(0..40)
-                            .map(|i| rec(r * 40 + i, (i * 23 + r) as f64))
-                            .collect::<Vec<_>>(),
-                    )
-                })
-                .collect();
-            let budget = BudgetAccountant::new(u64::MAX);
-            let (reduced, stats) = reduce_runs(&pager, runs, 4, threads, &budget).unwrap();
-            let contents: Vec<Vec<SpillRecord>> = reduced
-                .iter()
-                .map(|r| {
-                    let mut reader = RunReader::open(&pager, r.clone());
-                    let mut recs = Vec::new();
-                    while let Some(rec) = reader.next_record().unwrap() {
-                        recs.push(rec);
-                    }
-                    recs
-                })
-                .collect();
-            images.push((contents, stats.intermediate_merges, stats.max_fan_in));
-            assert_eq!(budget.current(), 0);
-        }
-        for pair in images.windows(2) {
-            assert_eq!(pair[0], pair[1], "thread count changed reduce output");
-        }
-    }
-
-    #[test]
-    fn reduce_runs_clamps_workers_to_budget() {
-        // A budget with headroom for exactly one in-flight chunk: 8
-        // requested threads must degrade to sequential merging, and the
-        // peak must stay within one chunk's charge.
+    fn reduce_runs_merges_consecutive_chunks_in_queue_order() {
+        // 23 runs at fan-in 4: round one merges runs 0..4, 4..8, …,
+        // 20..23 into 6 runs; round two merges those as 0..4 and 4..6.
+        // So the result is the merge of input runs 0..16, then of
+        // 16..23, and each round charges one chunk's heads.
         let pager = Pager::temp().unwrap();
-        let runs: Vec<Run> = (0..12)
-            .map(|r| write_run(&pager, &[rec(r, r as f64)]))
+        let inputs: Vec<Vec<SpillRecord>> = (0..23)
+            .map(|r| {
+                (0..40)
+                    .map(|i| rec(r * 40 + i, (i * 23 + r) as f64))
+                    .collect()
+            })
             .collect();
-        let per_chunk = 4 * MERGE_HEAD_BYTES; // fan_in 3 → (3+1) heads
-        let budget = BudgetAccountant::new(per_chunk);
-        let (reduced, _) = reduce_runs(&pager, runs, 3, 8, &budget).unwrap();
-        assert!(reduced.len() <= 3);
-        assert!(
-            budget.peak() <= per_chunk,
-            "peak {} exceeds one chunk's charge {per_chunk}",
-            budget.peak()
-        );
-    }
-
-    #[test]
-    fn clamp_workers_floors_and_caps() {
-        assert_eq!(clamp_workers(8, 100, 10), 8, "plenty of headroom");
-        assert_eq!(clamp_workers(8, 35, 10), 3, "headroom caps workers");
-        assert_eq!(clamp_workers(8, 0, 10), 1, "always at least one");
-        assert_eq!(clamp_workers(0, 100, 10), 1, "zero request floors to 1");
+        let runs: Vec<Run> = inputs.iter().map(|recs| write_run(&pager, recs)).collect();
+        let budget = BudgetAccountant::new(u64::MAX);
+        let (reduced, stats) = reduce_runs(&pager, runs, 4, &budget).unwrap();
+        let merged = |lo: usize, hi: usize| {
+            let mut recs: Vec<SpillRecord> = inputs[lo..hi].concat();
+            recs.sort_by_key(SpillRecord::key);
+            recs
+        };
+        let contents: Vec<Vec<SpillRecord>> = reduced
+            .iter()
+            .map(|r| {
+                let mut reader = RunReader::open(&pager, r.clone());
+                let mut recs = Vec::new();
+                while let Some(rec) = reader.next_record().unwrap() {
+                    recs.push(rec);
+                }
+                recs
+            })
+            .collect();
+        assert_eq!(contents, vec![merged(0, 16), merged(16, 23)]);
+        assert_eq!(stats.intermediate_merges, 6 + 2);
+        assert_eq!(stats.max_fan_in, 4);
+        assert_eq!(budget.current(), 0);
+        assert_eq!(budget.peak(), 5 * MERGE_HEAD_BYTES);
     }
 
     #[test]
@@ -506,51 +303,8 @@ mod tests {
         let pager = Pager::temp().unwrap();
         let runs = vec![write_run(&pager, &[rec(0, 0.0)])];
         let budget = BudgetAccountant::new(u64::MAX);
-        let (reduced, stats) = reduce_runs(&pager, runs, 8, 1, &budget).unwrap();
+        let (reduced, stats) = reduce_runs(&pager, runs, 8, &budget).unwrap();
         assert_eq!(reduced.len(), 1);
         assert_eq!(stats.intermediate_merges, 0);
-    }
-
-    #[test]
-    fn partitioned_ranges_concatenate_to_the_global_merge() {
-        let pager = Pager::temp().unwrap();
-        // 6 interleaved runs, 300 records with duplicate centers (ties
-        // broken by seq), so range boundaries land between equal centers
-        // too.
-        let runs: Vec<Run> = (0..6)
-            .map(|r| {
-                write_run(
-                    &pager,
-                    &(0..50)
-                        .map(|i| rec(r + 6 * i, ((i * 7) % 40) as f64))
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        // Reference: plain global merge.
-        let mut global = Vec::new();
-        let mut cursor = MergeCursor::open(&pager, runs.clone()).unwrap();
-        while let Some(r) = cursor.next_record().unwrap() {
-            global.push(r);
-        }
-        for parts in [2usize, 3, 5] {
-            let splits = plan_partitions(&pager, &runs, parts).unwrap();
-            assert_eq!(splits.len(), parts - 1);
-            let mut stitched = Vec::new();
-            for p in 0..parts {
-                let lo = if p == 0 { None } else { Some(&splits[p - 1]) };
-                let hi = if p == parts - 1 {
-                    None
-                } else {
-                    Some(&splits[p])
-                };
-                merge_range(&pager, runs.clone(), lo, hi, &mut |r| {
-                    stitched.push(r);
-                    true
-                })
-                .unwrap();
-            }
-            assert_eq!(stitched, global, "parts={parts}");
-        }
     }
 }

@@ -1,57 +1,46 @@
 //! The external PACK driver: stream → runs → merge → packed pages.
 //!
-//! Level 0 consumes the caller's item stream through budget-bounded,
-//! double-buffered run production (with `threads ≥ 2`, a background
-//! sorter sorts and spills run N while the producer fills run N+1);
-//! every level above is the same pipeline applied to the group MBRs the
-//! level below emitted, "working ever backwards, until the root is
-//! finally reached" (§3.3). Each level's runs are k-way merged — split
-//! into key-range partitions across worker threads when the budget
-//! affords it — and the merged stream is cut into the in-memory packer's
-//! deterministic slabs ([`SlabPlan`]), grouped with the identical
-//! [`group_slab`] machinery, and written as fully packed node pages in
-//! contiguous batches straight into the destination store.
+//! One thread of control runs the whole pack, the way §3.3's PACK is one
+//! sort-then-group loop. Level 0 consumes the caller's item stream into
+//! budget-bounded run buffers; each full buffer is sorted (the only
+//! parallel step: [`par_sort_values`] with up to `threads` workers) and
+//! spilled before the next one fills. Every level above is the same
+//! pipeline applied to the group MBRs the level below emitted, "working
+//! ever backwards, until the root is finally reached" (§3.3). Each
+//! level's runs are k-way merged, and the merged stream is cut into the
+//! in-memory packer's deterministic slabs ([`SlabPlan`]), grouped with
+//! the identical [`slab_order`], and written as fully packed node pages
+//! in contiguous batches straight into the destination store.
 //!
 //! # Budget ledger
 //!
-//! All concurrent buffers are charged to one [`BudgetAccountant`]:
+//! Every resident buffer is charged to one [`BudgetAccountant`]:
 //!
-//! * **Run production** — two run buffers resident (producer + sorter;
-//!   both are reserved at every thread count so run boundaries never
-//!   depend on `threads`), each capped at
+//! * **Run production** — one run buffer, capped at
 //!   `budget / (2 · RUN_RECORD_FOOTPRINT)` records and at
 //!   [`MAX_RUN_RECORDS`] — huge budgets keep cache-friendly sorts
 //!   instead of degrading into giant buffers that pack *slower*.
-//! * **Merging** — half the budget pays for merge heads: reduction
-//!   rounds charge `(fan_in + 1)` heads per in-flight chunk; the final
-//!   merge charges one head per open run per partition worker plus each
-//!   worker's in-flight record chunks. Worker counts are clamped to what
-//!   the headroom affords — over-subscribed `threads` degrade, never
-//!   overshoot.
+//! * **Merging** — half the budget pays for merge heads: a reduction
+//!   round charges `(fan_in + 1)` heads (its inputs plus the output
+//!   run's page); the final merge charges one head per open run.
 //! * **Next level** — a quarter of the budget bounds the next level's
-//!   run buffer.
+//!   run buffer, which fills while the level's merge heads are open.
 //! * **Emission** — an eighth of the budget buys the contiguous
 //!   node-page write batch beyond its first (always-present) page, so
 //!   node pages go to the destination in large sequential writes.
 
 use crate::budget::BudgetAccountant;
 use crate::guard::SpillDir;
-use crate::merge::{
-    clamp_workers, merge_range, partition_chunk_bytes, plan_partitions, reduce_runs, MergeCursor,
-    MERGE_HEAD_BYTES, PARTITION_CHUNK_RECORDS,
-};
+use crate::merge::{reduce_runs, MergeCursor, MERGE_HEAD_BYTES};
 use crate::spill::{Run, RunWriter, SpillRecord};
-use packed_rtree_core::grouping::{group_slab, SlabPlan};
+use packed_rtree_core::grouping::{slab_order, SlabPlan};
 use packed_rtree_core::{par_sort_values, PackStrategy};
 use rtree_geom::Rect;
 use rtree_index::{ItemId, RTreeConfig};
 use rtree_storage::codec::{self, MAX_ENTRIES_PER_PAGE};
-use rtree_storage::{
-    DiskRTree, NodePageWriter, PageId, PageStore, StorageError, StorageResult, PAGE_SIZE,
-};
+use rtree_storage::{DiskRTree, NodePageWriter, PageId, PageStore, StorageError, PAGE_SIZE};
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
 /// Accounted bytes per buffered run record: the 48-byte [`SpillRecord`]
@@ -73,15 +62,16 @@ const SLAB_ENTRY_BYTES: u64 = 88;
 /// store write).
 const EMIT_BATCH_MAX_PAGES: u64 = 64;
 
-/// Records one level-0 run buffer holds: half the budget (two buffers
-/// are resident under double-buffering), capped at [`MAX_RUN_RECORDS`].
+/// Records one level-0 run buffer holds: half the budget, capped at
+/// [`MAX_RUN_RECORDS`]. Run boundaries, and with them the spill traffic
+/// and the merge shape, are a function of this formula alone.
 fn level0_run_capacity(budget: u64) -> u64 {
     (budget / (2 * RUN_RECORD_FOOTPRINT)).clamp(1, MAX_RUN_RECORDS)
 }
 
 /// Records per upper-level run buffer: these buffers are resident
 /// *while* merge heads and the emission batch live, so they get a
-/// quarter of the budget.
+/// quarter of the budget, halved the way level 0's is.
 fn upper_run_capacity(budget: u64) -> u64 {
     ((budget / 4) / (2 * RUN_RECORD_FOOTPRINT)).clamp(1, MAX_RUN_RECORDS)
 }
@@ -99,40 +89,22 @@ fn emit_batch_pages(budget: u64) -> usize {
     (1 + (budget / 8) / PAGE_SIZE as u64).clamp(1, EMIT_BATCH_MAX_PAGES) as usize
 }
 
-/// Partition workers for the final merge of a level with `open_runs`
-/// runs: each worker holds one head per run plus its chunk buffers, all
-/// paid out of the merge half of the budget. Below two affordable
-/// workers the merge runs sequentially on the consumer thread (no
-/// channels, no per-worker heads).
-fn partition_count(budget: u64, threads: usize, open_runs: usize) -> usize {
-    if threads <= 1 || open_runs == 0 {
-        return 1;
-    }
-    let per_worker = open_runs as u64 * MERGE_HEAD_BYTES + partition_chunk_bytes();
-    let p = clamp_workers(threads, budget / 2, per_worker);
-    if p < 2 {
-        1
-    } else {
-        p
-    }
-}
-
 /// Configuration of an external pack.
 #[derive(Debug, Clone, Copy)]
 pub struct ExtPackConfig {
-    /// Bound on resident run buffers + merge heads + partition chunks +
-    /// emission batch, in bytes. Arbitrarily small values still work
+    /// Bound on resident run buffers + merge heads + emission batch, in
+    /// bytes. Arbitrarily small values still work
     /// (clamped to one buffered record and a 2-way merge); the bound is
     /// asserted through [`BudgetAccountant`].
     pub memory_budget_bytes: u64,
     /// Packing strategy. [`PackStrategy::Hilbert`] is not supported
     /// (its sort key needs the global MBR, unknowable while streaming).
     pub strategy: PackStrategy,
-    /// Worker threads for the pipeline: `≥ 2` enables the overlapped
-    /// produce/sort/spill double-buffer, parallel reduction rounds, and
-    /// the key-range-partitioned final merge (each clamped further by
-    /// the budget). `0` selects the machine's default; `1` runs fully
-    /// sequentially. The packed tree is bit-identical at every value.
+    /// Workers for sorting each run buffer, clamped like
+    /// [`pack_parallel`](packed_rtree_core::pack_parallel)'s to the
+    /// hardware threads and the run size. `0` selects the machine's
+    /// default. Everything else runs on the calling thread; the packed
+    /// tree is bit-identical at every value.
     pub threads: usize,
     /// Tree parameters; `tree.max_entries` is the node fan-out `M`.
     pub tree: RTreeConfig,
@@ -220,23 +192,20 @@ pub struct ExtPackStats {
     /// Node pages emitted into the destination store.
     pub node_pages: u32,
     /// High-water mark of budget-accounted bytes (run buffers, merge
-    /// heads, partition chunks, emission batch); the acceptance bound is
+    /// heads, emission batch); the acceptance bound is
     /// `peak_budget_bytes ≤ budget` (above the degenerate floor).
     pub peak_budget_bytes: u64,
     /// Fixed working set of the slab/grouping buffer, reported separately
     /// from the budget (it is a function of `M`, not of the budget).
     pub slab_buffer_bytes: u64,
-    /// Worker threads the pipeline ran with (after `0 → default`).
+    /// Run-sort workers the pack ran with (after `0 → default` and the
+    /// clamp).
     pub threads_used: u32,
-    /// Largest partition count any level's final merge used (1 = the
-    /// merge ran sequentially on the consumer thread).
-    pub merge_partitions: u32,
-    /// Microseconds the producer spent consuming the input stream
-    /// (includes backpressure waits in overlapped mode).
+    /// Microseconds spent consuming the input stream.
     pub produce_us: u64,
-    /// Microseconds spent sorting run buffers (summed across threads).
+    /// Microseconds spent sorting run buffers.
     pub sort_us: u64,
-    /// Microseconds spent writing spill runs (summed across threads).
+    /// Microseconds spent writing spill runs.
     pub spill_us: u64,
     /// Microseconds the level driver spent pulling the merged streams
     /// (net of emission and of inline sort/spill attributed above).
@@ -245,160 +214,54 @@ pub struct ExtPackStats {
     pub emit_us: u64,
 }
 
-/// Per-phase busy-time accumulators, in microseconds. Updated from the
-/// producer, sorter, and consumer threads; phases overlap under
-/// pipelining, so the figures are per-phase busy time, not additive
-/// wall-clock.
+/// Per-phase time accumulators, in microseconds, shared by the level-0
+/// producer and each level's next-level producer.
 #[derive(Default)]
 struct PhaseTimers {
-    sort: AtomicU64,
-    spill: AtomicU64,
+    sort: Cell<u64>,
+    spill: Cell<u64>,
 }
 
 impl PhaseTimers {
-    fn add_sort(&self, t: Instant) {
-        self.sort
-            .fetch_add(t.elapsed().as_micros() as u64, Ordering::Relaxed);
-    }
-
-    fn add_spill(&self, t: Instant) {
-        self.spill
-            .fetch_add(t.elapsed().as_micros() as u64, Ordering::Relaxed);
+    fn add(cell: &Cell<u64>, t: Instant) {
+        cell.set(cell.get() + t.elapsed().as_micros() as u64);
     }
 
     fn snapshot(&self) -> (u64, u64) {
-        (
-            self.sort.load(Ordering::Relaxed),
-            self.spill.load(Ordering::Relaxed),
-        )
+        (self.sort.get(), self.spill.get())
     }
 }
 
-/// Sorts one run buffer in pack-key order. Records arrive in `seq`
-/// order, so this equals the in-memory packer's `(center.x, center.y,
-/// input index)` permutation exactly; the comparator is tie-free, so the
-/// result is also independent of `threads`.
-fn sort_run_buffer(buf: &mut [SpillRecord], threads: usize, timers: &PhaseTimers) {
-    let t = Instant::now();
-    par_sort_values(buf, threads, |a, b| a.key().cmp(&b.key()));
-    timers.add_sort(t);
-}
-
-/// Writes one sorted buffer as a spill run.
-fn spill_run_buffer(
-    spill: &(dyn PageStore + Sync),
-    buf: &[SpillRecord],
-    timers: &PhaseTimers,
-) -> StorageResult<Run> {
-    let t = Instant::now();
-    let mut writer = RunWriter::new(spill);
-    for rec in buf {
-        writer.push(rec)?;
-    }
-    let run = writer.finish()?;
-    timers.add_spill(t);
-    Ok(run)
-}
-
-/// The background half of the double-buffer: receives full buffers,
-/// sorts and spills each, releases its budget charge, and hands the
-/// (cleared) buffer back for reuse.
-fn sorter_loop(
-    rx: Receiver<Vec<SpillRecord>>,
-    reuse_tx: SyncSender<Vec<SpillRecord>>,
-    spill: &(dyn PageStore + Sync),
-    threads: usize,
-    budget: &BudgetAccountant,
-    timers: &PhaseTimers,
-) -> StorageResult<Vec<Run>> {
-    let mut runs = Vec::new();
-    for mut buf in rx {
-        sort_run_buffer(&mut buf, threads, timers);
-        let run = spill_run_buffer(spill, &buf, timers)?;
-        runs.push(run);
-        budget.release(buf.len() as u64 * RUN_RECORD_FOOTPRINT);
-        buf.clear();
-        // The producer may already be gone (it errored); that's fine.
-        let _ = reuse_tx.send(buf);
-    }
-    Ok(runs)
-}
-
-/// The error used when the overlapped pipeline's partner thread is gone;
-/// always superseded by the partner's own error at join time.
-fn pipeline_closed() -> ExtPackError {
-    ExtPackError::Io(std::io::Error::other("run-sort pipeline closed early"))
-}
-
-/// The producer half of run production. In overlapped mode full buffers
-/// are handed to the background sorter and recycled back — at most two
-/// buffers ever exist, both reserved in the capacity planning at *every*
-/// thread count, so run boundaries are thread-independent. In inline
-/// mode each full buffer is sorted and spilled on the spot.
-struct RunProducer<'env> {
+/// Fills a run buffer from a record stream; each full buffer is sorted
+/// in pack-key order and spilled as one run before the next one fills.
+struct RunProducer<'a> {
+    spill: &'a dyn PageStore,
     cap: u64,
     threads: usize,
-    budget: &'env BudgetAccountant,
-    timers: &'env PhaseTimers,
+    budget: &'a BudgetAccountant,
+    timers: &'a PhaseTimers,
     buffer: Vec<SpillRecord>,
     count: u64,
-    mode: ProducerMode<'env>,
+    runs: Vec<Run>,
 }
 
-enum ProducerMode<'env> {
-    Inline {
-        spill: &'env (dyn PageStore + Sync),
-        runs: Vec<Run>,
-    },
-    Overlapped {
-        tx: SyncSender<Vec<SpillRecord>>,
-        reuse_rx: Receiver<Vec<SpillRecord>>,
-        buffers_made: usize,
-    },
-}
-
-impl<'env> RunProducer<'env> {
-    fn inline(
-        spill: &'env (dyn PageStore + Sync),
+impl<'a> RunProducer<'a> {
+    fn new(
+        spill: &'a dyn PageStore,
         cap: u64,
         threads: usize,
-        budget: &'env BudgetAccountant,
-        timers: &'env PhaseTimers,
+        budget: &'a BudgetAccountant,
+        timers: &'a PhaseTimers,
     ) -> Self {
         RunProducer {
+            spill,
             cap,
             threads,
             budget,
             timers,
             buffer: Vec::new(),
             count: 0,
-            mode: ProducerMode::Inline {
-                spill,
-                runs: Vec::new(),
-            },
-        }
-    }
-
-    fn overlapped(
-        tx: SyncSender<Vec<SpillRecord>>,
-        reuse_rx: Receiver<Vec<SpillRecord>>,
-        cap: u64,
-        threads: usize,
-        budget: &'env BudgetAccountant,
-        timers: &'env PhaseTimers,
-    ) -> Self {
-        RunProducer {
-            cap,
-            threads,
-            budget,
-            timers,
-            buffer: Vec::new(),
-            count: 0,
-            mode: ProducerMode::Overlapped {
-                tx,
-                reuse_rx,
-                buffers_made: 1,
-            },
+            runs: Vec::new(),
         }
     }
 
@@ -407,58 +270,39 @@ impl<'env> RunProducer<'env> {
         self.buffer.push(rec);
         self.count += 1;
         if self.buffer.len() as u64 >= self.cap {
-            self.hand_off()?;
+            self.spill_buffer()?;
         }
         Ok(())
     }
 
-    fn hand_off(&mut self) -> ExtPackResult<()> {
+    /// Sorts the buffer and writes it as one run. Records arrive in
+    /// `seq` order, so the sort equals the in-memory packer's `(center.x,
+    /// center.y, input index)` permutation exactly; the comparator is
+    /// tie-free, so the result is also independent of `threads`.
+    fn spill_buffer(&mut self) -> ExtPackResult<()> {
         if self.buffer.is_empty() {
             return Ok(());
         }
-        match &mut self.mode {
-            ProducerMode::Inline { spill, runs } => {
-                sort_run_buffer(&mut self.buffer, self.threads, self.timers);
-                let run = spill_run_buffer(*spill, &self.buffer, self.timers)?;
-                runs.push(run);
-                self.budget
-                    .release(self.buffer.len() as u64 * RUN_RECORD_FOOTPRINT);
-                self.buffer.clear();
-            }
-            ProducerMode::Overlapped {
-                tx,
-                reuse_rx,
-                buffers_made,
-            } => {
-                let full = std::mem::take(&mut self.buffer);
-                if tx.send(full).is_err() {
-                    return Err(pipeline_closed());
-                }
-                self.buffer = if *buffers_made < 2 {
-                    *buffers_made += 1;
-                    Vec::new()
-                } else {
-                    match reuse_rx.recv() {
-                        Ok(buf) => buf,
-                        Err(_) => return Err(pipeline_closed()),
-                    }
-                };
-            }
+        let t = Instant::now();
+        par_sort_values(&mut self.buffer, self.threads, |a, b| a.key().cmp(&b.key()));
+        PhaseTimers::add(&self.timers.sort, t);
+        let t = Instant::now();
+        let mut writer = RunWriter::new(self.spill);
+        for rec in &self.buffer {
+            writer.push(rec)?;
         }
+        self.runs.push(writer.finish()?);
+        PhaseTimers::add(&self.timers.spill, t);
+        self.budget
+            .release(self.buffer.len() as u64 * RUN_RECORD_FOOTPRINT);
+        self.buffer.clear();
         Ok(())
     }
 
-    /// Flushes the tail buffer; returns the runs in inline mode (the
-    /// sorter owns them in overlapped mode) and the record count.
-    fn finish(mut self) -> ExtPackResult<(Option<Vec<Run>>, u64)> {
-        self.hand_off()?;
-        match self.mode {
-            ProducerMode::Inline { runs, .. } => Ok((Some(runs), self.count)),
-            ProducerMode::Overlapped { tx, .. } => {
-                drop(tx); // closes the channel; the sorter loop ends
-                Ok((None, self.count))
-            }
-        }
+    /// Spills the tail buffer; returns the runs and the record count.
+    fn finish(mut self) -> ExtPackResult<(Vec<Run>, u64)> {
+        self.spill_buffer()?;
+        Ok((self.runs, self.count))
     }
 }
 
@@ -469,20 +313,20 @@ impl<'env> RunProducer<'env> {
 /// storage layer's staged [`NodePageWriter`]: one contiguous
 /// [`PageStore::write_pages`] per batch, an early flush only if the
 /// destination hands out a non-contiguous page (it recycles).
-struct LevelBuilder<'a, 'env> {
+struct LevelBuilder<'a> {
     strategy: PackStrategy,
     plan: SlabPlan,
     level: u32,
     slab: Vec<SpillRecord>,
     group_seq: u64,
     emitter: NodePageWriter<'a>,
-    next: Option<RunProducer<'env>>,
+    next: Option<RunProducer<'a>>,
     last_page: Option<PageId>,
     entries_scratch: Vec<codec::DiskEntry>,
     emit_us: u64,
 }
 
-impl<'a, 'env> LevelBuilder<'a, 'env> {
+impl LevelBuilder<'_> {
     fn push(&mut self, rec: SpillRecord) -> ExtPackResult<()> {
         self.slab.push(rec);
         if self.slab.len() == self.plan.slab_len() {
@@ -495,7 +339,7 @@ impl<'a, 'env> LevelBuilder<'a, 'env> {
     /// a contiguous chunk of the level's *globally sorted* order (the
     /// merge produced it), cut at the same `slab_len` boundaries as the
     /// in-memory packer — so grouping it with an identity `ord` is
-    /// exactly [`group_slab`] on the corresponding global slab.
+    /// exactly [`slab_order`] on the corresponding global slab.
     fn flush(&mut self) -> ExtPackResult<()> {
         if self.slab.is_empty() {
             return Ok(());
@@ -503,7 +347,8 @@ impl<'a, 'env> LevelBuilder<'a, 'env> {
         let t = Instant::now();
         let rects: Vec<Rect> = self.slab.iter().map(|r| r.rect).collect();
         let ord: Vec<usize> = (0..rects.len()).collect();
-        for group in group_slab(self.strategy, &rects, &ord, &self.plan) {
+        let order = slab_order(self.strategy, &rects, &ord, &self.plan);
+        for group in order.chunks(self.plan.m()) {
             let entries = &mut self.entries_scratch;
             entries.clear();
             entries.extend(group.iter().map(|&i| codec::DiskEntry {
@@ -529,61 +374,17 @@ impl<'a, 'env> LevelBuilder<'a, 'env> {
     }
 }
 
-/// Produces sorted runs from a record stream (`rec.seq` must equal the
-/// stream index). Returns the runs and the record count.
-fn produce_runs<I>(
-    records: I,
-    spill: &(dyn PageStore + Sync),
-    cap: u64,
-    threads: usize,
-    budget: &BudgetAccountant,
-    timers: &PhaseTimers,
-) -> ExtPackResult<(Vec<Run>, u64)>
-where
-    I: Iterator<Item = SpillRecord>,
-{
-    if threads < 2 {
-        let mut producer = RunProducer::inline(spill, cap, threads, budget, timers);
-        for rec in records {
-            producer.push(rec)?;
-        }
-        let (runs, count) = producer.finish()?;
-        return Ok((runs.expect("inline mode returns runs"), count));
-    }
-    std::thread::scope(|scope| {
-        let (tx, rx) = sync_channel::<Vec<SpillRecord>>(1);
-        let (reuse_tx, reuse_rx) = sync_channel::<Vec<SpillRecord>>(2);
-        let sorter = scope.spawn(move || sorter_loop(rx, reuse_tx, spill, threads, budget, timers));
-        let produced = (|| -> ExtPackResult<u64> {
-            let mut producer = RunProducer::overlapped(tx, reuse_rx, cap, threads, budget, timers);
-            for rec in records {
-                producer.push(rec)?;
-            }
-            let (_, count) = producer.finish()?;
-            Ok(count)
-        })();
-        let sorted = sorter.join().expect("sorter thread panicked");
-        // A sorter error explains any producer "pipeline closed" error.
-        match (produced, sorted) {
-            (_, Err(e)) => Err(e.into()),
-            (Err(e), Ok(_)) => Err(e),
-            (Ok(count), Ok(runs)) => Ok((runs, count)),
-        }
-    })
-}
-
 enum LevelOutcome {
     Root(PageId),
     Next { runs: Vec<Run>, count: u64 },
 }
 
-/// Merges one level's (already reduced) runs — partitioned by key range
-/// across workers when affordable — and pumps the merged stream through
-/// a [`LevelBuilder`]. Frees the level's spill pages when done.
+/// Merges one level's (already reduced) runs and pumps the merged stream
+/// through a [`LevelBuilder`]. Frees the level's spill pages when done.
 #[allow(clippy::too_many_arguments)]
 fn run_level(
-    dest: &(dyn PageStore + Sync),
-    spill: &(dyn PageStore + Sync),
+    dest: &dyn PageStore,
+    spill: &dyn PageStore,
     strategy: PackStrategy,
     plan: SlabPlan,
     level: u32,
@@ -599,8 +400,6 @@ fn run_level(
         .iter()
         .flat_map(|r| r.pages.iter().copied())
         .collect();
-    let parts = partition_count(bb, threads, runs_open.len());
-    stats.merge_partitions = stats.merge_partitions.max(parts as u32);
 
     // The staged batch's first page is part of the fixed working set;
     // the pages beyond it are charged to the budget while it lives.
@@ -608,8 +407,8 @@ fn run_level(
     let batch_charge = (batch_pages as u64 - 1) * PAGE_SIZE as u64;
     budget.charge(batch_charge);
     let emitter = NodePageWriter::new(dest, batch_pages);
-    let next = (!single)
-        .then(|| RunProducer::inline(spill, upper_run_capacity(bb), threads, budget, timers));
+    let next =
+        (!single).then(|| RunProducer::new(spill, upper_run_capacity(bb), threads, budget, timers));
     let mut builder = LevelBuilder {
         strategy,
         plan,
@@ -625,18 +424,14 @@ fn run_level(
 
     let (sort0, spill0) = timers.snapshot();
     let t_level = Instant::now();
-    if parts <= 1 {
-        let heads = runs_open.len() as u64 * MERGE_HEAD_BYTES;
-        budget.charge(heads);
-        let mut cursor = MergeCursor::open(spill, runs_open)?;
-        while let Some(rec) = cursor.next_record()? {
-            builder.push(rec)?;
-        }
-        drop(cursor);
-        budget.release(heads);
-    } else {
-        merge_partitioned(spill, runs_open, parts, budget, &mut builder)?;
+    let heads = runs_open.len() as u64 * MERGE_HEAD_BYTES;
+    budget.charge(heads);
+    let mut cursor = MergeCursor::open(spill, runs_open)?;
+    while let Some(rec) = cursor.next_record()? {
+        builder.push(rec)?;
     }
+    drop(cursor);
+    budget.release(heads);
     builder.flush()?;
     for id in all_pages {
         spill.free(id);
@@ -665,99 +460,9 @@ fn run_level(
         }
         Some(producer) => {
             let (runs, count) = producer.finish()?;
-            Ok(LevelOutcome::Next {
-                runs: runs.expect("inline mode returns runs"),
-                count,
-            })
+            Ok(LevelOutcome::Next { runs, count })
         }
     }
-}
-
-/// The key-range-partitioned final merge: `parts` workers each merge one
-/// key range of `runs` (seeked open, so no prefix scanning) and stream
-/// fixed-size record chunks to the consumer, which drains the partitions
-/// in key order — the stitched stream is record-for-record the global
-/// merge, because keys are unique within a level.
-fn merge_partitioned(
-    spill: &(dyn PageStore + Sync),
-    runs: Vec<Run>,
-    parts: usize,
-    budget: &BudgetAccountant,
-    builder: &mut LevelBuilder<'_, '_>,
-) -> ExtPackResult<()> {
-    let per_worker = runs.len() as u64 * MERGE_HEAD_BYTES + partition_chunk_bytes();
-    let charge = parts as u64 * per_worker;
-    budget.charge(charge);
-    let splits = match plan_partitions(spill, &runs, parts) {
-        Ok(s) => s,
-        Err(e) => {
-            budget.release(charge);
-            return Err(e.into());
-        }
-    };
-    let result = std::thread::scope(|scope| -> ExtPackResult<()> {
-        let mut rxs = Vec::with_capacity(parts);
-        let mut handles = Vec::with_capacity(parts);
-        for p in 0..parts {
-            // Capacity 2 + the chunk being filled = CHUNKS_PER_WORKER in
-            // flight per worker, matching the budget charge.
-            let (tx, rx) = sync_channel::<Vec<SpillRecord>>(2);
-            rxs.push(rx);
-            let worker_runs = runs.clone();
-            let lo = (p > 0).then(|| splits[p - 1]);
-            let hi = (p + 1 < parts).then(|| splits[p]);
-            handles.push(scope.spawn(move || -> StorageResult<()> {
-                let mut chunk = Vec::with_capacity(PARTITION_CHUNK_RECORDS);
-                let mut alive = true;
-                merge_range(spill, worker_runs, lo.as_ref(), hi.as_ref(), &mut |rec| {
-                    chunk.push(rec);
-                    if chunk.len() == PARTITION_CHUNK_RECORDS {
-                        let full = std::mem::replace(
-                            &mut chunk,
-                            Vec::with_capacity(PARTITION_CHUNK_RECORDS),
-                        );
-                        if tx.send(full).is_err() {
-                            // Consumer stopped (it errored); wind down.
-                            alive = false;
-                            return false;
-                        }
-                    }
-                    true
-                })?;
-                if alive && !chunk.is_empty() {
-                    let _ = tx.send(chunk);
-                }
-                Ok(())
-            }));
-        }
-        let mut consume_err: Option<ExtPackError> = None;
-        'partitions: for rx in &rxs {
-            for chunk in rx.iter() {
-                for rec in chunk {
-                    if let Err(e) = builder.push(rec) {
-                        consume_err = Some(e);
-                        break 'partitions;
-                    }
-                }
-            }
-        }
-        drop(rxs); // unblocks workers still sending
-        let mut worker_err: Option<StorageError> = None;
-        for h in handles {
-            if let Err(e) = h.join().expect("partition worker panicked") {
-                worker_err.get_or_insert(e);
-            }
-        }
-        if let Some(e) = worker_err {
-            return Err(e.into());
-        }
-        if let Some(e) = consume_err {
-            return Err(e);
-        }
-        Ok(())
-    });
-    budget.release(charge);
-    result
 }
 
 /// Externally packs `items` into `dest`, spilling runs through `spill`.
@@ -770,8 +475,8 @@ fn merge_partitioned(
 pub fn pack_external_into<I>(
     items: I,
     cfg: &ExtPackConfig,
-    dest: &(dyn PageStore + Sync),
-    spill: &(dyn PageStore + Sync),
+    dest: &dyn PageStore,
+    spill: &dyn PageStore,
 ) -> ExtPackResult<(DiskRTree, ExtPackStats)>
 where
     I: IntoIterator<Item = (Rect, ItemId)>,
@@ -783,12 +488,18 @@ where
     if !(2..=MAX_ENTRIES_PER_PAGE).contains(&m) {
         return Err(ExtPackError::Branching(m));
     }
-    let threads = if cfg.threads == 0 {
-        packed_rtree_core::default_threads()
-    } else {
-        cfg.threads
-    };
     let bb = cfg.memory_budget_bytes;
+    let cap0 = level0_run_capacity(bb);
+    // Clamped against the largest buffer the pack sorts: a pinned or
+    // small pack starts no sort worker it cannot run.
+    let threads = packed_rtree_core::effective_threads(
+        if cfg.threads == 0 {
+            packed_rtree_core::default_threads()
+        } else {
+            cfg.threads
+        },
+        cap0 as usize,
+    );
 
     // Reserve the meta pair before any node page, so the commit layout
     // matches `store_with_meta` and a crash pre-commit is detectable.
@@ -798,35 +509,25 @@ where
 
     let budget = BudgetAccountant::new(bb);
     let timers = PhaseTimers::default();
-    let cap0 = level0_run_capacity(bb);
     let mut stats = ExtPackStats {
         run_capacity_records: cap0,
         threads_used: threads as u32,
         ..ExtPackStats::default()
     };
 
-    // Level 0: run generation straight off the item stream, overlapped
-    // with sorting/spilling when threads allow.
+    // Level 0: run generation straight off the item stream.
     let t_produce = Instant::now();
-    let (runs0, n0) = produce_runs(
-        items
-            .into_iter()
-            .enumerate()
-            .map(|(i, (rect, item))| SpillRecord {
-                rect,
-                child: item.0,
-                seq: i as u64,
-            }),
-        spill,
-        cap0,
-        threads,
-        &budget,
-        &timers,
-    )?;
+    let mut producer = RunProducer::new(spill, cap0, threads, &budget, &timers);
+    for (i, (rect, item)) in items.into_iter().enumerate() {
+        producer.push(SpillRecord {
+            rect,
+            child: item.0,
+            seq: i as u64,
+        })?;
+    }
+    let (mut runs, mut n) = producer.finish()?;
     let (sort0, spill0) = timers.snapshot();
     stats.produce_us = (t_produce.elapsed().as_micros() as u64).saturating_sub(sort0 + spill0);
-    let mut runs = runs0;
-    let mut n = n0;
     stats.items = n;
     stats.initial_runs = runs.len() as u32;
     stats.spill_pages = runs.iter().map(|r| r.pages.len() as u64).sum();
@@ -849,9 +550,8 @@ where
             .slab_buffer_bytes
             .max(plan.slab_len().min(n as usize) as u64 * SLAB_ENTRY_BYTES);
 
-        // Reduce to at most the head quota, in deterministic rounds
-        // (parallel across chunks when budget and threads allow).
-        let (runs_open, mstats) = reduce_runs(spill, runs, head_quota(bb), threads, &budget)?;
+        // Reduce to at most the head quota, in deterministic rounds.
+        let (runs_open, mstats) = reduce_runs(spill, runs, head_quota(bb), &budget)?;
         stats.intermediate_merges += mstats.intermediate_merges;
         stats.max_fan_in = stats
             .max_fan_in
@@ -901,7 +601,7 @@ where
 pub fn pack_external<I>(
     items: I,
     cfg: &ExtPackConfig,
-    dest: &(dyn PageStore + Sync),
+    dest: &dyn PageStore,
 ) -> ExtPackResult<(DiskRTree, ExtPackStats)>
 where
     I: IntoIterator<Item = (Rect, ItemId)>,
@@ -1016,46 +716,5 @@ mod tests {
         assert_eq!(level0_run_capacity(64 << 20), MAX_RUN_RECORDS);
         assert_eq!(1_000_000u64.div_ceil(level0_run_capacity(64 << 20)), 16);
         assert!(upper_run_capacity(4 << 20) <= level0_run_capacity(4 << 20));
-    }
-
-    #[test]
-    fn partition_count_respects_budget_and_threads() {
-        // threads=1 or no runs → sequential.
-        assert_eq!(partition_count(4 << 20, 1, 46), 1);
-        assert_eq!(partition_count(4 << 20, 8, 0), 1);
-        // 4 MiB, 46 open runs: each worker needs 46 heads + chunks
-        // (~481 KiB); half the budget affords 4 workers.
-        assert_eq!(partition_count(4 << 20, 8, 46), 4);
-        // A tiny budget cannot afford even 2 workers → sequential.
-        assert_eq!(partition_count(16 << 10, 8, 46), 1);
-    }
-
-    #[test]
-    fn threaded_pack_is_bit_identical_to_sequential() {
-        let items = scatter(5000);
-        let mut images: Vec<Vec<u8>> = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let dest = Pager::temp().unwrap();
-            let cfg = ExtPackConfig {
-                memory_budget_bytes: 64 * 1024,
-                threads,
-                ..ExtPackConfig::new(0)
-            };
-            let (tree, stats) = pack_external(items.clone(), &cfg, &dest).unwrap();
-            assert_eq!(tree.len(), 5000);
-            assert!(
-                stats.peak_budget_bytes <= 64 * 1024,
-                "threads={threads}: peak {} exceeds budget",
-                stats.peak_budget_bytes
-            );
-            let mut image = Vec::new();
-            for p in 0..dest.page_count() {
-                image.extend_from_slice(dest.read_page_raw(PageId(p)).unwrap().bytes());
-            }
-            images.push(image);
-        }
-        for pair in images.windows(2) {
-            assert_eq!(pair[0], pair[1], "thread count changed the packed image");
-        }
     }
 }

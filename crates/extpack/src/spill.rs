@@ -18,13 +18,6 @@
 //! the merge comparator a total order that matches the in-memory
 //! packer's sort exactly (ascending center-x, ties by center-y, then by
 //! input index) — the keystone of bit-identity.
-//!
-//! Every page of a run except the last is full
-//! ([`RECORDS_PER_PAGE`] records), which gives the partitioned merge a
-//! cheap random-access property: the record offset of page `i` is
-//! `i · RECORDS_PER_PAGE`, so [`RunReader::open_at`] can binary-search a
-//! run by page first-keys and open a reader positioned at the first
-//! record of any key range without touching the pages before it.
 
 use rtree_geom::Rect;
 use rtree_storage::{Page, PageId, PageStore, PageType, StorageError, StorageResult, PAYLOAD_SIZE};
@@ -88,10 +81,9 @@ impl SpillRecord {
 /// [`packed_rtree_core::grouping::order`], where the final tiebreaker is
 /// the index into the level's input (which is what `seq` records).
 ///
-/// Within one tree level `seq` is unique, so the key is globally unique:
-/// any partition of the key space induces a partition of the level's
-/// records, and concatenating per-range merges in key order reproduces
-/// the global merge exactly — the invariant the parallel merge rests on.
+/// Within one tree level `seq` is unique, so the key is globally unique
+/// and the merged order of a level's runs cannot depend on where the
+/// run boundaries fell.
 #[derive(Debug, Clone, Copy)]
 pub struct SortKey {
     x: f64,
@@ -135,7 +127,7 @@ pub struct Run {
 
 /// Streams records into a new spill run, one page buffer at a time.
 pub struct RunWriter<'a> {
-    store: &'a (dyn PageStore + Sync),
+    store: &'a dyn PageStore,
     page: Page,
     in_page: usize,
     pages: Vec<PageId>,
@@ -144,7 +136,7 @@ pub struct RunWriter<'a> {
 
 impl<'a> RunWriter<'a> {
     /// Starts a new run in `store`.
-    pub fn new(store: &'a (dyn PageStore + Sync)) -> RunWriter<'a> {
+    pub fn new(store: &'a dyn PageStore) -> RunWriter<'a> {
         RunWriter {
             store,
             page: Page::zeroed(),
@@ -195,7 +187,7 @@ impl<'a> RunWriter<'a> {
 /// decode buffer is reused across pages, so steady-state reading is
 /// allocation-free.
 pub struct RunReader<'a> {
-    store: &'a (dyn PageStore + Sync),
+    store: &'a dyn PageStore,
     run: Run,
     next_page: usize,
     buf: Vec<SpillRecord>,
@@ -205,7 +197,7 @@ pub struct RunReader<'a> {
 
 impl<'a> RunReader<'a> {
     /// Opens `run` for sequential reading from its first record.
-    pub fn open(store: &'a (dyn PageStore + Sync), run: Run) -> RunReader<'a> {
+    pub fn open(store: &'a dyn PageStore, run: Run) -> RunReader<'a> {
         let remaining = run.records;
         RunReader {
             store,
@@ -217,50 +209,6 @@ impl<'a> RunReader<'a> {
         }
     }
 
-    /// Opens `run` positioned at its first record with key ≥ `lo`.
-    ///
-    /// Binary-searches the run's pages by first-record key (every page
-    /// except the last is full, so a page's record offset is implied by
-    /// its index), then skips within the boundary page — at most two
-    /// probe reads per binary-search step and one resident page, never a
-    /// scan of the run's prefix.
-    pub fn open_at(
-        store: &'a (dyn PageStore + Sync),
-        run: Run,
-        lo: &SortKey,
-    ) -> StorageResult<RunReader<'a>> {
-        // First page whose first key is ≥ lo; the range boundary can sit
-        // inside the page before it.
-        let mut a = 0usize;
-        let mut b = run.pages.len();
-        while a < b {
-            let mid = (a + b) / 2;
-            if first_key_of_page(store, run.pages[mid])? < *lo {
-                a = mid + 1;
-            } else {
-                b = mid;
-            }
-        }
-        let start_page = a.saturating_sub(1);
-        let skipped = (start_page * RECORDS_PER_PAGE) as u64;
-        let mut reader = RunReader {
-            store,
-            remaining: run.records - skipped.min(run.records),
-            run,
-            next_page: start_page,
-            buf: Vec::new(),
-            buf_pos: 0,
-        };
-        // Skip the (at most one page of) records still below `lo`.
-        while let Some(key) = reader.peek_key()? {
-            if key >= *lo {
-                break;
-            }
-            reader.advance();
-        }
-        Ok(reader)
-    }
-
     /// The next record, or `None` at end of run.
     pub fn next_record(&mut self) -> StorageResult<Option<SpillRecord>> {
         if self.remaining == 0 {
@@ -270,24 +218,9 @@ impl<'a> RunReader<'a> {
             self.load_page()?;
         }
         let rec = self.buf[self.buf_pos];
-        self.advance();
-        Ok(Some(rec))
-    }
-
-    /// The key of the next record without consuming it.
-    fn peek_key(&mut self) -> StorageResult<Option<SortKey>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        if self.buf_pos == self.buf.len() {
-            self.load_page()?;
-        }
-        Ok(Some(self.buf[self.buf_pos].key()))
-    }
-
-    fn advance(&mut self) {
         self.buf_pos += 1;
         self.remaining -= 1;
+        Ok(Some(rec))
     }
 
     fn load_page(&mut self) -> StorageResult<()> {
@@ -310,30 +243,6 @@ impl<'a> RunReader<'a> {
     pub fn into_run(self) -> Run {
         self.run
     }
-}
-
-/// Reads the first record's key of one spill page (a partition-planning
-/// probe; the page is verified like any other read).
-pub(crate) fn first_key_of_page(
-    store: &(dyn PageStore + Sync),
-    id: PageId,
-) -> StorageResult<SortKey> {
-    let page = store.read_page(id)?;
-    if page.tag() != PageType::Spill as u8 {
-        return Err(StorageError::corrupt(
-            id,
-            format!("expected spill page, found tag {}", page.tag()),
-        ));
-    }
-    let bytes = page.bytes();
-    let count = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-    if count == 0 || count > RECORDS_PER_PAGE {
-        return Err(StorageError::corrupt(
-            id,
-            format!("spill record count {count} outside 1..={RECORDS_PER_PAGE}"),
-        ));
-    }
-    Ok(SpillRecord::decode(&bytes[SPILL_HEADER_SIZE..SPILL_HEADER_SIZE + RECORD_SIZE]).key())
 }
 
 /// Decodes one spill page into `out` (cleared first), validating tag and
@@ -403,55 +312,6 @@ mod tests {
         assert_eq!(run.records, 0);
         assert!(run.pages.is_empty());
         let mut r = RunReader::open(&pager, run);
-        assert_eq!(r.next_record().unwrap(), None);
-    }
-
-    #[test]
-    fn open_at_positions_on_first_record_at_or_above_key() {
-        let pager = Pager::temp().unwrap();
-        let mut w = RunWriter::new(&pager);
-        // i → center x = 1.5·i, strictly increasing: seeking to record
-        // i's key must return the suffix starting at i.
-        let n = RECORDS_PER_PAGE as u64 * 3 + 11;
-        for i in 0..n {
-            w.push(&rec(i)).unwrap();
-        }
-        let run = w.finish().unwrap();
-        // Probe boundaries: run start, page boundaries ±1, mid-page,
-        // last record, and past the end.
-        for &start in &[
-            0,
-            1,
-            RECORDS_PER_PAGE as u64 - 1,
-            RECORDS_PER_PAGE as u64,
-            RECORDS_PER_PAGE as u64 + 1,
-            2 * RECORDS_PER_PAGE as u64 + 40,
-            n - 1,
-        ] {
-            let mut r = RunReader::open_at(&pager, run.clone(), &rec(start).key()).unwrap();
-            for i in start..(start + 3).min(n) {
-                assert_eq!(
-                    r.next_record().unwrap(),
-                    Some(rec(i)),
-                    "start {start} rec {i}"
-                );
-            }
-        }
-        // A key between records i and i+1 lands on i+1.
-        let between = SpillRecord {
-            rect: Rect::from_point(Point::new(1.5 * 100.0 + 0.7, 0.0)),
-            child: 0,
-            seq: 0,
-        };
-        let mut r = RunReader::open_at(&pager, run.clone(), &between.key()).unwrap();
-        assert_eq!(r.next_record().unwrap(), Some(rec(101)));
-        // A key past the last record yields an empty reader.
-        let past = SpillRecord {
-            rect: Rect::from_point(Point::new(1.5 * n as f64 + 10.0, 0.0)),
-            child: 0,
-            seq: 0,
-        };
-        let mut r = RunReader::open_at(&pager, run, &past.key()).unwrap();
         assert_eq!(r.next_record().unwrap(), None);
     }
 

@@ -37,18 +37,29 @@ fn cfg(budget: u64) -> ExtPackConfig {
 }
 
 /// Counts the physical writes a clean pack performs on each store, so
-/// the crash sweeps know the index space to script faults into.
-fn clean_write_counts(n: u64, budget: u64) -> (u64, u64) {
+/// the crash sweeps know the index space to script faults into, and
+/// returns the clean pack's intermediate merge count.
+fn clean_write_counts(n: u64, budget: u64) -> (u64, u64, u32) {
     let dest = Pager::temp().expect("dest");
     let spill = Pager::temp().expect("spill");
-    pack_external_into(items(n), &cfg(budget), &dest, &spill).expect("clean pack");
-    (dest.stats().writes(), spill.stats().writes())
+    let (_, stats) = pack_external_into(items(n), &cfg(budget), &dest, &spill).expect("clean pack");
+    (
+        dest.stats().writes(),
+        spill.stats().writes(),
+        stats.intermediate_merges,
+    )
 }
 
 #[test]
 fn spill_write_failure_aborts_without_committing() {
-    let (_, spill_writes) = clean_write_counts(800, 8 * 1024);
+    let (_, spill_writes, intermediate_merges) = clean_write_counts(800, 8 * 1024);
     assert!(spill_writes > 4, "workload must actually spill");
+    // 8 KiB affords two merge heads, so the 20 initial runs go through
+    // the sequential reduce rounds, whose writes the faults below cover.
+    assert!(
+        intermediate_merges > 0,
+        "workload must run reduce rounds, got {intermediate_merges}"
+    );
     // Fail an early, a middle, and a late spill write.
     for nth in [1, spill_writes / 2, spill_writes - 1] {
         let dest = Pager::temp().expect("dest");
@@ -68,7 +79,7 @@ fn spill_write_failure_aborts_without_committing() {
 
 #[test]
 fn torn_spill_page_surfaces_as_corruption_on_merge_read() {
-    let (_, spill_writes) = clean_write_counts(800, 8 * 1024);
+    let (_, spill_writes, _) = clean_write_counts(800, 8 * 1024);
     // Tear a spill page without crashing: the pack continues until the
     // merge reads the torn page back, which must fail CRC verification
     // (never decode garbage into the tree).
@@ -93,7 +104,7 @@ fn torn_spill_page_surfaces_as_corruption_on_merge_read() {
 
 #[test]
 fn dest_crash_sweep_fresh_file_never_commits_partial_tree() {
-    let (dest_writes, _) = clean_write_counts(600, 8 * 1024);
+    let (dest_writes, _, _) = clean_write_counts(600, 8 * 1024);
     assert!(dest_writes > 20, "need a multi-page emission to sweep");
     // Crash at every destination write, including the final meta flip.
     for nth in 1..=dest_writes {
@@ -124,7 +135,7 @@ fn dest_crash_sweep_fresh_file_never_commits_partial_tree() {
 
 #[test]
 fn dest_crash_mid_emission_preserves_previous_tree() {
-    let (dest_writes, _) = clean_write_counts(600, 8 * 1024);
+    let (dest_writes, _, _) = clean_write_counts(600, 8 * 1024);
     for nth in [1, dest_writes / 2, dest_writes - 2] {
         let dest = Pager::temp().expect("dest");
         let spill_a = Pager::temp().expect("spill a");
@@ -147,63 +158,6 @@ fn dest_crash_mid_emission_preserves_previous_tree() {
         assert_eq!(recovered.root(), tree_a.root(), "write {nth}");
         assert_eq!(recovered.epoch(), tree_a.epoch(), "write {nth}");
         assert_eq!(recovered.len(), 300, "write {nth}");
-        let pool = BufferPool::new(&dest, 64);
-        let img = TreeImage::of_disk_tree(&recovered, &pool, 4, 2).expect("readable");
-        validate_deep(&img, DeepChecks::packed()).expect("tree A still valid");
-    }
-}
-
-#[test]
-fn dest_crash_mid_parallel_merge_preserves_previous_tree() {
-    // A budget and thread count that genuinely activate the partitioned
-    // final merge (multiple runs, multiple partition workers), then a
-    // destination crash mid-leaf-emission: the previously committed tree
-    // must survive untouched, and the pack must surface the error
-    // instead of hanging any worker.
-    let par_cfg = ExtPackConfig {
-        memory_budget_bytes: 2 << 20,
-        strategy: PackStrategy::NearestNeighbor,
-        threads: 4,
-        tree: RTreeConfig::PAPER,
-    };
-    let n = 30_000;
-
-    // Clean reference pass, counted through a no-fault FaultPager so the
-    // fault indices below match what the faulted pass will observe.
-    let dest0 = Pager::temp().expect("dest");
-    let spill0 = Pager::temp().expect("spill");
-    let counted = FaultPager::new(&dest0, FaultScript::new());
-    let (_, stats) = pack_external_into(items(n), &par_cfg, &counted, &spill0).expect("clean pack");
-    assert!(stats.initial_runs > 1, "need a real multi-run merge");
-    assert!(
-        stats.merge_partitions > 1,
-        "config must activate the partitioned merge, got {} partitions",
-        stats.merge_partitions
-    );
-    let dest_writes = counted.writes_seen();
-    assert!(dest_writes > 100);
-
-    for nth in [dest_writes / 4, dest_writes / 2, dest_writes - 2] {
-        let dest = Pager::temp().expect("dest");
-        // Commit tree A cleanly first.
-        let spill_a = Pager::temp().expect("spill a");
-        let (tree_a, _) =
-            pack_external_into(items(500), &cfg(64 * 1024), &dest, &spill_a).expect("tree A");
-
-        // Pack B with the partitioned-merge config through a crashing
-        // destination.
-        let spill_b = Pager::temp().expect("spill b");
-        let faulty = FaultPager::new(
-            &dest,
-            FaultScript::new().on_write(nth, FaultKind::TornWrite, true),
-        );
-        let result = pack_external_into(items(n), &par_cfg, &faulty, &spill_b);
-        assert!(result.is_err(), "crash at write {nth} must abort");
-
-        // Recovery sees tree A.
-        let recovered = DiskRTree::open_default(&dest).expect("previous tree survives");
-        assert_eq!(recovered.root(), tree_a.root(), "write {nth}");
-        assert_eq!(recovered.len(), 500, "write {nth}");
         let pool = BufferPool::new(&dest, 64);
         let img = TreeImage::of_disk_tree(&recovered, &pool, 4, 2).expect("readable");
         validate_deep(&img, DeepChecks::packed()).expect("tree A still valid");

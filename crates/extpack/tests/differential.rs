@@ -5,7 +5,7 @@
 //! memory within the budget (above the documented ~12.5 KiB floor of
 //! two merge heads plus a reduce output head).
 
-use packed_rtree_core::{pack_with, PackStrategy};
+use packed_rtree_core::{effective_threads, pack_with, PackStrategy};
 use rtree_extpack::{pack_external, ExtPackConfig, MERGE_HEAD_BYTES};
 use rtree_geom::Rect;
 use rtree_index::{ItemId, RTreeConfig, SearchStats};
@@ -54,16 +54,6 @@ fn query_windows() -> Vec<Rect> {
     ]
 }
 
-/// Pipeline thread count under test: `EXTPACK_TEST_THREADS` (the CI
-/// thread matrix sets 1 and 4), defaulting to 2 so the overlapped and
-/// partitioned paths are exercised locally.
-fn test_threads() -> usize {
-    std::env::var("EXTPACK_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
-
 /// Packs `items` both ways and asserts logical bit-identity, deep
 /// validity, query equality, and the budget bound.
 fn assert_identical(items: &[(Rect, ItemId)], strategy: PackStrategy, budget: u64) {
@@ -73,10 +63,9 @@ fn assert_identical(items: &[(Rect, ItemId)], strategy: PackStrategy, budget: u6
 
     let dest = Pager::temp().expect("dest pager");
     let cfg = ExtPackConfig {
-        memory_budget_bytes: budget,
         strategy,
-        threads: test_threads(),
         tree: tree_cfg,
+        ..ExtPackConfig::new(budget)
     };
     let (disk, stats) = pack_external(items.to_vec(), &cfg, &dest).expect("external pack");
     assert_eq!(disk.len(), items.len(), "item count");
@@ -151,14 +140,14 @@ fn identical_at_100k() {
 #[test]
 fn identical_across_thread_matrix() {
     // The *physical* destination file — every byte of every page — must
-    // be identical at every thread count, for tiny, medium, and huge
-    // budgets. This is stronger than logical tree equality: it pins the
-    // page layout, the emission order, and the commit record.
+    // be identical at every run-sort thread count, for tiny, medium, and
+    // huge budgets. This is stronger than logical tree equality: it pins
+    // the page layout, the emission order, and the commit record.
     use rtree_storage::PageId;
     let items = workload(10_000);
     for budget in [FLOOR_BYTES, 256 * 1024, u64::MAX / 2] {
         let mut images: Vec<(usize, Vec<u8>)> = Vec::new();
-        for threads in [1usize, 2, 4, 8] {
+        for threads in [1usize, 2, 4] {
             let dest = Pager::temp().expect("dest pager");
             let cfg = ExtPackConfig {
                 memory_budget_bytes: budget,
@@ -168,7 +157,11 @@ fn identical_across_thread_matrix() {
             };
             let (tree, stats) = pack_external(items.clone(), &cfg, &dest).expect("external pack");
             assert_eq!(tree.len(), items.len());
-            assert_eq!(stats.threads_used as usize, threads);
+            assert_eq!(
+                stats.threads_used as usize,
+                effective_threads(threads, stats.run_capacity_records as usize),
+                "the sort's workers are clamped like pack_parallel's"
+            );
             assert!(
                 stats.peak_budget_bytes <= budget.max(FLOOR_BYTES),
                 "threads={threads} b={budget}: peak {} over budget",
@@ -197,12 +190,8 @@ fn spills_and_stays_within_budget() {
     let items = workload(50_000);
     let budget = 256 * 1024;
     let dest = Pager::temp().expect("dest pager");
-    let cfg = ExtPackConfig {
-        memory_budget_bytes: budget,
-        threads: 2,
-        ..ExtPackConfig::new(0)
-    };
-    let (tree, stats) = pack_external(items, &cfg, &dest).expect("external pack");
+    let (tree, stats) =
+        pack_external(items, &ExtPackConfig::new(budget), &dest).expect("external pack");
     assert_eq!(tree.len(), 50_000);
     assert!(stats.initial_runs > 1, "dataset must not fit in one run");
     assert!(stats.spill_bytes > 0);
