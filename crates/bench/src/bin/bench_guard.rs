@@ -52,14 +52,22 @@
 //!    `estimated_bytes` per object stays under a committed ceiling —
 //!    two trees and a columnar store, not an enum and a `String` each.
 //!
-//! — and one more machine-independent tripwire, on PACK itself:
+//! — and two more machine-independent tripwires, on PACK itself and on
+//! the arena it ends in:
 //!
 //! 10. **PACK horizontal line vs uniform**: packing the delta guard's
 //!     points moved onto one horizontal line may cost at most 2× packing
 //!     them where they are. The nearest-neighbour sweep runs along each
 //!     slab's longer extent; one that always swept y would scan the whole
 //!     slab per neighbour on such a line (≈ 13×) and fails it on any
-//!     machine.
+//!     machine;
+//! 11. **freeze vs the pack that built it**: compiling all `n` points'
+//!     packed tree into the frozen arena may cost at most 0.3× the PACK
+//!     that built it. The freeze is two passes of copying and reads
+//!     ≈ 0.06 at n = 200 000 and ≈ 0.2 at 1M. A freeze through a hashed
+//!     node map and a per-node entry copy reads ≈ 0.2–0.26 and ≈ 0.38:
+//!     the default n fails it on any machine, n = 200 000 only a freeze
+//!     several times slower than that.
 //!
 //! It fails (exit code 1) if any measured figure exceeds its
 //! baseline by more than the allowed factor. The factor defaults to
@@ -82,7 +90,7 @@ use rtree_bench::{
     WindowPaths,
 };
 use rtree_geom::{Point, Rect, SpatialObject};
-use rtree_index::{ItemId, RTreeConfig, SearchScratch};
+use rtree_index::{FrozenRTree, ItemId, RTreeConfig, SearchScratch};
 use rtree_workload::{points, queries, PAPER_UNIVERSE};
 
 /// The committed baseline, written by `layout_bench` at the repo root.
@@ -199,6 +207,13 @@ fn main() {
     let pack_uniform_ns = pack_ns(&|p| *p);
     let pack_line_ns = pack_ns(&|p| Point::new(p.x, line_y));
 
+    // The freeze tripwire: all `n` points packed, then that tree frozen.
+    let all_items = points::as_items(&pts);
+    let pack_all_ns = best_of_three(n, || pack(all_items.clone(), RTreeConfig::PAPER));
+    let packed = pack(all_items, RTreeConfig::PAPER);
+    let freeze_ns = best_of_three(n, || FrozenRTree::freeze(&packed));
+    drop(packed);
+
     let rows = row_pipeline(&pts, seed ^ 0x5851f42d4c957f2d);
     assert!(rows.rows_per_query > 10.0, "windows stopped answering rows");
 
@@ -217,6 +232,8 @@ fn main() {
     const PACKED_BYTES_CEILING: f64 = 160.0;
     /// What packing points on one line may cost, in uniform packs.
     const LINE_FACTOR: f64 = 2.0;
+    /// What freezing a packed tree may cost, in packs that built it.
+    const FREEZE_FACTOR: f64 = 0.3;
 
     let mut failed = false;
     let held_to_factor = [
@@ -274,6 +291,13 @@ fn main() {
             pack_line_ns,
             pack_uniform_ns,
             LINE_FACTOR,
+            "ns/op",
+        ),
+        (
+            "freeze vs the pack that built it",
+            freeze_ns,
+            pack_all_ns,
+            FREEZE_FACTOR,
             "ns/op",
         ),
     ];

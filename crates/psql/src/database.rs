@@ -182,25 +182,21 @@ impl PictorialDatabase {
         self.pictures.values().map(Arc::as_ref)
     }
 
-    /// Mutable picture access. While a clone of this database still
-    /// shares the picture, this first copies its delta part (never its
-    /// packed generation).
-    pub fn picture_mut(&mut self, name: &str) -> Result<&mut Picture, PsqlError> {
-        self.pictures
-            .get_mut(name)
-            .map(Arc::make_mut)
-            .ok_or_else(|| PsqlError::Semantic(format!("no such picture {name:?}")))
-    }
-
     /// Adds an object to a picture, returning the pointer value for `loc`
-    /// columns.
+    /// columns. While a clone of this database still shares the picture,
+    /// this first copies its delta part (never its packed generation).
     pub fn add_object(
         &mut self,
         picture: &str,
         object: SpatialObject,
         label: &str,
     ) -> Result<u64, PsqlError> {
-        Ok(self.picture_mut(picture)?.add(object, label))
+        let picture = self
+            .pictures
+            .get_mut(picture)
+            .map(Arc::make_mut)
+            .ok_or_else(|| PsqlError::Semantic(format!("no such picture {picture:?}")))?;
+        Ok(picture.add(object, label))
     }
 
     /// Declares that `relation.column` points into `picture` — one

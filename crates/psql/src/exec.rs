@@ -17,18 +17,8 @@ use std::collections::HashSet;
 
 /// Plans and executes a query with the built-in pictorial functions.
 pub fn execute(db: &PictorialDatabase, query: &Query) -> Result<ResultSet, PsqlError> {
-    execute_with(db, query, &FunctionRegistry::with_builtins())
-}
-
-/// Plans and executes with a caller-supplied function registry
-/// (application-defined extensions, §2.1).
-pub fn execute_with(
-    db: &PictorialDatabase,
-    query: &Query,
-    functions: &FunctionRegistry,
-) -> Result<ResultSet, PsqlError> {
-    let plan = plan::plan(db, query)?;
-    execute_plan(db, &plan, functions)
+    let functions = FunctionRegistry::with_builtins();
+    execute_with_scratch(db, query, &functions, &mut SearchScratch::new())
 }
 
 /// Plans and executes reusing a caller-owned [`SearchScratch`].
@@ -45,19 +35,6 @@ pub fn execute_with_scratch(
 ) -> Result<ResultSet, PsqlError> {
     let plan = plan::plan(db, query)?;
     execute_plan_with_scratch(db, &plan, functions, scratch)
-}
-
-/// Executes an already-built plan.
-pub fn execute_plan(
-    db: &PictorialDatabase,
-    plan: &Plan,
-    functions: &FunctionRegistry,
-) -> Result<ResultSet, PsqlError> {
-    // One scratch per plan execution: every tree search in this query
-    // (including the per-inner-tuple searches of nested mappings) reuses
-    // the same traversal buffers instead of allocating per query.
-    let mut scratch = SearchScratch::new();
-    execute_plan_with_scratch(db, plan, functions, &mut scratch)
 }
 
 /// Executes an already-built plan with a caller-owned scratch.

@@ -7,15 +7,16 @@
 //! the root is finally reached and created" (§3.3).
 
 use crate::config::RTreeConfig;
-use crate::node::{Entry, ItemId, Node, NodeId};
+use crate::node::{Node, NodeId};
 use crate::tree::RTree;
-use rtree_geom::Rect;
 
-/// Incremental bottom-up builder.
+/// Level-by-level bottom-up builder.
 ///
-/// Usage: create leaves with [`add_leaf`](Self::add_leaf), then build each
-/// internal level with [`add_internal`](Self::add_internal) over the
-/// `(NodeId, Rect)` handles of the level below, and finish with
+/// Usage: for each level, leaves first, [`reserve`](Self::reserve) one
+/// arena slot per node, fill the slots through
+/// [`reserved_slots_mut`](Self::reserved_slots_mut) (internal entries
+/// point at the ids of the level below), and seal them with
+/// [`commit_reserved`](Self::commit_reserved); then finish with
 /// [`finish`](Self::finish) (single root) or
 /// [`finish_empty`](Self::finish_empty).
 pub struct BottomUpBuilder {
@@ -77,10 +78,8 @@ impl BottomUpBuilder {
     ///
     /// Fill every slot through
     /// [`reserved_slots_mut`](Self::reserved_slots_mut) and then seal the
-    /// range with [`commit_reserved`](Self::commit_reserved). Equivalent
-    /// to `count` calls of [`add_leaf`](Self::add_leaf) /
-    /// [`add_internal`](Self::add_internal) in offset order, but the ids
-    /// are known up front so the nodes can be built out of order (e.g. by
+    /// range with [`commit_reserved`](Self::commit_reserved). The ids are
+    /// known up front, so the nodes can be built out of order (e.g. by
     /// worker threads writing disjoint sub-slices).
     pub fn reserve(&mut self, count: usize) -> ReservedRange {
         let start = self.tree.arena_reserve(count);
@@ -121,63 +120,6 @@ impl BottomUpBuilder {
         self.items += items;
     }
 
-    /// Creates a leaf node from up to `M` item entries, returning its
-    /// handle and MBR.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is empty or exceeds the branching factor.
-    pub fn add_leaf(&mut self, entries: Vec<(Rect, ItemId)>) -> (NodeId, Rect) {
-        assert!(!entries.is_empty(), "empty leaf group");
-        assert!(
-            entries.len() <= self.tree.config().max_entries,
-            "leaf group of {} exceeds M={}",
-            entries.len(),
-            self.tree.config().max_entries
-        );
-        self.items += entries.len();
-        let mut node = Node::new(0);
-        node.entries = entries
-            .into_iter()
-            .map(|(mbr, item)| Entry::item(mbr, item))
-            .collect();
-        let mbr = node.mbr().expect("non-empty");
-        (self.tree.alloc(node), mbr)
-    }
-
-    /// Creates an internal node at `level ≥ 1` from up to `M` child
-    /// handles, returning its handle and MBR.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `children` is empty, exceeds the branching factor, or any
-    /// child is not at `level - 1`.
-    pub fn add_internal(&mut self, level: u32, children: Vec<(NodeId, Rect)>) -> (NodeId, Rect) {
-        assert!(level >= 1, "internal nodes start at level 1");
-        assert!(!children.is_empty(), "empty internal group");
-        assert!(
-            children.len() <= self.tree.config().max_entries,
-            "group of {} exceeds M={}",
-            children.len(),
-            self.tree.config().max_entries
-        );
-        for &(child, _) in &children {
-            assert_eq!(
-                self.tree.node(child).level,
-                level - 1,
-                "child {child} not at level {}",
-                level - 1
-            );
-        }
-        let mut node = Node::new(level);
-        node.entries = children
-            .into_iter()
-            .map(|(id, mbr)| Entry::node(mbr, id))
-            .collect();
-        let mbr = node.mbr().expect("non-empty");
-        (self.tree.alloc(node), mbr)
-    }
-
     /// Finishes with `root` as the tree's root.
     ///
     /// # Panics
@@ -190,7 +132,7 @@ impl BottomUpBuilder {
         self.tree
     }
 
-    /// Finishes an empty tree (no leaves were added).
+    /// Finishes an empty tree (no leaves were committed).
     pub fn finish_empty(mut self) -> RTree {
         assert_eq!(self.items, 0, "items were added; call finish(root)");
         let root = self.tree.alloc(Node::new(0));
@@ -207,36 +149,24 @@ impl BottomUpBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtree_geom::Point;
+    use crate::node::{Entry, ItemId};
+    use rtree_geom::{Point, Rect};
 
     fn pt(x: f64, y: f64) -> Rect {
         Rect::from_point(Point::new(x, y))
     }
 
-    #[test]
-    fn single_leaf_becomes_root() {
-        let mut b = BottomUpBuilder::new(RTreeConfig::PAPER);
-        let (leaf, _) = b.add_leaf(vec![(pt(0.0, 0.0), ItemId(0)), (pt(1.0, 1.0), ItemId(1))]);
-        let t = b.finish(leaf);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.depth(), 0);
-        t.validate_with(false).unwrap();
-    }
-
-    #[test]
-    fn two_level_build() {
-        let mut b = BottomUpBuilder::new(RTreeConfig::PAPER);
-        let l1 = b.add_leaf(vec![(pt(0.0, 0.0), ItemId(0)), (pt(1.0, 1.0), ItemId(1))]);
-        let l2 = b.add_leaf(vec![
-            (pt(10.0, 10.0), ItemId(2)),
-            (pt(11.0, 11.0), ItemId(3)),
-        ]);
-        let (root, _) = b.add_internal(1, vec![l1, l2]);
-        let t = b.finish(root);
-        assert_eq!(t.depth(), 1);
-        assert_eq!(t.node_count(), 3);
-        assert_eq!(t.len(), 4);
-        t.validate().unwrap();
+    /// Reserves, fills and commits one level of `nodes`, returning the
+    /// range.
+    fn add_level(b: &mut BottomUpBuilder, level: u32, nodes: Vec<Vec<Entry>>) -> ReservedRange {
+        let range = b.reserve(nodes.len());
+        for (slot, entries) in b.reserved_slots_mut(&range).iter_mut().zip(nodes) {
+            let mut node = Node::new(level);
+            node.entries = entries;
+            *slot = Some(node);
+        }
+        b.commit_reserved(&range, level);
+        range
     }
 
     #[test]
@@ -244,61 +174,6 @@ mod tests {
         let t = BottomUpBuilder::new(RTreeConfig::PAPER).finish_empty();
         assert!(t.is_empty());
         t.assert_valid();
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds M")]
-    fn oversized_leaf_group_rejected() {
-        let mut b = BottomUpBuilder::new(RTreeConfig::PAPER);
-        b.add_leaf((0..5).map(|i| (pt(i as f64, 0.0), ItemId(i))).collect());
-    }
-
-    #[test]
-    #[should_panic(expected = "not at level")]
-    fn level_mismatch_rejected() {
-        let mut b = BottomUpBuilder::new(RTreeConfig::PAPER);
-        let l1 = b.add_leaf(vec![(pt(0.0, 0.0), ItemId(0))]);
-        b.add_internal(2, vec![l1]);
-    }
-
-    #[test]
-    fn reserve_matches_incremental_build() {
-        // Building through a reserved range must be indistinguishable
-        // from the equivalent add_leaf/add_internal sequence.
-        let leaves = [
-            vec![(pt(0.0, 0.0), ItemId(0)), (pt(1.0, 1.0), ItemId(1))],
-            vec![(pt(10.0, 10.0), ItemId(2)), (pt(11.0, 11.0), ItemId(3))],
-        ];
-        let mut a = BottomUpBuilder::new(RTreeConfig::PAPER);
-        let ha: Vec<_> = leaves.iter().map(|l| a.add_leaf(l.clone())).collect();
-        let (root_a, _) = a.add_internal(1, ha);
-        let ta = a.finish(root_a);
-
-        let mut b = BottomUpBuilder::new(RTreeConfig::PAPER);
-        let range = b.reserve(2);
-        {
-            let slots = b.reserved_slots_mut(&range);
-            for (slot, group) in slots.iter_mut().zip(&leaves) {
-                let mut node = Node::new(0);
-                node.entries = group.iter().map(|&(r, id)| Entry::item(r, id)).collect();
-                *slot = Some(node);
-            }
-        }
-        b.commit_reserved(&range, 0);
-        let hb: Vec<_> = (0..2)
-            .map(|i| {
-                let id = range.id(i);
-                // Recompute the handle MBRs the way a packer would.
-                (
-                    id,
-                    Rect::mbr_of_rects(leaves[i].iter().map(|&(r, _)| r)).unwrap(),
-                )
-            })
-            .collect();
-        let (root_b, _) = b.add_internal(1, hb);
-        let tb = b.finish(root_b);
-        assert_eq!(ta, tb);
-        tb.validate().unwrap();
     }
 
     #[test]
@@ -315,18 +190,36 @@ mod tests {
     }
 
     #[test]
-    fn built_tree_is_searchable() {
+    fn reserved_build_validates_and_searches() {
         let mut b = BottomUpBuilder::new(RTreeConfig::PAPER);
-        let l1 = b.add_leaf(vec![(pt(0.0, 0.0), ItemId(0)), (pt(1.0, 1.0), ItemId(1))]);
-        let l2 = b.add_leaf(vec![
-            (pt(10.0, 10.0), ItemId(2)),
-            (pt(11.0, 11.0), ItemId(3)),
-        ]);
-        let (root, _) = b.add_internal(1, vec![l1, l2]);
+        let leaves = vec![
+            vec![
+                Entry::item(pt(0.0, 0.0), ItemId(0)),
+                Entry::item(pt(1.0, 1.0), ItemId(1)),
+            ],
+            vec![
+                Entry::item(pt(10.0, 10.0), ItemId(2)),
+                Entry::item(pt(11.0, 11.0), ItemId(3)),
+            ],
+        ];
+        let parents: Vec<Rect> = leaves
+            .iter()
+            .map(|l| Rect::mbr_of_rects(l.iter().map(|e| e.mbr)).unwrap())
+            .collect();
+        let leaf_range = add_level(&mut b, 0, leaves);
+        let root_entries = parents
+            .into_iter()
+            .enumerate()
+            .map(|(i, mbr)| Entry::node(mbr, leaf_range.id(i)))
+            .collect();
+        let root = add_level(&mut b, 1, vec![root_entries]).id(0);
         let t = b.finish(root);
+        assert_eq!((t.depth(), t.node_count(), t.len()), (1, 3, 4));
+        t.validate().unwrap();
         let mut stats = crate::SearchStats::default();
-        let hits = t.search_within(&Rect::new(-1.0, -1.0, 2.0, 2.0), &mut stats);
-        assert_eq!(hits.len(), 2);
+        let mut hits = t.search_within(&Rect::new(-1.0, -1.0, 2.0, 2.0), &mut stats);
+        hits.sort();
+        assert_eq!(hits, vec![ItemId(0), ItemId(1)]);
         // Dynamic insert on a built tree keeps working (the paper's §3.4).
         let mut t = t;
         t.insert(pt(5.0, 5.0), ItemId(4));

@@ -130,13 +130,6 @@ impl RTree {
             }
         }
     }
-
-    /// Removes an item by rectangle, ignoring which duplicate is taken —
-    /// convenience over [`remove`](RTree::remove) for callers that know
-    /// the pair is unique.
-    pub fn remove_item(&mut self, mbr: Rect, item: ItemId) -> bool {
-        self.remove(mbr, item)
-    }
 }
 
 #[cfg(test)]

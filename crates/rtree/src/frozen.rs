@@ -41,21 +41,10 @@ use crate::search::{BatchScratch, SearchScratch};
 use crate::stats::SearchStats;
 use crate::tree::RTree;
 use rtree_geom::{Point, Rect};
-use std::collections::{HashMap, VecDeque};
-
-/// What one entry of a node fed to [`FrozenRTree::from_nodes`] points at.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FrozenChild {
-    /// A child node, by the caller's node key (arena index, page id, …).
-    Node(u64),
-    /// A data item (leaf entries only).
-    Item(ItemId),
-}
 
 /// An immutable R-tree compiled into one contiguous SoA arena.
 ///
-/// Built from a pointer [`RTree`] with [`freeze`](FrozenRTree::freeze)
-/// (or from any node store with [`from_nodes`](FrozenRTree::from_nodes));
+/// Built from a pointer [`RTree`] with [`freeze`](FrozenRTree::freeze);
 /// answers the full query surface with results and counters bit-identical
 /// to the source tree.
 #[derive(Debug, Clone)]
@@ -111,100 +100,65 @@ impl Eq for FrozenRTree {}
 
 impl FrozenRTree {
     /// Compiles a pointer tree into the frozen layout.
-    pub fn freeze(tree: &RTree) -> FrozenRTree {
-        FrozenRTree::from_nodes(
-            tree.config(),
-            tree.depth(),
-            tree.len(),
-            tree.root().index() as u64,
-            |key| {
-                let node = tree.node(NodeId(key as u32));
-                let entries = node
-                    .entries
-                    .iter()
-                    .map(|e| {
-                        let child = match e.child {
-                            Child::Node(c) => FrozenChild::Node(c.index() as u64),
-                            Child::Item(item) => FrozenChild::Item(item),
-                        };
-                        (e.mbr, child)
-                    })
-                    .collect();
-                (node.level, entries)
-            },
-        )
-    }
-
-    /// Compiles a frozen tree from any keyed node store (in-memory arena,
-    /// disk pages, buffer-pool pages): `fetch(key)` returns a node's
-    /// level and entries **in stored order**. Nodes are laid out
-    /// breadth-first from `root`, which for a height-balanced tree is
-    /// level-major order.
+    ///
+    /// Nodes are laid out breadth-first from the root, children enqueued
+    /// in entry order, so siblings are adjacent and — the tree being
+    /// height-balanced — levels form contiguous runs with the leaves last.
     ///
     /// # Panics
     ///
-    /// Panics if a node holds more than `config.max_entries` entries or
-    /// if the node graph is not a tree rooted at `root` (a key fetched
-    /// twice).
-    pub fn from_nodes<F>(
-        config: RTreeConfig,
-        depth: u32,
-        len: usize,
-        root: u64,
-        mut fetch: F,
-    ) -> FrozenRTree
-    where
-        F: FnMut(u64) -> (u32, Vec<(Rect, FrozenChild)>),
-    {
+    /// Panics if a node holds more than `config().max_entries` entries or
+    /// if a node is reached twice (the node graph is not a tree).
+    pub fn freeze(tree: &RTree) -> FrozenRTree {
+        let config = tree.config();
         let fanout = config.max_entries;
-        // Pass 1: breadth-first walk assigning dense indices in dequeue
-        // order; children are enqueued in entry order so siblings stay
-        // adjacent and levels form contiguous runs.
-        let mut nodes: Vec<(u32, Vec<(Rect, FrozenChild)>)> = Vec::new();
-        let mut index_of: HashMap<u64, u32> = HashMap::new();
-        let mut queue: VecDeque<u64> = VecDeque::new();
-        index_of.insert(root, 0);
-        queue.push_back(root);
-        while let Some(key) = queue.pop_front() {
-            let (level, entries) = fetch(key);
+        // Pass 1: the BFS visit order, which doubles as the queue, and
+        // each visited arena slot's BFS index.
+        let mut order = vec![tree.root()];
+        let mut bfs_index = vec![u32::MAX; tree.arena_len()];
+        bfs_index[tree.root().index()] = 0;
+        let mut head = 0;
+        while let Some(&id) = order.get(head) {
+            head += 1;
+            let node = tree.node(id);
             assert!(
-                entries.len() <= fanout,
-                "node {key} holds {} entries > branching factor {fanout}",
-                entries.len()
+                node.len() <= fanout,
+                "node {id} holds {} entries > branching factor {fanout}",
+                node.len()
             );
-            for &(_, child) in &entries {
-                if let FrozenChild::Node(c) = child {
-                    let next = (nodes.len() + queue.len() + 1) as u32;
-                    let prev = index_of.insert(c, next);
-                    assert!(prev.is_none(), "node {c} reached through two parents");
-                    queue.push_back(c);
+            for e in &node.entries {
+                if let Child::Node(c) = e.child {
+                    let slot = &mut bfs_index[c.index()];
+                    assert!(*slot == u32::MAX, "node {c} reached through two parents");
+                    *slot = order.len() as u32;
+                    order.push(c);
                 }
             }
-            nodes.push((level, entries));
         }
 
         // Pass 2: fill the node-major SoA blocks, NaN-padding unused
         // lanes.
-        let num_nodes = nodes.len() as u32;
-        let lanes = nodes.len() * fanout;
+        let num_nodes = order.len() as u32;
+        let lanes = order.len() * fanout;
         let mut coords = vec![f64::NAN; 4 * lanes];
         let mut ids = vec![0u64; lanes];
-        let mut counts = vec![0u32; nodes.len()];
+        let mut counts = vec![0u32; order.len()];
         let mut leaf_start = num_nodes.saturating_sub(1);
-        for (n, (level, entries)) in nodes.iter().enumerate() {
-            if *level == 0 {
+        for (n, &id) in order.iter().enumerate() {
+            let node = tree.node(id);
+            if node.is_leaf() {
                 leaf_start = leaf_start.min(n as u32);
             }
-            counts[n] = entries.len() as u32;
+            counts[n] = node.len() as u32;
             let block = n * 4 * fanout;
-            for (lane, &(mbr, child)) in entries.iter().enumerate() {
-                coords[block + lane] = mbr.min_x;
-                coords[block + fanout + lane] = mbr.min_y;
-                coords[block + 2 * fanout + lane] = mbr.max_x;
-                coords[block + 3 * fanout + lane] = mbr.max_y;
-                ids[n * fanout + lane] = match child {
-                    FrozenChild::Node(c) => index_of[&c] as u64,
-                    FrozenChild::Item(item) => item.0,
+            for (lane, e) in node.entries.iter().enumerate() {
+                coords[block + lane] = e.mbr.min_x;
+                coords[block + fanout + lane] = e.mbr.min_y;
+                coords[block + 2 * fanout + lane] = e.mbr.max_x;
+                coords[block + 3 * fanout + lane] = e.mbr.max_y;
+                ids[n * fanout + lane] = match e.child {
+                    Child::Node(c) => bfs_index[c.index()] as u64,
+                    Child::Item(item) => item.0,
                 };
             }
         }
@@ -214,8 +168,8 @@ impl FrozenRTree {
             fanout,
             num_nodes,
             leaf_start,
-            depth,
-            len,
+            depth: tree.depth(),
+            len: tree.len(),
             coords,
             ids,
             counts,

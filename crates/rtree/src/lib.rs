@@ -46,7 +46,7 @@ pub mod tree;
 pub use access::NodeAccess;
 pub use builder::{BottomUpBuilder, ReservedRange};
 pub use config::{RTreeConfig, SplitPolicy};
-pub use frozen::{FrozenChild, FrozenRTree};
+pub use frozen::FrozenRTree;
 pub use knn::{KnnScratch, Neighbor};
 pub use metrics::TreeMetrics;
 pub use node::{Child, Entry, ItemId, Node, NodeId};

@@ -155,6 +155,11 @@ impl RTree {
         &mut self.nodes[start as usize..start as usize + len]
     }
 
+    /// Arena slots, live and free: one past the largest [`NodeId`] index.
+    pub(crate) fn arena_len(&self) -> usize {
+        self.nodes.len()
+    }
+
     pub(crate) fn alloc(&mut self, node: Node) -> NodeId {
         if let Some(id) = self.free.pop() {
             self.nodes[id.index()] = Some(node);

@@ -5,7 +5,6 @@
 //! answered in its own slot, and the plan cache serves the pack.
 
 use psql::database::PictorialDatabase;
-use psql::functions::FunctionRegistry;
 use psql_server::client::Client;
 use psql_server::protocol::Response;
 use psql_server::server::{Server, ServerConfig};
@@ -77,10 +76,8 @@ fn pipelined_pack_answers_every_query_as_single_execution_does() {
     // Differential: each served result equals local single-query
     // execution of the same text against the same database.
     let db = PictorialDatabase::with_us_map();
-    let functions = FunctionRegistry::with_builtins();
     for (text, id) in texts.iter().zip(&ids) {
-        let local =
-            psql::parse_query(text).and_then(|q| psql::exec::execute_with(&db, &q, &functions));
+        let local = psql::parse_query(text).and_then(|q| psql::exec::execute(&db, &q));
         match (&responses[id], local) {
             (Response::Result { result, .. }, Ok(expect)) => {
                 assert_eq!(result.columns, expect.columns, "{text}");

@@ -21,8 +21,8 @@
 use crate::error::StorageResult;
 use crate::page::{Page, PageId};
 use crate::pager::PageStore;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Buffer pool counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -128,14 +128,14 @@ impl<'a> BufferPool<'a> {
 
     /// Runs `f` with read access to the page, faulting it in if needed.
     pub fn with_page<T>(&self, id: PageId, f: impl FnOnce(&Page) -> T) -> StorageResult<T> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let frame = self.fault(&mut st, id)?;
         Ok(f(&st.frames[frame].page))
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> BufferStats {
-        self.state.lock().stats
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).stats
     }
 
     /// Ensures `id` is resident, makes it the most recently used page
@@ -254,11 +254,17 @@ mod tests {
             self.inner.page_count()
         }
         fn read_page(&self, id: PageId) -> StorageResult<Page> {
-            self.log.lock().push(Io::Read(id));
+            self.log
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(Io::Read(id));
             self.inner.read_page(id)
         }
         fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()> {
-            self.log.lock().push(Io::Write(id));
+            self.log
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(Io::Write(id));
             self.inner.write_page(id, page)
         }
         fn sync(&self) -> StorageResult<()> {
@@ -307,7 +313,7 @@ mod tests {
     /// The pool's resident pages, most recently used first, after
     /// checking that the list, its back links and the map agree.
     fn resident(pool: &BufferPool<'_>) -> Vec<PageId> {
-        let st = pool.state.lock();
+        let st = pool.state.lock().unwrap_or_else(|e| e.into_inner());
         let mut out = Vec::new();
         let (mut at, mut newer) = (st.newest, NIL);
         while at != NIL {
@@ -380,7 +386,7 @@ mod tests {
                     assert_eq!(pool.stats(), model.stats, "capacity {capacity}");
                 }
             }
-            let log = store.log.lock();
+            let log = store.log.lock().unwrap_or_else(|e| e.into_inner());
             assert_eq!(*log, model.log, "capacity {capacity}: I/O sequence");
             assert!(log.iter().all(|io| matches!(io, Io::Read(_))));
             assert!(model.stats.evictions > 0 && model.stats.hits > 0);

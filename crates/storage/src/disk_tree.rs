@@ -25,10 +25,8 @@ use crate::node_writer::NodePageWriter;
 use crate::page::PageId;
 use crate::pager::PageStore;
 use rtree_geom::{Point, Rect};
-use rtree_index::{
-    Child, FrozenChild, FrozenRTree, ItemId, NodeId, RTree, RTreeConfig, SearchStats,
-};
-use std::collections::{HashMap, VecDeque};
+use rtree_index::{Child, ItemId, NodeId, RTree, SearchStats};
+use std::collections::VecDeque;
 use std::io;
 
 /// Identifies a [`DiskRTree`] meta slot ("PRTREE85" little-endian).
@@ -305,42 +303,6 @@ impl DiskRTree {
             out.push((pid, node));
         }
         Ok(out)
-    }
-
-    /// Materializes the page image as an in-memory
-    /// [`FrozenRTree`] — the cache-conscious SoA layout — reading every
-    /// reachable page through `pool` once. The disk image does not record
-    /// its packing configuration, so the caller supplies the `config` the
-    /// tree was built with.
-    pub fn freeze(&self, pool: &BufferPool<'_>, config: RTreeConfig) -> StorageResult<FrozenRTree> {
-        let nodes: HashMap<u64, DiskNode> = self
-            .dump_nodes(pool)?
-            .into_iter()
-            .map(|(pid, n)| (pid.0 as u64, n))
-            .collect();
-        Ok(FrozenRTree::from_nodes(
-            config,
-            self.depth,
-            self.len,
-            self.root.0 as u64,
-            |key| {
-                let node = &nodes[&key];
-                let leaf = node.is_leaf();
-                let entries = node
-                    .entries
-                    .iter()
-                    .map(|e| {
-                        let child = if leaf {
-                            FrozenChild::Item(ItemId(e.child))
-                        } else {
-                            FrozenChild::Node(e.child)
-                        };
-                        (e.mbr, child)
-                    })
-                    .collect();
-                (node.level, entries)
-            },
-        ))
     }
 }
 

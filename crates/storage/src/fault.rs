@@ -29,8 +29,8 @@
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::pager::{PageStore, Pager};
-use parking_lot::Mutex;
 use std::io;
+use std::sync::Mutex;
 
 /// The kinds of injectable faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,23 +146,33 @@ impl<'a> FaultPager<'a> {
 
     /// Faults that actually fired so far, in order.
     pub fn injected(&self) -> Vec<InjectedFault> {
-        self.state.lock().injected.clone()
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .injected
+            .clone()
     }
 
     /// `true` once a crash-point fault has fired; all subsequent I/O
     /// fails until the file is reopened with a fresh pager.
     pub fn crashed(&self) -> bool {
-        self.state.lock().crashed
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).crashed
     }
 
     /// Physical writes observed (including faulted ones).
     pub fn writes_seen(&self) -> u64 {
-        self.state.lock().writes_seen
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .writes_seen
     }
 
     /// Physical reads observed (including faulted ones).
     pub fn reads_seen(&self) -> u64 {
-        self.state.lock().reads_seen
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .reads_seen
     }
 
     fn eio(what: &str) -> StorageError {
@@ -171,7 +181,7 @@ impl<'a> FaultPager<'a> {
 
     /// Advances the class counter, firing at most one scripted fault.
     fn next_fault(&self, write: bool, page: PageId) -> Option<FaultKind> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if st.crashed {
             return Some(FaultKind::FailWrite); // sentinel: everything fails
         }
@@ -217,7 +227,7 @@ impl PageStore for FaultPager<'_> {
     }
 
     fn read_page(&self, id: PageId) -> StorageResult<Page> {
-        if self.state.lock().crashed {
+        if self.state.lock().unwrap_or_else(|e| e.into_inner()).crashed {
             return Err(Self::eio("post-crash read"));
         }
         match self.next_fault(false, id) {
@@ -235,7 +245,7 @@ impl PageStore for FaultPager<'_> {
     }
 
     fn write_page(&self, id: PageId, page: &Page) -> StorageResult<()> {
-        if self.state.lock().crashed {
+        if self.state.lock().unwrap_or_else(|e| e.into_inner()).crashed {
             return Err(Self::eio("post-crash write"));
         }
         match self.next_fault(true, id) {
@@ -252,7 +262,7 @@ impl PageStore for FaultPager<'_> {
     }
 
     fn sync(&self) -> StorageResult<()> {
-        if self.state.lock().crashed {
+        if self.state.lock().unwrap_or_else(|e| e.into_inner()).crashed {
             return Err(Self::eio("post-crash sync"));
         }
         self.inner.sync()?;

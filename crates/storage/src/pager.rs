@@ -4,12 +4,12 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PageId};
-use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// The interface the buffer pool, the page-resident tree and the WAL
 /// program against: allocate/free page ids, read/write whole pages, and flush to
@@ -210,7 +210,7 @@ impl Pager {
 
     /// Allocates a fresh (or recycled) page id.
     pub fn allocate(&self) -> PageId {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(id) = st.free.pop() {
             id
         } else {
@@ -222,12 +222,16 @@ impl Pager {
 
     /// Returns a page id to the free list.
     pub fn free(&self, id: PageId) {
-        self.state.lock().free.push(id);
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .free
+            .push(id);
     }
 
     /// Number of pages ever allocated (high-water mark).
     pub fn page_count(&self) -> u32 {
-        self.state.lock().next
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).next
     }
 
     /// Fills `page` with the file's bytes for `id`, unverified.
