@@ -8,9 +8,11 @@
 //! included), `NodeAccess` and the size accessors — and hashes them.
 //! Each digest was written by the generic node-store compiler the direct
 //! walk replaced, so a change to how the arena is built cannot move a
-//! single bit unnoticed.
+//! single bit unnoticed. `every_strategy_is_pinned` was written while
+//! PACK still had a multi-threaded level engine beside its sequential
+//! one, so it also pins the tree each packing strategy builds.
 
-use packed_rtree_core::pack;
+use packed_rtree_core::{pack, pack_with, PackStrategy};
 use rtree_geom::{Point, Rect};
 use rtree_index::{FrozenRTree, ItemId, NodeAccess, RTree, RTreeConfig};
 
@@ -128,6 +130,24 @@ fn packed_m4_arena_is_pinned() {
 fn packed_m102_arena_is_pinned() {
     let tree = pack(points(10_007), RTreeConfig::with_branching(102));
     check("pack M=102", &tree, 0xc536_de29_4e91_b599);
+}
+
+#[test]
+fn every_strategy_is_pinned() {
+    // 20 011 points make ten slabs at the leaf level (2 048 entries a
+    // slab at M = 4) and leave a partial group on every level. The two
+    // nearest-neighbour providers build the same tree.
+    let items = points(20_011);
+    for (strategy, expect) in [
+        (PackStrategy::NearestNeighbor, 0x62ad_07a0_a63a_ee69),
+        (PackStrategy::NearestNeighborNaive, 0x62ad_07a0_a63a_ee69),
+        (PackStrategy::XSort, 0x50f3_ddff_381a_d94f),
+        (PackStrategy::SortTileRecursive, 0x9f76_b984_85d1_5aad),
+        (PackStrategy::Hilbert, 0x961d_9866_9036_204d),
+    ] {
+        let tree = pack_with(items.clone(), RTreeConfig::PAPER, strategy);
+        check(strategy.name(), &tree, expect);
+    }
 }
 
 #[test]
