@@ -67,18 +67,33 @@ fn main() {
             entry.2 += found.len() as u64;
         }
     }
+    let mut cost = Vec::new();
     for (root_hits, (count, visited, hits)) in by_root_hits {
+        let avg_visited = visited as f64 / count as f64;
+        cost.push((root_hits, avg_visited));
         table.row([
             root_hits.to_string(),
             count.to_string(),
-            f(visited as f64 / count as f64, 1),
+            f(avg_visited, 1),
             f(hits as f64 / count as f64, 1),
         ]);
     }
     println!("\n{}", table.render());
-    println!("Windows intersecting every root entry cost several times windows");
-    println!("of the same size that touch only one — \"region W intersects all");
-    println!("the root entries and the search cannot yet be pruned\". If this");
-    println!("overlap phenomenon occurs regularly, the R-tree advantage erodes;");
-    println!("PACK minimizes it at construction time.");
+    let (few, few_cost) = cost[0];
+    let (most, most_cost) = cost[cost.len() - 1];
+    println!(
+        "Windows that touch {most} of the {} root entries visit {}% more nodes",
+        root.entries.len(),
+        f(100.0 * (most_cost / few_cost - 1.0), 0)
+    );
+    println!(
+        "than windows of the same size that touch {few} ({} against {}).",
+        f(most_cost, 1),
+        f(few_cost, 1)
+    );
+    println!("The more root entries a window meets, the later its search is");
+    println!("pruned (\"region W intersects all the root entries and the search");
+    println!("cannot yet be pruned\"). If this overlap phenomenon occurs");
+    println!("regularly, the R-tree advantage erodes; PACK minimizes it at");
+    println!("construction time.");
 }
