@@ -1,17 +1,13 @@
 //! **EXT-13 / EXT-15**: out-of-core external PACK scaling — wall time,
 //! spill traffic and merge shape of the external packer across dataset
-//! sizes, memory budgets, and run-sort thread counts, with the in-memory
-//! packer as the baseline.
+//! sizes and memory budgets, with the in-memory packer as the baseline.
 //!
 //! The external packer must produce the *same tree* the in-memory packer
 //! does (that is its contract, checked by the differential suite); this
 //! sweep measures what the streaming spill/merge pipeline costs to get
 //! there when the run buffer is squeezed. Per configuration it reports:
 //!
-//! * build wall time, external vs in-memory, at 1 and 2 run-sort
-//!   threads (the trees are bit-identical; only wall time may differ;
-//!   the packer clamps the request to the hardware threads, so on a
-//!   two-thread host a bigger request measures nothing new);
+//! * build wall time, external vs in-memory;
 //! * the merge and emit phases' wall time, which show where each budget
 //!   pays (the full produce / sort / spill / merge / emit split at 1M is
 //!   `sysbench`'s `extpack.*_ms` rows on `bulk_load`);
@@ -62,7 +58,6 @@ fn main() {
     let mut table = Table::new([
         "n",
         "budget",
-        "thr",
         "ext ms",
         "inmem ms",
         "spill MiB",
@@ -75,7 +70,7 @@ fn main() {
         "A ext",
         "A mem",
     ]);
-    // (n, budget, threads, ext ms) of every row, for the check below.
+    // (n, budget, ext ms) of every row, for the check below.
     let mut timings = Vec::new();
 
     for &n in &sizes {
@@ -109,56 +104,50 @@ fn main() {
             if n >= 10_000_000 && budget != 4 << 20 {
                 continue;
             }
-            for threads in [1usize, 2] {
-                let dest = Pager::temp().expect("dest pager");
-                let cfg = ExtPackConfig {
-                    threads,
-                    ..ExtPackConfig::new(budget)
-                };
-                let start = Instant::now();
-                let (disk, stats) =
-                    pack_external(items.iter().copied(), &cfg, &dest).expect("external pack");
-                let ext_ms = start.elapsed().as_secs_f64() * 1000.0;
-                assert_eq!(disk.len(), n);
-                assert!(
-                    stats.peak_budget_bytes <= budget,
-                    "peak {} exceeded budget {budget}",
-                    stats.peak_budget_bytes
-                );
+            let dest = Pager::temp().expect("dest pager");
+            let cfg = ExtPackConfig::new(budget);
+            let start = Instant::now();
+            let (disk, stats) =
+                pack_external(items.iter().copied(), &cfg, &dest).expect("external pack");
+            let ext_ms = start.elapsed().as_secs_f64() * 1000.0;
+            assert_eq!(disk.len(), n);
+            assert!(
+                stats.peak_budget_bytes <= budget,
+                "peak {} exceeded budget {budget}",
+                stats.peak_budget_bytes
+            );
 
-                // `A` on the disk image: identical traversal counts prove
-                // the external tree is the same tree, from cold pages.
-                let pool = BufferPool::new(&dest, 4096);
-                let mut disk_stats = SearchStats::default();
-                for &q in &query_points {
-                    disk.point_query(&pool, q, &mut disk_stats)
-                        .expect("disk point query");
-                }
-                let a_ext = disk_stats.avg_nodes_visited();
-                assert_eq!(
-                    a_ext.to_bits(),
-                    a_mem.to_bits(),
-                    "external tree diverged at n={n} budget={label} threads={threads}"
-                );
-
-                table.row([
-                    n.to_string(),
-                    label.to_string(),
-                    threads.to_string(),
-                    f(ext_ms, 1),
-                    f(inmem_ms, 1),
-                    f(stats.spill_bytes as f64 / (1 << 20) as f64, 1),
-                    format!("{}", stats.initial_runs),
-                    format!("{}", stats.max_fan_in),
-                    format!("{}", stats.intermediate_merges),
-                    f(stats.merge_us as f64 / 1000.0, 0),
-                    f(stats.emit_us as f64 / 1000.0, 0),
-                    f(stats.peak_budget_bytes as f64 / (1 << 20) as f64, 2),
-                    f(a_ext, 2),
-                    f(a_mem, 2),
-                ]);
-                timings.push((n, budget, threads, ext_ms));
+            // `A` on the disk image: identical traversal counts prove
+            // the external tree is the same tree, from cold pages.
+            let pool = BufferPool::new(&dest, 4096);
+            let mut disk_stats = SearchStats::default();
+            for &q in &query_points {
+                disk.point_query(&pool, q, &mut disk_stats)
+                    .expect("disk point query");
             }
+            let a_ext = disk_stats.avg_nodes_visited();
+            assert_eq!(
+                a_ext.to_bits(),
+                a_mem.to_bits(),
+                "external tree diverged at n={n} budget={label}"
+            );
+
+            table.row([
+                n.to_string(),
+                label.to_string(),
+                f(ext_ms, 1),
+                f(inmem_ms, 1),
+                f(stats.spill_bytes as f64 / (1 << 20) as f64, 1),
+                format!("{}", stats.initial_runs),
+                format!("{}", stats.max_fan_in),
+                format!("{}", stats.intermediate_merges),
+                f(stats.merge_us as f64 / 1000.0, 0),
+                f(stats.emit_us as f64 / 1000.0, 0),
+                f(stats.peak_budget_bytes as f64 / (1 << 20) as f64, 2),
+                f(a_ext, 2),
+                f(a_mem, 2),
+            ]);
+            timings.push((n, budget, ext_ms));
         }
     }
     println!("{}", table.render());
@@ -167,19 +156,19 @@ fn main() {
     println!("for bounded resident memory.\n");
 
     // The run-buffer cap keeps big budgets monotone-or-flat (the old
-    // quadratic in-run ordering made them *slower*): at every (n, threads)
-    // the 64 MiB row may cost at most 1.5x the 4 MiB row.
-    for &(n, budget, threads, ms) in &timings {
+    // quadratic in-run ordering made them *slower*): at every n the
+    // 64 MiB row may cost at most 1.5x the 4 MiB row.
+    for &(n, budget, ms) in &timings {
         if budget != 64 << 20 {
             continue;
         }
         let &(.., small) = timings
             .iter()
-            .find(|t| (t.0, t.1, t.2) == (n, 4 << 20, threads))
+            .find(|t| (t.0, t.1) == (n, 4 << 20))
             .expect("every swept size runs the 4 MiB budget");
         assert!(
             ms <= 1.5 * small,
-            "64MiB budget regressed vs 4MiB at n={n} threads={threads}: {ms:.1} ms vs {small:.1} ms"
+            "64MiB budget regressed vs 4MiB at n={n}: {ms:.1} ms vs {small:.1} ms"
         );
     }
     println!("64MiB rows monotone-or-flat vs 4MiB");

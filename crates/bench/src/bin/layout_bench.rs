@@ -16,7 +16,7 @@
 //!
 //! Run with: `cargo run --release -p rtree-bench --bin layout_bench`
 
-use packed_rtree_core::{default_threads, PackStrategy};
+use packed_rtree_core::PackStrategy;
 use psql::join::{rtree_join, JoinStats};
 use rtree_bench::report::{f, Table};
 use rtree_bench::{
@@ -297,7 +297,7 @@ fn million_point_ab(seed: u64) {
          \"page_path\": {{\"points\": {pp_n}, \"pool_frames\": {PAGE_PATH_FRAMES}, \
          \"crc_ns_per_page\": {pp_crc:.0}, \"pool_miss_ns_per_page\": {pp_miss:.0}, \
          \"disk_search_ns_per_node\": {pp_node:.0}}}\n}}\n",
-        hw = default_threads(),
+        hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         wn = windows.len(),
         rq = rows.queries,
         rpq = rows.rows_per_query,

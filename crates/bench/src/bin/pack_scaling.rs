@@ -6,8 +6,8 @@
 //! be combinatorially explosive"; even its one-at-a-time NN is quadratic
 //! when implemented naively. This sweep shows where the naive variant
 //! stops being viable and that the sweep makes PACK's build cost
-//! comparable to a sort. (Build cost at 1M points, sequential and
-//! parallel, is `sysbench`'s `core.pack_ms` / `core.pack_parallel_ms`.)
+//! comparable to a sort. (Build cost at 1M points is `sysbench`'s
+//! `core.pack_ms`.)
 //!
 //! Run with: `cargo run --release -p rtree-bench --bin pack_scaling`
 

@@ -9,7 +9,7 @@
 
 pub mod report;
 
-use packed_rtree_core::{default_threads, pack_parallel_with, pack_with, PackStrategy};
+use packed_rtree_core::{pack_with, PackStrategy};
 use rand::rngs::StdRng;
 use rtree_geom::{Point, Rect};
 use rtree_index::{
@@ -137,11 +137,10 @@ pub struct WindowPaths {
 /// one function, so the guard compares like with like by construction.
 pub fn window_paths(n: usize, seed: u64) -> WindowPaths {
     let points = points::uniform(&mut rng(seed ^ 0x9e3779b97f4a7c15), &PAPER_UNIVERSE, n);
-    let tree = pack_parallel_with(
+    let tree = pack_with(
         points::as_items(&points),
         RTreeConfig::PAPER,
         PackStrategy::NearestNeighbor,
-        default_threads(),
     );
     let frozen = FrozenRTree::freeze(&tree);
     let mut query_rng = rng(seed ^ 0x5851f42d4c957f2d);

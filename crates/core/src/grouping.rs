@@ -62,13 +62,13 @@ pub const SLAB_GROUPS: usize = 512;
 /// A deterministic partition of one level's sorted entries into
 /// independent, contiguous *slabs*.
 ///
-/// The boundaries are a pure function of `(strategy, n, m)` — never of
-/// thread count — which is what makes the parallel packer bit-identical
-/// to the sequential one: both group slab by slab, and every slab's
-/// group count (hence its nodes' arena ids) is known before any grouping
-/// runs. Every slab except possibly the last holds a multiple of `m`
-/// entries, so a slab of `e` entries always produces exactly `⌈e/m⌉`
-/// groups, all full except possibly the final group of the final slab.
+/// The boundaries are a pure function of `(strategy, n, m)`, so a packer
+/// that sees the level one slab at a time — the external packer streams
+/// it off a merge — cuts it exactly where the in-memory packer does.
+/// Every slab except possibly the last holds a multiple of `m` entries,
+/// so a slab of `e` entries always produces exactly `⌈e/m⌉` groups, all
+/// full except possibly the final group of the final slab, and the
+/// level's group count is known before any grouping runs.
 #[derive(Debug, Clone, Copy)]
 pub struct SlabPlan {
     n: usize,
@@ -163,8 +163,7 @@ impl SlabPlan {
 ///
 /// Grouping is slab-local under the [`SlabPlan`]: the level's sort order
 /// is cut at deterministic boundaries and each slab is grouped
-/// independently — identically to how the parallel packer distributes
-/// the slabs over worker threads.
+/// independently, exactly as [`crate::pack_with`] builds a level.
 pub fn group(strategy: PackStrategy, rects: &[Rect], m: usize) -> Vec<Vec<usize>> {
     assert!(m >= 1);
     if rects.is_empty() {
@@ -184,17 +183,44 @@ pub fn group(strategy: PackStrategy, rects: &[Rect], m: usize) -> Vec<Vec<usize>
 /// (ties by y then index) for the paper-family strategies — "Order
 /// objects of DLIST by some spatial criterion, e.g. ascending
 /// x-coordinate" (§3.3) — or Hilbert-curve order of the centers.
+///
+/// The sort keys are extracted once — `(center.x, center.y, index)` or
+/// `(hilbert key, index)` — and sorted as values; no two are equal, so
+/// the permutation does not depend on the sort algorithm.
 pub fn order(strategy: PackStrategy, rects: &[Rect]) -> Vec<usize> {
-    crate::parallel::level_order(strategy, rects, 1)
+    match strategy {
+        PackStrategy::Hilbert => {
+            let bounds = Rect::mbr_of_rects(rects.iter().copied()).expect("non-empty");
+            let mut keys: Vec<(u64, usize)> = rects
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (crate::hilbert::rect_index(r, &bounds), i))
+                .collect();
+            keys.sort_unstable();
+            keys.into_iter().map(|(_, i)| i).collect()
+        }
+        _ => {
+            let mut keys: Vec<CenterKey> = rects
+                .iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    let c = r.center();
+                    (c.x, c.y, i)
+                })
+                .collect();
+            keys.sort_unstable_by(key_cmp);
+            keys.into_iter().map(|k| k.2).collect()
+        }
+    }
 }
 
 /// A center's sort key: `(primary, secondary, index)`.
-pub(crate) type CenterKey = (f64, f64, usize);
+type CenterKey = (f64, f64, usize);
 
 /// Orders [`CenterKey`]s: a total order with no equal elements, so every
 /// sort of the same keys yields the same permutation.
 #[inline]
-pub(crate) fn key_cmp(a: &CenterKey, b: &CenterKey) -> Ordering {
+fn key_cmp(a: &CenterKey, b: &CenterKey) -> Ordering {
     a.0.total_cmp(&b.0)
         .then(a.1.total_cmp(&b.1))
         .then(a.2.cmp(&b.2))

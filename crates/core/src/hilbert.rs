@@ -81,8 +81,7 @@ pub fn point_index(p: Point, bounds: &Rect) -> u64 {
 }
 
 /// Hilbert index of a rectangle's center within `bounds` — the sort key
-/// of Hilbert packing. Shared by the sequential and parallel packers so
-/// both orderings agree bit for bit.
+/// of Hilbert packing ([`crate::grouping::order`]).
 #[inline]
 pub fn rect_index(r: &Rect, bounds: &Rect) -> u64 {
     point_index(r.center(), bounds)

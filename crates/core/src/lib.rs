@@ -58,13 +58,9 @@ pub mod grouping;
 pub mod hilbert;
 pub mod nn;
 pub mod pack;
-pub mod parallel;
 pub mod repack;
 pub mod zero_overlap;
 
 pub use grouping::PackStrategy;
-pub use pack::{pack, pack_hilbert, pack_naive, pack_str, pack_with, pack_xsort};
-pub use parallel::{
-    default_threads, effective_threads, pack_parallel, pack_parallel_with, par_sort_values,
-};
+pub use pack::{pack, pack_hilbert, pack_naive, pack_parallel, pack_str, pack_with, pack_xsort};
 pub use repack::AutoRepack;

@@ -1,13 +1,15 @@
 //! Algorithm PACK (§3.3) and its packing variants.
 //!
-//! All packers share one recursion: partition the current level's entries
-//! into groups of at most `M` ([`crate::grouping`]), materialize one node
-//! per group, and repeat on the node MBRs "working ever backwards, until
-//! the root is finally reached and created".
+//! All packers share one loop: sort the current level's entries
+//! ([`grouping::order`]), partition them into groups of at most `M`
+//! slab by slab ([`SlabPlan`], [`grouping::slab_order`]), materialize one
+//! node per group, and repeat on the node MBRs "working ever backwards,
+//! until the root is finally reached and created".
 
-use crate::grouping::PackStrategy;
+use crate::grouping::{self, PackStrategy, SlabPlan};
 use rtree_geom::Rect;
-use rtree_index::{ItemId, RTree, RTreeConfig};
+use rtree_index::builder::BottomUpBuilder;
+use rtree_index::{Entry, ItemId, Node, NodeId, RTree, RTreeConfig};
 
 /// Packs `items` into an R-tree with the paper's algorithm
 /// (ascending-x order + nearest-neighbour grouping, each slab's
@@ -20,6 +22,15 @@ use rtree_index::{ItemId, RTree, RTreeConfig};
 /// (§3.4).
 pub fn pack(items: Vec<(Rect, ItemId)>, config: RTreeConfig) -> RTree {
     pack_with(items, config, PackStrategy::NearestNeighbor)
+}
+
+/// [`pack`]; `_threads` is ignored, because PACK is one thread of
+/// control.
+///
+/// Kept only because the `sysbench` benchmark harness names it (its
+/// `core.pack_parallel_ms` rows time this call beside [`pack`]).
+pub fn pack_parallel(items: Vec<(Rect, ItemId)>, config: RTreeConfig, _threads: usize) -> RTree {
+    pack(items, config)
 }
 
 /// PACK with the pseudocode's literal O(n²) nearest-neighbour scan.
@@ -46,13 +57,63 @@ pub fn pack_hilbert(items: Vec<(Rect, ItemId)>, config: RTreeConfig) -> RTree {
     pack_with(items, config, PackStrategy::Hilbert)
 }
 
-/// Packs with an explicit [`PackStrategy`].
-///
-/// Runs the shared level-building engine single-threaded; see
-/// [`crate::parallel::pack_parallel_with`] for the multi-threaded entry
-/// point (bit-identical output at every thread count).
+/// Packs with an explicit [`PackStrategy`], one level at a time from the
+/// leaves up.
 pub fn pack_with(items: Vec<(Rect, ItemId)>, config: RTreeConfig, strategy: PackStrategy) -> RTree {
-    crate::parallel::pack_parallel_with(items, config, strategy, 1)
+    let mut builder = BottomUpBuilder::new(config);
+    if items.is_empty() {
+        return builder.finish_empty();
+    }
+
+    // Leaf level: entries point at the data items.
+    let rects: Vec<Rect> = items.iter().map(|&(r, _)| r).collect();
+    let mut handles = build_level(&mut builder, strategy, 0, &rects, |i| {
+        Entry::item(items[i].0, items[i].1)
+    });
+
+    // Internal levels, "working ever backwards, until the root is
+    // finally reached and created" (§3.3).
+    let mut level = 1;
+    while handles.len() > 1 {
+        let prev = handles;
+        let rects: Vec<Rect> = prev.iter().map(|&(_, r)| r).collect();
+        handles = build_level(&mut builder, strategy, level, &rects, |i| {
+            Entry::node(prev[i].1, prev[i].0)
+        });
+        level += 1;
+    }
+    builder.finish(handles[0].0)
+}
+
+/// Builds one tree level: sorts the entries, reserves one arena slot per
+/// group of the level's [`SlabPlan`], and fills the slots in one pass over
+/// each slab's `slab_order(..).chunks(m)`. Returns the `(NodeId, Rect)`
+/// handles in group order (the next level's input).
+fn build_level(
+    builder: &mut BottomUpBuilder,
+    strategy: PackStrategy,
+    level: u32,
+    rects: &[Rect],
+    make_entry: impl Fn(usize) -> Entry,
+) -> Vec<(NodeId, Rect)> {
+    let m = builder.config().max_entries;
+    let ord = grouping::order(strategy, rects);
+    let plan = SlabPlan::new(strategy, rects.len(), m);
+    let range = builder.reserve(plan.total_groups());
+    let mut handles = Vec::with_capacity(plan.total_groups());
+    let mut slots = builder.reserved_slots_mut(&range).iter_mut();
+    for k in 0..plan.slab_count() {
+        let order = grouping::slab_order(strategy, rects, &ord[plan.slab_range(k)], &plan);
+        for group in order.chunks(m) {
+            let mut node = Node::new(level);
+            node.entries = group.iter().map(|&i| make_entry(i)).collect();
+            let mbr = node.mbr().expect("non-empty group");
+            handles.push((range.id(handles.len()), mbr));
+            *slots.next().expect("one reserved slot per group") = Some(node);
+        }
+    }
+    builder.commit_reserved(&range, level);
+    handles
 }
 
 #[cfg(test)]

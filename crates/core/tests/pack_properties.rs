@@ -1,14 +1,10 @@
-//! Determinism guarantees of the parallel PACK pipeline.
-//!
-//! The contract is strict: `pack_parallel_with(items, cfg, strategy, t)`
-//! must be **byte-identical** to the sequential `pack_with` for every
-//! thread count, every strategy, and every n — including sizes that are
-//! not multiples of `M` and sizes large enough that the parallel path
-//! actually engages (the engine falls back to one thread below its
-//! internal cutoff).
+//! Properties of PACK's level loop on arbitrary inputs: the slab plan
+//! tiles a level, slab-local grouping partitions it into the plan's
+//! group count, and the nearest-neighbour sweep builds the same tree as
+//! the pseudocode's literal scan on inputs made of ties.
 
 use packed_rtree_core::grouping::{self, PackStrategy, SlabPlan};
-use packed_rtree_core::{pack, pack_naive, pack_parallel_with, pack_with};
+use packed_rtree_core::{pack, pack_naive};
 use proptest::prelude::*;
 use rtree_geom::{Point, Rect};
 use rtree_index::{ItemId, RTreeConfig};
@@ -30,62 +26,6 @@ fn points(n: u64, seed: u64) -> Vec<(Rect, ItemId)> {
         .collect()
 }
 
-/// The headline guarantee: parallel output equals sequential output as a
-/// value (`RTree: PartialEq` covers the arena, root, config and length —
-/// i.e. the exact node layout), at thread counts above, at, and below the
-/// slab count, with n chosen indivisible by M.
-#[test]
-fn parallel_equals_sequential_all_strategies_and_threads() {
-    // 10_007 is prime: not divisible by M=4, bigger than the parallel
-    // cutoff, and leaves a partial group on every level.
-    let items = points(10_007, 42);
-    for strategy in PackStrategy::ALL {
-        let seq = pack_with(items.clone(), RTreeConfig::PAPER, strategy);
-        seq.validate_with(false).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let par = pack_parallel_with(items.clone(), RTreeConfig::PAPER, strategy, threads);
-            assert_eq!(
-                par, seq,
-                "{strategy:?} at {threads} threads diverged from sequential"
-            );
-        }
-    }
-}
-
-/// Same guarantee at a larger branching factor (fewer, fatter slabs) and
-/// a small-n case that exercises the single-slab fast path.
-#[test]
-fn parallel_equals_sequential_other_configs() {
-    for (n, m) in [(4_099u64, 64usize), (257, 4), (5_000, 16)] {
-        let items = points(n, n);
-        let config = RTreeConfig::with_branching(m);
-        for strategy in PackStrategy::ALL {
-            let seq = pack_with(items.clone(), config, strategy);
-            for threads in [2, 8] {
-                let par = pack_parallel_with(items.clone(), config, strategy, threads);
-                assert_eq!(par, seq, "{strategy:?} n={n} M={m} t={threads}");
-            }
-        }
-    }
-}
-
-/// Thread count does not leak into the plan: two parallel runs at
-/// different thread counts agree with each other on a size straddling
-/// several slabs.
-#[test]
-fn thread_count_is_invisible() {
-    let items = points(20_011, 7);
-    for strategy in [
-        PackStrategy::XSort,
-        PackStrategy::Hilbert,
-        PackStrategy::SortTileRecursive,
-    ] {
-        let a = pack_parallel_with(items.clone(), RTreeConfig::PAPER, strategy, 3);
-        let b = pack_parallel_with(items.clone(), RTreeConfig::PAPER, strategy, 7);
-        assert_eq!(a, b, "{strategy:?}");
-    }
-}
-
 fn arb_strategy() -> impl Strategy<Value = PackStrategy> {
     prop::sample::select(PackStrategy::ALL.to_vec())
 }
@@ -96,7 +36,7 @@ proptest! {
     /// Slab-boundary grouping preserves the partition invariant: the
     /// groups cover every input index exactly once, never exceed `m`,
     /// and the group count matches the plan's prediction — the property
-    /// the parallel id pre-assignment rests on.
+    /// the arena range reserved for a level before it is grouped rests on.
     #[test]
     fn slab_grouping_partitions(
         n in 1usize..600,
@@ -147,23 +87,6 @@ proptest! {
         prop_assert_eq!(next, n);
         prop_assert_eq!(groups, plan.total_groups());
         prop_assert_eq!(groups, n.div_ceil(m));
-    }
-
-    /// End-to-end determinism on arbitrary (duplicated, collinear,
-    /// degenerate) point sets: parallel equals sequential.
-    #[test]
-    fn parallel_matches_sequential_on_arbitrary_inputs(
-        coords in prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), 0..300),
-        strategy in arb_strategy(),
-    ) {
-        let items: Vec<(Rect, ItemId)> = coords
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| (Rect::from_point(Point::new(x, y)), ItemId(i as u64)))
-            .collect();
-        let seq = pack_with(items.clone(), RTreeConfig::PAPER, strategy);
-        let par = pack_parallel_with(items, RTreeConfig::PAPER, strategy, 4);
-        prop_assert_eq!(par, seq);
     }
 
     /// The nearest-neighbour sweep breaks distance ties exactly as the

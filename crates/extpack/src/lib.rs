@@ -8,9 +8,7 @@
 //! 1. **Run generation** — the item stream fills a budget-bounded
 //!    buffer; each full buffer is sorted in pack-key order (ascending
 //!    center-x, ties by y then arrival, via the same comparator as the
-//!    in-memory packer, applied with
-//!    [`par_sort_values`](packed_rtree_core::par_sort_values)) and
-//!    spilled as a CRC-framed run of
+//!    in-memory packer) and spilled as a CRC-framed run of
 //!    [`PageType::Spill`](rtree_storage::PageType) pages before the next
 //!    buffer fills.
 //! 2. **Merge → emit** — the runs are k-way merged; the merged stream is
@@ -26,16 +24,15 @@
 //!    page is durable ([`DiskRTree::commit_external`]), so a crash at
 //!    any point leaves the previous tree or a detectably-absent one.
 //!
-//! The pack runs on the calling thread; its one parallel step is the
-//! run-buffer sort, which uses up to [`ExtPackConfig::threads`] workers.
+//! The pack is one thread of control: it runs on the calling thread.
 //! Because run boundaries are contiguous arrival chunks whose size
 //! depends only on the budget, the merge comparator (center-x,
 //! center-y, arrival order) reproduces exactly the global sorted
 //! permutation of the in-memory packer, and because the slab plan is a
 //! pure function of `(strategy, n, m)`, the resulting tree is
 //! **bit-identical** to [`pack`](packed_rtree_core::pack) at any memory
-//! budget and any thread count — the differential suite asserts this
-//! down to budgets that force one-record runs.
+//! budget — the differential suite asserts this down to budgets that
+//! force one-record runs, and pins the raw destination file's bytes.
 //!
 //! Memory is governed by one knob,
 //! [`ExtPackConfig::memory_budget_bytes`], which bounds run buffers,

@@ -2,9 +2,8 @@
 //!
 //! One thread of control runs the whole pack, the way §3.3's PACK is one
 //! sort-then-group loop. Level 0 consumes the caller's item stream into
-//! budget-bounded run buffers; each full buffer is sorted (the only
-//! parallel step: [`par_sort_values`] with up to `threads` workers) and
-//! spilled before the next one fills. Every level above is the same
+//! budget-bounded run buffers; each full buffer is sorted and spilled
+//! before the next one fills. Every level above is the same
 //! pipeline applied to the group MBRs the level below emitted, "working
 //! ever backwards, until the root is finally reached" (§3.3). Each
 //! level's runs are k-way merged, and the merged stream is cut into the
@@ -34,7 +33,7 @@ use crate::guard::SpillDir;
 use crate::merge::{reduce_runs, MergeCursor, MERGE_HEAD_BYTES};
 use crate::spill::{Run, RunWriter, SpillRecord};
 use packed_rtree_core::grouping::{slab_order, SlabPlan};
-use packed_rtree_core::{par_sort_values, PackStrategy};
+use packed_rtree_core::PackStrategy;
 use rtree_geom::Rect;
 use rtree_index::{ItemId, RTreeConfig};
 use rtree_storage::codec::{self, MAX_ENTRIES_PER_PAGE};
@@ -43,9 +42,14 @@ use std::cell::Cell;
 use std::fmt;
 use std::time::Instant;
 
-/// Accounted bytes per buffered run record: the 48-byte [`SpillRecord`]
-/// plus the sort's worst-case scratch (the parallel merge cascade's
-/// ping-pong copy of the buffer).
+/// Accounted bytes per buffered run record: twice the 48-byte
+/// [`SpillRecord`].
+///
+/// The second half once paid for a sort's scratch copy of the buffer.
+/// The in-place unstable sort needs none, but the value stays 96: the
+/// run-capacity formula divides the budget by it, so run boundaries —
+/// and with them the spill traffic, `initial_runs` and the merge shape —
+/// would all move with it.
 pub const RUN_RECORD_FOOTPRINT: u64 = 96;
 
 /// Hard cap on records per run buffer. Past a few MiB of records a
@@ -100,24 +104,21 @@ pub struct ExtPackConfig {
     /// Packing strategy. [`PackStrategy::Hilbert`] is not supported
     /// (its sort key needs the global MBR, unknowable while streaming).
     pub strategy: PackStrategy,
-    /// Workers for sorting each run buffer, clamped like
-    /// [`pack_parallel`](packed_rtree_core::pack_parallel)'s to the
-    /// hardware threads and the run size. `0` selects the machine's
-    /// default. Everything else runs on the calling thread; the packed
-    /// tree is bit-identical at every value.
+    /// Not read: the pack is one thread of control. Kept only because
+    /// the `sysbench` benchmark harness sets it.
     pub threads: usize,
     /// Tree parameters; `tree.max_entries` is the node fan-out `M`.
     pub tree: RTreeConfig,
 }
 
 impl ExtPackConfig {
-    /// A config with the given memory budget, the default strategy, the
-    /// machine's default thread count, and the paper's tree parameters.
+    /// A config with the given memory budget, the default strategy and
+    /// the paper's tree parameters.
     pub fn new(memory_budget_bytes: u64) -> ExtPackConfig {
         ExtPackConfig {
             memory_budget_bytes,
             strategy: PackStrategy::default(),
-            threads: packed_rtree_core::default_threads(),
+            threads: 1,
             tree: RTreeConfig::PAPER,
         }
     }
@@ -198,9 +199,6 @@ pub struct ExtPackStats {
     /// Fixed working set of the slab/grouping buffer, reported separately
     /// from the budget (it is a function of `M`, not of the budget).
     pub slab_buffer_bytes: u64,
-    /// Run-sort workers the pack ran with (after `0 → default` and the
-    /// clamp).
-    pub threads_used: u32,
     /// Microseconds spent consuming the input stream.
     pub produce_us: u64,
     /// Microseconds spent sorting run buffers.
@@ -237,7 +235,6 @@ impl PhaseTimers {
 struct RunProducer<'a> {
     spill: &'a dyn PageStore,
     cap: u64,
-    threads: usize,
     budget: &'a BudgetAccountant,
     timers: &'a PhaseTimers,
     buffer: Vec<SpillRecord>,
@@ -249,14 +246,12 @@ impl<'a> RunProducer<'a> {
     fn new(
         spill: &'a dyn PageStore,
         cap: u64,
-        threads: usize,
         budget: &'a BudgetAccountant,
         timers: &'a PhaseTimers,
     ) -> Self {
         RunProducer {
             spill,
             cap,
-            threads,
             budget,
             timers,
             buffer: Vec::new(),
@@ -278,13 +273,13 @@ impl<'a> RunProducer<'a> {
     /// Sorts the buffer and writes it as one run. Records arrive in
     /// `seq` order, so the sort equals the in-memory packer's `(center.x,
     /// center.y, input index)` permutation exactly; the comparator is
-    /// tie-free, so the result is also independent of `threads`.
+    /// tie-free, so no sort algorithm can order it differently.
     fn spill_buffer(&mut self) -> ExtPackResult<()> {
         if self.buffer.is_empty() {
             return Ok(());
         }
         let t = Instant::now();
-        par_sort_values(&mut self.buffer, self.threads, |a, b| a.key().cmp(&b.key()));
+        self.buffer.sort_unstable_by_key(SpillRecord::key);
         PhaseTimers::add(&self.timers.sort, t);
         let t = Instant::now();
         let mut writer = RunWriter::new(self.spill);
@@ -390,7 +385,6 @@ fn run_level(
     level: u32,
     single: bool,
     runs_open: Vec<Run>,
-    threads: usize,
     budget: &BudgetAccountant,
     timers: &PhaseTimers,
     stats: &mut ExtPackStats,
@@ -407,8 +401,7 @@ fn run_level(
     let batch_charge = (batch_pages as u64 - 1) * PAGE_SIZE as u64;
     budget.charge(batch_charge);
     let emitter = NodePageWriter::new(dest, batch_pages);
-    let next =
-        (!single).then(|| RunProducer::new(spill, upper_run_capacity(bb), threads, budget, timers));
+    let next = (!single).then(|| RunProducer::new(spill, upper_run_capacity(bb), budget, timers));
     let mut builder = LevelBuilder {
         strategy,
         plan,
@@ -490,16 +483,6 @@ where
     }
     let bb = cfg.memory_budget_bytes;
     let cap0 = level0_run_capacity(bb);
-    // Clamped against the largest buffer the pack sorts: a pinned or
-    // small pack starts no sort worker it cannot run.
-    let threads = packed_rtree_core::effective_threads(
-        if cfg.threads == 0 {
-            packed_rtree_core::default_threads()
-        } else {
-            cfg.threads
-        },
-        cap0 as usize,
-    );
 
     // Reserve the meta pair before any node page, so the commit layout
     // matches `store_with_meta` and a crash pre-commit is detectable.
@@ -511,13 +494,12 @@ where
     let timers = PhaseTimers::default();
     let mut stats = ExtPackStats {
         run_capacity_records: cap0,
-        threads_used: threads as u32,
         ..ExtPackStats::default()
     };
 
     // Level 0: run generation straight off the item stream.
     let t_produce = Instant::now();
-    let mut producer = RunProducer::new(spill, cap0, threads, &budget, &timers);
+    let mut producer = RunProducer::new(spill, cap0, &budget, &timers);
     for (i, (rect, item)) in items.into_iter().enumerate() {
         producer.push(SpillRecord {
             rect,
@@ -567,7 +549,6 @@ where
             level,
             single,
             runs_open,
-            threads,
             &budget,
             &timers,
             &mut stats,
@@ -637,7 +618,6 @@ mod tests {
         let dest = Pager::temp().unwrap();
         let cfg = ExtPackConfig {
             memory_budget_bytes: 16 * 1024,
-            threads: 1,
             ..ExtPackConfig::new(0)
         };
         let (tree, stats) = pack_external(scatter(3000), &cfg, &dest).unwrap();
@@ -658,10 +638,7 @@ mod tests {
     #[test]
     fn zero_budget_clamps_to_degenerate_floor() {
         let dest = Pager::temp().unwrap();
-        let cfg = ExtPackConfig {
-            threads: 1,
-            ..ExtPackConfig::new(0)
-        };
+        let cfg = ExtPackConfig::new(0);
         // One-record runs, 2-way merges: slow but correct.
         let (tree, stats) = pack_external(scatter(150), &cfg, &dest).unwrap();
         assert_eq!(tree.len(), 150);

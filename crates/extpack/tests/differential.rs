@@ -5,7 +5,7 @@
 //! memory within the budget (above the documented ~12.5 KiB floor of
 //! two merge heads plus a reduce output head).
 
-use packed_rtree_core::{effective_threads, pack_with, PackStrategy};
+use packed_rtree_core::{pack_with, PackStrategy};
 use rtree_extpack::{pack_external, ExtPackConfig, MERGE_HEAD_BYTES};
 use rtree_geom::Rect;
 use rtree_index::{ItemId, RTreeConfig, SearchStats};
@@ -150,44 +150,32 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 #[test]
-fn identical_across_thread_matrix() {
+fn destination_file_is_pinned_at_every_budget() {
     // The *physical* destination file — every byte of every page — is
-    // pinned at every run-sort thread count, for tiny, medium, and huge
-    // budgets. This is stronger than logical tree equality: it pins the
-    // page layout, the emission order, and the commit record.
+    // pinned for tiny, medium, and huge budgets. This is stronger than
+    // logical tree equality: it pins the page layout, the emission
+    // order, and the commit record.
     use rtree_storage::PageId;
     let items = workload(10_000);
     for budget in [FLOOR_BYTES, 256 * 1024, u64::MAX / 2] {
-        for threads in [1usize, 2, 4] {
-            let dest = Pager::temp().expect("dest pager");
-            let cfg = ExtPackConfig {
-                memory_budget_bytes: budget,
-                strategy: PackStrategy::NearestNeighbor,
-                threads,
-                tree: RTreeConfig::PAPER,
-            };
-            let (tree, stats) = pack_external(items.clone(), &cfg, &dest).expect("external pack");
-            assert_eq!(tree.len(), items.len());
-            assert_eq!(
-                stats.threads_used as usize,
-                effective_threads(threads, stats.run_capacity_records as usize),
-                "the sort's workers are clamped like pack_parallel's"
-            );
-            assert!(
-                stats.peak_budget_bytes <= budget.max(FLOOR_BYTES),
-                "threads={threads} b={budget}: peak {} over budget",
-                stats.peak_budget_bytes
-            );
-            let mut image = Vec::new();
-            for p in 0..dest.page_count() {
-                image.extend_from_slice(dest.read_page_raw(PageId(p)).expect("raw page").bytes());
-            }
-            let digest = fnv1a(&image);
-            assert_eq!(
-                digest, DEST_DIGEST,
-                "threads={threads} b={budget}: destination file digest {digest:#018x}"
-            );
+        let dest = Pager::temp().expect("dest pager");
+        let (tree, stats) = pack_external(items.clone(), &ExtPackConfig::new(budget), &dest)
+            .expect("external pack");
+        assert_eq!(tree.len(), items.len());
+        assert!(
+            stats.peak_budget_bytes <= budget.max(FLOOR_BYTES),
+            "b={budget}: peak {} over budget",
+            stats.peak_budget_bytes
+        );
+        let mut image = Vec::new();
+        for p in 0..dest.page_count() {
+            image.extend_from_slice(dest.read_page_raw(PageId(p)).expect("raw page").bytes());
         }
+        let digest = fnv1a(&image);
+        assert_eq!(
+            digest, DEST_DIGEST,
+            "b={budget}: destination file digest {digest:#018x}"
+        );
     }
 }
 

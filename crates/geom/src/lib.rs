@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod distance;
 pub mod object;
 pub mod point;
 pub mod rect;

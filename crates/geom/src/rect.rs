@@ -123,13 +123,6 @@ impl Rect {
         self.width() * self.height()
     }
 
-    /// Half-perimeter (the "margin" used by later R-tree variants; exposed
-    /// for ablation experiments).
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     /// Center point.
     #[inline]
     pub fn center(&self) -> Point {
@@ -339,10 +332,9 @@ mod tests {
     }
 
     #[test]
-    fn area_and_margin() {
+    fn area_and_center() {
         let x = r(0.0, 0.0, 4.0, 3.0);
         assert_eq!(x.area(), 12.0);
-        assert_eq!(x.margin(), 7.0);
         assert_eq!(x.center(), Point::new(2.0, 1.5));
     }
 
@@ -451,6 +443,9 @@ mod tests {
         assert_eq!(a.min_distance_sq_rect(&b), 9.0 + 16.0);
         let c = r(0.5, 0.5, 3.0, 3.0);
         assert_eq!(a.min_distance_sq_rect(&c), 0.0);
+        // Closed rectangles: touching at a corner is distance zero.
+        let d = r(1.0, 1.0, 2.0, 2.0);
+        assert_eq!(a.min_distance_sq_rect(&d), 0.0);
     }
 
     #[test]

@@ -104,20 +104,6 @@ pub fn area_where<F: Fn(u32) -> bool>(rects: &[Rect], pred: F) -> f64 {
     area
 }
 
-/// Pairwise-intersection total: `Σ_{i<j} area(rᵢ ∩ rⱼ)`.
-///
-/// An alternative overlap reading that counts multiply-covered area with
-/// multiplicity; exposed so experiments can report both interpretations.
-pub fn pairwise_intersection_area(rects: &[Rect]) -> f64 {
-    let mut acc = 0.0;
-    for i in 0..rects.len() {
-        for j in (i + 1)..rects.len() {
-            acc += rects[i].intersection_area(&rects[j]);
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,17 +148,15 @@ mod tests {
         assert_eq!(total_area(&rs), 8.0);
         assert_eq!(union_area(&rs), 7.0);
         assert_eq!(overlap_area(&rs), 1.0);
-        assert_eq!(pairwise_intersection_area(&rs), 1.0);
     }
 
     #[test]
     fn triple_overlap_counted_once_in_overlap_area() {
         // Three identical rects: overlap region covered 3 times but its
-        // area counts once; pairwise counts it 3 times.
+        // area counts once.
         let rs = [r(0.0, 0.0, 1.0, 1.0); 3];
         assert_eq!(union_area(&rs), 1.0);
         assert_eq!(overlap_area(&rs), 1.0);
-        assert_eq!(pairwise_intersection_area(&rs), 3.0);
     }
 
     #[test]

@@ -98,28 +98,16 @@ impl Segment {
     /// `true` if `p` lies exactly on the segment (endpoints included).
     ///
     /// Uses the orientation test (`cross == 0` plus a bounding-box span
-    /// check), not [`distance_sq_to_point`](Segment::distance_sq_to_point):
-    /// the distance goes through a division and a projection whose
-    /// rounding can turn an exact hit into a tiny positive distance, and
-    /// boundary predicates must not miss exact hits.
+    /// check), not a point-to-segment distance: that goes through a
+    /// division and a projection whose rounding can turn an exact hit
+    /// into a tiny positive distance, and boundary predicates must not
+    /// miss exact hits.
     pub fn contains_point(&self, p: Point) -> bool {
         (self.b - self.a).cross(p - self.a) == 0.0
             && p.x >= self.a.x.min(self.b.x)
             && p.x <= self.a.x.max(self.b.x)
             && p.y >= self.a.y.min(self.b.y)
             && p.y <= self.a.y.max(self.b.y)
-    }
-
-    /// Squared distance from a point to the segment.
-    pub fn distance_sq_to_point(&self, p: Point) -> f64 {
-        let ab = self.b - self.a;
-        let len_sq = ab.dot(ab);
-        if len_sq == 0.0 {
-            return self.a.distance_sq(p);
-        }
-        let t = ((p - self.a).dot(ab) / len_sq).clamp(0.0, 1.0);
-        let proj = self.a + ab * t;
-        proj.distance_sq(p)
     }
 }
 
@@ -186,19 +174,5 @@ mod tests {
         // MBRs overlap but the segment passes by the corner.
         let diag = s(3.0, 0.0, 0.0, 3.0);
         assert!(!diag.intersects_rect(&Rect::new(0.0, 0.0, 1.0, 1.0)));
-    }
-
-    #[test]
-    fn point_distance_to_segment() {
-        let seg = s(0.0, 0.0, 4.0, 0.0);
-        assert_eq!(seg.distance_sq_to_point(Point::new(2.0, 3.0)), 9.0);
-        assert_eq!(seg.distance_sq_to_point(Point::new(-3.0, 4.0)), 25.0);
-        assert_eq!(seg.distance_sq_to_point(Point::new(1.0, 0.0)), 0.0);
-    }
-
-    #[test]
-    fn zero_length_segment_distance() {
-        let seg = s(1.0, 1.0, 1.0, 1.0);
-        assert_eq!(seg.distance_sq_to_point(Point::new(4.0, 5.0)), 25.0);
     }
 }

@@ -27,9 +27,9 @@ pub struct BottomUpBuilder {
 /// A contiguous range of arena slots handed out by
 /// [`BottomUpBuilder::reserve`].
 ///
-/// The node ids of the range are known before the nodes exist, which is
-/// what lets a parallel packer assign every group its final id up front
-/// and materialize nodes into disjoint sub-slices from worker threads.
+/// The node ids of the range are known before the nodes exist: a packer
+/// that knows a level's group count from its slab plan reserves the
+/// level once and fills the slots in group order.
 #[derive(Debug, Clone, Copy)]
 pub struct ReservedRange {
     start: u32,
@@ -65,8 +65,7 @@ impl BottomUpBuilder {
     /// Starts building a tree with the given configuration.
     pub fn new(config: RTreeConfig) -> Self {
         // Start from a completely empty arena: ids are handed out densely
-        // from 0, so level-by-level construction (sequential or through
-        // reserved ranges) yields identical layouts.
+        // from 0, level by level.
         BottomUpBuilder {
             tree: RTree::empty_arena(config),
             items: 0,
@@ -79,8 +78,7 @@ impl BottomUpBuilder {
     /// Fill every slot through
     /// [`reserved_slots_mut`](Self::reserved_slots_mut) and then seal the
     /// range with [`commit_reserved`](Self::commit_reserved). The ids are
-    /// known up front, so the nodes can be built out of order (e.g. by
-    /// worker threads writing disjoint sub-slices).
+    /// known up front, so a node's id never depends on when it is built.
     pub fn reserve(&mut self, count: usize) -> ReservedRange {
         let start = self.tree.arena_reserve(count);
         ReservedRange { start, len: count }
@@ -88,8 +86,7 @@ impl BottomUpBuilder {
 
     /// Mutable slice over a reserved range's slots, in offset order.
     ///
-    /// Slot `i` of the slice corresponds to node id `range.id(i)`. Split
-    /// the slice (`split_at_mut`) to hand disjoint parts to threads.
+    /// Slot `i` of the slice corresponds to node id `range.id(i)`.
     pub fn reserved_slots_mut(&mut self, range: &ReservedRange) -> &mut [Option<Node>] {
         self.tree.arena_slice_mut(range.start, range.len)
     }

@@ -1,6 +1,6 @@
 //! Traversal iterators over tree structure.
 
-use crate::node::{Child, ItemId, Node, NodeId};
+use crate::node::{Child, Node, NodeId};
 use crate::tree::RTree;
 use rtree_geom::Rect;
 
@@ -25,44 +25,12 @@ impl<'a> Iterator for DfsNodes<'a> {
     }
 }
 
-/// Iterator over all leaf entries `(Rect, ItemId)` in depth-first order.
-pub struct LeafEntries<'a> {
-    nodes: DfsNodes<'a>,
-    current: std::slice::Iter<'a, crate::node::Entry>,
-}
-
-impl<'a> Iterator for LeafEntries<'a> {
-    type Item = (Rect, ItemId);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            for e in self.current.by_ref() {
-                if let Child::Item(item) = e.child {
-                    return Some((e.mbr, item));
-                }
-            }
-            let (_, node) = self.nodes.next()?;
-            if node.is_leaf() {
-                self.current = node.entries.iter();
-            }
-        }
-    }
-}
-
 impl RTree {
     /// Depth-first traversal of all nodes.
     pub fn dfs(&self) -> DfsNodes<'_> {
         DfsNodes {
             tree: self,
             stack: vec![self.root()],
-        }
-    }
-
-    /// Iterates over all leaf entries in depth-first order.
-    pub fn leaf_entries(&self) -> LeafEntries<'_> {
-        LeafEntries {
-            nodes: self.dfs(),
-            current: [].iter(),
         }
     }
 
@@ -79,6 +47,7 @@ impl RTree {
 mod tests {
     use super::*;
     use crate::config::RTreeConfig;
+    use crate::node::ItemId;
     use rtree_geom::Point;
 
     fn build(n: u64) -> RTree {
@@ -100,20 +69,6 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), visited.len());
-    }
-
-    #[test]
-    fn leaf_entries_yields_every_item() {
-        let t = build(73);
-        let mut items: Vec<u64> = t.leaf_entries().map(|(_, id)| id.0).collect();
-        items.sort_unstable();
-        assert_eq!(items, (0..73).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn leaf_entries_on_empty_tree() {
-        let t = RTree::new(RTreeConfig::PAPER);
-        assert_eq!(t.leaf_entries().count(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! | [`geom`] | `rtree-geom` | points, MBRs, segments, regions, exact coverage/overlap areas |
 //! | [`index`] | `rtree-index` | Guttman R-tree: INSERT/DELETE/SEARCH, kNN, metrics, validation |
 //! | [`pack`] | `packed-rtree-core` | the PACK algorithm and its descendants; Theorems 3.2/3.3 machinery |
-//! | [`storage`] | `rtree-storage` | simulated disk: pager, LRU buffer pool, page-resident trees |
+//! | [`storage`] | `rtree-storage` | simulated disk: pager, read-only LRU buffer pool, a read-only disk tree image, a write-ahead log |
 //! | [`relational`] | `pictorial-relational` | tuples, schemas, B+tree indexes, predicates |
 //! | [`psql`] | `psql` | the pictorial query language: parser, planner, executor, ASCII monitor |
 //! | [`workload`] | `rtree-workload` | paper + extension workload generators, synthetic US map |
