@@ -10,9 +10,11 @@
 //! walk replaced, so a change to how the arena is built cannot move a
 //! single bit unnoticed. `every_strategy_is_pinned` was written while
 //! PACK still had a multi-threaded level engine beside its sequential
-//! one, so it also pins the tree each packing strategy builds.
+//! one, so it also pins the tree each packing strategy builds. Every
+//! packed digest is checked twice: through `freeze` of PACK's pointer
+//! tree, and through `pack_frozen`, which writes the arena directly.
 
-use packed_rtree_core::{pack, pack_with, PackStrategy};
+use packed_rtree_core::{pack_frozen, pack_with, PackStrategy};
 use rtree_geom::{Point, Rect};
 use rtree_index::{FrozenRTree, ItemId, NodeAccess, RTree, RTreeConfig};
 
@@ -116,20 +118,52 @@ fn guttman_after_deletes() -> RTree {
 fn check(name: &str, tree: &RTree, expect: u64) {
     let frozen = FrozenRTree::freeze(tree);
     assert_eq!(frozen.node_count(), tree.node_count(), "{name}");
-    let got = digest(&frozen);
+    check_arena(name, &frozen, expect);
+}
+
+fn check_arena(name: &str, frozen: &FrozenRTree, expect: u64) {
+    let got = digest(frozen);
     assert_eq!(got, expect, "{name}: arena digest {got:#018x}");
+}
+
+/// `check` on the tree `pack_with` builds (`pack` is its
+/// nearest-neighbour strategy), and the same digest on the
+/// arena `pack_frozen` writes from the same items.
+fn check_packed(
+    name: &str,
+    items: Vec<(Rect, ItemId)>,
+    config: RTreeConfig,
+    strategy: PackStrategy,
+    expect: u64,
+) {
+    check(name, &pack_with(items.clone(), config, strategy), expect);
+    let direct = format!("{name}, written directly");
+    check_arena(&direct, &pack_frozen(items, config, strategy), expect);
 }
 
 #[test]
 fn packed_m4_arena_is_pinned() {
-    let tree = pack(points(10_007), RTreeConfig::PAPER);
-    check("pack M=4", &tree, 0xf594_5639_a50a_8039);
+    let nn = PackStrategy::NearestNeighbor;
+    check_packed(
+        "pack M=4",
+        points(10_007),
+        RTreeConfig::PAPER,
+        nn,
+        0xf594_5639_a50a_8039,
+    );
 }
 
 #[test]
 fn packed_m102_arena_is_pinned() {
-    let tree = pack(points(10_007), RTreeConfig::with_branching(102));
-    check("pack M=102", &tree, 0xc536_de29_4e91_b599);
+    let config = RTreeConfig::with_branching(102);
+    let nn = PackStrategy::NearestNeighbor;
+    check_packed(
+        "pack M=102",
+        points(10_007),
+        config,
+        nn,
+        0xc536_de29_4e91_b599,
+    );
 }
 
 #[test]
@@ -145,8 +179,13 @@ fn every_strategy_is_pinned() {
         (PackStrategy::SortTileRecursive, 0x9f76_b984_85d1_5aad),
         (PackStrategy::Hilbert, 0x961d_9866_9036_204d),
     ] {
-        let tree = pack_with(items.clone(), RTreeConfig::PAPER, strategy);
-        check(strategy.name(), &tree, expect);
+        check_packed(
+            strategy.name(),
+            items.clone(),
+            RTreeConfig::PAPER,
+            strategy,
+            expect,
+        );
     }
 }
 
@@ -166,4 +205,14 @@ fn empty_arena_is_pinned() {
         &RTree::new(RTreeConfig::PAPER),
         0x1874_e205_9d9b_e963,
     );
+    for strategy in PackStrategy::ALL {
+        let name = format!("empty {}", strategy.name());
+        check_packed(
+            &name,
+            Vec::new(),
+            RTreeConfig::PAPER,
+            strategy,
+            0x1874_e205_9d9b_e963,
+        );
+    }
 }
