@@ -2,7 +2,7 @@
 
 use crate::spatial::SpatialOp;
 use crate::store::ObjectStore;
-use packed_rtree_core::pack;
+use packed_rtree_core::{pack, pack_frozen, PackStrategy};
 use rtree_geom::{Point, Rect, SpatialObject};
 use rtree_index::{
     FrozenRTree, ItemId, KnnScratch, Neighbor, NodeAccess, RTree, RTreeConfig, SearchScratch,
@@ -11,17 +11,18 @@ use rtree_index::{
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
-/// One packed generation of a picture: everything a pack produced,
-/// immutable until the next pack and shared (behind an [`Arc`]) by
-/// every snapshot published in between.
+/// One packed generation of a picture: the store and the arena a pack
+/// produced, immutable until the next pack and shared (behind an
+/// [`Arc`]) by every snapshot published in between.
 #[derive(Debug)]
 struct PackedGeneration {
     /// Objects and labels `[0, packed_len)`.
     store: ObjectStore,
-    /// The packed pointer tree behind [`Picture::tree`]; no query reads it.
-    tree: RTree,
-    /// The SoA compilation of `tree`, which serves every query.
+    /// The arena PACK wrote, which serves every query.
     frozen: FrozenRTree,
+    /// PACK's pointer tree over `store`, built only when [`Picture::tree`]
+    /// asks for it; no query reads it.
+    tree: OnceLock<RTree>,
 }
 
 /// A picture: named spatial objects over a frame, indexed by an R-tree.
@@ -33,8 +34,9 @@ struct PackedGeneration {
 /// A picture is an immutable **packed generation** plus an owned
 /// **delta**, both over one columnar store of objects and labels.
 /// [`pack`](Picture::pack) moves every object into a new generation —
-/// store, packed pointer tree and its [`FrozenRTree`] compilation —
-/// covering ids `[0, packed_len)`. A dynamic [`add`](Picture::add) after
+/// the store and the [`FrozenRTree`] arena PACK writes directly —
+/// covering ids `[0, packed_len)`. The generation's pointer tree exists
+/// only if [`tree`](Picture::tree) asks for it, which packs it again. A dynamic [`add`](Picture::add) after
 /// that (the §3.4 "update problem") touches only the delta: the tail
 /// `[packed_len, len)` and a small Guttman tree over it. Every query
 /// composes *main + delta*, whose candidate sets are disjoint by
@@ -169,16 +171,16 @@ impl Picture {
 
     /// Re-packs the picture's R-tree with the paper's PACK algorithm —
     /// the "initial packing" applied once the (static) picture is loaded
-    /// — and compiles the result into the frozen SoA layout: a new packed
+    /// — written straight into the frozen SoA layout: a new packed
     /// generation over every object, the delta left empty. The tail's
     /// planes move into it; when snapshots still share the old generation
     /// — a merge — both are concatenated once. The sole owner of a
-    /// generation frees its tree and arena before building, and whatever
-    /// unwinds leaves a valid picture.
+    /// generation frees its arena before building, and whatever unwinds
+    /// leaves a valid picture.
     pub fn pack(&mut self) {
         self.release_owned_indexes();
-        let tree = pack(self.items(), self.config);
-        let frozen = FrozenRTree::freeze(&tree);
+        let strategy = PackStrategy::NearestNeighbor;
+        let frozen = pack_frozen(self.items(), self.config, strategy);
         let store = match &self.packed {
             Some(shared) => shared.store.followed_by(&self.tail),
             None => std::mem::take(&mut self.tail),
@@ -188,8 +190,8 @@ impl Picture {
         self.delta = OnceLock::from(RTree::new(self.config));
         self.packed = Some(Arc::new(PackedGeneration {
             store,
-            tree,
             frozen,
+            tree: OnceLock::new(),
         }));
     }
 
@@ -215,14 +217,18 @@ impl Picture {
         store.label(at)
     }
 
-    /// The picture's main R-tree: the packed pointer tree once packed
-    /// (ids `[0, packed_len)`; later objects are in the delta), the
-    /// Guttman tree over every object before — built here if need be.
+    /// The picture's main R-tree: once packed, the pointer tree PACK
+    /// builds over ids `[0, packed_len)` (later objects are in the
+    /// delta), packed again here on the first call; before, the Guttman
+    /// tree over every object — built here if need be.
     pub fn tree(&self) -> &RTree {
-        match &self.packed {
-            Some(generation) => &generation.tree,
-            None => self.delta(),
-        }
+        let Some(generation) = &self.packed else {
+            return self.delta();
+        };
+        generation.tree.get_or_init(|| {
+            let ids = (0u64..).map(ItemId);
+            pack(generation.store.mbrs().zip(ids).collect(), self.config)
+        })
     }
 
     /// `true` since the first pack, or the first query before it.
@@ -282,7 +288,7 @@ impl Picture {
     /// lists, each built index's node arrays. No allocator overhead.
     pub fn estimated_bytes(&self) -> (usize, usize) {
         let packed = self.packed.as_ref().map_or(0, |g| {
-            g.store.bytes() + g.tree.approx_bytes() + g.frozen.approx_bytes()
+            g.store.bytes() + g.frozen.approx_bytes() + g.tree.get().map_or(0, RTree::approx_bytes)
         });
         let delta = self.tail.bytes() + self.delta.get().map_or(0, RTree::approx_bytes);
         (packed, delta)
@@ -722,6 +728,35 @@ mod tests {
         pic.pack();
         assert_eq!(pic.delta.get().map(RTree::len), Some(0));
         assert_eq!(pic.tree().len(), 50_000);
+    }
+
+    /// A packed generation holds the store and the arena PACK wrote; its
+    /// pointer tree costs nothing until `tree` asks for it, and then it is
+    /// the tree `pack` builds over the same objects.
+    #[test]
+    fn packed_generation_builds_its_pointer_tree_only_when_asked() {
+        let objects = mixed_objects(700);
+        let mut pic = mixed_picture(&objects);
+        pic.pack();
+        let generation = pic.packed.as_ref().expect("packed");
+        let (bytes, delta) = pic.estimated_bytes();
+        assert_eq!(
+            bytes,
+            generation.store.bytes() + generation.frozen.approx_bytes()
+        );
+        assert!(
+            generation.tree.get().is_none(),
+            "a pack built a pointer tree"
+        );
+        let tree = pic.tree();
+        assert_eq!(pic.estimated_bytes(), (bytes + tree.approx_bytes(), delta));
+        let items = (0u64..)
+            .zip(&objects)
+            .map(|(id, (object, _))| (object.mbr(), ItemId(id)))
+            .collect();
+        assert_eq!(tree, &pack(items, RTreeConfig::PAPER));
+        assert!(std::ptr::eq(tree, pic.tree()), "packed twice");
+        assert!(pic.frozen() == Some(&FrozenRTree::freeze(tree)));
     }
 
     /// Step by step through what an owned repack does first: it passes

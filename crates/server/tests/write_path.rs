@@ -179,17 +179,18 @@ fn snapshot_gauges_refresh_at_publication_not_stats_time() {
             .unwrap_or_else(|| panic!("{name} gauge"))
             .clone()
     };
-    // The gauge tells the truth about the columnar layout: beside its two
-    // trees, a packed point with an 8-byte label is a 16-byte slot, the
-    // label's bytes and a 4-byte offset — not an enum sized for a region
-    // and a `String` header (≈ 85 B).
+    // The gauge tells the truth about the columnar layout: beside its
+    // arena (a packed picture holds no pointer tree), a packed point with
+    // an 8-byte label is a 16-byte slot, the label's bytes and a 4-byte
+    // offset — not an enum sized for a region and a `String` header
+    // (≈ 85 B).
     {
         let dense = gauge_of("dense");
         assert_eq!((dense.packed_objects, dense.delta_objects), (10_000, 0));
         let snap = server.snapshots().load();
         let pic = snap.db.picture("dense").expect("picture");
-        let trees = pic.tree().approx_bytes() + pic.frozen().expect("packed").approx_bytes();
-        let store = dense.packed_bytes - trees as u64;
+        let arena = pic.frozen().expect("packed").approx_bytes();
+        let store = dense.packed_bytes - arena as u64;
         assert_eq!(store, 10_000 * (16 + 8 + 4), "store bytes");
         assert!(store <= 10_000 * 40);
     }
