@@ -536,7 +536,7 @@ fn check_tree(case: &Case) -> Option<String> {
 
     // Level 4: the frozen arena must be bit-identical to the pointer
     // tree — same result order, same counters, on every query path.
-    if let Some(d) = check_frozen(case, &packed, &tree_a, &tree_b) {
+    if let Some(d) = check_frozen(case, &items, &packed, &tree_a, &tree_b) {
         return Some(d);
     }
 
@@ -551,9 +551,21 @@ fn check_tree(case: &Case) -> Option<String> {
 /// Frozen-vs-pointer bit-identity: every query path must return the
 /// same items in the same order with the same [`SearchStats`] /
 /// [`psql::join::JoinStats`] counters, because the frozen arena is a
-/// layout change, not an algorithm change.
-fn check_frozen(case: &Case, packed: &RTree, tree_a: &RTree, tree_b: &RTree) -> Option<String> {
-    let frozen = FrozenRTree::freeze(packed);
+/// layout change, not an algorithm change. The arena checked is the one
+/// PACK writes directly ([`packed_rtree_core::pack_frozen`]), which must
+/// also equal `freeze` of the pointer tree `packed`.
+fn check_frozen(
+    case: &Case,
+    items: &[(Rect, ItemId)],
+    packed: &RTree,
+    tree_a: &RTree,
+    tree_b: &RTree,
+) -> Option<String> {
+    let strategy = packed_rtree_core::PackStrategy::NearestNeighbor;
+    let frozen = packed_rtree_core::pack_frozen(items.to_vec(), RTreeConfig::PAPER, strategy);
+    if frozen != FrozenRTree::freeze(packed) {
+        return Some("pack_frozen's arena differs from freeze of the pointer tree".into());
+    }
     if let Err(e) = validate_deep(&TreeImage::of_frozen(&frozen), DeepChecks::packed()) {
         return Some(format!("frozen tree fails validate_deep: {e}"));
     }

@@ -2,8 +2,9 @@
 //! picture of [`PictorialDatabase::with_us_map`], all four spatial
 //! operators, a sweep of windows — engine answers (stats path and
 //! allocation-free scratch path) against the brute-force oracle, plus
-//! deep structural validation of every picture tree in both its dynamic
-//! (as-inserted) and packed states.
+//! deep structural validation of every picture's served index in both
+//! its dynamic (as-inserted Guttman tree) and packed (the arena PACK
+//! writes) states.
 
 use psql::{PictorialDatabase, SpatialOp};
 use rtree_geom::Rect;
@@ -54,7 +55,13 @@ fn check_database(db: &PictorialDatabase, checks: DeepChecks, label: &str) {
             .object_ids()
             .map(|id| pic.object(id).expect("id enumerated").into_owned())
             .collect();
-        validate_deep(&TreeImage::of_rtree(pic.tree()), checks)
+        // A packed picture serves queries from the arena PACK wrote; its
+        // `tree()` would be a fresh re-pack that no query reads.
+        let image = match pic.frozen() {
+            Some(arena) => TreeImage::of_frozen(arena),
+            None => TreeImage::of_rtree(pic.tree()),
+        };
+        validate_deep(&image, checks)
             .unwrap_or_else(|e| panic!("{label}: picture {name} fails validate_deep: {e}"));
         for w in windows() {
             for op in OPS {
