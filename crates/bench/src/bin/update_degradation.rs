@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release -p rtree-bench --bin update_degradation`
 
-use packed_rtree_core::{pack, repack, PackStrategy};
+use packed_rtree_core::{pack, pack_with, PackStrategy};
 use rtree_bench::experiment_seed;
 use rtree_bench::report::{f, Table};
 use rtree_geom::Rect;
@@ -60,7 +60,7 @@ fn main() {
 
         let degraded_a = query_cost(&tree, &qs);
         let degraded_n = TreeMetrics::measure(&tree).nodes;
-        let repacked = repack::repack(&tree, PackStrategy::NearestNeighbor);
+        let repacked = pack_with(tree.items(), tree.config(), PackStrategy::NearestNeighbor);
         let repacked_a = query_cost(&repacked, &qs);
         let repacked_n = TreeMetrics::measure(&repacked).nodes;
         table.row([

@@ -130,19 +130,6 @@ impl SlabPlan {
         lo..((lo + self.slab_len).min(self.n))
     }
 
-    /// Number of groups slab `k` produces.
-    #[inline]
-    pub fn groups_in_slab(&self, k: usize) -> usize {
-        self.slab_range(k).len().div_ceil(self.m)
-    }
-
-    /// Index of slab `k`'s first group within the level's group sequence.
-    #[inline]
-    pub fn group_offset(&self, k: usize) -> usize {
-        // Every slab before k is full and slab_len is a multiple of m.
-        k * (self.slab_len / self.m)
-    }
-
     /// Total groups across all slabs: `⌈n/m⌉`.
     #[inline]
     pub fn total_groups(&self) -> usize {

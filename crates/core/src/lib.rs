@@ -17,20 +17,22 @@
 //! * [`pack_naive`] — same algorithm with the literal O(n²) nearest-
 //!   neighbour scan of the pseudocode (the default sweeps each slab along
 //!   its longer extent, and builds the same tree);
-//! * [`pack_xsort`] — packing by pure ascending-x runs (the paper's sort
-//!   criterion without the NN refinement);
-//! * [`pack_str`] — Sort-Tile-Recursive (Leutenegger et al. 1997), the
-//!   best-known descendant of this paper;
-//! * [`pack_hilbert`] — Hilbert-curve-order packing (Kamel & Faloutsos
-//!   1993);
+//! * [`pack_with`] — any [`PackStrategy`]: pure ascending-x runs (the
+//!   paper's sort criterion without the NN refinement), Sort-Tile-Recursive
+//!   (Leutenegger et al. 1997, the best-known descendant of this paper)
+//!   or Hilbert-curve order (Kamel & Faloutsos 1993);
 //! * [`pack_frozen`] — any strategy, written straight into the frozen
 //!   arena that serves queries, with no pointer tree in between;
 //! * [`zero_overlap`] — the constructive proof of Theorem 3.2 (points can
 //!   always be packed with zero leaf overlap, via Lemma 3.1's rotation);
 //! * [`counterexample`] — Figure 3.6's pinwheel of skewed rectangles, for
-//!   which Theorem 3.3 shows zero overlap is impossible;
-//! * [`repack`] — §3.4/§4's "dynamic invocation of the PACK algorithm":
-//!   amortized re-packing of a tree degraded by updates.
+//!   which Theorem 3.3 shows zero overlap is impossible.
+//!
+//! §3.4/§4's "dynamic invocation of the PACK algorithm" needs no type of
+//! its own: a packed tree stays an ordinary R-tree under Guttman's
+//! INSERT/DELETE, and re-packing it is [`pack_with`] over its
+//! [`items`](rtree_index::RTree::items). The served system re-packs a
+//! picture's delta once it passes the server's merge threshold.
 //!
 //! # Example
 //!
@@ -60,11 +62,7 @@ pub mod grouping;
 pub mod hilbert;
 pub mod nn;
 pub mod pack;
-pub mod repack;
 pub mod zero_overlap;
 
 pub use grouping::PackStrategy;
-pub use pack::{
-    pack, pack_frozen, pack_hilbert, pack_naive, pack_parallel, pack_str, pack_with, pack_xsort,
-};
-pub use repack::AutoRepack;
+pub use pack::{pack, pack_frozen, pack_naive, pack_parallel, pack_with};

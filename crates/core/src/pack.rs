@@ -44,21 +44,6 @@ pub fn pack_naive(items: Vec<(Rect, ItemId)>, config: RTreeConfig) -> RTree {
     pack_with(items, config, PackStrategy::NearestNeighborNaive)
 }
 
-/// Packing by plain ascending-x runs (the sort criterion alone).
-pub fn pack_xsort(items: Vec<(Rect, ItemId)>, config: RTreeConfig) -> RTree {
-    pack_with(items, config, PackStrategy::XSort)
-}
-
-/// Sort-Tile-Recursive packing.
-pub fn pack_str(items: Vec<(Rect, ItemId)>, config: RTreeConfig) -> RTree {
-    pack_with(items, config, PackStrategy::SortTileRecursive)
-}
-
-/// Hilbert-curve packing.
-pub fn pack_hilbert(items: Vec<(Rect, ItemId)>, config: RTreeConfig) -> RTree {
-    pack_with(items, config, PackStrategy::Hilbert)
-}
-
 /// PACK with an explicit [`PackStrategy`], written straight into the
 /// frozen arena: no pointer tree is built. Equal, bit for bit, to
 /// `FrozenRTree::freeze(&pack_with(items, config, strategy))`.
@@ -346,5 +331,39 @@ mod tests {
         assert!(t.remove(items[0].0, items[0].1));
         t.validate_with(false).unwrap();
         assert_eq!(t.len(), 100);
+    }
+
+    #[test]
+    fn repack_restores_packed_quality() {
+        let items = points(300, 1);
+        let mut tree = pack(items.clone(), RTreeConfig::PAPER);
+        let fresh = TreeMetrics::measure(&tree);
+        // Degrade: churn 300 updates through Guttman INSERT/DELETE.
+        let churn: Vec<(Rect, ItemId)> = points(300, 2)
+            .into_iter()
+            .map(|(r, id)| (r, ItemId(id.0 + 1000)))
+            .collect();
+        for &(r, id) in &churn {
+            tree.insert(r, id);
+        }
+        for &(r, id) in items[..150].iter().chain(&churn[..150]) {
+            assert!(tree.remove(r, id));
+        }
+        let degraded = TreeMetrics::measure(&tree);
+        let repacked_tree = pack_with(tree.items(), tree.config(), PackStrategy::NearestNeighbor);
+        let repacked = TreeMetrics::measure(&repacked_tree);
+        // Repacking restores full occupancy (fewer nodes) and fresh-pack
+        // quality: node count and depth back to packed levels, coverage on
+        // the same scale as the original pack of a same-sized set.
+        assert!(
+            repacked.nodes < degraded.nodes,
+            "{} !< {}",
+            repacked.nodes,
+            degraded.nodes
+        );
+        assert!(repacked.depth <= degraded.depth);
+        assert!(repacked.coverage < fresh.coverage * 2.0);
+        repacked_tree.validate_with(false).unwrap();
+        assert_eq!(repacked_tree.len(), tree.len());
     }
 }

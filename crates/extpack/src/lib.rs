@@ -21,8 +21,10 @@
 //!    Group MBRs feed the next level through the same run machinery,
 //!    "working ever backwards, until the root is finally reached" (§3.3).
 //! 3. **Commit** — the two-slot meta pair flips only after every node
-//!    page is durable ([`DiskRTree::commit_external`]), so a crash at
-//!    any point leaves the previous tree or a detectably-absent one.
+//!    page is durable
+//!    ([`DiskRTree::commit_external`](rtree_storage::DiskRTree::commit_external)),
+//!    so a crash at any point leaves the previous tree or a
+//!    detectably-absent one.
 //!
 //! The pack is one thread of control: it runs on the calling thread.
 //! Because run boundaries are contiguous arrival chunks whose size
@@ -30,7 +32,7 @@
 //! center-y, arrival order) reproduces exactly the global sorted
 //! permutation of the in-memory packer, and because the slab plan is a
 //! pure function of `(strategy, n, m)`, the resulting tree is
-//! **bit-identical** to [`pack`](packed_rtree_core::pack) at any memory
+//! **bit-identical** to [`pack`](fn@packed_rtree_core::pack) at any memory
 //! budget — the differential suite asserts this down to budgets that
 //! force one-record runs, and pins the raw destination file's bytes.
 //!

@@ -67,12 +67,6 @@ impl Point {
         }
     }
 
-    /// Dot product, treating the points as vectors.
-    #[inline]
-    pub fn dot(&self, other: Point) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
     /// Z-component of the cross product, treating the points as vectors.
     ///
     /// Positive when `other` is counter-clockwise of `self`.
@@ -167,7 +161,6 @@ mod tests {
         assert_eq!(a + b, Point::new(4.0, 1.0));
         assert_eq!(a - b, Point::new(-2.0, 3.0));
         assert_eq!(a * 2.0, Point::new(2.0, 4.0));
-        assert_eq!(a.dot(b), 1.0);
         assert_eq!(a.cross(b), -7.0);
     }
 

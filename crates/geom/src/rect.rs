@@ -281,20 +281,6 @@ impl Rect {
         dx * dx + dy * dy
     }
 
-    /// Minimum squared distance between two rectangles (zero when they
-    /// intersect). Used by the PACK nearest-neighbour function when the
-    /// data objects are MBRs of the previous level.
-    #[inline]
-    pub fn min_distance_sq_rect(&self, other: &Rect) -> f64 {
-        let dx = (self.min_x - other.max_x)
-            .max(0.0)
-            .max(other.min_x - self.max_x);
-        let dy = (self.min_y - other.max_y)
-            .max(0.0)
-            .max(other.min_y - self.max_y);
-        dx * dx + dy * dy
-    }
-
     /// The four corner points, counter-clockwise from the lower-left.
     #[inline]
     pub fn corners(&self) -> [Point; 4] {
@@ -434,18 +420,6 @@ mod tests {
         assert_eq!(a.min_distance_sq(Point::new(1.0, 1.0)), 0.0);
         assert_eq!(a.min_distance_sq(Point::new(5.0, 2.0)), 9.0);
         assert_eq!(a.min_distance_sq(Point::new(5.0, 6.0)), 25.0);
-    }
-
-    #[test]
-    fn min_distance_between_rects() {
-        let a = r(0.0, 0.0, 1.0, 1.0);
-        let b = r(4.0, 5.0, 6.0, 7.0);
-        assert_eq!(a.min_distance_sq_rect(&b), 9.0 + 16.0);
-        let c = r(0.5, 0.5, 3.0, 3.0);
-        assert_eq!(a.min_distance_sq_rect(&c), 0.0);
-        // Closed rectangles: touching at a corner is distance zero.
-        let d = r(1.0, 1.0, 2.0, 2.0);
-        assert_eq!(a.min_distance_sq_rect(&d), 0.0);
     }
 
     #[test]

@@ -28,12 +28,6 @@ pub fn distinct_x_count(points: &[Point]) -> usize {
     xs.len()
 }
 
-/// `Fα(S)`: distinct x-coordinates after rotating by `angle`.
-pub fn distinct_x_count_rotated(points: &[Point], angle: f64) -> usize {
-    let rotated: Vec<Point> = points.iter().map(|p| p.rotated(angle)).collect();
-    distinct_x_count(&rotated)
-}
-
 /// Finds an angle `α` such that rotating `points` by `α` makes all
 /// x-coordinates distinct (Lemma 3.1), or `None` if the input contains
 /// duplicate points (for which no rotation can help).
@@ -130,18 +124,6 @@ mod tests {
             Point::new(2.0, 9.0),
         ];
         assert_eq!(rotation_with_distinct_x(&pts), Some(0.0));
-    }
-
-    #[test]
-    fn f_alpha_identity_at_zero() {
-        let pts = [Point::new(0.0, 0.0), Point::new(0.0, 1.0)];
-        assert_eq!(distinct_x_count_rotated(&pts, 0.0), distinct_x_count(&pts));
-        // Quarter turn turns the shared-x pair into a shared-y pair with
-        // distinct x.
-        assert_eq!(
-            distinct_x_count_rotated(&pts, std::f64::consts::FRAC_PI_2),
-            2
-        );
     }
 
     #[test]

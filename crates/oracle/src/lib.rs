@@ -2,13 +2,13 @@
 //!
 //! Every query the engine answers through an R-tree has a trivially
 //! correct — and trivially slow — answer: scan everything. This crate
-//! holds those brute-force references ([`reference`]), a structural
-//! validator that checks the deep R-tree invariants on all three tree
-//! representations ([`invariant`] over [`image::TreeImage`]), and a
-//! seeded differential fuzz driver ([`fuzz`]) that generates random
-//! pictorial datasets and query streams, runs engine and oracle side by
-//! side at four levels of the stack, and shrinks any divergence to a
-//! minimal counterexample:
+//! holds those brute-force references ([`reference`](mod@reference)), a
+//! structural validator that checks the deep R-tree invariants on all
+//! three tree representations ([`invariant`] over [`image::TreeImage`]),
+//! and a seeded differential fuzz driver ([`fuzz`]) that generates
+//! random pictorial datasets and query streams, runs engine and oracle
+//! side by side at four levels of the stack, and shrinks any divergence
+//! to a minimal counterexample:
 //!
 //! 1. **Geometry** — the spatial-operator algebra on object pairs
 //!    (complement, flip symmetry, and interval-arithmetic ground truth

@@ -993,6 +993,40 @@ mod tests {
         }
     }
 
+    /// A query over the arena and the delta tree is one logical query:
+    /// its counters are the sum of both traversals with `queries == 1`.
+    #[test]
+    fn delta_traversal_counts_toward_the_same_query() {
+        let mut pic = big_picture(2_000);
+        for i in 0..40u64 {
+            let p = Point::new((i * 23 % 1000) as f64, (i * 41 % 1000) as f64);
+            pic.add(SpatialObject::Point(p), &format!("d{i}"));
+        }
+        let (frozen, delta) = (pic.frozen().unwrap(), pic.delta_tree().unwrap());
+        let one_query = |main: SearchStats, extra: SearchStats| {
+            let mut both = main;
+            both += extra;
+            both.queries = 1;
+            both
+        };
+
+        let w = Rect::new(100.0, 200.0, 400.0, 500.0);
+        let (mut stats, mut fs, mut ds) = <(SearchStats, SearchStats, SearchStats)>::default();
+        pic.search_window(SpatialOp::CoveredBy, &w, &mut stats);
+        frozen.search_within(&w, &mut fs);
+        delta.search_within(&w, &mut ds);
+        assert!(ds.nodes_visited > 0);
+        assert_eq!(stats, one_query(fs, ds), "window");
+
+        let p = Point::new(250.0, 750.0);
+        let (mut stats, mut fs, mut ds) = <(SearchStats, SearchStats, SearchStats)>::default();
+        pic.nearest(p, 5, &mut stats);
+        frozen.nearest_neighbors(p, 5, &mut fs);
+        delta.nearest_neighbors(p, 5, &mut ds);
+        assert!(ds.nodes_visited > 0);
+        assert_eq!(stats, one_query(fs, ds), "k-NN");
+    }
+
     #[test]
     fn nearest_paths_agree() {
         let mut pic = sample();

@@ -55,11 +55,6 @@ impl KnnScratch {
         KnnScratch::default()
     }
 
-    /// The neighbours of the most recent `nearest_neighbors_into` query.
-    pub fn neighbors(&self) -> &[Neighbor] {
-        &self.out
-    }
-
     /// Current capacity of the two buffers `(heap, results)` — stable
     /// capacities across queries demonstrate the zero-allocation steady
     /// state.
@@ -254,7 +249,6 @@ mod tests {
                 t.nearest_neighbors_into(q, 7, &mut scratch),
                 t.nearest_neighbors(q, 7, &mut stats).as_slice()
             );
-            assert_eq!(scratch.neighbors().len(), 7);
         }
     }
 

@@ -34,7 +34,6 @@ pub mod config;
 mod delete;
 pub mod frozen;
 mod insert;
-pub mod iter;
 pub mod knn;
 pub mod metrics;
 pub mod node;

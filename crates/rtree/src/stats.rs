@@ -20,11 +20,6 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Resets all counters.
-    pub fn reset(&mut self) {
-        *self = SearchStats::default();
-    }
-
     /// Average nodes visited per query — Table 1's `A`.
     pub fn avg_nodes_visited(&self) -> f64 {
         if self.queries == 0 {
@@ -32,16 +27,6 @@ impl SearchStats {
         } else {
             self.nodes_visited as f64 / self.queries as f64
         }
-    }
-
-    /// Folds another traversal's work into these counters **without**
-    /// counting an extra logical query: a query that searches two
-    /// structures (frozen main tree + delta tree, DESIGN.md §14) is
-    /// still one query, its `A` cost the sum of both traversals.
-    pub fn absorb_traversal(&mut self, other: &SearchStats) {
-        self.nodes_visited += other.nodes_visited;
-        self.leaf_nodes_visited += other.leaf_nodes_visited;
-        self.items_reported += other.items_reported;
     }
 
     /// Average results per query.
@@ -95,7 +80,5 @@ mod tests {
         a += b;
         assert_eq!(a.nodes_visited, 4);
         assert_eq!(a.queries, 2);
-        a.reset();
-        assert_eq!(a, SearchStats::default());
     }
 }

@@ -182,6 +182,22 @@ impl RTree {
             .collect()
     }
 
+    /// The node MBRs at one level (level 0 = leaves), depth-first from
+    /// the root, children in entry order.
+    pub fn mbrs_at_level(&self, level: u32) -> Vec<Rect> {
+        let mut out = Vec::new();
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            let node = self.node(id);
+            if node.level == level {
+                out.extend(node.mbr());
+            } else if node.level > level {
+                stack.extend(node.entries.iter().rev().map(|e| e.child.expect_node()));
+            }
+        }
+        out
+    }
+
     /// All `(mbr, item)` pairs at the leaf level, in traversal order.
     pub fn items(&self) -> Vec<(Rect, ItemId)> {
         let mut out = Vec::with_capacity(self.len);
@@ -333,6 +349,25 @@ mod tests {
         assert_eq!(t.node_count(), 1);
         assert_eq!(t.mbr(), None);
         assert!(t.leaf_mbrs().is_empty());
+    }
+
+    #[test]
+    fn mbrs_at_level_partition_by_level() {
+        let mut t = RTree::new(RTreeConfig::PAPER);
+        for i in 0..100 {
+            let p = Point::new((i * 17 % 101) as f64, (i * 29 % 97) as f64);
+            t.insert(Rect::from_point(p), ItemId(i));
+        }
+        let mut total = 0;
+        for level in 0..=t.depth() {
+            total += t.mbrs_at_level(level).len();
+        }
+        assert_eq!(total, t.node_count());
+        assert_eq!(
+            t.mbrs_at_level(t.depth()),
+            vec![t.mbr().unwrap()],
+            "one root"
+        );
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! generator, the CI smoke script, and the integration tests.
 
 use crate::protocol::{
-    decode_response, encode_request, read_frame, write_frame, FrameRead, Request, Response,
+    decode_response, encode_request, write_frame, FrameDecoder, Request, Response,
 };
 use psql::ResultSet;
 use rtree_geom::SpatialObject;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -49,6 +49,10 @@ impl From<io::Error> for ClientError {
 /// things simple).
 pub struct Client {
     stream: TcpStream,
+    /// Bytes read off the socket, reassembled into response frames.
+    frames: FrameDecoder,
+    /// Reused socket read buffer.
+    chunk: Vec<u8>,
     next_id: u64,
     read_timeout: Option<Duration>,
 }
@@ -73,6 +77,8 @@ impl Client {
         stream.set_read_timeout(Some(timeout))?;
         Ok(Client {
             stream,
+            frames: FrameDecoder::new(),
+            chunk: vec![0; 16 * 1024],
             next_id: 1,
             read_timeout: Some(timeout),
         })
@@ -98,21 +104,40 @@ impl Client {
 
     /// Reads one response frame, honoring the read timeout as a
     /// per-response deadline: the socket's timeout wakes the read, and
-    /// the deadline predicate turns the wake into a hard stop (without
-    /// it, each timeout tick would just re-poll forever).
+    /// the deadline turns the wake into a hard stop (without it, each
+    /// timeout tick would just re-poll forever). Bytes read before the
+    /// deadline stay buffered for the next call.
     pub fn read_response(&mut self) -> Result<Response, ClientError> {
         let deadline = self.read_timeout.map(|t| Instant::now() + t);
-        let stop = move || deadline.is_some_and(|d| Instant::now() >= d);
-        match read_frame(&mut self.stream, &stop) {
-            FrameRead::Frame(payload) => decode_response(&payload).map_err(ClientError::Wire),
-            FrameRead::Eof => Err(ClientError::Wire("server closed the connection".into())),
-            FrameRead::Truncated => Err(ClientError::Wire("truncated response frame".into())),
-            FrameRead::TooLarge(n) => Err(ClientError::Wire(format!("oversized response ({n})"))),
-            FrameRead::Stopped => Err(ClientError::Io(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "timed out waiting for a response",
-            ))),
-            FrameRead::Io(e) => Err(ClientError::Io(e)),
+        loop {
+            match self.frames.next_frame() {
+                Ok(Some(payload)) => return decode_response(&payload).map_err(ClientError::Wire),
+                Ok(None) => {}
+                Err(n) => return Err(ClientError::Wire(format!("oversized response ({n})"))),
+            }
+            match self.stream.read(&mut self.chunk) {
+                Ok(0) if self.frames.mid_frame() => {
+                    return Err(ClientError::Wire("truncated response frame".into()))
+                }
+                Ok(0) => return Err(ClientError::Wire("server closed the connection".into())),
+                Ok(n) => self.frames.extend(&self.chunk[..n]),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        return Err(ClientError::Io(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "timed out waiting for a response",
+                        )));
+                    }
+                }
+                Err(e) => return Err(ClientError::Io(e)),
+            }
         }
     }
 
@@ -303,7 +328,83 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::encode_response;
     use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    /// One response frame, as the server writes it.
+    fn frame(resp: &Response) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &encode_response(resp)).unwrap();
+        wire
+    }
+
+    /// A client of a fake server that writes `wire` on accepting, then
+    /// closes the connection.
+    fn client_reading(wire: Vec<u8>) -> Client {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.write_all(&wire).unwrap();
+        });
+        Client::connect(addr).unwrap()
+    }
+
+    #[test]
+    fn frame_eof_oversized_and_truncated_responses() {
+        let error = |client: &mut Client| client.read_response().unwrap_err().to_string();
+        let mut client = client_reading(frame(&Response::Pong { id: 1 }));
+        assert_eq!(client.read_response().unwrap(), Response::Pong { id: 1 });
+        assert_eq!(
+            error(&mut client),
+            "wire error: server closed the connection"
+        );
+
+        let mut client = client_reading(0xdead_beefu32.to_be_bytes().to_vec());
+        assert_eq!(
+            error(&mut client),
+            "wire error: oversized response (3735928559)"
+        );
+
+        let mut wire = 100u32.to_be_bytes().to_vec();
+        wire.extend_from_slice(b"only a little");
+        let mut client = client_reading(wire);
+        assert_eq!(error(&mut client), "wire error: truncated response frame");
+    }
+
+    #[test]
+    fn bytes_read_before_a_timeout_stay_buffered() {
+        // Half a frame, then silence past the read timeout, then the
+        // rest: the first read times out, the second reads the whole
+        // frame, including the half the first one consumed.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (timed_out, rest) = mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let wire = frame(&Response::Pong { id: 1 });
+            let (head, tail) = wire.split_at(wire.len() / 2);
+            stream.write_all(head).unwrap();
+            rest.recv().unwrap();
+            stream.write_all(tail).unwrap();
+        });
+
+        let mut client = Client::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_millis(150)))
+            .unwrap();
+        let err = client
+            .read_response()
+            .expect_err("half a frame is no response");
+        assert!(
+            matches!(&err, ClientError::Io(e) if e.kind() == io::ErrorKind::TimedOut),
+            "expected a timeout, got {err:?}"
+        );
+        timed_out.send(()).unwrap();
+        assert_eq!(client.read_response().unwrap(), Response::Pong { id: 1 });
+        server.join().unwrap();
+    }
 
     #[test]
     fn connect_applies_a_default_read_timeout() {

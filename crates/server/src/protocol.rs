@@ -24,7 +24,7 @@ use pictorial_relational::Value;
 use psql::result::Highlight;
 use psql::{PsqlError, ResultSet};
 use rtree_geom::{Point, Region, Segment, SpatialObject};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Hard ceiling on a frame's payload size (1 MiB). A header announcing
 /// more than this is treated as garbage, not as a gigantic allocation.
@@ -212,84 +212,13 @@ const ST_DONE: u8 = 6;
 // Frame transport
 // ---------------------------------------------------------------------
 
-/// Outcome of pulling one frame off a stream.
-#[derive(Debug)]
-pub enum FrameRead {
-    /// A complete frame payload.
-    Frame(Vec<u8>),
-    /// Clean end-of-stream on a frame boundary.
-    Eof,
-    /// The stop predicate fired while the stream was idle (no partial
-    /// frame consumed) or mid-frame during shutdown.
-    Stopped,
-    /// The header announced more than [`MAX_FRAME_LEN`] bytes; the
-    /// stream cannot be re-framed.
-    TooLarge(u32),
-    /// End-of-stream in the middle of a frame.
-    Truncated,
-    /// Transport error.
-    Io(io::Error),
-}
-
-/// Reads exactly `buf.len()` bytes, treating read-timeouts as polling
-/// ticks: on each tick `stop()` is consulted, so a blocked reader notices
-/// shutdown without losing partially-read bytes.
-fn read_full<R: Read>(
-    stream: &mut R,
-    buf: &mut [u8],
-    stop: &dyn Fn() -> bool,
-) -> Result<usize, FrameRead> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Ok(filled),
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                if stop() {
-                    return Err(FrameRead::Stopped);
-                }
-            }
-            Err(e) => return Err(FrameRead::Io(e)),
-        }
-    }
-    Ok(filled)
-}
-
-/// Reads one frame. `stop` is polled whenever the underlying stream
-/// read times out (the server sets a short read timeout on sessions), so
-/// an idle connection notices shutdown promptly.
-pub fn read_frame<R: Read>(stream: &mut R, stop: &dyn Fn() -> bool) -> FrameRead {
-    let mut header = [0u8; 4];
-    match read_full(stream, &mut header, stop) {
-        Ok(0) => return FrameRead::Eof,
-        Ok(n) if n < 4 => return FrameRead::Truncated,
-        Ok(_) => {}
-        Err(other) => return other,
-    }
-    let len = u32::from_be_bytes(header);
-    if len > MAX_FRAME_LEN {
-        return FrameRead::TooLarge(len);
-    }
-    let mut payload = vec![0u8; len as usize];
-    match read_full(stream, &mut payload, stop) {
-        Ok(n) if n < payload.len() => FrameRead::Truncated,
-        Ok(_) => FrameRead::Frame(payload),
-        Err(other) => other,
-    }
-}
-
-/// Incremental frame reassembly for nonblocking streams.
+/// Incremental frame reassembly: the one frame reader, for the server's
+/// event loop and the blocking [`Client`](crate::Client) alike.
 ///
-/// The blocking [`read_frame`] pulls a whole frame per call; an event
-/// loop instead receives arbitrary byte chunks as the socket becomes
-/// readable. `FrameDecoder` buffers those chunks and yields complete
-/// frame payloads as they materialize — a frame may arrive one byte at a
-/// time across many readiness events, or many frames may land in a
-/// single `read`.
+/// A reader receives arbitrary byte chunks as the socket yields them.
+/// `FrameDecoder` buffers those chunks and yields complete frame
+/// payloads as they materialize — a frame may arrive one byte at a time
+/// across many reads, or many frames may land in a single `read`.
 ///
 /// A header announcing more than [`MAX_FRAME_LEN`] bytes poisons the
 /// decoder permanently (the remaining stream cannot be re-framed); the
@@ -1109,35 +1038,5 @@ mod tests {
             "buffer grew to {}",
             dec.buf.len()
         );
-    }
-
-    #[test]
-    fn frame_roundtrip_and_limits() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        let mut cursor = io::Cursor::new(buf);
-        match read_frame(&mut cursor, &|| false) {
-            FrameRead::Frame(p) => assert_eq!(p, b"hello"),
-            other => panic!("{other:?}"),
-        }
-        match read_frame(&mut cursor, &|| false) {
-            FrameRead::Eof => {}
-            other => panic!("{other:?}"),
-        }
-        // Oversized header.
-        let mut huge = io::Cursor::new(0xdead_beefu32.to_be_bytes().to_vec());
-        match read_frame(&mut huge, &|| false) {
-            FrameRead::TooLarge(n) => assert_eq!(n, 0xdead_beef),
-            other => panic!("{other:?}"),
-        }
-        // Truncated payload.
-        let mut trunc = Vec::new();
-        trunc.extend_from_slice(&100u32.to_be_bytes());
-        trunc.extend_from_slice(b"only a little");
-        let mut cursor = io::Cursor::new(trunc);
-        match read_frame(&mut cursor, &|| false) {
-            FrameRead::Truncated => {}
-            other => panic!("{other:?}"),
-        }
     }
 }

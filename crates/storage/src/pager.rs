@@ -114,12 +114,6 @@ impl IoStats {
     pub fn writes(&self) -> u64 {
         self.writes.load(Ordering::Relaxed)
     }
-
-    /// Resets both counters.
-    pub fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A page file: allocate, read, write, free.
@@ -628,14 +622,5 @@ mod tests {
         assert_eq!(pager.page_count(), 5);
         assert_eq!(pager.allocate(), PageId(5));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn stats_reset() {
-        let pager = Pager::temp().unwrap();
-        let id = pager.allocate();
-        pager.write_page(id, &Page::zeroed()).unwrap();
-        pager.stats().reset();
-        assert_eq!(pager.stats().writes(), 0);
     }
 }

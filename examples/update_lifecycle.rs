@@ -4,9 +4,28 @@
 //!
 //! Run with: `cargo run --example update_lifecycle`
 
-use packed_rtree::index::{RTreeConfig, SearchStats};
-use packed_rtree::pack::{AutoRepack, PackStrategy};
+use packed_rtree::geom::Rect;
+use packed_rtree::index::{ItemId, RTree, RTreeConfig, SearchStats};
+use packed_rtree::pack::{pack, pack_with, PackStrategy};
 use packed_rtree::workload::{points, queries, rng, PAPER_UNIVERSE};
+
+/// Reorganize after churn worth this share of the data.
+const REPACK_FRACTION: f64 = 0.30;
+
+fn repack(tree: &RTree) -> RTree {
+    pack_with(tree.items(), tree.config(), PackStrategy::NearestNeighbor)
+}
+
+/// Counts one update and re-packs `tree` once the updates since its last
+/// pack reach [`REPACK_FRACTION`] of its size.
+fn note_update(tree: &mut RTree, updates: &mut usize, repacks: &mut usize) {
+    *updates += 1;
+    if *updates as f64 >= (tree.len() as f64 * REPACK_FRACTION).max(1.0) {
+        *tree = repack(tree);
+        *updates = 0;
+        *repacks += 1;
+    }
+}
 
 fn main() {
     let mut rng = rng(42);
@@ -14,11 +33,10 @@ fn main() {
     let items = points::as_items(&pts);
     let query_points = queries::point_queries(&mut rng, &PAPER_UNIVERSE, 500);
 
-    // Auto-repacking tree: reorganize after churn worth 30% of the data.
-    let mut tree = AutoRepack::new(items.clone(), RTreeConfig::PAPER, 0.30)
-        .with_strategy(PackStrategy::NearestNeighbor);
+    let mut tree = pack(items.clone(), RTreeConfig::PAPER);
+    let (mut updates, mut repacks) = (0, 0);
 
-    let cost = |t: &AutoRepack| {
+    let cost = |t: &RTree| {
         let mut stats = SearchStats::default();
         for &q in &query_points {
             t.point_query(q, &mut stats);
@@ -35,31 +53,32 @@ fn main() {
         // Delete 60 old points.
         for (mbr, id) in live.drain(..60) {
             assert!(tree.remove(mbr, id));
+            note_update(&mut tree, &mut updates, &mut repacks);
         }
         // Insert 60 new ones.
         let fresh = points::uniform(&mut rng, &PAPER_UNIVERSE, 60);
         for p in fresh {
-            let mbr = packed_rtree::geom::Rect::from_point(p);
-            let id = packed_rtree::index::ItemId(next_id);
+            let mbr = Rect::from_point(p);
+            let id = ItemId(next_id);
             next_id += 1;
             tree.insert(mbr, id);
+            note_update(&mut tree, &mut updates, &mut repacks);
             live.push((mbr, id));
         }
         println!(
-            "after churn round {round}: A = {:.2} nodes/query  (repacks so far: {})",
+            "after churn round {round}: A = {:.2} nodes/query  (repacks so far: {repacks})",
             cost(&tree),
-            tree.repacks()
         );
     }
 
     // Force a final reorganization and compare.
-    tree.force_repack();
+    tree = repack(&tree);
     println!("after final repack:   A = {:.2} nodes/query", cost(&tree));
-    tree.tree().validate_with(false).expect("valid tree");
+    tree.validate_with(false).expect("valid tree");
     println!(
         "\ntree: {} items, {} nodes, depth {}",
-        tree.tree().len(),
-        tree.tree().node_count(),
-        tree.tree().depth()
+        tree.len(),
+        tree.node_count(),
+        tree.depth()
     );
 }
