@@ -48,7 +48,7 @@ pub fn pack_naive(items: Vec<(Rect, ItemId)>, config: RTreeConfig) -> RTree {
 /// frozen arena: no pointer tree is built. Equal, bit for bit, to
 /// `FrozenRTree::freeze(&pack_with(items, config, strategy))`.
 pub fn pack_frozen(
-    items: Vec<(Rect, ItemId)>,
+    items: impl IntoIterator<Item = (Rect, ItemId), IntoIter: ExactSizeIterator>,
     config: RTreeConfig,
     strategy: PackStrategy,
 ) -> FrozenRTree {
@@ -57,42 +57,50 @@ pub fn pack_frozen(
 
 /// Packs with an explicit [`PackStrategy`], one level at a time from the
 /// leaves up.
-pub fn pack_with(items: Vec<(Rect, ItemId)>, config: RTreeConfig, strategy: PackStrategy) -> RTree {
+pub fn pack_with(
+    items: impl IntoIterator<Item = (Rect, ItemId), IntoIter: ExactSizeIterator>,
+    config: RTreeConfig,
+    strategy: PackStrategy,
+) -> RTree {
     pack_into::<BottomUpBuilder>(items, config, strategy)
 }
 
 /// The one level loop, writing into an `S`: the leaves over the items,
-/// then each level over the MBRs of the one below.
-fn pack_into<S: PackSink>(
-    items: Vec<(Rect, ItemId)>,
+/// then each level over the MBRs of the one below. Each level opens in
+/// the sink before its entries are read or sorted, so what the tree
+/// keeps is allocated before any n-sized temporary.
+pub fn pack_into<S: PackSink>(
+    items: impl IntoIterator<Item = (Rect, ItemId), IntoIter: ExactSizeIterator>,
     config: RTreeConfig,
     strategy: PackStrategy,
 ) -> S::Output {
-    let (mut sink, m) = (S::new(config), config.max_entries);
-    if items.is_empty() {
+    let items = items.into_iter();
+    let (mut sink, m, n) = (S::new(config), config.max_entries, items.len());
+    if n == 0 {
         return sink.finish();
     }
 
     // Leaf level: entries point at the data items.
-    let rects: Vec<Rect> = items.iter().map(|&(r, _)| r).collect();
-    let mut mbrs = build_level(&mut sink, strategy, m, &rects, |i| {
-        (items[i].0, items[i].1 .0)
-    });
+    sink.begin_level(n.div_ceil(m));
+    let (rects, ids): (Vec<Rect>, Vec<u64>) = items.map(|(r, id)| (r, id.0)).unzip();
+    let mut mbrs = build_level(&mut sink, strategy, m, &rects, |i| (rects[i], ids[i]));
+    drop((rects, ids));
 
     // Internal levels, "working ever backwards, until the root is
     // finally reached and created" (§3.3): entries point at the level
     // below's nodes by group index.
     while mbrs.len() > 1 {
         let rects = mbrs;
+        sink.begin_level(rects.len().div_ceil(m));
         mbrs = build_level(&mut sink, strategy, m, &rects, |i| (rects[i], i as u64));
     }
     sink.finish()
 }
 
-/// Builds one tree level: sorts the entries, declares one node per group
-/// of the level's [`SlabPlan`], and writes the groups in one pass over
-/// each slab's `slab_order(..).chunks(m)`, entry `i` as `entry(i)`.
-/// Returns the nodes' MBRs in group order (the next level's input).
+/// Builds the level the sink has open: sorts the entries and writes one
+/// node per group of the level's [`SlabPlan`] in one pass over each
+/// slab's `slab_order(..).chunks(m)`, entry `i` as `entry(i)`. Returns
+/// the nodes' MBRs in group order (the next level's input).
 fn build_level<S: PackSink>(
     sink: &mut S,
     strategy: PackStrategy,
@@ -102,7 +110,6 @@ fn build_level<S: PackSink>(
 ) -> Vec<Rect> {
     let ord = grouping::order(strategy, rects);
     let plan = SlabPlan::new(strategy, rects.len(), m);
-    sink.begin_level(plan.total_groups());
     let mut mbrs = Vec::with_capacity(plan.total_groups());
     for k in 0..plan.slab_count() {
         let order = grouping::slab_order(strategy, rects, &ord[plan.slab_range(k)], &plan);

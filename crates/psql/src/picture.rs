@@ -145,14 +145,6 @@ impl Picture {
         packed.chain([&self.tail])
     }
 
-    /// `(mbr, id)` of every object, in id order — the packers' input.
-    fn items(&self) -> Vec<(Rect, ItemId)> {
-        let mbrs = self.stores().flat_map(ObjectStore::mbrs);
-        let mut items = Vec::with_capacity(self.len());
-        items.extend(mbrs.zip(0u64..).map(|(mbr, id)| (mbr, ItemId(id))));
-        items
-    }
-
     /// Releases the indexes only this picture holds, for a pack to
     /// replace, leaving a never-packed, never-queried picture: the store
     /// folds back into the tail. A shared generation is left alone.
@@ -172,19 +164,25 @@ impl Picture {
     /// Re-packs the picture's R-tree with the paper's PACK algorithm —
     /// the "initial packing" applied once the (static) picture is loaded
     /// — written straight into the frozen SoA layout: a new packed
-    /// generation over every object, the delta left empty. The tail's
-    /// planes move into it; when snapshots still share the old generation
-    /// — a merge — both are concatenated once. The sole owner of a
-    /// generation frees its arena before building, and whatever unwinds
-    /// leaves a valid picture.
+    /// generation over every object, the delta left empty. The sole owner
+    /// of a generation frees its arena and folds its store into the tail;
+    /// when snapshots still share it — a merge — both are concatenated
+    /// once. The store is allocated before PACK runs, and PACK reads its
+    /// MBRs in place: what the generation keeps is older than any of
+    /// PACK's temporaries. Whatever unwinds leaves a valid picture.
     pub fn pack(&mut self) {
         self.release_owned_indexes();
-        let strategy = PackStrategy::NearestNeighbor;
-        let frozen = pack_frozen(self.items(), self.config, strategy);
-        let store = match &self.packed {
-            Some(shared) => shared.store.followed_by(&self.tail),
-            None => std::mem::take(&mut self.tail),
-        };
+        let merged = self
+            .packed
+            .as_ref()
+            .map(|g| g.store.followed_by(&self.tail));
+        let store = merged.as_ref().unwrap_or(&self.tail);
+        let items = store
+            .mbrs()
+            .enumerate()
+            .map(|(id, mbr)| (mbr, ItemId(id as u64)));
+        let frozen = pack_frozen(items, self.config, PackStrategy::NearestNeighbor);
+        let store = merged.unwrap_or_else(|| std::mem::take(&mut self.tail));
         self.tail = ObjectStore::default();
         self.packed_len = store.len();
         self.delta = OnceLock::from(RTree::new(self.config));

@@ -89,12 +89,12 @@ impl ObjectStore {
     }
 
     /// Every object, in position order.
-    pub(crate) fn objects(&self) -> impl Iterator<Item = Cow<'_, SpatialObject>> {
+    pub(crate) fn objects(&self) -> impl ExactSizeIterator<Item = Cow<'_, SpatialObject>> {
         self.slots.iter().map(|&slot| self.resolve(slot))
     }
 
     /// Every object's bounding rectangle, in position order.
-    pub(crate) fn mbrs(&self) -> impl Iterator<Item = Rect> + '_ {
+    pub(crate) fn mbrs(&self) -> impl ExactSizeIterator<Item = Rect> + '_ {
         self.objects().map(|object| object.mbr())
     }
 

@@ -137,8 +137,8 @@ pub struct ArenaBuilder {
     levels: Vec<LevelPlanes>,
     items: usize,
     /// The finished arena's planes, allocated when the leaves open for the
-    /// levels PACK declares (`⌈n/M⌉` each up to the root): older than every
-    /// level's planes, so freeing those returns memory instead of holes.
+    /// levels PACK declares (`⌈n/M⌉` each up to the root), before PACK
+    /// reads an item: older than every temporary of the pack.
     arena: LevelPlanes,
 }
 
