@@ -1,7 +1,7 @@
 //! The pictorial database: pictures + relations + their associations.
 //!
 //! Realizes Figure 1.1's integrated architecture: the alphanumeric
-//! processor is a [`Catalog`] of relations with B+tree indexes, the
+//! processor is a [`Catalog`] of relations with B-tree indexes, the
 //! pictorial processor a set of [`Picture`]s with packed R-trees, and the
 //! association between them is the `loc` pointer column (§2.1) plus the
 //! *backward* map from objects to tuples maintained here.

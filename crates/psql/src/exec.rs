@@ -14,6 +14,7 @@ use rtree_geom::SpatialObject;
 use rtree_index::{BatchScratch, ItemId, SearchScratch};
 use std::borrow::Cow;
 use std::collections::HashSet;
+use std::ops::Bound::{Included, Unbounded};
 
 /// Plans and executes a query with the built-in pictorial functions.
 pub fn execute(db: &PictorialDatabase, query: &Query) -> Result<ResultSet, PsqlError> {
@@ -162,10 +163,11 @@ impl<'a> Executor<'a> {
                             "planner chose missing index {rel_name}.{column}"
                         ))
                     })?;
+                    let lo = lo.as_ref().map_or(Unbounded, Included);
+                    let hi = hi.as_ref().map_or(Unbounded, Included);
                     Ok(index
-                        .range(lo.as_ref(), hi.as_ref())
-                        .into_iter()
-                        .map(|(_, tid)| tid)
+                        .range((lo, hi))
+                        .flat_map(|(_, tids)| tids.iter().copied())
                         .collect())
                 }
             },

@@ -30,7 +30,7 @@
 //!   qualifying objects highlighted ([`render`]).
 //!
 //! The engine plans direct spatial search through each picture's
-//! **packed R-tree** and alphanumeric restrictions through B+tree indexes
+//! **packed R-tree** and alphanumeric restrictions through B-tree indexes
 //! when available.
 //!
 //! # Quick start

@@ -3,7 +3,7 @@
 //! PSQL queries "are preprocessed and translated into ordinary SQL
 //! entries" plus spatial-operator calls (§2.2); this module is that
 //! preprocessor. It resolves names, picks the access path (direct
-//! spatial search through a picture's R-tree, a B+tree index range, or a
+//! spatial search through a picture's R-tree, a B-tree index range, or a
 //! scan), and classifies the `at`-clause into window search,
 //! juxtaposition, or a nested mapping.
 
@@ -31,7 +31,8 @@ pub struct ResolvedColumn {
 pub enum Access {
     /// Scan all tuples.
     FullScan,
-    /// B+tree index range on an alphanumeric column.
+    /// B-tree index range on an alphanumeric column: `lo == hi` for `=`,
+    /// otherwise one-sided, so `lo ≤ hi` whenever both are set.
     IndexRange {
         /// Indexed column name.
         column: String,
@@ -225,7 +226,7 @@ pub fn plan(db: &PictorialDatabase, query: &Query) -> Result<Plan, PsqlError> {
         (None, Some(nearest)) => plan_nearest(query, &resolver, nearest)?,
     };
 
-    // With no spatial restriction, try a B+tree index for the where
+    // With no spatial restriction, try a B-tree index for the where
     // clause (single relation only).
     let access = if matches!(spatial, SpatialStrategy::None) && query.from.len() == 1 {
         pick_index(db, &query.from[0], query.where_clause.as_ref())

@@ -117,7 +117,8 @@ fn relation_writes_through_a_clone_never_show_through_the_original() {
             .index("cities", "population")
             .unwrap()
             .get(&Value::Int(600_000))
-            .to_vec()
+            .cloned()
+            .unwrap_or_default()
     };
     assert_eq!(by_population(&clone), vec![tid]);
     assert!(clone.catalog().index("cities", "state").is_some());

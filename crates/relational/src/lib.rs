@@ -11,17 +11,16 @@
 //! * column-organized [`Relation`]s — one typed plane per column,
 //!   strings in one byte buffer — with stable [`TupleId`]s, handing out
 //!   borrowed [`Row`]s of [`ValueRef`]s;
-//! * a from-scratch [`BPlusTree`] index for alphanumeric columns
-//!   ("the relation columns that correspond to alphanumeric domains are
-//!   indexed the usual way") — R-trees being their two-dimensional
-//!   generalization is the paper's founding analogy;
 //! * [`CompareOp`]s, the `where`-clause's comparisons;
-//! * a [`Catalog`] naming relations and their indexes.
+//! * a [`Catalog`] naming relations and their [`Index`]es on alphanumeric
+//!   columns ("the relation columns that correspond to alphanumeric
+//!   domains are indexed the usual way"): the usual way is a B-tree, and
+//!   std's `BTreeMap` is one. R-trees being the B-tree's two-dimensional
+//!   generalization is the paper's founding analogy.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod btree;
 pub mod catalog;
 pub mod error;
 pub mod heap;
@@ -29,8 +28,7 @@ pub mod predicate;
 pub mod schema;
 pub mod value;
 
-pub use btree::BPlusTree;
-pub use catalog::Catalog;
+pub use catalog::{Catalog, Index};
 pub use error::RelationalError;
 pub use heap::{Relation, Row, TupleId};
 pub use predicate::CompareOp;

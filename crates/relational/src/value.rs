@@ -81,8 +81,9 @@ impl Eq for Value {}
 
 /// Total order: NULL < numerics (ints and floats interleaved by value) <
 /// strings < pointers. Floats order by `total_cmp`. This deterministic
-/// cross-type order is what the B+tree and sort operators use. It is
-/// [`ValueRef`]'s order, so a borrowed value sorts as its owned one does.
+/// cross-type order is what the catalog's indexes and sort operators
+/// use. It is [`ValueRef`]'s order, so a borrowed value sorts as its
+/// owned one does.
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
         self.as_ref().cmp(&other.as_ref())
