@@ -16,10 +16,10 @@
 //!   (reject-with-retry backpressure), and graceful shutdown that
 //!   drains in-flight queries.
 //! * [`plan_cache`] — a bounded LRU cached-plan table keyed by query
-//!   text: parse results are reused forever, compiled plans while their
-//!   snapshot epoch still matches.
+//!   text: a compiled plan is reused while its snapshot epoch still
+//!   matches.
 //! * [`snapshot`] — the shared database: an `Arc`-swapped immutable
-//!   [`snapshot::DatabaseSnapshot`] readers pin lock-free while the
+//!   [`snapshot::DatabaseSnapshot`] readers pin for one batch while the
 //!   admin path (re-PACK / load picture) builds a replacement off-line
 //!   and publishes it atomically. Readers never block on writers and
 //!   never observe a half-built tree.
@@ -72,4 +72,4 @@ pub use client::{Client, ClientError};
 pub use metrics::Metrics;
 pub use protocol::{ErrorKind, Request, Response};
 pub use server::{Server, ServerConfig};
-pub use snapshot::{DatabaseSnapshot, SnapshotCache, SnapshotCell};
+pub use snapshot::{DatabaseSnapshot, SnapshotCell};

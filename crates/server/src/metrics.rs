@@ -262,10 +262,8 @@ pub struct Metrics {
     /// Plan-cache probes that found a plan stamped with the executing
     /// epoch (parse *and* plan skipped).
     pub plan_cache_hits: Counter,
-    /// Plan-cache probes that found the parsed AST but no epoch-valid
-    /// plan (parse skipped, plan recompiled and restamped).
-    pub plan_cache_parse_hits: Counter,
-    /// Plan-cache probes that found nothing.
+    /// Plan-cache probes that found no plan stamped with the executing
+    /// epoch (parsed, planned and restamped).
     pub plan_cache_misses: Counter,
     /// Entries evicted by LRU pressure.
     pub plan_cache_evictions: Counter,
@@ -318,7 +316,7 @@ impl Metrics {
                 "\"wal_syncs\":{},\"wal_recovered\":{},\"delta_items\":{},\"merges\":{},",
                 "\"merges_discarded\":{},\"serves_frozen_queries\":{}}},",
                 "\"pictures\":{{{}}},",
-                "\"plan_cache\":{{\"hits\":{},\"parse_hits\":{},\"misses\":{},",
+                "\"plan_cache\":{{\"hits\":{},\"misses\":{},",
                 "\"evictions\":{},\"entries\":{}}}",
                 "}}"
             ),
@@ -363,7 +361,6 @@ impl Metrics {
             self.serves_frozen_queries.get() != 0,
             pictures,
             self.plan_cache_hits.get(),
-            self.plan_cache_parse_hits.get(),
             self.plan_cache_misses.get(),
             self.plan_cache_evictions.get(),
             self.plan_cache_entries.get(),

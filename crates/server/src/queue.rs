@@ -94,16 +94,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// [`pop_batch`](Self::pop_batch) that never blocks: `0` when nothing
-    /// is queued right now. Lets a consumer do something (release a
-    /// resource) between "the queue is empty" and "wait for work".
-    pub fn try_pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let take = max.min(state.items.len());
-        out.extend(state.items.drain(..take));
-        take
-    }
-
     /// [`pop_batch`](Self::pop_batch) that waits at most `patience` for
     /// the first item: `Some(0)` when none came, `None` once the queue is
     /// closed **and** drained. For a consumer with something to check at

@@ -29,7 +29,7 @@
 //! Writes go through a per-connection outbox drained by the reactor;
 //! `WouldBlock` registers write interest and the flush resumes on the
 //! next writable event, so one slow reader never blocks the loop or any
-//! other connection. An outbox past `max_conn_backlog_bytes` marks the
+//! other connection. An outbox past `MAX_CONN_BACKLOG_BYTES` marks the
 //! connection dead (the client is not consuming; buffering forever
 //! would be an OOM handed to whoever pipelines fastest). Closed
 //! connections poison their outbox so late worker responses become
@@ -110,9 +110,12 @@ struct Outbox {
 pub(crate) struct Session {
     token: u64,
     notifier: Arc<Notifier>,
-    backlog_cap: usize,
     outbox: Mutex<Outbox>,
 }
+
+/// Most bytes of unread responses buffered per connection before the
+/// server cuts a non-consuming client loose.
+const MAX_CONN_BACKLOG_BYTES: usize = 64 << 20;
 
 impl Session {
     /// Queues one response frame for the reactor to write. Atomic per
@@ -127,7 +130,7 @@ impl Session {
             if ob.dead {
                 return;
             }
-            if ob.bytes + frame.len() > self.backlog_cap {
+            if ob.bytes + frame.len() > MAX_CONN_BACKLOG_BYTES {
                 // The client stopped reading; cut it loose rather than
                 // buffer without bound. The reactor closes on flush.
                 ob.dead = true;
@@ -345,7 +348,6 @@ fn accept_all(
         let session = Arc::new(Session {
             token,
             notifier: Arc::clone(&shared.notifier),
-            backlog_cap: shared.config.max_conn_backlog_bytes,
             outbox: Mutex::new(Outbox {
                 frames: VecDeque::new(),
                 bytes: 0,

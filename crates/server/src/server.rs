@@ -14,12 +14,12 @@
 //!   slot is answered immediately with `Overloaded` — the reactor never
 //!   blocks on the pool.
 //! * `workers` **worker threads** dequeue whatever jobs are waiting, up
-//!   to `max_batch` at once, and pin the current database snapshot
-//!   through a per-thread lock-free cache. The inserts among the jobs
-//!   commit under one WAL sync and one publication; then each query is
-//!   answered on its own through one function (deadline, cached plan,
-//!   execution), and the jobs' response frames are parked in their
-//!   connections' outboxes for the reactor to flush.
+//!   to `max_batch` at once, and pin the current database snapshot for
+//!   that batch, dropping it before they block again. The inserts among
+//!   the jobs commit under one WAL sync and one publication; then each
+//!   query is answered on its own through one function (deadline,
+//!   cached plan, execution), and the jobs' response frames are parked
+//!   in their connections' outboxes for the reactor to flush.
 //! * One **rebuild thread** replaces packed generations: every
 //!   picture's when a `REPACK` waits, the pictures holding a delta when
 //!   the delta population passes `merge_threshold`. Either way it packs
@@ -35,11 +35,11 @@
 //! mid-frame.
 
 use crate::metrics::{Metrics, PictureGauge};
-use crate::plan_cache::{PlanCache, Prepared};
+use crate::plan_cache::PlanCache;
 use crate::protocol::{decode_request, peek_request_id, ErrorKind, Request, Response};
 use crate::queue::{BoundedQueue, PushError};
 use crate::reactor::{reactor_loop, Notifier, Session};
-use crate::snapshot::{DatabaseSnapshot, SnapshotCache, SnapshotCell};
+use crate::snapshot::{DatabaseSnapshot, SnapshotCell};
 use psql::database::PictorialDatabase;
 use psql::functions::FunctionRegistry;
 use psql::plan::Plan;
@@ -67,8 +67,6 @@ pub struct ServerConfig {
     /// Deadline applied to queries that don't carry their own
     /// `timeout_ms`.
     pub default_deadline: Duration,
-    /// Back-off hint carried in `Overloaded` responses.
-    pub retry_after_ms: u32,
     /// Jobs a worker dequeues at once; the inserts among them share one
     /// WAL sync and one publication. Whatever backlog is already queued
     /// rides along (a worker never waits for more).
@@ -86,12 +84,9 @@ pub struct ServerConfig {
     pub merge_threshold: usize,
     /// How often the rebuild thread polls the delta population.
     pub merge_interval: Duration,
-    /// Entries in the cached-plan table (query text → parsed AST +
-    /// epoch-stamped plan). `0` disables plan caching.
+    /// Entries in the cached-plan table (query text → epoch-stamped
+    /// plan). `0` disables plan caching.
     pub plan_cache_capacity: usize,
-    /// Most bytes of unread responses buffered per connection before the
-    /// server cuts a non-consuming client loose.
-    pub max_conn_backlog_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -100,13 +95,11 @@ impl Default for ServerConfig {
             workers: 4,
             queue_capacity: 64,
             default_deadline: Duration::from_secs(5),
-            retry_after_ms: 10,
             max_batch: 32,
             wal_path: None,
             merge_threshold: 128,
             merge_interval: Duration::from_millis(20),
             plan_cache_capacity: 256,
-            max_conn_backlog_bytes: 64 << 20,
         }
     }
 }
@@ -493,6 +486,9 @@ fn enqueue(shared: &Arc<Shared>, id: u64, kind: JobKind, budget: Duration, sessi
     }
 }
 
+/// Back-off hint carried in `Overloaded` responses.
+const RETRY_AFTER_MS: u32 = 10;
+
 /// Answers a request a bounded queue would not take: `Overloaded` from a
 /// full one, the typed shutdown error from a closed one.
 fn refuse<T>(shared: &Shared, session: &Session, id: u64, refused: PushError<T>) {
@@ -501,7 +497,7 @@ fn refuse<T>(shared: &Shared, session: &Session, id: u64, refused: PushError<T>)
             shared.metrics.overloads.incr();
             session.send(&Response::Overloaded {
                 id,
-                retry_after_ms: shared.config.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
             });
         }
         PushError::Closed(_) => session.send(&shutting_down(id)),
@@ -519,24 +515,19 @@ fn shutting_down(id: u64) -> Response {
 
 fn worker_loop(shared: &Arc<Shared>) {
     let mut scratch = SearchScratch::new();
-    let mut cache = SnapshotCache::new();
     let mut jobs: Vec<Job> = Vec::new();
     let max_batch = shared.config.max_batch.max(1);
     loop {
         jobs.clear();
-        let mut n = shared.queue.try_pop_batch(&mut jobs, max_batch);
-        if n == 0 {
-            // About to block for who knows how long: let go of the
-            // snapshot, or an idle worker keeps a superseded packed
-            // generation resident until its next request.
-            cache.release();
-            n = shared.queue.pop_batch(&mut jobs, max_batch);
-        }
+        let n = shared.queue.pop_batch(&mut jobs, max_batch);
         if n == 0 {
             break;
         }
         shared.metrics.queue_depth.sub(n as i64);
-        let mut snapshot = shared.snapshots.load_cached(&mut cache);
+        // Pinned for this pack only: the pin drops at the end of the
+        // iteration, before the worker blocks again, so an idle worker
+        // never keeps a superseded packed generation resident.
+        let mut snapshot = shared.snapshots.load();
 
         // Ingest first: all inserts in the dequeued pack WAL-commit as a
         // group (one fsync) and publish as one snapshot, which the
@@ -544,7 +535,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // were queued behind them.
         if jobs.iter().any(|j| matches!(j.kind, JobKind::Insert(_))) {
             ingest_batch(shared, &snapshot, &jobs);
-            snapshot = shared.snapshots.load_cached(&mut cache);
+            snapshot = shared.snapshots.load();
         }
 
         // Each query is answered on its own; the pack's responses leave
@@ -565,10 +556,10 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// Parses and plans one query text against a pinned snapshot, going
-/// through the cached-plan table: a full hit (plan stamped with this
-/// snapshot's epoch) skips parse *and* plan; a parse hit skips the parse
-/// and restamps a fresh plan; a miss prepares from scratch and populates
-/// the cache. Parse/plan failures are never cached.
+/// through the cached-plan table: a hit (plan stamped with this
+/// snapshot's epoch) skips parse *and* plan; a miss, a stale stamp
+/// included, prepares from scratch and stores the plan. Parse/plan
+/// failures are never cached.
 fn prepare(
     db: &PictorialDatabase,
     epoch: u64,
@@ -576,22 +567,14 @@ fn prepare(
     plans: &PlanCache,
     metrics: &Metrics,
 ) -> Result<Arc<Plan>, PsqlError> {
-    let query = match plans.prepare(text, epoch) {
-        Prepared::Plan(_, plan) => {
-            metrics.plan_cache_hits.incr();
-            return Ok(plan);
-        }
-        Prepared::Query(query) => {
-            metrics.plan_cache_parse_hits.incr();
-            query
-        }
-        Prepared::Miss => {
-            metrics.plan_cache_misses.incr();
-            Arc::new(psql::parse_query(text)?)
-        }
-    };
+    if let Some(plan) = plans.get(text, epoch) {
+        metrics.plan_cache_hits.incr();
+        return Ok(plan);
+    }
+    metrics.plan_cache_misses.incr();
+    let query = psql::parse_query(text)?;
     let plan = Arc::new(psql::plan::plan(db, &query)?);
-    if plans.store(text, query, Some((epoch, Arc::clone(&plan)))) {
+    if plans.store(text, epoch, Arc::clone(&plan)) {
         metrics.plan_cache_evictions.incr();
     }
     Ok(plan)
@@ -1162,12 +1145,12 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(metrics.plan_cache_misses.get(), 1);
         assert_eq!(metrics.plan_cache_hits.get(), 1);
-        // A new epoch demotes to a parse hit, then re-stamps.
+        // A new epoch is a miss, then re-stamps.
         let third = run_query(&db, 2, text, &functions, &mut scratch, &plans, &metrics)
             .ok()
             .unwrap();
         assert_eq!(first, third);
-        assert_eq!(metrics.plan_cache_parse_hits.get(), 1);
+        assert_eq!(metrics.plan_cache_misses.get(), 2);
         let fourth = run_query(&db, 2, text, &functions, &mut scratch, &plans, &metrics)
             .ok()
             .unwrap();
@@ -1189,7 +1172,7 @@ mod tests {
         .ok()
         .unwrap();
         assert_eq!(first, fifth);
-        assert_eq!(metrics.plan_cache_parse_hits.get(), 2, "a parse hit");
+        assert_eq!(metrics.plan_cache_misses.get(), 3, "a miss");
         assert_eq!(metrics.plan_cache_hits.get(), 2, "not a plan hit");
     }
 

@@ -6,12 +6,10 @@
 //! [`Arc`]; publication replaces the whole `Arc` at once, so a query
 //! either sees the old database or the new one — never a half-built tree.
 //!
-//! The read hot path is lock-free: each worker keeps a [`SnapshotCache`]
-//! (its own pinned `Arc`) and revalidates it against a single atomic
-//! epoch counter per request. Only when the epoch has actually advanced
-//! does the worker touch the publication mutex, and writers hold that
-//! mutex *only for the pointer swap* — snapshot construction (clone +
-//! mutate, or re-pack) happens entirely outside it.
+//! A worker pins the current snapshot once per dequeued batch, under the
+//! publication mutex for the length of an `Arc::clone`. Writers hold
+//! that mutex *only for the pointer swap* — snapshot construction
+//! (clone + mutate, or re-pack) happens entirely outside it.
 //!
 //! Snapshots are **structurally shared**: `PictorialDatabase::clone`
 //! copies a handful of `Arc`s, and a mutation copies only what it
@@ -20,11 +18,9 @@
 //! O(delta) and consecutive snapshots share the packed objects, labels,
 //! trees, relations and backlink maps. A packed generation is freed by
 //! reference counting once the last snapshot holding it is dropped —
-//! which is why an idle worker must not sit on a pin (see
-//! [`SnapshotCache::release`]).
+//! which is why a worker drops its pin before it blocks for more work.
 
 use psql::database::PictorialDatabase;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// An immutable, epoch-stamped view of the whole pictorial database.
@@ -41,9 +37,6 @@ pub struct DatabaseSnapshot {
 /// The publication point: one atomically-swapped current snapshot.
 #[derive(Debug)]
 pub struct SnapshotCell {
-    /// Epoch of the snapshot in `slot`, readable without the lock. A
-    /// reader whose cached epoch matches skips the mutex entirely.
-    epoch: AtomicU64,
     slot: Mutex<Arc<DatabaseSnapshot>>,
 }
 
@@ -51,37 +44,19 @@ impl SnapshotCell {
     /// Wraps the initial database as epoch-1.
     pub fn new(db: PictorialDatabase) -> Self {
         SnapshotCell {
-            epoch: AtomicU64::new(1),
             slot: Mutex::new(Arc::new(DatabaseSnapshot { epoch: 1, db })),
         }
     }
 
     /// Epoch of the currently-published snapshot.
     pub fn current_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.slot.lock().unwrap_or_else(|e| e.into_inner()).epoch
     }
 
-    /// Pins the current snapshot (slow path: takes the publication lock
-    /// for the duration of an `Arc::clone`). Use [`Self::load_cached`]
-    /// from request loops.
+    /// Pins the current snapshot: takes the publication lock for the
+    /// duration of an `Arc::clone`.
     pub fn load(&self) -> Arc<DatabaseSnapshot> {
         Arc::clone(&self.slot.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Pins the current snapshot through a per-thread cache. When the
-    /// published epoch matches the cache this is one atomic load and an
-    /// `Arc::clone` — no lock, no waiting on writers. The cache is
-    /// refreshed (via the lock) only after an actual republication.
-    pub fn load_cached(&self, cache: &mut SnapshotCache) -> Arc<DatabaseSnapshot> {
-        let current = self.epoch.load(Ordering::Acquire);
-        match &cache.pinned {
-            Some(snap) if snap.epoch == current => Arc::clone(snap),
-            _ => {
-                let snap = self.load();
-                cache.pinned = Some(Arc::clone(&snap));
-                snap
-            }
-        }
     }
 
     /// Publishes `db` as the next snapshot and returns its epoch. The
@@ -90,10 +65,6 @@ impl SnapshotCell {
         let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
         let epoch = slot.epoch + 1;
         *slot = Arc::new(DatabaseSnapshot { epoch, db });
-        // Release-store after the slot holds the new snapshot: a reader
-        // that observes the bumped epoch and then takes the lock is
-        // guaranteed to find a snapshot at least this new.
-        self.epoch.store(epoch, Ordering::Release);
         epoch
     }
 
@@ -114,27 +85,6 @@ impl SnapshotCell {
     }
 }
 
-/// A worker thread's pinned snapshot. Deliberately not `Sync`-shared:
-/// each thread owns one.
-#[derive(Debug, Default)]
-pub struct SnapshotCache {
-    pinned: Option<Arc<DatabaseSnapshot>>,
-}
-
-impl SnapshotCache {
-    /// An empty cache; the first `load_cached` fills it.
-    pub fn new() -> Self {
-        SnapshotCache::default()
-    }
-
-    /// Drops the pin. A thread about to block indefinitely calls this so
-    /// that it does not keep a superseded snapshot — and with it a whole
-    /// packed generation — alive while idle.
-    pub fn release(&mut self) {
-        self.pinned = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,13 +99,12 @@ mod tests {
     }
 
     #[test]
-    fn epochs_advance_and_cache_revalidates() {
+    fn epochs_advance_and_loads_follow() {
         let cell = SnapshotCell::new(tiny_db());
-        let mut cache = SnapshotCache::new();
-        let s1 = cell.load_cached(&mut cache);
+        let s1 = cell.load();
         assert_eq!(s1.epoch, 1);
-        // Cache hit: same Arc.
-        let s1b = cell.load_cached(&mut cache);
+        // No publication in between: same Arc.
+        let s1b = cell.load();
         assert!(Arc::ptr_eq(&s1, &s1b));
 
         let e2 = cell.update(|db| {
@@ -164,7 +113,7 @@ mod tests {
         });
         assert_eq!(e2, 2);
         assert_eq!(cell.current_epoch(), 2);
-        let s2 = cell.load_cached(&mut cache);
+        let s2 = cell.load();
         assert_eq!(s2.epoch, 2);
         assert!(s2.db.picture("q").is_ok());
         // The old pin still serves the old view.
@@ -185,7 +134,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_see_only_whole_snapshots() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         let cell = Arc::new(SnapshotCell::new(tiny_db()));
         let stop = Arc::new(AtomicBool::new(false));
         let mut readers = Vec::new();
@@ -193,10 +142,9 @@ mod tests {
             let cell = Arc::clone(&cell);
             let stop = Arc::clone(&stop);
             readers.push(std::thread::spawn(move || {
-                let mut cache = SnapshotCache::new();
                 let mut observed = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let snap = cell.load_cached(&mut cache);
+                    let snap = cell.load();
                     // Each published epoch k has pictures p, e2..ek —
                     // i.e. exactly `epoch` pictures. A torn snapshot
                     // would break this invariant.
