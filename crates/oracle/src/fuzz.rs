@@ -340,31 +340,25 @@ fn sorted(mut ids: Vec<ItemId>) -> Vec<ItemId> {
     ids
 }
 
-fn check_tree(case: &Case) -> Option<String> {
-    let items: Vec<(Rect, ItemId)> = case
-        .objects
-        .iter()
-        .enumerate()
-        .map(|(i, o)| (o.mbr(), ItemId(i as u64)))
-        .collect();
-    let packed = packed_rtree_core::pack(items.clone(), RTreeConfig::PAPER);
-    if let Err(e) = validate_deep(&TreeImage::of_rtree(&packed), DeepChecks::packed()) {
-        return Some(format!("packed tree fails validate_deep: {e}"));
-    }
-
+/// `SEARCH` and the point query on `tree`, checked in exact result
+/// order: windows against [`reference::recursive_window_search`], points
+/// against [`reference::recursive_point_query`] (children descended
+/// highest-lane-first), counters against both, and result sets against
+/// a linear scan. The stats path and the scratch path must agree too.
+fn check_search_order(tree: &RTree, items: &[(Rect, ItemId)], case: &Case) -> Option<String> {
     let mut scratch = SearchScratch::new();
     for (wi, w) in case.windows.iter().enumerate() {
         for within in [true, false] {
             let mut stats = SearchStats::default();
             let engine = if within {
-                packed.search_within(w, &mut stats)
+                tree.search_within(w, &mut stats)
             } else {
-                packed.search_intersecting(w, &mut stats)
+                tree.search_intersecting(w, &mut stats)
             };
             let fast = if within {
-                packed.search_within_into(w, &mut scratch).to_vec()
+                tree.search_within_into(w, &mut scratch).to_vec()
             } else {
-                packed.search_intersecting_into(w, &mut scratch).to_vec()
+                tree.search_intersecting_into(w, &mut scratch).to_vec()
             };
             if engine != fast {
                 return Some(format!(
@@ -372,17 +366,17 @@ fn check_tree(case: &Case) -> Option<String> {
                      scratch path {fast:?}"
                 ));
             }
-            let expect = sorted(reference::window_items(&items, w, within));
-            let got = sorted(engine);
-            if got != expect {
+            let expect = sorted(reference::window_items(items, w, within));
+            if sorted(engine.clone()) != expect {
                 return Some(format!(
-                    "window {wi} within={within}: engine {got:?} != linear scan {expect:?}"
+                    "window {wi} within={within}: engine {engine:?} != linear scan {expect:?}"
                 ));
             }
-            let (rec, count) = reference::recursive_window_search(&packed, w, within);
-            if sorted(rec) != got {
+            let (rec, count) = reference::recursive_window_search(tree, w, within);
+            if rec != engine {
                 return Some(format!(
-                    "window {wi} within={within}: recursive reference disagrees"
+                    "window {wi} within={within}: engine order {engine:?} != \
+                     recursive reference {rec:?}"
                 ));
             }
             if (
@@ -411,23 +405,24 @@ fn check_tree(case: &Case) -> Option<String> {
 
     for (pi, &p) in case.probes.iter().enumerate() {
         let mut stats = SearchStats::default();
-        let engine = packed.point_query(p, &mut stats);
-        let fast = packed.point_query_into(p, &mut scratch).to_vec();
+        let engine = tree.point_query(p, &mut stats);
+        let fast = tree.point_query_into(p, &mut scratch).to_vec();
         if engine != fast {
             return Some(format!(
                 "probe {pi}: stats path {engine:?} != scratch path {fast:?}"
             ));
         }
-        let expect = sorted(reference::point_items(&items, p));
-        let got = sorted(engine);
-        if got != expect {
+        let expect = sorted(reference::point_items(items, p));
+        if sorted(engine.clone()) != expect {
             return Some(format!(
-                "probe {pi}: engine {got:?} != linear scan {expect:?}"
+                "probe {pi}: engine {engine:?} != linear scan {expect:?}"
             ));
         }
-        let (rec, count) = reference::recursive_point_query(&packed, p);
-        if sorted(rec) != got {
-            return Some(format!("probe {pi}: recursive reference disagrees"));
+        let (rec, count) = reference::recursive_point_query(tree, p);
+        if rec != engine {
+            return Some(format!(
+                "probe {pi}: engine order {engine:?} != recursive reference {rec:?}"
+            ));
         }
         if (
             stats.nodes_visited,
@@ -439,6 +434,28 @@ fn check_tree(case: &Case) -> Option<String> {
             count.items_reported,
         ) {
             return Some(format!("probe {pi}: point-query counters disagree"));
+        }
+    }
+    None
+}
+
+fn check_tree(case: &Case) -> Option<String> {
+    let items: Vec<(Rect, ItemId)> = case
+        .objects
+        .iter()
+        .enumerate()
+        .map(|(i, o)| (o.mbr(), ItemId(i as u64)))
+        .collect();
+    let packed = packed_rtree_core::pack(items.clone(), RTreeConfig::PAPER);
+    if let Err(e) = validate_deep(&TreeImage::of_rtree(&packed), DeepChecks::packed()) {
+        return Some(format!("packed tree fails validate_deep: {e}"));
+    }
+
+    // M = 102 runs the two-chunk instantiation of every traversal.
+    let wide = packed_rtree_core::pack(items.clone(), RTreeConfig::with_branching(102));
+    for (label, tree) in [("packed", &packed), ("packed M=102", &wide)] {
+        if let Some(d) = check_search_order(tree, &items, case) {
+            return Some(format!("{label} tree: {d}"));
         }
     }
 
@@ -490,6 +507,9 @@ fn check_tree(case: &Case) -> Option<String> {
         return Some(format!(
             "dynamic tree fails validate_deep after inserts: {e}"
         ));
+    }
+    if let Some(d) = check_search_order(&dynamic, &items, case) {
+        return Some(format!("guttman tree: {d}"));
     }
     let mut survivors = Vec::new();
     for (i, &(r, id)) in items.iter().enumerate() {
@@ -1089,6 +1109,42 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
+    }
+
+    #[test]
+    fn wide_trees_keep_the_recursive_order() {
+        // Enough objects that an M = 102 node has children in both
+        // 64-lane chunks, so the two-chunk traversal orders children,
+        // not just leaf hits.
+        let mut rng = StdRng::seed_from_u64(1985);
+        let objects: Vec<SpatialObject> = (0..7_000).map(|_| object(&mut rng)).collect();
+        let items: Vec<(Rect, ItemId)> = objects
+            .iter()
+            .enumerate()
+            .map(|(i, o)| (o.mbr(), ItemId(i as u64)))
+            .collect();
+        let case = Case {
+            remove_mask: vec![false; objects.len()],
+            objects,
+            windows: (0..24).map(|_| rect(&mut rng)).collect(),
+            probes: (0..24)
+                .map(|_| Point::new(coord(&mut rng), coord(&mut rng)))
+                .collect(),
+            knn: Vec::new(),
+            check_disk: false,
+            pack_db: false,
+            pack_prefix: 0,
+        };
+        let config = RTreeConfig::with_branching(102);
+        let packed = packed_rtree_core::pack(items.clone(), config);
+        let mut guttman = RTree::new(config);
+        for &(r, id) in &items {
+            guttman.insert(r, id);
+        }
+        for tree in [&packed, &guttman] {
+            assert!(tree.depth() >= 1, "the tree must have internal levels");
+            assert_eq!(check_search_order(tree, &items, &case), None);
+        }
     }
 
     #[test]

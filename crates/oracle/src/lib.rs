@@ -16,8 +16,9 @@
 //! 2. **Tree** — `search_within` / `search_intersecting` / `point_query`
 //!    through both the instrumented stats path and the allocation-free
 //!    [`SearchScratch`](rtree_index::SearchScratch) path, plus k-NN,
-//!    joins, and the `avg_nodes_visited` accounting against a literal
-//!    recursive implementation of the paper's `SEARCH` (§3.1).
+//!    joins, and the exact result order and `avg_nodes_visited`
+//!    accounting against a literal recursive implementation of the
+//!    paper's `SEARCH` (§3.1), on packed, Guttman and M = 102 trees.
 //! 3. **PSQL** — query text end-to-end through the parser, planner, and
 //!    `execute_with_scratch` (the entry point the concurrent query
 //!    service uses), compared against direct evaluation of the operator
