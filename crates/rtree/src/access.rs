@@ -5,7 +5,7 @@
 //! the SoA arena of [`FrozenRTree`](crate::FrozenRTree), a future
 //! backend) describes its nodes through [`NodeAccess`] and inherits the
 //! window, point and k-NN traversals of this crate and the join of
-//! `psql` — the same stack machine, visit order and counters for all.
+//! `psql` — the same level-order loops, visit order and counters for all.
 
 use crate::knn::{knn_traverse, KnnScratch, Neighbor};
 use crate::node::{ItemId, Node, NodeId};
@@ -89,19 +89,19 @@ pub trait NodeAccess {
         scratch: &'s mut SearchScratch,
         stats: Option<&mut SearchStats>,
     ) -> &'s [ItemId] {
-        let SearchScratch { stack, out, .. } = scratch;
+        let SearchScratch { frontier, out, .. } = scratch;
         match (self.fanout().div_ceil(64), stats) {
             (1, Some(stats)) => {
-                window_traverse::<true, _, _>(self, window, within, stack, stats, out)
+                window_traverse::<true, _, _>(self, window, within, frontier, stats, out)
             }
             (1, None) => {
-                window_traverse::<true, _, _>(self, window, within, stack, &mut NoStats, out)
+                window_traverse::<true, _, _>(self, window, within, frontier, &mut NoStats, out)
             }
             (_, Some(stats)) => {
-                window_traverse::<false, _, _>(self, window, within, stack, stats, out)
+                window_traverse::<false, _, _>(self, window, within, frontier, stats, out)
             }
             (_, None) => {
-                window_traverse::<false, _, _>(self, window, within, stack, &mut NoStats, out)
+                window_traverse::<false, _, _>(self, window, within, frontier, &mut NoStats, out)
             }
         }
         out
@@ -114,12 +114,12 @@ pub trait NodeAccess {
         scratch: &'s mut SearchScratch,
         stats: Option<&mut SearchStats>,
     ) -> &'s [ItemId] {
-        let SearchScratch { stack, out, .. } = scratch;
+        let SearchScratch { frontier, out, .. } = scratch;
         match (self.fanout().div_ceil(64), stats) {
-            (1, Some(stats)) => point_traverse::<true, _, _>(self, p, stack, stats, out),
-            (1, None) => point_traverse::<true, _, _>(self, p, stack, &mut NoStats, out),
-            (_, Some(stats)) => point_traverse::<false, _, _>(self, p, stack, stats, out),
-            (_, None) => point_traverse::<false, _, _>(self, p, stack, &mut NoStats, out),
+            (1, Some(stats)) => point_traverse::<true, _, _>(self, p, frontier, stats, out),
+            (1, None) => point_traverse::<true, _, _>(self, p, frontier, &mut NoStats, out),
+            (_, Some(stats)) => point_traverse::<false, _, _>(self, p, frontier, stats, out),
+            (_, None) => point_traverse::<false, _, _>(self, p, frontier, &mut NoStats, out),
         }
         out
     }

@@ -29,11 +29,15 @@
 //!   would match them.)
 //!
 //! The arena implements [`NodeAccess`], so its queries are the very
-//! traversals the pointer tree runs — window search pushes children in
-//! reverse lane order, point search forward, k-NN keeps one best-first
-//! heap discipline — and a frozen tree returns **identical result
-//! sequences and identical [`SearchStats`] counters**, verified by the
-//! `rtree-oracle` differential fuzzer's fourth execution level.
+//! traversals the pointer tree runs — window and point search descend
+//! one level at a time, appending a node's matching children lowest-lane
+//! first (window) or highest-lane first (point); k-NN keeps one
+//! best-first heap discipline — and a frozen tree returns **identical
+//! result sequences and identical [`SearchStats`] counters**, verified by
+//! the `rtree-oracle` differential fuzzer's fourth execution level.
+//! Breadth-first node order suits the level-order descent: a level's
+//! visited nodes are independent loads that lie in one band of the
+//! arena, so their cache misses overlap.
 
 use crate::access::NodeAccess;
 use crate::config::RTreeConfig;
@@ -844,17 +848,32 @@ mod tests {
                 Rect::new(g, g, g + 25.0, g + 25.0)
             })
             .collect();
-        for w in &windows {
-            f.search_within_into(w, &mut scratch);
-            f.nearest_neighbors_into(Point::new(w.min_x, w.min_y), 8, &mut knn);
-        }
+        let probes: Vec<Point> = tree
+            .items()
+            .iter()
+            .step_by(17)
+            .map(|(r, _)| Point::new(r.min_x, r.min_y))
+            .collect();
+        let frame = f.mbr().expect("non-empty tree");
+        // One round of every query path, the whole frame included: the
+        // frontier holds each visited node once, so never more entries
+        // than the tree has nodes, and all of them for the whole frame.
+        let round = |scratch: &mut SearchScratch, knn: &mut KnnScratch| {
+            for (w, &p) in windows.iter().zip(probes.iter().cycle()) {
+                f.search_within_into(w, scratch);
+                assert!(scratch.frontier.len() <= f.node_count());
+                f.search_intersecting_into(w, scratch);
+                assert!(!f.point_query_into(p, scratch).is_empty());
+                assert!(scratch.frontier.len() <= f.node_count());
+                f.nearest_neighbors_into(Point::new(w.min_x, w.min_y), 8, knn);
+            }
+            assert_eq!(f.search_within_into(&frame, scratch).len(), 500);
+            assert_eq!(scratch.frontier.len(), f.node_count());
+        };
+        round(&mut scratch, &mut knn);
         let warm = (scratch.capacities(), knn.capacities());
         for _ in 0..5 {
-            for w in &windows {
-                f.search_within_into(w, &mut scratch);
-                f.search_intersecting_into(w, &mut scratch);
-                f.nearest_neighbors_into(Point::new(w.min_x, w.min_y), 8, &mut knn);
-            }
+            round(&mut scratch, &mut knn);
             assert_eq!((scratch.capacities(), knn.capacities()), warm);
         }
     }

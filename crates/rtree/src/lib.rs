@@ -9,9 +9,11 @@
 //! * Guttman's **INSERT** (`ChooseLeaf` + `SplitNode` + `AdjustTree`) with
 //!   three split policies — linear, quadratic, exhaustive (§3.2);
 //! * **DELETE** (`FindLeaf` + `CondenseTree` with orphan re-insertion);
-//! * **SEARCH** exactly as the paper's recursive procedure (§3.1): descend
+//! * **SEARCH** as the paper's recursive procedure (§3.1): descend
 //!   entries that `INTERSECTS` the target window, report leaf entries
-//!   `WITHIN` it — plus intersection search, point queries (the Table 1
+//!   `WITHIN` it — walked one level at a time so a level's node loads
+//!   overlap, with the recursion's results, result order and visit
+//!   counts — plus intersection search, point queries (the Table 1
 //!   workload) and branch-and-bound nearest-neighbour search;
 //! * per-query [`SearchStats`] (nodes visited — the `A` column of Table 1)
 //!   and whole-tree [`TreeMetrics`] (coverage `C`, overlap `O`, depth `D`,

@@ -10,18 +10,19 @@ use rtree_geom::{Point, Rect};
 
 /// Reusable traversal state for the allocation-free query paths.
 ///
-/// Window and point queries need two growable buffers: the explicit
-/// descent stack and the result list. Owning them in a scratch value and
-/// passing it to the `*_into` query methods means the buffers are
-/// allocated once and reused — steady-state queries touch the heap only
-/// while the buffers are still growing toward the workload's high-water
-/// mark, after which they allocate nothing.
+/// Window and point queries need two growable buffers: the frontier of
+/// nodes to visit, level by level, and the result list. Owning them in a
+/// scratch value and passing it to the `*_into` query methods means the
+/// buffers are allocated once and reused — steady-state queries touch
+/// the heap only while the buffers are still growing toward the
+/// workload's high-water mark, after which they allocate nothing. The
+/// frontier never holds more entries than the tree has nodes.
 ///
 /// The scratch also embeds a [`KnnScratch`] so one per-worker value covers
 /// the whole allocation-free query surface (window, point and k-NN).
 #[derive(Debug, Default, Clone)]
 pub struct SearchScratch {
-    pub(crate) stack: Vec<NodeId>,
+    pub(crate) frontier: Vec<NodeId>,
     pub(crate) out: Vec<ItemId>,
     knn: KnnScratch,
 }
@@ -37,11 +38,11 @@ impl SearchScratch {
         &self.out
     }
 
-    /// Current capacity of the two buffers `(stack, results)` — stable
-    /// capacities across queries demonstrate the zero-allocation steady
-    /// state.
+    /// Current capacity of the two buffers `(frontier, results)` —
+    /// stable capacities across queries demonstrate the zero-allocation
+    /// steady state.
     pub fn capacities(&self) -> (usize, usize) {
-        (self.stack.capacity(), self.out.capacity())
+        (self.frontier.capacity(), self.out.capacity())
     }
 
     /// The embedded k-NN scratch, for routing `nearest_neighbors_into`
@@ -162,37 +163,83 @@ pub(crate) fn chunk_count<const ONE_CHUNK: bool>(tree: &(impl NodeAccess + ?Size
     }
 }
 
-/// The paper's `SEARCH` as one iterative loop over an explicit stack,
-/// for every storage form.
+/// The paper's `SEARCH` as one iterative loop, for every storage form,
+/// visiting the tree one level at a time.
 ///
-/// Pruning folds a node's lanes into hit masks, 64 lanes to a chunk.
-/// Matching leaf lanes are reported lowest-lane-first and matching
-/// children pushed highest-lane-first, so nodes are visited in exactly
-/// the order the recursive formulation visits them and every result
-/// sequence and counter agrees with it.
+/// `frontier` is a queue: the nodes of one level sit side by side, and
+/// visiting them appends the matching children, which form the next
+/// level. The nodes of a level are independent loads, so their cache
+/// misses overlap; a depth-first stack would make every visit wait for
+/// the subtree before it. Pruning folds a node's lanes into hit masks,
+/// 64 lanes to a chunk. Children are appended and leaf hits reported
+/// lowest-lane-first. Every leaf sits at one depth, so leaves come out
+/// left to right — the order the recursive formulation reaches them in —
+/// and the results and counters are the recursion's.
 pub(crate) fn window_traverse<const ONE_CHUNK: bool, T: NodeAccess + ?Sized, S: Sink>(
     tree: &T,
     window: &Rect,
     within: bool,
-    stack: &mut Vec<NodeId>,
+    frontier: &mut Vec<NodeId>,
     sink: &mut S,
     out: &mut Vec<ItemId>,
 ) {
     sink.query();
     out.clear();
-    stack.clear();
-    stack.push(tree.root());
+    frontier.clear();
+    frontier.push(tree.root());
     let chunks = chunk_count::<ONE_CHUNK>(tree);
-    while let Some(id) = stack.pop() {
+    let mut head = 0;
+    while let Some(&id) = frontier.get(head) {
+        head += 1;
+        let leaf = tree.is_leaf(id);
+        sink.node(leaf);
+        for chunk in 0..chunks {
+            let mut mask = if !leaf {
+                tree.mask_intersects(id, chunk, window) // the paper's INTERSECTS pruning
+            } else if within {
+                tree.mask_within(id, chunk, window) // the paper's WITHIN
+            } else {
+                tree.mask_intersects(id, chunk, window)
+            };
+            while mask != 0 {
+                let lane = chunk * 64 + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                if leaf {
+                    sink.item();
+                    out.push(tree.child_item(id, lane));
+                } else {
+                    frontier.push(tree.child_node(id, lane));
+                }
+            }
+        }
+    }
+}
+
+/// The Table 1 point query, level by level like
+/// [`window_traverse`]. Children are appended highest-lane-first, so
+/// leaves come out right to left, and each leaf's hits are reported
+/// lowest-lane-first: the order the engine has always answered in,
+/// which PSQL row order (and `result_digest`) pins.
+pub(crate) fn point_traverse<const ONE_CHUNK: bool, T: NodeAccess + ?Sized, S: Sink>(
+    tree: &T,
+    p: Point,
+    frontier: &mut Vec<NodeId>,
+    sink: &mut S,
+    out: &mut Vec<ItemId>,
+) {
+    sink.query();
+    out.clear();
+    frontier.clear();
+    frontier.push(tree.root());
+    let chunks = chunk_count::<ONE_CHUNK>(tree);
+    let mut head = 0;
+    while let Some(&id) = frontier.get(head) {
+        head += 1;
         let leaf = tree.is_leaf(id);
         sink.node(leaf);
         if leaf {
             for chunk in 0..chunks {
-                let mut mask = if within {
-                    tree.mask_within(id, chunk, window) // the paper's WITHIN
-                } else {
-                    tree.mask_intersects(id, chunk, window)
-                };
+                let mut mask = tree.mask_point(id, chunk, p);
                 while mask != 0 {
                     let lane = chunk * 64 + mask.trailing_zeros() as usize;
                     mask &= mask - 1;
@@ -202,45 +249,11 @@ pub(crate) fn window_traverse<const ONE_CHUNK: bool, T: NodeAccess + ?Sized, S: 
             }
         } else {
             for chunk in (0..chunks).rev() {
-                // the paper's INTERSECTS pruning
-                let mut mask = tree.mask_intersects(id, chunk, window);
+                let mut mask = tree.mask_point(id, chunk, p);
                 while mask != 0 {
                     let bit = 63 - mask.leading_zeros() as usize;
                     mask &= !(1u64 << bit);
-                    stack.push(tree.child_node(id, chunk * 64 + bit));
-                }
-            }
-        }
-    }
-}
-
-/// The Table 1 point query. Hits are consumed lowest-lane-first at
-/// every level.
-pub(crate) fn point_traverse<const ONE_CHUNK: bool, T: NodeAccess + ?Sized, S: Sink>(
-    tree: &T,
-    p: Point,
-    stack: &mut Vec<NodeId>,
-    sink: &mut S,
-    out: &mut Vec<ItemId>,
-) {
-    sink.query();
-    out.clear();
-    stack.clear();
-    stack.push(tree.root());
-    let chunks = chunk_count::<ONE_CHUNK>(tree);
-    while let Some(id) = stack.pop() {
-        let leaf = tree.is_leaf(id);
-        sink.node(leaf);
-        for chunk in 0..chunks {
-            let mut mask = tree.mask_point(id, chunk, p);
-            while mask != 0 {
-                let lane = chunk * 64 + mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                if leaf {
-                    sink.item();
-                    out.push(tree.child_item(id, lane));
-                } else {
-                    stack.push(tree.child_node(id, lane));
+                    frontier.push(tree.child_node(id, chunk * 64 + bit));
                 }
             }
         }
