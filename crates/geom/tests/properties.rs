@@ -113,6 +113,33 @@ proptest! {
     }
 
     #[test]
+    fn lattice_areas_equal_unit_cell_counts(
+        corners in prop::collection::vec((0..=12u8, 0..=12u8, 0..=12u8, 0..=12u8), 0..20),
+    ) {
+        // Integer corners: every unit cell of the 12 × 12 lattice is
+        // covered wholly or not at all, so counting cells by their centres
+        // gives each area exactly, with no routine under test involved.
+        let rects: Vec<Rect> = corners
+            .iter()
+            .map(|&(x0, y0, x1, y1)| {
+                let p = |x: u8, y: u8| Point::new(f64::from(x), f64::from(y));
+                Rect::from_corners(p(x0, y0), p(x1, y1))
+            })
+            .collect();
+        let (mut once, mut twice) = (0.0, 0.0);
+        for x in 0..12 {
+            for y in 0..12 {
+                let centre = Point::new(f64::from(x) + 0.5, f64::from(y) + 0.5);
+                let covers = rects.iter().filter(|r| r.contains_point(centre)).count();
+                once += f64::from(u8::from(covers >= 1));
+                twice += f64::from(u8::from(covers >= 2));
+            }
+        }
+        prop_assert_eq!(rectset::union_area(&rects), once);
+        prop_assert_eq!(rectset::overlap_area(&rects), twice);
+    }
+
+    #[test]
     fn union_plus_disjointness(rects in prop::collection::vec(arb_rect(), 0..15)) {
         // union == total iff overlap area is ~0 for non-degenerate sets.
         let union = rectset::union_area(&rects);
