@@ -29,10 +29,9 @@
 //! Run with: `cargo run --release -p rtree-bench --bin extpack_scaling`
 
 use rtree_bench::report::{f, Table};
-use rtree_bench::{tiled_overlap_area, SeededWorkload};
+use rtree_bench::SeededWorkload;
 use rtree_extpack::{pack_external, ExtPackConfig};
-use rtree_geom::rectset;
-use rtree_index::{RTreeConfig, SearchStats};
+use rtree_index::{RTreeConfig, SearchStats, TreeMetrics};
 use rtree_storage::{BufferPool, Pager};
 use std::time::Instant;
 
@@ -86,12 +85,9 @@ fn main() {
             RTreeConfig::PAPER,
         );
         let inmem_ms = start.elapsed().as_secs_f64() * 1000.0;
-        // Table 1's C and O, computed tiled: the dense-grid overlap of
-        // `TreeMetrics` is quadratic in leaf count and unusable at this
-        // scale.
-        let leaf_mbrs = mem_tree.leaf_mbrs();
-        let coverage = rectset::total_area(&leaf_mbrs);
-        let overlap = tiled_overlap_area(&leaf_mbrs, 64);
+        let TreeMetrics {
+            coverage, overlap, ..
+        } = TreeMetrics::measure(&mem_tree);
         let mut mem_stats = SearchStats::default();
         for &q in &query_points {
             mem_tree.point_query(q, &mut mem_stats);

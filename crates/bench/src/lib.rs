@@ -376,78 +376,6 @@ pub fn page_path(points: &[Point], seed: u64) -> PagePath {
     }
 }
 
-/// Exact overlap area (the paper's `O`) of a large rectangle set.
-///
-/// [`rtree_geom::rectset::overlap_area`] compresses coordinates into a
-/// dense `(2n)²`-cell grid — exact, but quadratic in memory, which rules
-/// it out beyond a few thousand rectangles. This variant partitions the
-/// set's bounding box into `grid × grid` disjoint tiles, clips every
-/// rectangle to each tile it touches and sums the per-tile overlap. The
-/// tiles partition the plane (shared edges have zero area), so the sum
-/// equals the global overlap exactly while each per-tile grid stays
-/// small.
-pub fn tiled_overlap_area(rects: &[Rect], grid: usize) -> f64 {
-    use rtree_geom::rectset;
-    let grid = grid.max(1);
-    let Some(bounds) = Rect::mbr_of_rects(rects.iter().copied()) else {
-        return 0.0;
-    };
-    let w = bounds.max_x - bounds.min_x;
-    let h = bounds.max_y - bounds.min_y;
-    if w <= 0.0 || h <= 0.0 {
-        return 0.0;
-    }
-    let mut tiles: Vec<Vec<Rect>> = vec![Vec::new(); grid * grid];
-    let clamp_idx = |t: f64| (t as isize).clamp(0, grid as isize - 1) as usize;
-    for r in rects {
-        if r.area() == 0.0 {
-            continue;
-        }
-        let tx0 = clamp_idx((r.min_x - bounds.min_x) / w * grid as f64);
-        let tx1 = clamp_idx((r.max_x - bounds.min_x) / w * grid as f64);
-        let ty0 = clamp_idx((r.min_y - bounds.min_y) / h * grid as f64);
-        let ty1 = clamp_idx((r.max_y - bounds.min_y) / h * grid as f64);
-        for ty in ty0..=ty1 {
-            for tx in tx0..=tx1 {
-                tiles[ty * grid + tx].push(*r);
-            }
-        }
-    }
-    let tile_rect = |tx: usize, ty: usize| {
-        Rect::new(
-            bounds.min_x + w * tx as f64 / grid as f64,
-            bounds.min_y + h * ty as f64 / grid as f64,
-            bounds.min_x + w * (tx + 1) as f64 / grid as f64,
-            bounds.min_y + h * (ty + 1) as f64 / grid as f64,
-        )
-    };
-    let mut total = 0.0;
-    let mut clipped = Vec::new();
-    for ty in 0..grid {
-        for tx in 0..grid {
-            let bucket = &tiles[ty * grid + tx];
-            if bucket.len() < 2 {
-                continue;
-            }
-            let t = tile_rect(tx, ty);
-            clipped.clear();
-            for r in bucket {
-                let c = Rect::new(
-                    r.min_x.max(t.min_x),
-                    r.min_y.max(t.min_y),
-                    r.max_x.min(t.max_x),
-                    r.max_y.min(t.max_y),
-                );
-                if c.area() > 0.0 {
-                    clipped.push(c);
-                }
-            }
-            total += rectset::overlap_area(&clipped);
-        }
-    }
-    total
-}
-
 /// One measured configuration: the columns of Table 1.
 #[derive(Debug, Clone, Copy)]
 pub struct Table1Row {
@@ -543,30 +471,6 @@ mod tests {
         );
         // Streams restart per call: generation order can't skew results.
         assert_eq!(w.uniform_points(100), w.uniform_points(100));
-    }
-
-    #[test]
-    fn tiled_overlap_matches_dense_overlap() {
-        use rand::Rng;
-        let mut r = rng(7);
-        let rects: Vec<Rect> = (0..400)
-            .map(|_| {
-                let x = r.gen_range(0.0..900.0);
-                let y = r.gen_range(0.0..900.0);
-                let w = r.gen_range(0.0..80.0);
-                let h = r.gen_range(0.0..80.0);
-                Rect::new(x, y, x + w, y + h)
-            })
-            .collect();
-        let dense = rtree_geom::rectset::overlap_area(&rects);
-        for grid in [1, 3, 8, 17] {
-            let tiled = tiled_overlap_area(&rects, grid);
-            assert!(
-                (tiled - dense).abs() <= 1e-6 * dense.max(1.0),
-                "grid {grid}: {tiled} vs {dense}"
-            );
-        }
-        assert_eq!(tiled_overlap_area(&[], 8), 0.0);
     }
 
     #[test]
