@@ -81,10 +81,12 @@ fn main() {
     println!("\n{}", table.render());
     let (few, few_cost) = cost[0];
     let (most, most_cost) = cost[cost.len() - 1];
+    let change = 100.0 * (most_cost / few_cost - 1.0);
     println!(
-        "Windows that touch {most} of the {} root entries visit {}% more nodes",
+        "Windows that touch {most} of the {} root entries visit {}% {} nodes",
         root.entries.len(),
-        f(100.0 * (most_cost / few_cost - 1.0), 0)
+        f(change.abs(), 0),
+        if change < 0.0 { "fewer" } else { "more" }
     );
     println!(
         "than windows of the same size that touch {few} ({} against {}).",

@@ -9,13 +9,15 @@
 
 use std::process::Command;
 
-fn run(bin: &str) -> String {
-    // The default seed, whatever the caller's environment says: every
-    // golden file is taken at it.
-    let out = Command::new(bin)
-        .env_remove("PACKED_RTREE_SEED")
-        .output()
-        .unwrap_or_else(|e| panic!("{bin}: {e}"));
+/// `bin`'s stdout at `seed`, or at the default seed whatever the
+/// caller's environment says: every golden file is taken at it.
+fn run(bin: &str, seed: Option<u64>) -> String {
+    let mut command = Command::new(bin);
+    match seed {
+        Some(seed) => command.env("PACKED_RTREE_SEED", seed.to_string()),
+        None => command.env_remove("PACKED_RTREE_SEED"),
+    };
+    let out = command.output().unwrap_or_else(|e| panic!("{bin}: {e}"));
     assert!(
         out.status.success(),
         "{bin} exited with {:?}\nstderr: {}",
@@ -30,7 +32,7 @@ macro_rules! golden {
     ($($bin:ident),* $(,)?) => {$(
         #[test]
         fn $bin() {
-            let out = run(env!(concat!("CARGO_BIN_EXE_", stringify!($bin))));
+            let out = run(env!(concat!("CARGO_BIN_EXE_", stringify!($bin))), None);
             assert_eq!(
                 out,
                 include_str!(concat!("golden/", stringify!($bin), ".txt")),
@@ -59,3 +61,19 @@ golden!(
     selectivity_sweep,
     update_degradation,
 );
+
+/// At seed 8 the windows that touch the most root entries visit fewer
+/// nodes than those that touch the fewest: `fig3_3` must say "fewer",
+/// not a negative "more".
+#[test]
+fn fig3_3_reports_a_negative_difference_as_fewer() {
+    let out = run(env!("CARGO_BIN_EXE_fig3_3"), Some(8));
+    let words: Vec<&str> = out.split_whitespace().collect();
+    assert!(
+        !words
+            .windows(2)
+            .any(|w| w[0].starts_with('-') && w[0].ends_with('%') && w[1] == "more"),
+        "{out}"
+    );
+    assert!(out.contains("% fewer nodes"), "{out}");
+}
