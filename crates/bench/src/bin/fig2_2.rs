@@ -32,8 +32,8 @@ fn main() {
     );
 
     // Join cost: simultaneous descent vs nested loop.
-    let a = db.picture("us-map").expect("exists").tree();
-    let b = db.picture("time-zone-map").expect("exists").tree();
+    let served = |name| db.picture(name).expect("exists").frozen().expect("packed");
+    let (a, b) = (served("us-map"), served("time-zone-map"));
     let mut table = Table::new(["method", "node pairs", "candidates"]);
     let mut fast = JoinStats::default();
     rtree_join(a, b, SpatialOp::CoveredBy, &mut fast);

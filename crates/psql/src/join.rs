@@ -13,7 +13,7 @@
 use crate::picture::Picture;
 use crate::spatial::SpatialOp;
 use rtree_geom::Rect;
-use rtree_index::{ItemId, NodeAccess, NodeId, RTree};
+use rtree_index::{ItemId, NodeAccess, NodeId};
 
 /// Counters for join executions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -172,16 +172,19 @@ pub fn picture_join(
     out
 }
 
-/// The baseline: compare every item pair directly.
-pub fn nested_loop_join(
-    a: &RTree,
-    b: &RTree,
+/// The baseline: compare every item pair directly, in the order
+/// [`NodeAccess::items`] reports each side — the same for every storage
+/// form of one tree.
+pub fn nested_loop_join<A: NodeAccess, B: NodeAccess>(
+    a: &A,
+    b: &B,
     op: SpatialOp,
     stats: &mut JoinStats,
 ) -> Vec<(ItemId, ItemId)> {
     let mut out = Vec::new();
-    for &(ra, ia) in &a.items() {
-        for &(rb, ib) in &b.items() {
+    let b_items = b.items();
+    for (ra, ia) in a.items() {
+        for &(rb, ib) in &b_items {
             stats.node_pairs_visited += 1;
             let keep = if op == SpatialOp::Disjoined {
                 !ra.intersects(&rb)
@@ -202,7 +205,7 @@ mod tests {
     use super::*;
     use packed_rtree_core::pack;
     use rtree_geom::Point;
-    use rtree_index::RTreeConfig;
+    use rtree_index::{RTree, RTreeConfig};
 
     fn tree_of_points(points: &[(f64, f64)]) -> RTree {
         pack(
@@ -315,6 +318,13 @@ mod tests {
                 assert_eq!(rtree_join(&fa, &b, op, &mut stats[1]), pointer, "{op}");
                 assert_eq!(rtree_join(&a, &fb, op, &mut stats[2]), pointer, "{op}");
                 assert_eq!(stats, [sp; 3], "{op} counters");
+                let mut nested = [JoinStats::default(); 2];
+                assert_eq!(
+                    nested_loop_join(&fa, &fb, op, &mut nested[0]),
+                    nested_loop_join(&a, &b, op, &mut nested[1]),
+                    "{op} nested loop"
+                );
+                assert_eq!(nested[0], nested[1], "{op} nested-loop counters");
             }
         }
     }

@@ -24,8 +24,8 @@ fn main() {
 
     // The engine ran this as a simultaneous descent of both R-trees;
     // show how much that pruning buys over the nested-loop baseline.
-    let cities_tree = db.picture("us-map").unwrap().tree();
-    let zones_tree = db.picture("time-zone-map").unwrap().tree();
+    let cities_tree = db.picture("us-map").unwrap().frozen().unwrap();
+    let zones_tree = db.picture("time-zone-map").unwrap().frozen().unwrap();
     let mut fast = JoinStats::default();
     let mut slow = JoinStats::default();
     rtree_join(cities_tree, zones_tree, SpatialOp::CoveredBy, &mut fast);
