@@ -57,8 +57,8 @@
 //!     `estimated_bytes` per tuple under a committed ceiling — one typed
 //!     plane per column, not a boxed row of `Value`s and a `String` each.
 //!
-//! — and two more machine-independent tripwires, on PACK itself and on
-//! the arena it ends in:
+//! — and three more machine-independent tripwires, on PACK itself and
+//! on the arena and the leaves it ends in:
 //!
 //! 11. **PACK horizontal line vs uniform**: packing the delta guard's
 //!     points moved onto one horizontal line may cost at most 2× packing
@@ -72,7 +72,14 @@
 //!     ≈ 0.06 at n = 200 000 and ≈ 0.2 at 1M. A freeze through a hashed
 //!     node map and a per-node entry copy reads ≈ 0.2–0.26 and ≈ 0.38:
 //!     the default n fails it on any machine, n = 200 000 only a freeze
-//!     several times slower than that.
+//!     several times slower than that;
+//! 13. **exact overlap vs the pack that built its tree**: the paper's
+//!     `C` and `O` over the leaves of that tree (`TreeMetrics::measure`,
+//!     250 000 leaves at the default n) may cost at most 4× the PACK that
+//!     built it. The sweep over x reads ≈ 1.1–1.4, and ≈ 0.6 at
+//!     n = 200 000; a `(2n)²` cell grid cannot even allocate at either
+//!     size, and a quadratic overlap takes minutes, so both fail on any
+//!     machine.
 //!
 //! It fails (exit code 1) if any measured figure exceeds its
 //! baseline by more than the allowed factor. The factor defaults to
@@ -96,7 +103,7 @@ use rtree_bench::{
     WindowPaths,
 };
 use rtree_geom::{Point, Rect, SpatialObject};
-use rtree_index::{FrozenRTree, ItemId, RTreeConfig, SearchScratch};
+use rtree_index::{FrozenRTree, ItemId, RTreeConfig, SearchScratch, TreeMetrics};
 use rtree_workload::{points, queries, PAPER_UNIVERSE};
 
 /// The committed baseline, written by `layout_bench` at the repo root.
@@ -215,11 +222,13 @@ fn main() {
     let pack_uniform_ns = pack_ns(&|p| *p);
     let pack_line_ns = pack_ns(&|p| Point::new(p.x, line_y));
 
-    // The freeze tripwire: all `n` points packed, then that tree frozen.
+    // The freeze and overlap tripwires: all `n` points packed, then that
+    // tree frozen, and its leaves' exact `C` and `O` measured.
     let all_items = points::as_items(&pts);
     let pack_all_ns = best_of_three(n, || pack(all_items.clone(), RTreeConfig::PAPER));
     let packed = pack(all_items, RTreeConfig::PAPER);
     let freeze_ns = best_of_three(n, || FrozenRTree::freeze(&packed));
+    let overlap_ns = best_of_three(n, || TreeMetrics::measure(&packed));
     drop(packed);
 
     let rows = row_pipeline(&pts, seed ^ 0x5851f42d4c957f2d);
@@ -248,6 +257,8 @@ fn main() {
     const LINE_FACTOR: f64 = 2.0;
     /// What freezing a packed tree may cost, in packs that built it.
     const FREEZE_FACTOR: f64 = 0.3;
+    /// What the exact `C` and `O` of a packed tree may cost, in packs.
+    const OVERLAP_FACTOR: f64 = 4.0;
 
     let mut failed = false;
     let held_to_factor = [
@@ -319,6 +330,13 @@ fn main() {
             freeze_ns,
             pack_all_ns,
             FREEZE_FACTOR,
+            "ns/op",
+        ),
+        (
+            "exact overlap vs the pack that built its tree",
+            overlap_ns,
+            pack_all_ns,
+            OVERLAP_FACTOR,
             "ns/op",
         ),
     ];
