@@ -50,7 +50,7 @@ fn inserts_keep_frozen_serving_and_background_merge_folds_delta() {
         "127.0.0.1:0",
         ServerConfig {
             workers: 2,
-            merge_threshold: 4,
+            merge_threshold: 10,
             merge_interval: Duration::from_millis(5),
             ..ServerConfig::default()
         },
@@ -90,7 +90,8 @@ fn inserts_keep_frozen_serving_and_background_merge_folds_delta() {
         assert!(snap.db.frozen_intact());
     }
 
-    // The background merge (threshold 4) folds the delta into a freshly
+    // The background merge (threshold 10, the insert count, so the one
+    // merge that can start folds all ten) folds the delta into a freshly
     // packed + frozen tree and publishes it.
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
