@@ -288,11 +288,6 @@ impl FrameDecoder {
     pub fn mid_frame(&self) -> bool {
         !self.poisoned && self.start < self.buf.len()
     }
-
-    /// `true` after an oversized header made the stream unrecoverable.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
 }
 
 /// Writes `payload` as one frame.
@@ -1002,12 +997,13 @@ mod tests {
         dec.extend(&0xdead_beefu32.to_be_bytes());
         dec.extend(b"whatever follows");
         assert_eq!(dec.next_frame().unwrap_err(), 0xdead_beef);
-        assert!(dec.is_poisoned());
-        // Stays poisoned: later (even valid) bytes yield nothing.
+        // Stays poisoned: later (even valid) bytes yield nothing, and
+        // nothing is left mid-frame.
         let mut valid = Vec::new();
         write_frame(&mut valid, b"ok").unwrap();
         dec.extend(&valid);
         assert_eq!(dec.next_frame().unwrap(), None);
+        assert!(!dec.mid_frame());
     }
 
     #[test]
