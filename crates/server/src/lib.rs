@@ -10,7 +10,9 @@
 //!   never a panic.
 //! * [`server`] — an event-driven connection core (one reactor thread
 //!   multiplexing every connection over readiness notifications, with
-//!   request pipelining) feeding a fixed worker-thread pool over a
+//!   request pipelining; it alone owns each connection's bytes, kept in
+//!   a machine with no socket, and every answer reaches it through one
+//!   completion list) feeding a fixed worker-thread pool over a
 //!   *bounded* request queue: per-request deadlines answered with
 //!   `Timeout`, a full queue answered immediately with `Overloaded`
 //!   (reject-with-retry backpressure), and graceful shutdown that

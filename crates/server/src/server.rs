@@ -18,8 +18,9 @@
 //!   that batch, dropping it before they block again. The inserts among
 //!   the jobs commit under one WAL sync and one publication; then each
 //!   query is answered on its own through one function (deadline,
-//!   cached plan, execution), and the jobs' response frames are parked
-//!   in their connections' outboxes for the reactor to flush.
+//!   cached plan, execution), and the jobs' response frames go onto the
+//!   reactor's one completion list, tagged with their connections'
+//!   tokens, for the reactor to write.
 //! * One **rebuild thread** replaces packed generations: every
 //!   picture's when a `REPACK` waits, the pictures holding a delta when
 //!   the delta population passes `merge_threshold`. Either way it packs
@@ -144,8 +145,8 @@ pub(crate) struct Shared {
     /// may close the worker queue.
     pub(crate) reader_stopped: AtomicBool,
     /// Set by [`Server::wait`] after the workers are joined: every
-    /// response that will ever exist is in an outbox, so the reactor may
-    /// final-flush and exit.
+    /// response that will ever exist is on the completion list, so the
+    /// reactor may write what is left and exit.
     pub(crate) workers_done: AtomicBool,
     /// Serializes *writers* (insert batches, a rebuild's publication):
     /// each clones the latest snapshot, mutates, and publishes. Two
@@ -346,8 +347,8 @@ fn begin_shutdown(shared: &Shared) {
 /// Mirrors the published snapshot's write-path view (delta population,
 /// frozen-tree invariant, per-picture sizes) into the metrics registry.
 /// Called at every snapshot publication — insert batch or rebuild — so
-/// the gauges are always as fresh as the snapshot itself. Everything is computed from lengths; nothing walks
-/// the heap.
+/// the gauges are always as fresh as the snapshot itself. Everything is
+/// computed from lengths; nothing walks the heap.
 fn refresh_snapshot_gauges(shared: &Shared) {
     let snap = shared.snapshots.load();
     shared.metrics.delta_items.store(snap.db.delta_len() as u64);

@@ -1,14 +1,19 @@
 //! Pipelining semantics of the event-driven core: many requests in
 //! flight on one connection, responses in *completion* order correlated
 //! by request id; frames reassembled correctly however the bytes arrive;
-//! and a connection that never reads its responses parking them in its
-//! own outbox without stalling anybody else.
+//! a connection that never reads its responses holding them on the
+//! server without stalling anybody else; and a client that half-closes
+//! still getting every answer.
 
 use psql::database::PictorialDatabase;
 use psql_server::client::Client;
-use psql_server::protocol::{encode_request, Request, Response};
+use psql_server::protocol::{
+    decode_response, encode_request, write_frame, FrameDecoder, Request, Response,
+};
 use psql_server::server::{Server, ServerConfig};
 use std::collections::HashSet;
+use std::io::Read;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 fn connect(server: &Server) -> Client {
@@ -182,5 +187,60 @@ fn slow_reader_parks_responses_without_stalling_other_connections() {
     }
     assert!(pending.is_empty(), "missing responses: {pending:?}");
     slow.ping().expect("slow connection still healthy");
+    server.stop();
+}
+
+/// A client may write its requests, shut its write half and then read:
+/// EOF ends the requests, not the answers. An answer a worker finishes
+/// at once and one it is still computing when the EOF arrives both come
+/// back before the server closes.
+#[test]
+fn half_closed_client_still_gets_its_answers() {
+    let server = Server::start(
+        PictorialDatabase::with_us_map(),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    for (id, text) in [
+        (1u64, "select city from cities"),
+        (2, "#sleep 50 select city from cities"),
+    ] {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        let payload = encode_request(&Request::Query {
+            id,
+            timeout_ms: 0,
+            text: text.into(),
+        });
+        write_frame(&mut stream, &payload).expect("send");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        let mut wire = Vec::new();
+        stream
+            .read_to_end(&mut wire)
+            .expect("read until the server closes");
+
+        let mut decoder = FrameDecoder::new();
+        decoder.extend(&wire);
+        let frame = decoder
+            .next_frame()
+            .expect("well framed")
+            .unwrap_or_else(|| panic!("{text:?}: no answer before the close"));
+        match decode_response(&frame).expect("a response") {
+            Response::Result {
+                id: answered,
+                result,
+                ..
+            } => {
+                assert_eq!(answered, id);
+                assert!(!result.is_empty(), "{text:?} found no city");
+            }
+            other => panic!("{text:?}: expected a result, got {other:?}"),
+        }
+        assert_eq!(decoder.next_frame(), Ok(None), "exactly one answer");
+        assert!(!decoder.mid_frame());
+    }
     server.stop();
 }
