@@ -33,6 +33,11 @@
 //! **packed R-tree** and alphanumeric restrictions through B-tree indexes
 //! when available.
 //!
+//! A `where` expression nests at most [`parser::MAX_WHERE_DEPTH`] (64)
+//! levels — each parenthesis, `not` and `and` / `or` operator is one —
+//! so a hostile text gets a `Parse` error instead of exhausting a
+//! thread's stack.
+//!
 //! # Quick start
 //!
 //! ```

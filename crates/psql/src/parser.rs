@@ -8,6 +8,26 @@ use crate::token::Token;
 use pictorial_relational::{CompareOp, Value};
 use rtree_geom::Rect;
 
+/// Most levels a `where` expression may nest. Each parenthesis, each
+/// `not` and each `and` / `or` operator is one level on its path, so an
+/// expression tree the later stages walk recursively is at most this
+/// deep. Past it, [`parse_query`] fails with a `Parse` error before its
+/// own recursion could exhaust a thread's stack. Without a limit a debug
+/// build parsed 256 nested parentheses on a 2 MiB stack and overflowed
+/// at 512, so 64 keeps a 4× margin.
+pub const MAX_WHERE_DEPTH: usize = 64;
+
+/// `level + 1`, or the `Parse` error past [`MAX_WHERE_DEPTH`].
+fn deeper(level: usize) -> Result<usize, PsqlError> {
+    if level < MAX_WHERE_DEPTH {
+        Ok(level + 1)
+    } else {
+        Err(PsqlError::Parse(format!(
+            "where expression nests deeper than {MAX_WHERE_DEPTH} levels"
+        )))
+    }
+}
+
 /// Parses one PSQL query.
 pub fn parse_query(input: &str) -> Result<Query, PsqlError> {
     let tokens = lex(input)?;
@@ -105,7 +125,7 @@ impl Parser {
         };
         let where_clause = if self.peek() == Some(&Token::Where) {
             self.next();
-            Some(self.expr()?)
+            Some(self.expr(0)?.0)
         } else {
             None
         };
@@ -304,39 +324,44 @@ impl Parser {
         Ok(Rect::new(min_x, min_y, max_x, max_y))
     }
 
-    fn expr(&mut self) -> Result<Expr, PsqlError> {
-        let mut lhs = self.and_expr()?;
+    /// One `or` chain at nesting `level`; returns the expression and
+    /// the deepest level it reaches.
+    fn expr(&mut self, level: usize) -> Result<(Expr, usize), PsqlError> {
+        let (mut lhs, mut depth) = self.and_expr(level)?;
         while self.peek() == Some(&Token::Or) {
             self.next();
-            let rhs = self.and_expr()?;
+            let (rhs, rhs_depth) = self.and_expr(level)?;
+            depth = deeper(depth.max(rhs_depth))?;
             lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn and_expr(&mut self) -> Result<Expr, PsqlError> {
-        let mut lhs = self.unary_expr()?;
+    fn and_expr(&mut self, level: usize) -> Result<(Expr, usize), PsqlError> {
+        let (mut lhs, mut depth) = self.unary_expr(level)?;
         while self.peek() == Some(&Token::And) {
             self.next();
-            let rhs = self.unary_expr()?;
+            let (rhs, rhs_depth) = self.unary_expr(level)?;
+            depth = deeper(depth.max(rhs_depth))?;
             lhs = Expr::And(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, PsqlError> {
+    fn unary_expr(&mut self, level: usize) -> Result<(Expr, usize), PsqlError> {
         match self.peek() {
             Some(Token::Not) => {
                 self.next();
-                Ok(Expr::Not(Box::new(self.unary_expr()?)))
+                let (e, depth) = self.unary_expr(deeper(level)?)?;
+                Ok((Expr::Not(Box::new(e)), depth))
             }
             Some(Token::LParen) => {
                 self.next();
-                let e = self.expr()?;
+                let inner = self.expr(deeper(level)?)?;
                 self.expect(&Token::RParen)?;
-                Ok(e)
+                Ok(inner)
             }
-            _ => self.comparison(),
+            _ => Ok((self.comparison()?, level)),
         }
     }
 
@@ -639,5 +664,73 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    fn parens(n: usize) -> String {
+        format!(
+            "select city from cities where {}population > 1{}",
+            "(".repeat(n),
+            ")".repeat(n)
+        )
+    }
+
+    fn nots(n: usize) -> String {
+        format!(
+            "select city from cities where {}population > 1",
+            "not ".repeat(n)
+        )
+    }
+
+    /// `n` `or` operators: `n + 1` terms.
+    fn ors(n: usize) -> String {
+        format!(
+            "select city from cities where population > 1{}",
+            " or population > 1".repeat(n)
+        )
+    }
+
+    #[test]
+    fn where_depth_limit_parses_and_one_past_it_is_a_parse_error() {
+        for (shape, text) in [
+            ("parentheses", parens as fn(usize) -> String),
+            ("not", nots),
+            ("or", ors),
+        ] {
+            parse_query(&text(MAX_WHERE_DEPTH))
+                .unwrap_or_else(|e| panic!("{shape} at the limit: {e}"));
+            match parse_query(&text(MAX_WHERE_DEPTH + 1)) {
+                Err(PsqlError::Parse(m)) => assert!(m.contains("nests deeper"), "{shape}: {m}"),
+                other => panic!("{shape} past the limit: {other:?}"),
+            }
+        }
+        // Levels add up along one path, whatever spends them.
+        let half = MAX_WHERE_DEPTH / 2;
+        let mixed = |extra: usize| {
+            format!(
+                "select city from cities where {}{}population > 1{}{}",
+                "(".repeat(half),
+                "not ".repeat(half - 1),
+                " and population > 1".repeat(1 + extra),
+                ")".repeat(half)
+            )
+        };
+        assert!(parse_query(&mixed(0)).is_ok());
+        assert!(matches!(parse_query(&mixed(1)), Err(PsqlError::Parse(_))));
+    }
+
+    /// A text far past the limit is refused before the parser's own
+    /// recursion can exhaust a 2 MiB thread stack, which 3 000 nested
+    /// parentheses did.
+    #[test]
+    fn deep_texts_fail_without_exhausting_the_stack() {
+        let handle = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for text in [parens(10_000), nots(10_000), ors(3_000)] {
+                    assert!(matches!(parse_query(&text), Err(PsqlError::Parse(_))));
+                }
+            })
+            .expect("spawn");
+        handle.join().expect("no stack overflow");
     }
 }

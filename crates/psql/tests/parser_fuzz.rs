@@ -72,4 +72,24 @@ fn nasty_inputs_do_not_panic() {
             let _ = execute(&db, &q);
         }
     }
+    // Deep `where` texts, past the parser's nesting limit: each once
+    // overflowed a 2 MiB stack, in the parser or in a later stage.
+    let deep = [
+        format!(
+            "select city from cities where {}population > 1{}",
+            "(".repeat(10_000),
+            ")".repeat(10_000)
+        ),
+        format!(
+            "select city from cities where {}population > 1",
+            "not ".repeat(10_000)
+        ),
+        format!(
+            "select city from cities where population > 1{}",
+            " or population > 1".repeat(3_000)
+        ),
+    ];
+    for text in &deep {
+        assert!(parse_query(text).is_err(), "{}…", &text[..40]);
+    }
 }

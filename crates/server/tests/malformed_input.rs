@@ -213,3 +213,27 @@ fn query_against_missing_relation_is_typed_not_fatal() {
     c.ping().expect("alive");
     server.stop();
 }
+
+/// A `where` clause nested past the parser's limit is answered with a
+/// typed parse error. 10 000 parentheses (20 KB) once overflowed the
+/// worker's stack, which aborts the whole process: `catch_unwind`
+/// cannot contain a stack overflow.
+#[test]
+fn deeply_nested_query_is_a_parse_error_and_session_survives() {
+    let server = start_server();
+    let mut c = connect(&server);
+    let depth = 10_000;
+    let text = format!(
+        "select city from cities where {}population > 1{}",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    match c.query(&text).expect("answered") {
+        Response::Error { kind, message, .. } => {
+            assert_eq!(kind, ErrorKind::Parse, "{message}");
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    c.ping().expect("alive");
+    server.stop();
+}
