@@ -117,10 +117,13 @@ impl Interest {
         writable: true,
     };
 
+    /// Peer hang-up is asked for only with read readiness: a socket the
+    /// peer half-closed reports it on every wait, which would spin a
+    /// loop that watches it only for a blocked write.
     fn bits(self) -> u32 {
-        let mut bits = EPOLLRDHUP;
+        let mut bits = 0;
         if self.readable {
-            bits |= EPOLLIN;
+            bits |= EPOLLIN | EPOLLRDHUP;
         }
         if self.writable {
             bits |= EPOLLOUT;
