@@ -25,9 +25,9 @@
 //!   admin path (re-PACK / load picture) builds a replacement off-line
 //!   and publishes it atomically. Readers never block on writers and
 //!   never observe a half-built tree.
-//! * [`metrics`] — a zero-dependency registry (counters, queue-depth
-//!   gauge, log₂ latency histograms) served by the protocol's `STATS`
-//!   command.
+//! * [`metrics`] — a zero-dependency registry (counters, log₂ latency
+//!   histograms) served by the protocol's `STATS` command beside the
+//!   queue's own depth and high-water mark.
 //! * [`client`] — a small blocking client used by tests, the CI smoke
 //!   script, and `sysbench`'s served workloads.
 //!
@@ -68,6 +68,8 @@ pub mod protocol;
 pub mod queue;
 mod reactor;
 pub mod server;
+#[cfg(test)]
+mod sim;
 pub mod snapshot;
 
 pub use client::{Client, ClientError};

@@ -1,13 +1,13 @@
 //! Zero-dependency metrics registry for the query service.
 //!
-//! Plain atomics: counters, a gauge with a high-water mark, and
-//! log₂-bucketed latency histograms. Everything is lock-free on the
-//! record path and snapshot-consistent *enough* for operational use (the
-//! `STATS` command reads each atomic independently; counts may be
-//! momentarily skewed by in-flight requests, never torn).
+//! Plain atomics: counters and log₂-bucketed latency histograms.
+//! Everything is lock-free on the record path and snapshot-consistent
+//! *enough* for operational use (the `STATS` command reads each atomic
+//! independently; counts may be momentarily skewed by in-flight
+//! requests, never torn).
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -38,42 +38,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// An up/down gauge that remembers its high-water mark — used for the
-/// request-queue depth.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-    high_water: AtomicI64,
-}
-
-impl Gauge {
-    /// Adds one, updating the high-water mark.
-    pub fn inc(&self) {
-        let now = self.value.fetch_add(1, Ordering::Relaxed) + 1;
-        self.high_water.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Subtracts one.
-    pub fn dec(&self) {
-        self.value.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Subtracts `n` — one atomic op when a whole batch leaves the queue.
-    pub fn sub(&self, n: i64) {
-        self.value.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Largest value ever observed.
-    pub fn high_water(&self) -> i64 {
-        self.high_water.load(Ordering::Relaxed)
     }
 }
 
@@ -219,8 +183,6 @@ pub struct Metrics {
     pub internal_errors: Counter,
     /// Snapshot publications since start.
     pub snapshots_published: Counter,
-    /// Request-queue depth (live) and high-water mark.
-    pub queue_depth: Gauge,
     /// End-to-end latency of executed queries (µs buckets).
     pub query_latency: Histogram,
     /// Duration of rebuilds (`REPACK` or background merge), pack and
@@ -273,7 +235,17 @@ pub struct Metrics {
 
 impl Metrics {
     /// Renders the registry as a JSON object (the `STATS` payload).
-    pub fn to_json(&self, snapshot_epoch: u64, queue_capacity: usize, workers: usize) -> String {
+    /// `queue` is the request queue's depth and high-water mark, which
+    /// the queue keeps itself ([`BoundedQueue::depth`]).
+    ///
+    /// [`BoundedQueue::depth`]: crate::queue::BoundedQueue::depth
+    pub fn to_json(
+        &self,
+        snapshot_epoch: u64,
+        queue: (usize, usize),
+        queue_capacity: usize,
+        workers: usize,
+    ) -> String {
         let q = &self.query_latency;
         let a = &self.admin_latency;
         let p = &self.publish_latency;
@@ -334,8 +306,8 @@ impl Metrics {
             self.overloads.get(),
             self.internal_errors.get(),
             self.snapshots_published.get(),
-            self.queue_depth.get(),
-            self.queue_depth.high_water(),
+            queue.0,
+            queue.1,
             q.count(),
             q.mean_micros(),
             q.quantile_micros(0.50),
@@ -396,24 +368,14 @@ mod tests {
     }
 
     #[test]
-    fn gauge_tracks_high_water() {
-        let g = Gauge::default();
-        g.inc();
-        g.inc();
-        g.dec();
-        g.inc();
-        assert_eq!(g.get(), 2);
-        assert_eq!(g.high_water(), 2);
-    }
-
-    #[test]
     fn stats_json_is_parsable_shape() {
         let m = Metrics::default();
         m.queries.incr();
         m.ok.incr();
         m.query_latency.record(Duration::from_micros(500));
-        let json = m.to_json(3, 64, 4);
+        let json = m.to_json(3, (2, 5), 64, 4);
         assert!(json.starts_with('{') && json.ends_with('}'));
+        assert!(json.contains("\"queue\":{\"depth\":2,\"high_water\":5}"));
         assert!(json.contains("\"snapshot_epoch\":3"));
         assert!(json.contains("\"queries\":1"));
         assert!(json.contains("\"p99\":"));
@@ -423,14 +385,14 @@ mod tests {
         m.serves_frozen_queries.store(1);
         m.inserts.add(7);
         m.wal_bytes.add(321);
-        let json = m.to_json(3, 64, 4);
+        let json = m.to_json(3, (0, 0), 64, 4);
         assert!(json.contains("\"serves_frozen_queries\":true"));
         assert!(json.contains("\"inserts\":7"));
         assert!(json.contains("\"wal_bytes\":321"));
         // Plan-cache section renders.
         m.plan_cache_hits.add(9);
         m.plan_cache_entries.store(2);
-        let json = m.to_json(3, 64, 4);
+        let json = m.to_json(3, (0, 0), 64, 4);
         assert!(json.contains("\"plan_cache\":{\"hits\":9,"));
         assert!(json.contains("\"entries\":2"));
         // Balanced braces (cheap well-formedness check without a JSON dep).

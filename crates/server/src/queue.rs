@@ -27,6 +27,8 @@ pub enum PushError<T> {
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Most items ever queued at once.
+    high_water: usize,
 }
 
 /// The bounded MPMC queue.
@@ -45,6 +47,7 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(State {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
+                high_water: 0,
             }),
             available: Condvar::new(),
             capacity,
@@ -62,6 +65,7 @@ impl<T> BoundedQueue<T> {
             return Err(PushError::Full(item));
         }
         state.items.push_back(item);
+        state.high_water = state.high_water.max(state.items.len());
         drop(state);
         self.available.notify_one();
         Ok(())
@@ -126,18 +130,11 @@ impl<T> BoundedQueue<T> {
         self.available.notify_all();
     }
 
-    /// Current queue length (advisory).
-    pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .items
-            .len()
-    }
-
-    /// `true` when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// The items queued now and the most ever queued at once, read
+    /// together under the queue's lock.
+    pub fn depth(&self) -> (usize, usize) {
+        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        (state.items.len(), state.high_water)
     }
 }
 
@@ -156,7 +153,25 @@ mod tests {
         assert_eq!(q.pop_batch(&mut out, 1), 1);
         assert_eq!(out, vec![1]);
         q.try_push(3).unwrap();
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.depth(), (2, 2));
+    }
+
+    #[test]
+    fn depth_tracks_high_water() {
+        let q = BoundedQueue::new(8);
+        let mut out = Vec::new();
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        assert_eq!(q.pop_batch(&mut out, 1), 1);
+        q.try_push(3).unwrap();
+        assert_eq!(q.depth(), (2, 2));
+        q.try_push(4).unwrap();
+        assert_eq!(q.pop_batch(&mut out, 8), 3);
+        assert_eq!(q.depth(), (0, 3), "a pop leaves the high-water mark");
+        // A refused push changes neither.
+        q.close();
+        assert!(q.try_push(5).is_err());
+        assert_eq!(q.depth(), (0, 3));
     }
 
     #[test]

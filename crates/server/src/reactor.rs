@@ -49,7 +49,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Token reserved for the waker eventfd.
@@ -91,33 +91,24 @@ impl Notifier {
         self.waker.wake();
     }
 
+    /// Queues one response frame for the connection `token` names.
+    /// Atomic per frame; callable from any thread; never blocks on a
+    /// socket.
+    pub(crate) fn send(&self, token: u64, resp: &Response) {
+        let frame = frame(resp);
+        self.done
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push((token, frame));
+        self.waker.wake();
+    }
+
     /// Swaps the list with `into`, which the caller has emptied.
-    fn take(&self, into: &mut Vec<(u64, Vec<u8>)>) {
+    pub(crate) fn take(&self, into: &mut Vec<(u64, Vec<u8>)>) {
         std::mem::swap(
             &mut *self.done.lock().unwrap_or_else(|e| e.into_inner()),
             into,
         );
-    }
-}
-
-/// Where the answers to one connection's requests go: the handle
-/// `handle_frame`, the workers and the rebuild thread send through.
-pub(crate) struct Session {
-    token: u64,
-    notifier: Arc<Notifier>,
-}
-
-impl Session {
-    /// Queues one response frame for the reactor to write. Atomic per
-    /// frame; callable from any thread; never blocks on the socket.
-    pub(crate) fn send(&self, resp: &Response) {
-        let frame = frame(resp);
-        self.notifier
-            .done
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((self.token, frame));
-        self.notifier.waker.wake();
     }
 }
 
@@ -134,7 +125,7 @@ fn frame(resp: &Response) -> Vec<u8> {
 /// what was read and not yet framed, what is still to be written, and
 /// whether the connection is done.
 #[derive(Default)]
-struct Conn {
+pub(crate) struct Conn {
     decoder: FrameDecoder,
     /// Response frames in delivery order; `out[sent..]` is unwritten.
     out: Vec<u8>,
@@ -156,7 +147,11 @@ impl Conn {
     /// answered here with a `Protocol` error of id 0, the connection
     /// closes, and the call returns `true` so the caller can count it.
     /// Bytes arriving once the connection is closing are ignored.
-    fn on_bytes(&mut self, bytes: &[u8], mut dispatch: impl FnMut(&[u8]) -> bool) -> bool {
+    pub(crate) fn on_bytes(
+        &mut self,
+        bytes: &[u8],
+        mut dispatch: impl FnMut(&[u8]) -> bool,
+    ) -> bool {
         if self.closing || self.dead {
             return false;
         }
@@ -194,7 +189,7 @@ impl Conn {
     }
 
     /// Takes the response frame answering one dispatched request.
-    fn on_frame(&mut self, frame: &[u8]) {
+    pub(crate) fn on_frame(&mut self, frame: &[u8]) {
         self.awaiting = self.awaiting.saturating_sub(1);
         self.queue(frame);
     }
@@ -222,12 +217,12 @@ impl Conn {
     }
 
     /// The bytes still to be written, in order.
-    fn unsent(&self) -> &[u8] {
+    pub(crate) fn unsent(&self) -> &[u8] {
         &self.out[self.sent..]
     }
 
     /// The socket took the first `n` bytes of [`Conn::unsent`].
-    fn wrote(&mut self, n: usize) {
+    pub(crate) fn wrote(&mut self, n: usize) {
         self.sent += n;
         if self.sent == self.out.len() {
             // Keep a small buffer for the next answers; let a burst's go.
@@ -252,7 +247,6 @@ struct Slot {
     conn: Conn,
     stream: TcpStream,
     token: u64,
-    session: Arc<Session>,
     /// A write would block: writable readiness is watched.
     want_write: bool,
     /// The peer sent EOF, so the socket is no longer read.
@@ -261,10 +255,10 @@ struct Slot {
 
 impl Slot {
     /// Watches the socket for reads until EOF and for writes while one
-    /// would block. A half-closed socket polls readable for good (the
-    /// shim always asks for peer hang-up), so after EOF it is watched
-    /// only while a write is blocked, and the next answer delivered to
-    /// it flushes it.
+    /// would block. A half-closed socket polls readable for good, so
+    /// after EOF it is watched only while a write is blocked (for
+    /// writability alone, which leaves the hang-up out), and the next
+    /// answer delivered to it flushes it.
     fn watch(&mut self, poll: &Poll, eof: bool, want_write: bool) {
         if (eof, want_write) == (self.eof, self.want_write) {
             return;
@@ -309,15 +303,23 @@ impl Slot {
 }
 
 /// Entry point of the reactor thread.
-pub(crate) fn reactor_loop(listener: TcpListener, shared: &Arc<Shared>) {
+pub(crate) fn reactor_loop(listener: TcpListener, shared: &Shared) {
     if let Err(e) = run(listener, shared) {
         eprintln!("[psql-server] reactor failed: {e}");
     }
-    // Whatever happened, unblock Server::wait.
-    shared.reader_stopped.store(true, Ordering::SeqCst);
+    // Whatever happened, no request is read any more.
+    close_intake(shared);
 }
 
-fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()> {
+/// Closes the worker queue and the `REPACK` slot, whose only producer is
+/// the reactor: the workers and the rebuild thread answer what was
+/// accepted, then end.
+fn close_intake(shared: &Shared) {
+    shared.queue.close();
+    shared.repacks.close();
+}
+
+fn run(listener: TcpListener, shared: &Shared) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let poll = Poll::new()?;
     poll.register(shared.notifier.waker.fd(), WAKER_TOKEN, Interest::READABLE)?;
@@ -342,7 +344,7 @@ fn run(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<()> {
             if let Some(l) = listener.take() {
                 let _ = poll.deregister(l.as_raw_fd());
             }
-            shared.reader_stopped.store(true, Ordering::SeqCst);
+            close_intake(shared);
         }
 
         poll.wait(&mut events, Some(Duration::from_millis(100)))?;
@@ -439,7 +441,7 @@ fn accept_all(
     slots: &mut Vec<Option<Slot>>,
     free: &mut Vec<usize>,
     next_gen: &mut u64,
-    shared: &Arc<Shared>,
+    shared: &Shared,
 ) {
     let Some(listener) = listener else { return };
     loop {
@@ -472,10 +474,6 @@ fn accept_all(
             conn: Conn::default(),
             stream,
             token,
-            session: Arc::new(Session {
-                token,
-                notifier: Arc::clone(&shared.notifier),
-            }),
             want_write: false,
             eof: false,
         });
@@ -489,7 +487,7 @@ fn accept_all(
 /// `false` when the socket failed.
 fn on_readable(
     poll: &Poll,
-    shared: &Arc<Shared>,
+    shared: &Shared,
     slot: &mut Slot,
     rbuf: &mut [u8],
     draining: bool,
@@ -505,8 +503,12 @@ fn on_readable(
                 return true;
             }
             Ok(n) => {
-                let Slot { conn, session, .. } = &mut *slot;
-                if !draining && conn.on_bytes(&rbuf[..n], |f| handle_frame(f, session, shared)) {
+                let token = slot.token;
+                if !draining
+                    && slot
+                        .conn
+                        .on_bytes(&rbuf[..n], |f| handle_frame(f, token, shared))
+                {
                     shared.metrics.protocol_errors.incr();
                 }
                 total += n;
@@ -525,7 +527,7 @@ fn close_conn(
     poll: &Poll,
     slots: &mut [Option<Slot>],
     free: &mut Vec<usize>,
-    shared: &Arc<Shared>,
+    shared: &Shared,
     idx: usize,
 ) {
     let Some(slot) = slots[idx].take() else {
@@ -540,6 +542,7 @@ fn close_conn(
 mod tests {
     use super::*;
     use crate::protocol::{decode_request, decode_response, encode_request, Request};
+    use crate::sim::Rng;
 
     fn wire(payloads: &[Vec<u8>]) -> Vec<u8> {
         let mut wire = Vec::new();
@@ -736,29 +739,6 @@ mod tests {
         // Answers after that are dropped.
         conn.on_frame(b"late");
         assert!(conn.unsent().is_empty());
-    }
-
-    /// splitmix64: a fixed-seed stream for the byte fuzzer.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-
-        /// Fewer than `max` random bytes.
-        fn bytes(&mut self, max: usize) -> Vec<u8> {
-            let n = self.below(max);
-            (0..n).map(|_| self.next() as u8).collect()
-        }
     }
 
     fn random_request(rng: &mut Rng) -> Request {

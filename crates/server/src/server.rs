@@ -4,23 +4,21 @@
 //!
 //! ## Threading model
 //!
-//! * One **reactor thread** (see [`crate::reactor`]) owns the listener
-//!   and every connection: nonblocking accept into a slab, incremental
-//!   frame reassembly per connection, and all socket writes. Cheap
-//!   control requests (`PING`, `STATS`) are answered inline on the
+//! * One **reactor thread** (the crate's `reactor` module) owns the
+//!   listener and every connection: nonblocking accept into a slab,
+//!   incremental frame reassembly per connection, and all socket writes.
+//!   Cheap control requests (`PING`, `STATS`) are answered inline on the
 //!   reactor; queries and inserts go to the bounded worker queue; a
-//!   `REPACK` waits in a small bounded slot for the rebuild thread, so
-//!   a long rebuild never stalls the queue or the loop. A full queue or
+//!   `REPACK` waits in a small bounded slot for the rebuild thread, so a
+//!   long rebuild never stalls the queue or the loop. A full queue or
 //!   slot is answered immediately with `Overloaded` — the reactor never
-//!   blocks on the pool.
-//! * `workers` **worker threads** dequeue whatever jobs are waiting, up
-//!   to `max_batch` at once, and pin the current database snapshot for
-//!   that batch, dropping it before they block again. The inserts among
-//!   the jobs commit under one WAL sync and one publication; then each
-//!   query is answered on its own through one function (deadline,
-//!   cached plan, execution), and the jobs' response frames go onto the
-//!   reactor's one completion list, tagged with their connections'
-//!   tokens, for the reactor to write.
+//!   blocks on the pool. The reactor is the only producer of jobs and
+//!   `REPACK`s, so when it stops reading — at shutdown, or when it fails
+//!   — it closes the queue and the slot itself.
+//! * `workers` **worker threads** each dequeue whatever jobs are
+//!   waiting, up to `max_batch` at once, and serve them: the inserts
+//!   among the jobs commit under one WAL sync and one publication, then
+//!   each query is answered on its own against the snapshot they leave.
 //! * One **rebuild thread** replaces packed generations: every
 //!   picture's when a `REPACK` waits, the pictures holding a delta when
 //!   the delta population passes `merge_threshold`. Either way it packs
@@ -29,6 +27,21 @@
 //!
 //! There are *no per-connection threads*: ten thousand idle connections
 //! cost ten thousand slab entries, not ten thousand stacks.
+//! [`Server::wait`] only joins: the workers and the rebuild thread end
+//! once the reactor has closed their intake and they have answered what
+//! it accepted, and the reactor once it has written what is left.
+//!
+//! ## The database side
+//!
+//! Below the transport the service is a handful of plain calls that take
+//! no socket, queue handle or thread: `Shared::new` builds it,
+//! `handle_frame` interprets one request frame for a connection's token,
+//! `serve` answers one dequeued pack, `rebuild` is one wake of the
+//! rebuild thread and `recover` replays the WAL. Every answer leaves
+//! through `Notifier::send(token, &response)`, onto the one completion
+//! list the reactor hands to its connections. The threads only loop over
+//! these calls, and a seeded simulation in the crate's tests drives them
+//! directly in one thread, crashes included.
 //!
 //! Responses may interleave across requests of one connection (that is
 //! what the request id is for): completion order, not submission order.
@@ -39,11 +52,10 @@ use crate::metrics::{Metrics, PictureGauge};
 use crate::plan_cache::PlanCache;
 use crate::protocol::{decode_request, peek_request_id, ErrorKind, Request, Response};
 use crate::queue::{BoundedQueue, PushError};
-use crate::reactor::{reactor_loop, Notifier, Session};
+use crate::reactor::{reactor_loop, Notifier};
 use crate::snapshot::{DatabaseSnapshot, SnapshotCell};
 use psql::database::PictorialDatabase;
 use psql::functions::FunctionRegistry;
-use psql::plan::Plan;
 use psql::{InsertRecord, PsqlError, ResultSet};
 use rtree_index::SearchScratch;
 use rtree_storage::{Pager, Wal, WAL_RECORD_MAX};
@@ -51,7 +63,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -113,23 +125,23 @@ pub(crate) enum JobKind {
     Insert(InsertRecord),
 }
 
-/// One queued request.
+/// One queued request, with the token of the connection it answers.
 pub(crate) struct Job {
     id: u64,
     kind: JobKind,
     deadline: Instant,
-    session: Arc<Session>,
+    token: u64,
 }
 
 /// One accepted `REPACK`, waiting for the rebuild that answers it.
 pub(crate) struct Repack {
     id: u64,
-    session: Arc<Session>,
+    token: u64,
 }
 
+/// The database side: everything but the sockets and the threads.
 pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
-    pub(crate) addr: SocketAddr,
     pub(crate) snapshots: Arc<SnapshotCell>,
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) functions: FunctionRegistry,
@@ -138,12 +150,8 @@ pub(crate) struct Shared {
     /// slot whole, so several waiting at once share one rebuild.
     pub(crate) repacks: BoundedQueue<Repack>,
     pub(crate) plans: PlanCache,
-    pub(crate) notifier: Arc<Notifier>,
+    pub(crate) notifier: Notifier,
     pub(crate) shutting_down: AtomicBool,
-    /// Set by the reactor once it has stopped interpreting new requests
-    /// (shutdown observed) — the gate [`Server::wait`] needs before it
-    /// may close the worker queue.
-    pub(crate) reader_stopped: AtomicBool,
     /// Set by [`Server::wait`] after the workers are joined: every
     /// response that will ever exist is on the completion list, so the
     /// reactor may write what is left and exit.
@@ -160,11 +168,81 @@ pub(crate) struct Shared {
     write_lock: Mutex<Option<Wal<Pager>>>,
 }
 
+impl Shared {
+    /// The database side serving `db` as the epoch-1 snapshot, with no
+    /// listener, socket or thread. When `wal` is given, every insert is
+    /// appended to it and synced before it is acknowledged.
+    pub(crate) fn new(
+        db: PictorialDatabase,
+        config: ServerConfig,
+        wal: Option<Wal<Pager>>,
+        metrics: Metrics,
+    ) -> io::Result<Shared> {
+        let shared = Shared {
+            queue: BoundedQueue::new(config.queue_capacity),
+            repacks: BoundedQueue::new(4),
+            plans: PlanCache::new(config.plan_cache_capacity),
+            notifier: Notifier::new()?,
+            config,
+            snapshots: Arc::new(SnapshotCell::new(db)),
+            metrics: Arc::new(metrics),
+            functions: FunctionRegistry::with_builtins(),
+            shutting_down: AtomicBool::new(false),
+            workers_done: AtomicBool::new(false),
+            write_lock: Mutex::new(wal),
+        };
+        // The registry mirrors the published snapshot from the moment of
+        // publication (not lazily at STATS time) — WAL-recovered deltas
+        // are visible in the gauges immediately.
+        refresh_snapshot_gauges(&shared);
+        Ok(shared)
+    }
+}
+
+/// Opens (or creates) the write-ahead log at `path` and replays every
+/// intact record into `db`'s delta trees — crash recovery for
+/// acknowledged inserts. Returns the log and the number of records
+/// replayed.
+pub(crate) fn recover(db: &mut PictorialDatabase, path: &Path) -> io::Result<(Wal<Pager>, u64)> {
+    let pager = if path.exists() {
+        Pager::open(path)?
+    } else {
+        Pager::create(path)?
+    };
+    let (wal, records) =
+        Wal::open(pager).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let mut recovered = 0u64;
+    for bytes in &records {
+        // The WAL layer only surfaces whole records, so a decode failure
+        // here means corruption beyond a torn tail — refuse to start on
+        // it.
+        let rec = InsertRecord::decode(bytes).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("undecodable WAL record: {e}"),
+            )
+        })?;
+        match db.add_object(&rec.picture, rec.object, &rec.label) {
+            Ok(_) => recovered += 1,
+            Err(e) => {
+                // A record for a picture the base database no longer
+                // has: skip, don't refuse service.
+                eprintln!("[psql-server] WAL replay skipped a record: {e}");
+            }
+        }
+    }
+    if recovered > 0 {
+        eprintln!("[psql-server] WAL recovery replayed {recovered} insert(s) into delta trees");
+    }
+    Ok((wal, recovered))
+}
+
 /// A running query service. Dropping the handle does *not* stop the
 /// server; call [`Server::stop`] (or send the protocol `SHUTDOWN`
 /// request and then [`Server::wait`]).
 pub struct Server {
     shared: Arc<Shared>,
+    addr: SocketAddr,
     reactor_thread: Option<JoinHandle<()>>,
     rebuild_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -188,39 +266,8 @@ impl Server {
         let metrics = Metrics::default();
         let wal = match &config.wal_path {
             Some(path) => {
-                let pager = if path.exists() {
-                    Pager::open(path)?
-                } else {
-                    Pager::create(path)?
-                };
-                let (wal, records) = Wal::open(pager)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                let mut recovered = 0u64;
-                for bytes in &records {
-                    // The WAL layer only surfaces whole records, so a
-                    // decode failure here means corruption beyond a torn
-                    // tail — refuse to start on it.
-                    let rec = InsertRecord::decode(bytes).map_err(|e| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("undecodable WAL record: {e}"),
-                        )
-                    })?;
-                    match db.add_object(&rec.picture, rec.object, &rec.label) {
-                        Ok(_) => recovered += 1,
-                        Err(e) => {
-                            // A record for a picture the base database no
-                            // longer has: skip, don't refuse service.
-                            eprintln!("[psql-server] WAL replay skipped a record: {e}");
-                        }
-                    }
-                }
+                let (wal, recovered) = recover(&mut db, path)?;
                 metrics.wal_recovered.store(recovered);
-                if recovered > 0 {
-                    eprintln!(
-                        "[psql-server] WAL recovery replayed {recovered} insert(s) into delta trees"
-                    );
-                }
                 Some(wal)
             }
             None => None,
@@ -230,26 +277,8 @@ impl Server {
         // std's bind hard-codes a backlog of 128; a connection storm
         // overflows that into SYN retransmit stalls. Deepen it.
         let _ = epoll::listen_backlog(listener.as_raw_fd(), 4096);
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
-            repacks: BoundedQueue::new(4),
-            plans: PlanCache::new(config.plan_cache_capacity),
-            notifier: Arc::new(Notifier::new()?),
-            config,
-            addr: local_addr,
-            snapshots: Arc::new(SnapshotCell::new(db)),
-            metrics: Arc::new(metrics),
-            functions: FunctionRegistry::with_builtins(),
-            shutting_down: AtomicBool::new(false),
-            reader_stopped: AtomicBool::new(false),
-            workers_done: AtomicBool::new(false),
-            write_lock: Mutex::new(wal),
-        });
-        // The registry mirrors the published snapshot from the moment of
-        // publication (not lazily at STATS time) — WAL-recovered deltas
-        // are visible in the gauges immediately.
-        refresh_snapshot_gauges(&shared);
+        let addr = listener.local_addr()?;
+        let shared = Arc::new(Shared::new(db, config, wal, metrics)?);
 
         let mut workers = Vec::with_capacity(shared.config.workers);
         for i in 0..shared.config.workers {
@@ -273,6 +302,7 @@ impl Server {
 
         Ok(Server {
             shared,
+            addr,
             reactor_thread: Some(reactor_thread),
             rebuild_thread: Some(rebuild_thread),
             workers,
@@ -281,7 +311,7 @@ impl Server {
 
     /// The bound address (useful with ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.addr
     }
 
     /// The snapshot publication point — the in-process admin interface
@@ -305,19 +335,12 @@ impl Server {
     /// triggered it — [`Server::begin_shutdown`] or a protocol
     /// `SHUTDOWN`), joining every thread and draining in-flight queries.
     pub fn wait(mut self) {
-        // The reactor observes the shutdown flag (waker poke or its
-        // 100ms tick), stops interpreting new requests, and raises
-        // `reader_stopped` — after which no new jobs can be produced.
-        while !self.shared.reader_stopped.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        self.shared.queue.close();
+        // The reactor closes the queue and the REPACK slot once it stops
+        // reading, so the workers and the rebuild thread end as soon as
+        // they have answered everything it accepted.
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Closing the slot wakes the rebuild thread at once; `REPACK`s
-        // it had accepted are still answered first.
-        self.shared.repacks.close();
         if let Some(r) = self.rebuild_thread.take() {
             let _ = r.join();
         }
@@ -378,28 +401,28 @@ fn refresh_snapshot_gauges(shared: &Shared) {
         .unwrap_or_else(|e| e.into_inner()) = pictures;
 }
 
-/// Handles one well-framed payload on the reactor thread. Returns
-/// `false` when the connection should flush-and-close (shutdown
+/// Handles one well-framed payload from the connection `token` names.
+/// Returns `false` when the connection should flush-and-close (shutdown
 /// acknowledged).
-pub(crate) fn handle_frame(payload: &[u8], session: &Arc<Session>, shared: &Arc<Shared>) -> bool {
+pub(crate) fn handle_frame(payload: &[u8], token: u64, shared: &Shared) -> bool {
     let request = match decode_request(payload) {
         Ok(r) => r,
         Err(message) => {
             // Malformed payload inside a well-delimited frame: typed
             // error, session stays up.
             shared.metrics.protocol_errors.incr();
-            session.send(&Response::Error {
-                id: peek_request_id(payload),
-                kind: ErrorKind::Protocol,
-                message,
-            });
+            let id = peek_request_id(payload);
+            let kind = ErrorKind::Protocol;
+            shared
+                .notifier
+                .send(token, &Response::Error { id, kind, message });
             return true;
         }
     };
     match request {
         Request::Ping { id } => {
             shared.metrics.control_requests.incr();
-            session.send(&Response::Pong { id });
+            shared.notifier.send(token, &Response::Pong { id });
         }
         Request::Stats { id } => {
             shared.metrics.control_requests.incr();
@@ -409,27 +432,22 @@ pub(crate) fn handle_frame(payload: &[u8], session: &Arc<Session>, shared: &Arc<
                 .store(shared.plans.len() as u64);
             let json = shared.metrics.to_json(
                 shared.snapshots.current_epoch(),
+                shared.queue.depth(),
                 shared.config.queue_capacity,
                 shared.config.workers,
             );
-            session.send(&Response::Stats { id, json });
+            shared.notifier.send(token, &Response::Stats { id, json });
         }
         Request::Repack { id } => {
             shared.metrics.control_requests.incr();
-            let waiter = Repack {
-                id,
-                session: Arc::clone(session),
-            };
-            if let Err(refused) = shared.repacks.try_push(waiter) {
-                refuse(shared, session, id, refused);
+            if let Err(refused) = shared.repacks.try_push(Repack { id, token }) {
+                refuse(shared, token, id, refused);
             }
         }
         Request::Shutdown { id } => {
             shared.metrics.control_requests.incr();
-            session.send(&Response::Done {
-                id,
-                epoch: shared.snapshots.current_epoch(),
-            });
+            let epoch = shared.snapshots.current_epoch();
+            shared.notifier.send(token, &Response::Done { id, epoch });
             begin_shutdown(shared);
             return false;
         }
@@ -444,7 +462,7 @@ pub(crate) fn handle_frame(payload: &[u8], session: &Arc<Session>, shared: &Arc<
             } else {
                 Duration::from_millis(timeout_ms as u64)
             };
-            enqueue(shared, id, JobKind::Query(text), budget, session);
+            enqueue(shared, token, id, JobKind::Query(text), budget);
         }
         Request::Insert {
             id,
@@ -460,13 +478,8 @@ pub(crate) fn handle_frame(payload: &[u8], session: &Arc<Session>, shared: &Arc<
                 label,
                 object,
             };
-            enqueue(
-                shared,
-                id,
-                JobKind::Insert(record),
-                shared.config.default_deadline,
-                session,
-            );
+            let budget = shared.config.default_deadline;
+            enqueue(shared, token, id, JobKind::Insert(record), budget);
         }
     }
     true
@@ -474,16 +487,15 @@ pub(crate) fn handle_frame(payload: &[u8], session: &Arc<Session>, shared: &Arc<
 
 /// Pushes one job onto the bounded queue, answering `Overloaded` /
 /// shutdown errors inline.
-fn enqueue(shared: &Arc<Shared>, id: u64, kind: JobKind, budget: Duration, session: &Arc<Session>) {
+fn enqueue(shared: &Shared, token: u64, id: u64, kind: JobKind, budget: Duration) {
     let job = Job {
         id,
         kind,
         deadline: Instant::now() + budget,
-        session: Arc::clone(session),
+        token,
     };
-    match shared.queue.try_push(job) {
-        Ok(()) => shared.metrics.queue_depth.inc(),
-        Err(refused) => refuse(shared, session, id, refused),
+    if let Err(refused) = shared.queue.try_push(job) {
+        refuse(shared, token, id, refused);
     }
 }
 
@@ -492,17 +504,18 @@ const RETRY_AFTER_MS: u32 = 10;
 
 /// Answers a request a bounded queue would not take: `Overloaded` from a
 /// full one, the typed shutdown error from a closed one.
-fn refuse<T>(shared: &Shared, session: &Session, id: u64, refused: PushError<T>) {
-    match refused {
+fn refuse<T>(shared: &Shared, token: u64, id: u64, refused: PushError<T>) {
+    let response = match refused {
         PushError::Full(_) => {
             shared.metrics.overloads.incr();
-            session.send(&Response::Overloaded {
+            Response::Overloaded {
                 id,
                 retry_after_ms: RETRY_AFTER_MS,
-            });
+            }
         }
-        PushError::Closed(_) => session.send(&shutting_down(id)),
-    }
+        PushError::Closed(_) => shutting_down(id),
+    };
+    shared.notifier.send(token, &response);
 }
 
 /// What a request accepted too late to be served is answered.
@@ -514,71 +527,42 @@ fn shutting_down(id: u64) -> Response {
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
+fn worker_loop(shared: &Shared) {
     let mut scratch = SearchScratch::new();
     let mut jobs: Vec<Job> = Vec::new();
     let max_batch = shared.config.max_batch.max(1);
-    loop {
+    while shared.queue.pop_batch(&mut jobs, max_batch) > 0 {
+        serve(shared, &jobs, &mut scratch);
         jobs.clear();
-        let n = shared.queue.pop_batch(&mut jobs, max_batch);
-        if n == 0 {
-            break;
-        }
-        shared.metrics.queue_depth.sub(n as i64);
-        // Pinned for this pack only: the pin drops at the end of the
-        // iteration, before the worker blocks again, so an idle worker
-        // never keeps a superseded packed generation resident.
-        let mut snapshot = shared.snapshots.load();
-
-        // Ingest first: all inserts in the dequeued pack WAL-commit as a
-        // group (one fsync) and publish as one snapshot, which the
-        // pack's queries then read — writes ordered before reads that
-        // were queued behind them.
-        if jobs.iter().any(|j| matches!(j.kind, JobKind::Insert(_))) {
-            ingest_batch(shared, &snapshot, &jobs);
-            snapshot = shared.snapshots.load();
-        }
-
-        // Each query is answered on its own; the pack's responses leave
-        // together once the last is built.
-        let answers: Vec<(&Job, Response)> = jobs
-            .iter()
-            .filter_map(|job| match &job.kind {
-                JobKind::Query(text) => {
-                    Some((job, answer(shared, &snapshot, job, text, &mut scratch)))
-                }
-                JobKind::Insert(_) => None, // acknowledged by ingest_batch
-            })
-            .collect();
-        for (job, response) in answers {
-            job.session.send(&response);
-        }
     }
 }
 
-/// Parses and plans one query text against a pinned snapshot, going
-/// through the cached-plan table: a hit (plan stamped with this
-/// snapshot's epoch) skips parse *and* plan; a miss, a stale stamp
-/// included, prepares from scratch and stores the plan. Parse/plan
-/// failures are never cached.
-fn prepare(
-    db: &PictorialDatabase,
-    epoch: u64,
-    text: &str,
-    plans: &PlanCache,
-    metrics: &Metrics,
-) -> Result<Arc<Plan>, PsqlError> {
-    if let Some(plan) = plans.get(text, epoch) {
-        metrics.plan_cache_hits.incr();
-        return Ok(plan);
+/// Serves one dequeued pack. Its inserts commit as one group (one WAL
+/// sync, one publication), which the pack's queries then read — writes
+/// ordered before reads that were queued behind them. Each query is
+/// answered on its own; the pack's responses leave together once the
+/// last is built. The snapshot is pinned for this call only, so a
+/// worker blocked on an empty queue keeps no superseded packed
+/// generation resident.
+pub(crate) fn serve(shared: &Shared, jobs: &[Job], scratch: &mut SearchScratch) {
+    let mut snapshot = shared.snapshots.load();
+    if jobs.iter().any(|j| matches!(j.kind, JobKind::Insert(_))) {
+        ingest_batch(shared, &snapshot, jobs);
+        snapshot = shared.snapshots.load();
     }
-    metrics.plan_cache_misses.incr();
-    let query = psql::parse_query(text)?;
-    let plan = Arc::new(psql::plan::plan(db, &query)?);
-    if plans.store(text, epoch, Arc::clone(&plan)) {
-        metrics.plan_cache_evictions.incr();
+    let answers: Vec<(u64, Response)> = jobs
+        .iter()
+        .filter_map(|job| match &job.kind {
+            JobKind::Query(text) => {
+                let response = answer(shared, &snapshot, job.id, text, job.deadline, scratch);
+                Some((job.token, response))
+            }
+            JobKind::Insert(_) => None, // acknowledged by ingest_batch
+        })
+        .collect();
+    for (token, response) in answers {
+        shared.notifier.send(token, &response);
     }
-    Ok(plan)
 }
 
 /// Applies every insert in a dequeued pack as one group commit: validate
@@ -586,7 +570,7 @@ fn prepare(
 /// fsync, publish one snapshot holding all of them, then acknowledge.
 /// Nothing is acknowledged before it is durable (when a WAL is
 /// configured) *and* published.
-fn ingest_batch(shared: &Arc<Shared>, snapshot: &DatabaseSnapshot, jobs: &[Job]) {
+fn ingest_batch(shared: &Shared, snapshot: &DatabaseSnapshot, jobs: &[Job]) {
     let mut accepted: Vec<(&Job, &InsertRecord, Vec<u8>)> = Vec::new();
     for job in jobs {
         let JobKind::Insert(rec) = &job.kind else {
@@ -594,38 +578,49 @@ fn ingest_batch(shared: &Arc<Shared>, snapshot: &DatabaseSnapshot, jobs: &[Job])
         };
         if Instant::now() > job.deadline {
             shared.metrics.timeouts.incr();
-            job.session.send(&Response::Timeout { id: job.id });
+            shared
+                .notifier
+                .send(job.token, &Response::Timeout { id: job.id });
             continue;
         }
         if let Err(e) = snapshot.db.picture(&rec.picture) {
             shared.metrics.query_errors.incr();
-            job.session.send(&Response::Error {
-                id: job.id,
-                kind: ErrorKind::from(&e),
-                message: e.to_string(),
-            });
+            shared.notifier.send(
+                job.token,
+                &Response::Error {
+                    id: job.id,
+                    kind: ErrorKind::from(&e),
+                    message: e.to_string(),
+                },
+            );
             continue;
         }
         match rec.encode() {
             Ok(bytes) if bytes.len() <= WAL_RECORD_MAX => accepted.push((job, rec, bytes)),
             Ok(bytes) => {
                 shared.metrics.query_errors.incr();
-                job.session.send(&Response::Error {
-                    id: job.id,
-                    kind: ErrorKind::Semantic,
-                    message: format!(
-                        "insert of {} bytes exceeds the WAL record limit {WAL_RECORD_MAX}",
-                        bytes.len()
-                    ),
-                });
+                shared.notifier.send(
+                    job.token,
+                    &Response::Error {
+                        id: job.id,
+                        kind: ErrorKind::Semantic,
+                        message: format!(
+                            "insert of {} bytes exceeds the WAL record limit {WAL_RECORD_MAX}",
+                            bytes.len()
+                        ),
+                    },
+                );
             }
             Err(e) => {
                 shared.metrics.query_errors.incr();
-                job.session.send(&Response::Error {
-                    id: job.id,
-                    kind: ErrorKind::from(&e),
-                    message: e.to_string(),
-                });
+                shared.notifier.send(
+                    job.token,
+                    &Response::Error {
+                        id: job.id,
+                        kind: ErrorKind::from(&e),
+                        message: e.to_string(),
+                    },
+                );
             }
         }
     }
@@ -659,11 +654,14 @@ fn ingest_batch(shared: &Arc<Shared>, snapshot: &DatabaseSnapshot, jobs: &[Job])
                 drop(writer);
                 shared.metrics.internal_errors.add(accepted.len() as u64);
                 for (job, _, _) in &accepted {
-                    job.session.send(&Response::Error {
-                        id: job.id,
-                        kind: ErrorKind::Internal,
-                        message: format!("write-ahead log failure: {e}"),
-                    });
+                    shared.notifier.send(
+                        job.token,
+                        &Response::Error {
+                            id: job.id,
+                            kind: ErrorKind::Internal,
+                            message: format!("write-ahead log failure: {e}"),
+                        },
+                    );
                 }
                 return;
             }
@@ -711,21 +709,17 @@ fn ingest_batch(shared: &Arc<Shared>, snapshot: &DatabaseSnapshot, jobs: &[Job])
     shared.metrics.inserts.add(accepted.len() as u64);
     for (job, _, _) in &accepted {
         shared.metrics.ok.incr();
-        job.session.send(&Response::Done { id: job.id, epoch });
+        shared
+            .notifier
+            .send(job.token, &Response::Done { id: job.id, epoch });
     }
 }
 
-/// The rebuild thread, the one place a packed generation is replaced. A
-/// waiting `REPACK` rebuilds every picture; without one, a delta
-/// population at or over `merge_threshold` rebuilds the pictures holding
-/// a delta. Queries keep serving the old snapshot throughout, and so do
-/// writers: the O(N) pack runs on a clone outside the writer lock
-/// ([`pack_rebuild`]), which is then taken only for the O(delta) catch-up
-/// and the swap ([`publish_rebuild`]). Every `REPACK` that waited is
-/// answered with the epoch its rebuild published. The loop wakes when a
-/// `REPACK` arrives, at each `merge_interval`, and when the slot closes —
-/// which ends it once the `REPACK`s accepted before have been served.
-fn rebuild_loop(shared: &Arc<Shared>) {
+/// The rebuild thread, the one place a packed generation is replaced:
+/// it wakes when a `REPACK` arrives, at each `merge_interval` and when
+/// the slot closes, and hands what it drained to [`rebuild`]. The close
+/// ends it once the `REPACK`s accepted before have been served.
+fn rebuild_loop(shared: &Shared) {
     let mut waiting: Vec<Repack> = Vec::new();
     let patience = shared.config.merge_interval;
     while shared
@@ -733,17 +727,30 @@ fn rebuild_loop(shared: &Arc<Shared>) {
         .pop_batch_timeout(&mut waiting, usize::MAX, patience)
         .is_some()
     {
-        let forced = !waiting.is_empty();
-        if !forced && shared.snapshots.load().db.delta_len() < shared.config.merge_threshold {
-            continue;
-        }
-        let epoch = finish_rebuild(shared, pack_rebuild(shared, forced));
-        for Repack { id, session } in waiting.drain(..) {
-            session.send(&match epoch {
-                Some(epoch) => Response::Done { id, epoch },
-                None => shutting_down(id),
-            });
-        }
+        rebuild(shared, &mut waiting);
+    }
+}
+
+/// One wake of the rebuild thread. A waiting `REPACK` rebuilds every
+/// picture; without one, a delta population at or over `merge_threshold`
+/// rebuilds the pictures holding a delta. Queries keep serving the old
+/// snapshot throughout, and so do writers: the O(N) pack runs on a clone
+/// outside the writer lock ([`pack_rebuild`]), which is then taken only
+/// for the O(delta) catch-up and the swap ([`publish_rebuild`]). Every
+/// `REPACK` in `waiting` is answered with the epoch its rebuild
+/// published, and `waiting` is left empty.
+pub(crate) fn rebuild(shared: &Shared, waiting: &mut Vec<Repack>) {
+    let forced = !waiting.is_empty();
+    if !forced && shared.snapshots.load().db.delta_len() < shared.config.merge_threshold {
+        return;
+    }
+    let epoch = finish_rebuild(shared, pack_rebuild(shared, forced));
+    for Repack { id, token } in waiting.drain(..) {
+        let response = match epoch {
+            Some(epoch) => Response::Done { id, epoch },
+            None => shutting_down(id),
+        };
+        shared.notifier.send(token, &response);
     }
 }
 
@@ -841,119 +848,94 @@ fn finish_rebuild(shared: &Shared, mut rebuild: PendingRebuild) -> Option<u64> {
     }
 }
 
-/// Answers one query job: deadline check, prepare (through the plan
-/// cache) + execute under `catch_unwind`, deadline re-check. One
-/// expired, malformed or panicking job is answered alone; it never
-/// touches its pack-mates.
-fn answer(
+/// Answers one query against a pinned snapshot: deadline check, the
+/// `#sleep` directive, the plan through the cached-plan table, execution
+/// under `catch_unwind`, deadline re-check. One expired, malformed or
+/// panicking query is answered alone; it never touches its pack-mates.
+///
+/// A plan stamped with the snapshot's epoch skips parse *and* plan; a
+/// miss, a stale stamp included, prepares from scratch and stores the
+/// plan. Parse and plan failures are never cached. A text of
+/// `#sleep <millis>`, optionally followed by a query, sleeps first — the
+/// deterministic way to exercise deadlines from tests and the CI smoke
+/// script.
+pub(crate) fn answer(
     shared: &Shared,
     snapshot: &DatabaseSnapshot,
-    job: &Job,
+    id: u64,
     text: &str,
+    deadline: Instant,
     scratch: &mut SearchScratch,
 ) -> Response {
-    if Instant::now() > job.deadline {
+    let metrics = &shared.metrics;
+    if Instant::now() > deadline {
         // Expired while queued: answer without executing.
-        shared.metrics.timeouts.incr();
-        return Response::Timeout { id: job.id };
+        metrics.timeouts.incr();
+        return Response::Timeout { id };
     }
     let started = Instant::now();
-    let outcome = run_query(
-        &snapshot.db,
-        snapshot.epoch,
-        text,
-        &shared.functions,
-        scratch,
-        &shared.plans,
-        &shared.metrics,
-    );
-    shared.metrics.query_latency.record(started.elapsed());
-    if Instant::now() > job.deadline {
-        // Finished, but past the promise: the client already moved
-        // on, so report the timeout it observed.
-        shared.metrics.timeouts.incr();
-        return Response::Timeout { id: job.id };
+    // Workers must survive any executor bug: contain panics and answer a
+    // typed internal error instead. The snapshot is immutable, so no
+    // broken invariants can leak out of an unwound execution.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut text = text.trim();
+        if let Some(rest) = text.strip_prefix("#sleep") {
+            let rest = rest.trim_start();
+            let (ms, remainder) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
+            let ms: u64 = ms
+                .parse()
+                .map_err(|_| PsqlError::Parse(format!("#sleep wants milliseconds, got {ms:?}")))?;
+            // Cap so a hostile client cannot park a worker for minutes.
+            std::thread::sleep(Duration::from_millis(ms.min(10_000)));
+            text = remainder.trim();
+            if text.is_empty() {
+                return Ok(ResultSet::default());
+            }
+        }
+        let plan = match shared.plans.get(text, snapshot.epoch) {
+            Some(plan) => {
+                metrics.plan_cache_hits.incr();
+                plan
+            }
+            None => {
+                metrics.plan_cache_misses.incr();
+                let query = psql::parse_query(text)?;
+                let plan = Arc::new(psql::plan::plan(&snapshot.db, &query)?);
+                if shared.plans.store(text, snapshot.epoch, Arc::clone(&plan)) {
+                    metrics.plan_cache_evictions.incr();
+                }
+                plan
+            }
+        };
+        psql::exec::execute_plan_with_scratch(&snapshot.db, &plan, &shared.functions, scratch)
+    }));
+    metrics.query_latency.record(started.elapsed());
+    if Instant::now() > deadline {
+        // Finished, but past the promise: the client already moved on,
+        // so report the timeout it observed.
+        metrics.timeouts.incr();
+        return Response::Timeout { id };
     }
     match outcome {
-        Ok(result) => {
-            shared.metrics.ok.incr();
-            Response::Result {
-                id: job.id,
-                epoch: snapshot.epoch,
-                result,
-            }
+        Ok(Ok(result)) => {
+            metrics.ok.incr();
+            let epoch = snapshot.epoch;
+            Response::Result { id, epoch, result }
         }
-        Err(QueryFailure::Psql(e)) => {
-            shared.metrics.query_errors.incr();
-            Response::Error {
-                id: job.id,
-                kind: ErrorKind::from(&e),
-                message: e.to_string(),
-            }
+        Ok(Err(e)) => {
+            metrics.query_errors.incr();
+            let message = e.to_string();
+            let kind = ErrorKind::from(&e);
+            Response::Error { id, kind, message }
         }
-        Err(QueryFailure::Panicked) => {
-            shared.metrics.internal_errors.incr();
+        Err(_) => {
+            metrics.internal_errors.incr();
             Response::Error {
-                id: job.id,
+                id,
                 kind: ErrorKind::Internal,
                 message: "query execution panicked (contained; session unaffected)".into(),
             }
         }
-    }
-}
-
-enum QueryFailure {
-    Psql(PsqlError),
-    Panicked,
-}
-
-/// Prepares (see [`prepare`]) and executes one query against a pinned
-/// snapshot.
-///
-/// Supports one diagnostics directive: a query text of
-/// `#sleep <millis>` (optionally followed by a query) sleeps before
-/// executing — the deterministic way to exercise deadline enforcement
-/// from tests and the CI smoke script.
-#[allow(clippy::too_many_arguments)]
-fn run_query(
-    db: &PictorialDatabase,
-    epoch: u64,
-    text: &str,
-    functions: &FunctionRegistry,
-    scratch: &mut SearchScratch,
-    plans: &PlanCache,
-    metrics: &Metrics,
-) -> Result<ResultSet, QueryFailure> {
-    let mut text = text.trim();
-    if let Some(rest) = text.strip_prefix("#sleep") {
-        let rest = rest.trim_start();
-        let (ms_str, remainder) = match rest.split_once(char::is_whitespace) {
-            Some((ms, r)) => (ms, r.trim()),
-            None => (rest, ""),
-        };
-        let ms: u64 = ms_str.parse().map_err(|_| {
-            QueryFailure::Psql(PsqlError::Parse(format!(
-                "#sleep wants milliseconds, got {ms_str:?}"
-            )))
-        })?;
-        // Cap so a hostile client cannot park a worker for minutes.
-        std::thread::sleep(Duration::from_millis(ms.min(10_000)));
-        if remainder.is_empty() {
-            return Ok(ResultSet::default());
-        }
-        text = remainder;
-    }
-    // Workers must survive any executor bug: contain panics and answer a
-    // typed internal error instead. The snapshot is immutable, so no
-    // broken invariants can leak out of an unwound execution.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let plan = prepare(db, epoch, text, plans, metrics)?;
-        psql::exec::execute_plan_with_scratch(db, &plan, functions, scratch)
-    }));
-    match result {
-        Ok(Ok(rs)) => Ok(rs),
-        Ok(Err(e)) => Err(QueryFailure::Psql(e)),
-        Err(_) => Err(QueryFailure::Panicked),
     }
 }
 
@@ -1080,98 +1062,91 @@ mod tests {
         }
     }
 
+    /// The database side alone, with no listener, socket or thread.
+    fn database_side() -> Shared {
+        let config = ServerConfig {
+            plan_cache_capacity: 16,
+            ..ServerConfig::default()
+        };
+        Shared::new(
+            PictorialDatabase::with_us_map(),
+            config,
+            None,
+            Metrics::default(),
+        )
+        .expect("eventfd")
+    }
+
+    /// `answer` at `epoch` of `db`, with a deadline far off.
+    fn ask(shared: &Shared, db: &PictorialDatabase, epoch: u64, text: &str) -> Response {
+        let snapshot = DatabaseSnapshot {
+            epoch,
+            db: db.clone(),
+        };
+        let deadline = Instant::now() + Duration::from_secs(60);
+        answer(
+            shared,
+            &snapshot,
+            7,
+            text,
+            deadline,
+            &mut SearchScratch::new(),
+        )
+    }
+
+    fn rows(response: Response) -> ResultSet {
+        match response {
+            Response::Result { result, .. } => result,
+            other => panic!("expected a result, got {other:?}"),
+        }
+    }
+
     #[test]
     fn sleep_directive_parses() {
+        let shared = database_side();
         let db = PictorialDatabase::with_us_map();
-        let functions = FunctionRegistry::with_builtins();
-        let mut scratch = SearchScratch::new();
-        let plans = PlanCache::new(16);
-        let metrics = Metrics::default();
         let t0 = Instant::now();
-        let r = run_query(
-            &db,
-            1,
-            "#sleep 30",
-            &functions,
-            &mut scratch,
-            &plans,
-            &metrics,
-        );
+        let r = rows(ask(&shared, &db, 1, "#sleep 30"));
         assert!(t0.elapsed() >= Duration::from_millis(30));
-        assert!(r.is_ok_and(|rs| rs.is_empty()));
+        assert!(r.is_empty());
         // Directive followed by a real query.
-        let r = run_query(
-            &db,
-            1,
-            "#sleep 1 select zone from time-zones",
-            &functions,
-            &mut scratch,
-            &plans,
-            &metrics,
-        )
-        .ok()
-        .unwrap();
+        let r = rows(ask(&shared, &db, 1, "#sleep 1 select zone from time-zones"));
         assert_eq!(r.len(), 4);
         // The directive's trailing query went through the plan cache.
-        assert_eq!(metrics.plan_cache_misses.get(), 1);
+        assert_eq!(shared.metrics.plan_cache_misses.get(), 1);
         // Bad millis is a parse error, not a hang.
         assert!(matches!(
-            run_query(
-                &db,
-                1,
-                "#sleep lots",
-                &functions,
-                &mut scratch,
-                &plans,
-                &metrics
-            ),
-            Err(QueryFailure::Psql(PsqlError::Parse(_)))
+            ask(&shared, &db, 1, "#sleep lots"),
+            Response::Error {
+                kind: ErrorKind::Parse,
+                ..
+            }
         ));
     }
 
     #[test]
     fn repeated_query_hits_the_plan_cache() {
+        let shared = database_side();
         let db = PictorialDatabase::with_us_map();
-        let functions = FunctionRegistry::with_builtins();
-        let mut scratch = SearchScratch::new();
-        let plans = PlanCache::new(16);
-        let metrics = Metrics::default();
+        let metrics = &shared.metrics;
         let text = "select city from cities on us-map at loc covered-by {82.5 +- 17.5, 25 +- 20}";
-        let first = run_query(&db, 1, text, &functions, &mut scratch, &plans, &metrics)
-            .ok()
-            .unwrap();
-        let second = run_query(&db, 1, text, &functions, &mut scratch, &plans, &metrics)
-            .ok()
-            .unwrap();
+        let first = rows(ask(&shared, &db, 1, text));
+        let second = rows(ask(&shared, &db, 1, text));
         assert_eq!(first, second);
         assert_eq!(metrics.plan_cache_misses.get(), 1);
         assert_eq!(metrics.plan_cache_hits.get(), 1);
         // A new epoch is a miss, then re-stamps.
-        let third = run_query(&db, 2, text, &functions, &mut scratch, &plans, &metrics)
-            .ok()
-            .unwrap();
+        let third = rows(ask(&shared, &db, 2, text));
         assert_eq!(first, third);
         assert_eq!(metrics.plan_cache_misses.get(), 2);
-        let fourth = run_query(&db, 2, text, &functions, &mut scratch, &plans, &metrics)
-            .ok()
-            .unwrap();
+        let fourth = rows(ask(&shared, &db, 2, text));
         assert_eq!(first, fourth);
         assert_eq!(metrics.plan_cache_hits.get(), 2);
         // A REPACK replaces every tree the plan was compiled against and
         // publishes under a new epoch; the stamp alone retires the plan.
         let mut repacked = db.clone();
         repacked.pack_all();
-        let fifth = run_query(
-            &repacked,
-            3,
-            text,
-            &functions,
-            &mut scratch,
-            &plans,
-            &metrics,
-        )
-        .ok()
-        .unwrap();
+        let fifth = rows(ask(&shared, &repacked, 3, text));
         assert_eq!(first, fifth);
         assert_eq!(metrics.plan_cache_misses.get(), 3, "a miss");
         assert_eq!(metrics.plan_cache_hits.get(), 2, "not a plan hit");
@@ -1179,26 +1154,15 @@ mod tests {
 
     #[test]
     fn parse_errors_are_not_cached() {
+        let shared = database_side();
         let db = PictorialDatabase::with_us_map();
-        let functions = FunctionRegistry::with_builtins();
-        let mut scratch = SearchScratch::new();
-        let plans = PlanCache::new(16);
-        let metrics = Metrics::default();
         for _ in 0..3 {
             assert!(matches!(
-                run_query(
-                    &db,
-                    1,
-                    "selectt nonsense",
-                    &functions,
-                    &mut scratch,
-                    &plans,
-                    &metrics
-                ),
-                Err(QueryFailure::Psql(_))
+                ask(&shared, &db, 1, "selectt nonsense"),
+                Response::Error { .. }
             ));
         }
-        assert!(plans.is_empty());
-        assert_eq!(metrics.plan_cache_misses.get(), 3);
+        assert!(shared.plans.is_empty());
+        assert_eq!(shared.metrics.plan_cache_misses.get(), 3);
     }
 }
