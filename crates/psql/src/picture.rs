@@ -420,7 +420,7 @@ impl Picture {
 
     /// [`nearest`](Self::nearest) without statistics: the executor's
     /// `at … nearest` path. The branch-and-bound heap lives in the
-    /// scratch's embedded [`KnnScratch`](rtree_index::KnnScratch), so
+    /// scratch's embedded [`KnnScratch`], so
     /// repeated queries allocate nothing once warmed up.
     pub fn nearest_fast(&self, p: Point, k: usize, scratch: &mut SearchScratch) -> Vec<u64> {
         self.knn(p, k, scratch.knn(), None)

@@ -12,7 +12,7 @@
 //! [`store_with_meta`](DiskRTree::store_with_meta) is a full commit:
 //! node pages are appended to fresh pages (never overwriting a previous
 //! image), synced, and only then does the two-slot meta pair (pages
-//! 0–1, see [`meta`](crate::meta)) flip to the new epoch. A crash at any
+//! 0–1, see [`meta`]) flip to the new epoch. A crash at any
 //! point during the store leaves the previously committed tree — or, on
 //! a fresh file, a cleanly detected "no valid meta" state — never a
 //! half-written index that parses.
