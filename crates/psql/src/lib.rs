@@ -33,10 +33,12 @@
 //! **packed R-tree** and alphanumeric restrictions through B-tree indexes
 //! when available.
 //!
-//! A `where` expression nests at most [`parser::MAX_WHERE_DEPTH`] (64)
-//! levels — each parenthesis, `not` and `and` / `or` operator is one —
-//! so a hostile text gets a `Parse` error instead of exhausting a
-//! thread's stack.
+//! A query nests at most [`parser::MAX_NESTING`] (64) levels — each
+//! parenthesis and `not` in a `where` expression and each `(select …)`
+//! mapping in an `at` clause is one, and an `and` / `or` chain of `n`
+//! terms, joined into a balanced tree, spends about log2(n) — so a
+//! hostile text gets a `Parse` error instead of exhausting a thread's
+//! stack.
 //!
 //! # Quick start
 //!

@@ -8,31 +8,60 @@ use crate::token::Token;
 use pictorial_relational::{CompareOp, Value};
 use rtree_geom::Rect;
 
-/// Most levels a `where` expression may nest. Each parenthesis, each
-/// `not` and each `and` / `or` operator is one level on its path, so an
-/// expression tree the later stages walk recursively is at most this
-/// deep. Past it, [`parse_query`] fails with a `Parse` error before its
-/// own recursion could exhaust a thread's stack. Without a limit a debug
-/// build parsed 256 nested parentheses on a 2 MiB stack and overflowed
-/// at 512, so 64 keeps a 4× margin.
-pub const MAX_WHERE_DEPTH: usize = 64;
+/// Most levels a query may nest. Each parenthesis and each `not` in a
+/// `where` expression is one level, and so is each `(select …)`
+/// mapping in an `at` clause; a mapping's `where` starts at its
+/// mapping's level. An `and` / `or` chain is joined into a balanced
+/// tree, so its `n` terms spend about log2(n) levels: a flat list of
+/// thousands of terms parses, while every path the later stages walk
+/// recursively is at most this deep. Past it, [`parse_query`] fails with
+/// a `Parse` error before its own recursion could exhaust a thread's
+/// stack. Without a limit a debug build parsed 256 nested parentheses on
+/// a 2 MiB stack and overflowed at 512, so 64 keeps a 4× margin.
+pub const MAX_NESTING: usize = 64;
 
-/// `level + 1`, or the `Parse` error past [`MAX_WHERE_DEPTH`].
+/// `level + 1`, or the `Parse` error past [`MAX_NESTING`].
 fn deeper(level: usize) -> Result<usize, PsqlError> {
-    if level < MAX_WHERE_DEPTH {
+    if level < MAX_NESTING {
         Ok(level + 1)
     } else {
         Err(PsqlError::Parse(format!(
-            "where expression nests deeper than {MAX_WHERE_DEPTH} levels"
+            "query nests deeper than {MAX_NESTING} levels"
         )))
     }
+}
+
+/// Joins a chain's terms, kept in order, pairwise into a balanced tree
+/// of `join` nodes; each term comes with the deepest level it reaches,
+/// and so does the result. `and` and `or` are associative and every
+/// stage walks a tree left to right, so the tree answers, fails and
+/// picks an index as the left-deep one would.
+fn balanced(
+    mut terms: Vec<(Expr, usize)>,
+    join: fn(Box<Expr>, Box<Expr>) -> Expr,
+) -> Result<(Expr, usize), PsqlError> {
+    while terms.len() > 1 {
+        let mut joined = Vec::with_capacity(terms.len().div_ceil(2));
+        let mut rest = terms.into_iter();
+        while let Some((a, a_depth)) = rest.next() {
+            joined.push(match rest.next() {
+                Some((b, b_depth)) => (
+                    join(Box::new(a), Box::new(b)),
+                    deeper(a_depth.max(b_depth))?,
+                ),
+                None => (a, a_depth),
+            });
+        }
+        terms = joined;
+    }
+    Ok(terms.pop().expect("a chain has at least one term"))
 }
 
 /// Parses one PSQL query.
 pub fn parse_query(input: &str) -> Result<Query, PsqlError> {
     let tokens = lex(input)?;
     let mut p = Parser::new(tokens);
-    let q = p.query()?;
+    let q = p.query(0)?;
     p.end()?;
     Ok(q)
 }
@@ -106,7 +135,8 @@ impl Parser {
         }
     }
 
-    fn query(&mut self) -> Result<Query, PsqlError> {
+    /// One retrieve mapping at nesting `level`.
+    fn query(&mut self, level: usize) -> Result<Query, PsqlError> {
         self.expect(&Token::Select)?;
         let select = self.targets()?;
         self.expect(&Token::From)?;
@@ -119,13 +149,13 @@ impl Parser {
         };
         let (at, nearest) = if self.peek() == Some(&Token::At) {
             self.next();
-            self.at_or_nearest_clause()?
+            self.at_or_nearest_clause(level)?
         } else {
             (None, None)
         };
         let where_clause = if self.peek() == Some(&Token::Where) {
             self.next();
-            Some(self.expr(0)?.0)
+            Some(self.expr(level)?.0)
         } else {
             None
         };
@@ -256,6 +286,7 @@ impl Parser {
     /// the query point).
     fn at_or_nearest_clause(
         &mut self,
+        level: usize,
     ) -> Result<(Option<AtClause>, Option<NearestClause>), PsqlError> {
         let lhs = self.column_ref()?;
         if self.peek() == Some(&Token::Nearest) {
@@ -277,16 +308,17 @@ impl Parser {
             ));
         }
         let op = self.spatial_op()?;
-        let rhs = self.loc_term()?;
+        let rhs = self.loc_term(level)?;
         Ok((Some(AtClause { lhs, op, rhs }), None))
     }
 
-    fn loc_term(&mut self) -> Result<LocTerm, PsqlError> {
+    /// The right side of an `at` clause in a mapping at nesting `level`.
+    fn loc_term(&mut self, level: usize) -> Result<LocTerm, PsqlError> {
         match self.peek() {
             Some(Token::LBrace) => Ok(LocTerm::Window(self.window()?)),
             Some(Token::LParen) => {
                 self.next();
-                let q = self.query()?;
+                let q = self.query(deeper(level)?)?;
                 self.expect(&Token::RParen)?;
                 Ok(LocTerm::Subquery(Box::new(q)))
             }
@@ -327,25 +359,21 @@ impl Parser {
     /// One `or` chain at nesting `level`; returns the expression and
     /// the deepest level it reaches.
     fn expr(&mut self, level: usize) -> Result<(Expr, usize), PsqlError> {
-        let (mut lhs, mut depth) = self.and_expr(level)?;
+        let mut terms = vec![self.and_expr(level)?];
         while self.peek() == Some(&Token::Or) {
             self.next();
-            let (rhs, rhs_depth) = self.and_expr(level)?;
-            depth = deeper(depth.max(rhs_depth))?;
-            lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
+            terms.push(self.and_expr(level)?);
         }
-        Ok((lhs, depth))
+        balanced(terms, Expr::Or)
     }
 
     fn and_expr(&mut self, level: usize) -> Result<(Expr, usize), PsqlError> {
-        let (mut lhs, mut depth) = self.unary_expr(level)?;
+        let mut terms = vec![self.unary_expr(level)?];
         while self.peek() == Some(&Token::And) {
             self.next();
-            let (rhs, rhs_depth) = self.unary_expr(level)?;
-            depth = deeper(depth.max(rhs_depth))?;
-            lhs = Expr::And(Box::new(lhs), Box::new(rhs));
+            terms.push(self.unary_expr(level)?);
         }
-        Ok((lhs, depth))
+        balanced(terms, Expr::And)
     }
 
     fn unary_expr(&mut self, level: usize) -> Result<(Expr, usize), PsqlError> {
@@ -681,54 +709,121 @@ mod tests {
         )
     }
 
-    /// `n` `or` operators: `n + 1` terms.
-    fn ors(n: usize) -> String {
+    /// `n` mappings nested in `at` clauses.
+    fn mappings(n: usize) -> String {
         format!(
-            "select city from cities where population > 1{}",
-            " or population > 1".repeat(n)
+            "select lake from lakes on lake-map at lakes.loc covered-by {}{{4 +- 4, 11 +- 9}}{}",
+            "(select lakes.loc from lakes on lake-map at lakes.loc covered-by ".repeat(n),
+            ")".repeat(n)
         )
     }
 
+    /// A flat chain of `n` `or` terms, `population > 0` to
+    /// `population > n - 1`.
+    fn ors(n: usize) -> String {
+        let terms: Vec<String> = (0..n).map(|i| format!("population > {i}")).collect();
+        format!("select city from cities where {}", terms.join(" or "))
+    }
+
     #[test]
-    fn where_depth_limit_parses_and_one_past_it_is_a_parse_error() {
+    fn nesting_limit_parses_and_one_past_it_is_a_parse_error() {
         for (shape, text) in [
             ("parentheses", parens as fn(usize) -> String),
             ("not", nots),
-            ("or", ors),
+            ("mappings", mappings),
         ] {
-            parse_query(&text(MAX_WHERE_DEPTH))
-                .unwrap_or_else(|e| panic!("{shape} at the limit: {e}"));
-            match parse_query(&text(MAX_WHERE_DEPTH + 1)) {
+            parse_query(&text(MAX_NESTING)).unwrap_or_else(|e| panic!("{shape} at the limit: {e}"));
+            match parse_query(&text(MAX_NESTING + 1)) {
                 Err(PsqlError::Parse(m)) => assert!(m.contains("nests deeper"), "{shape}: {m}"),
                 other => panic!("{shape} past the limit: {other:?}"),
             }
         }
-        // Levels add up along one path, whatever spends them.
-        let half = MAX_WHERE_DEPTH / 2;
-        let mixed = |extra: usize| {
+        // Levels add up along one path, whatever spends them: a chain
+        // of two terms spends one, of three two.
+        let half = MAX_NESTING / 2;
+        let mixed = |terms: usize| {
             format!(
                 "select city from cities where {}{}population > 1{}{}",
                 "(".repeat(half),
                 "not ".repeat(half - 1),
-                " and population > 1".repeat(1 + extra),
+                " and population > 1".repeat(terms - 1),
                 ")".repeat(half)
             )
         };
-        assert!(parse_query(&mixed(0)).is_ok());
-        assert!(matches!(parse_query(&mixed(1)), Err(PsqlError::Parse(_))));
+        assert!(parse_query(&mixed(2)).is_ok());
+        assert!(matches!(parse_query(&mixed(3)), Err(PsqlError::Parse(_))));
+        // A mapping's `where` starts at its mapping's level: inside
+        // `half` mappings, `half` parentheses fit and one more does not.
+        let innermost_where = |parens: usize| {
+            format!(
+                "select lake from lakes on lake-map at lakes.loc covered-by {}{{4 +- 4, 11 +- 9}} \
+                 where {}population > 1{}{}",
+                "(select lakes.loc from lakes on lake-map at lakes.loc covered-by ".repeat(half),
+                "(".repeat(parens),
+                ")".repeat(parens),
+                ")".repeat(half)
+            )
+        };
+        assert!(parse_query(&innermost_where(half)).is_ok());
+        assert!(matches!(
+            parse_query(&innermost_where(half + 1)),
+            Err(PsqlError::Parse(_))
+        ));
+    }
+
+    /// The deepest path from `e` to a comparison, counting `and` /
+    /// `or` nodes, and its comparisons' literals in order.
+    fn shape(e: &Expr, depth: usize, leaves: &mut Vec<Value>) -> usize {
+        match e {
+            Expr::Or(a, b) | Expr::And(a, b) => {
+                shape(a, depth + 1, leaves).max(shape(b, depth + 1, leaves))
+            }
+            Expr::Not(inner) => shape(inner, depth, leaves),
+            Expr::Compare { rhs, .. } => {
+                leaves.push(rhs.clone());
+                depth
+            }
+        }
+    }
+
+    #[test]
+    fn flat_chains_parse_as_balanced_trees_in_order() {
+        for n in [1, 2, 3, 5, 64, 65, 10_000] {
+            let q = parse_query(&ors(n)).unwrap_or_else(|e| panic!("{n} terms: {e}"));
+            let mut leaves = Vec::new();
+            let depth = shape(&q.where_clause.unwrap(), 0, &mut leaves);
+            assert_eq!(
+                depth,
+                n.next_power_of_two().trailing_zeros() as usize,
+                "{n} terms"
+            );
+            let want: Vec<Value> = (0..n as i64).map(Value::Int).collect();
+            assert_eq!(leaves, want, "{n} terms keep their order");
+        }
+        // `and` binds tighter than `or` inside a balanced chain too.
+        let q = parse_query("select x from r where a = 1 or b = 2 and c = 3 or d = 4").unwrap();
+        match q.where_clause {
+            Some(Expr::Or(ab, d)) => {
+                assert!(matches!(*d, Expr::Compare { .. }));
+                assert!(matches!(*ab, Expr::Or(_, ref bc) if matches!(**bc, Expr::And(_, _))));
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     /// A text far past the limit is refused before the parser's own
     /// recursion can exhaust a 2 MiB thread stack, which 3 000 nested
-    /// parentheses did.
+    /// parentheses and 500 nested mappings did; a flat chain of 3 000
+    /// terms parses into a shallow tree.
     #[test]
     fn deep_texts_fail_without_exhausting_the_stack() {
         let handle = std::thread::Builder::new()
             .stack_size(2 << 20)
             .spawn(|| {
-                for text in [parens(10_000), nots(10_000), ors(3_000)] {
+                for text in [parens(10_000), nots(10_000), mappings(500)] {
                     assert!(matches!(parse_query(&text), Err(PsqlError::Parse(_))));
                 }
+                assert!(parse_query(&ors(3_000)).is_ok());
             })
             .expect("spawn");
         handle.join().expect("no stack overflow");

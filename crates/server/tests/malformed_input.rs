@@ -214,26 +214,33 @@ fn query_against_missing_relation_is_typed_not_fatal() {
     server.stop();
 }
 
-/// A `where` clause nested past the parser's limit is answered with a
-/// typed parse error. 10 000 parentheses (20 KB) once overflowed the
+/// A query nested past the parser's limit is answered with a typed
+/// parse error. 10 000 parentheses in a `where` (20 KB) and 500
+/// mappings nested in `at` clauses (33 KB) each once overflowed the
 /// worker's stack, which aborts the whole process: `catch_unwind`
 /// cannot contain a stack overflow.
 #[test]
 fn deeply_nested_query_is_a_parse_error_and_session_survives() {
     let server = start_server();
     let mut c = connect(&server);
-    let depth = 10_000;
-    let text = format!(
+    let parens = format!(
         "select city from cities where {}population > 1{}",
-        "(".repeat(depth),
-        ")".repeat(depth)
+        "(".repeat(10_000),
+        ")".repeat(10_000)
     );
-    match c.query(&text).expect("answered") {
-        Response::Error { kind, message, .. } => {
-            assert_eq!(kind, ErrorKind::Parse, "{message}");
+    let mappings = format!(
+        "select lake from lakes on lake-map at lakes.loc covered-by {}{{4 +- 4, 11 +- 9}}{}",
+        "(select lakes.loc from lakes on lake-map at lakes.loc covered-by ".repeat(500),
+        ")".repeat(500)
+    );
+    for text in [parens, mappings] {
+        match c.query(&text).expect("answered") {
+            Response::Error { kind, message, .. } => {
+                assert_eq!(kind, ErrorKind::Parse, "{message}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
         }
-        other => panic!("expected a parse error, got {other:?}"),
+        c.ping().expect("alive");
     }
-    c.ping().expect("alive");
     server.stop();
 }
