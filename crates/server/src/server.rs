@@ -1159,7 +1159,10 @@ mod tests {
         for _ in 0..3 {
             assert!(matches!(
                 ask(&shared, &db, 1, "selectt nonsense"),
-                Response::Error { .. }
+                Response::Error {
+                    kind: ErrorKind::Parse,
+                    ..
+                }
             ));
         }
         assert!(shared.plans.is_empty());

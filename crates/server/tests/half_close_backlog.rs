@@ -6,24 +6,15 @@
 //! binary, with one server, so the process's CPU time is that server's
 //! alone (and `half_close` stays the only server in its binary).
 
+mod common;
+
+use common::cpu_time;
 use psql::database::PictorialDatabase;
 use psql_server::protocol::{encode_request, write_frame, FrameDecoder, Request};
 use psql_server::server::{Server, ServerConfig};
 use std::io::{BufWriter, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
-
-/// User + system CPU time of this process so far.
-fn cpu_time() -> Duration {
-    let stat = std::fs::read_to_string("/proc/self/stat").expect("/proc/self/stat");
-    // Fields after the parenthesised command name; utime and stime are
-    // the 14th and 15th fields, in clock ticks of 1/100 s.
-    let rest = &stat[stat.rfind(')').expect("comm") + 2..];
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let ticks: u64 =
-        fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime");
-    Duration::from_millis(ticks * 10)
-}
 
 #[test]
 fn half_closed_connection_with_a_blocked_backlog_idles() {
