@@ -8,6 +8,14 @@
 //!              [--deadline-ms N] [--wal PATH] [--smoke]
 //! ```
 //!
+//! Queries are answered on the server's event-loop thread, in the turn
+//! that reads them. `--workers N` is the number of threads that commit
+//! inserts (default 4); `--queue N` bounds both the inserts waiting for
+//! them and the `#sleep` queries parked on the event loop (default 64),
+//! and a request past either bound is answered `Overloaded`.
+//! `--deadline-ms N` is the deadline of a query that carries none, and of
+//! every insert.
+//!
 //! `--wal PATH` makes dynamic inserts durable: each one is committed to
 //! the write-ahead log at PATH before it is acknowledged, and a restart
 //! on the same PATH replays acknowledged writes into the delta trees
@@ -50,7 +58,9 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "psql-serverd [--addr HOST:PORT] [--workers N] [--queue N] \
-                     [--deadline-ms N] [--wal PATH] [--smoke]"
+                     [--deadline-ms N] [--wal PATH] [--smoke]\n\
+                     queries are answered on the event loop; --workers: threads committing inserts;\n\
+                     --queue: most inserts waiting, and most #sleep queries parked"
                 );
                 return;
             }
@@ -67,7 +77,7 @@ fn main() {
     let db = PictorialDatabase::with_us_map();
     let server = Server::start(db, &addr, config.clone()).expect("bind");
     println!(
-        "psql-serverd listening on {} ({} workers, queue {}, default deadline {:?})",
+        "psql-serverd listening on {} ({} insert workers, queue {}, default deadline {:?})",
         server.local_addr(),
         config.workers,
         config.queue_capacity,

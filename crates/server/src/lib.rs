@@ -8,15 +8,17 @@
 //!   (request id + PSQL text in; typed result / typed error out), with
 //!   defensive decoding: malformed input gets a typed `Protocol` error,
 //!   never a panic.
-//! * [`server`] — an event-driven connection core (one reactor thread
-//!   multiplexing every connection over readiness notifications, with
-//!   request pipelining; it alone owns each connection's bytes, kept in
-//!   a machine with no socket, and every answer reaches it through one
-//!   completion list) feeding a fixed worker-thread pool over a
-//!   *bounded* request queue: per-request deadlines answered with
-//!   `Timeout`, a full queue answered immediately with `Overloaded`
-//!   (reject-with-retry backpressure), and graceful shutdown that
-//!   drains in-flight queries.
+//! * [`server`] — an event-driven connection core: one reactor thread
+//!   multiplexes every connection over readiness notifications, with
+//!   request pipelining, and owns each connection's bytes, kept in a
+//!   machine with no socket. It answers each query in the turn that
+//!   reads it and parks a `#sleep` query until it is due; the inserts it
+//!   reads go to a fixed pool of worker threads over a *bounded* queue,
+//!   which group-commit them and hand their answers back through one
+//!   completion list. Per-request deadlines are answered with `Timeout`,
+//!   a full queue or parked list at once with `Overloaded`
+//!   (reject-with-retry backpressure; queries are otherwise held back by
+//!   TCP), and graceful shutdown drains what is in flight.
 //! * [`plan_cache`] — a bounded LRU cached-plan table keyed by query
 //!   text: a compiled plan is reused while its snapshot epoch still
 //!   matches.

@@ -582,6 +582,21 @@ pub fn peek_request_id(payload: &[u8]) -> u64 {
 /// Encodes a response payload (frame body, without the length header).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
+    put_response(&mut out, resp);
+    out
+}
+
+/// Appends `resp` to `out` as one whole frame, length header included,
+/// with no buffer of its own.
+pub fn encode_response_frame(resp: &Response, out: &mut Vec<u8>) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    put_response(out, resp);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_be_bytes());
+}
+
+fn put_response(out: &mut Vec<u8>, resp: &Response) {
     match resp {
         Response::Result { id, epoch, result } => {
             out.extend_from_slice(&id.to_be_bytes());
@@ -589,26 +604,26 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             out.extend_from_slice(&epoch.to_be_bytes());
             out.extend_from_slice(&(result.columns.len() as u16).to_be_bytes());
             for col in &result.columns {
-                put_string(&mut out, col);
+                put_string(out, col);
             }
             out.extend_from_slice(&(result.rows.len() as u32).to_be_bytes());
             for row in &result.rows {
                 for v in row {
-                    put_value(&mut out, v);
+                    put_value(out, v);
                 }
             }
             out.extend_from_slice(&(result.highlights.len() as u32).to_be_bytes());
             for h in &result.highlights {
-                put_string(&mut out, &h.picture);
+                put_string(out, &h.picture);
                 out.extend_from_slice(&h.object.to_be_bytes());
-                put_string(&mut out, &h.label);
+                put_string(out, &h.label);
             }
         }
         Response::Error { id, kind, message } => {
             out.extend_from_slice(&id.to_be_bytes());
             out.push(ST_ERROR);
             out.push(kind.to_u8());
-            put_string(&mut out, message);
+            put_string(out, message);
         }
         Response::Timeout { id } => {
             out.extend_from_slice(&id.to_be_bytes());
@@ -626,7 +641,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Stats { id, json } => {
             out.extend_from_slice(&id.to_be_bytes());
             out.push(ST_STATS);
-            put_string(&mut out, json);
+            put_string(out, json);
         }
         Response::Done { id, epoch } => {
             out.extend_from_slice(&id.to_be_bytes());
@@ -634,7 +649,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             out.extend_from_slice(&epoch.to_be_bytes());
         }
     }
-    out
 }
 
 /// Decodes a response payload (the client side of the codec).

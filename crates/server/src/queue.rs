@@ -1,10 +1,11 @@
 //! A bounded multi-producer/multi-consumer job queue with explicit
 //! backpressure and drain-on-close semantics.
 //!
-//! Producers (connection readers) use the non-blocking
-//! [`BoundedQueue::try_push`]: a full queue is an immediate
-//! [`PushError::Full`], which the server turns into an `Overloaded`
-//! response — load is shed at the door instead of building an unbounded
+//! The producer (the reactor) uses the non-blocking
+//! [`BoundedQueue::try_push_all`], one lock and one wake for a whole
+//! turn's items: what a full queue cannot take comes back at once as
+//! [`PushError::Full`], which the server turns into `Overloaded`
+//! responses — load is shed at the door instead of building an unbounded
 //! backlog. Consumers (workers) block in [`BoundedQueue::pop_batch`];
 //! [`BoundedQueue::close`] lets already-queued jobs drain (pops keep
 //! succeeding) and wakes every worker once the queue is empty.
@@ -54,21 +55,25 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Enqueues without blocking; a full or closed queue refuses the
-    /// item immediately.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+    /// Enqueues without blocking every item of `items` that fits, in
+    /// order, under one lock and with one wake, leaving `items` empty.
+    /// Those that did not fit are handed back at once, as a full or
+    /// closed queue refuses them.
+    pub fn try_push_all(&self, items: &mut Vec<T>) -> Result<(), PushError<Vec<T>>> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if state.closed {
-            return Err(PushError::Closed(item));
+            return Err(PushError::Closed(std::mem::take(items)));
         }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
+        let room = self.capacity.saturating_sub(state.items.len());
+        let refused = items.split_off(room.min(items.len()));
+        state.items.extend(items.drain(..));
         state.high_water = state.high_water.max(state.items.len());
         drop(state);
         self.available.notify_one();
-        Ok(())
+        refused
+            .is_empty()
+            .then_some(())
+            .ok_or(PushError::Full(refused))
     }
 
     /// Dequeues up to `max` items into `out`, blocking only for the
@@ -143,44 +148,74 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// One item pushed alone.
+    fn push<T>(q: &BoundedQueue<T>, item: T) -> Result<(), PushError<Vec<T>>> {
+        q.try_push_all(&mut vec![item])
+    }
+
     #[test]
     fn backpressure_at_capacity() {
         let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
+        push(&q, 1).unwrap();
+        push(&q, 2).unwrap();
+        assert_eq!(push(&q, 3), Err(PushError::Full(vec![3])));
         let mut out = Vec::new();
         assert_eq!(q.pop_batch(&mut out, 1), 1);
         assert_eq!(out, vec![1]);
-        q.try_push(3).unwrap();
+        push(&q, 3).unwrap();
         assert_eq!(q.depth(), (2, 2));
+    }
+
+    #[test]
+    fn push_all_takes_what_fits_in_order_and_hands_back_the_rest() {
+        let q = BoundedQueue::new(4);
+        push(&q, 0).unwrap();
+        let mut items = vec![1, 2, 3, 4, 5];
+        assert_eq!(q.try_push_all(&mut items), Err(PushError::Full(vec![4, 5])));
+        assert!(items.is_empty());
+        assert_eq!(q.depth(), (4, 4));
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch(&mut out, 8), 4);
+        assert_eq!(out, vec![0, 1, 2, 3]);
+        assert_eq!(q.try_push_all(&mut vec![6]), Ok(()));
+        assert_eq!(q.try_push_all(&mut Vec::new()), Ok(()));
+        q.close();
+        assert_eq!(
+            q.try_push_all(&mut vec![7, 8]),
+            Err(PushError::Closed(vec![7, 8]))
+        );
+        assert_eq!(
+            q.pop_batch(&mut out, 8),
+            1,
+            "what was accepted still drains"
+        );
     }
 
     #[test]
     fn depth_tracks_high_water() {
         let q = BoundedQueue::new(8);
         let mut out = Vec::new();
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        push(&q, 1).unwrap();
+        push(&q, 2).unwrap();
         assert_eq!(q.pop_batch(&mut out, 1), 1);
-        q.try_push(3).unwrap();
+        push(&q, 3).unwrap();
         assert_eq!(q.depth(), (2, 2));
-        q.try_push(4).unwrap();
+        push(&q, 4).unwrap();
         assert_eq!(q.pop_batch(&mut out, 8), 3);
         assert_eq!(q.depth(), (0, 3), "a pop leaves the high-water mark");
         // A refused push changes neither.
         q.close();
-        assert!(q.try_push(5).is_err());
+        assert!(push(&q, 5).is_err());
         assert_eq!(q.depth(), (0, 3));
     }
 
     #[test]
     fn close_drains_then_wakes() {
         let q = Arc::new(BoundedQueue::new(4));
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        push(&q, 1).unwrap();
+        push(&q, 2).unwrap();
         q.close();
-        assert_eq!(q.try_push(3), Err(PushError::Closed(3)));
+        assert_eq!(push(&q, 3), Err(PushError::Closed(vec![3])));
         // Queued items still drain, one pop at a time.
         let mut out = Vec::new();
         assert_eq!(q.pop_batch(&mut out, 1), 1);
@@ -208,11 +243,11 @@ mod tests {
         let patience = Duration::from_millis(10);
         // Nothing came: an empty batch, not the end.
         assert_eq!(q.pop_batch_timeout(&mut out, 8, patience), Some(0));
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        push(&q, 1).unwrap();
+        push(&q, 2).unwrap();
         assert_eq!(q.pop_batch_timeout(&mut out, 8, patience), Some(2));
         // What was accepted before the close still drains; then the end.
-        q.try_push(3).unwrap();
+        push(&q, 3).unwrap();
         q.close();
         assert_eq!(q.pop_batch_timeout(&mut out, 8, patience), Some(1));
         assert_eq!(q.pop_batch_timeout(&mut out, 8, patience), None);
@@ -235,7 +270,7 @@ mod tests {
     fn pop_batch_drains_backlog_without_blocking() {
         let q = BoundedQueue::new(8);
         for i in 0..5 {
-            q.try_push(i).unwrap();
+            push(&q, i).unwrap();
         }
         let mut out = Vec::new();
         assert_eq!(q.pop_batch(&mut out, 3), 3);
@@ -255,7 +290,7 @@ mod tests {
             (n, out)
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
-        q.try_push(7).unwrap();
+        push(&q, 7).unwrap();
         let (n, out) = h.join().unwrap();
         // The blocked worker takes what is there; it does not linger
         // hoping for a fuller batch.
@@ -265,7 +300,7 @@ mod tests {
     #[test]
     fn pop_batch_observes_close() {
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
-        q.try_push(1).unwrap();
+        push(&q, 1).unwrap();
         q.close();
         let mut out = Vec::new();
         assert_eq!(q.pop_batch(&mut out, 8), 1);
@@ -295,7 +330,7 @@ mod tests {
                 for i in 0..100u64 {
                     let v = p * 1000 + i;
                     loop {
-                        match q.try_push(v) {
+                        match push(&q, v) {
                             Ok(()) => break,
                             Err(PushError::Full(_)) => std::thread::yield_now(),
                             Err(PushError::Closed(_)) => panic!("closed early"),

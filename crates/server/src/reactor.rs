@@ -1,5 +1,6 @@
 //! The readiness-driven I/O core: one event-loop thread owns the
-//! listener and every byte of every connection.
+//! listener and every byte of every connection, and answers every query
+//! in the turn that reads it.
 //!
 //! ## Shape
 //!
@@ -10,40 +11,50 @@
 //!   connection taking a slot in a generation-tagged slab;
 //! * every **connection** — a `Slot`: the socket, its token and a
 //!   `Conn`, which is the connection's bytes as a machine with no
-//!   socket, no clock read and no lock. Bytes read go into
-//!   `Conn::on_bytes`, which hands each complete frame to
-//!   `handle_frame` (control answered inline, queries and inserts
-//!   enqueued on the bounded worker queue); the socket is handed what
-//!   `Conn::unsent` holds;
-//! * a **waker eventfd** — every response, whether a worker, the rebuild
-//!   thread or `handle_frame` built it, goes onto one completion list as
-//!   a `(token, frame)` pair and pokes the waker. The reactor hands each
-//!   frame to the slot whose token still matches and drops the rest, so
-//!   a late answer for a closed connection never reaches a recycled
-//!   slot.
+//!   socket, no clock read and no lock. One read per readiness event
+//!   goes into `Conn::on_bytes`, which hands each complete frame to
+//!   `handle_frame`: queries and control requests are answered into the
+//!   machine there and then, a `#sleep` query is parked, inserts wait
+//!   for the end of the turn. The socket is handed what `Conn::unsent`
+//!   holds;
+//! * a **waker eventfd** — answers made on *other* threads (insert
+//!   acknowledgements from the workers, `REPACK`s from the rebuild
+//!   thread) go onto one completion list as `(token, response)` pairs, a
+//!   served pack's under one lock with one poke of the waker. The
+//!   reactor encodes each into the slot whose token still matches and
+//!   drops the rest, so a late answer for a closed connection never
+//!   reaches a recycled slot.
+//!
+//! A turn waits for readiness (or for the first parked query's due time),
+//! reads each ready connection once, accepts, then ends: the inserts it
+//! read go onto the worker queue in one push, the parked queries now due
+//! are answered, the completion list is delivered, and every connection
+//! touched is flushed.
 //!
 //! ## Pipelining and ordering
 //!
-//! A connection may have any number of requests in flight. Responses are
-//! written back in *completion* order, the order they reach the list;
-//! the request id is the correlation. Each entry on the list is one
-//! whole frame, so frames never interleave mid-frame even though many
-//! threads answer one connection.
+//! A connection may have any number of requests in flight. Its queries
+//! are answered in the order they arrive, except parked ones; inserts and
+//! `REPACK`s in the order they complete. The request id is the
+//! correlation. Each frame is queued whole, so frames never interleave
+//! mid-frame.
 //!
-//! ## Backpressure and cleanup
+//! ## Fairness, backpressure and cleanup
 //!
-//! `WouldBlock` registers write interest and the flush resumes on the
-//! next writable event, so one slow reader never blocks the loop or any
-//! other connection. More than `MAX_CONN_BACKLOG_BYTES` unwritten gives
-//! the connection up (the client is not consuming; buffering forever
-//! would be an OOM handed to whoever pipelines fastest). A connection
-//! that is closing — peer EOF, shutdown acknowledged or unrecoverable
-//! framing — closes once every request it dispatched is answered and
-//! every answer written, so a client that half-closes still reads its
-//! answers.
+//! The socket is level-triggered and read once per turn, so what one read
+//! leaves re-fires on the next wait, and one connection's work in a turn
+//! is what one 16 KiB read holds. `WouldBlock` on a write registers write
+//! interest and the flush resumes on the next writable event, so one slow
+//! reader never blocks the loop or any other connection. More than
+//! `MAX_CONN_BACKLOG_BYTES` unwritten gives the connection up (the client
+//! is not consuming; buffering forever would be an OOM handed to whoever
+//! pipelines fastest). A connection that is closing — peer EOF, shutdown
+//! acknowledged or unrecoverable framing — closes once every request it
+//! dispatched is answered and every answer written, so a client that
+//! half-closes still reads its answers.
 
-use crate::protocol::{encode_response, ErrorKind, FrameDecoder, Response, MAX_FRAME_LEN};
-use crate::server::{handle_frame, Shared};
+use crate::protocol::{encode_response_frame, ErrorKind, FrameDecoder, Response, MAX_FRAME_LEN};
+use crate::server::{handle_frame, Inline, Shared};
 use epoll::{Events, Interest, Poll, Waker};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -57,10 +68,8 @@ const WAKER_TOKEN: u64 = u64::MAX;
 /// Token reserved for the listener.
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
-/// Most bytes read from one connection per readiness event. The socket
-/// stays level-triggered, so a firehose connection re-fires on the next
-/// wait instead of starving its neighbours.
-const READ_FAIRNESS_BYTES: usize = 256 * 1024;
+/// Longest wait for readiness when no parked query is due sooner.
+const IDLE_WAIT: Duration = Duration::from_millis(100);
 /// How long the loop keeps writing answers once the workers have been
 /// joined, before closing connections regardless.
 const DRAIN_GRACE: Duration = Duration::from_secs(3);
@@ -68,12 +77,12 @@ const DRAIN_GRACE: Duration = Duration::from_secs(3);
 /// server cuts a non-consuming client loose.
 const MAX_CONN_BACKLOG_BYTES: usize = 64 << 20;
 
-/// The one completion list: response frames finished on any thread, each
-/// tagged with the token of the connection it answers, in completion
-/// order. Senders push and poke the eventfd; the reactor takes the whole
-/// list every turn.
+/// The one completion list: answers made on a thread other than the
+/// reactor, each tagged with the token of the connection it answers, in
+/// completion order. Senders push and poke the eventfd; the reactor takes
+/// the whole list every turn and encodes each answer into its connection.
 pub(crate) struct Notifier {
-    done: Mutex<Vec<(u64, Vec<u8>)>>,
+    done: Mutex<Vec<(u64, Response)>>,
     waker: Waker,
 }
 
@@ -91,34 +100,26 @@ impl Notifier {
         self.waker.wake();
     }
 
-    /// Queues one response frame for the connection `token` names.
-    /// Atomic per frame; callable from any thread; never blocks on a
-    /// socket.
-    pub(crate) fn send(&self, token: u64, resp: &Response) {
-        let frame = frame(resp);
-        self.done
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((token, frame));
+    /// Queues `answers`, each for the connection its token names, under
+    /// one lock and with one wake. Callable from any thread; never blocks
+    /// on a socket.
+    pub(crate) fn send(&self, mut answers: Vec<(u64, Response)>) {
+        if answers.is_empty() {
+            return;
+        }
+        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
+        done.append(&mut answers);
+        drop(done);
         self.waker.wake();
     }
 
     /// Swaps the list with `into`, which the caller has emptied.
-    pub(crate) fn take(&self, into: &mut Vec<(u64, Vec<u8>)>) {
+    pub(crate) fn take(&self, into: &mut Vec<(u64, Response)>) {
         std::mem::swap(
             &mut *self.done.lock().unwrap_or_else(|e| e.into_inner()),
             into,
         );
     }
-}
-
-/// One response as a whole wire frame.
-fn frame(resp: &Response) -> Vec<u8> {
-    let payload = encode_response(resp);
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&payload);
-    frame
 }
 
 /// One connection's bytes, with no socket, no clock read and no lock:
@@ -142,7 +143,8 @@ pub(crate) struct Conn {
 
 impl Conn {
     /// Feeds bytes read from the peer, handing each complete frame to
-    /// `dispatch` in order; `dispatch` returns `false` to stop reading.
+    /// `dispatch` in order, with the machine to answer into; `dispatch`
+    /// returns `false` to stop reading.
     /// A header past [`MAX_FRAME_LEN`] cannot be re-framed: it is
     /// answered here with a `Protocol` error of id 0, the connection
     /// closes, and the call returns `true` so the caller can count it.
@@ -150,7 +152,7 @@ impl Conn {
     pub(crate) fn on_bytes(
         &mut self,
         bytes: &[u8],
-        mut dispatch: impl FnMut(&[u8]) -> bool,
+        mut dispatch: impl FnMut(&[u8], &mut Conn) -> bool,
     ) -> bool {
         if self.closing || self.dead {
             return false;
@@ -160,20 +162,18 @@ impl Conn {
             match self.decoder.next_frame() {
                 Ok(Some(payload)) => {
                     self.awaiting += 1;
-                    if !dispatch(&payload) {
+                    if !dispatch(&payload, self) {
                         self.closing = true;
                         return false;
                     }
                 }
                 Ok(None) => return false,
                 Err(len) => {
-                    self.queue(&frame(&Response::Error {
-                        id: 0,
-                        kind: ErrorKind::Protocol,
-                        message: format!(
-                            "frame of {len} bytes exceeds limit {MAX_FRAME_LEN}; closing connection"
-                        ),
-                    }));
+                    let message = format!(
+                        "frame of {len} bytes exceeds limit {MAX_FRAME_LEN}; closing connection"
+                    );
+                    let (id, kind) = (0, ErrorKind::Protocol);
+                    self.queue(&Response::Error { id, kind, message });
                     self.closing = true;
                     return true;
                 }
@@ -188,22 +188,15 @@ impl Conn {
         self.decoder.mid_frame()
     }
 
-    /// Takes the response frame answering one dispatched request.
-    pub(crate) fn on_frame(&mut self, frame: &[u8]) {
+    /// Answers one dispatched request.
+    pub(crate) fn answer(&mut self, resp: &Response) {
         self.awaiting = self.awaiting.saturating_sub(1);
-        self.queue(frame);
+        self.queue(resp);
     }
 
-    fn queue(&mut self, frame: &[u8]) {
+    /// Encodes `resp` as one frame straight into the unwritten bytes.
+    fn queue(&mut self, resp: &Response) {
         if self.dead {
-            return;
-        }
-        if self.unsent().len() + frame.len() > MAX_CONN_BACKLOG_BYTES {
-            // The client stopped reading; cut it loose rather than
-            // buffer without bound.
-            self.dead = true;
-            self.out = Vec::new();
-            self.sent = 0;
             return;
         }
         // Compact once the written prefix dominates the buffer, as the
@@ -213,7 +206,14 @@ impl Conn {
             self.out.drain(..self.sent);
             self.sent = 0;
         }
-        self.out.extend_from_slice(frame);
+        encode_response_frame(resp, &mut self.out);
+        if self.unsent().len() > MAX_CONN_BACKLOG_BYTES {
+            // The client stopped reading; cut it loose rather than
+            // buffer without bound.
+            self.dead = true;
+            self.out = Vec::new();
+            self.sent = 0;
+        }
     }
 
     /// The bytes still to be written, in order.
@@ -331,8 +331,9 @@ fn run(listener: TcpListener, shared: &Shared) -> io::Result<()> {
     let mut next_gen: u64 = 1;
     let mut events = Events::with_capacity(1024);
     let mut rbuf = vec![0u8; 16 * 1024];
-    let mut done: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut done: Vec<(u64, Response)> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();
+    let mut inline = Inline::new(Instant::now());
     let mut draining = false;
     let mut drain_deadline: Option<Instant> = None;
 
@@ -347,9 +348,15 @@ fn run(listener: TcpListener, shared: &Shared) -> io::Result<()> {
             close_intake(shared);
         }
 
-        poll.wait(&mut events, Some(Duration::from_millis(100)))?;
+        // Wake for the first parked query, rounded up to the whole
+        // milliseconds the wait counts in.
+        let wait = inline.next_due().map_or(IDLE_WAIT, |due| {
+            due.saturating_duration_since(Instant::now()) + Duration::from_micros(999)
+        });
+        poll.wait(&mut events, Some(wait.min(IDLE_WAIT)))?;
+        inline.now = Instant::now();
         // Read before the list is taken: once the workers are joined,
-        // every answer that will ever exist is on it.
+        // every answer another thread will ever make is on it.
         let workers_done = shared.workers_done.load(Ordering::SeqCst);
         let mut accept_ready = false;
         for ev in events.iter() {
@@ -367,7 +374,7 @@ fn run(listener: TcpListener, shared: &Shared) -> io::Result<()> {
                     let slot = slots[idx].as_mut().expect("live slot");
                     if ev.readable
                         && !slot.eof
-                        && !on_readable(&poll, shared, slot, &mut rbuf, draining)
+                        && !on_readable(&poll, shared, slot, &mut rbuf, draining, &mut inline)
                     {
                         close_conn(&poll, &mut slots, &mut free, shared, idx);
                         continue;
@@ -386,18 +393,23 @@ fn run(listener: TcpListener, shared: &Shared) -> io::Result<()> {
                 shared,
             );
         }
-        // Deliver every finished answer, then flush each slot that got
-        // one or saw an event this turn.
-        shared.notifier.take(&mut done);
-        for (token, frame) in done.drain(..) {
+        // End the turn — queue its inserts, answer the parked queries now
+        // due — and deliver what other threads finished, then flush each
+        // slot that got an answer or saw an event this turn.
+        let mut deliver = |token, response: &Response| {
             if let Some(idx) = live(&slots, token) {
                 slots[idx]
                     .as_mut()
                     .expect("live slot")
                     .conn
-                    .on_frame(&frame);
+                    .answer(response);
                 touched.push(idx);
             }
+        };
+        inline.end_turn(shared, Instant::now(), &mut deliver);
+        shared.notifier.take(&mut done);
+        for (token, response) in done.drain(..) {
+            deliver(token, &response);
         }
         touched.sort_unstable();
         touched.dedup();
@@ -407,7 +419,7 @@ fn run(listener: TcpListener, shared: &Shared) -> io::Result<()> {
             }
         }
 
-        if workers_done {
+        if workers_done && inline.next_due().is_none() {
             let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
             let unsent = slots
                 .iter()
@@ -481,8 +493,9 @@ fn accept_all(
     }
 }
 
-/// Reads until `WouldBlock`, EOF or the fairness cap, feeding the
-/// machine. During the shutdown drain, bytes are read and discarded —
+/// Reads once, feeding the machine, which answers what it can in this
+/// turn; what the read left re-fires the level-triggered socket on the
+/// next wait. During the shutdown drain, bytes are read and discarded —
 /// consuming readiness without interpreting new requests. Returns
 /// `false` when the socket failed.
 fn on_readable(
@@ -491,36 +504,31 @@ fn on_readable(
     slot: &mut Slot,
     rbuf: &mut [u8],
     draining: bool,
+    inline: &mut Inline,
 ) -> bool {
-    let mut total = 0usize;
-    loop {
-        match slot.stream.read(rbuf) {
-            Ok(0) => {
-                if slot.conn.on_eof() {
-                    shared.metrics.protocol_errors.incr();
-                }
-                slot.watch(poll, true, slot.want_write);
-                return true;
+    match slot.stream.read(rbuf) {
+        Ok(0) => {
+            if slot.conn.on_eof() {
+                shared.metrics.protocol_errors.incr();
             }
-            Ok(n) => {
-                let token = slot.token;
-                if !draining
-                    && slot
-                        .conn
-                        .on_bytes(&rbuf[..n], |f| handle_frame(f, token, shared))
-                {
-                    shared.metrics.protocol_errors.incr();
-                }
-                total += n;
-                if total >= READ_FAIRNESS_BYTES {
-                    return true; // level-triggered: re-fires
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
+            slot.watch(poll, true, slot.want_write);
         }
+        Ok(n) => {
+            let token = slot.token;
+            let dispatch = |f: &[u8], conn: &mut Conn| handle_frame(f, token, conn, shared, inline);
+            if !draining && slot.conn.on_bytes(&rbuf[..n], dispatch) {
+                shared.metrics.protocol_errors.incr();
+            }
+        }
+        // Level-triggered: an interrupted read re-fires on the next wait.
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+            ) => {}
+        Err(_) => return false,
     }
+    true
 }
 
 fn close_conn(
@@ -556,7 +564,7 @@ mod tests {
     /// Feeds `bytes` in one call, collecting what is dispatched; every
     /// dispatch is accepted.
     fn feed(conn: &mut Conn, bytes: &[u8], got: &mut Vec<Vec<u8>>) -> bool {
-        conn.on_bytes(bytes, |f| {
+        conn.on_bytes(bytes, |f, _| {
             got.push(f.to_vec());
             true
         })
@@ -620,10 +628,10 @@ mod tests {
             got.push(f.to_vec());
             got.len() < 2
         };
-        assert!(!conn.on_bytes(&wire(&sent), |f| stop(f, &mut got)));
+        assert!(!conn.on_bytes(&wire(&sent), |f, _| stop(f, &mut got)));
         assert_eq!(got, sent[..2]);
         assert!(conn.closing);
-        assert!(!conn.on_bytes(&wire(&sent), |f| stop(f, &mut got)));
+        assert!(!conn.on_bytes(&wire(&sent), |f, _| stop(f, &mut got)));
         assert_eq!(got.len(), 2, "bytes after the refusal are ignored");
         // Closing, but both dispatched requests are still owed answers.
         assert_eq!(conn.awaiting, 2);
@@ -655,7 +663,7 @@ mod tests {
         // Nothing is left mid-frame in a poisoned stream.
         assert!(!conn.on_eof());
         // It closes once the ping is answered and everything is written.
-        conn.on_frame(&frame(&Response::Pong { id: 9 }));
+        conn.answer(&Response::Pong { id: 9 });
         let n = conn.unsent().len();
         conn.wrote(n);
         assert!(conn.finished());
@@ -678,7 +686,7 @@ mod tests {
         // and every answer written.
         for i in 0..got.len() {
             assert!(!conn.finished(), "{} answers owed", got.len() - i);
-            conn.on_frame(&frame(&Response::Pong { id: i as u64 }));
+            conn.answer(&Response::Pong { id: i as u64 });
         }
         assert!(!conn.finished(), "answers unwritten");
         let all = conn.unsent().len();
@@ -688,15 +696,23 @@ mod tests {
         assert!(conn.finished());
     }
 
+    /// A `STATS` answer whose frame is `len` bytes: 17 of header, id,
+    /// status and string length, and the rest JSON.
+    fn answer_of(len: usize) -> Response {
+        let json = "x".repeat(len - 17);
+        Response::Stats { id: 1, json }
+    }
+
     #[test]
     fn partial_writes_keep_byte_order_while_frames_arrive() {
         let mut conn = Conn::default();
         let mut expected = Vec::new();
         let mut written = Vec::new();
         for i in 0..2_000u32 {
-            let frame: Vec<u8> = (0..50 + i % 51).map(|j| (i + j) as u8).collect();
-            conn.on_frame(&frame);
-            expected.extend_from_slice(&frame);
+            let (id, json) = (i as u64, "y".repeat(33 + (i % 51) as usize));
+            let resp = Response::Stats { id, json };
+            conn.answer(&resp);
+            encode_response_frame(&resp, &mut expected);
             // The socket takes a little less than arrives, so a backlog
             // builds behind a long written prefix; now and then it
             // takes everything.
@@ -724,20 +740,20 @@ mod tests {
     #[test]
     fn backlog_cap_gives_the_connection_up() {
         let mut conn = Conn::default();
-        let half = vec![0u8; MAX_CONN_BACKLOG_BYTES / 2];
-        conn.on_frame(&half);
-        conn.on_frame(&half);
+        let half = answer_of(MAX_CONN_BACKLOG_BYTES / 2);
+        conn.answer(&half);
+        conn.answer(&half);
         assert!(!conn.dead, "exactly at the cap is still held");
         // Written bytes no longer count against the cap.
-        conn.wrote(half.len());
-        conn.on_frame(&half);
+        conn.wrote(MAX_CONN_BACKLOG_BYTES / 2);
+        conn.answer(&half);
         assert!(!conn.dead);
-        conn.on_frame(b"x");
-        assert!(conn.dead, "one byte past the cap");
+        conn.answer(&answer_of(17));
+        assert!(conn.dead, "one frame past the cap");
         assert!(conn.unsent().is_empty() && conn.out.capacity() == 0);
         assert!(conn.finished());
         // Answers after that are dropped.
-        conn.on_frame(b"late");
+        conn.answer(&Response::Pong { id: 2 });
         assert!(conn.unsent().is_empty());
     }
 
@@ -829,7 +845,7 @@ mod tests {
                     let step = 1 + rng.below(widest);
                     let chunk = &bytes[at..(at + step).min(bytes.len())];
                     at += chunk.len();
-                    let poisoned = conn.on_bytes(chunk, |f| {
+                    let poisoned = conn.on_bytes(chunk, |f, _| {
                         got.push(f.to_vec());
                         !matches!(decode_request(f), Ok(Request::Shutdown { .. }))
                     });

@@ -1,5 +1,6 @@
-//! The concurrent query service: an event-driven I/O core feeding a
-//! fixed worker pool over a bounded queue, with per-request deadlines,
+//! The concurrent query service: an event-driven I/O core that answers
+//! queries in the turn that reads them, a fixed pool of threads that
+//! group-commit inserts over a bounded queue, per-request deadlines,
 //! backpressure, a cached-plan table, and graceful drain-on-shutdown.
 //!
 //! ## Threading model
@@ -7,52 +8,64 @@
 //! * One **reactor thread** (the crate's `reactor` module) owns the
 //!   listener and every connection: nonblocking accept into a slab,
 //!   incremental frame reassembly per connection, and all socket writes.
-//!   Cheap control requests (`PING`, `STATS`) are answered inline on the
-//!   reactor; queries and inserts go to the bounded worker queue; a
-//!   `REPACK` waits in a small bounded slot for the rebuild thread, so a
-//!   long rebuild never stalls the queue or the loop. A full queue or
-//!   slot is answered immediately with `Overloaded` — the reactor never
-//!   blocks on the pool. The reactor is the only producer of jobs and
-//!   `REPACK`s, so when it stops reading — at shutdown, or when it fails
-//!   — it closes the queue and the slot itself.
-//! * `workers` **worker threads** each dequeue whatever jobs are
-//!   waiting, up to `max_batch` at once, and serve them: the inserts
-//!   among the jobs commit under one WAL sync and one publication, then
-//!   each query is answered on its own against the snapshot they leave.
+//!   It answers every query itself, in the turn that reads it: the plan
+//!   (cached or parsed), execution against the current snapshot, and the
+//!   response frame encoded straight into the connection's unwritten
+//!   bytes. `PING`, `STATS` and protocol errors are answered the same
+//!   way. A query headed by `#sleep <ms>` is parked until its time is up
+//!   and answered then; no thread sleeps on a client's behalf. The
+//!   inserts one turn reads go onto the bounded queue in one push; a
+//!   `REPACK` waits in a small bounded slot for the rebuild thread. A
+//!   full queue, slot or parked list is answered at once with
+//!   `Overloaded`; queries are otherwise held back by TCP alone, since
+//!   the reactor reads one buffer per connection per turn. The reactor
+//!   is the only producer of inserts and `REPACK`s, so when it stops
+//!   reading — at shutdown, or when it fails — it closes the queue and
+//!   the slot itself.
+//! * `workers` **worker threads** each dequeue whatever inserts are
+//!   waiting, up to `max_batch` at once, and commit them under one WAL
+//!   sync and one publication.
 //! * One **rebuild thread** replaces packed generations: every
 //!   picture's when a `REPACK` waits, the pictures holding a delta when
 //!   the delta population passes `merge_threshold`. Either way it packs
 //!   a clone under no lock and takes the writer lock only to catch up
 //!   and publish, so no insert ever waits for a pack.
 //!
+//! A query runs on the thread that owns every connection, so a long one
+//! holds all of them until it ends; the reads of one process do not
+//! spread over cores.
+//!
 //! There are *no per-connection threads*: ten thousand idle connections
 //! cost ten thousand slab entries, not ten thousand stacks.
 //! [`Server::wait`] only joins: the workers and the rebuild thread end
 //! once the reactor has closed their intake and they have answered what
-//! it accepted, and the reactor once it has written what is left.
+//! it accepted, and the reactor once it has answered its parked queries
+//! and written what is left.
 //!
 //! ## The database side
 //!
 //! Below the transport the service is a handful of plain calls that take
 //! no socket, queue handle or thread: `Shared::new` builds it,
-//! `handle_frame` interprets one request frame for a connection's token,
-//! `serve` answers one dequeued pack, `rebuild` is one wake of the
-//! rebuild thread and `recover` replays the WAL. Every answer leaves
-//! through `Notifier::send(token, &response)`, onto the one completion
-//! list the reactor hands to its connections. The threads only loop over
-//! these calls, and a seeded simulation in the crate's tests drives them
-//! directly in one thread, crashes included.
+//! `handle_frame` interprets one request frame and answers it into the
+//! connection's machine, `Inline::end_turn` queues a turn's inserts and
+//! answers the parked queries that are due, `serve` commits one dequeued
+//! pack of inserts, `rebuild` is one wake of the rebuild thread and
+//! `recover` replays the WAL. Answers made on other threads — insert
+//! acknowledgements and `REPACK`s — leave through `Notifier::send`, onto
+//! the one completion list the reactor hands to its connections. The
+//! threads only loop over these calls, and a seeded simulation in the
+//! crate's tests drives them directly in one thread, crashes included.
 //!
-//! Responses may interleave across requests of one connection (that is
-//! what the request id is for): completion order, not submission order.
-//! Each response frame is queued atomically, so frames never interleave
-//! mid-frame.
+//! The queries of one connection are answered in the order they arrive,
+//! except parked ones; an insert or a `REPACK` is answered when it
+//! completes, so the request id is the correlation. Each response frame
+//! is queued whole, so frames never interleave mid-frame.
 
 use crate::metrics::{Metrics, PictureGauge};
 use crate::plan_cache::PlanCache;
 use crate::protocol::{decode_request, peek_request_id, ErrorKind, Request, Response};
 use crate::queue::{BoundedQueue, PushError};
-use crate::reactor::{reactor_loop, Notifier};
+use crate::reactor::{reactor_loop, Conn, Notifier};
 use crate::snapshot::{DatabaseSnapshot, SnapshotCell};
 use psql::database::PictorialDatabase;
 use psql::functions::FunctionRegistry;
@@ -72,17 +85,19 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of query worker threads.
+    /// Number of worker threads committing inserts. Queries are answered
+    /// on the reactor thread.
     pub workers: usize,
-    /// Bounded request-queue capacity; pushes beyond this are answered
+    /// Most inserts waiting for a worker, and most `#sleep` queries
+    /// parked on the reactor; a request past either bound is answered
     /// `Overloaded`.
     pub queue_capacity: usize,
     /// Deadline applied to queries that don't carry their own
-    /// `timeout_ms`.
+    /// `timeout_ms`, and to every insert.
     pub default_deadline: Duration,
-    /// Jobs a worker dequeues at once; the inserts among them share one
-    /// WAL sync and one publication. Whatever backlog is already queued
-    /// rides along (a worker never waits for more).
+    /// Inserts a worker dequeues at once, committed under one WAL sync
+    /// and one publication. Whatever backlog is already queued rides
+    /// along (a worker never waits for more).
     pub max_batch: usize,
     /// Write-ahead-log file for dynamic inserts. When set, every insert
     /// is appended + fsynced (group commit per dequeued pack) *before* it
@@ -117,20 +132,14 @@ impl Default for ServerConfig {
     }
 }
 
-/// What a queued job asks the worker pool to do.
-pub(crate) enum JobKind {
-    /// Parse + execute PSQL text.
-    Query(String),
-    /// Durably insert one object into a picture.
-    Insert(InsertRecord),
-}
-
-/// One queued request, with the token of the connection it answers.
-pub(crate) struct Job {
+/// A request waiting its turn, with the token of the connection it
+/// answers: an insert waiting for a worker, or the text of a query
+/// waiting out its `#sleep`.
+pub(crate) struct Job<T = InsertRecord> {
     id: u64,
-    kind: JobKind,
-    deadline: Instant,
     token: u64,
+    deadline: Instant,
+    what: T,
 }
 
 /// One accepted `REPACK`, waiting for the rebuild that answers it.
@@ -139,22 +148,85 @@ pub(crate) struct Repack {
     token: u64,
 }
 
+/// What the thread reading the connections owns of the database side, as
+/// plain data: the reactor keeps one, and so does the simulation.
+pub(crate) struct Inline {
+    /// The clock of the current turn: a request read in it arrived then.
+    pub(crate) now: Instant,
+    scratch: SearchScratch,
+    /// Queries waiting out a `#sleep`, by due time (ties in arrival
+    /// order).
+    parked: Vec<(Instant, Job<String>)>,
+    /// The inserts read this turn, queued together by
+    /// [`Inline::end_turn`].
+    inserts: Vec<Job>,
+}
+
+impl Inline {
+    pub(crate) fn new(now: Instant) -> Inline {
+        Inline {
+            now,
+            scratch: SearchScratch::new(),
+            parked: Vec::new(),
+            inserts: Vec::new(),
+        }
+    }
+
+    /// When the first parked query is due, if any is parked.
+    pub(crate) fn next_due(&self) -> Option<Instant> {
+        self.parked.first().map(|(due, _)| *due)
+    }
+
+    /// Ends a turn at `now`: the inserts it read go onto the queue in one
+    /// push, and every parked query due by `now` is answered through
+    /// [`answer`], so one whose deadline passed while parked gets
+    /// `Timeout`. `deliver` hands each answer to the connection whose
+    /// token it carries.
+    pub(crate) fn end_turn(
+        &mut self,
+        shared: &Shared,
+        now: Instant,
+        mut deliver: impl FnMut(u64, &Response),
+    ) {
+        if !self.inserts.is_empty() {
+            if let Err(refused) = shared.queue.try_push_all(&mut self.inserts) {
+                let full = matches!(refused, PushError::Full(_));
+                let (PushError::Full(jobs) | PushError::Closed(jobs)) = refused;
+                for job in jobs {
+                    deliver(job.token, &refusal(shared, job.id, full));
+                }
+            }
+        }
+        let due = self.parked.partition_point(|(due, _)| *due <= now);
+        if due > 0 {
+            let (snap, scratch) = (shared.snapshots.load(), &mut self.scratch);
+            for (_, job) in self.parked.drain(..due) {
+                let response = answer(shared, &snap, job.id, &job.what, job.deadline, scratch);
+                deliver(job.token, &response);
+            }
+        }
+    }
+}
+
 /// The database side: everything but the sockets and the threads.
 pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
     pub(crate) snapshots: Arc<SnapshotCell>,
     pub(crate) metrics: Arc<Metrics>,
     pub(crate) functions: FunctionRegistry,
+    /// Inserts waiting for a worker.
     pub(crate) queue: BoundedQueue<Job>,
     /// `REPACK`s waiting for a rebuild. The rebuild thread drains the
     /// slot whole, so several waiting at once share one rebuild.
     pub(crate) repacks: BoundedQueue<Repack>,
     pub(crate) plans: PlanCache,
+    /// Where the workers and the rebuild thread leave their answers.
     pub(crate) notifier: Notifier,
     pub(crate) shutting_down: AtomicBool,
     /// Set by [`Server::wait`] after the workers are joined: every
-    /// response that will ever exist is on the completion list, so the
-    /// reactor may write what is left and exit.
+    /// answer another thread will ever make is on the completion list,
+    /// so the reactor may answer its parked queries, write what is left
+    /// and exit.
     pub(crate) workers_done: AtomicBool,
     /// Serializes *writers* (insert batches, a rebuild's publication):
     /// each clones the latest snapshot, mutates, and publishes. Two
@@ -401,10 +473,20 @@ fn refresh_snapshot_gauges(shared: &Shared) {
         .unwrap_or_else(|e| e.into_inner()) = pictures;
 }
 
-/// Handles one well-framed payload from the connection `token` names.
-/// Returns `false` when the connection should flush-and-close (shutdown
+/// Handles one well-framed payload read from the connection `token`
+/// names, in the turn `inline.now` that read it. A query is answered
+/// into `conn` at once, or parked when it opens with `#sleep`; so is
+/// every control request but `REPACK`, which waits for the rebuild
+/// thread. An insert waits in `inline` for the end of the turn. Returns
+/// `false` when the connection should flush-and-close (shutdown
 /// acknowledged).
-pub(crate) fn handle_frame(payload: &[u8], token: u64, shared: &Shared) -> bool {
+pub(crate) fn handle_frame(
+    payload: &[u8],
+    token: u64,
+    conn: &mut Conn,
+    shared: &Shared,
+    inline: &mut Inline,
+) -> bool {
     let request = match decode_request(payload) {
         Ok(r) => r,
         Err(message) => {
@@ -413,16 +495,14 @@ pub(crate) fn handle_frame(payload: &[u8], token: u64, shared: &Shared) -> bool 
             shared.metrics.protocol_errors.incr();
             let id = peek_request_id(payload);
             let kind = ErrorKind::Protocol;
-            shared
-                .notifier
-                .send(token, &Response::Error { id, kind, message });
+            conn.answer(&Response::Error { id, kind, message });
             return true;
         }
     };
-    match request {
+    let response = match request {
         Request::Ping { id } => {
             shared.metrics.control_requests.incr();
-            shared.notifier.send(token, &Response::Pong { id });
+            Response::Pong { id }
         }
         Request::Stats { id } => {
             shared.metrics.control_requests.incr();
@@ -436,18 +516,19 @@ pub(crate) fn handle_frame(payload: &[u8], token: u64, shared: &Shared) -> bool 
                 shared.config.queue_capacity,
                 shared.config.workers,
             );
-            shared.notifier.send(token, &Response::Stats { id, json });
+            Response::Stats { id, json }
         }
         Request::Repack { id } => {
             shared.metrics.control_requests.incr();
-            if let Err(refused) = shared.repacks.try_push(Repack { id, token }) {
-                refuse(shared, token, id, refused);
+            match shared.repacks.try_push_all(&mut vec![Repack { id, token }]) {
+                Ok(()) => return true,
+                Err(refused) => refusal(shared, id, matches!(refused, PushError::Full(_))),
             }
         }
         Request::Shutdown { id } => {
             shared.metrics.control_requests.incr();
             let epoch = shared.snapshots.current_epoch();
-            shared.notifier.send(token, &Response::Done { id, epoch });
+            conn.answer(&Response::Done { id, epoch });
             begin_shutdown(shared);
             return false;
         }
@@ -457,12 +538,32 @@ pub(crate) fn handle_frame(payload: &[u8], token: u64, shared: &Shared) -> bool 
             text,
         } => {
             shared.metrics.queries.incr();
-            let budget = if timeout_ms == 0 {
-                shared.config.default_deadline
-            } else {
-                Duration::from_millis(timeout_ms as u64)
+            let budget = match timeout_ms {
+                0 => shared.config.default_deadline,
+                ms => Duration::from_millis(ms.into()),
             };
-            enqueue(shared, token, id, JobKind::Query(text), budget);
+            let deadline = inline.now + budget;
+            match sleep_directive(&text) {
+                Ok(Some(_)) if inline.parked.len() >= shared.config.queue_capacity => {
+                    refusal(shared, id, true)
+                }
+                Ok(Some((ms, _))) => {
+                    let due = inline.now + Duration::from_millis(ms);
+                    let at = inline.parked.partition_point(|(at, _)| *at <= due);
+                    let job = Job {
+                        id,
+                        token,
+                        deadline,
+                        what: text,
+                    };
+                    inline.parked.insert(at, (due, job));
+                    return true;
+                }
+                _ => {
+                    let snapshot = shared.snapshots.load();
+                    answer(shared, &snapshot, id, &text, deadline, &mut inline.scratch)
+                }
+            }
         }
         Request::Insert {
             id,
@@ -470,160 +571,93 @@ pub(crate) fn handle_frame(payload: &[u8], token: u64, shared: &Shared) -> bool 
             label,
             object,
         } => {
-            // Ingest rides the same worker pool and bounded queue as
-            // queries: full queue → Overloaded, never an unbounded
-            // buffer of pending writes.
-            let record = InsertRecord {
+            let what = InsertRecord {
                 picture,
                 label,
                 object,
             };
-            let budget = shared.config.default_deadline;
-            enqueue(shared, token, id, JobKind::Insert(record), budget);
+            let deadline = inline.now + shared.config.default_deadline;
+            inline.inserts.push(Job {
+                id,
+                token,
+                deadline,
+                what,
+            });
+            return true;
         }
-    }
-    true
-}
-
-/// Pushes one job onto the bounded queue, answering `Overloaded` /
-/// shutdown errors inline.
-fn enqueue(shared: &Shared, token: u64, id: u64, kind: JobKind, budget: Duration) {
-    let job = Job {
-        id,
-        kind,
-        deadline: Instant::now() + budget,
-        token,
     };
-    if let Err(refused) = shared.queue.try_push(job) {
-        refuse(shared, token, id, refused);
-    }
+    conn.answer(&response);
+    true
 }
 
 /// Back-off hint carried in `Overloaded` responses.
 const RETRY_AFTER_MS: u32 = 10;
 
-/// Answers a request a bounded queue would not take: `Overloaded` from a
-/// full one, the typed shutdown error from a closed one.
-fn refuse<T>(shared: &Shared, token: u64, id: u64, refused: PushError<T>) {
-    let response = match refused {
-        PushError::Full(_) => {
-            shared.metrics.overloads.incr();
-            Response::Overloaded {
-                id,
-                retry_after_ms: RETRY_AFTER_MS,
-            }
-        }
-        PushError::Closed(_) => shutting_down(id),
-    };
-    shared.notifier.send(token, &response);
-}
-
-/// What a request accepted too late to be served is answered.
-fn shutting_down(id: u64) -> Response {
-    Response::Error {
-        id,
-        kind: ErrorKind::Internal,
-        message: "server is shutting down".into(),
+/// What a request refused for want of room is answered: `Overloaded`
+/// when its bound is `full`, else the typed shutdown error of an intake
+/// that closed before the request was served.
+fn refusal(shared: &Shared, id: u64, full: bool) -> Response {
+    if full {
+        shared.metrics.overloads.incr();
+        let retry_after_ms = RETRY_AFTER_MS;
+        return Response::Overloaded { id, retry_after_ms };
     }
+    let (kind, message) = (ErrorKind::Internal, "server is shutting down".into());
+    Response::Error { id, kind, message }
 }
 
 fn worker_loop(shared: &Shared) {
-    let mut scratch = SearchScratch::new();
     let mut jobs: Vec<Job> = Vec::new();
     let max_batch = shared.config.max_batch.max(1);
     while shared.queue.pop_batch(&mut jobs, max_batch) > 0 {
-        serve(shared, &jobs, &mut scratch);
+        serve(shared, &jobs);
         jobs.clear();
     }
 }
 
-/// Serves one dequeued pack. Its inserts commit as one group (one WAL
-/// sync, one publication), which the pack's queries then read — writes
-/// ordered before reads that were queued behind them. Each query is
-/// answered on its own; the pack's responses leave together once the
-/// last is built. The snapshot is pinned for this call only, so a
-/// worker blocked on an empty queue keeps no superseded packed
-/// generation resident.
-pub(crate) fn serve(shared: &Shared, jobs: &[Job], scratch: &mut SearchScratch) {
-    let mut snapshot = shared.snapshots.load();
-    if jobs.iter().any(|j| matches!(j.kind, JobKind::Insert(_))) {
-        ingest_batch(shared, &snapshot, jobs);
-        snapshot = shared.snapshots.load();
-    }
-    let answers: Vec<(u64, Response)> = jobs
-        .iter()
-        .filter_map(|job| match &job.kind {
-            JobKind::Query(text) => {
-                let response = answer(shared, &snapshot, job.id, text, job.deadline, scratch);
-                Some((job.token, response))
-            }
-            JobKind::Insert(_) => None, // acknowledged by ingest_batch
-        })
-        .collect();
-    for (token, response) in answers {
-        shared.notifier.send(token, &response);
-    }
+/// Commits one dequeued pack of inserts as one group, then hands its
+/// answers to the completion list under one lock with one wake. The
+/// snapshot is pinned for this call only, so a worker blocked on an
+/// empty queue keeps no superseded packed generation resident.
+pub(crate) fn serve(shared: &Shared, jobs: &[Job]) {
+    let mut answers = Vec::with_capacity(jobs.len());
+    commit(shared, jobs, &mut answers);
+    shared.notifier.send(answers);
 }
 
-/// Applies every insert in a dequeued pack as one group commit: validate
-/// against the pinned snapshot, append all records to the WAL under one
-/// fsync, publish one snapshot holding all of them, then acknowledge.
-/// Nothing is acknowledged before it is durable (when a WAL is
-/// configured) *and* published.
-fn ingest_batch(shared: &Shared, snapshot: &DatabaseSnapshot, jobs: &[Job]) {
-    let mut accepted: Vec<(&Job, &InsertRecord, Vec<u8>)> = Vec::new();
+/// The group commit: validate against the pinned snapshot, append all
+/// records to the WAL under one fsync, publish one snapshot holding all
+/// of them, then acknowledge. Nothing is acknowledged before it is
+/// durable (when a WAL is configured) *and* published.
+fn commit(shared: &Shared, jobs: &[Job], answers: &mut Vec<(u64, Response)>) {
+    let snapshot = shared.snapshots.load();
+    let mut accepted: Vec<(&Job, Vec<u8>)> = Vec::new();
     for job in jobs {
-        let JobKind::Insert(rec) = &job.kind else {
-            continue;
-        };
+        let rec = &job.what;
         if Instant::now() > job.deadline {
             shared.metrics.timeouts.incr();
-            shared
-                .notifier
-                .send(job.token, &Response::Timeout { id: job.id });
+            answers.push((job.token, Response::Timeout { id: job.id }));
             continue;
         }
-        if let Err(e) = snapshot.db.picture(&rec.picture) {
-            shared.metrics.query_errors.incr();
-            shared.notifier.send(
-                job.token,
-                &Response::Error {
-                    id: job.id,
-                    kind: ErrorKind::from(&e),
-                    message: e.to_string(),
-                },
-            );
-            continue;
-        }
-        match rec.encode() {
-            Ok(bytes) if bytes.len() <= WAL_RECORD_MAX => accepted.push((job, rec, bytes)),
-            Ok(bytes) => {
-                shared.metrics.query_errors.incr();
-                shared.notifier.send(
-                    job.token,
-                    &Response::Error {
-                        id: job.id,
-                        kind: ErrorKind::Semantic,
-                        message: format!(
-                            "insert of {} bytes exceeds the WAL record limit {WAL_RECORD_MAX}",
-                            bytes.len()
-                        ),
-                    },
-                );
+        let refused = match snapshot.db.picture(&rec.picture).and_then(|_| rec.encode()) {
+            Ok(bytes) if bytes.len() <= WAL_RECORD_MAX => {
+                accepted.push((job, bytes));
+                continue;
             }
-            Err(e) => {
-                shared.metrics.query_errors.incr();
-                shared.notifier.send(
-                    job.token,
-                    &Response::Error {
-                        id: job.id,
-                        kind: ErrorKind::from(&e),
-                        message: e.to_string(),
-                    },
-                );
-            }
-        }
+            Ok(bytes) => (
+                ErrorKind::Semantic,
+                format!(
+                    "insert of {} bytes exceeds the WAL record limit {WAL_RECORD_MAX}",
+                    bytes.len()
+                ),
+            ),
+            Err(e) => (ErrorKind::from(&e), e.to_string()),
+        };
+        shared.metrics.query_errors.incr();
+        let (id, (kind, message)) = (job.id, refused);
+        answers.push((job.token, Response::Error { id, kind, message }));
     }
+    drop(snapshot);
     if accepted.is_empty() {
         return;
     }
@@ -633,18 +667,12 @@ fn ingest_batch(shared: &Shared, snapshot: &DatabaseSnapshot, jobs: &[Job]) {
     // no concurrent writer can publish a snapshot missing these records.
     let mut writer = shared.write_lock.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(wal) = writer.as_mut() {
-        let mut bytes_appended = 0u64;
-        let committed = (|| {
-            for (_, _, bytes) in &accepted {
-                wal.append(bytes)?;
-                bytes_appended += bytes.len() as u64;
-            }
-            wal.sync()
-        })();
-        match committed {
+        let appended = accepted.iter().try_for_each(|(_, bytes)| wal.append(bytes));
+        match appended.and_then(|()| wal.sync()) {
             Ok(()) => {
+                let bytes = accepted.iter().map(|(_, bytes)| bytes.len() as u64);
                 shared.metrics.wal_appends.add(accepted.len() as u64);
-                shared.metrics.wal_bytes.add(bytes_appended);
+                shared.metrics.wal_bytes.add(bytes.sum());
                 shared.metrics.wal_syncs.incr();
             }
             Err(e) => {
@@ -653,15 +681,10 @@ fn ingest_batch(shared: &Shared, snapshot: &DatabaseSnapshot, jobs: &[Job]) {
                 // append, so the next batch starts from a clean tail.)
                 drop(writer);
                 shared.metrics.internal_errors.add(accepted.len() as u64);
-                for (job, _, _) in &accepted {
-                    shared.notifier.send(
-                        job.token,
-                        &Response::Error {
-                            id: job.id,
-                            kind: ErrorKind::Internal,
-                            message: format!("write-ahead log failure: {e}"),
-                        },
-                    );
+                for (job, _) in &accepted {
+                    let (id, kind) = (job.id, ErrorKind::Internal);
+                    let message = format!("write-ahead log failure: {e}");
+                    answers.push((job.token, Response::Error { id, kind, message }));
                 }
                 return;
             }
@@ -669,36 +692,28 @@ fn ingest_batch(shared: &Shared, snapshot: &DatabaseSnapshot, jobs: &[Job]) {
     }
     let publishing = Instant::now();
     let epoch = shared.snapshots.update(|db| {
-        for (_, rec, _) in &accepted {
-            let opens_delta = db
-                .picture(&rec.picture)
-                .map(|p| {
-                    // A never-packed picture builds its tree behind
-                    // `&self`. Build it here, while the published
-                    // snapshot still shares the picture, or a reader
-                    // builds it on every snapshot this writer has
-                    // already copied.
-                    if p.frozen().is_none() {
-                        p.tree();
-                    }
-                    p.frozen().is_some() && p.delta_len() == 0
-                })
-                .unwrap_or(false);
+        for (job, _) in &accepted {
+            let rec = &job.what;
+            let opens_delta = db.picture(&rec.picture).is_ok_and(|p| {
+                // A never-packed picture builds its tree behind `&self`.
+                // Build it here, while the published snapshot still
+                // shares the picture, or a reader builds it on every
+                // snapshot this writer has already copied.
+                if p.frozen().is_none() {
+                    p.tree();
+                }
+                p.frozen().is_some() && p.delta_len() == 0
+            });
             match db.add_object(&rec.picture, rec.object.clone(), &rec.label) {
-                Ok(_) => {
-                    if opens_delta {
-                        eprintln!(
-                            "[psql-server] picture {:?}: first dynamic write since pack — \
-                             frozen tree retained, insert buffered in delta (merge pending)",
-                            rec.picture
-                        );
-                    }
-                }
-                Err(e) => {
-                    // Validated above against the same lineage; a failure
-                    // here would be a picture vanishing mid-flight.
-                    eprintln!("[psql-server] insert apply failed after WAL commit: {e}");
-                }
+                Ok(_) if opens_delta => eprintln!(
+                    "[psql-server] picture {:?}: first dynamic write since pack — \
+                     frozen tree retained, insert buffered in delta (merge pending)",
+                    rec.picture
+                ),
+                Ok(_) => {}
+                // Validated above against the same lineage; a failure here
+                // would be a picture vanishing mid-flight.
+                Err(e) => eprintln!("[psql-server] insert apply failed after WAL commit: {e}"),
             }
         }
     });
@@ -707,11 +722,9 @@ fn ingest_batch(shared: &Shared, snapshot: &DatabaseSnapshot, jobs: &[Job]) {
     refresh_snapshot_gauges(shared);
     shared.metrics.snapshots_published.incr();
     shared.metrics.inserts.add(accepted.len() as u64);
-    for (job, _, _) in &accepted {
-        shared.metrics.ok.incr();
-        shared
-            .notifier
-            .send(job.token, &Response::Done { id: job.id, epoch });
+    shared.metrics.ok.add(accepted.len() as u64);
+    for (job, _) in &accepted {
+        answers.push((job.token, Response::Done { id: job.id, epoch }));
     }
 }
 
@@ -738,20 +751,21 @@ fn rebuild_loop(shared: &Shared) {
 /// outside the writer lock ([`pack_rebuild`]), which is then taken only
 /// for the O(delta) catch-up and the swap ([`publish_rebuild`]). Every
 /// `REPACK` in `waiting` is answered with the epoch its rebuild
-/// published, and `waiting` is left empty.
+/// published, all under one wake, and `waiting` is left empty.
 pub(crate) fn rebuild(shared: &Shared, waiting: &mut Vec<Repack>) {
     let forced = !waiting.is_empty();
     if !forced && shared.snapshots.load().db.delta_len() < shared.config.merge_threshold {
         return;
     }
     let epoch = finish_rebuild(shared, pack_rebuild(shared, forced));
-    for Repack { id, token } in waiting.drain(..) {
-        let response = match epoch {
-            Some(epoch) => Response::Done { id, epoch },
-            None => shutting_down(id),
-        };
-        shared.notifier.send(token, &response);
-    }
+    let answers: Vec<(u64, Response)> = waiting
+        .drain(..)
+        .map(|Repack { id, token }| match epoch {
+            Some(epoch) => (token, Response::Done { id, epoch }),
+            None => (token, refusal(shared, id, false)),
+        })
+        .collect();
+    shared.notifier.send(answers);
 }
 
 /// A rebuild between its two halves: packed, not yet published.
@@ -848,17 +862,33 @@ fn finish_rebuild(shared: &Shared, mut rebuild: PendingRebuild) -> Option<u64> {
     }
 }
 
+/// The milliseconds and the query after a `#sleep <millis>` head —
+/// the deterministic way to exercise deadlines from tests and the CI
+/// smoke script — or `None` for a text without one. Capped at ten
+/// seconds, so a hostile client cannot park a request for minutes.
+fn sleep_directive(text: &str) -> Result<Option<(u64, &str)>, PsqlError> {
+    let Some(rest) = text.trim().strip_prefix("#sleep") else {
+        return Ok(None);
+    };
+    let rest = rest.trim_start();
+    let (ms, query) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
+    let ms: u64 = ms
+        .parse()
+        .map_err(|_| PsqlError::Parse(format!("#sleep wants milliseconds, got {ms:?}")))?;
+    Ok(Some((ms.min(10_000), query.trim())))
+}
+
 /// Answers one query against a pinned snapshot: deadline check, the
-/// `#sleep` directive, the plan through the cached-plan table, execution
-/// under `catch_unwind`, deadline re-check. One expired, malformed or
-/// panicking query is answered alone; it never touches its pack-mates.
+/// plan through the cached-plan table, execution under `catch_unwind`,
+/// deadline re-check. One expired, malformed or panicking query is
+/// answered alone; it never touches the requests around it.
 ///
 /// A plan stamped with the snapshot's epoch skips parse *and* plan; a
 /// miss, a stale stamp included, prepares from scratch and stores the
-/// plan. Parse and plan failures are never cached. A text of
-/// `#sleep <millis>`, optionally followed by a query, sleeps first — the
-/// deterministic way to exercise deadlines from tests and the CI smoke
-/// script.
+/// plan. Parse and plan failures are never cached. A `#sleep <millis>`
+/// head is skipped, since its sleep was served parked (`handle_frame`);
+/// a malformed one is a parse error, and a directive with no query
+/// after it answers no rows.
 pub(crate) fn answer(
     shared: &Shared,
     snapshot: &DatabaseSnapshot,
@@ -869,29 +899,20 @@ pub(crate) fn answer(
 ) -> Response {
     let metrics = &shared.metrics;
     if Instant::now() > deadline {
-        // Expired while queued: answer without executing.
+        // Expired while waiting: answer without executing.
         metrics.timeouts.incr();
         return Response::Timeout { id };
     }
     let started = Instant::now();
-    // Workers must survive any executor bug: contain panics and answer a
-    // typed internal error instead. The snapshot is immutable, so no
-    // broken invariants can leak out of an unwound execution.
+    // The reactor must survive any executor bug: contain panics and
+    // answer a typed internal error instead. The snapshot is immutable,
+    // so no broken invariants can leak out of an unwound execution.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut text = text.trim();
-        if let Some(rest) = text.strip_prefix("#sleep") {
-            let rest = rest.trim_start();
-            let (ms, remainder) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
-            let ms: u64 = ms
-                .parse()
-                .map_err(|_| PsqlError::Parse(format!("#sleep wants milliseconds, got {ms:?}")))?;
-            // Cap so a hostile client cannot park a worker for minutes.
-            std::thread::sleep(Duration::from_millis(ms.min(10_000)));
-            text = remainder.trim();
-            if text.is_empty() {
-                return Ok(ResultSet::default());
-            }
-        }
+        let text = match sleep_directive(text)? {
+            Some((_, "")) => return Ok(ResultSet::default()),
+            Some((_, query)) => query,
+            None => text.trim(),
+        };
         let plan = match shared.plans.get(text, snapshot.epoch) {
             Some(plan) => {
                 metrics.plan_cache_hits.incr();
@@ -1103,11 +1124,18 @@ mod tests {
 
     #[test]
     fn sleep_directive_parses() {
+        assert_eq!(sleep_directive("select city from cities"), Ok(None));
+        assert_eq!(
+            sleep_directive("  #sleep 30  select zone from time-zones "),
+            Ok(Some((30, "select zone from time-zones")))
+        );
+        assert_eq!(sleep_directive("#sleep 99999"), Ok(Some((10_000, ""))));
         let shared = database_side();
         let db = PictorialDatabase::with_us_map();
+        // `answer` skips the directive: its sleep was served parked.
         let t0 = Instant::now();
-        let r = rows(ask(&shared, &db, 1, "#sleep 30"));
-        assert!(t0.elapsed() >= Duration::from_millis(30));
+        let r = rows(ask(&shared, &db, 1, "#sleep 10000"));
+        assert!(t0.elapsed() < Duration::from_secs(5), "answer slept");
         assert!(r.is_empty());
         // Directive followed by a real query.
         let r = rows(ask(&shared, &db, 1, "#sleep 1 select zone from time-zones"));

@@ -2,7 +2,9 @@
 //! socket, no thread and no sleep. Four peers talk to the server through
 //! their connection machines (`reactor::Conn`); the database side runs
 //! through the same calls the server's threads make (`handle_frame`,
-//! `serve`, `rebuild`); and a crash drops everything but the WAL file,
+//! which answers queries, `Inline::end_turn`, `serve`, `rebuild`) on the
+//! reactor's state as plain data, with a clock of its own that moves
+//! only when a turn ends; and a crash drops everything but the WAL file,
 //! then recovers from it. A seed picks the order of every step, so a
 //! failure names its seed and step and replays exactly.
 //!
@@ -18,7 +20,7 @@
 use crate::metrics::Metrics;
 use crate::protocol::{decode_response, encode_request, FrameDecoder, Request, Response};
 use crate::reactor::Conn;
-use crate::server::{handle_frame, rebuild, recover, serve, ServerConfig, Shared};
+use crate::server::{handle_frame, rebuild, recover, serve, Inline, ServerConfig, Shared};
 use pictorial_relational::Value;
 use psql::database::PictorialDatabase;
 use psql::SpatialOp;
@@ -26,7 +28,7 @@ use rtree_geom::{Point, Rect, SpatialObject};
 use rtree_index::SearchScratch;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// splitmix64: a fixed-seed stream.
 pub(crate) struct Rng(pub(crate) u64);
@@ -57,7 +59,8 @@ const PEERS: usize = 4;
 
 /// A request a peer sent and has not yet seen answered.
 enum Sent {
-    Query(String),
+    /// The query without its `#sleep` head, and whether it had one.
+    Query(String, bool),
     Insert(String),
     Ping,
     Repack,
@@ -94,6 +97,8 @@ struct Tally {
     /// Rebuilds published: background merges and `REPACK`s.
     merges: u64,
     answers: usize,
+    /// Queries answered after waiting out a `#sleep`.
+    slept: usize,
     acked_inserts: usize,
     rows_checked: usize,
 }
@@ -109,6 +114,10 @@ struct World {
     base_len: u64,
     expected: HashMap<String, Vec<Vec<Value>>>,
     peers: Vec<Peer>,
+    /// What the reactor thread owns; a crash loses it with the peers.
+    inline: Inline,
+    /// The simulated clock: it moves when a turn ends.
+    clock: Instant,
     generation: u64,
     next_id: u64,
     /// Every insert any peer sent, by label.
@@ -136,6 +145,7 @@ fn start(wal: &Path) -> Shared {
 
 impl World {
     fn new(seed: u64) -> World {
+        let clock = Instant::now();
         let base = PictorialDatabase::with_us_map();
         let base_len = base.picture(PICTURE).expect("us-map").len() as u64;
         World {
@@ -146,6 +156,8 @@ impl World {
             base_len,
             expected: HashMap::new(),
             peers: (0..PEERS).map(|i| Peer::new(1, i)).collect(),
+            inline: Inline::new(clock),
+            clock,
             generation: 1,
             next_id: 1,
             sent: HashMap::new(),
@@ -187,12 +199,17 @@ impl World {
                     (w.min_y + w.max_y) / 2.0,
                     (w.max_y - w.min_y) / 2.0,
                 );
+                // Now and then the query sleeps first.
+                let sleep = match self.rng.below(4) {
+                    0 => format!("#sleep {} ", self.rng.below(40)),
+                    _ => String::new(),
+                };
                 let request = Request::Query {
                     id,
                     timeout_ms: 0,
-                    text: text.clone(),
+                    text: format!("{sleep}{text}"),
                 };
-                (request, Sent::Query(text))
+                (request, Sent::Query(text, !sleep.is_empty()))
             }
             9..=16 => {
                 let label = format!("sim-{id}");
@@ -218,27 +235,40 @@ impl World {
         peer.pending.insert(id, sent);
     }
 
-    /// 1–256 of a peer's bytes reach its machine.
+    /// 1–256 of a peer's bytes reach its machine, which answers its
+    /// queries at once.
     fn deliver(&mut self, shared: &Shared, p: usize, most: usize) {
         let peer = &mut self.peers[p];
         let n = most.min(peer.wire.len());
         let bytes: Vec<u8> = peer.wire.drain(..n).collect();
-        let token = peer.token;
-        let poisoned = peer
-            .conn
-            .on_bytes(&bytes, |f| handle_frame(f, token, shared));
+        let (token, inline) = (peer.token, &mut self.inline);
+        inline.now = self.clock;
+        let poisoned = peer.conn.on_bytes(&bytes, |f, conn| {
+            handle_frame(f, token, conn, shared, inline)
+        });
         self.check(!poisoned, || "a well-framed stream was poisoned".into());
     }
 
-    /// The completion list is handed to the machines.
-    fn complete(&mut self, shared: &Shared) {
+    /// A turn ends `elapsed` after the last: its inserts are queued, the
+    /// parked queries due are answered, and the completion list is handed
+    /// to the machines.
+    fn end_turn(&mut self, shared: &Shared, elapsed: Duration) {
+        self.clock += elapsed;
+        let (peers, mut strays) = (&mut self.peers, Vec::new());
+        let mut deliver =
+            |token, response: &Response| match peers.iter_mut().find(|p| p.token == token) {
+                Some(peer) => peer.conn.answer(response),
+                None => strays.push(token),
+            };
+        self.inline.end_turn(shared, self.clock, &mut deliver);
         let mut done = Vec::new();
         shared.notifier.take(&mut done);
-        for (token, frame) in done {
-            let peer = self.peers.iter().position(|p| p.token == token);
-            self.check(peer.is_some(), || format!("an answer for token {token:#x}"));
-            self.peers[peer.expect("checked")].conn.on_frame(&frame);
+        for (token, response) in done {
+            deliver(token, &response);
         }
+        self.check(strays.is_empty(), || {
+            format!("answers for tokens {strays:x?}")
+        });
     }
 
     /// A peer's socket takes up to `most` bytes, and the peer reads every
@@ -273,8 +303,9 @@ impl World {
             format!("{response:?} answers nothing outstanding on peer {p}")
         });
         match (sent.expect("checked"), response) {
-            (Sent::Query(_) | Sent::Insert(_) | Sent::Repack, Response::Overloaded { .. }) => {}
-            (Sent::Query(text), Response::Result { result, .. }) => {
+            (Sent::Query(..) | Sent::Insert(_) | Sent::Repack, Response::Overloaded { .. }) => {}
+            (Sent::Query(text, slept), Response::Result { result, .. }) => {
+                self.tally.slept += usize::from(slept);
                 let base = &self.base;
                 let want = self.expected.entry(text.clone()).or_insert_with(|| {
                     let mut rows = psql::exec::query(base, &text).expect("oracle").rows;
@@ -342,6 +373,7 @@ impl World {
     /// flight go with it, and the peers reconnect.
     fn crashed(&mut self) {
         self.tally.crashes += 1;
+        self.inline = Inline::new(self.clock);
         self.generation += 1;
         self.peers = (0..PEERS).map(|i| Peer::new(self.generation, i)).collect();
     }
@@ -355,7 +387,6 @@ fn run(seed: u64, steps: usize, wal: &Path) -> Tally {
     let mut shared = start(wal);
     let mut jobs = Vec::new();
     let mut waiting = Vec::new();
-    let mut scratch = SearchScratch::new();
     for step in 0..steps {
         world.step = step;
         match world.rng.below(100) {
@@ -376,7 +407,7 @@ fn run(seed: u64, steps: usize, wal: &Path) -> Tally {
                 shared
                     .queue
                     .pop_batch_timeout(&mut jobs, max, Duration::ZERO);
-                serve(&shared, &jobs, &mut scratch);
+                serve(&shared, &jobs);
                 jobs.clear();
                 world.check_picture(&shared);
             }
@@ -387,7 +418,10 @@ fn run(seed: u64, steps: usize, wal: &Path) -> Tally {
                 rebuild(&shared, &mut waiting);
                 world.check_picture(&shared);
             }
-            65..=79 => world.complete(&shared),
+            65..=79 => {
+                let elapsed = Duration::from_millis(world.rng.below(20) as u64);
+                world.end_turn(&shared, elapsed);
+            }
             _ => {
                 let (p, most) = (world.rng.below(PEERS), world.rng.below(4096));
                 world.read(p, most);
@@ -395,26 +429,27 @@ fn run(seed: u64, steps: usize, wal: &Path) -> Tally {
         }
     }
 
-    // Quiesce: every byte delivered, every job served, every REPACK
-    // rebuilt, every answer read.
+    // Quiesce: every byte delivered, every sleep served, every job
+    // served, every REPACK rebuilt, every answer read.
     world.step = steps;
     for p in 0..PEERS {
         world.deliver(&shared, p, usize::MAX);
     }
+    world.end_turn(&shared, Duration::from_secs(11));
     let max = shared.config.max_batch;
     while shared
         .queue
         .pop_batch_timeout(&mut jobs, max, Duration::ZERO)
         .is_some_and(|n| n > 0)
     {
-        serve(&shared, &jobs, &mut scratch);
+        serve(&shared, &jobs);
         jobs.clear();
     }
     shared
         .repacks
         .pop_batch_timeout(&mut waiting, usize::MAX, Duration::ZERO);
     rebuild(&shared, &mut waiting);
-    world.complete(&shared);
+    world.end_turn(&shared, Duration::ZERO);
     for p in 0..PEERS {
         world.read(p, usize::MAX);
         let left = world.peers[p].pending.len();
@@ -444,5 +479,6 @@ fn whole_request_path_at_fixed_seeds() {
         assert!(tally.crashes >= 50, "seed {seed}: {tally:?}");
         assert!(tally.acked_inserts >= 100, "seed {seed}: {tally:?}");
         assert!(tally.rows_checked >= 100, "seed {seed}: {tally:?}");
+        assert!(tally.slept >= 50, "seed {seed}: {tally:?}");
     }
 }

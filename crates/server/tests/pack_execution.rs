@@ -1,8 +1,9 @@
-//! End-to-end check of a worker's pack: a pipelined backlog is dequeued
-//! as one pack, each query in it is answered on its own, and every
-//! response must match single-query execution of the same text — same
-//! rows, same columns, correct id routing. A malformed or expired job is
-//! answered in its own slot, and the plan cache serves the pack.
+//! End-to-end check of pipelined queries: a backlog sent behind a
+//! parked `#sleep` is answered query by query, and every response must
+//! match single-query execution of the same text — same rows, same
+//! columns, correct id routing. A malformed query, or one whose deadline
+//! passes while it is parked, is answered in its own slot, and the plan
+//! cache serves the backlog.
 
 use psql::database::PictorialDatabase;
 use psql_server::client::Client;
@@ -11,8 +12,7 @@ use psql_server::server::{Server, ServerConfig};
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// A server over the US map with one worker, so everything pipelined
-/// behind a `#sleep` departs as a single pack, and a client on it.
+/// A server over the US map with one worker, and a client on it.
 fn one_worker_server() -> (Server, Client) {
     let server = Server::start(
         PictorialDatabase::with_us_map(),
@@ -32,11 +32,9 @@ fn one_worker_server() -> (Server, Client) {
 
 #[test]
 fn pipelined_pack_answers_every_query_as_single_execution_does() {
-    // One worker so the pipelined backlog queues behind the #sleep and
-    // departs as a single pack.
     let (server, mut client) = one_worker_server();
 
-    // Occupy the lone worker long enough for the backlog to build.
+    // A parked query, answered after the backlog sent behind it.
     let sleep_id = client.send_query("#sleep 200").expect("send sleep");
 
     let texts = [
@@ -96,9 +94,9 @@ fn pipelined_pack_answers_every_query_as_single_execution_does() {
 
 #[test]
 fn pack_reuses_cached_plans() {
-    // The same pack of texts pipelined twice behind a `#sleep`: the first
-    // pack prepares and caches every plan, the second must execute the
-    // cached plans (full hits) and answer identically.
+    // The same texts pipelined twice behind a `#sleep`: the first round
+    // prepares and caches every plan, the second must execute the cached
+    // plans (full hits) and answer identically.
     let (server, mut client) = one_worker_server();
     let texts = [
         "select city from cities on us-map at loc covered-by {82.5 +- 17.5, 25 +- 20}",
@@ -153,37 +151,30 @@ fn pack_reuses_cached_plans() {
 }
 
 #[test]
-fn expired_job_gets_timeout_without_poisoning_its_pack() {
-    // One worker, so everything pipelined during the #sleep departs as
-    // one pack. One job carries a deadline that expires while the
-    // worker is stalled; the worker must answer *that job alone* with
-    // Timeout and still execute the rest of the pack.
+fn parked_query_past_its_deadline_gets_timeout_without_poisoning_its_neighbours() {
+    // A query that sleeps 100 ms on a 50 ms deadline waits out its sleep
+    // parked; when it is due, its deadline has passed, so it is answered
+    // Timeout without executing. The queries pipelined around it must be
+    // answered as single execution answers them.
     let (server, mut client) = one_worker_server();
-
-    // Stall the lone worker well past the doomed job's deadline.
-    let sleep_id = client.send_query("#sleep 400").expect("send sleep");
-
-    // The doomed job: 50ms deadline, expires while the worker sleeps.
-    let doomed_id = client
-        .send_query_with_timeout(
-            "select city from cities on us-map at loc covered-by {82.5 +- 17.5, 25 +- 20}",
-            50,
-        )
-        .expect("send doomed");
-
-    // Healthy pack-mates with the (generous) default deadline.
     let healthy = [
         "select zone from time-zones on time-zone-map at loc overlapping {50 +- 10, 25 +- 25}",
         "select city from cities where population >= 6000000",
         "select city from cities on us-map at loc nearest 3 {53 +- 0, 32 +- 0}",
     ];
-    let mut healthy_ids = Vec::new();
-    for text in &healthy {
+    let mut healthy_ids = vec![client.send_query(healthy[0]).expect("pipeline query")];
+    let doomed_id = client
+        .send_query_with_timeout(
+            "#sleep 100 select city from cities on us-map at loc covered-by {82.5 +- 17.5, 25 +- 20}",
+            50,
+        )
+        .expect("send doomed");
+    for text in &healthy[1..] {
         healthy_ids.push(client.send_query(text).expect("pipeline query"));
     }
 
     let mut responses: HashMap<u64, Response> = HashMap::new();
-    for _ in 0..(2 + healthy.len()) {
+    for _ in 0..(1 + healthy.len()) {
         let resp = client.read_response().expect("response");
         let id = match &resp {
             Response::Result { id, .. }
@@ -196,21 +187,21 @@ fn expired_job_gets_timeout_without_poisoning_its_pack() {
     }
 
     assert!(
-        matches!(responses[&sleep_id], Response::Result { .. }),
-        "sleep job: {:?}",
-        responses[&sleep_id]
-    );
-    assert!(
         matches!(responses[&doomed_id], Response::Timeout { .. }),
-        "doomed job should time out: {:?}",
+        "doomed query should time out: {:?}",
         responses[&doomed_id]
     );
+    let db = PictorialDatabase::with_us_map();
     for (text, id) in healthy.iter().zip(&healthy_ids) {
+        let local = psql::parse_query(text)
+            .and_then(|q| psql::exec::execute(&db, &q))
+            .expect("runs locally");
         match &responses[id] {
             Response::Result { result, .. } => {
-                assert!(!result.rows.is_empty(), "{text} returned nothing")
+                assert!(!result.rows.is_empty(), "{text} returned nothing");
+                assert_eq!(result.rows, local.rows, "{text}");
             }
-            other => panic!("{text}: healthy pack-mate poisoned: {other:?}"),
+            other => panic!("{text}: healthy neighbour poisoned: {other:?}"),
         }
     }
 

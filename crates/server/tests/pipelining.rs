@@ -34,9 +34,9 @@ fn response_id(resp: &Response) -> u64 {
 
 #[test]
 fn pipelined_responses_complete_out_of_order_and_correlate_by_id() {
-    // Two workers: a slow query parks one worker while the other answers
-    // the fast queries pipelined behind it — so the fast responses *must*
-    // overtake the slow one on the same connection.
+    // The slow query is parked until its sleep is up while the fast
+    // queries pipelined behind it are answered — so the fast responses
+    // *must* overtake the slow one on the same connection.
     let server = Server::start(
         PictorialDatabase::with_us_map(),
         "127.0.0.1:0",
@@ -51,8 +51,8 @@ fn pipelined_responses_complete_out_of_order_and_correlate_by_id() {
     let slow_id = c
         .send_query("#sleep 600 select zone from time-zones")
         .expect("send slow");
-    // Give the pool a beat to dequeue the sleeper so the fast queries
-    // land in a later pack.
+    // Give the server a beat to read and park the sleeper before the
+    // fast queries arrive.
     std::thread::sleep(Duration::from_millis(100));
     let fast_ids: Vec<u64> = (0..4)
         .map(|_| c.send_query("select zone from time-zones").expect("send"))
@@ -191,8 +191,8 @@ fn slow_reader_parks_responses_without_stalling_other_connections() {
 }
 
 /// A client may write its requests, shut its write half and then read:
-/// EOF ends the requests, not the answers. An answer a worker finishes
-/// at once and one it is still computing when the EOF arrives both come
+/// EOF ends the requests, not the answers. An answer made at once and
+/// one still parked behind its `#sleep` when the EOF arrives both come
 /// back before the server closes.
 #[test]
 fn half_closed_client_still_gets_its_answers() {

@@ -361,7 +361,7 @@ fn idle_workers_do_not_pin_superseded_snapshots() {
     let cell = server.snapshots();
     let mut superseded = vec![std::sync::Arc::downgrade(&cell.load())];
 
-    // Both workers busy at once, so both have pinned the first snapshot.
+    // Two parked queries, answered against the first snapshot.
     let sleepers = [
         client.send_query("#sleep 100").expect("send"),
         client.send_query("#sleep 100").expect("send"),
@@ -393,7 +393,8 @@ fn idle_workers_do_not_pin_superseded_snapshots() {
         std::thread::sleep(Duration::from_millis(5));
     }
     // The merge thread drops its own pin of the base right after
-    // publishing, and a worker releases right after its last response.
+    // publishing, and the reactor and a worker release theirs right
+    // after each answer.
     while let Some(alive) = superseded.iter().find_map(|weak| weak.upgrade()) {
         let epoch = alive.epoch;
         drop(alive);
@@ -533,7 +534,7 @@ fn pipelined_inserts_group_commit_under_one_fsync() {
         PictorialDatabase::with_us_map(),
         "127.0.0.1:0",
         ServerConfig {
-            // One worker: the pipelined backlog departs as one pack.
+            // One worker: what waits while it syncs departs as one pack.
             workers: 1,
             max_batch: 32,
             wal_path: Some(wal.clone()),
@@ -544,8 +545,9 @@ fn pipelined_inserts_group_commit_under_one_fsync() {
     .expect("bind");
     let mut client = connect(&server);
 
-    // Stall the lone worker so a backlog of inserts builds, then let
-    // the pack commit as a group.
+    // The sleeper is parked; the inserts one turn reads enter the queue
+    // as one push, and those that arrive while the lone worker syncs
+    // wait for its next pack, so the burst commits in groups.
     let sleep_id = client.send_query("#sleep 150").expect("send sleep");
     let mut ids = Vec::new();
     for i in 0..8 {
