@@ -6,9 +6,22 @@
 
 use packed_rtree_core::grouping::{self, PackStrategy, SlabPlan};
 use packed_rtree_core::{pack, pack_frozen, pack_naive, pack_with};
-use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use rtree_geom::{Point, Rect};
 use rtree_index::{FrozenRTree, ItemId, RTreeConfig};
+use std::{panic, thread};
+
+/// Runs `body` on `cases` generators seeded `1985 + k`; a failing case names its test and `k`.
+fn for_cases(cases: u64, mut body: impl FnMut(&mut StdRng)) {
+    for k in 0..cases {
+        let mut rng = StdRng::seed_from_u64(1985 + k);
+        if let Err(cause) = panic::catch_unwind(panic::AssertUnwindSafe(|| body(&mut rng))) {
+            let test = thread::current();
+            eprintln!("{}: case {k} failed", test.name().unwrap_or("?"));
+            panic::resume_unwind(cause);
+        }
+    }
+}
 
 fn points(n: u64, seed: u64) -> Vec<(Rect, ItemId)> {
     let mut s = seed;
@@ -73,23 +86,26 @@ fn pack_frozen_equals_freeze_of_pack_with() {
     }
 }
 
-fn arb_strategy() -> impl Strategy<Value = PackStrategy> {
-    prop::sample::select(PackStrategy::ALL.to_vec())
+fn arb_strategy(rng: &mut StdRng) -> PackStrategy {
+    PackStrategy::ALL[rng.gen_range(0..PackStrategy::ALL.len())]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Points on the 12 × 12 integer grid, as coordinate pairs.
+fn arb_coords(rng: &mut StdRng, len: std::ops::Range<usize>) -> Vec<(u8, u8)> {
+    (0..rng.gen_range(len))
+        .map(|_| (rng.gen_range(0..12), rng.gen_range(0..12)))
+        .collect()
+}
 
-    /// Slab-boundary grouping preserves the partition invariant: the
-    /// groups cover every input index exactly once, never exceed `m`,
-    /// and the group count matches the plan's prediction — the property
-    /// the node count a level declares before it is grouped rests on.
-    #[test]
-    fn slab_grouping_partitions(
-        n in 1usize..600,
-        m in 2usize..12,
-        seed in 0u64..1_000,
-    ) {
+/// Slab-boundary grouping preserves the partition invariant: the
+/// groups cover every input index exactly once, never exceed `m`,
+/// and the group count matches the plan's prediction — the property
+/// the node count a level declares before it is grouped rests on.
+#[test]
+fn slab_grouping_partitions() {
+    for_cases(64, |rng| {
+        let (n, m) = (rng.gen_range(1usize..600), rng.gen_range(2usize..12));
+        let seed = rng.gen_range(0u64..1_000);
         let rects: Vec<Rect> = points(n as u64, seed).into_iter().map(|(r, _)| r).collect();
         for strategy in PackStrategy::ALL {
             let plan = SlabPlan::new(strategy, n, m);
@@ -99,57 +115,58 @@ proptest! {
                 let slab = grouping::slab_order(strategy, &rects, &ord[plan.slab_range(k)], &plan);
                 groups.extend(slab.chunks(m).map(<[usize]>::to_vec));
             }
-            prop_assert_eq!(groups.len(), plan.total_groups(), "{:?}", strategy);
-            prop_assert_eq!(groups.len(), n.div_ceil(m), "{:?}", strategy);
+            assert_eq!(groups.len(), plan.total_groups(), "{:?}", strategy);
+            assert_eq!(groups.len(), n.div_ceil(m), "{:?}", strategy);
             let mut seen = vec![false; n];
             for g in &groups {
-                prop_assert!(!g.is_empty() && g.len() <= m, "{:?}: group of {}", strategy, g.len());
+                let len = g.len();
+                assert!(len > 0 && len <= m, "{strategy:?}: group of {len}");
                 for &i in g {
-                    prop_assert!(!seen[i], "{:?}: duplicate index {}", strategy, i);
+                    assert!(!seen[i], "{:?}: duplicate index {}", strategy, i);
                     seen[i] = true;
                 }
             }
-            prop_assert!(seen.iter().all(|&s| s), "{:?}: index dropped", strategy);
+            assert!(seen.iter().all(|&s| s), "{:?}: index dropped", strategy);
         }
-    }
+    });
+}
 
-    /// The slab plan itself tiles `0..n`: ranges are contiguous,
-    /// disjoint, exhaustive, and every slab but the last is a multiple
-    /// of `m` long, so the slabs' groups add up to the plan's count.
-    #[test]
-    fn slab_plan_tiles_input(
-        n in 1usize..100_000,
-        m in 2usize..65,
-        strategy in arb_strategy(),
-    ) {
+/// The slab plan itself tiles `0..n`: ranges are contiguous,
+/// disjoint, exhaustive, and every slab but the last is a multiple
+/// of `m` long, so the slabs' groups add up to the plan's count.
+#[test]
+fn slab_plan_tiles_input() {
+    for_cases(64, |rng| {
+        let (n, m) = (rng.gen_range(1usize..100_000), rng.gen_range(2usize..65));
+        let strategy = arb_strategy(rng);
         let plan = SlabPlan::new(strategy, n, m);
         let mut next = 0usize;
         let mut groups = 0usize;
         for k in 0..plan.slab_count() {
             let range = plan.slab_range(k);
-            prop_assert_eq!(range.start, next);
-            prop_assert!(!range.is_empty());
+            assert_eq!(range.start, next);
+            assert!(!range.is_empty());
             if k + 1 < plan.slab_count() {
-                prop_assert_eq!(range.len() % m, 0, "non-terminal slab misaligned");
+                assert_eq!(range.len() % m, 0, "non-terminal slab misaligned");
             }
             groups += range.len().div_ceil(m);
             next = range.end;
         }
-        prop_assert_eq!(next, n);
-        prop_assert_eq!(groups, plan.total_groups());
-        prop_assert_eq!(groups, n.div_ceil(m));
-    }
+        assert_eq!(next, n);
+        assert_eq!(groups, plan.total_groups());
+        assert_eq!(groups, n.div_ceil(m));
+    });
+}
 
-    /// The nearest-neighbour sweep breaks distance ties exactly as the
-    /// literal scan does (lowest slab position), so `pack` equals
-    /// `pack_naive` on inputs made of ties: points on a coarse grid
-    /// (duplicates and collinear runs), optionally all on one horizontal
-    /// or one vertical line.
-    #[test]
-    fn pack_equals_pack_naive_on_duplicated_and_collinear_inputs(
-        coords in prop::collection::vec((0u8..12, 0u8..12), 1..400),
-        line in 0u8..3,
-    ) {
+/// The nearest-neighbour sweep breaks distance ties exactly as the
+/// literal scan does (lowest slab position), so `pack` equals
+/// `pack_naive` on inputs made of ties: points on a coarse grid
+/// (duplicates and collinear runs), optionally all on one horizontal
+/// or one vertical line.
+#[test]
+fn pack_equals_pack_naive_on_duplicated_and_collinear_inputs() {
+    for_cases(64, |rng| {
+        let (coords, line) = (arb_coords(rng, 1..400), rng.gen_range(0u8..3));
         let items: Vec<(Rect, ItemId)> = coords
             .iter()
             .enumerate()
@@ -164,20 +181,20 @@ proptest! {
             })
             .collect();
         let naive = pack_naive(items.clone(), RTreeConfig::PAPER);
-        prop_assert!(pack(items, RTreeConfig::PAPER) == naive);
-    }
+        assert!(pack(items, RTreeConfig::PAPER) == naive);
+    });
+}
 
-    /// On small inputs of ties and at any fan-out, the arena PACK writes
-    /// is the arena `freeze` compiles from its pointer tree.
-    #[test]
-    fn pack_frozen_equals_freeze_on_ties(
-        coords in prop::collection::vec((0u8..12, 0u8..12), 0..300),
-        m in 2usize..12,
-        strategy in arb_strategy(),
-    ) {
+/// On small inputs of ties and at any fan-out, the arena PACK writes
+/// is the arena `freeze` compiles from its pointer tree.
+#[test]
+fn pack_frozen_equals_freeze_on_ties() {
+    for_cases(64, |rng| {
+        let (coords, m) = (arb_coords(rng, 0..300), rng.gen_range(2usize..12));
+        let strategy = arb_strategy(rng);
         let items = items_at(coords.iter().map(|&(x, y)| (f64::from(x), f64::from(y))));
         let config = RTreeConfig::with_branching(m);
         let direct = pack_frozen(items.clone(), config, strategy);
-        prop_assert!(direct == frozen_via_pointer_tree(&items, config, strategy));
-    }
+        assert!(direct == frozen_via_pointer_tree(&items, config, strategy));
+    });
 }

@@ -1,100 +1,133 @@
 //! Property tests on spatial objects: consistency of the exact predicates
 //! that refine R-tree candidates.
 
-use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use rtree_geom::{Point, Rect, Region, Segment, SpatialObject};
+use std::{panic, thread};
 
-fn arb_point() -> impl Strategy<Value = Point> {
-    (-100.0..100.0f64, -100.0..100.0f64).prop_map(|(x, y)| Point::new(x, y))
+/// Runs `body` on `cases` generators seeded `1985 + k`; a failing case names its test and `k`.
+fn for_cases(cases: u64, mut body: impl FnMut(&mut StdRng)) {
+    for k in 0..cases {
+        let mut rng = StdRng::seed_from_u64(1985 + k);
+        if let Err(cause) = panic::catch_unwind(panic::AssertUnwindSafe(|| body(&mut rng))) {
+            let test = thread::current();
+            eprintln!("{}: case {k} failed", test.name().unwrap_or("?"));
+            panic::resume_unwind(cause);
+        }
+    }
 }
 
-fn arb_window() -> impl Strategy<Value = Rect> {
-    (arb_point(), arb_point()).prop_map(|(a, b)| Rect::from_corners(a, b))
+fn arb_point(rng: &mut StdRng) -> Point {
+    Point::new(rng.gen_range(-100.0..100.0), rng.gen_range(-100.0..100.0))
 }
 
-fn arb_object() -> impl Strategy<Value = SpatialObject> {
-    prop_oneof![
-        arb_point().prop_map(SpatialObject::Point),
-        (arb_point(), arb_point()).prop_map(|(a, b)| SpatialObject::Segment(Segment::new(a, b))),
-        arb_window().prop_map(|r| SpatialObject::Region(Region::rectangle(r))),
-        prop::collection::vec(arb_point(), 3..8).prop_filter_map("degenerate polygon", |pts| {
-            Region::new(pts).ok().map(SpatialObject::Region)
-        }),
-    ]
+fn arb_window(rng: &mut StdRng) -> Rect {
+    Rect::from_corners(arb_point(rng), arb_point(rng))
 }
 
-proptest! {
-    /// `within_window ⇒ intersects_window` (containment is stronger).
-    #[test]
-    fn within_implies_intersects(obj in arb_object(), w in arb_window()) {
+fn arb_vertices(rng: &mut StdRng) -> Vec<Point> {
+    (0..rng.gen_range(3..8)).map(|_| arb_point(rng)).collect()
+}
+
+fn arb_object(rng: &mut StdRng) -> SpatialObject {
+    match rng.gen_range(0..4) {
+        0 => SpatialObject::Point(arb_point(rng)),
+        1 => SpatialObject::Segment(Segment::new(arb_point(rng), arb_point(rng))),
+        2 => SpatialObject::Region(Region::rectangle(arb_window(rng))),
+        _ => (0..1000)
+            .find_map(|_| Region::new(arb_vertices(rng)).ok())
+            .map(SpatialObject::Region)
+            .expect("1000 degenerate polygons in a row"),
+    }
+}
+
+/// `within_window ⇒ intersects_window` (containment is stronger).
+#[test]
+fn within_implies_intersects() {
+    for_cases(256, |rng| {
+        let (obj, w) = (arb_object(rng), arb_window(rng));
         if obj.within_window(&w) {
-            prop_assert!(obj.intersects_window(&w), "{obj} within {w} but not intersecting");
+            assert!(obj.intersects_window(&w), "{obj} is within {w}");
         }
-    }
+    });
+}
 
-    /// The MBR is a sound filter: if the exact test says the object
-    /// touches the window, the MBR must intersect it too.
-    #[test]
-    fn mbr_filter_is_sound(obj in arb_object(), w in arb_window()) {
+/// The MBR is a sound filter: if the exact test says the object
+/// touches the window, the MBR must intersect it too.
+#[test]
+fn mbr_filter_is_sound() {
+    for_cases(256, |rng| {
+        let (obj, w) = (arb_object(rng), arb_window(rng));
         if obj.intersects_window(&w) {
-            prop_assert!(obj.mbr().intersects(&w));
+            assert!(obj.mbr().intersects(&w));
         }
-    }
+    });
+}
 
-    /// The MBR contains the representative point and every polygon vertex.
-    #[test]
-    fn mbr_contains_representative(obj in arb_object()) {
-        prop_assert!(obj.mbr().contains_point(obj.representative()));
+/// The MBR contains the representative point and every polygon vertex.
+#[test]
+fn mbr_contains_representative() {
+    for_cases(256, |rng| {
+        let obj = arb_object(rng);
+        assert!(obj.mbr().contains_point(obj.representative()));
         if let SpatialObject::Region(r) = &obj {
             for &v in r.vertices() {
-                prop_assert!(obj.mbr().contains_point(v));
+                assert!(obj.mbr().contains_point(v));
             }
         }
-    }
+    });
+}
 
-    /// Object covered by its own MBR.
-    #[test]
-    fn object_within_own_mbr(obj in arb_object()) {
-        prop_assert!(obj.within_window(&obj.mbr()));
-        prop_assert!(obj.intersects_window(&obj.mbr()));
-    }
+/// Object covered by its own MBR.
+#[test]
+fn object_within_own_mbr() {
+    for_cases(256, |rng| {
+        let obj = arb_object(rng);
+        assert!(obj.within_window(&obj.mbr()));
+        assert!(obj.intersects_window(&obj.mbr()));
+    });
+}
 
-    /// Window fully containing the MBR ⇒ within; disjoint MBR ⇒ not
-    /// intersecting (the two pruning directions R-tree search relies on).
-    #[test]
-    fn pruning_directions(obj in arb_object(), w in arb_window()) {
+/// Window fully containing the MBR ⇒ within; disjoint MBR ⇒ not
+/// intersecting (the two pruning directions R-tree search relies on).
+#[test]
+fn pruning_directions() {
+    for_cases(256, |rng| {
+        let (obj, w) = (arb_object(rng), arb_window(rng));
         if w.covers(&obj.mbr()) {
-            prop_assert!(obj.within_window(&w));
+            assert!(obj.within_window(&w));
         }
         if !w.intersects(&obj.mbr()) {
-            prop_assert!(!obj.intersects_window(&w));
+            assert!(!obj.intersects_window(&w));
         }
-    }
+    });
+}
 
-    /// Segment/rect intersection is symmetric in the segment's endpoint
-    /// order.
-    #[test]
-    fn segment_direction_irrelevant(a in arb_point(), b in arb_point(), w in arb_window()) {
+/// Segment/rect intersection is symmetric in the segment's endpoint
+/// order.
+#[test]
+fn segment_direction_irrelevant() {
+    for_cases(256, |rng| {
+        let (a, b, w) = (arb_point(rng), arb_point(rng), arb_window(rng));
         let fwd = Segment::new(a, b).intersects_rect(&w);
         let rev = Segment::new(b, a).intersects_rect(&w);
-        prop_assert_eq!(fwd, rev);
-    }
+        assert_eq!(fwd, rev);
+    });
+}
 
-    /// Region area is invariant under vertex rotation of the boundary
-    /// list, and contains_point is stable across it.
-    #[test]
-    fn region_vertex_rotation_invariance(
-        pts in prop::collection::vec(arb_point(), 3..8),
-        probe in arb_point(),
-        shift in 0usize..8,
-    ) {
+/// Region area is invariant under vertex rotation of the boundary
+/// list, and contains_point is stable across it.
+#[test]
+fn region_vertex_rotation_invariance() {
+    for_cases(256, |rng| {
+        let (pts, probe, shift) = (arb_vertices(rng), arb_point(rng), rng.gen_range(0..8usize));
         if let Ok(region) = Region::new(pts.clone()) {
             let n = pts.len();
             let mut rotated = pts.clone();
             rotated.rotate_left(shift % n);
             let region2 = Region::new(rotated).expect("same vertex count");
-            prop_assert!((region.area() - region2.area()).abs() < 1e-9);
-            prop_assert_eq!(region.contains_point(probe), region2.contains_point(probe));
+            assert!((region.area() - region2.area()).abs() < 1e-9);
+            assert_eq!(region.contains_point(probe), region2.contains_point(probe));
         }
-    }
+    });
 }

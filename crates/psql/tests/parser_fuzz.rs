@@ -1,40 +1,74 @@
 //! Robustness: the PSQL front end must never panic, whatever the input.
 
-use proptest::prelude::*;
 use psql::database::PictorialDatabase;
 use psql::exec::execute;
 use psql::lexer::lex;
 use psql::parser::{parse_query, MAX_NESTING};
 use psql::plan::plan;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::{panic, thread};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// Runs `body` on `cases` generators seeded `1985 + k`; a failing case names its test and `k`.
+fn for_cases(cases: u64, mut body: impl FnMut(&mut StdRng)) {
+    for k in 0..cases {
+        let mut rng = StdRng::seed_from_u64(1985 + k);
+        if let Err(cause) = panic::catch_unwind(panic::AssertUnwindSafe(|| body(&mut rng))) {
+            let test = thread::current();
+            eprintln!("{}: case {k} failed", test.name().unwrap_or("?"));
+            panic::resume_unwind(cause);
+        }
+    }
+}
 
-    /// The lexer returns Ok or Err on arbitrary bytes — never panics.
-    #[test]
-    fn lexer_total_on_arbitrary_strings(input in ".*") {
+/// A printable ASCII character, `' '` to `'~'`.
+fn printable(rng: &mut StdRng) -> char {
+    char::from(rng.gen_range(b' '..=b'~'))
+}
+
+/// One of the space-separated `words`, uniformly.
+fn pick<'a>(rng: &mut StdRng, words: &'a str) -> &'a str {
+    let words: Vec<&str> = words.split(' ').collect();
+    words[rng.gen_range(0..words.len())]
+}
+
+/// The lexer never panics on up to 64 characters, one in eight awkward
+/// (whitespace, NUL, quotes, non-ASCII) and the rest printable ASCII.
+#[test]
+fn lexer_total_on_arbitrary_strings() {
+    const AWKWARD: [char; 8] = ['\n', '\t', '\0', 'é', '→', '𝄞', '"', '\''];
+    for_cases(256, |rng| {
+        let input: String = (0..rng.gen_range(0..=64))
+            .map(|_| match rng.gen_range(0..8) {
+                0 => AWKWARD[rng.gen_range(0..AWKWARD.len())],
+                _ => printable(rng),
+            })
+            .collect();
         let _ = lex(&input);
-    }
+    });
+}
 
-    /// The parser is total on arbitrary ASCII-ish strings.
-    #[test]
-    fn parser_total_on_arbitrary_strings(input in "[ -~]{0,200}") {
+/// The parser is total on up to 200 printable ASCII characters.
+#[test]
+fn parser_total_on_arbitrary_strings() {
+    for_cases(256, |rng| {
+        let len = rng.gen_range(0..=200);
+        let input: String = (0..len).map(|_| printable(rng)).collect();
         let _ = parse_query(&input);
-    }
+    });
+}
 
-    /// Grammar-shaped random queries parse + plan + execute without
-    /// panicking (they may legitimately fail with semantic errors).
-    #[test]
-    fn pipeline_total_on_grammarish_queries(
-        col in prop::sample::select(vec!["city", "state", "population", "loc", "zone", "bogus"]),
-        rel in prop::sample::select(vec!["cities", "time-zones", "lakes", "nowhere"]),
-        pic in prop::sample::select(vec!["us-map", "time-zone-map", "mars-map"]),
-        op in prop::sample::select(vec!["covering", "covered-by", "overlapping", "disjoined"]),
-        cx in 0.0..100.0f64,
-        dx in 0.0..60.0f64,
-        threshold in 0i64..20_000_000,
-    ) {
-        let db = PictorialDatabase::with_us_map();
+/// Grammar-shaped random queries parse + plan + execute without
+/// panicking (they may legitimately fail with semantic errors).
+#[test]
+fn pipeline_total_on_grammarish_queries() {
+    let db = PictorialDatabase::with_us_map();
+    for_cases(256, |rng| {
+        let col = pick(rng, "city state population loc zone bogus");
+        let rel = pick(rng, "cities time-zones lakes nowhere");
+        let pic = pick(rng, "us-map time-zone-map mars-map");
+        let op = pick(rng, "covering covered-by overlapping disjoined");
+        let (cx, dx) = (rng.gen_range(0.0..100.0), rng.gen_range(0.0..60.0));
+        let threshold = rng.gen_range(0i64..20_000_000);
         let text = format!(
             "select {col} from {rel} on {pic} at loc {op} {{{cx} +- {dx}, 25 +- 25}} \
              where population > {threshold}"
@@ -45,7 +79,7 @@ proptest! {
                 let _ = execute(&db, &q);
             }
         }
-    }
+    });
 }
 
 /// Deterministic regression corpus of nasty inputs. The deep ones each

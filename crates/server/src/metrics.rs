@@ -42,7 +42,8 @@ impl Counter {
 }
 
 /// Number of histogram buckets: bucket `i` counts samples with
-/// `latency_µs < 2^i`, the last bucket is unbounded (≳ 34 minutes).
+/// `latency_µs < 2^i`, except the last, which counts every sample of
+/// 2^30 µs (≈ 17.9 minutes) or more and has no upper bound.
 const BUCKETS: usize = 32;
 
 /// A log₂-bucketed latency histogram over microseconds.
@@ -102,9 +103,10 @@ impl Histogram {
         format!("[{}]", cells.join(","))
     }
 
-    /// Upper bound (µs) of the bucket containing quantile `q ∈ [0, 1]`.
-    /// Resolution is a factor of two — good enough to tell 100µs from
-    /// 10ms, which is what operational percentiles are for.
+    /// Upper bound (µs) of the bucket containing quantile `q ∈ [0, 1]`,
+    /// `u64::MAX` for the unbounded last bucket. Resolution is a factor
+    /// of two — good enough to tell 100µs from 10ms, which is what
+    /// operational percentiles are for.
     pub fn quantile_micros(&self, q: f64) -> u64 {
         let n = self.count();
         if n == 0 {
@@ -115,7 +117,11 @@ impl Histogram {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= rank {
-                return if i >= 63 { u64::MAX } else { (1u64 << i) - 1 };
+                return if i == BUCKETS - 1 {
+                    u64::MAX
+                } else {
+                    (1u64 << i) - 1
+                };
             }
         }
         u64::MAX
@@ -358,6 +364,15 @@ mod tests {
         assert_eq!(h.quantile_micros(0.90), 127);
         assert_eq!(h.quantile_micros(0.99), 16383);
         assert!(h.mean_micros() > 100.0 && h.mean_micros() < 10_000.0);
+    }
+
+    #[test]
+    fn last_bucket_has_no_upper_bound() {
+        let h = Histogram::default();
+        h.record(Duration::from_secs(3 * 60 * 60));
+        assert_eq!(h.quantile_micros(1.0), u64::MAX);
+        h.record(Duration::from_micros((1 << 30) - 1));
+        assert_eq!(h.quantile_micros(0.5), (1 << 30) - 1);
     }
 
     #[test]

@@ -14,14 +14,12 @@
 //! against an earlier snapshot's trees is ever served against a later
 //! one.
 //!
-//! Locking: one mutex over the table, held only for HashMap operations —
-//! parsing and planning (the expensive parts) run outside the lock. Two
-//! threads may race to prepare the same text; both succeed, last insert
-//! wins, and the loser's work is wasted rather than serialized.
+//! The table is plain data: the thread that answers queries (the
+//! reactor, or the simulation) owns it, and nothing else reads it.
 
 use psql::plan::Plan;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One cached plan: the epoch it is valid for, and the plan.
 struct Entry {
@@ -31,17 +29,13 @@ struct Entry {
     last_used: u64,
 }
 
-struct State {
-    map: HashMap<String, Entry>,
-    /// Monotone logical clock; bumped on every touch.
-    tick: u64,
-}
-
 /// The bounded LRU table. Capacity `0` disables caching entirely (every
 /// probe misses, every store is dropped).
 pub struct PlanCache {
     capacity: usize,
-    state: Mutex<State>,
+    map: HashMap<String, Entry>,
+    /// Monotone logical clock; bumped on every touch.
+    tick: u64,
 }
 
 impl PlanCache {
@@ -49,72 +43,62 @@ impl PlanCache {
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
             capacity,
-            state: Mutex::new(State {
-                map: HashMap::new(),
-                tick: 0,
-            }),
+            map: HashMap::new(),
+            tick: 0,
         }
     }
 
     /// The plan cached for `text` if it is stamped with `epoch`; `None`
     /// is a miss, and the caller parses, plans and offers the plan back
     /// through [`PlanCache::store`].
-    pub fn get(&self, text: &str, epoch: u64) -> Option<Arc<Plan>> {
+    pub fn get(&mut self, text: &str, epoch: u64) -> Option<Arc<Plan>> {
         if self.capacity == 0 {
             return None;
         }
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.tick += 1;
-        let tick = state.tick;
-        let entry = state.map.get_mut(text)?;
-        entry.last_used = tick;
+        self.tick += 1;
+        let entry = self.map.get_mut(text)?;
+        entry.last_used = self.tick;
         (entry.epoch == epoch).then(|| Arc::clone(&entry.plan))
     }
 
     /// Caches `plan` for `text`, stamped with `epoch`, replacing any
     /// older stamp. Returns `true` when the insert evicted another entry
     /// to make room.
-    pub fn store(&self, text: &str, epoch: u64, plan: Arc<Plan>) -> bool {
+    pub fn store(&mut self, text: &str, epoch: u64, plan: Arc<Plan>) -> bool {
         if self.capacity == 0 {
             return false;
         }
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.tick += 1;
-        let tick = state.tick;
+        self.tick += 1;
         let entry = Entry {
             epoch,
             plan,
-            last_used: tick,
+            last_used: self.tick,
         };
-        if let Some(existing) = state.map.get_mut(text) {
+        if let Some(existing) = self.map.get_mut(text) {
             *existing = entry;
             return false;
         }
         let mut evicted = false;
-        if state.map.len() >= self.capacity {
+        if self.map.len() >= self.capacity {
             // Linear LRU scan: the capacity is small (hundreds), misses
             // are already paying a parse, and this keeps the entry flat.
-            if let Some(oldest) = state
+            if let Some(oldest) = self
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             {
-                state.map.remove(&oldest);
+                self.map.remove(&oldest);
                 evicted = true;
             }
         }
-        state.map.insert(text.to_owned(), entry);
+        self.map.insert(text.to_owned(), entry);
         evicted
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .len()
+        self.map.len()
     }
 
     /// `true` when nothing is cached.
@@ -139,7 +123,7 @@ mod tests {
     #[test]
     fn miss_store_hit_cycle() {
         let db = PictorialDatabase::with_us_map();
-        let cache = PlanCache::new(4);
+        let mut cache = PlanCache::new(4);
         assert!(cache.get(Q1, 1).is_none());
         let p = prep(Q1, &db);
         cache.store(Q1, 1, Arc::clone(&p));
@@ -152,7 +136,7 @@ mod tests {
     #[test]
     fn restamping_updates_the_epoch() {
         let db = PictorialDatabase::with_us_map();
-        let cache = PlanCache::new(4);
+        let mut cache = PlanCache::new(4);
         let p = prep(Q1, &db);
         cache.store(Q1, 1, Arc::clone(&p));
         // Re-plan at epoch 3 and store over the stale stamp.
@@ -165,7 +149,7 @@ mod tests {
     #[test]
     fn lru_evicts_the_coldest_entry() {
         let db = PictorialDatabase::with_us_map();
-        let cache = PlanCache::new(2);
+        let mut cache = PlanCache::new(2);
         assert!(!cache.store(Q1, 1, prep(Q1, &db)));
         assert!(!cache.store(Q2, 1, prep(Q2, &db)));
         // Touch Q1 so Q2 is the LRU victim.
@@ -180,7 +164,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let db = PictorialDatabase::with_us_map();
-        let cache = PlanCache::new(0);
+        let mut cache = PlanCache::new(0);
         assert!(!cache.store(Q1, 1, prep(Q1, &db)));
         assert!(cache.get(Q1, 1).is_none());
         assert!(cache.is_empty());

@@ -333,7 +333,7 @@ fn run(listener: TcpListener, shared: &Shared) -> io::Result<()> {
     let mut rbuf = vec![0u8; 16 * 1024];
     let mut done: Vec<(u64, Response)> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();
-    let mut inline = Inline::new(Instant::now());
+    let mut inline = Inline::new(Instant::now(), shared.config.plan_cache_capacity);
     let mut draining = false;
     let mut drain_deadline: Option<Instant> = None;
 

@@ -154,6 +154,8 @@ pub(crate) struct Inline {
     /// The clock of the current turn: a request read in it arrived then.
     pub(crate) now: Instant,
     scratch: SearchScratch,
+    /// The cached-plan table every query is answered through.
+    plans: PlanCache,
     /// Queries waiting out a `#sleep`, by due time (ties in arrival
     /// order).
     parked: Vec<(Instant, Job<String>)>,
@@ -163,10 +165,11 @@ pub(crate) struct Inline {
 }
 
 impl Inline {
-    pub(crate) fn new(now: Instant) -> Inline {
+    pub(crate) fn new(now: Instant, plan_cache_capacity: usize) -> Inline {
         Inline {
             now,
             scratch: SearchScratch::new(),
+            plans: PlanCache::new(plan_cache_capacity),
             parked: Vec::new(),
             inserts: Vec::new(),
         }
@@ -199,9 +202,11 @@ impl Inline {
         }
         let due = self.parked.partition_point(|(due, _)| *due <= now);
         if due > 0 {
-            let (snap, scratch) = (shared.snapshots.load(), &mut self.scratch);
+            let snap = shared.snapshots.load();
+            let (plans, scratch) = (&mut self.plans, &mut self.scratch);
             for (_, job) in self.parked.drain(..due) {
-                let response = answer(shared, &snap, job.id, &job.what, job.deadline, scratch);
+                let (id, text) = (job.id, &job.what);
+                let response = answer(shared, &snap, id, text, job.deadline, plans, scratch);
                 deliver(job.token, &response);
             }
         }
@@ -219,7 +224,6 @@ pub(crate) struct Shared {
     /// `REPACK`s waiting for a rebuild. The rebuild thread drains the
     /// slot whole, so several waiting at once share one rebuild.
     pub(crate) repacks: BoundedQueue<Repack>,
-    pub(crate) plans: PlanCache,
     /// Where the workers and the rebuild thread leave their answers.
     pub(crate) notifier: Notifier,
     pub(crate) shutting_down: AtomicBool,
@@ -253,7 +257,6 @@ impl Shared {
         let shared = Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             repacks: BoundedQueue::new(4),
-            plans: PlanCache::new(config.plan_cache_capacity),
             notifier: Notifier::new()?,
             config,
             snapshots: Arc::new(SnapshotCell::new(db)),
@@ -509,7 +512,7 @@ pub(crate) fn handle_frame(
             shared
                 .metrics
                 .plan_cache_entries
-                .store(shared.plans.len() as u64);
+                .store(inline.plans.len() as u64);
             let json = shared.metrics.to_json(
                 shared.snapshots.current_epoch(),
                 shared.queue.depth(),
@@ -561,7 +564,8 @@ pub(crate) fn handle_frame(
                 }
                 _ => {
                     let snapshot = shared.snapshots.load();
-                    answer(shared, &snapshot, id, &text, deadline, &mut inline.scratch)
+                    let (plans, scratch) = (&mut inline.plans, &mut inline.scratch);
+                    answer(shared, &snapshot, id, &text, deadline, plans, scratch)
                 }
             }
         }
@@ -895,6 +899,7 @@ pub(crate) fn answer(
     id: u64,
     text: &str,
     deadline: Instant,
+    plans: &mut PlanCache,
     scratch: &mut SearchScratch,
 ) -> Response {
     let metrics = &shared.metrics;
@@ -913,7 +918,7 @@ pub(crate) fn answer(
             Some((_, query)) => query,
             None => text.trim(),
         };
-        let plan = match shared.plans.get(text, snapshot.epoch) {
+        let plan = match plans.get(text, snapshot.epoch) {
             Some(plan) => {
                 metrics.plan_cache_hits.incr();
                 plan
@@ -922,7 +927,7 @@ pub(crate) fn answer(
                 metrics.plan_cache_misses.incr();
                 let query = psql::parse_query(text)?;
                 let plan = Arc::new(psql::plan::plan(&snapshot.db, &query)?);
-                if shared.plans.store(text, snapshot.epoch, Arc::clone(&plan)) {
+                if plans.store(text, snapshot.epoch, Arc::clone(&plan)) {
                     metrics.plan_cache_evictions.incr();
                 }
                 plan
@@ -1083,36 +1088,35 @@ mod tests {
         }
     }
 
-    /// The database side alone, with no listener, socket or thread.
-    fn database_side() -> Shared {
+    /// The database side alone, with no listener, socket or thread, and
+    /// the plan cache of the thread that answers its queries.
+    fn database_side() -> (Shared, PlanCache) {
         let config = ServerConfig {
             plan_cache_capacity: 16,
             ..ServerConfig::default()
         };
-        Shared::new(
-            PictorialDatabase::with_us_map(),
-            config,
-            None,
-            Metrics::default(),
-        )
-        .expect("eventfd")
+        let plans = PlanCache::new(config.plan_cache_capacity);
+        let db = PictorialDatabase::with_us_map();
+        let shared = Shared::new(db, config, None, Metrics::default()).expect("eventfd");
+        (shared, plans)
     }
 
-    /// `answer` at `epoch` of `db`, with a deadline far off.
-    fn ask(shared: &Shared, db: &PictorialDatabase, epoch: u64, text: &str) -> Response {
+    /// `answer` at `epoch` of `db` through `plans`, with a deadline far
+    /// off.
+    fn ask(
+        shared: &Shared,
+        plans: &mut PlanCache,
+        db: &PictorialDatabase,
+        epoch: u64,
+        text: &str,
+    ) -> Response {
         let snapshot = DatabaseSnapshot {
             epoch,
             db: db.clone(),
         };
         let deadline = Instant::now() + Duration::from_secs(60);
-        answer(
-            shared,
-            &snapshot,
-            7,
-            text,
-            deadline,
-            &mut SearchScratch::new(),
-        )
+        let scratch = &mut SearchScratch::new();
+        answer(shared, &snapshot, 7, text, deadline, plans, scratch)
     }
 
     fn rows(response: Response) -> ResultSet {
@@ -1130,21 +1134,27 @@ mod tests {
             Ok(Some((30, "select zone from time-zones")))
         );
         assert_eq!(sleep_directive("#sleep 99999"), Ok(Some((10_000, ""))));
-        let shared = database_side();
+        let (shared, mut plans) = database_side();
         let db = PictorialDatabase::with_us_map();
         // `answer` skips the directive: its sleep was served parked.
         let t0 = Instant::now();
-        let r = rows(ask(&shared, &db, 1, "#sleep 10000"));
+        let r = rows(ask(&shared, &mut plans, &db, 1, "#sleep 10000"));
         assert!(t0.elapsed() < Duration::from_secs(5), "answer slept");
         assert!(r.is_empty());
         // Directive followed by a real query.
-        let r = rows(ask(&shared, &db, 1, "#sleep 1 select zone from time-zones"));
+        let r = rows(ask(
+            &shared,
+            &mut plans,
+            &db,
+            1,
+            "#sleep 1 select zone from time-zones",
+        ));
         assert_eq!(r.len(), 4);
         // The directive's trailing query went through the plan cache.
         assert_eq!(shared.metrics.plan_cache_misses.get(), 1);
         // Bad millis is a parse error, not a hang.
         assert!(matches!(
-            ask(&shared, &db, 1, "#sleep lots"),
+            ask(&shared, &mut plans, &db, 1, "#sleep lots"),
             Response::Error {
                 kind: ErrorKind::Parse,
                 ..
@@ -1154,27 +1164,27 @@ mod tests {
 
     #[test]
     fn repeated_query_hits_the_plan_cache() {
-        let shared = database_side();
+        let (shared, mut plans) = database_side();
         let db = PictorialDatabase::with_us_map();
         let metrics = &shared.metrics;
         let text = "select city from cities on us-map at loc covered-by {82.5 +- 17.5, 25 +- 20}";
-        let first = rows(ask(&shared, &db, 1, text));
-        let second = rows(ask(&shared, &db, 1, text));
+        let first = rows(ask(&shared, &mut plans, &db, 1, text));
+        let second = rows(ask(&shared, &mut plans, &db, 1, text));
         assert_eq!(first, second);
         assert_eq!(metrics.plan_cache_misses.get(), 1);
         assert_eq!(metrics.plan_cache_hits.get(), 1);
         // A new epoch is a miss, then re-stamps.
-        let third = rows(ask(&shared, &db, 2, text));
+        let third = rows(ask(&shared, &mut plans, &db, 2, text));
         assert_eq!(first, third);
         assert_eq!(metrics.plan_cache_misses.get(), 2);
-        let fourth = rows(ask(&shared, &db, 2, text));
+        let fourth = rows(ask(&shared, &mut plans, &db, 2, text));
         assert_eq!(first, fourth);
         assert_eq!(metrics.plan_cache_hits.get(), 2);
         // A REPACK replaces every tree the plan was compiled against and
         // publishes under a new epoch; the stamp alone retires the plan.
         let mut repacked = db.clone();
         repacked.pack_all();
-        let fifth = rows(ask(&shared, &repacked, 3, text));
+        let fifth = rows(ask(&shared, &mut plans, &repacked, 3, text));
         assert_eq!(first, fifth);
         assert_eq!(metrics.plan_cache_misses.get(), 3, "a miss");
         assert_eq!(metrics.plan_cache_hits.get(), 2, "not a plan hit");
@@ -1182,18 +1192,18 @@ mod tests {
 
     #[test]
     fn parse_errors_are_not_cached() {
-        let shared = database_side();
+        let (shared, mut plans) = database_side();
         let db = PictorialDatabase::with_us_map();
         for _ in 0..3 {
             assert!(matches!(
-                ask(&shared, &db, 1, "selectt nonsense"),
+                ask(&shared, &mut plans, &db, 1, "selectt nonsense"),
                 Response::Error {
                     kind: ErrorKind::Parse,
                     ..
                 }
             ));
         }
-        assert!(shared.plans.is_empty());
+        assert!(plans.is_empty());
         assert_eq!(shared.metrics.plan_cache_misses.get(), 3);
     }
 }

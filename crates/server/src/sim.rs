@@ -156,7 +156,7 @@ impl World {
             base_len,
             expected: HashMap::new(),
             peers: (0..PEERS).map(|i| Peer::new(1, i)).collect(),
-            inline: Inline::new(clock),
+            inline: Inline::new(clock, config().plan_cache_capacity),
             clock,
             generation: 1,
             next_id: 1,
@@ -373,7 +373,7 @@ impl World {
     /// flight go with it, and the peers reconnect.
     fn crashed(&mut self) {
         self.tally.crashes += 1;
-        self.inline = Inline::new(self.clock);
+        self.inline = Inline::new(self.clock, config().plan_cache_capacity);
         self.generation += 1;
         self.peers = (0..PEERS).map(|i| Peer::new(self.generation, i)).collect();
     }

@@ -17,10 +17,11 @@
 //!   knobs a connection-storm needs (`RLIMIT_NOFILE` and a deeper accept
 //!   backlog than std's fixed 128).
 //!
-//! All `unsafe` in the workspace lives here, confined to the raw
-//! syscall boundary; every wrapper returns `io::Result` mapped from
-//! `errno`. The declarations are `extern "C"` against the libc that std
-//! already links — no new dependency.
+//! The workspace's `unsafe` lives here, confined to the raw syscall
+//! boundary, and in storage's `PCLMULQDQ` CRC kernel. Every wrapper
+//! returns `io::Result` mapped from `errno`. The declarations are
+//! `extern "C"` against the libc that std already links — no new
+//! dependency.
 
 #![cfg(target_os = "linux")]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -31,7 +32,7 @@ use std::os::raw::{c_int, c_uint, c_void};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
-// Raw syscall surface (the only unsafe in the workspace)
+// Raw syscall surface (the only unsafe in this crate)
 // ---------------------------------------------------------------------
 
 /// Linux `struct epoll_event`. Packed on x86-64 (the kernel ABI), C
