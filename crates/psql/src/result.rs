@@ -5,7 +5,7 @@
 //! the qualifying spatial objects and the standard terminal displays the
 //! alphanumeric data."
 
-use pictorial_relational::Value;
+use pictorial_relational::{Value, ValueRef};
 use std::fmt;
 
 /// A qualifying spatial object to highlight on the graphics output.
@@ -46,6 +46,91 @@ impl ResultSet {
     pub fn column(&self, name: &str) -> Option<Vec<&Value>> {
         let idx = self.columns.iter().position(|c| c == name)?;
         Some(self.rows.iter().map(|r| &r[idx]).collect())
+    }
+
+    /// Hands the whole result to `sink` in the order the executor
+    /// writes one.
+    pub fn replay(&self, sink: &mut impl ResultSink) {
+        sink.columns(self.columns.len());
+        for name in &self.columns {
+            sink.column(name);
+        }
+        sink.rows(self.rows.len());
+        for row in &self.rows {
+            sink.row();
+            for value in row {
+                sink.value(value.as_ref());
+            }
+        }
+        sink.highlights(self.highlights.len());
+        for h in &self.highlights {
+            sink.highlight(&h.picture, h.object, &h.label);
+        }
+    }
+}
+
+/// Where the executor writes a result, in the order the wire carries
+/// one: the column names, then each row's values, then the highlights,
+/// each list announced by its length. Values, names and labels are
+/// borrowed from the database for the length of the call, so a sink
+/// that encodes them copies each once and one that keeps them owns
+/// them. The sink is a type parameter of the executor, chosen at
+/// compile time: a [`ResultSet`] for library callers, the server's
+/// response frame for a served query.
+///
+/// A query that fails stops part-way through; whatever it wrote is the
+/// caller's to discard.
+pub trait ResultSink {
+    /// `count` column names follow.
+    fn columns(&mut self, count: usize);
+    /// One output column's name.
+    fn column(&mut self, name: &str);
+    /// `count` rows follow.
+    fn rows(&mut self, count: usize);
+    /// A row starts; one value per column follows.
+    fn row(&mut self);
+    /// The next value of the current row.
+    fn value(&mut self, value: ValueRef<'_>);
+    /// `count` highlights follow.
+    fn highlights(&mut self, count: usize);
+    /// One qualifying object for the graphics monitor.
+    fn highlight(&mut self, picture: &str, object: u64, label: &str);
+}
+
+/// Keeps the result: every value, name and label is copied out.
+impl ResultSink for ResultSet {
+    fn columns(&mut self, count: usize) {
+        self.columns.reserve(count);
+    }
+
+    fn column(&mut self, name: &str) {
+        self.columns.push(name.to_owned());
+    }
+
+    fn rows(&mut self, count: usize) {
+        self.rows.reserve(count);
+    }
+
+    fn row(&mut self) {
+        self.rows.push(Vec::with_capacity(self.columns.len()));
+    }
+
+    fn value(&mut self, value: ValueRef<'_>) {
+        if let Some(row) = self.rows.last_mut() {
+            row.push(value.to_value());
+        }
+    }
+
+    fn highlights(&mut self, count: usize) {
+        self.highlights.reserve(count);
+    }
+
+    fn highlight(&mut self, picture: &str, object: u64, label: &str) {
+        self.highlights.push(Highlight {
+            picture: picture.to_owned(),
+            object,
+            label: label.to_owned(),
+        });
     }
 }
 
@@ -125,6 +210,19 @@ mod tests {
         assert!(text.contains("| city   |"), "got:\n{text}");
         assert!(text.contains("| Boston |"));
         assert!(text.contains("(2 rows)"));
+    }
+
+    #[test]
+    fn replay_into_a_result_set_copies_it() {
+        let mut r = sample();
+        r.highlights.push(Highlight {
+            picture: "us-map".into(),
+            object: 7,
+            label: "Boston".into(),
+        });
+        let mut copy = ResultSet::default();
+        r.replay(&mut copy);
+        assert_eq!(copy, r);
     }
 
     #[test]

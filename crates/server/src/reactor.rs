@@ -173,7 +173,8 @@ impl Conn {
                         "frame of {len} bytes exceeds limit {MAX_FRAME_LEN}; closing connection"
                     );
                     let (id, kind) = (0, ErrorKind::Protocol);
-                    self.queue(&Response::Error { id, kind, message });
+                    let response = Response::Error { id, kind, message };
+                    self.queue(|out| encode_response_frame(&response, out));
                     self.closing = true;
                     return true;
                 }
@@ -190,12 +191,21 @@ impl Conn {
 
     /// Answers one dispatched request.
     pub(crate) fn answer(&mut self, resp: &Response) {
-        self.awaiting = self.awaiting.saturating_sub(1);
-        self.queue(resp);
+        self.answer_with(|out| encode_response_frame(resp, out));
     }
 
-    /// Encodes `resp` as one frame straight into the unwritten bytes.
-    fn queue(&mut self, resp: &Response) {
+    /// Answers one dispatched request with the one frame `encode`
+    /// appends to the unwritten bytes — how a query's result is encoded
+    /// straight from the database into the connection. A connection
+    /// given up past the backlog cap is written nothing more, so
+    /// `encode` is not called.
+    pub(crate) fn answer_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        self.awaiting = self.awaiting.saturating_sub(1);
+        self.queue(encode);
+    }
+
+    /// Lets `encode` append one frame to the unwritten bytes.
+    fn queue(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
         if self.dead {
             return;
         }
@@ -206,7 +216,7 @@ impl Conn {
             self.out.drain(..self.sent);
             self.sent = 0;
         }
-        encode_response_frame(resp, &mut self.out);
+        encode(&mut self.out);
         if self.unsent().len() > MAX_CONN_BACKLOG_BYTES {
             // The client stopped reading; cut it loose rather than
             // buffer without bound.
@@ -396,20 +406,16 @@ fn run(listener: TcpListener, shared: &Shared) -> io::Result<()> {
         // End the turn — queue its inserts, answer the parked queries now
         // due — and deliver what other threads finished, then flush each
         // slot that got an answer or saw an event this turn.
-        let mut deliver = |token, response: &Response| {
+        let mut deliver = |token, answer: &mut dyn FnMut(&mut Conn)| {
             if let Some(idx) = live(&slots, token) {
-                slots[idx]
-                    .as_mut()
-                    .expect("live slot")
-                    .conn
-                    .answer(response);
+                answer(&mut slots[idx].as_mut().expect("live slot").conn);
                 touched.push(idx);
             }
         };
         inline.end_turn(shared, Instant::now(), &mut deliver);
         shared.notifier.take(&mut done);
         for (token, response) in done.drain(..) {
-            deliver(token, &response);
+            deliver(token, &mut |conn| conn.answer(&response));
         }
         touched.sort_unstable();
         touched.dedup();
@@ -755,6 +761,24 @@ mod tests {
         // Answers after that are dropped.
         conn.answer(&Response::Pong { id: 2 });
         assert!(conn.unsent().is_empty());
+    }
+
+    #[test]
+    fn answer_with_appends_one_frame_and_respects_the_cap() {
+        let mut conn = Conn::default();
+        feed(&mut conn, &wire(&requests()[..2]), &mut Vec::new());
+        conn.answer(&Response::Pong { id: 1 });
+        conn.answer_with(|out| encode_response_frame(&Response::Timeout { id: 2 }, out));
+        assert_eq!(
+            responses(conn.unsent()),
+            [Response::Pong { id: 1 }, Response::Timeout { id: 2 }]
+        );
+        assert_eq!(conn.awaiting, 0);
+        // One frame past the cap gives the connection up, and a dead
+        // connection's answers are not even made.
+        conn.answer_with(|out| out.resize(out.len() + MAX_CONN_BACKLOG_BYTES, 0));
+        assert!(conn.dead && conn.unsent().is_empty());
+        conn.answer_with(|_| panic!("an answer made for a dead connection"));
     }
 
     fn random_request(rng: &mut Rng) -> Request {

@@ -255,16 +255,18 @@ impl World {
     fn end_turn(&mut self, shared: &Shared, elapsed: Duration) {
         self.clock += elapsed;
         let (peers, mut strays) = (&mut self.peers, Vec::new());
-        let mut deliver =
-            |token, response: &Response| match peers.iter_mut().find(|p| p.token == token) {
-                Some(peer) => peer.conn.answer(response),
-                None => strays.push(token),
-            };
+        let mut deliver = |token, answer: &mut dyn FnMut(&mut Conn)| match peers
+            .iter_mut()
+            .find(|p| p.token == token)
+        {
+            Some(peer) => answer(&mut peer.conn),
+            None => strays.push(token),
+        };
         self.inline.end_turn(shared, self.clock, &mut deliver);
         let mut done = Vec::new();
         shared.notifier.take(&mut done);
         for (token, response) in done {
-            deliver(token, &response);
+            deliver(token, &mut |conn| conn.answer(&response));
         }
         self.check(strays.is_empty(), || {
             format!("answers for tokens {strays:x?}")

@@ -267,9 +267,10 @@ fn storm_of_concurrent_connections_all_answered_and_correlated() {
 
 #[test]
 fn full_queue_answers_overloaded_with_retry_hint() {
-    // One worker, one queue slot: park the worker on a sleeping query,
-    // fill the slot, and every further pipelined query must bounce with
-    // `Overloaded` instead of blocking the session thread.
+    // `queue_capacity` 1 also bounds the `#sleep` queries the reactor
+    // parks at one: the first sleeping query is parked, and every further
+    // pipelined one must bounce with `Overloaded` at once instead of
+    // waiting its turn.
     let config = ServerConfig {
         workers: 1,
         queue_capacity: 1,
@@ -280,8 +281,7 @@ fn full_queue_answers_overloaded_with_retry_hint() {
     let mut c =
         Client::connect_timeout(server.local_addr(), Duration::from_secs(10)).expect("connect");
 
-    // Pipeline raw frames: 1 occupies the worker, 2 occupies the queue,
-    // 3–8 find the queue full.
+    // Pipeline raw frames: 1 is parked, 2–8 find the parked list full.
     const FLOOD: u64 = 8;
     for id in 1..=FLOOD {
         let payload = encode_request(&Request::Query {
