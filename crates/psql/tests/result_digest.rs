@@ -155,6 +155,25 @@ fn us_map_results_are_pinned() {
                   at states.loc covered-by {78 +- 22, 25 +- 25})",
                 0x80b0a31159f88cda,
             ),
+            // The inner plan's residual, order and limit decide which
+            // locations drive the outer searches.
+            (
+                "select lake from lakes on lake-map at lakes.loc covered-by \
+                 (select states.loc from states on state-map \
+                  where state <> 'NY' order by state desc limit 3)",
+                0xbe9889c0298b7e34,
+            ),
+            // An inner column with no picture, and two relations no
+            // at-clause pairs: errors whichever stage raises them.
+            (
+                "select lake from lakes on lake-map at lakes.loc covered-by \
+                 (select states.state from states on state-map)",
+                0x838b9bbfb36804af,
+            ),
+            (
+                "select city, zone from cities, time-zones",
+                0xe1a21c57f2f0eda6,
+            ),
             (
                 "select city, loc from cities on us-map at loc nearest 7 {53 +- 0, 32 +- 0}",
                 0x8ed7524e7dd7ed6c,
