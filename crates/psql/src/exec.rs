@@ -1,15 +1,15 @@
 //! The PSQL executor.
 
-use crate::ast::{Expr, Operand, Query};
+use crate::ast::Query;
 use crate::database::{Backlinks, PictorialDatabase};
 use crate::error::PsqlError;
 use crate::functions::{FunctionRegistry, PictorialFn};
 use crate::join::{picture_join, JoinStats};
 use crate::picture::Picture;
-use crate::plan::{self, Access, Plan, Projection, ResolvedColumn, SpatialStrategy};
+use crate::plan::{self, Filter, Plan, ResolvedColumn, Source, Term};
 use crate::result::{ResultSet, ResultSink};
 use crate::spatial::SpatialOp;
-use pictorial_relational::{ColumnType, CompareOp, Relation, Row, TupleId, Value, ValueRef};
+use pictorial_relational::{Relation, Row, TupleId, Value, ValueRef};
 use rtree_geom::SpatialObject;
 use rtree_index::{BatchScratch, ItemId, SearchScratch};
 use std::borrow::Cow;
@@ -65,7 +65,8 @@ pub fn execute_plan_into(
 ) -> Result<(), PsqlError> {
     let executor = Executor::bind(db, plan, functions)?;
     let rows = executor.candidate_rows(scratch)?;
-    executor.finish(rows, sink)
+    let rows = executor.qualify(rows)?;
+    executor.write(rows, sink)
 }
 
 /// [`execute_with_scratch`] over a pack of queries, in input order, each
@@ -83,9 +84,8 @@ pub fn execute_batch_with_scratch(
         .collect()
 }
 
-/// One plan bound to one database: every name the plan mentions is
-/// looked up once, when the part of the pipeline that needs it starts,
-/// and the row loops only index.
+/// One plan bound to one database: every name the plan holds is looked
+/// up once, and the row loops only index.
 ///
 /// Candidate rows are **flat**: one `Vec<TupleId>` holding
 /// `plan.relations.len()` tuple ids per row, in `from` order.
@@ -93,48 +93,18 @@ struct Executor<'a> {
     db: &'a PictorialDatabase,
     plan: &'a Plan,
     functions: &'a FunctionRegistry,
-    /// `plan.relations`, resolved; its length is the row stride.
+    /// `plan.relations`, bound; its length is the row stride.
     relations: Vec<&'a Relation>,
+    /// `plan.calls`, bound.
+    calls: Vec<BoundCall<'a>>,
 }
 
-/// A `loc` column a pictorial function reads, with the picture it
-/// points into (or why there is none — reported when a row needs it).
-struct LocArg<'a> {
+/// A pictorial function call, bound; a failed lookup is reported by
+/// the first row that would have called it.
+struct BoundCall<'a> {
+    function: Result<PictorialFn, PsqlError>,
     column: ResolvedColumn,
     picture: Result<&'a Picture, PsqlError>,
-}
-
-/// A pictorial function call, resolved; a failed lookup is reported by
-/// the first row that would have called it.
-struct Call<'a> {
-    function: Result<PictorialFn, PsqlError>,
-    arg: LocArg<'a>,
-}
-
-/// The residual `where` expression with its names resolved.
-enum Filter<'a> {
-    Column(ResolvedColumn, CompareOp, &'a Value),
-    Function(Call<'a>, CompareOp, &'a Value),
-    And(Box<Filter<'a>>, Box<Filter<'a>>),
-    Or(Box<Filter<'a>>, Box<Filter<'a>>),
-    Not(Box<Filter<'a>>),
-}
-
-/// One output column, resolved.
-enum Output<'a> {
-    Column(ResolvedColumn),
-    Function(Call<'a>),
-}
-
-/// A `loc` column of one of the plan's relations: where a qualifying
-/// row's highlight comes from.
-struct LocSource<'a> {
-    at: ResolvedColumn,
-    picture_name: &'a str,
-    picture: &'a Picture,
-    /// The first source pointing into the same picture: an object is
-    /// highlighted once per picture, whichever column named it.
-    slot: usize,
 }
 
 impl<'a> Executor<'a> {
@@ -143,109 +113,83 @@ impl<'a> Executor<'a> {
         plan: &'a Plan,
         functions: &'a FunctionRegistry,
     ) -> Result<Self, PsqlError> {
-        // Rows carry one tuple per relation, and only a juxtaposition
-        // produces pairs.
-        let joined = match plan.spatial {
-            SpatialStrategy::Juxtapose { .. } => 2,
-            _ => 1,
-        };
-        if plan.relations.len() != joined {
-            return Err(PsqlError::Semantic(format!(
-                "the query names {} from-relations but its at-clause yields rows over {joined}",
-                plan.relations.len()
-            )));
-        }
-        let mut relations = Vec::with_capacity(joined);
+        let mut relations = Vec::with_capacity(plan.relations.len());
         for name in &plan.relations {
             relations.push(db.catalog().relation(name)?);
         }
+        let calls = plan
+            .calls
+            .iter()
+            .map(|call| BoundCall {
+                function: functions.function(&call.function),
+                column: call.column,
+                picture: (call.picture.as_deref())
+                    .map_err(PsqlError::clone)
+                    .and_then(|picture| db.picture(picture)),
+            })
+            .collect();
         Ok(Executor {
             db,
             plan,
             functions,
             relations,
+            calls,
         })
     }
 
     /// Produces candidate rows.
     fn candidate_rows(&self, scratch: &mut SearchScratch) -> Result<Vec<TupleId>, PsqlError> {
         let (db, plan) = (self.db, self.plan);
-        match &plan.spatial {
-            SpatialStrategy::None => match &plan.access {
-                Access::FullScan => Ok(self.relations[0].scan().map(|(tid, _)| tid).collect()),
-                Access::IndexRange { column, lo, hi } => {
-                    let rel_name = &plan.relations[0];
-                    let index = db.catalog().index(rel_name, column).ok_or_else(|| {
-                        PsqlError::Internal(format!(
-                            "planner chose missing index {rel_name}.{column}"
-                        ))
-                    })?;
-                    let lo = lo.as_ref().map_or(Unbounded, Included);
-                    let hi = hi.as_ref().map_or(Unbounded, Included);
-                    Ok(index
-                        .range((lo, hi))
-                        .flat_map(|(_, tids)| tids.iter().copied())
-                        .collect())
-                }
-            },
-            SpatialStrategy::Window {
-                column,
-                picture,
-                op,
-                window,
-            } => {
-                let pic = db.picture(picture)?;
-                let objs = pic.search_window_fast(*op, window, scratch);
-                Ok(self.objects_to_rows(*column, &objs))
+        match &plan.source {
+            Source::FullScan => Ok(self.relations[0].scan().map(|(tid, _)| tid).collect()),
+            Source::IndexRange { column, lo, hi } => {
+                let rel_name = &plan.relations[0];
+                let index = db.catalog().index(rel_name, column).ok_or_else(|| {
+                    PsqlError::Internal(format!("planner chose missing index {rel_name}.{column}"))
+                })?;
+                let lo = lo.as_ref().map_or(Unbounded, Included);
+                let hi = hi.as_ref().map_or(Unbounded, Included);
+                Ok(index
+                    .range((lo, hi))
+                    .flat_map(|(_, tids)| tids.iter().copied())
+                    .collect())
             }
-            SpatialStrategy::Nearest {
-                column,
-                picture,
-                k,
-                point,
-            } => {
-                let pic = db.picture(picture)?;
+            Source::Window { loc, op, window } => {
+                let pic = db.picture(&loc.picture)?;
+                let objs = pic.search_window_fast(*op, window, scratch);
+                Ok(self.objects_to_rows(loc.column, &objs))
+            }
+            Source::Nearest { loc, k, point } => {
+                let pic = db.picture(&loc.picture)?;
                 // Rows come back ascending by distance; objects_to_rows
                 // preserves that order for the result set.
                 let objs = pic.nearest_fast(*point, *k, scratch);
-                Ok(self.objects_to_rows(*column, &objs))
+                Ok(self.objects_to_rows(loc.column, &objs))
             }
-            SpatialStrategy::Nested {
-                column,
-                picture,
+            Source::Nested {
+                loc,
                 op,
                 inner,
+                inner_loc,
             } => {
-                // Execute the inner mapping; its single projected column is a
-                // loc pointer into the inner picture. It shares this query's
-                // scratch: the inner searches are done (and their results
-                // copied out) before the outer searches begin.
-                let inner_result = execute_plan_with_scratch(db, inner, self.functions, scratch)?;
-                let (inner_rel, inner_col) = match &inner.projection[0] {
-                    Projection::Column { source, .. } => {
-                        let rel_name = inner.relations[source.rel].as_str();
-                        let schema = db.catalog().relation(rel_name)?.schema();
-                        (rel_name, schema.columns()[source.col].name.as_str())
-                    }
-                    Projection::Function { .. } => {
-                        return Err(PsqlError::Semantic(
-                            "nested mapping must select a loc column".into(),
-                        ))
-                    }
-                };
-                let inner_picture_name = db.association(inner_rel, inner_col).ok_or_else(|| {
-                    PsqlError::Semantic(format!("{inner_rel}.{inner_col} has no picture"))
-                })?;
-                let inner_picture = db.picture(inner_picture_name)?;
+                // The inner mapping's qualifying rows, each pointing into
+                // the inner picture through `inner_loc`. It shares this
+                // query's scratch: the inner searches are done (and their
+                // results copied out) before the outer searches begin.
+                let inner = Executor::bind(db, inner, self.functions)?;
+                let inner_rows = inner.candidate_rows(scratch)?;
+                let inner_rows = inner.qualify(inner_rows)?;
+                let inner_picture = db.picture(&inner_loc.picture)?;
 
                 // "The binding of the top level window is dynamically done
                 // during the evaluation of the query": search the outer
                 // picture once per inner location.
-                let pic = db.picture(picture)?;
+                let pic = db.picture(&loc.picture)?;
                 let mut objs: Vec<u64> = Vec::new();
-                let mut dedupe = std::collections::HashSet::new();
-                for row in &inner_result.rows {
-                    let Some(obj_id) = row[0].as_pointer() else {
+                let mut dedupe = HashSet::new();
+                for row in inner_rows.chunks_exact(inner.relations.len()) {
+                    let at = inner_loc.column;
+                    let Some(obj_id) = inner.tuple(row, at.rel)?.get(at.col).as_pointer() else {
                         continue;
                     };
                     let inner_obj = inner_picture.object(obj_id).ok_or_else(|| {
@@ -273,25 +217,19 @@ impl<'a> Executor<'a> {
                         }
                     }
                 }
-                Ok(self.objects_to_rows(*column, &objs))
+                Ok(self.objects_to_rows(loc.column, &objs))
             }
-            SpatialStrategy::Juxtapose {
-                left,
-                left_picture,
-                right,
-                right_picture,
-                op,
-            } => {
-                let lp = db.picture(left_picture)?;
-                let rp = db.picture(right_picture)?;
+            Source::Juxtapose { left, right, op } => {
+                let lp = db.picture(&left.picture)?;
+                let rp = db.picture(&right.picture)?;
                 let mut join_stats = JoinStats::default();
                 // Frozen joins are bit-identical to pointer-tree joins (same
                 // pair order, same stats) and are used whenever both sides
                 // are packed; buffered delta writes merge in as extra join
                 // terms (see `picture_join`).
                 let pairs = picture_join(lp, rp, *op, &mut join_stats);
-                let left_links = self.backlinks(*left);
-                let right_links = self.backlinks(*right);
+                let left_links = self.backlinks(left.column);
+                let right_links = self.backlinks(right.column);
                 let mut rows = Vec::new();
                 for (ItemId(lo), ItemId(ro)) in pairs {
                     let lobj = lp.object(lo).ok_or_else(|| {
@@ -303,13 +241,10 @@ impl<'a> Executor<'a> {
                     if !op.eval_objects(&lobj, &robj) {
                         continue;
                     }
+                    // The planner put `left` in relation 0.
                     for &lt in left_links.map_or(&[][..], |links| links.tuples(lo)) {
                         for &rt in right_links.map_or(&[][..], |links| links.tuples(ro)) {
-                            // Row slots are ordered by from-position.
-                            let at = rows.len();
-                            rows.extend_from_slice(&[TupleId(0); 2]);
-                            rows[at + left.rel] = lt;
-                            rows[at + right.rel] = rt;
+                            rows.extend_from_slice(&[lt, rt]);
                         }
                     }
                 }
@@ -339,19 +274,17 @@ impl<'a> Executor<'a> {
         rows
     }
 
-    /// Writes candidate rows into `sink`: residual filter, order by,
-    /// limit, then the projection (including aggregates) and the
-    /// highlights.
-    fn finish(&self, mut rows: Vec<TupleId>, sink: &mut impl ResultSink) -> Result<(), PsqlError> {
+    /// The candidate rows that qualify, in output order: the `where`
+    /// filter, then order by and limit.
+    fn qualify(&self, mut rows: Vec<TupleId>) -> Result<Vec<TupleId>, PsqlError> {
         let plan = self.plan;
         let stride = self.relations.len();
 
-        // Residual where-clause; qualifying rows stay where they are.
-        if let Some(expr) = &plan.residual {
-            let filter = self.filter(expr)?;
+        // Qualifying rows stay where they are.
+        if let Some(filter) = &plan.filter {
             let mut kept = 0;
             for at in (0..rows.len()).step_by(stride) {
-                if self.qualifies(&filter, &rows[at..at + stride])? {
+                if self.qualifies(filter, &rows[at..at + stride])? {
                     rows.copy_within(at..at + stride, kept);
                     kept += stride;
                 }
@@ -382,6 +315,14 @@ impl<'a> Executor<'a> {
                 .collect();
         }
         rows.truncate(limit.saturating_mul(stride));
+        Ok(rows)
+    }
+
+    /// Writes qualifying rows into `sink`: the projection (including
+    /// aggregates), then the highlights.
+    fn write(&self, rows: Vec<TupleId>, sink: &mut impl ResultSink) -> Result<(), PsqlError> {
+        let plan = self.plan;
+        let stride = self.relations.len();
         let row_count = rows.len() / stride;
 
         // From here on the rows are gathered a column at a time: each
@@ -403,24 +344,24 @@ impl<'a> Executor<'a> {
                 .step_by(stride)
                 .map(move |tuple| tuple.get(source.col))
         };
-        let has_aggregate = plan.projection.iter().any(|p| {
-            matches!(p, Projection::Function { function, .. } if self.functions.is_aggregate(function))
-        });
-        if has_aggregate {
+        let aggregate = |term: &Term| match *term {
+            Term::Call(i) => self.functions.is_aggregate(&plan.calls[i].function),
+            Term::Column(_) => false,
+        };
+        if plan.projection.iter().any(|p| aggregate(&p.term)) {
             // §2.1's aggregate pictorial functions (northest-of, …): the
             // qualifying rows collapse to a single output row; every target
             // must be an aggregate over a loc column.
             let mut out = Vec::with_capacity(plan.projection.len());
             for p in &plan.projection {
-                match p {
-                    Projection::Function { function, arg, .. }
-                        if self.functions.is_aggregate(function) =>
-                    {
-                        let arg = self.loc_arg(*arg);
+                match p.term {
+                    Term::Call(i) if aggregate(&p.term) => {
+                        let call = &self.calls[i];
                         let mut objects = Vec::with_capacity(row_count);
                         for row in tuples.chunks_exact(stride) {
-                            objects.push(self.object_of(row[arg.column.rel], &arg)?.into_owned());
+                            objects.push(self.object_of(row[call.column.rel], call)?.into_owned());
                         }
+                        let function = &plan.calls[i].function;
                         out.push(self.functions.apply_aggregate(function, &objects)?);
                     }
                     _ => {
@@ -437,22 +378,13 @@ impl<'a> Executor<'a> {
                 sink.value(value.as_ref());
             }
         } else {
-            let outputs: Vec<Output<'a>> = plan
-                .projection
-                .iter()
-                .map(|p| match p {
-                    Projection::Column { source, .. } => Output::Column(*source),
-                    Projection::Function { function, arg, .. } => {
-                        Output::Function(self.call(function, *arg))
-                    }
-                })
-                .collect();
             // One pass per plain column; `plain[k * row_count + r]` is
             // row `r`'s value of the `k`-th plain column.
-            let mut plain: Vec<ValueRef<'a>> = Vec::with_capacity(row_count * outputs.len());
-            for output in &outputs {
-                if let Output::Column(source) = output {
-                    plain.extend(column(*source));
+            let mut plain: Vec<ValueRef<'a>> =
+                Vec::with_capacity(row_count * plan.projection.len());
+            for p in &plan.projection {
+                if let Term::Column(source) = p.term {
+                    plain.extend(column(source));
                 }
             }
             // A pictorial function is applied as its row is written, so
@@ -462,14 +394,15 @@ impl<'a> Executor<'a> {
             for (r, row) in tuples.chunks_exact(stride).enumerate() {
                 sink.row();
                 let mut k = 0;
-                for output in &outputs {
-                    match output {
-                        Output::Column(_) => {
+                for p in &plan.projection {
+                    match p.term {
+                        Term::Column(_) => {
                             sink.value(plain[k * row_count + r]);
                             k += 1;
                         }
-                        Output::Function(call) => {
-                            let value = self.apply(call, row[call.arg.column.rel])?;
+                        Term::Call(i) => {
+                            let call = &self.calls[i];
+                            let value = self.apply(call, row[call.column.rel])?;
                             sink.value(value.as_ref());
                         }
                     }
@@ -482,15 +415,19 @@ impl<'a> Executor<'a> {
         // source's pointers, one looks their labels up, and only then
         // are they de-duplicated; `objects[s * row_count + r]` is row
         // `r`'s object of source `s`.
-        let sources = self.loc_sources()?;
+        let sources = &plan.highlights;
+        let mut pictures: Vec<&'a Picture> = Vec::with_capacity(sources.len());
+        for source in sources {
+            pictures.push(self.db.picture(&source.loc.picture)?);
+        }
         let cells = row_count * sources.len();
         let mut objects: Vec<Option<u64>> = Vec::with_capacity(cells);
-        for source in &sources {
-            objects.extend(column(source.at).map(ValueRef::as_pointer));
+        for source in sources {
+            objects.extend(column(source.loc.column).map(ValueRef::as_pointer));
         }
         let mut labels: Vec<&'a str> = Vec::with_capacity(cells);
-        for (source, objects) in sources.iter().zip(objects.chunks_exact(row_count.max(1))) {
-            let label = |object: &Option<u64>| object.and_then(|o| source.picture.label(o));
+        for (picture, objects) in pictures.iter().zip(objects.chunks_exact(row_count.max(1))) {
+            let label = |object: &Option<u64>| object.and_then(|o| picture.label(o));
             labels.extend(objects.iter().map(|o| label(o).unwrap_or("")));
         }
         let mut seen: HashSet<(usize, u64)> = HashSet::with_capacity(cells);
@@ -507,7 +444,7 @@ impl<'a> Executor<'a> {
         }
         sink.highlights(marked.len());
         for (at, object) in marked {
-            let picture = sources[at / row_count].picture_name;
+            let picture = &sources[at / row_count].loc.picture;
             sink.highlight(picture, object, labels[at]);
         }
         Ok(())
@@ -517,8 +454,7 @@ impl<'a> Executor<'a> {
     fn write_columns(&self, sink: &mut impl ResultSink) {
         sink.columns(self.plan.projection.len());
         for p in &self.plan.projection {
-            let (Projection::Column { name, .. } | Projection::Function { name, .. }) = p;
-            sink.column(name);
+            sink.column(&p.name);
         }
     }
 
@@ -527,104 +463,36 @@ impl<'a> Executor<'a> {
         Ok(self.relations[rel].get(row[rel])?)
     }
 
-    /// The `loc` columns of the plan's relations, in relation then
-    /// association order: every qualifying tuple highlights the objects
-    /// these point at.
-    fn loc_sources(&self) -> Result<Vec<LocSource<'a>>, PsqlError> {
-        let mut sources: Vec<LocSource<'a>> = Vec::new();
-        for (rel, (rel_name, relation)) in
-            self.plan.relations.iter().zip(&self.relations).enumerate()
-        {
-            for (col_name, picture_name) in self.db.loc_columns(rel_name) {
-                if let Some(col) = relation.schema().index_of(col_name) {
-                    let slot = sources
-                        .iter()
-                        .position(|s| s.picture_name == picture_name)
-                        .unwrap_or(sources.len());
-                    sources.push(LocSource {
-                        at: ResolvedColumn { rel, col },
-                        picture_name,
-                        picture: self.db.picture(picture_name)?,
-                        slot,
-                    });
-                }
-            }
-        }
-        Ok(sources)
-    }
-
-    fn loc_arg(&self, column: ResolvedColumn) -> LocArg<'a> {
-        let rel_name = &self.plan.relations[column.rel];
-        let col = &self.relations[column.rel].schema().columns()[column.col];
-        debug_assert_eq!(col.ty, ColumnType::Pointer);
-        let picture = self
-            .db
-            .association(rel_name, &col.name)
-            .ok_or_else(|| {
-                PsqlError::Semantic(format!(
-                    "{rel_name}.{} has no picture association",
-                    col.name
-                ))
-            })
-            .and_then(|picture| self.db.picture(picture));
-        LocArg { column, picture }
-    }
-
-    fn call(&self, function: &str, arg: ResolvedColumn) -> Call<'a> {
-        Call {
-            function: self.functions.function(function),
-            arg: self.loc_arg(arg),
-        }
-    }
-
-    /// The spatial object a pointer column of `tuple` refers to.
+    /// The spatial object a call's pointer column of `tuple` refers to.
     fn object_of(
         &self,
         tuple: Row<'a>,
-        arg: &LocArg<'a>,
+        call: &BoundCall<'a>,
     ) -> Result<Cow<'a, SpatialObject>, PsqlError> {
         let obj_id = tuple
-            .get(arg.column.col)
+            .get(call.column.col)
             .as_pointer()
             .ok_or_else(|| PsqlError::Semantic("NULL loc in pictorial function".into()))?;
-        let picture = arg.picture.as_ref().map_err(PsqlError::clone)?;
+        let picture = call.picture.as_ref().map_err(PsqlError::clone)?;
         picture
             .object(obj_id)
             .ok_or_else(|| PsqlError::Semantic(format!("dangling pointer {obj_id}")))
     }
 
-    fn apply(&self, call: &Call<'a>, tuple: Row<'a>) -> Result<Value, PsqlError> {
-        let object = self.object_of(tuple, &call.arg)?;
+    fn apply(&self, call: &BoundCall<'a>, tuple: Row<'a>) -> Result<Value, PsqlError> {
+        let object = self.object_of(tuple, call)?;
         let function = call.function.as_ref().map_err(PsqlError::clone)?;
         Ok(function(&object))
     }
 
-    /// Resolves the names of a `where` expression.
-    fn filter(&self, expr: &'a Expr) -> Result<Filter<'a>, PsqlError> {
-        let resolver = plan::Resolver {
-            db: self.db,
-            from: &self.plan.relations,
-        };
-        Ok(match expr {
-            Expr::Compare { lhs, op, rhs } => match lhs {
-                Operand::Column(cr) => Filter::Column(resolver.resolve(cr)?, *op, rhs),
-                Operand::Function { name, arg } => {
-                    Filter::Function(self.call(name, resolver.resolve(arg)?), *op, rhs)
-                }
-            },
-            Expr::And(a, b) => Filter::And(Box::new(self.filter(a)?), Box::new(self.filter(b)?)),
-            Expr::Or(a, b) => Filter::Or(Box::new(self.filter(a)?), Box::new(self.filter(b)?)),
-            Expr::Not(e) => Filter::Not(Box::new(self.filter(e)?)),
-        })
-    }
-
-    fn qualifies(&self, filter: &Filter<'a>, row: &[TupleId]) -> Result<bool, PsqlError> {
+    fn qualifies(&self, filter: &Filter, row: &[TupleId]) -> Result<bool, PsqlError> {
         match filter {
-            Filter::Column(rc, op, rhs) => {
+            Filter::Compare(Term::Column(rc), op, rhs) => {
                 Ok(op.eval(self.tuple(row, rc.rel)?.get(rc.col), rhs.as_ref()))
             }
-            Filter::Function(call, op, rhs) => {
-                let left = self.apply(call, self.tuple(row, call.arg.column.rel)?)?;
+            Filter::Compare(Term::Call(i), op, rhs) => {
+                let call = &self.calls[*i];
+                let left = self.apply(call, self.tuple(row, call.column.rel)?)?;
                 Ok(op.eval(left.as_ref(), rhs.as_ref()))
             }
             Filter::And(a, b) => Ok(self.qualifies(a, row)? && self.qualifies(b, row)?),
@@ -990,7 +858,7 @@ mod tests {
 
     #[test]
     fn two_loc_columns_into_one_picture_highlight_an_object_once() {
-        use pictorial_relational::{Column, Schema};
+        use pictorial_relational::{Column, ColumnType, Schema};
         use rtree_geom::{Point, Rect};
 
         let mut db = PictorialDatabase::new(rtree_index::RTreeConfig::PAPER);
@@ -1049,6 +917,39 @@ mod tests {
         )
         .unwrap();
         assert_eq!(names(&into_b, "route"), ["ab", "cb"]);
+    }
+
+    #[test]
+    fn a_function_over_a_column_with_no_picture_fails_only_on_a_row() {
+        use pictorial_relational::{Column, ColumnType, Schema};
+
+        let mut db = PictorialDatabase::new(rtree_index::RTreeConfig::PAPER);
+        db.catalog_mut()
+            .create_relation(
+                "marks",
+                Schema::new(vec![
+                    Column::new("mark", ColumnType::Str),
+                    Column::new("spot", ColumnType::Pointer),
+                ])
+                .unwrap(),
+            )
+            .unwrap();
+        // The plan holds the missing association; no row, no error.
+        for text in [
+            "select area(spot) from marks",
+            "select mark from marks where area(spot) > 1",
+        ] {
+            assert!(query(&db, text).unwrap().is_empty(), "{text}");
+        }
+        db.insert("marks", vec!["x".into(), Value::Pointer(0)])
+            .unwrap();
+        let missing = PsqlError::Semantic("marks.spot has no picture association".into());
+        for text in [
+            "select area(spot) from marks",
+            "select mark from marks where area(spot) > 1",
+        ] {
+            assert_eq!(query(&db, text), Err(missing.clone()), "{text}");
+        }
     }
 
     #[test]

@@ -98,8 +98,7 @@ impl SpatialOp {
             },
             SpatialOp::Overlapping => match b {
                 SpatialObject::Region(region) => {
-                    a.mbr().intersects(&region.mbr())
-                        && SpatialObject::Region(region.clone()).intersects_window(&a.mbr())
+                    a.mbr().intersects(&region.mbr()) && b.intersects_window(&a.mbr())
                 }
                 // Closed-set semantics: boundary contact counts, so the
                 // MBR test is plain `intersects`, never the positive-area

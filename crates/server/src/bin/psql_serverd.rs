@@ -23,16 +23,18 @@
 //!
 //! `--smoke` runs the CI smoke script instead of serving forever: it
 //! starts the server on an ephemeral port, drives one scripted client
-//! session (queries, a WAL-committed insert, a malformed frame, a forced
-//! timeout, `STATS`), restarts on the same WAL to prove the insert
+//! session (queries, a WAL-committed insert, a malformed frame, an
+//! answer past the frame limit, a forced timeout, `STATS`), restarts on the same WAL to prove the insert
 //! survives, then asks for graceful shutdown over the wire and waits for
 //! the drain. Exit code 0 means every step behaved.
 
+use pictorial_relational::{Column, ColumnType, Schema, Value};
 use psql::database::PictorialDatabase;
 use psql_server::client::Client;
 use psql_server::protocol::{ErrorKind, Response};
 use psql_server::server::{Server, ServerConfig};
-use rtree_geom::{Point, SpatialObject};
+use rtree_geom::{Point, Rect, SpatialObject};
+use rtree_index::RTreeConfig;
 use std::time::Duration;
 
 fn main() {
@@ -90,6 +92,33 @@ fn main() {
 
 /// The scripted session CI runs: every assertion here is part of the
 /// server's behavioural contract.
+/// `n` points in a `sites(site, loc)` relation on a 1000 × 1000
+/// `site-map`, packed.
+fn sites_db(n: u64) -> PictorialDatabase {
+    let mut db = PictorialDatabase::new(RTreeConfig::PAPER);
+    db.create_picture("site-map", Rect::new(0.0, 0.0, 1000.0, 1000.0))
+        .expect("fresh picture");
+    let schema = Schema::new(vec![
+        Column::new("site", ColumnType::Str),
+        Column::new("loc", ColumnType::Pointer),
+    ])
+    .expect("valid schema");
+    db.catalog_mut()
+        .create_relation("sites", schema)
+        .expect("fresh relation");
+    db.associate("sites", "loc", "site-map").expect("assoc");
+    for i in 0..n {
+        let at = Point::new((i * 7919 % 1000) as f64, (i * 104_729 % 997) as f64);
+        let object = db
+            .add_object("site-map", SpatialObject::Point(at), &format!("o{i}"))
+            .expect("picture exists");
+        let tuple = vec![format!("s{i}").into(), Value::Pointer(object)];
+        db.insert("sites", tuple).expect("valid tuple");
+    }
+    db.pack_all();
+    db
+}
+
 fn run_smoke(mut config: ServerConfig) {
     config.workers = config.workers.max(2);
     if config.wal_path.is_none() {
@@ -180,6 +209,27 @@ fn run_smoke(mut config: ServerConfig) {
     }
     c.ping().expect("session survived junk");
     println!("[smoke] malformed frame answered, session intact");
+
+    // 6b. An answer longer than a frame may be (1 MiB) comes back as a
+    // typed Protocol error, and the session's next request is answered.
+    // The US map is too small for one, so a second server serves 60 000
+    // sites, whose `select site, loc` is about 3 MB.
+    let sites = Server::start(sites_db(60_000), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind sites");
+    let mut s = Client::connect_timeout(sites.local_addr(), timeout).expect("connect sites");
+    match s
+        .query("select site, loc from sites")
+        .expect("oversized roundtrip")
+    {
+        Response::Error { kind, message, .. } => {
+            assert_eq!(kind, ErrorKind::Protocol, "{message}");
+            assert!(message.contains("frame limit"), "{message}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    s.ping().expect("session survived an oversized answer");
+    sites.stop();
+    println!("[smoke] oversized answer refused, session intact");
 
     // 7. Deadline enforcement: a query that sleeps past its budget.
     match c

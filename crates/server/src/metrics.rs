@@ -170,13 +170,15 @@ pub struct Metrics {
     pub connections_opened: Counter,
     /// Connections that have ended (any reason).
     pub connections_closed: Counter,
-    /// Query requests received.
+    /// Query requests answered or refused. A query read on a
+    /// connection already given up is never run, and not counted.
     pub queries: Counter,
     /// Stats/ping/admin requests received.
     pub control_requests: Counter,
     /// Requests answered with a result.
     pub ok: Counter,
-    /// Requests answered with a typed PSQL error.
+    /// Requests answered with a typed PSQL error, or with a `Protocol`
+    /// error because their answer would not fit in one frame.
     pub query_errors: Counter,
     /// Malformed frames / undecodable payloads answered with a protocol
     /// error.

@@ -781,6 +781,32 @@ mod tests {
         conn.answer_with(|_| panic!("an answer made for a dead connection"));
     }
 
+    #[test]
+    fn a_query_read_on_a_dead_connection_is_not_counted() {
+        use crate::metrics::Metrics;
+        use crate::server::ServerConfig;
+        use psql::PictorialDatabase;
+
+        let (db, config) = (PictorialDatabase::with_us_map(), ServerConfig::default());
+        let shared = Shared::new(db, config, None, Metrics::default()).expect("eventfd");
+        let mut inline = Inline::new(Instant::now(), 4);
+        let query = encode_request(&Request::Query {
+            id: 1,
+            timeout_ms: 0,
+            text: "select city from cities".into(),
+        });
+        let metrics = &shared.metrics;
+        let mut conn = Conn::default();
+        assert!(handle_frame(&query, 0, &mut conn, &shared, &mut inline));
+        assert_eq!((metrics.queries.get(), metrics.ok.get()), (1, 1));
+        // Given up past the backlog cap: a query dispatched from the
+        // rest of its read is neither run nor counted.
+        conn.answer_with(|out| out.resize(out.len() + MAX_CONN_BACKLOG_BYTES + 1, 0));
+        assert!(conn.dead);
+        assert!(handle_frame(&query, 0, &mut conn, &shared, &mut inline));
+        assert_eq!((metrics.queries.get(), metrics.ok.get()), (1, 1));
+    }
+
     fn random_request(rng: &mut Rng) -> Request {
         let id = rng.next();
         match rng.below(6) {

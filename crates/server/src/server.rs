@@ -65,7 +65,7 @@ use crate::metrics::{Metrics, PictureGauge};
 use crate::plan_cache::PlanCache;
 use crate::protocol::{
     begin_frame, decode_request, encode_response_frame, end_frame, peek_request_id, ErrorKind,
-    Request, Response, ResultWriter,
+    Request, Response, ResultWriter, MAX_FRAME_LEN,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::reactor::{reactor_loop, Conn, Notifier};
@@ -551,7 +551,6 @@ pub(crate) fn handle_frame(
             timeout_ms,
             text,
         } => {
-            shared.metrics.queries.incr();
             let budget = match timeout_ms {
                 0 => shared.config.default_deadline,
                 ms => Duration::from_millis(ms.into()),
@@ -559,6 +558,7 @@ pub(crate) fn handle_frame(
             let deadline = inline.now + budget;
             match sleep_directive(&text) {
                 Ok(Some(_)) if inline.parked.len() >= shared.config.queue_capacity => {
+                    shared.metrics.queries.incr();
                     refusal(shared, id, true)
                 }
                 Ok(Some((ms, _))) => {
@@ -899,8 +899,8 @@ fn sleep_directive(text: &str) -> Result<Option<(u64, &str)>, PsqlError> {
 /// Answers query `id` against a pinned snapshot: the returned encoder
 /// appends one frame to its buffer through [`answer_frame`], the plan
 /// through the cached-plan table, then execution straight into the
-/// frame. A connection given up runs no encoder, so its query is not
-/// executed. One expired, malformed or panicking query is answered
+/// frame. A connection given up runs no encoder, so its query is
+/// neither executed nor counted. One expired, malformed or panicking query is answered
 /// alone; it never touches the requests around it.
 ///
 /// A plan stamped with the snapshot's epoch skips parse *and* plan; a
@@ -959,10 +959,10 @@ pub(crate) fn answer<'a>(
 /// not called. Otherwise `execute` writes the result, stamped with
 /// `epoch`, through a [`ResultWriter`] straight onto `out` as it is
 /// gathered, with no `ResultSet` in between. When it returns an error,
-/// panics, or ends after `deadline`, whatever it wrote is cut off at
-/// the frame's start and the `Error` or `Timeout` frame is written
-/// alone. Either way the bytes past `out`'s old end are exactly one
-/// frame.
+/// panics, ends after `deadline`, or writes a frame longer than
+/// [`MAX_FRAME_LEN`], whatever it wrote is cut off at the frame's start
+/// and the `Error` or `Timeout` frame is written alone. Either way the
+/// bytes past `out`'s old end are exactly one frame.
 pub fn answer_frame(
     out: &mut Vec<u8>,
     metrics: &Metrics,
@@ -971,6 +971,7 @@ pub fn answer_frame(
     deadline: Instant,
     execute: impl FnOnce(&mut ResultWriter<'_>) -> Result<(), PsqlError>,
 ) {
+    metrics.queries.incr();
     if Instant::now() > deadline {
         // Expired while waiting: answer without executing.
         metrics.timeouts.incr();
@@ -993,10 +994,22 @@ pub fn answer_frame(
         Response::Timeout { id }
     } else {
         match outcome {
-            Ok(Ok(())) => {
+            Ok(Ok(())) if out.len() - at - 4 <= MAX_FRAME_LEN as usize => {
                 metrics.ok.incr();
                 end_frame(out, at);
                 return;
+            }
+            // No decoder would take the frame: answer in one that fits.
+            Ok(Ok(())) => {
+                metrics.query_errors.incr();
+                Response::Error {
+                    id,
+                    kind: ErrorKind::Protocol,
+                    message: format!(
+                        "the answer exceeds the {MAX_FRAME_LEN}-byte frame limit; \
+                         narrow the query or add a limit"
+                    ),
+                }
             }
             Ok(Err(e)) => {
                 metrics.query_errors.incr();

@@ -10,7 +10,8 @@
 //! over a socket by the whole `answer` path. And a query that fails
 //! after its first rows were written, panics, or outlives its deadline
 //! must leave exactly one `Error` or `Timeout` frame behind it, with no
-//! byte of the rows it had written.
+//! byte of the rows it had written; so must an answer longer than one
+//! frame may be, and the session goes on.
 
 use pictorial_relational::{Column, ColumnType, Schema, Value};
 use psql::database::PictorialDatabase;
@@ -18,6 +19,7 @@ use psql::exec::{execute_plan_into, execute_plan_with_scratch};
 use psql::functions::FunctionRegistry;
 use psql::plan::{plan, Plan};
 use psql::{PsqlError, ResultSet};
+use psql_server::client::Client;
 use psql_server::metrics::Metrics;
 use psql_server::protocol::{
     decode_response, encode_request, encode_response_frame, write_frame, ErrorKind, FrameDecoder,
@@ -396,4 +398,53 @@ fn a_deadline_passing_during_execution_leaves_one_timeout_frame() {
         |_| -> Result<(), PsqlError> { panic!("executed past its deadline") },
     );
     assert_eq!(only_frame(&out), Response::Timeout { id: 43 });
+}
+
+#[test]
+fn an_answer_past_the_frame_limit_is_an_error_and_the_session_goes_on() {
+    // 60 000 sites: `select site, loc` is about 3 MB, three frame limits.
+    let mut db = PictorialDatabase::new(RTreeConfig::PAPER);
+    db.create_picture("site-map", Rect::new(0.0, 0.0, 1000.0, 1000.0))
+        .unwrap();
+    let schema = Schema::new(vec![
+        Column::new("site", ColumnType::Str),
+        Column::new("loc", ColumnType::Pointer),
+    ])
+    .unwrap();
+    db.catalog_mut().create_relation("sites", schema).unwrap();
+    db.associate("sites", "loc", "site-map").unwrap();
+    for i in 0..60_000u64 {
+        let h = mix(i);
+        let p = Point::new((h % 1000) as f64, ((h >> 20) % 1000) as f64);
+        let object = db
+            .add_object("site-map", SpatialObject::Point(p), &format!("o{i}"))
+            .unwrap();
+        let tuple = vec![format!("s{i}").into(), Value::Pointer(object)];
+        db.insert("sites", tuple).unwrap();
+    }
+    db.pack_all();
+
+    let server = Server::start(db, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client =
+        Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).expect("connect");
+    match client
+        .query("select site, loc from sites")
+        .expect("an answer")
+    {
+        Response::Error {
+            kind: ErrorKind::Protocol,
+            message,
+            ..
+        } => assert!(message.contains("1048576-byte frame limit"), "{message}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    // The frame was cut back, so the next request is answered in turn.
+    client.ping().expect("the session goes on");
+    let (_, few) = client
+        .query_expect_result("select site from sites limit 3")
+        .expect("a result");
+    assert_eq!(few.len(), 3);
+    let metrics = server.metrics();
+    assert_eq!((metrics.query_errors.get(), metrics.ok.get()), (1, 1));
+    server.stop();
 }
