@@ -174,6 +174,45 @@ fn us_map_results_are_pinned() {
                 "select city, zone from cities, time-zones",
                 0xe1a21c57f2f0eda6,
             ),
+            // `disjoined` and `overlapping` from either side of a
+            // juxtaposition and as a nested mapping: every US-map region
+            // is a rectangle, where MBR and exact geometry agree.
+            (
+                "select lake, zone from lakes, time-zones on lake-map, time-zone-map \
+                 at lakes.loc disjoined time-zones.loc",
+                0x11e7f6a7cc17684c,
+            ),
+            (
+                "select zone, lake from time-zones, lakes on time-zone-map, lake-map \
+                 at lakes.loc disjoined time-zones.loc",
+                0x7f45ee33f4726708,
+            ),
+            (
+                "select states.state, city from states, cities on state-map, us-map \
+                 at states.loc overlapping cities.loc",
+                0xd40d198d9efcc18e,
+            ),
+            (
+                "select states.state, city from cities, states on us-map, state-map \
+                 at states.loc overlapping cities.loc",
+                0xcd7bce1a2fc5b560,
+            ),
+            (
+                "select hwy-name, state from highways, states on highway-map, state-map \
+                 at highways.loc disjoined states.loc",
+                0xd569b3bcdf490ea6,
+            ),
+            (
+                "select city from cities on us-map at loc disjoined \
+                 (select states.loc from states on state-map \
+                  where state = 'Mountain' or state = 'New England')",
+                0xb3b5c6e86da6d3f2,
+            ),
+            (
+                "select state from states on state-map at loc disjoined \
+                 (select cities.loc from cities on us-map where population > 2000000)",
+                0xd58da7adec56eed5,
+            ),
             (
                 "select city, loc from cities on us-map at loc nearest 7 {53 +- 0, 32 +- 0}",
                 0x8ed7524e7dd7ed6c,
