@@ -20,7 +20,8 @@ use rtree_index::{ItemId, NodeAccess, NodeId};
 pub struct JoinStats {
     /// Node pairs (or node/leaf-entry pairs) examined.
     pub node_pairs_visited: u64,
-    /// Candidate item pairs emitted (before exact refinement).
+    /// Candidate item pairs emitted (before exact refinement): every
+    /// pair for an operator with no MBR rule.
     pub candidates: u64,
 }
 
@@ -28,31 +29,21 @@ pub struct JoinStats {
 /// returning item-id pairs whose MBRs pass [`SpatialOp::mbr_filter`].
 /// The descent, the emission order and the [`JoinStats`] depend on the
 /// trees' structure only, so a frozen arena joins exactly like the
-/// pointer tree it was compiled from. For `Disjoined` — which no
-/// hierarchy of bounding rectangles can prune — this degrades to the
-/// full cross product of MBR-disjoint pairs.
+/// pointer tree it was compiled from. An operator with no MBR rule
+/// (`disjoined`), which no hierarchy of bounding rectangles can prune,
+/// is handed to [`nested_loop_join`]: every pair is a candidate, and
+/// the exact test decides.
 pub fn rtree_join<A: NodeAccess, B: NodeAccess>(
     a: &A,
     b: &B,
     op: SpatialOp,
     stats: &mut JoinStats,
 ) -> Vec<(ItemId, ItemId)> {
+    if op.traversal().is_none() {
+        return nested_loop_join(a, b, op, stats);
+    }
     let mut out = Vec::new();
     if a.entry_count(a.root()) == 0 || b.entry_count(b.root()) == 0 {
-        return out;
-    }
-    if op == SpatialOp::Disjoined {
-        // No pruning possible: enumerate and filter.
-        let b_items = b.items();
-        for (ra, ia) in a.items() {
-            for &(rb, ib) in &b_items {
-                stats.node_pairs_visited += 1;
-                if !ra.intersects(&rb) {
-                    stats.candidates += 1;
-                    out.push((ia, ib));
-                }
-            }
-        }
         return out;
     }
     join_subtrees(a, a.root(), b, b.root(), op, stats, &mut out);
@@ -172,9 +163,11 @@ pub fn picture_join(
     out
 }
 
-/// The baseline: compare every item pair directly, in the order
-/// [`NodeAccess::items`] reports each side — the same for every storage
-/// form of one tree.
+/// The baseline: compare every item pair's MBRs with
+/// [`SpatialOp::mbr_filter`], in the order [`NodeAccess::items`]
+/// reports each side — the same for every storage form of one tree. An
+/// operator with no MBR rule (`disjoined`) keeps every pair, so
+/// [`JoinStats::candidates`] counts the whole cross product.
 pub fn nested_loop_join<A: NodeAccess, B: NodeAccess>(
     a: &A,
     b: &B,
@@ -186,12 +179,7 @@ pub fn nested_loop_join<A: NodeAccess, B: NodeAccess>(
     for (ra, ia) in a.items() {
         for &(rb, ib) in &b_items {
             stats.node_pairs_visited += 1;
-            let keep = if op == SpatialOp::Disjoined {
-                !ra.intersects(&rb)
-            } else {
-                ra.intersects(&rb) && op.mbr_filter(&ra, &rb)
-            };
-            if keep {
+            if op.mbr_filter(&ra, &rb) {
                 stats.candidates += 1;
                 out.push((ia, ib));
             }
@@ -264,6 +252,10 @@ mod tests {
             fast.sort();
             slow.sort();
             assert_eq!(fast, slow, "{op}");
+            if op == SpatialOp::Disjoined {
+                // No MBR rule: every pair is a candidate.
+                assert_eq!(s1.candidates, 80 * 16);
+            }
         }
     }
 

@@ -227,7 +227,7 @@ fn small_packed_picture_with_a_delta_matches_brute_force() {
 
 /// Juxtaposition with a delta on *both* sides: main × main, main × delta,
 /// delta × main and delta × delta together must be the pair set of a
-/// nested loop over every object's MBR.
+/// nested loop over every object's MBR (every pair for `disjoined`).
 #[test]
 fn juxtaposition_with_deltas_on_both_sides_matches_brute_force() {
     let mut db = PictorialDatabase::with_us_map();
@@ -256,11 +256,9 @@ fn juxtaposition_with_deltas_on_both_sides_matches_brute_force() {
         for (l, lo) in left.iter().enumerate() {
             for (r, ro) in right.iter().enumerate() {
                 let (a, b) = (lo.mbr(), ro.mbr());
-                let keep = if op == SpatialOp::Disjoined {
-                    !a.intersects(&b)
-                } else {
-                    a.intersects(&b) && op.mbr_filter(&a, &b)
-                };
+                // `disjoined` has no MBR rule: every pair is a candidate.
+                let keep =
+                    op == SpatialOp::Disjoined || (a.intersects(&b) && op.mbr_filter(&a, &b));
                 if keep {
                     expect.push((l as u64, r as u64));
                 }
