@@ -35,9 +35,10 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "differential fuzz: {} seed(s) × {cases} case(s), five levels \
+        "differential fuzz: {} seed(s) × {cases} case(s), six levels \
          (geom predicates, tree queries, frozen identity, \
-         PSQL end-to-end, mixed read/write frozen+delta)",
+         PSQL end-to-end, mixed read/write frozen+delta, \
+         mixed geometry with flip and complement checks)",
         seeds.len()
     );
     let divergences = run_seeds(&seeds, cases);

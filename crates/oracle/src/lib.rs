@@ -7,7 +7,7 @@
 //! three tree representations ([`invariant`] over [`image::TreeImage`]),
 //! and a seeded differential fuzz driver ([`fuzz`]) that generates
 //! random pictorial datasets and query streams, runs engine and oracle
-//! side by side at four levels of the stack, and shrinks any divergence
+//! side by side at five levels of the stack, and shrinks any divergence
 //! to a minimal counterexample:
 //!
 //! 1. **Geometry** — the spatial-operator algebra on object pairs
@@ -28,6 +28,11 @@
 //!    buffered in the delta tree; both query paths (stats, scratch)
 //!    must be bit-identical to brute force over packed ∪ delta, before
 //!    and after the merge folds the delta back in.
+//! 5. **Mixed geometry** — points, segments, rectangles and triangles
+//!    from a generator of their own: flip symmetry and complement on
+//!    every object pair, and two pictures juxtaposed from both `from`
+//!    orders and nested, against the exact predicate over every pair,
+//!    `overlapping` and `disjoined` partitioning the cross product.
 //!
 //! Reproduction is deterministic: every counterexample carries the seed
 //! and case index that produced it (see `DESIGN.md` §11).
