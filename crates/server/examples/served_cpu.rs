@@ -13,6 +13,14 @@
 //! reactor µs and client µs per read, and their ratio, which does not
 //! move with the host's speed as the absolute figures do.
 //!
+//! The ratio compares two builds only when their answers are
+//! byte-identical: the client's share moves with the size of what it
+//! decodes, so a build whose answers are smaller raises the ratio even
+//! while it cuts the reactor's CPU (EXPERIMENTS.md, EXT-41). Otherwise
+//! a gate on the reactor's CPU reads `reactor_us_per_read` against an
+//! A/A control, the parent against a second build of itself, as EXT-41
+//! ran one.
+//!
 //! ```text
 //! taskset -c 1 cargo run --release -p psql-server --example served_cpu -- [N] [SECONDS]
 //! ```
@@ -176,5 +184,9 @@ fn main() {
     println!(
         "reactor_over_client {:.3}",
         reactor_ns as f64 / client_ns.max(1) as f64
+    );
+    println!(
+        "(the ratio compares two builds only if their answers are byte-identical; \
+         otherwise compare reactor_us_per_read against an A/A control)"
     );
 }
