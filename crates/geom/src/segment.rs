@@ -42,31 +42,6 @@ impl Segment {
         self.a.midpoint(self.b)
     }
 
-    /// `true` if the segment has any point inside or on the rectangle.
-    ///
-    /// This is the exact test behind direct spatial search over segment
-    /// objects: the R-tree prunes by MBR, then the candidate segments are
-    /// checked against the target window with this predicate.
-    pub fn intersects_rect(&self, r: &Rect) -> bool {
-        // Quick accept: either endpoint inside.
-        if r.contains_point(self.a) || r.contains_point(self.b) {
-            return true;
-        }
-        // Quick reject: MBRs disjoint.
-        if !self.mbr().intersects(r) {
-            return false;
-        }
-        // Otherwise the segment must cross one of the rectangle's edges.
-        let c = r.corners();
-        let edges = [
-            Segment::new(c[0], c[1]),
-            Segment::new(c[1], c[2]),
-            Segment::new(c[2], c[3]),
-            Segment::new(c[3], c[0]),
-        ];
-        edges.iter().any(|e| self.intersects_segment(e))
-    }
-
     /// `true` if this segment shares at least one point with `other`.
     ///
     /// Uses the standard orientation test and handles collinear overlap.
@@ -120,6 +95,7 @@ impl fmt::Display for Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Region, SpatialObject};
 
     fn s(ax: f64, ay: f64, bx: f64, by: f64) -> Segment {
         Segment::new(Point::new(ax, ay), Point::new(bx, by))
@@ -154,25 +130,30 @@ mod tests {
         assert!(s(0.0, 0.0, 1.0, 1.0).intersects_segment(&s(1.0, 1.0, 2.0, 0.0)));
     }
 
+    /// A segment against a rectangle region: the exact test behind a
+    /// window query over segment objects.
+    fn meets(seg: Segment, r: Rect) -> bool {
+        SpatialObject::Segment(seg).intersects(&SpatialObject::Region(Region::rectangle(r)))
+    }
+
     #[test]
     fn segment_through_rect_interior() {
         // Neither endpoint inside, but the segment slices through.
-        let seg = s(-1.0, 1.0, 3.0, 1.0);
-        assert!(seg.intersects_rect(&Rect::new(0.0, 0.0, 2.0, 2.0)));
+        assert!(meets(s(-1.0, 1.0, 3.0, 1.0), Rect::new(0.0, 0.0, 2.0, 2.0)));
     }
 
     #[test]
     fn segment_endpoint_inside_rect() {
-        let seg = s(1.0, 1.0, 9.0, 9.0);
-        assert!(seg.intersects_rect(&Rect::new(0.0, 0.0, 2.0, 2.0)));
+        assert!(meets(s(1.0, 1.0, 9.0, 9.0), Rect::new(0.0, 0.0, 2.0, 2.0)));
     }
 
     #[test]
     fn segment_missing_rect() {
-        let seg = s(-1.0, -1.0, -1.0, 5.0);
-        assert!(!seg.intersects_rect(&Rect::new(0.0, 0.0, 2.0, 2.0)));
+        assert!(!meets(
+            s(-1.0, -1.0, -1.0, 5.0),
+            Rect::new(0.0, 0.0, 2.0, 2.0)
+        ));
         // MBRs overlap but the segment passes by the corner.
-        let diag = s(3.0, 0.0, 0.0, 3.0);
-        assert!(!diag.intersects_rect(&Rect::new(0.0, 0.0, 1.0, 1.0)));
+        assert!(!meets(s(3.0, 0.0, 0.0, 3.0), Rect::new(0.0, 0.0, 1.0, 1.0)));
     }
 }

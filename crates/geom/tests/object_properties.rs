@@ -25,6 +25,11 @@ fn arb_window(rng: &mut StdRng) -> Rect {
     Rect::from_corners(arb_point(rng), arb_point(rng))
 }
 
+/// A window as the object a query refines against.
+fn rect_region(w: Rect) -> SpatialObject {
+    SpatialObject::Region(Region::rectangle(w))
+}
+
 fn arb_vertices(rng: &mut StdRng) -> Vec<Point> {
     (0..rng.gen_range(3..8)).map(|_| arb_point(rng)).collect()
 }
@@ -41,14 +46,27 @@ fn arb_object(rng: &mut StdRng) -> SpatialObject {
     }
 }
 
-/// `within_window ⇒ intersects_window` (containment is stronger).
+/// Containment is stronger than contact: `covers ⇒ intersects`, both
+/// ways round, against a window and against another object.
 #[test]
-fn within_implies_intersects() {
+fn covers_implies_intersects() {
     for_cases(256, |rng| {
-        let (obj, w) = (arb_object(rng), arb_window(rng));
-        if obj.within_window(&w) {
-            assert!(obj.intersects_window(&w), "{obj} is within {w}");
+        let (obj, w) = (arb_object(rng), rect_region(arb_window(rng)));
+        let other = arb_object(rng);
+        for (a, b) in [(&w, &obj), (&obj, &w), (&obj, &other), (&other, &obj)] {
+            if a.covers(b) {
+                assert!(a.intersects(b), "{a} covers {b}");
+            }
         }
+    });
+}
+
+/// `intersects` is symmetric for every pair of classes.
+#[test]
+fn intersects_is_symmetric() {
+    for_cases(256, |rng| {
+        let (a, b) = (arb_object(rng), arb_object(rng));
+        assert_eq!(a.intersects(&b), b.intersects(&a), "{a:?} vs {b:?}");
     });
 }
 
@@ -58,7 +76,7 @@ fn within_implies_intersects() {
 fn mbr_filter_is_sound() {
     for_cases(256, |rng| {
         let (obj, w) = (arb_object(rng), arb_window(rng));
-        if obj.intersects_window(&w) {
+        if obj.intersects(&rect_region(w)) {
             assert!(obj.mbr().intersects(&w));
         }
     });
@@ -83,8 +101,8 @@ fn mbr_contains_representative() {
 fn object_within_own_mbr() {
     for_cases(256, |rng| {
         let obj = arb_object(rng);
-        assert!(obj.within_window(&obj.mbr()));
-        assert!(obj.intersects_window(&obj.mbr()));
+        assert!(rect_region(obj.mbr()).covers(&obj));
+        assert!(obj.intersects(&rect_region(obj.mbr())));
     });
 }
 
@@ -95,10 +113,10 @@ fn pruning_directions() {
     for_cases(256, |rng| {
         let (obj, w) = (arb_object(rng), arb_window(rng));
         if w.covers(&obj.mbr()) {
-            assert!(obj.within_window(&w));
+            assert!(rect_region(w).covers(&obj));
         }
         if !w.intersects(&obj.mbr()) {
-            assert!(!obj.intersects_window(&w));
+            assert!(!obj.intersects(&rect_region(w)));
         }
     });
 }
@@ -108,9 +126,9 @@ fn pruning_directions() {
 #[test]
 fn segment_direction_irrelevant() {
     for_cases(256, |rng| {
-        let (a, b, w) = (arb_point(rng), arb_point(rng), arb_window(rng));
-        let fwd = Segment::new(a, b).intersects_rect(&w);
-        let rev = Segment::new(b, a).intersects_rect(&w);
+        let (a, b, w) = (arb_point(rng), arb_point(rng), rect_region(arb_window(rng)));
+        let fwd = SpatialObject::Segment(Segment::new(a, b)).intersects(&w);
+        let rev = SpatialObject::Segment(Segment::new(b, a)).intersects(&w);
         assert_eq!(fwd, rev);
     });
 }

@@ -217,11 +217,11 @@ fn generate(rng: &mut StdRng, shape_rng: &mut StdRng) -> Case {
 // Level 1: geometry predicates
 // ---------------------------------------------------------------------
 
-/// Complement and flip symmetry on every pair of `objects` and
-/// `shapes` (numbered on from the objects), whatever their classes.
-/// Every region in `objects` is an axis-aligned rectangle, so for their
-/// pairs object-level ground truth reduces to interval arithmetic on
-/// MBRs; the triangles are the mixed-geometry level's.
+/// Complement, flip symmetry and the separating-axis ground truth
+/// ([`reference::ref_holds`]) on every pair of `objects` and `shapes`
+/// (numbered on from the objects), whatever their classes, and on every
+/// such object against every window as the rectangle region a window
+/// query refines against.
 fn check_geom(case: &Case) -> Option<String> {
     let all: Vec<&SpatialObject> = case.objects.iter().chain(&case.shapes).collect();
     for (i, &a) in all.iter().enumerate() {
@@ -241,30 +241,18 @@ fn check_geom(case: &Case) -> Option<String> {
                     ));
                 }
             }
-            if i.max(j) >= case.objects.len() {
-                continue;
-            }
-            let (ma, mb) = (a.mbr(), b.mbr());
-            if over != reference::ref_intersects(&ma, &mb) {
-                return Some(format!(
-                    "objects {i},{j}: overlapping={over} but interval ground \
-                     truth says {} ({a:?} vs {b:?})",
-                    !over
-                ));
-            }
-            let cb = SpatialOp::CoveredBy.eval_objects(a, b);
-            if cb != reference::ref_covers(&mb, &ma) {
-                return Some(format!(
-                    "objects {i},{j}: covered-by={cb} but interval ground \
-                     truth says {} ({a:?} vs {b:?})",
-                    !cb
-                ));
+            // Flip symmetry holds, so one order of each pair suffices.
+            let wrong = (i <= j).then(|| against_reference((a, b), (a, b)));
+            if let Some(d) = wrong.flatten() {
+                return Some(format!("objects {i},{j}: {d}"));
             }
         }
     }
-    for (i, obj) in case.objects.iter().enumerate() {
-        for (wi, w) in case.windows.iter().enumerate() {
-            if let Some(d) = check_window_predicates(obj, w) {
+    for (wi, w) in case.windows.iter().enumerate() {
+        let window = SpatialObject::Region(Region::rectangle(*w));
+        let shape = reference::window_shape(w);
+        for (i, &obj) in all.iter().enumerate() {
+            if let Some(d) = against_reference((obj, &window), (obj, &shape)) {
                 return Some(format!("object {i}, window {wi}: {d}"));
             }
         }
@@ -272,96 +260,18 @@ fn check_geom(case: &Case) -> Option<String> {
     None
 }
 
-/// Window-level algebra plus exact ground truth where the class allows.
-fn check_window_predicates(obj: &SpatialObject, w: &Rect) -> Option<String> {
-    let over = SpatialOp::Overlapping.eval_window(obj, w);
-    let dis = SpatialOp::Disjoined.eval_window(obj, w);
-    let cb = SpatialOp::CoveredBy.eval_window(obj, w);
-    let cov = SpatialOp::Covering.eval_window(obj, w);
-    let mbr = obj.mbr();
-    if over == dis {
-        return Some(format!(
-            "overlapping={over} and disjoined={dis} are not complements \
-             ({obj:?} vs {w:?})"
-        ));
-    }
-    // Containment either way implies a shared point (closed sets are
-    // never empty), and overlap never exceeds MBR contact.
-    if (cb || cov) && !over {
-        return Some(format!(
-            "covered-by={cb}/covering={cov} without overlapping ({obj:?} vs {w:?})"
-        ));
-    }
-    if over && !reference::ref_intersects(&mbr, w) {
-        return Some(format!(
-            "overlapping=true but the MBRs are disjoint ({obj:?} vs {w:?})"
-        ));
-    }
-    // `within_window` is `w.covers(mbr)` for every class: exact ground
-    // truth from interval arithmetic.
-    if cb != reference::ref_covers(w, &mbr) {
-        return Some(format!(
-            "covered-by={cb} but interval ground truth says {} ({obj:?} vs {w:?})",
-            !cb
-        ));
-    }
-    // Exact `covering` ground truth per class.
-    match obj {
-        SpatialObject::Point(p) => {
-            let expect = w.min_x == p.x && w.max_x == p.x && w.min_y == p.y && w.max_y == p.y;
-            if cov != expect {
-                return Some(format!(
-                    "point covering={cov}, ground truth {expect} ({p:?} vs {w:?})"
-                ));
-            }
-            if over != reference::ref_intersects(&mbr, w) {
-                return Some(format!(
-                    "point overlapping={over} disagrees with interval test ({p:?} vs {w:?})"
-                ));
-            }
-        }
-        SpatialObject::Region(r) => {
-            let expect = reference::ref_covers(&r.mbr(), w);
-            if cov != expect {
-                return Some(format!(
-                    "rect-region covering={cov}, ground truth {expect} ({r:?} vs {w:?})"
-                ));
-            }
-            if over != reference::ref_intersects(&mbr, w) {
-                return Some(format!(
-                    "rect-region overlapping={over} disagrees with interval test ({r:?} vs {w:?})"
-                ));
-            }
-        }
-        SpatialObject::Segment(s) => {
-            // Exact only for axis-aligned segments; diagonal segments get
-            // the implication check above plus: covering requires a
-            // degenerate window inside the segment's MBR.
-            let horizontal = s.a.y == s.b.y;
-            let vertical = s.a.x == s.b.x;
-            if horizontal || vertical {
-                let expect = if horizontal {
-                    let (lo, hi) = minmax(s.a.x, s.b.x);
-                    w.min_y == s.a.y && w.max_y == s.a.y && lo <= w.min_x && w.max_x <= hi
-                } else {
-                    let (lo, hi) = minmax(s.a.y, s.b.y);
-                    w.min_x == s.a.x && w.max_x == s.a.x && lo <= w.min_y && w.max_y <= hi
-                };
-                if cov != expect {
-                    return Some(format!(
-                        "axis-aligned segment covering={cov}, ground truth {expect} \
-                         ({s:?} vs {w:?})"
-                    ));
-                }
-            } else if cov && !(w.is_degenerate() && reference::ref_covers(&mbr, w)) {
-                return Some(format!(
-                    "diagonal segment claims to cover a non-degenerate or \
-                     outside window ({s:?} vs {w:?})"
-                ));
-            }
-        }
-    }
-    None
+/// Every operator on the engine's operands against
+/// [`reference::ref_holds`] on the reference's, which may hold a window
+/// as its honest class.
+fn against_reference(
+    (a, b): (&SpatialObject, &SpatialObject),
+    (ra, rb): (&SpatialObject, &SpatialObject),
+) -> Option<String> {
+    ALL_OPS.into_iter().find_map(|op| {
+        let engine = op.eval_objects(a, b);
+        (engine != reference::ref_holds(op, ra, rb))
+            .then(|| format!("{op}={engine}, ground truth {} ({a:?} vs {b:?})", !engine))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -804,6 +714,14 @@ fn load<'a>(
     Ok(())
 }
 
+/// `w` as a PSQL window literal, `{cx +- dx, cy +- dy}`: exact on the
+/// fuzz grid, whose coordinates are quarter-integers.
+fn window_text(w: &Rect) -> String {
+    let (cx, cy) = ((w.min_x + w.max_x) / 2.0, (w.min_y + w.max_y) / 2.0);
+    let (dx, dy) = ((w.max_x - w.min_x) / 2.0, (w.max_y - w.min_y) / 2.0);
+    format!("{{{cx} +- {dx}, {cy} +- {dy}}}")
+}
+
 fn check_psql(case: &Case) -> Option<String> {
     let mut db = PictorialDatabase::new(RTreeConfig::PAPER);
     let named = case.objects.iter().enumerate();
@@ -822,14 +740,10 @@ fn check_psql(case: &Case) -> Option<String> {
     let functions = FunctionRegistry::with_builtins();
     let mut scratch = SearchScratch::new();
     for (wi, w) in case.windows.iter().enumerate() {
-        let cx = (w.min_x + w.max_x) / 2.0;
-        let cy = (w.min_y + w.max_y) / 2.0;
-        let dx = (w.max_x - w.min_x) / 2.0;
-        let dy = (w.max_y - w.min_y) / 2.0;
         for op in ALL_OPS {
             let text = format!(
-                "select name from objs on pic at loc {} {{{cx} +- {dx}, {cy} +- {dy}}}",
-                op.name()
+                "select name from objs on pic at loc {op} {}",
+                window_text(w)
             );
             let query = match parse_query(&text) {
                 Ok(q) => q,
@@ -1014,27 +928,42 @@ fn check_mixed_queries(case: &Case, pic: &psql::picture::Picture, stage: &str) -
 // Level 5: mixed geometry (points, segments, rectangles, triangles)
 // ---------------------------------------------------------------------
 
-/// A juxtaposition and a nested mapping of two pictures: `case.shapes`
-/// at even positions go to `lefts` on `left-map`, the rest to `rights`
-/// on `right-map` (level 1 checks the shapes' operator algebra). No
-/// interval ground truth holds once regions are triangles, so the
-/// engine is checked against [`SpatialOp::eval_objects`] over every
-/// pair.
+/// A juxtaposition and a nested mapping of two pictures, and window
+/// queries over each: `case.shapes` at even positions go to `lefts` on
+/// `left-map`, the rest to `rights` on `right-map` (level 1 checks the
+/// shapes' operator algebra), and `case.windows` to `wins` on `win-map`
+/// as rectangle regions. Every answer is checked against
+/// [`reference::ref_holds`] over every pair, and a window query must
+/// answer as the nested mapping whose inner location is that window.
 fn check_shapes(case: &Case) -> Option<String> {
     let (lefts, rights): (Vec<_>, Vec<_>) = case
         .shapes
         .iter()
         .enumerate()
         .partition(|(i, _)| i % 2 == 0);
+    let windows: Vec<SpatialObject> = case
+        .windows
+        .iter()
+        .map(|w| SpatialObject::Region(Region::rectangle(*w)))
+        .collect();
     let mut db = PictorialDatabase::new(RTreeConfig::PAPER);
-    for (relation, picture, side) in [
+    let sides = [
         ("lefts", "left-map", &lefts),
         ("rights", "right-map", &rights),
-    ] {
+    ];
+    for (relation, picture, side) in sides {
         let named = side.iter().map(|&(i, obj)| (i.to_string(), obj));
         if let Err(e) = load(&mut db, relation, picture, named) {
             return Some(format!("mixed-geometry setup failed: {e}"));
         }
+    }
+    if let Err(e) = load(
+        &mut db,
+        "wins",
+        "win-map",
+        windows.iter().enumerate().map(|(i, w)| (i.to_string(), w)),
+    ) {
+        return Some(format!("mixed-geometry setup failed: {e}"));
     }
 
     for packed in [false, true] {
@@ -1046,7 +975,9 @@ fn check_shapes(case: &Case) -> Option<String> {
             let pairs: Vec<Vec<usize>> = lefts
                 .iter()
                 .flat_map(|&(l, a)| {
-                    let meets = rights.iter().filter(move |&&(_, b)| op.eval_objects(a, b));
+                    let meets = rights
+                        .iter()
+                        .filter(move |&&(_, b)| reference::ref_holds(op, a, b));
                     meets.map(move |&(r, _)| vec![l, r])
                 })
                 .collect();
@@ -1084,6 +1015,34 @@ fn check_shapes(case: &Case) -> Option<String> {
         // if overlapping and disjoined partition the cross product.
         if covered != lefts.len() * rights.len() {
             return Some(format!("overlapping and disjoined cover {covered} pairs"));
+        }
+        for (relation, picture, side) in sides {
+            for (wi, w) in case.windows.iter().enumerate() {
+                let shape = reference::window_shape(w);
+                for op in ALL_OPS {
+                    let expect: Vec<Vec<usize>> = side
+                        .iter()
+                        .filter(|&&(_, obj)| reference::ref_holds(op, obj, &shape))
+                        .map(|&(i, _)| vec![i])
+                        .collect();
+                    let at = format!("select name from {relation} on {picture} at loc {op}");
+                    for text in [
+                        format!("{at} {}", window_text(w)),
+                        format!("{at} (select wins.loc from wins on win-map where name = '{wi}')"),
+                    ] {
+                        let got = match exec::query(&db, &text) {
+                            Ok(rs) => positions(&rs),
+                            Err(e) => return Some(format!("{text:?} failed: {e}")),
+                        };
+                        if got != expect {
+                            return Some(format!(
+                                "{text:?} (packed {packed}, window {w:?}): rows {got:?} != \
+                                 exact {expect:?}"
+                            ));
+                        }
+                    }
+                }
+            }
         }
     }
     None

@@ -1,12 +1,13 @@
 //! Brute-force reference implementations.
 //!
 //! Each function answers a query by scanning every item — no tree, no
-//! pruning, no shared code with the engine's traversals beyond the
-//! geometry predicates deliberately under test. The engine must agree
-//! with these on every input.
+//! pruning, no shared code with the engine's traversals. The spatial
+//! predicates have ground truth of their own: interval arithmetic for
+//! rectangles, separating axes for points, segments and convex regions.
+//! The engine must agree with these on every input.
 
 use psql::SpatialOp;
-use rtree_geom::{Point, Rect, SpatialObject};
+use rtree_geom::{Point, Rect, Region, Segment, SpatialObject};
 use rtree_index::{ItemId, NodeId, RTree};
 
 // ---------------------------------------------------------------------
@@ -38,6 +39,112 @@ pub fn ref_intersects(a: &Rect, b: &Rect) -> bool {
 pub fn ref_covers(a: &Rect, b: &Rect) -> bool {
     span_inside(b.min_x, b.max_x, a.min_x, a.max_x)
         && span_inside(b.min_y, b.max_y, a.min_y, a.max_y)
+}
+
+// ---------------------------------------------------------------------
+// Separating-axis ground truth for the spatial operators.
+//
+// Points, segments and convex regions, written against raw vertex
+// coordinates with no call into the engine's predicates. Two closed
+// convex shapes are disjoint iff some axis strictly separates their
+// vertex sets; the candidate axes are every edge's normal and direction,
+// x and y. On the fuzz grid (quarter-integers up to 12) every product
+// below is exact.
+// ---------------------------------------------------------------------
+
+/// Calls `f` with the point, a segment's two ends, or a region's
+/// boundary vertices.
+fn with_vertices<R>(obj: &SpatialObject, f: impl FnOnce(&[Point]) -> R) -> R {
+    match obj {
+        SpatialObject::Point(p) => f(&[*p]),
+        SpatialObject::Segment(s) => f(&[s.a, s.b]),
+        SpatialObject::Region(r) => f(r.vertices()),
+    }
+}
+
+/// `(from, to)` of every edge: none for one vertex, the segment for
+/// two, the closed boundary for more.
+fn shape_edges(v: &[Point]) -> impl Iterator<Item = (Point, Point)> + '_ {
+    let n = if v.len() < 3 { v.len() - 1 } else { v.len() };
+    (0..n).map(move |i| (v[i], v[(i + 1) % v.len()]))
+}
+
+/// Twice the signed area of triangle `o, a, b`: positive when `b` lies
+/// left of the line from `o` to `a`.
+fn turn(o: Point, a: Point, b: Point) -> f64 {
+    (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+}
+
+/// Ground truth for `overlapping`: the closed shapes share a point
+/// unless some candidate axis strictly separates their vertex sets.
+pub fn ref_meet(a: &SpatialObject, b: &SpatialObject) -> bool {
+    with_vertices(a, |va| with_vertices(b, |vb| !separated(va, vb)))
+}
+
+fn separated(va: &[Point], vb: &[Point]) -> bool {
+    let span = |v: &[Point], (ax, ay): (f64, f64)| {
+        let along = v.iter().map(|p| p.x * ax + p.y * ay);
+        along.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), t| {
+            (lo.min(t), hi.max(t))
+        })
+    };
+    let edge_axes = shape_edges(va).chain(shape_edges(vb)).flat_map(|(p, q)| {
+        let (dx, dy) = (q.x - p.x, q.y - p.y);
+        [(dx, dy), (-dy, dx)]
+    });
+    [(1.0, 0.0), (0.0, 1.0)]
+        .into_iter()
+        .chain(edge_axes)
+        .any(|axis| {
+            let ((a_lo, a_hi), (b_lo, b_hi)) = (span(va, axis), span(vb, axis));
+            a_hi < b_lo || b_hi < a_lo
+        })
+}
+
+/// Ground truth for `covering`: every vertex of `inner` lies in the
+/// convex `outer` — equal to its point, on its segment (collinear and
+/// between the ends), or on the inner side of every edge of its region
+/// (half-plane sign tests against the winding's sign).
+pub fn ref_covers_shape(outer: &SpatialObject, inner: &SpatialObject) -> bool {
+    with_vertices(outer, |v| {
+        let winding: f64 = shape_edges(v).map(|(p, q)| p.x * q.y - p.y * q.x).sum();
+        let holds = |p: Point| match *v {
+            [o] => p == o,
+            [a, b] => {
+                let along = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y);
+                let length_sq = (b.x - a.x) * (b.x - a.x) + (b.y - a.y) * (b.y - a.y);
+                turn(a, b, p) == 0.0
+                    && 0.0 <= along
+                    && along <= length_sq
+                    && (length_sq > 0.0 || p == a)
+            }
+            _ => shape_edges(v).all(|(a, b)| winding.signum() * turn(a, b, p) >= 0.0),
+        };
+        with_vertices(inner, |vi| vi.iter().all(|&p| holds(p)))
+    })
+}
+
+/// Ground truth for `a op b`.
+pub fn ref_holds(op: SpatialOp, a: &SpatialObject, b: &SpatialObject) -> bool {
+    match op {
+        SpatialOp::Covering => ref_covers_shape(a, b),
+        SpatialOp::CoveredBy => ref_covers_shape(b, a),
+        SpatialOp::Overlapping => ref_meet(a, b),
+        SpatialOp::Disjoined => !ref_meet(a, b),
+    }
+}
+
+/// A window as the honest class of its shape: a point when it has no
+/// extent, a segment when it has one side, else a rectangle region.
+pub fn window_shape(w: &Rect) -> SpatialObject {
+    let (lo, hi) = (Point::new(w.min_x, w.min_y), Point::new(w.max_x, w.max_y));
+    if lo == hi {
+        SpatialObject::Point(lo)
+    } else if w.min_x == w.max_x || w.min_y == w.max_y {
+        SpatialObject::Segment(Segment::new(lo, hi))
+    } else {
+        SpatialObject::Region(Region::rectangle(*w))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -73,12 +180,14 @@ pub fn point_items(items: &[(Rect, ItemId)], p: Point) -> Vec<ItemId> {
 
 /// Reference evaluation of a PSQL spatial operator between every object
 /// of a picture and a constant window: ids (by position, matching
-/// `Picture` object ids) of objects satisfying `obj op window`.
+/// `Picture` object ids) of objects satisfying `obj op window`, by
+/// [`ref_holds`] against the window's [`window_shape`].
 pub fn window_objects(objects: &[SpatialObject], op: SpatialOp, window: &Rect) -> Vec<u64> {
+    let window = window_shape(window);
     objects
         .iter()
         .enumerate()
-        .filter(|(_, obj)| op.eval_window(obj, window))
+        .filter(|(_, obj)| ref_holds(op, obj, &window))
         .map(|(i, _)| i as u64)
         .collect()
 }

@@ -906,11 +906,11 @@ mod tests {
         assert_eq!(names(&into_b, "route"), ["ab", "cb"]);
     }
 
-    /// A point outside a triangle but inside its MBR: every source, from
-    /// either side and either `from` order, gives the exact answer, and
-    /// `disjoined` is the complement of `overlapping`. Against a segment,
-    /// which counts by its MBR, a juxtaposition and a nested mapping
-    /// agree.
+    /// A point outside a triangle but inside its MBR, two triangles
+    /// that share no point but whose MBRs overlap, and a segment passing
+    /// the point inside its MBR: every source, from either side and
+    /// either `from` order, gives the exact answer, and `disjoined` is
+    /// the complement of `overlapping`.
     #[test]
     fn a_point_in_a_triangles_mbr_is_disjoined_from_it_from_every_side() {
         use pictorial_relational::{Column, ColumnType, Schema};
@@ -924,8 +924,15 @@ mod tests {
             Point::new(0.0, 10.0),
         ])
         .unwrap();
+        let upper = Region::new(vec![
+            Point::new(10.0, 10.0),
+            Point::new(10.0, 1.0),
+            Point::new(1.0, 10.0),
+        ])
+        .unwrap();
         for (relation, column, picture, object) in [
             ("tris", "tri", "tri-map", SpatialObject::Region(triangle)),
+            ("tops", "top", "top-map", SpatialObject::Region(upper)),
             (
                 "pts",
                 "pt",
@@ -969,10 +976,21 @@ mod tests {
                 1,
             ),
             ("select tri from tris on tri-map at loc overlapping {9 +- 0, 9 +- 0}", 0),
-            ("select seg, pt from segs, pts on seg-map, pt-map at segs.loc overlapping pts.loc", 1),
+            ("select seg, pt from segs, pts on seg-map, pt-map at segs.loc overlapping pts.loc", 0),
+            ("select pt, seg from pts, segs on pt-map, seg-map at segs.loc disjoined pts.loc", 1),
             (
                 "select seg from segs on seg-map at loc overlapping (select pts.loc from pts on pt-map)",
-                1,
+                0,
+            ),
+            ("select seg from segs on seg-map at loc overlapping {9 +- 0, 9 +- 0}", 0),
+            ("select seg from segs on seg-map at loc disjoined {9 +- 0, 9 +- 0}", 1),
+            ("select tri, top from tris, tops on tri-map, top-map at tris.loc overlapping tops.loc", 0),
+            ("select top, tri from tops, tris on top-map, tri-map at tris.loc overlapping tops.loc", 0),
+            ("select tri, top from tris, tops on tri-map, top-map at tris.loc disjoined tops.loc", 1),
+            ("select top, tri from tops, tris on top-map, tri-map at tops.loc disjoined tris.loc", 1),
+            (
+                "select top from tops on top-map at loc overlapping (select tris.loc from tris on tri-map)",
+                0,
             ),
         ];
         for packed in [false, true] {
@@ -986,6 +1004,36 @@ mod tests {
                     "{text} (packed {packed})"
                 );
             }
+        }
+    }
+
+    /// I-90#1 runs above Oregon through a corner of its rectangle's
+    /// MBR: a window query over that rectangle, a juxtaposition and a
+    /// nested mapping all answer the segment's exact relation to it.
+    #[test]
+    fn a_highway_in_a_states_mbr_answers_alike_from_every_source() {
+        let db = db();
+        for op in ["overlapping", "disjoined"] {
+            let answers = [
+                format!("select hwy-name, hwy-section from highways on highway-map at loc {op} {{6.5 +- 6.5, 39 +- 3}}"),
+                format!(
+                    "select hwy-name, hwy-section from highways, states on highway-map, state-map \
+                     at highways.loc {op} states.loc where state = 'Oregon'"
+                ),
+                format!(
+                    "select hwy-name, hwy-section from highways on highway-map at loc {op} \
+                     (select states.loc from states on state-map where state = 'Oregon')"
+                ),
+            ]
+            .map(|text| {
+                let mut rows = query(&db, &text).unwrap().rows;
+                rows.sort_by_key(|row| format!("{row:?}"));
+                rows
+            });
+            assert_eq!(answers[0], answers[1], "{op}: window vs juxtaposition");
+            assert_eq!(answers[0], answers[2], "{op}: window vs nested mapping");
+            let i90_1 = vec![Value::str("I-90"), Value::Int(1)];
+            assert_eq!(answers[0].contains(&i90_1), op == "disjoined", "{op}");
         }
     }
 

@@ -3,7 +3,7 @@
 use crate::spatial::SpatialOp;
 use crate::store::ObjectStore;
 use packed_rtree_core::{pack, pack_frozen, PackStrategy};
-use rtree_geom::{Point, Rect, SpatialObject};
+use rtree_geom::{Point, Rect, Region, SpatialObject};
 use rtree_index::{
     FrozenRTree, ItemId, KnnScratch, Neighbor, NodeAccess, RTree, RTreeConfig, SearchScratch,
     SearchStats,
@@ -321,7 +321,7 @@ impl Picture {
     }
 
     /// One logical window query: `op`'s candidates, refined with exact
-    /// geometry.
+    /// geometry against the window as a rectangle region.
     fn window(
         &self,
         op: SpatialOp,
@@ -330,9 +330,10 @@ impl Picture {
         stats: Option<&mut SearchStats>,
     ) -> Vec<u64> {
         let mut ids = self.candidates(op, window, scratch, stats);
+        let window = SpatialObject::Region(Region::rectangle(*window));
         ids.retain(|&id| {
             let object = self.object(id).expect("the index holds live ids only");
-            op.eval_window(&object, window)
+            op.eval_objects(&object, &window)
         });
         ids
     }
@@ -432,7 +433,7 @@ impl Picture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtree_geom::{Point, Region, Segment};
+    use rtree_geom::{Point, Segment};
     use std::sync::Barrier;
 
     fn sample() -> Picture {
@@ -615,6 +616,7 @@ mod tests {
             eager.insert(object.mbr(), ItemId(id));
         }
         let window = Rect::new(100.0, 100.0, 600.0, 600.0);
+        let window_region = SpatialObject::Region(Region::rectangle(window));
         for first_query_after in [0, objects.len() / 2, objects.len()] {
             let mut pic = mixed_picture(&objects[..first_query_after]);
             assert!(!pic.is_indexed(), "adds alone must build nothing");
@@ -632,7 +634,7 @@ mod tests {
                 .search_intersecting(&window, &mut ts)
                 .into_iter()
                 .map(|ItemId(id)| id)
-                .filter(|&id| SpatialOp::Overlapping.eval_window(&objects[id as usize].0, &window))
+                .filter(|&id| objects[id as usize].0.intersects(&window_region))
                 .collect();
             assert_eq!(
                 pic.search_window(SpatialOp::Overlapping, &window, &mut ps),

@@ -14,7 +14,7 @@
 //! `overlapping` and therefore *not* `disjoined`.  `disjoined` is the
 //! exact complement of `overlapping` for every operand class.  This
 //! matches [`rtree_geom::Rect::intersects`]/[`rtree_geom::Rect::disjoint`]
-//! and the closed window predicates on [`SpatialObject`]; it is *not*
+//! and the closed predicates on [`SpatialObject`]; it is *not*
 //! the positive-area notion measured by [`rtree_geom::Rect::overlaps`],
 //! which exists only as a packing-quality metric (see the semantics
 //! note in `rtree_geom::rect`).  The differential oracle
@@ -29,14 +29,17 @@
 //! condition of the exact test. `disjoined` has none: every source
 //! lists every candidate for it and the exact test decides.
 //!
-//! [`SpatialOp::eval_objects`] is exact for a point against a point or
-//! a rectangle and for a rectangle against a rectangle (every US-map
-//! region is a rectangle). A region that is not a rectangle (a
-//! triangle) is tested against the other operand's MBR, from whichever
-//! side holds it, from both when both are regions; that is exact
-//! against a point. A segment counts by its MBR. So `a op b ⇔ b
-//! op.flip() a`, and `disjoined` is the complement of `overlapping`,
-//! for every pair of classes.
+//! The refine is [`SpatialOp::eval_objects`], one exact test per
+//! operator for every pair of point, segment and region, whichever
+//! source asks: a window query (the window is a rectangle region), a
+//! nested mapping or a juxtaposition. `overlapping` and `disjoined` are
+//! [`SpatialObject::intersects`] and its complement; `covering` and
+//! `covered-by` are [`SpatialObject::covers`] from either side, which
+//! is exact when the covering operand is convex (a point, a segment, a
+//! rectangle, a triangle). Both methods let the MBR decide where it is
+//! exact, so a point against a window costs one `Rect` comparison. So
+//! `a op b ⇔ b op.flip() a`, and `disjoined` is the complement of
+//! `overlapping`, for every pair of classes.
 
 use rtree_geom::{Rect, SpatialObject};
 
@@ -68,61 +71,14 @@ impl SpatialOp {
         }
     }
 
-    /// Evaluates the operator between an object and a constant window.
-    pub fn eval_window(self, obj: &SpatialObject, window: &Rect) -> bool {
-        match self {
-            SpatialOp::CoveredBy => obj.within_window(window),
-            // `obj covering window` holds iff every point of the window
-            // lies in the object. The window is the convex hull of its
-            // corners and all three object classes are convex, so corner
-            // containment is exact for points and segments and for
-            // convex (e.g. rectangular) regions.
-            SpatialOp::Covering => match obj {
-                SpatialObject::Region(r) => {
-                    r.mbr().covers(window) && window.corners().iter().all(|&c| r.contains_point(c))
-                }
-                // A point covers only the window that *is* that point
-                // (all corners coincide with it) — never a window with a
-                // positive-length side.
-                SpatialObject::Point(p) => window.corners().iter().all(|&c| c == *p),
-                // A segment covers a degenerate window lying along it: a
-                // point on the segment, or a zero-width/zero-height
-                // window whose corners are all on the segment.
-                SpatialObject::Segment(s) => window.corners().iter().all(|&c| s.contains_point(c)),
-            },
-            SpatialOp::Overlapping => obj.intersects_window(window),
-            SpatialOp::Disjoined => !obj.intersects_window(window),
-        }
-    }
-
-    /// Evaluates the operator between two objects: the refine step after
-    /// a join's or a nested mapping's MBR filter, exact where the classes
-    /// allow (see the module doc).
+    /// Evaluates the operator between two objects: the one refine step
+    /// of every source. A window is a [`rtree_geom::Region::rectangle`].
     pub fn eval_objects(self, a: &SpatialObject, b: &SpatialObject) -> bool {
         match self {
-            SpatialOp::Covering => SpatialOp::CoveredBy.eval_objects(b, a),
-            SpatialOp::CoveredBy => match b {
-                SpatialObject::Region(region) => {
-                    // Exact for points; corner containment for the rest
-                    // (exact when the region is convex, e.g. the map's
-                    // rectangular states and zones).
-                    region.mbr().covers(&a.mbr())
-                        && a.mbr().corners().iter().all(|&c| region.contains_point(c))
-                }
-                _ => b.mbr().covers(&a.mbr()),
-            },
-            SpatialOp::Overlapping => {
-                // Closed-set semantics: boundary contact counts, so the
-                // MBR test is plain `intersects`, never the positive-area
-                // `Rect::overlaps`. A region is then tested exactly
-                // against the other side's MBR, whichever side it is on.
-                let (ma, mb) = (a.mbr(), b.mbr());
-                let meets = |obj: &SpatialObject, other: &Rect| {
-                    !matches!(obj, SpatialObject::Region(_)) || obj.intersects_window(other)
-                };
-                ma.intersects(&mb) && meets(a, &mb) && meets(b, &ma)
-            }
-            SpatialOp::Disjoined => !SpatialOp::Overlapping.eval_objects(a, b),
+            SpatialOp::Covering => a.covers(b),
+            SpatialOp::CoveredBy => b.covers(a),
+            SpatialOp::Overlapping => a.intersects(b),
+            SpatialOp::Disjoined => !a.intersects(b),
         }
     }
 
@@ -182,32 +138,37 @@ mod tests {
         SpatialObject::Region(Region::rectangle(Rect::new(x0, y0, x1, y1)))
     }
 
+    /// A window, as every source refines against it.
+    fn window(w: Rect) -> SpatialObject {
+        SpatialObject::Region(Region::rectangle(w))
+    }
+
     #[test]
     fn covered_by_window() {
-        let w = Rect::new(0.0, 0.0, 10.0, 10.0);
-        assert!(SpatialOp::CoveredBy.eval_window(&point(5.0, 5.0), &w));
-        assert!(!SpatialOp::CoveredBy.eval_window(&point(15.0, 5.0), &w));
-        assert!(SpatialOp::CoveredBy.eval_window(&region(1.0, 1.0, 9.0, 9.0), &w));
-        assert!(!SpatialOp::CoveredBy.eval_window(&region(5.0, 5.0, 15.0, 9.0), &w));
+        let w = window(Rect::new(0.0, 0.0, 10.0, 10.0));
+        assert!(SpatialOp::CoveredBy.eval_objects(&point(5.0, 5.0), &w));
+        assert!(!SpatialOp::CoveredBy.eval_objects(&point(15.0, 5.0), &w));
+        assert!(SpatialOp::CoveredBy.eval_objects(&region(1.0, 1.0, 9.0, 9.0), &w));
+        assert!(!SpatialOp::CoveredBy.eval_objects(&region(5.0, 5.0, 15.0, 9.0), &w));
     }
 
     #[test]
     fn covering_window() {
-        let w = Rect::new(2.0, 2.0, 4.0, 4.0);
-        assert!(SpatialOp::Covering.eval_window(&region(0.0, 0.0, 10.0, 10.0), &w));
-        assert!(!SpatialOp::Covering.eval_window(&region(3.0, 3.0, 10.0, 10.0), &w));
-        assert!(!SpatialOp::Covering.eval_window(&point(3.0, 3.0), &w));
+        let w = window(Rect::new(2.0, 2.0, 4.0, 4.0));
+        assert!(SpatialOp::Covering.eval_objects(&region(0.0, 0.0, 10.0, 10.0), &w));
+        assert!(!SpatialOp::Covering.eval_objects(&region(3.0, 3.0, 10.0, 10.0), &w));
+        assert!(!SpatialOp::Covering.eval_objects(&point(3.0, 3.0), &w));
     }
 
     #[test]
     fn overlap_and_disjoint_window() {
-        let w = Rect::new(0.0, 0.0, 10.0, 10.0);
+        let w = window(Rect::new(0.0, 0.0, 10.0, 10.0));
         let crossing =
             SpatialObject::Segment(Segment::new(Point::new(-5.0, 5.0), Point::new(15.0, 5.0)));
-        assert!(SpatialOp::Overlapping.eval_window(&crossing, &w));
-        assert!(!SpatialOp::Disjoined.eval_window(&crossing, &w));
+        assert!(SpatialOp::Overlapping.eval_objects(&crossing, &w));
+        assert!(!SpatialOp::Disjoined.eval_objects(&crossing, &w));
         let far = point(50.0, 50.0);
-        assert!(SpatialOp::Disjoined.eval_window(&far, &w));
+        assert!(SpatialOp::Disjoined.eval_objects(&far, &w));
     }
 
     #[test]
@@ -254,14 +215,14 @@ mod tests {
 
     #[test]
     fn edge_touching_window_semantics_match_objects() {
-        let w = Rect::new(0.0, 0.0, 5.0, 5.0);
+        let w = window(Rect::new(0.0, 0.0, 5.0, 5.0));
         // Object touching the window's right edge only.
         let touching = region(5.0, 1.0, 8.0, 4.0);
-        assert!(SpatialOp::Overlapping.eval_window(&touching, &w));
-        assert!(!SpatialOp::Disjoined.eval_window(&touching, &w));
+        assert!(SpatialOp::Overlapping.eval_objects(&touching, &w));
+        assert!(!SpatialOp::Disjoined.eval_objects(&touching, &w));
         // Point exactly on the window corner.
-        assert!(SpatialOp::Overlapping.eval_window(&point(5.0, 5.0), &w));
-        assert!(!SpatialOp::Disjoined.eval_window(&point(5.0, 5.0), &w));
+        assert!(SpatialOp::Overlapping.eval_objects(&point(5.0, 5.0), &w));
+        assert!(!SpatialOp::Disjoined.eval_objects(&point(5.0, 5.0), &w));
     }
 
     #[test]
@@ -313,6 +274,50 @@ mod tests {
         }
     }
 
+    const OPS: [SpatialOp; 4] = [
+        SpatialOp::Covering,
+        SpatialOp::CoveredBy,
+        SpatialOp::Overlapping,
+        SpatialOp::Disjoined,
+    ];
+
+    /// The window rule every window query refined through before a
+    /// window became a rectangle region for `eval_objects`: exact for
+    /// every class, so window answers must not move from it.
+    fn window_rule(op: SpatialOp, obj: &SpatialObject, w: &Rect) -> bool {
+        let segment_meets = |s: &Segment| {
+            let c = w.corners();
+            w.contains_point(s.a)
+                || w.contains_point(s.b)
+                || (s.mbr().intersects(w)
+                    && (0..4).any(|i| s.intersects_segment(&Segment::new(c[i], c[(i + 1) % 4]))))
+        };
+        let meets = match obj {
+            SpatialObject::Point(p) => w.contains_point(*p),
+            SpatialObject::Segment(s) => segment_meets(s),
+            SpatialObject::Region(r) => {
+                let v = r.vertices();
+                r.mbr().intersects(w)
+                    && (v.iter().any(|&p| w.contains_point(p))
+                        || w.corners().iter().any(|&c| r.contains_point(c))
+                        || (0..v.len())
+                            .any(|i| segment_meets(&Segment::new(v[i], v[(i + 1) % v.len()]))))
+            }
+        };
+        match op {
+            SpatialOp::CoveredBy => w.covers(&obj.mbr()),
+            SpatialOp::Covering => match obj {
+                SpatialObject::Region(r) => {
+                    r.mbr().covers(w) && w.corners().iter().all(|&c| r.contains_point(c))
+                }
+                SpatialObject::Point(p) => w.corners().iter().all(|&c| c == *p),
+                SpatialObject::Segment(s) => w.corners().iter().all(|&c| s.contains_point(c)),
+            },
+            SpatialOp::Overlapping => meets,
+            SpatialOp::Disjoined => !meets,
+        }
+    }
+
     #[test]
     fn operators_are_flip_symmetric_and_complementary_for_every_class() {
         let triangle = Region::new(vec![
@@ -327,12 +332,7 @@ mod tests {
         objects.extend((0..120).map(|_| lattice_object(&mut rng)));
         for a in &objects {
             for b in &objects {
-                for op in [
-                    SpatialOp::Covering,
-                    SpatialOp::CoveredBy,
-                    SpatialOp::Overlapping,
-                    SpatialOp::Disjoined,
-                ] {
+                for op in OPS {
                     assert_eq!(
                         op.eval_objects(a, b),
                         op.flip().eval_objects(b, a),
@@ -346,16 +346,30 @@ mod tests {
                 );
             }
         }
+        // Against every window on the lattice, degenerate ones included,
+        // a window's rectangle region answers as the window rule did.
+        let spans: Vec<(f64, f64)> = (0..=9u32)
+            .flat_map(|lo| (lo..=9).map(move |hi| (lo as f64, hi as f64)))
+            .collect();
+        for &(x0, x1) in &spans {
+            for &(y0, y1) in &spans {
+                let w = Rect::new(x0, y0, x1, y1);
+                for obj in &objects {
+                    for op in OPS {
+                        assert_eq!(
+                            op.eval_objects(obj, &window(w)),
+                            window_rule(op, obj, &w),
+                            "{obj:?} {op} {w:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn flip_is_involutive() {
-        for op in [
-            SpatialOp::Covering,
-            SpatialOp::CoveredBy,
-            SpatialOp::Overlapping,
-            SpatialOp::Disjoined,
-        ] {
+        for op in OPS {
             assert_eq!(op.flip().flip(), op);
         }
     }

@@ -175,8 +175,9 @@ fn small_packed_picture_with_a_delta_matches_brute_force() {
     let mut scratch = SearchScratch::new();
     for w in &windows {
         for op in OPS {
+            let target = SpatialObject::Region(Region::rectangle(*w));
             let expect: Vec<u64> = (0..objects.len() as u64)
-                .filter(|&id| op.eval_window(&objects[id as usize], w))
+                .filter(|&id| op.eval_objects(&objects[id as usize], &target))
                 .collect();
             assert_eq!(window_ids(pic, op, w), expect, "{op} {w:?}");
             let mut fast = pic.search_window_fast(op, w, &mut scratch);

@@ -24,7 +24,7 @@ use crate::server::{handle_frame, rebuild, recover, serve, Inline, ServerConfig,
 use pictorial_relational::Value;
 use psql::database::PictorialDatabase;
 use psql::SpatialOp;
-use rtree_geom::{Point, Rect, SpatialObject};
+use rtree_geom::{Point, Rect, Region, SpatialObject};
 use rtree_index::SearchScratch;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -362,9 +362,10 @@ impl World {
         ][self.rng.below(4)];
         let mut found = pic.search_window_fast(op, &window, &mut self.scratch);
         found.sort_unstable();
+        let target = SpatialObject::Region(Region::rectangle(window));
         let brute: Vec<u64> = pic
             .object_ids()
-            .filter(|&id| op.eval_window(&pic.object(id).expect("object"), &window))
+            .filter(|&id| op.eval_objects(&pic.object(id).expect("object"), &target))
             .collect();
         self.check(found == brute, || {
             format!("{op:?} {window:?}: search {found:?}, brute force {brute:?}")
