@@ -505,8 +505,16 @@ fn get_f64(c: &mut Cursor<'_>) -> Result<f64, String> {
     Ok(f64::from_bits(u64::from_be_bytes(c.array()?)))
 }
 
+/// A point of an inserted object: the one boundary where objects come
+/// in from outside, so a NaN or infinite coordinate is refused here, as
+/// the parser refuses a non-finite window.
 fn get_point(c: &mut Cursor<'_>) -> Result<Point, String> {
-    Ok(Point::new(get_f64(c)?, get_f64(c)?))
+    let p = Point::new(get_f64(c)?, get_f64(c)?);
+    if p.x.is_finite() && p.y.is_finite() {
+        Ok(p)
+    } else {
+        Err(format!("non-finite coordinate in ({}, {})", p.x, p.y))
+    }
 }
 
 fn get_object(c: &mut Cursor<'_>) -> Result<SpatialObject, String> {

@@ -6,6 +6,7 @@ use psql::database::PictorialDatabase;
 use psql_server::client::Client;
 use psql_server::protocol::{encode_request, ErrorKind, Request, Response};
 use psql_server::server::{Server, ServerConfig};
+use rtree_geom::{Point, Region, Segment, SpatialObject};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -242,5 +243,58 @@ fn deeply_nested_query_is_a_parse_error_and_session_survives() {
         }
         c.ping().expect("alive");
     }
+    server.stop();
+}
+
+/// An INSERT whose object has a NaN or infinite coordinate, in a point,
+/// a segment or a region vertex, is refused where the frame is decoded
+/// with a typed `Protocol` error: it reaches no worker, picture or WAL,
+/// and the session goes on.
+#[test]
+fn non_finite_insert_coordinates_are_protocol_errors() {
+    let server = start_server();
+    let mut c = connect(&server);
+    let before = server.snapshots().load().db.delta_len();
+    // A finite stand-in, replaced in the encoded frame: a region cannot
+    // be built around a non-finite vertex.
+    const MARK: f64 = 12_345.0;
+    let (a, b, mark) = (
+        Point::new(10.0, 10.0),
+        Point::new(20.0, 10.0),
+        Point::new(MARK, 10.0),
+    );
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for object in [
+            SpatialObject::Point(mark),
+            SpatialObject::Segment(Segment::new(a, mark)),
+            SpatialObject::Region(Region::new(vec![a, b, mark]).unwrap()),
+        ] {
+            let mut payload = encode_request(&Request::Insert {
+                id: 31,
+                picture: "us-map".into(),
+                label: "bad".into(),
+                object,
+            });
+            let at = payload
+                .windows(8)
+                .position(|w| w == MARK.to_be_bytes())
+                .expect("the mark is encoded");
+            payload[at..at + 8].copy_from_slice(&bad.to_be_bytes());
+            let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+            frame.extend_from_slice(&payload);
+            c.send_raw(&frame).unwrap();
+            match c.read_response().expect("answered") {
+                Response::Error { id, kind, message } => {
+                    assert_eq!((id, kind), (31, ErrorKind::Protocol), "{message}");
+                    assert!(message.contains("non-finite"), "{message}");
+                }
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+            c.ping().expect("alive");
+        }
+    }
+    c.insert_expect_done("us-map", "good", SpatialObject::Point(a))
+        .expect("a valid insert is acknowledged");
+    assert_eq!(server.snapshots().load().db.delta_len(), before + 1);
     server.stop();
 }
