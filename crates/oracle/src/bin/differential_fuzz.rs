@@ -36,9 +36,9 @@ fn main() -> ExitCode {
 
     println!(
         "differential fuzz: {} seed(s) × {cases} case(s), six levels \
-         (geom predicates, tree queries, frozen identity, \
-         PSQL end-to-end, mixed read/write frozen+delta, \
-         mixed geometry with flip and complement checks)",
+         (geom predicates against convex-shape ground truth, tree queries, \
+         frozen identity, PSQL end-to-end, mixed read/write frozen+delta, \
+         mixed geometry with window queries)",
         seeds.len()
     );
     let divergences = run_seeds(&seeds, cases);

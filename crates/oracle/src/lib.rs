@@ -11,8 +11,10 @@
 //! to a minimal counterexample:
 //!
 //! 1. **Geometry** — the spatial-operator algebra on object pairs
-//!    (complement, flip symmetry, and interval-arithmetic ground truth
-//!    for point/rectangle operands).
+//!    (complement, flip symmetry) and every operator on every pair, and
+//!    against every window, checked against separating-axis ground
+//!    truth for points, segments and convex regions
+//!    ([`reference::ref_holds`]).
 //! 2. **Tree** — `search_within` / `search_intersecting` / `point_query`
 //!    through both the instrumented stats path and the allocation-free
 //!    [`SearchScratch`](rtree_index::SearchScratch) path, plus k-NN,
@@ -29,10 +31,11 @@
 //!    must be bit-identical to brute force over packed ∪ delta, before
 //!    and after the merge folds the delta back in.
 //! 5. **Mixed geometry** — points, segments, rectangles and triangles
-//!    from a generator of their own: flip symmetry and complement on
-//!    every object pair, and two pictures juxtaposed from both `from`
-//!    orders and nested, against the exact predicate over every pair,
-//!    `overlapping` and `disjoined` partitioning the cross product.
+//!    from a generator of their own: two pictures juxtaposed from both
+//!    `from` orders and nested, and window queries over each, against
+//!    the ground truth over every pair, `overlapping` and `disjoined`
+//!    partitioning the cross product, and each window query equal to
+//!    the nested mapping over the window stored as a region.
 //!
 //! Reproduction is deterministic: every counterexample carries the seed
 //! and case index that produced it (see `DESIGN.md` §11).
