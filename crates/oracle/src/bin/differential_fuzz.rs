@@ -35,10 +35,11 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "differential fuzz: {} seed(s) × {cases} case(s), six levels \
-         (geom predicates against convex-shape ground truth, tree queries, \
-         frozen identity, PSQL end-to-end, mixed read/write frozen+delta, \
-         mixed geometry with window queries)",
+        "differential fuzz: {} seed(s) × {cases} case(s), five levels \
+         (geom predicates against convex-shape ground truth, tree queries \
+         with frozen identity, PSQL end-to-end, mixed read/write \
+         frozen+delta, mixed geometry with window queries), every PSQL and \
+         k-NN answer in object-id order",
         seeds.len()
     );
     let divergences = run_seeds(&seeds, cases);

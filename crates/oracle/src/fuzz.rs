@@ -404,15 +404,15 @@ fn check_tree(case: &Case) -> Option<String> {
 
     for (ki, &(p, k)) in case.knn.iter().enumerate() {
         let mut stats = SearchStats::default();
-        let engine: Vec<f64> = packed
+        let engine: Vec<ItemId> = packed
             .nearest_neighbors(p, k, &mut stats)
             .iter()
-            .map(|n| n.distance_sq)
+            .map(|n| n.item)
             .collect();
-        let expect = reference::nearest_distances(&items, p, k);
+        let expect = reference::nearest_items(&items, p, k);
         if engine != expect {
             return Some(format!(
-                "knn {ki} (k={k}): engine distances {engine:?} != reference {expect:?}"
+                "knn {ki} (k={k}): engine {engine:?} != reference (distance, id) order {expect:?}"
             ));
         }
     }
@@ -890,30 +890,26 @@ fn check_mixed_queries(case: &Case, pic: &psql::picture::Picture, stage: &str) -
         }
     }
 
-    // k-NN compares distance sequences (ties at the cut-off make the
-    // k-th identity legitimately ambiguous).
+    // k-NN: the `k` smallest (distance, id) pairs, in that order.
     let items: Vec<(Rect, ItemId)> = case
         .objects
         .iter()
         .enumerate()
         .map(|(i, o)| (o.mbr(), ItemId(i as u64)))
         .collect();
-    let dist = |p: Point, ids: &[u64]| -> Vec<f64> {
-        ids.iter()
-            .map(|&id| case.objects[id as usize].mbr().min_distance_sq(p))
-            .collect()
-    };
     for (ki, &(p, k)) in case.knn.iter().enumerate() {
-        let expect = reference::nearest_distances(&items, p, k);
+        let expect: Vec<u64> = reference::nearest_items(&items, p, k)
+            .into_iter()
+            .map(|ItemId(id)| id)
+            .collect();
         let mut stats = SearchStats::default();
-        let got = dist(p, &pic.nearest(p, k, &mut stats));
+        let got = pic.nearest(p, k, &mut stats);
         if got != expect {
             return Some(format!(
-                "mixed {stage} knn {ki} (k={k}): distances {got:?} != brute \
-                 force {expect:?}"
+                "mixed {stage} knn {ki} (k={k}): {got:?} != brute force {expect:?}"
             ));
         }
-        let fast = dist(p, &pic.nearest_fast(p, k, &mut scratch));
+        let fast = pic.nearest_fast(p, k, &mut scratch);
         if fast != expect {
             return Some(format!(
                 "mixed {stage} knn {ki} (k={k}): scratch path diverges from \
@@ -981,6 +977,9 @@ fn check_shapes(case: &Case) -> Option<String> {
                     meets.map(move |&(r, _)| vec![l, r])
                 })
                 .collect();
+            // A juxtaposition answers by the first `from` relation's ids.
+            let mut by_right = pairs.clone();
+            by_right.sort_unstable_by_key(|pair| (pair[1], pair[0]));
             let mut outer: Vec<Vec<usize>> = pairs.iter().map(|pair| vec![pair[0]]).collect();
             outer.dedup();
             if matches!(op, SpatialOp::Overlapping | SpatialOp::Disjoined) {
@@ -991,7 +990,7 @@ fn check_shapes(case: &Case) -> Option<String> {
             };
             for (text, expect) in [
                 (juxtapose("lefts, rights on left-map, right-map"), &pairs),
-                (juxtapose("rights, lefts on right-map, left-map"), &pairs),
+                (juxtapose("rights, lefts on right-map, left-map"), &by_right),
                 (
                     format!(
                         "select name from lefts on left-map at loc {op} \
@@ -1048,21 +1047,20 @@ fn check_shapes(case: &Case) -> Option<String> {
     None
 }
 
-/// A result's rows, each name parsed back to the position of its object
-/// in the case, sorted.
+/// A result's rows in the order they came, each name parsed back to the
+/// position of its object in the case. Positions ascend with object ids
+/// in every picture, so a reference listed by position is in the order
+/// PSQL answers in.
 fn positions(rs: &psql::ResultSet) -> Vec<Vec<usize>> {
     let position = |v: &Value| {
         v.as_str()
             .and_then(|s| s.parse().ok())
             .unwrap_or(usize::MAX)
     };
-    let mut rows: Vec<Vec<usize>> = rs
-        .rows
+    rs.rows
         .iter()
         .map(|row| row.iter().map(position).collect())
-        .collect();
-    rows.sort_unstable();
-    rows
+        .collect()
 }
 
 /// Runs the full differential check — geometry predicates, tree paths,

@@ -192,18 +192,16 @@ pub fn window_objects(objects: &[SpatialObject], op: SpatialOp, window: &Rect) -
         .collect()
 }
 
-/// Reference k-nearest-neighbour: the `k` smallest `min_distance_sq`
-/// values from `p` to the item MBRs, ascending. Only distances are
-/// returned because ties at the cut-off make the identity of the k-th
-/// neighbour legitimately ambiguous.
-pub fn nearest_distances(items: &[(Rect, ItemId)], p: Point, k: usize) -> Vec<f64> {
-    let mut d: Vec<f64> = items
+/// Reference k-nearest-neighbour: the items of the `k` smallest
+/// `(min_distance_sq, id)` pairs from `p` to the item MBRs, in that
+/// order — ties at the cut-off go to the smaller ids.
+pub fn nearest_items(items: &[(Rect, ItemId)], p: Point, k: usize) -> Vec<ItemId> {
+    let mut d: Vec<(f64, ItemId)> = items
         .iter()
-        .map(|(mbr, _)| mbr.min_distance_sq(p))
+        .map(|&(mbr, id)| (mbr.min_distance_sq(p), id))
         .collect();
-    d.sort_by(f64::total_cmp);
-    d.truncate(k);
-    d
+    d.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    d.into_iter().take(k).map(|(_, id)| id).collect()
 }
 
 /// Reference juxtaposition join at the MBR level, matching the contract
@@ -394,10 +392,12 @@ mod tests {
     }
 
     #[test]
-    fn nearest_distances_are_sorted_prefix() {
+    fn nearest_items_are_sorted_prefix() {
         let items = grid_items(30);
-        let d = nearest_distances(&items, Point::new(3.3, 1.1), 5);
-        assert_eq!(d.len(), 5);
-        assert!(d.windows(2).all(|w| w[0] <= w[1]));
+        let p = Point::new(3.3, 1.1);
+        let near = nearest_items(&items, p, 5);
+        assert_eq!(near.len(), 5);
+        let key = |&id: &ItemId| (items[id.0 as usize].0.min_distance_sq(p), id);
+        assert!(near.windows(2).all(|w| key(&w[0]) < key(&w[1])));
     }
 }

@@ -33,6 +33,13 @@ PSQL shell commands:
   \\help                  this text
   \\quit                  exit
 
+Answer order (whichever tree answers):
+  a window or nested mapping   ascending object id
+  nearest k                    the k smallest (distance, object id)
+  a juxtaposition              (first `from` relation's id, second's)
+  each object's tuples in insertion order; `order by` is stable, so its
+  ties keep this order
+
 Example queries:
   select city, state, population, loc from cities on us-map
     at loc covered-by {82.5 +- 17.5, 25 +- 20} where population > 450000;

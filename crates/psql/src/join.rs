@@ -117,20 +117,11 @@ fn for_each_intersecting<T: NodeAccess>(
     }
 }
 
-/// Juxtaposition join between two [`Picture`]s, composing each side's
-/// frozen arena with its Guttman tree (DESIGN.md §14).
-///
-/// The two index a picture's disjoint id ranges, so the pair set
-/// decomposes into up to four terms, each one [`rtree_join`] over
-/// whatever storage forms meet:
-///
-/// ```text
-/// join(L, R) = join(L.frozen, R.frozen) ∪ join(L.frozen, R.delta)
-///            ∪ join(L.delta,  R.frozen) ∪ join(L.delta,  R.delta)
-/// ```
-///
-/// A never-packed side has no arena: its Guttman tree holds every
-/// object.
+/// Juxtaposition join between two [`Picture`]s: [`rtree_join`] of each
+/// side's frozen arena and Guttman tree, which index disjoint id ranges
+/// (DESIGN.md §14), against each of the other's — up to four terms,
+/// concatenated in the trees' order, which the executor sorts. A
+/// never-packed side has no arena: its Guttman tree holds every object.
 pub fn picture_join(
     lp: &Picture,
     rp: &Picture,

@@ -296,30 +296,6 @@ impl Picture {
         0..self.len() as u64
     }
 
-    /// Merges two distance-ascending neighbour lists into the `k`
-    /// nearest, preferring the main side on exact distance ties (its ids
-    /// are smaller by construction).
-    fn merge_neighbors(main: &[Neighbor], delta: &[Neighbor], k: usize) -> Vec<Neighbor> {
-        let mut out = Vec::with_capacity(k.min(main.len() + delta.len()));
-        let (mut i, mut j) = (0, 0);
-        while out.len() < k {
-            let from_main = match (main.get(i), delta.get(j)) {
-                (Some(a), Some(b)) => a.distance_sq.total_cmp(&b.distance_sq).is_le(),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if from_main {
-                out.push(main[i]);
-                i += 1;
-            } else {
-                out.push(delta[j]);
-                j += 1;
-            }
-        }
-        out
-    }
-
     /// One logical window query: `op`'s candidates, refined with exact
     /// geometry against the window as a rectangle region.
     fn window(
@@ -338,7 +314,8 @@ impl Picture {
         ids
     }
 
-    /// One logical k-NN query: the `k` nearest over both index parts.
+    /// One logical k-NN query: the `k` smallest `(distance, id)` pairs
+    /// over both index parts, in that order.
     fn knn(
         &self,
         p: Point,
@@ -351,19 +328,25 @@ impl Picture {
             return neighbor_ids(main.search_nearest(p, k, scratch, stats));
         };
         // Both searches share the scratch, so the first is copied out.
-        let near = main
+        let mut near = main
             .search_nearest(p, k, scratch, stats.as_deref_mut())
             .to_vec();
-        let extra = delta.search_nearest(p, k, scratch, stats.as_deref_mut());
+        near.extend_from_slice(delta.search_nearest(p, k, scratch, stats.as_deref_mut()));
         if let Some(stats) = stats {
             stats.queries -= 1;
         }
-        neighbor_ids(&Self::merge_neighbors(&near, extra, k))
+        near.sort_by(|a, b| {
+            a.distance_sq
+                .total_cmp(&b.distance_sq)
+                .then(a.item.cmp(&b.item))
+        });
+        near.truncate(k);
+        neighbor_ids(&near)
     }
 
     /// The filter step of a window query: ids whose MBRs pass `op`'s
-    /// tree traversal against `window`, main part first, or every id
-    /// for an operator with no MBR rule. A window query refines them
+    /// tree traversal against `window`, in traversal order, main part
+    /// first, or every id for an operator with no MBR rule. A window query refines them
     /// against `window`, a nested mapping against the inner object that
     /// `window` bounds. The two parts hold disjoint ids; the second
     /// traversal's work is counted toward the same one query.
@@ -394,9 +377,10 @@ impl Picture {
     }
 
     /// Direct spatial search: object ids satisfying `obj op window`,
-    /// pruned through the R-tree and refined with exact geometry. The
-    /// frozen arena and the delta tree (when the picture holds one) are
-    /// both searched and their disjoint candidate sets merged; the
+    /// pruned through the R-tree and refined with exact geometry, in
+    /// traversal order (the executor answers in id order). The frozen
+    /// arena and the delta tree (when the picture holds one) are both
+    /// searched and their disjoint candidate sets concatenated; the
     /// delta's traversal counts toward the same one logical query.
     pub fn search_window(&self, op: SpatialOp, window: &Rect, stats: &mut SearchStats) -> Vec<u64> {
         self.window(op, window, &mut SearchScratch::new(), Some(stats))
@@ -415,8 +399,8 @@ impl Picture {
         self.window(op, window, scratch, None)
     }
 
-    /// The `k` objects whose MBRs are nearest to `p`, ordered by
-    /// ascending distance, with Table 1 counters.
+    /// The `k` objects whose MBRs are nearest to `p` — the `k` smallest
+    /// `(distance, id)` pairs, in that order — with Table 1 counters.
     pub fn nearest(&self, p: Point, k: usize, stats: &mut SearchStats) -> Vec<u64> {
         self.knn(p, k, &mut KnnScratch::new(), Some(stats))
     }
@@ -945,13 +929,8 @@ mod tests {
             assert_eq!(fast, merged, "fast path diverged on {op:?}");
         }
 
-        // k-NN: distances must match the repacked picture (ties at the
-        // cut-off make the identity of the k-th neighbour ambiguous).
-        let dist = |pic: &Picture, p: Point, ids: &[u64]| -> Vec<f64> {
-            ids.iter()
-                .map(|&id| pic.object(id).unwrap().mbr().min_distance_sq(p))
-                .collect()
-        };
+        // k-NN: the repacked picture's `(distance, id)` order, ties
+        // at the cut-off included.
         let knn_queries: Vec<(Point, usize)> = (0..20)
             .map(|i| {
                 let x = (i * 211 % 1000) as f64;
@@ -964,8 +943,7 @@ mod tests {
             let mut s2 = SearchStats::default();
             let merged = live.nearest(p, k, &mut s1);
             let packed = repacked.nearest(p, k, &mut s2);
-            assert_eq!(merged.len(), packed.len());
-            assert_eq!(dist(&live, p, &merged), dist(&repacked, p, &packed));
+            assert_eq!(merged, packed, "k-NN diverged from repacked at {p:?}");
             let fast = live.nearest_fast(p, k, &mut scratch);
             assert_eq!(merged, fast, "k-NN fast path diverged at {p:?}");
         }

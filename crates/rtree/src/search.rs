@@ -218,8 +218,9 @@ pub(crate) fn window_traverse<const ONE_CHUNK: bool, T: NodeAccess + ?Sized, S: 
 /// The Table 1 point query, level by level like
 /// [`window_traverse`]. Children are appended highest-lane-first, so
 /// leaves come out right to left, and each leaf's hits are reported
-/// lowest-lane-first: the order the engine has always answered in,
-/// which PSQL row order (and `result_digest`) pins.
+/// lowest-lane-first: the order the engine has always answered in.
+/// PSQL has no point source, so only Table 1, the oracle's
+/// `recursive_point_query` and `DiskRTree`'s golden see it.
 pub(crate) fn point_traverse<const ONE_CHUNK: bool, T: NodeAccess + ?Sized, S: Sink>(
     tree: &T,
     p: Point,
