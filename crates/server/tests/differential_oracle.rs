@@ -2,7 +2,8 @@
 //! wire protocol, worker pool, snapshot handle, planner, packed R-tree
 //! search — against the brute-force oracle evaluating the same operator
 //! over the picture's objects directly. Any layer that drops, duplicates
-//! or mislabels a row shows up as a sorted-set mismatch.
+//! or mislabels a row, or answers out of object-id order, shows up as a
+//! mismatch.
 
 use psql::database::PictorialDatabase;
 use psql::SpatialOp;
@@ -70,7 +71,7 @@ fn served_queries_match_oracle() {
                 op.name()
             );
             let (_, result) = client.query_expect_result(&text).expect("query");
-            let mut got: Vec<String> = result
+            let got: Vec<String> = result
                 .rows
                 .iter()
                 .map(|row| {
@@ -80,12 +81,10 @@ fn served_queries_match_oracle() {
                         .to_owned()
                 })
                 .collect();
-            got.sort_unstable();
-            let mut expect: Vec<String> = reference::window_objects(&objects, op, &w)
+            let expect: Vec<String> = reference::window_objects(&objects, op, &w)
                 .into_iter()
                 .map(|id| labels[id as usize].clone())
                 .collect();
-            expect.sort_unstable();
             assert_eq!(
                 got, expect,
                 "op {op}, window {w:?}: served rows diverge from oracle ({text:?})"
