@@ -8,7 +8,7 @@ use packed_rtree_core::{pack, pack_with, PackStrategy};
 use rtree_bench::experiment_seed;
 use rtree_bench::report::{f, Table};
 use rtree_geom::Rect;
-use rtree_index::{ItemId, RTree, RTreeConfig, SearchStats, TreeMetrics};
+use rtree_index::{ItemId, NodeAccess, RTree, RTreeConfig, SearchStats, TreeMetrics};
 use rtree_workload::{points, queries, rng, PAPER_UNIVERSE};
 
 fn query_cost(tree: &RTree, qs: &[rtree_geom::Point]) -> f64 {

@@ -31,7 +31,7 @@
 //! §3.4/§4's "dynamic invocation of the PACK algorithm" needs no type of
 //! its own: a packed tree stays an ordinary R-tree under Guttman's
 //! INSERT/DELETE, and re-packing it is [`pack_with`] over its
-//! [`items`](rtree_index::RTree::items). The served system re-packs a
+//! [`items`](rtree_index::NodeAccess::items). The served system re-packs a
 //! picture's delta once it passes the server's merge threshold.
 //!
 //! # Example

@@ -124,7 +124,7 @@ fn build_level<S: PackSink>(
 mod tests {
     use super::*;
     use rtree_geom::Point;
-    use rtree_index::{SearchStats, SplitPolicy, TreeMetrics};
+    use rtree_index::{NodeAccess, SearchStats, SplitPolicy, TreeMetrics};
 
     fn points(n: u64, seed: u64) -> Vec<(Rect, ItemId)> {
         let mut s = seed;

@@ -285,9 +285,10 @@ fn sorted(mut ids: Vec<ItemId>) -> Vec<ItemId> {
 
 /// `SEARCH` and the point query on `tree`, checked in exact result
 /// order: windows against [`reference::recursive_window_search`], points
-/// against [`reference::recursive_point_query`] (children descended
-/// highest-lane-first), counters against both, and result sets against
-/// a linear scan. The stats path and the scratch path must agree too.
+/// against [`reference::recursive_point_query`] (a `contains_point`
+/// recursion, leaves left to right), counters against both, and result
+/// sets against a linear scan. The stats path and the scratch path must
+/// agree too.
 fn check_search_order(tree: &RTree, items: &[(Rect, ItemId)], case: &Case) -> Option<String> {
     let mut scratch = SearchScratch::new();
     for (wi, w) in case.windows.iter().enumerate() {

@@ -297,11 +297,11 @@ fn recurse_window(
 /// The Table 1 point query as a literal recursion: descend (and report)
 /// only entries whose MBR contains the point.
 ///
-/// Matching children are descended in *descending* lane order and leaf
-/// hits reported in ascending lane order. That is the engine's
-/// historical point-query order (its first stack pushed children
-/// lowest-lane-first and so popped them highest-first), which PSQL row
-/// order, and so `result_digest`, still pins.
+/// Written with `contains_point`, not as a window, so it checks the
+/// engine's claim that a point query is the window search over the
+/// point's rectangle. Matching children are descended, and leaf hits
+/// reported, in ascending lane order: leaves come left to right, as a
+/// window's do.
 pub fn recursive_point_query(tree: &RTree, p: Point) -> (Vec<ItemId>, TraversalCount) {
     let mut out = Vec::new();
     let mut count = TraversalCount::default();
@@ -325,7 +325,7 @@ fn recurse_point(
             out.push(e.child.expect_item());
         }
     } else {
-        for e in node.entries.iter().rev() {
+        for e in &node.entries {
             if e.mbr.contains_point(p) {
                 recurse_point(tree, e.child.expect_node(), p, out, count);
             }

@@ -219,7 +219,10 @@ impl<'a> Executor<'a> {
                 let lp = db.picture(&left.picture)?;
                 let rp = db.picture(&right.picture)?;
                 // The planner put `left` in relation 0, so pairs sort by
-                // the first `from` relation's id.
+                // the first `from` relation's id. Sorting before the refine
+                // costs more than sorting only its survivors, but the refine
+                // then reads the left picture's objects in id order, which
+                // saves more than that at 1M objects (EXT-45).
                 let mut pairs = picture_join(lp, rp, *op, &mut JoinStats::default());
                 pairs.sort_unstable();
                 let left_links = self.backlinks(left.column);

@@ -4,12 +4,13 @@
 //! (§2.2). A storage form of the tree (the pointer arena of [`RTree`],
 //! the SoA arena of [`FrozenRTree`](crate::FrozenRTree), a future
 //! backend) describes its nodes through [`NodeAccess`] and inherits the
-//! window, point and k-NN traversals of this crate and the join of
-//! `psql` — the same level-order loops, visit order and counters for all.
+//! window and k-NN traversals of this crate and the join of `psql` — the
+//! same loops, visit order and counters for all. The point query is the
+//! window search over the point's rectangle.
 
 use crate::knn::{knn_traverse, KnnScratch, Neighbor};
 use crate::node::{ItemId, Node, NodeId};
-use crate::search::{point_traverse, window_traverse, NoStats, SearchScratch};
+use crate::search::{window_traverse, NoStats, SearchScratch};
 use crate::stats::SearchStats;
 use crate::tree::RTree;
 use rtree_geom::{Point, Rect};
@@ -47,8 +48,6 @@ pub trait NodeAccess {
     fn mask_within(&self, node: NodeId, chunk: usize, window: &Rect) -> u64;
     /// Lanes of `chunk` that `INTERSECTS` `window`.
     fn mask_intersects(&self, node: NodeId, chunk: usize, window: &Rect) -> u64;
-    /// Lanes of `chunk` containing `p`.
-    fn mask_point(&self, node: NodeId, chunk: usize, p: Point) -> u64;
     /// `min_distance_sq(p)` of the first `out.len()` lanes of `chunk`,
     /// all of which must be valid — bit for bit what
     /// [`Rect::min_distance_sq`] returns.
@@ -60,9 +59,10 @@ pub trait NodeAccess {
         Rect::mbr_of_rects((0..self.entry_count(node)).map(|lane| self.lane_mbr(node, lane)))
     }
 
-    /// All `(mbr, item)` pairs at the leaf level, in the order
-    /// [`RTree::items`] reports them — the same for every form of one
-    /// tree.
+    /// All `(mbr, item)` pairs at the leaf level. A depth-first walk
+    /// that visits a node's children last lane first and reports a
+    /// leaf's entries first lane first; the order depends only on the
+    /// tree's shape, so every form of one tree lists its items alike.
     fn items(&self) -> Vec<(Rect, ItemId)> {
         let mut out = Vec::new();
         let mut stack = vec![self.root()];
@@ -103,23 +103,6 @@ pub trait NodeAccess {
             (_, None) => {
                 window_traverse::<false, _, _>(self, window, within, frontier, &mut NoStats, out)
             }
-        }
-        out
-    }
-
-    /// The Table 1 point query: every item whose rectangle contains `p`.
-    fn search_point<'s>(
-        &self,
-        p: Point,
-        scratch: &'s mut SearchScratch,
-        stats: Option<&mut SearchStats>,
-    ) -> &'s [ItemId] {
-        let SearchScratch { frontier, out, .. } = scratch;
-        match (self.fanout().div_ceil(64), stats) {
-            (1, Some(stats)) => point_traverse::<true, _, _>(self, p, frontier, stats, out),
-            (1, None) => point_traverse::<true, _, _>(self, p, frontier, &mut NoStats, out),
-            (_, Some(stats)) => point_traverse::<false, _, _>(self, p, frontier, stats, out),
-            (_, None) => point_traverse::<false, _, _>(self, p, frontier, &mut NoStats, out),
         }
         out
     }
@@ -196,10 +179,6 @@ impl NodeAccess for RTree {
 
     fn mask_intersects(&self, node: NodeId, chunk: usize, window: &Rect) -> u64 {
         entry_mask(self.node(node), chunk, |mbr| mbr.intersects(window))
-    }
-
-    fn mask_point(&self, node: NodeId, chunk: usize, p: Point) -> u64 {
-        entry_mask(self.node(node), chunk, |mbr| mbr.contains_point(p))
     }
 
     fn lane_distances(&self, node: NodeId, chunk: usize, p: Point, out: &mut [f64]) {

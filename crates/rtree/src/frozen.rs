@@ -21,29 +21,28 @@
 //!   of the four half-used lines that tree-wide planes would cost.
 //! * **NaN padding lanes.** Nodes with fewer than `fanout` entries pad
 //!   the remaining lanes with `NaN` rectangles. Every query predicate in
-//!   the engine (`INTERSECTS`, `WITHIN`, `contains_point`) is a pure
-//!   conjunction of `<=`/`>=` comparisons, and every comparison against
-//!   NaN is `false` — so padding lanes can never match *any* window,
-//!   including NaN or degenerate ones, and never perturb a counter.
-//!   (`±inf` sentinels would not be safe: an infinite query window
-//!   would match them.)
+//!   the engine (`INTERSECTS`, `WITHIN`) is a pure conjunction of
+//!   `<=`/`>=` comparisons, and every comparison against NaN is `false`
+//!   — so padding lanes can never match *any* window, including NaN or
+//!   degenerate ones, and never perturb a counter. (`±inf` sentinels
+//!   would not be safe: an infinite query window would match them.)
 //!
 //! The arena implements [`NodeAccess`], so its queries are the very
-//! traversals the pointer tree runs — window and point search descend
-//! one level at a time, appending a node's matching children lowest-lane
-//! first (window) or highest-lane first (point); k-NN keeps one
-//! best-first heap discipline — and a frozen tree returns **identical
-//! result sequences and identical [`SearchStats`] counters**, verified by
-//! the `rtree-oracle` differential fuzzer's fourth execution level.
-//! Breadth-first node order suits the level-order descent: a level's
-//! visited nodes are independent loads that lie in one band of the
-//! arena, so their cache misses overlap.
+//! traversals the pointer tree runs — window search (and the point
+//! query, a window over the point's rectangle) descends one level at a
+//! time, appending a node's matching children lowest-lane first; k-NN
+//! keeps one best-first heap discipline — and a frozen tree returns
+//! **identical result sequences and identical [`SearchStats`]
+//! counters**, verified by the `rtree-oracle` differential fuzzer's tree
+//! level. Breadth-first node order suits the level-order descent: a
+//! level's visited nodes are independent loads that lie in one band of
+//! the arena, so their cache misses overlap.
 
 use crate::access::NodeAccess;
 use crate::config::RTreeConfig;
 use crate::knn::{KnnScratch, Neighbor};
 use crate::node::{Child, ItemId, NodeId};
-use crate::search::{BatchScratch, SearchScratch};
+use crate::search::{point_rect, BatchScratch, SearchScratch};
 use crate::stats::SearchStats;
 use crate::tree::RTree;
 use rtree_geom::{Point, Rect};
@@ -330,14 +329,15 @@ impl FrozenRTree {
 
     /// The Table 1 point query; identical to [`RTree::point_query`].
     pub fn point_query(&self, p: Point, stats: &mut SearchStats) -> Vec<ItemId> {
-        self.search_point(p, &mut SearchScratch::new(), Some(stats))
+        let mut scratch = SearchScratch::new();
+        self.search_window(&point_rect(p), false, &mut scratch, Some(stats))
             .to_vec()
     }
 
     /// [`point_query`](Self::point_query) without statistics or per-call
     /// allocation.
     pub fn point_query_into<'s>(&self, p: Point, scratch: &'s mut SearchScratch) -> &'s [ItemId] {
-        self.search_point(p, scratch, None)
+        self.search_window(&point_rect(p), false, scratch, None)
     }
 
     /// Best-first k-NN; neighbours and counters are identical to
@@ -416,12 +416,6 @@ impl NodeAccess for FrozenRTree {
         lanes::intersects(x1, y1, x2, y2, window)
     }
 
-    #[inline(always)]
-    fn mask_point(&self, node: NodeId, chunk: usize, p: Point) -> u64 {
-        let (x1, y1, x2, y2) = self.chunk_planes(node, chunk, self.fanout);
-        lanes::point(x1, y1, x2, y2, p)
-    }
-
     fn lane_distances(&self, node: NodeId, chunk: usize, p: Point, out: &mut [f64]) {
         let (x1, y1, x2, y2) = self.chunk_planes(node, chunk, chunk * 64 + out.len());
         lanes::distances(x1, y1, x2, y2, p, out)
@@ -460,17 +454,6 @@ mod lanes {
                 & (w.min_x <= x2[lane])
                 & (y1[lane] <= w.max_y)
                 & (w.min_y <= y2[lane]);
-            mask |= (hit as u64) << lane;
-        }
-        mask
-    }
-
-    /// `contains_point`: lane rectangle contains `p`.
-    #[inline]
-    pub(super) fn point(x1: &[f64], y1: &[f64], x2: &[f64], y2: &[f64], p: Point) -> u64 {
-        let mut mask = 0u64;
-        for lane in 0..x1.len() {
-            let hit = (x1[lane] <= p.x) & (p.x <= x2[lane]) & (y1[lane] <= p.y) & (p.y <= y2[lane]);
             mask |= (hit as u64) << lane;
         }
         mask
@@ -710,6 +693,8 @@ mod tests {
     /// Each lane kernel agrees with the `Rect` method it stands for, lane
     /// by lane, over odd widths up to a full chunk and every kind of
     /// window; a NaN padding lane never matches and is never measured.
+    /// `intersects` over a point's rectangle is `contains_point`, which
+    /// is what lets the point query run the window kernel.
     #[test]
     fn mask_predicates_match_rect_methods() {
         let mut rng = StdRng::seed_from_u64(0xAB_CD);
@@ -719,7 +704,7 @@ mod tests {
                 let p = Point::new(w.min_x, w.min_y);
                 let within = lanes::within(&x1, &y1, &x2, &y2, w);
                 let inter = lanes::intersects(&x1, &y1, &x2, &y2, w);
-                let at = lanes::point(&x1, &y1, &x2, &y2, p);
+                let at = lanes::intersects(&x1, &y1, &x2, &y2, &point_rect(p));
                 let mut dist = vec![0.0f64; n];
                 lanes::distances(&x1, &y1, &x2, &y2, p, &mut dist);
                 for lane in 0..n {

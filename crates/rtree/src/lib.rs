@@ -14,7 +14,8 @@
 //!   `WITHIN` it — walked one level at a time so a level's node loads
 //!   overlap, with the recursion's results, result order and visit
 //!   counts — plus intersection search, point queries (the Table 1
-//!   workload) and branch-and-bound nearest-neighbour search;
+//!   workload: the same search over the point's rectangle) and
+//!   branch-and-bound nearest-neighbour search;
 //! * per-query [`SearchStats`] (nodes visited — the `A` column of Table 1)
 //!   and whole-tree [`TreeMetrics`] (coverage `C`, overlap `O`, depth `D`,
 //!   node count `N`);

@@ -134,18 +134,34 @@ impl RTree {
 
     /// The Table 1 query: "Is point (x, y) contained in the database?"
     ///
-    /// Descends only entries whose MBR contains the point and reports leaf
-    /// entries whose MBR contains it. Returns all matching items (multiple
-    /// items may share a location).
+    /// The paper's one `SEARCH` over the point's rectangle: a rectangle
+    /// contains `p` exactly when it intersects `p`'s degenerate rectangle,
+    /// so this descends and reports exactly the entries whose MBR contains
+    /// the point. Returns all matching items (multiple items may share a
+    /// location).
     pub fn point_query(&self, p: Point, stats: &mut SearchStats) -> Vec<ItemId> {
-        self.search_point(p, &mut SearchScratch::new(), Some(stats))
+        let mut scratch = SearchScratch::new();
+        self.search_window(&point_rect(p), false, &mut scratch, Some(stats))
             .to_vec()
     }
 
     /// [`point_query`](Self::point_query) without statistics or per-call
     /// allocation.
     pub fn point_query_into<'s>(&self, p: Point, scratch: &'s mut SearchScratch) -> &'s [ItemId] {
-        self.search_point(p, scratch, None)
+        self.search_window(&point_rect(p), false, scratch, None)
+    }
+}
+
+/// `p`'s degenerate rectangle, the window of the point query. A struct
+/// literal, not [`Rect::from_point`]: a NaN or infinite coordinate must
+/// answer as `contains_point` would (nothing, in a tree of finite
+/// rectangles), not trip `Rect::new`'s finite-coordinate `debug_assert`.
+pub(crate) fn point_rect(p: Point) -> Rect {
+    Rect {
+        min_x: p.x,
+        min_y: p.y,
+        max_x: p.x,
+        max_y: p.y,
     }
 }
 
@@ -164,7 +180,9 @@ pub(crate) fn chunk_count<const ONE_CHUNK: bool>(tree: &(impl NodeAccess + ?Size
 }
 
 /// The paper's `SEARCH` as one iterative loop, for every storage form,
-/// visiting the tree one level at a time.
+/// visiting the tree one level at a time. It is the only loop: the
+/// Table 1 point query runs it over the point's rectangle
+/// ([`point_rect`]).
 ///
 /// `frontier` is a queue: the nodes of one level sit side by side, and
 /// visiting them appends the matching children, which form the next
@@ -209,52 +227,6 @@ pub(crate) fn window_traverse<const ONE_CHUNK: bool, T: NodeAccess + ?Sized, S: 
                     out.push(tree.child_item(id, lane));
                 } else {
                     frontier.push(tree.child_node(id, lane));
-                }
-            }
-        }
-    }
-}
-
-/// The Table 1 point query, level by level like
-/// [`window_traverse`]. Children are appended highest-lane-first, so
-/// leaves come out right to left, and each leaf's hits are reported
-/// lowest-lane-first: the order the engine has always answered in.
-/// PSQL has no point source, so only Table 1, the oracle's
-/// `recursive_point_query` and `DiskRTree`'s golden see it.
-pub(crate) fn point_traverse<const ONE_CHUNK: bool, T: NodeAccess + ?Sized, S: Sink>(
-    tree: &T,
-    p: Point,
-    frontier: &mut Vec<NodeId>,
-    sink: &mut S,
-    out: &mut Vec<ItemId>,
-) {
-    sink.query();
-    out.clear();
-    frontier.clear();
-    frontier.push(tree.root());
-    let chunks = chunk_count::<ONE_CHUNK>(tree);
-    let mut head = 0;
-    while let Some(&id) = frontier.get(head) {
-        head += 1;
-        let leaf = tree.is_leaf(id);
-        sink.node(leaf);
-        if leaf {
-            for chunk in 0..chunks {
-                let mut mask = tree.mask_point(id, chunk, p);
-                while mask != 0 {
-                    let lane = chunk * 64 + mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    sink.item();
-                    out.push(tree.child_item(id, lane));
-                }
-            }
-        } else {
-            for chunk in (0..chunks).rev() {
-                let mut mask = tree.mask_point(id, chunk, p);
-                while mask != 0 {
-                    let bit = 63 - mask.leading_zeros() as usize;
-                    mask &= !(1u64 << bit);
-                    frontier.push(tree.child_node(id, chunk * 64 + bit));
                 }
             }
         }
@@ -343,6 +315,29 @@ mod tests {
         assert_eq!(hits, vec![ItemId(73)]);
         assert!(t.point_query(Point::new(3.5, 7.5), &mut stats).is_empty());
         assert_eq!(stats.queries, 2);
+    }
+
+    /// A point with a NaN or infinite coordinate is contained in no
+    /// finite rectangle: both layouts answer empty, and a debug build does
+    /// not trip `Rect::new`'s finite-coordinate assertion on the way.
+    #[test]
+    fn non_finite_points_answer_empty() {
+        let points: Vec<(f64, f64)> = (0..100)
+            .map(|i| ((i % 10) as f64, (i / 10) as f64))
+            .collect();
+        let t = build(&points);
+        let f = crate::FrozenRTree::freeze(&t);
+        let mut scratch = SearchScratch::new();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for p in [Point::new(v, 3.0), Point::new(3.0, v), Point::new(v, v)] {
+                let (mut ts, mut fs) = (SearchStats::default(), SearchStats::default());
+                assert!(t.point_query(p, &mut ts).is_empty(), "{p:?}");
+                assert!(f.point_query(p, &mut fs).is_empty(), "{p:?}");
+                assert_eq!(fs, ts, "{p:?}");
+                assert!(t.point_query_into(p, &mut scratch).is_empty(), "{p:?}");
+                assert!(f.point_query_into(p, &mut scratch).is_empty(), "{p:?}");
+            }
+        }
     }
 
     #[test]

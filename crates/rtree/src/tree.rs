@@ -1,10 +1,10 @@
 //! The R-tree proper: an arena of nodes plus a root pointer.
 
 use crate::config::RTreeConfig;
-use crate::node::{Child, Entry, ItemId, Node, NodeId};
+use crate::node::{Child, Entry, Node, NodeId};
 use rtree_geom::Rect;
 
-/// A two-dimensional R-tree index from rectangles to [`ItemId`]s.
+/// A two-dimensional R-tree index from rectangles to [`ItemId`](crate::ItemId)s.
 ///
 /// Nodes live in an arena (`Vec`), mirroring the paper's
 /// `RTREE: array [1..MaxNodes] of NODE`; [`NodeId`]s are arena indices.
@@ -198,22 +198,6 @@ impl RTree {
         out
     }
 
-    /// All `(mbr, item)` pairs at the leaf level, in traversal order.
-    pub fn items(&self) -> Vec<(Rect, ItemId)> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = self.node(id);
-            for e in &node.entries {
-                match e.child {
-                    Child::Node(c) => stack.push(c),
-                    Child::Item(item) => out.push((e.mbr, item)),
-                }
-            }
-        }
-        out
-    }
-
     /// Checks every structural invariant, returning a description of the
     /// first violation.
     ///
@@ -337,7 +321,7 @@ impl RTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::Entry;
+    use crate::node::{Entry, ItemId};
     use rtree_geom::Point;
 
     #[test]

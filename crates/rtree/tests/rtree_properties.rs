@@ -5,7 +5,7 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rtree_geom::{Point, Rect};
-use rtree_index::{ItemId, RTree, RTreeConfig, SearchStats, SplitPolicy};
+use rtree_index::{ItemId, NodeAccess, RTree, RTreeConfig, SearchStats, SplitPolicy};
 use std::{panic, thread};
 
 /// Runs `body` on `cases` generators seeded `1985 + k`; a failing case names its test and `k`.

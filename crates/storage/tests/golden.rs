@@ -111,6 +111,7 @@ fn golden_page_file_opens_verifies_and_answers() {
         disk.point_query(&pool, probe, &mut b).expect("point"),
         tree.point_query(probe, &mut a)
     );
+    assert_eq!(b.nodes_visited, a.nodes_visited, "{probe:?}");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example update_lifecycle`
 
 use packed_rtree::geom::Rect;
-use packed_rtree::index::{ItemId, RTree, RTreeConfig, SearchStats};
+use packed_rtree::index::{ItemId, NodeAccess, RTree, RTreeConfig, SearchStats};
 use packed_rtree::pack::{pack, pack_with, PackStrategy};
 use packed_rtree::workload::{points, queries, rng, PAPER_UNIVERSE};
 

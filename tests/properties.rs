@@ -3,7 +3,7 @@
 //! and the theorems.
 
 use packed_rtree::geom::{Point, Rect};
-use packed_rtree::index::{ItemId, RTree, RTreeConfig, SearchStats, SplitPolicy};
+use packed_rtree::index::{ItemId, NodeAccess, RTree, RTreeConfig, SearchStats, SplitPolicy};
 use packed_rtree::pack::zero_overlap::zero_overlap_partition;
 use packed_rtree::pack::PackStrategy::{NearestNeighbor, SortTileRecursive};
 use packed_rtree::pack::{pack_with, PackStrategy};
